@@ -4,9 +4,10 @@ Runs an identical 3-config × 4-seed grid (the acceptance-criterion shape)
 through the sweep runner twice — serially in-process, then through the
 process pool — and records both wall-clock times.  On a multi-core machine
 the pooled run must not lose to serial; on a single core the pool can only
-add process overhead, so the speedup assertion is skipped there (the
+add process overhead, so the speedup gate is skipped there (the
 determinism suite separately guarantees both modes produce byte-identical
-results).
+results).  The wall-clock gates are enforced in the CI perf job only (see
+``wall_clock_gate`` in ``conftest.py``); digest and count asserts always run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ SPEC = SweepSpec(
 _CPUS = os.cpu_count() or 1
 
 
-def test_bench_sweep_parallel_vs_serial(benchmark):
+def test_bench_sweep_parallel_vs_serial(benchmark, wall_clock_gate):
     started = time.perf_counter()
     serial_result = SweepRunner(parallel=False).run(SPEC)
     serial_s = time.perf_counter() - started
@@ -55,10 +56,10 @@ def test_bench_sweep_parallel_vs_serial(benchmark):
         pytest.skip("single-CPU machine: a process pool cannot beat serial execution")
     # Multi-core: parallel wall-clock must beat serial (10% slack for pool
     # startup noise on small grids).
-    assert pooled_s < serial_s * 1.1
+    wall_clock_gate("parallel_over_serial", pooled_s / serial_s, below=1.1)
 
 
-def test_bench_sweep_cached_rerun_is_instant(benchmark, tmp_path):
+def test_bench_sweep_cached_rerun_is_instant(benchmark, tmp_path, wall_clock_gate):
     runner = SweepRunner(parallel=False, cache_dir=tmp_path)
     first = runner.run(SPEC)
     assert first.executed == SPEC.num_trials
@@ -70,4 +71,4 @@ def test_bench_sweep_cached_rerun_is_instant(benchmark, tmp_path):
     benchmark.extra_info["first_run_s"] = round(first.wall_time_s, 3)
     benchmark.extra_info["cached_rerun_s"] = round(rerun.wall_time_s, 3)
     # Serving 12 trials from cache must be at least 10x faster than running them.
-    assert rerun.wall_time_s < first.wall_time_s / 10
+    wall_clock_gate("cached_over_first", rerun.wall_time_s / first.wall_time_s, below=0.1)

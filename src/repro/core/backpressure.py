@@ -40,10 +40,12 @@ class BacklogEntry:
 
 
 class BacklogQueue:
-    """A FIFO backlog for one replica group."""
+    """A FIFO backlog for one replica group; it reports every change of its
+    length to the :class:`BackpressureQueues` that owns it, if one does."""
 
-    def __init__(self, group_key: Hashable) -> None:
+    def __init__(self, group_key: Hashable, owner: "BackpressureQueues | None" = None) -> None:
         self.group_key = group_key
+        self._owner = owner
         self._entries: deque[BacklogEntry] = deque()
         self.total_enqueued = 0
         self.total_dequeued = 0
@@ -61,6 +63,7 @@ class BacklogQueue:
         self._entries.append(entry)
         self.total_enqueued += 1
         self.max_depth = max(self.max_depth, len(self._entries))
+        self._resized(1)
 
     def peek(self) -> BacklogEntry | None:
         """The oldest waiting entry, or ``None`` when empty."""
@@ -72,6 +75,7 @@ class BacklogQueue:
             raise IndexError("pop from an empty backlog queue")
         entry = self._entries.popleft()
         self.total_dequeued += 1
+        self._resized(-1)
         if now is not None:
             self.total_wait_ms += max(0.0, now - entry.enqueued_at)
         return entry
@@ -80,6 +84,7 @@ class BacklogQueue:
         """Put an entry back at the head (it could still not be placed)."""
         entry.attempts += 1
         self._entries.appendleft(entry)
+        self._resized(1)
 
     @property
     def mean_wait_ms(self) -> float:
@@ -92,7 +97,12 @@ class BacklogQueue:
         """Remove and return every waiting entry (used at shutdown)."""
         drained = list(self._entries)
         self._entries.clear()
+        self._resized(-len(drained))
         return drained
+
+    def _resized(self, change: int) -> None:
+        if self._owner is not None:
+            self._owner._pending += change
 
 
 class BackpressureQueues:
@@ -104,7 +114,8 @@ class BackpressureQueues:
     """
 
     def __init__(self) -> None:
-        self._queues: dict[Hashable, BacklogQueue] = {}
+        self._queues: dict[frozenset, BacklogQueue] = {}
+        self._pending = 0
         self.backpressure_events = 0
 
     @staticmethod
@@ -120,7 +131,7 @@ class BackpressureQueues:
         key = self.group_key(replica_group)
         queue = self._queues.get(key)
         if queue is None:
-            queue = BacklogQueue(key)
+            queue = BacklogQueue(key, self)
             self._queues[key] = queue
         return queue
 
@@ -133,8 +144,8 @@ class BackpressureQueues:
         return entry
 
     def pending(self) -> int:
-        """Total requests currently waiting across all groups."""
-        return sum(len(q) for q in self._queues.values())
+        """Total requests currently waiting across all groups (O(1))."""
+        return self._pending
 
     def nonempty_queues(self) -> list[BacklogQueue]:
         """All backlogs that currently hold at least one request."""

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Iterable, Iterator
 
 from .config import C3Config
 from .cubic import cubic_inflection_ms, cubic_rate
-from .ewma import EWMA
 
 __all__ = [
     "cubic_inflection_ms",
@@ -113,37 +112,72 @@ class RateLimiter:
 
     def time_until_available(self, now: float) -> float:
         """Milliseconds until the next permit could be granted (0 if now)."""
-        if self.within_rate(now):
+        elapsed = now - self._window_start
+        if elapsed >= self.delta_ms or elapsed < 0.0:
+            self._roll_window(now)
+        headroom = self._rate + self._carry - self._used
+        if headroom >= 1.0:
             return 0.0
         # How many whole permits are we short of 1.0, and how many windows
         # does it take to accumulate them at the current per-window rate?
-        deficit = 1.0 - (self._rate + self._carry - self._used)
-        windows_needed = max(1, int(math.ceil(deficit / self._rate))) if self._rate > 0 else 1
+        windows_needed = max(1, int(math.ceil((1.0 - headroom) / self._rate)))
         return max(0.0, self._window_start + windows_needed * self.delta_ms - now)
 
 
 class ReceiveRateTracker:
-    """Tracks the responses received per δ-ms window, smoothed with an EWMA."""
+    """Tracks the responses received per δ-ms window, smoothed with an EWMA
+    (two slots, folded exactly as :meth:`repro.core.ewma.EWMA.update` does)."""
 
-    __slots__ = ("delta_ms", "_window_start", "_count", "_ewma")
+    __slots__ = ("delta_ms", "alpha", "_window_start", "_count", "_value", "_seeded")
 
     def __init__(self, delta_ms: float = 20.0, alpha: float = 0.9) -> None:
         if delta_ms <= 0:
             raise ValueError("delta_ms must be positive")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.delta_ms = float(delta_ms)
+        self.alpha = float(alpha)
         self._window_start = 0.0
         self._count = 0.0
-        self._ewma = EWMA(alpha)
+        self._value = 0.0
+        self._seeded = False
 
     def _roll(self, now: float) -> None:
-        if now < self._window_start:
+        """Close every window that ended at or before ``now``.
+
+        The live window is folded once; the empty windows after it only
+        decay the value (``alpha * 0.0 + c * v`` is exactly ``c * v``).  At a
+        fixed point of the decay — ``0.0``, or a subnormal ``c`` no longer
+        shrinks — the rest of the gap is one advance of the window start, so
+        a first contact at a wall-clock ``now = 1.7e12`` does not spin once
+        per window since epoch 0.  roll(t₁); roll(t₂ ≥ t₁) equals roll(t₂).
+        """
+        start = self._window_start
+        if now < start:
+            # A caller rewound the clock (tests); restart bookkeeping.
             self._window_start = now
             self._count = 0.0
             return
-        while now - self._window_start >= self.delta_ms:
-            self._ewma.update(self._count)
-            self._count = 0.0
-            self._window_start += self.delta_ms
+        delta = self.delta_ms
+        if now - start < delta:
+            return
+        decay = 1.0 - self.alpha
+        if self._seeded:
+            value = self.alpha * self._count + decay * self._value
+        else:
+            value = self._count
+            self._seeded = True
+        self._count = 0.0
+        start += delta
+        while now - start >= delta:
+            decayed = decay * value
+            if decayed == value:
+                start = min(start + ((now - start) // delta) * delta, now)
+            else:
+                value = decayed
+                start += delta
+        self._value = value
+        self._window_start = start
 
     def record_response(self, now: float) -> None:
         """Record a response arriving at time ``now``."""
@@ -153,12 +187,12 @@ class ReceiveRateTracker:
     def rate(self, now: float) -> float:
         """Smoothed receive rate (responses per δ window)."""
         self._roll(now)
-        if not self._ewma.initialized:
+        if not self._seeded:
             # Before a full window has elapsed, extrapolate from the partial
             # window so early comparisons are not biased to zero.
             elapsed = max(now - self._window_start, 1e-9)
             return self._count * (self.delta_ms / elapsed) if self._count else 0.0
-        return self._ewma.value
+        return self._value
 
 
 @dataclass
@@ -221,12 +255,25 @@ class CubicRateController:
         """Whether a request may be sent to this server right now."""
         return self.limiter.within_rate(now)
 
+    # try_acquire and on_response run once per request on every executor
+    # (the batched kernel calls them too): one pass over the limiter's and
+    # trackers' slots, rolling a window only when its boundary was crossed.
+
     def try_acquire(self, now: float) -> bool:
         """Consume a send permit if the limiter allows it."""
-        granted = self.limiter.try_acquire(now)
-        if granted:
-            self.sent.record_response(now)
-        return granted
+        limiter = self.limiter
+        elapsed = now - limiter._window_start
+        if elapsed >= limiter.delta_ms or elapsed < 0.0:
+            limiter._roll_window(now)
+        if limiter._rate + limiter._carry - limiter._used >= 1.0:
+            limiter._used += 1.0
+            sent = self.sent
+            elapsed = now - sent._window_start
+            if elapsed >= sent.delta_ms or elapsed < 0.0:
+                sent._roll(now)
+            sent._count += 1.0
+            return True
+        return False
 
     def send_rate(self, now: float) -> float:
         """Achieved send rate (requests per δ window)."""
@@ -237,23 +284,33 @@ class CubicRateController:
         return self.limiter.time_until_available(now)
 
     def on_response(self, now: float) -> None:
-        """Update the rate from a response arriving at ``now`` (Algorithm 2)."""
-        self.receive.record_response(now)
-        srate = self.limiter.rate
-        rrate = self.receive.rate(now)
-        hysteresis = self.config.effective_hysteresis_ms
-        send_rate = self.sent.rate(now)
-        falling_behind = send_rate > rrate * self.config.rate_excess_tolerance
-        limit_in_play = send_rate >= self.config.rate_min_utilisation * srate
-        if (
-            srate > rrate
-            and falling_behind
-            and limit_in_play
-            and (now - self.last_increase_at) > hysteresis
-        ):
-            self._decrease(now, srate)
-        elif srate < rrate:
+        """Update the rate from a response arriving at ``now`` (Algorithm 2).
+
+        Only a decrease needs the achieved send rate, so ``sent`` is rolled
+        only when ``srate > rrate``; otherwise it catches up at its next roll.
+        """
+        receive = self.receive
+        elapsed = now - receive._window_start
+        if elapsed >= receive.delta_ms or elapsed < 0.0:
+            receive._roll(now)
+        receive._count += 1.0
+        rrate = receive._value if receive._seeded else receive.rate(now)
+        srate = self.limiter._rate
+        if srate < rrate:
             self._increase(now, srate)
+        elif srate > rrate:
+            sent = self.sent
+            elapsed = now - sent._window_start
+            if elapsed >= sent.delta_ms or elapsed < 0.0:
+                sent._roll(now)
+            send_rate = sent._value if sent._seeded else sent.rate(now)
+            config = self.config
+            if (
+                send_rate > rrate * config.rate_excess_tolerance
+                and send_rate >= config.rate_min_utilisation * srate
+                and (now - self.last_increase_at) > config.effective_hysteresis_ms
+            ):
+                self._decrease(now, srate)
 
     # --------------------------------------------------------------- internal
     def _decrease(self, now: float, srate: float) -> None:
@@ -306,7 +363,7 @@ class PerServerRateControl:
     def __contains__(self, server_id: Hashable) -> bool:
         return server_id in self._controllers
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[CubicRateController]:
         return iter(self._controllers.values())
 
     def __len__(self) -> int:
@@ -328,7 +385,8 @@ class PerServerRateControl:
         """Snapshot of current sending rates (requests per δ window)."""
         return {sid: ctrl.srate for sid, ctrl in self._controllers.items()}
 
-    def earliest_availability(self, server_ids, now: float) -> float:
+    def earliest_availability(self, server_ids: Iterable[Hashable], now: float) -> float:
         """Smallest wait (ms) until any of ``server_ids`` admits a request."""
-        waits = [self.controller(sid).time_until_available(now) for sid in server_ids]
+        get = self._controllers.get
+        waits = [(get(sid) or self.controller(sid)).limiter.time_until_available(now) for sid in server_ids]
         return min(waits) if waits else 0.0

@@ -26,12 +26,17 @@ from .feedback import ServerFeedback
 from .rate_control import PerServerRateControl
 from .scoring import ReplicaScorer
 
-__all__ = ["ScheduleDecision", "C3Scheduler"]
+__all__ = ["SelectorDecision", "ScheduleDecision", "C3Scheduler"]
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleDecision:
-    """Result of submitting one request to the scheduler.
+@dataclass(slots=True)
+class SelectorDecision:
+    """Outcome of one placement — what every replica selector's ``submit`` returns.
+
+    Defined here (``strategies.base`` re-exports it) so the scheduler's own
+    decision can be one without the core importing the strategy package.
+    Not frozen: one is built per request on every strategy, and a frozen
+    dataclass's ``__init__`` costs 3.5x as much.
 
     Attributes
     ----------
@@ -39,22 +44,26 @@ class ScheduleDecision:
         The chosen server, or ``None`` when the request was backpressured.
     backpressured:
         Whether the request is waiting in a backlog queue.
-    ranking:
-        The scored ordering of the replica group at decision time; useful for
-        tracing and tests.
     retry_after_ms:
         When backpressured, a hint of how long until a permit frees up.
     """
 
     server_id: Hashable | None
-    backpressured: bool
-    ranking: tuple
+    backpressured: bool = False
     retry_after_ms: float = 0.0
 
     @property
     def sent(self) -> bool:
         """True when a server was selected for immediate dispatch."""
         return self.server_id is not None
+
+
+@dataclass(slots=True)
+class ScheduleDecision(SelectorDecision):
+    """A :class:`SelectorDecision` plus ``ranking``: the scored ordering of the
+    replica group at decision time (for tracing and tests)."""
+
+    ranking: tuple = ()
 
 
 class C3Scheduler:
@@ -95,33 +104,37 @@ class C3Scheduler:
         is always used).
         """
         group = tuple(replica_group)
-        if not group:
-            raise ValueError("replica_group must not be empty")
+        ranking = self.scorer.rank(group)
         self.requests_submitted += 1
-        ranking = tuple(self.scorer.rank(group))
+        server_id = self._place(ranking, now)
+        if server_id is None:
+            # Backpressure: every candidate replica exceeded its rate.
+            self.backlog.enqueue(request, group, now)
+            self.requests_backpressured += 1
+            retry_after = self.rate_control.earliest_availability(group, now)
+            return ScheduleDecision(None, True, retry_after, tuple(ranking))
+        return ScheduleDecision(server_id, False, 0.0, tuple(ranking))
 
-        if not self.config.rate_control_enabled:
-            chosen = ranking[0]
-            self.scorer.on_send(chosen, now)
-            self.requests_sent += 1
-            return ScheduleDecision(server_id=chosen, backpressured=False, ranking=ranking)
-
-        for server_id in ranking:
-            if self.rate_control.try_acquire(server_id, now):
-                self.scorer.on_send(server_id, now)
-                self.requests_sent += 1
-                return ScheduleDecision(server_id=server_id, backpressured=False, ranking=ranking)
-
-        # Backpressure: every candidate replica exceeded its rate.
-        self.backlog.enqueue(request, group, now)
-        self.requests_backpressured += 1
-        retry_after = self.rate_control.earliest_availability(group, now)
-        return ScheduleDecision(
-            server_id=None,
-            backpressured=True,
-            ranking=ranking,
-            retry_after_ms=retry_after,
-        )
+    def _place(self, ranking: list[Hashable], now: float) -> Hashable | None:
+        """Send to the first ranked replica within its rate (``None``: none is),
+        fully accounted: permit consumed, the scorer's send slots bumped."""
+        if self.config.rate_control_enabled:
+            controllers = self.rate_control._controllers
+            for server_id in ranking:
+                controller = controllers.get(server_id) or self.rate_control.controller(server_id)
+                if controller.try_acquire(now):
+                    break
+            else:
+                return None
+        else:
+            server_id = ranking[0]
+        scorer = self.scorer
+        slot = scorer._index[server_id]
+        scorer._out[slot] += 1
+        scorer._last_sent[slot] = now
+        scorer.counters.sends += 1
+        self.requests_sent += 1
+        return server_id
 
     # ----------------------------------------------------------- receive path
     def on_response(
@@ -140,8 +153,11 @@ class C3Scheduler:
         self.responses_received += 1
         self.scorer.on_response(server_id, feedback, response_time, now)
         if self.config.rate_control_enabled:
-            self.rate_control.on_response(server_id, now)
-            return self.drain_backlog(now)
+            rate_control = self.rate_control
+            controller = rate_control._controllers.get(server_id) or rate_control.controller(server_id)
+            controller.on_response(now)
+            if self.backlog._pending:
+                return self.drain_backlog(now)
         return []
 
     def on_timeout(self, server_id: Hashable, now: float, penalty_ms: float | None = None) -> None:
@@ -159,17 +175,10 @@ class C3Scheduler:
         """
         if not self.config.rate_control_enabled:
             return []
+        return self.backlog.drain_ready(now, self._place_entry, max_requests=max_requests)
 
-        def can_place(entry: BacklogEntry, at: float) -> Hashable | None:
-            ranking = self.scorer.rank(entry.replica_group)
-            for server_id in ranking:
-                if self.rate_control.try_acquire(server_id, at):
-                    self.scorer.on_send(server_id, at)
-                    self.requests_sent += 1
-                    return server_id
-            return None
-
-        return self.backlog.drain_ready(now, can_place, max_requests=max_requests)
+    def _place_entry(self, entry: BacklogEntry, now: float) -> Hashable | None:
+        return self._place(self.scorer.rank(entry.replica_group), now)
 
     def pending_backlog(self) -> int:
         """Number of requests currently held by backpressure."""
@@ -180,13 +189,12 @@ class C3Scheduler:
 
         Returns ``None`` when no requests are backlogged.
         """
-        queues = self.backlog.nonempty_queues()
-        if not queues:
+        if not self.backlog._pending:
             return None
-        waits = [
-            self.rate_control.earliest_availability(tuple(q.group_key), now) for q in queues
-        ]
-        return min(waits)
+        earliest_availability = self.rate_control.earliest_availability
+        return min(
+            earliest_availability(group, now) for group, queue in self.backlog._queues.items() if queue
+        )
 
     # ------------------------------------------------------------- observation
     def sending_rates(self) -> dict[Hashable, float]:

@@ -27,8 +27,10 @@ The scorer keeps its per-server state in dense parallel arrays (one slot per
 server, appended on first contact) instead of per-server objects.  Three
 consumers read the very same slots:
 
-* the scalar hot path (``score``/``rank`` over RF-sized groups, where plain
-  Python arithmetic beats numpy's per-call overhead by ~9x);
+* the scalar hot path: ``rank`` scores RF-sized groups inline (plain Python
+  arithmetic beats numpy's per-call overhead by ~9x there) and
+  ``on_response`` folds the three EWMAs inline; the scheduler bumps the send
+  slots directly.  ``score`` is the one-server form of the same expression;
 * :meth:`ReplicaScorer.scores_array`, which folds a whole replica group into
   one vectorized numpy expression (used by ``rank`` for wide groups);
 * the batched simulator kernel, which obtains the live arrays through
@@ -281,22 +283,32 @@ class ReplicaScorer:
         now:
             Current client clock, used only for bookkeeping.
         """
-        if response_time < 0:
+        if not response_time >= 0:  # negative or NaN
             raise ValueError(f"response_time must be non-negative, got {response_time}")
-        i = self._slot(server_id)
+        i = self._index.get(server_id)
+        if i is None:
+            i = self._slot(server_id)
         if self._out[i] > 0:
             self._out[i] -= 1
-        alpha = self.config.ewma_alpha
-        _ewma_fold(self._rt_val, self._rt_cnt, i, float(response_time), alpha)
+        # _ewma_fold three times, inline: once per response on every executor.
+        config = self.config
+        alpha = config.ewma_alpha
+        keep = 1.0 - alpha
+        sample = float(response_time)
+        values, counts = self._rt_val, self._rt_cnt
+        values[i] = alpha * sample + keep * values[i] if counts[i] else sample
+        counts[i] += 1
         if feedback is not None:
-            _ewma_fold(self._qs_val, self._qs_cnt, i, float(feedback.queue_size), alpha)
-            _ewma_fold(
-                self._st_val,
-                self._st_cnt,
-                i,
-                float(max(feedback.service_time, self.config.service_time_floor_ms)),
-                alpha,
-            )
+            sample = float(feedback.queue_size)
+            service = float(max(feedback.service_time, config.service_time_floor_ms))
+            if sample != sample or service != service:
+                raise ValueError("cannot update EWMA with NaN")
+            values, counts = self._qs_val, self._qs_cnt
+            values[i] = alpha * sample + keep * values[i] if counts[i] else sample
+            counts[i] += 1
+            values, counts = self._st_val, self._st_cnt
+            values[i] = alpha * service + keep * values[i] if counts[i] else service
+            counts[i] += 1
             self._fb_cnt[i] += 1
             self._last_fb[i] = now
         self.counters.responses += 1
@@ -383,19 +395,41 @@ class ReplicaScorer:
         and then by a stable ordering of the server identifiers, so that
         ranking is deterministic for reproducible simulations.
         """
-        group = list(replica_group)
-        if not group:
+        group = tuple(replica_group)
+        size = len(group)
+        if not size:
             raise ValueError("replica_group must not be empty")
-        scores: list[float]
-        if len(group) >= _VECTORIZE_MIN_GROUP:
-            scores = self.scores_array(group).tolist()
-        else:
-            scores = [self.score(sid) for sid in group]
         index, out, tiekey = self._index, self._out, self._tiekey
-        slots = [index[sid] for sid in group]
-        decorated = sorted(
-            (scores[k], out[slots[k]], tiekey[slots[k]], k) for k in range(len(group))
-        )
+        if size >= _VECTORIZE_MIN_GROUP:
+            scores = self.scores_array(group).tolist()
+            slots = [index[sid] for sid in group]
+            decorated = [(scores[k], out[slots[k]], tiekey[slots[k]], k) for k in range(size)]
+        else:
+            # RF-sized groups: cubic_score's expression inline, once per
+            # member, over the dense slots.  The batched kernel transcribes
+            # the same lines; tests pin both bitwise-equal to cubic_score.
+            config = self.config
+            floor = config.service_time_floor_ms
+            weight = config.concurrency_weight
+            exponent = config.score_exponent
+            rt_val, qs_val, st_val, st_cnt = self._rt_val, self._qs_val, self._st_val, self._st_cnt
+            self.counters.score_evaluations += size
+            decorated = []
+            k = 0
+            for sid in group:
+                i = index.get(sid)
+                if i is None:
+                    i = self._slot(sid)
+                service = st_val[i]
+                if not st_cnt[i] or service < floor:
+                    service = floor
+                pending = out[i]
+                queue = 1.0 + pending * weight + qs_val[i]
+                decorated.append(
+                    (rt_val[i] - service + (queue**exponent) / (1.0 / service), pending, tiekey[i], k)
+                )
+                k += 1
+        decorated.sort()
         return [group[d[3]] for d in decorated]
 
     def best(self, replica_group: Iterable[Hashable]) -> Hashable:

@@ -24,10 +24,11 @@ dispatch loop:
 * **Batched selector scoring** — LOR and P2C score replica groups over
   contiguous per-client arrays (outstanding counts, queue-EWMA values)
   instead of defaultdict lookups, with end-of-run write-back through the
-  selectors' ``kernel_state``/``kernel_restore`` seams.  C3 submits through
-  :meth:`~repro.strategies.c3.C3Selector.kernel_submit`, which skips the
-  ``SelectorDecision`` re-wrap.  Every other strategy runs through its
-  normal selector methods (correct, less accelerated).
+  selectors' ``kernel_state``/``kernel_restore`` seams.  C3 is scored
+  inline over the scorer's live dense arrays and calls the shared
+  :class:`~repro.core.rate_control.CubicRateController` objects.  Every
+  other strategy runs through its normal selector methods (correct, less
+  accelerated).
 * **Batched metrics** — latencies accumulate in flat lists and per-server
   completion times flush through
   :meth:`~repro.simulator.metrics.WindowedCounter.record_batch` at end of
@@ -356,7 +357,6 @@ class BatchedKernel:
             isinstance(selector, StatefulSelector)
             and cls.submit is StatefulSelector.submit
             and cls.on_response is StatefulSelector.on_response
-            and cls.kernel_submit is ReplicaSelector.kernel_submit
             and cls.pending_backlog is ReplicaSelector.pending_backlog
             and cls.drain_backlog is ReplicaSelector.drain_backlog
         ):
@@ -926,7 +926,7 @@ class BatchedKernel:
                     if c3_rc:
                         c3_ctrl[cid][sid].on_response(t)
                         sched = c3_scheds[cid]
-                        if sched.backlog._queues:
+                        if sched.backlog._pending:
                             rel = sched.drain_backlog(t)
                             if rel:
                                 released = [(e.request, chosen) for e, chosen in rel]
@@ -958,7 +958,7 @@ class BatchedKernel:
                         self._schedule_retry(cid, sel.next_retry_ms(t) or _MIN_RETRY_MS, t)
                 elif mode == _C3 and c3_rc:
                     sched = c3_scheds[cid]
-                    if sched.backlog._queues and sched.backlog.pending() > 0:
+                    if sched.backlog._pending:
                         self._schedule_retry(
                             cid, sched.next_backlog_retry_ms(t) or _MIN_RETRY_MS, t
                         )
@@ -1135,7 +1135,7 @@ class BatchedKernel:
             sel.record_send(sid, t)
             self._send(rid, cid, sid, t)
         else:
-            decision = self._sels[cid].kernel_submit(rid, candidates, t)
+            decision = self._sels[cid].submit(rid, candidates, t)
             sid = decision.server_id
             if sid is not None:
                 self._send(rid, cid, sid, t)
@@ -1467,3 +1467,10 @@ class BatchedKernel:
                     self._c3_s_resps[cid],
                     self._c3_s_evals[cid],
                 )
+
+        # Scratch state of this run — but the servers keep the kernel alive
+        # (KernelServer.kernel) and a finished simulation is a reference
+        # cycle, freed only by a full collection: release the arena now.
+        self._created, self._disp, self._comp = [], [], []
+        self._client, self._kind, self._parent, self._sid = [], [], [], []
+        self._group, self._srv_times = [], []

@@ -16,26 +16,12 @@ the same client code:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from ..core.feedback import ServerFeedback
+from ..core.scheduler import SelectorDecision
 
 __all__ = ["SelectorDecision", "ReplicaSelector", "StatefulSelector"]
-
-
-@dataclass(frozen=True, slots=True)
-class SelectorDecision:
-    """Outcome of one :meth:`ReplicaSelector.submit` call."""
-
-    server_id: Hashable | None
-    backpressured: bool = False
-    retry_after_ms: float = 0.0
-
-    @property
-    def sent(self) -> bool:
-        """True when a server was chosen for immediate dispatch."""
-        return self.server_id is not None
 
 
 class ReplicaSelector(ABC):
@@ -61,21 +47,6 @@ class ReplicaSelector(ABC):
         Returns a (possibly empty) list of ``(request, server_id)`` pairs for
         backlogged requests released by this response.
         """
-
-    def kernel_submit(
-        self, request: object, replica_group: Sequence[Hashable], now: float
-    ) -> object:
-        """Placement entry point used by the batched simulator kernel.
-
-        Must return an object exposing ``server_id`` (``None`` means
-        backpressured) and ``retry_after_ms`` — by default the
-        :class:`SelectorDecision` from :meth:`submit`.  Strategies whose
-        ``submit`` merely re-wraps an internal decision object (C3) override
-        this to return that object directly, skipping one allocation per
-        request on the hot path.  Behavior must stay identical to
-        :meth:`submit`.
-        """
-        return self.submit(request, replica_group, now)
 
     def on_timeout(self, server_id: Hashable, now: float) -> None:
         """Account for a request that will never complete.  Optional."""

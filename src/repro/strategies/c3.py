@@ -111,17 +111,6 @@ class C3Selector(ReplicaSelector):
 
     # ------------------------------------------------------------------ sends
     def submit(self, request: object, replica_group: Sequence[Hashable], now: float) -> SelectorDecision:
-        decision = self.scheduler.submit(request, replica_group, now)
-        return SelectorDecision(
-            server_id=decision.server_id,
-            backpressured=decision.backpressured,
-            retry_after_ms=decision.retry_after_ms,
-        )
-
-    def kernel_submit(self, request: object, replica_group: Sequence[Hashable], now: float) -> object:
-        # The scheduler's ScheduleDecision already carries server_id /
-        # retry_after_ms; the batched kernel reads those directly, so the
-        # SelectorDecision re-wrap above is pure overhead on its hot path.
         return self.scheduler.submit(request, replica_group, now)
 
     def kernel_state(
@@ -189,7 +178,7 @@ class C3Selector(ReplicaSelector):
         now: float,
     ) -> list[tuple[object, Hashable]]:
         released = self.scheduler.on_response(server_id, feedback, response_time, now)
-        return [(entry.request, chosen) for entry, chosen in released]
+        return [(entry.request, chosen) for entry, chosen in released] if released else []
 
     def on_timeout(self, server_id: Hashable, now: float) -> None:
         self.scheduler.on_timeout(server_id, now)
@@ -200,7 +189,7 @@ class C3Selector(ReplicaSelector):
         return [(entry.request, chosen) for entry, chosen in released]
 
     def pending_backlog(self) -> int:
-        return self.scheduler.pending_backlog()
+        return self.scheduler.backlog.pending()
 
     def next_retry_ms(self, now: float) -> float | None:
         return self.scheduler.next_backlog_retry_ms(now)

@@ -125,6 +125,17 @@ class TestReceiveRateTracker:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ReceiveRateTracker(delta_ms=0.0)
+        with pytest.raises(ValueError):
+            ReceiveRateTracker(alpha=0.0)
+
+    def test_first_contact_on_a_wall_clock_does_not_spin(self):
+        """A roll from epoch 0 to a unix-millisecond clock is ~8.5e10 windows."""
+        tracker = ReceiveRateTracker(delta_ms=20.0, alpha=0.9)
+        tracker.record_response(1.7e12)
+        # The empty first window seeded the average with 0.0 ...
+        assert tracker.rate(1.7e12) == 0.0
+        # ... and this response is folded in when its own window closes.
+        assert tracker.rate(1.7e12 + 20.0) == 0.9
 
 
 class TestCubicRateController:
