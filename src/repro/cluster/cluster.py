@@ -291,7 +291,7 @@ class CassandraCluster:
             delay = 0.02
         else:
             delay = self.network.one_way_delay(request.server_id, coordinator.node_id)
-        self.loop.schedule(delay, coordinator.on_remote_response, request, feedback, service_time)
+        self.loop.post(delay, coordinator.on_remote_response, request, feedback, service_time)
 
     def _node_state(self, node_id: Hashable) -> tuple[float, float]:
         node = self.nodes[node_id]

@@ -82,7 +82,6 @@ class _PendingOperation:
     is_read: bool
     group_label: str
     on_done: Callable[[Request, float], None]
-    copy_ids: set = field(default_factory=set)
     completed: bool = False
     speculation_event: Event | None = None
     speculations: int = 0
@@ -181,7 +180,6 @@ class Coordinator:
             group_label=group_label,
             on_done=on_done,
         )
-        pending.copy_ids.add(request.request_id)
         self._pending[request.request_id] = pending
         self._pending_by_copy[request.request_id] = pending
         self.operations_executed += 1
@@ -217,7 +215,6 @@ class Coordinator:
             if node_id == request.server_id:
                 continue
             duplicate = self._make_copy(request, RequestKind.READ_REPAIR)
-            pending.copy_ids.add(duplicate.request_id)
             self._pending_by_copy[duplicate.request_id] = pending
             self.metrics.record_copy("read_repair")
             self.selector.on_duplicate_send(node_id, self.loop.now)
@@ -249,7 +246,6 @@ class Coordinator:
         target = candidates[int(self.rng.integers(len(candidates)))]
         pending.speculation_targets.add(target)
         duplicate = self._make_copy(primary, RequestKind.SPECULATIVE)
-        pending.copy_ids.add(duplicate.request_id)
         self._pending_by_copy[duplicate.request_id] = pending
         self.metrics.record_copy("speculative")
         self.speculations_fired += 1
@@ -272,7 +268,6 @@ class Coordinator:
             if node_id == primary_target:
                 continue
             copy = self._make_copy(request, RequestKind.WRITE)
-            pending.copy_ids.add(copy.request_id)
             self._pending_by_copy[copy.request_id] = pending
             self.metrics.record_copy("write_replica")
             self.selector.on_duplicate_send(node_id, self.loop.now)
@@ -298,7 +293,7 @@ class Coordinator:
             if node_id == self.node_id
             else self.network.one_way_delay(self.node_id, node_id)
         )
-        self.loop.schedule(delay, self.nodes[node_id].enqueue, request)
+        self.loop.post(delay, self.nodes[node_id].enqueue, request)
 
     # ------------------------------------------------------------------ responses
     def on_remote_response(self, request: Request, feedback: ServerFeedback, service_time: float) -> None:
@@ -319,7 +314,10 @@ class Coordinator:
         if self.selector.pending_backlog() > 0:
             self._schedule_retry(self.selector.next_retry_ms(now) or _MIN_RETRY_MS)
 
-        pending = self._pending_by_copy.get(request.request_id)
+        # Each copy answers at most once, so its index entry goes with its
+        # response; a completed operation's stragglers stay recognised until
+        # their own responses arrive.
+        pending = self._pending_by_copy.pop(request.request_id, None)
         if pending is not None and not pending.completed:
             self._complete_operation(pending, now)
 
@@ -332,8 +330,6 @@ class Coordinator:
             self.speculative_retry.record(latency)
         self.metrics.record_operation(latency, pending.is_read, now, pending.group_label)
         pending.on_done(pending.primary, latency)
-        # Keep the _pending_by_copy entries for late copies (they are cheap
-        # and let stragglers be recognised); drop the primary index.
         self._pending.pop(pending.op_id, None)
 
     # -------------------------------------------------------------------- retries

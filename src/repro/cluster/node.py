@@ -176,7 +176,7 @@ class ClusterNode:
             request.started_service_at = self.loop.now
             service_time = self._draw_service_time(request)
             request.service_time = service_time
-            self.loop.schedule(service_time, self._finish_service, request, service_time)
+            self.loop.post(service_time, self._finish_service, request, service_time)
 
     def _draw_service_time(self, request: Request) -> float:
         if request.kind == RequestKind.WRITE:

@@ -47,42 +47,32 @@ class TokenRing:
         self.replication_factor = int(replication_factor)
         # Tokens evenly spaced → every node owns an equal keyspace segment,
         # matching the paper's token assignment.
-        spacing = _RING_SIZE // len(node_list)
-        self._tokens = [i * spacing for i in range(len(node_list))]
-        self._token_to_node = dict(zip(self._tokens, node_list))
+        n = len(node_list)
+        spacing = _RING_SIZE // n
+        self._tokens = [i * spacing for i in range(n)]
+        # Token i belongs to node i, so the replica group of token range i is
+        # nodes i .. i+RF-1 clockwise: built once, looked up per key.  The
+        # extra last entry is the wraparound — positions past the last token
+        # belong to the first range.
+        groups = [tuple(node_list[(i + o) % n] for o in range(self.replication_factor)) for i in range(n)]
+        self._groups = groups + groups[:1]
 
     # ------------------------------------------------------------------ lookup
     def primary_for(self, key) -> Hashable:
         """The node owning the token range that ``key`` hashes into."""
-        position = _hash_key(key)
-        idx = bisect.bisect_left(self._tokens, position)
-        if idx == len(self._tokens):
-            idx = 0
-        return self._token_to_node[self._tokens[idx]]
+        return self._groups[bisect.bisect_left(self._tokens, _hash_key(key))][0]
 
     def replicas_for(self, key) -> tuple[Hashable, ...]:
         """The replica group (RF distinct nodes) responsible for ``key``."""
-        position = _hash_key(key)
-        idx = bisect.bisect_left(self._tokens, position)
-        if idx == len(self._tokens):
-            idx = 0
-        group = []
-        for offset in range(self.replication_factor):
-            node = self._token_to_node[self._tokens[(idx + offset) % len(self._tokens)]]
-            group.append(node)
-        return tuple(group)
+        return self._groups[bisect.bisect_left(self._tokens, _hash_key(key))]
 
     def replica_groups(self) -> list[tuple[Hashable, ...]]:
         """All distinct replica groups (one per token range)."""
-        groups = []
-        n = len(self.nodes)
-        for i in range(n):
-            groups.append(tuple(self.nodes[(i + o) % n] for o in range(self.replication_factor)))
-        return groups
+        return self._groups[:-1]
 
     def ownership_fraction(self, node: Hashable) -> float:
         """Fraction of the keyspace a node is the primary for."""
-        if node not in self._token_to_node.values():
+        if node not in self.nodes:
             raise KeyError(f"{node!r} is not in the ring")
         return 1.0 / len(self.nodes)
 

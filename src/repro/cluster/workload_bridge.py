@@ -105,7 +105,7 @@ class ClosedLoopGenerator:
         if self._should_stop():
             self.stopped = True
             return
-        self.loop.schedule(self.think_time_ms, self._issue_next)
+        self.loop.post(self.think_time_ms, self._issue_next)
 
     # ------------------------------------------------------------- observation
     @property

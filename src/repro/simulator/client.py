@@ -175,7 +175,7 @@ class SimClient:
             return
         request.mark_dispatched(now, server_id)
         delay = self.network.one_way_delay(self.client_id, server_id)
-        self.loop.schedule(delay, self.servers[server_id].enqueue, request)
+        self.loop.post(delay, self.servers[server_id].enqueue, request)
 
     def _maybe_read_repair(self, request: Request) -> None:
         """With probability p, duplicate the read to all other replicas.

@@ -5,12 +5,27 @@ The paper's §6 evaluation uses a purpose-built discrete-event simulator
 priority-queue driven event loop with cancellable timers.  Time is a float in
 milliseconds throughout the code base.
 
-Two hot-path details matter at scale:
+Three hot-path details matter at scale:
 
-* The heap stores ``(time, seq, event)`` tuples rather than :class:`Event`
+* The heap stores tuples led by ``(time, seq)`` rather than :class:`Event`
   objects, so every sift comparison is a C-level tuple comparison instead of
-  a Python-level ``__lt__`` call (``seq`` is unique, so the ``event`` slot is
-  never compared).
+  a Python-level ``__lt__`` call (``seq`` is unique, so the slots after it
+  are never compared).
+* There are two lanes onto that one heap, chosen by the call site.  A
+  *timer* (:meth:`EventLoop.schedule` / :meth:`EventLoop.schedule_at`) hands
+  back an :class:`Event` the caller can cancel and may carry keyword
+  arguments; its heap entry is ``(time, seq, None, event)``.  A *message*
+  (:meth:`EventLoop.post`) is fire-and-forget — a request hop, a service
+  completion, the next arrival — and is by far the common case (>99 % of
+  the events of a run); its heap entry ``(time, seq, callback, args)`` is
+  all there is, no :class:`Event` is allocated.  Both lanes draw ``seq``
+  from one counter, so (time, seq) order does not depend on the lane.
+  The batched kernel (:mod:`repro.simulator.kernel`) pushes a third shape
+  onto the same heap, ``(time, seq, code, a, b, c)`` with a small-int
+  ``code``, and runs its own dispatch loop over all three; slot 2 tells
+  them apart, which is all :meth:`EventLoop.clear` and compaction look at.
+  :meth:`EventLoop.step`/:meth:`EventLoop.run` are only safe while no typed
+  entry is queued (before the kernel starts or after it drains).
 * Cancellation is lazy: a cancelled event stays in the heap (popping from
   the middle of a binary heap is O(n)) and is discarded when it reaches the
   top.  Workloads that cancel aggressively — speculative retries, timeout
@@ -25,10 +40,12 @@ Two hot-path details matter at scale:
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable
+import sys
+from heapq import heapify, heappop, heappush
+from math import inf
+from typing import Any, Callable
 
-__all__ = ["BatchedEventLoop", "Event", "EventLoop", "SimulationError"]
+__all__ = ["Event", "EventLoop", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -85,8 +102,9 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        # Heap entries are (time, seq, event): see the module docstring.
-        self._heap: list[tuple[float, int, Event]] = []
+        # Heap entries are (time, seq, None, event) for timers and
+        # (time, seq, callback, args) for messages: see the module docstring.
+        self._heap: list[tuple[float, int, Any, Any]] = []
         # Next FIFO sequence number.  A plain int (incremented inline) rather
         # than an itertools.count object: the batched kernel shares this
         # counter by reading/writing the attribute directly, and the inline
@@ -127,15 +145,27 @@ class EventLoop:
     def schedule_at(self, time: float, callback: Callable, *args, **kwargs) -> Event:
         """Schedule ``callback`` to run at absolute time ``time`` ms."""
         if time < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
-            )
+            raise SimulationError(f"cannot schedule into the past (time={time}, now={self._now})")
         seq = self._seq
         self._seq = seq + 1
         event = Event(float(time), seq, callback, args, kwargs)
         event._loop = self
-        heapq.heappush(self._heap, (event.time, seq, event))
+        heappush(self._heap, (event.time, seq, None, event))
         return event
+
+    def post(self, delay: float, callback: Callable, *args) -> None:
+        """Deliver ``callback(*args)`` ``delay`` ms from now, fire-and-forget.
+
+        The lane for message hops: no :class:`Event` is created, so the call
+        cannot be cancelled and takes no keyword arguments.  Anything that
+        keeps the handle (hedge, retry and scenario timers) belongs on
+        :meth:`schedule`.  ``delay`` is used as given: callers pass floats.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self._now + delay, seq, callback, args))
 
     # ------------------------------------------------------------ compaction
     def _note_cancelled(self) -> None:
@@ -151,8 +181,10 @@ class EventLoop:
         Mutates ``self._heap`` in place so that aliases held by a running
         :meth:`run` loop stay valid.
         """
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        # Timers carry None in slot 2; messages (and the batched kernel's
+        # typed entries) carry a callback (an int code) and are always live.
+        self._heap[:] = [entry for entry in self._heap if entry[2] is not None or not entry[3].cancelled]
+        heapify(self._heap)
         self._dead = 0
 
     # -------------------------------------------------------------- execution
@@ -162,14 +194,19 @@ class EventLoop:
         Returns True if an event fired, False when the queue is empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            event._loop = None
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            self._now = event.time
+            time, _seq, callback, args = heappop(self._heap)
+            if callback is None:
+                event = args
+                event._loop = None
+                if event.cancelled:
+                    self._dead -= 1
+                    continue
+            self._now = time
             self._processed += 1
-            event.callback(*event.args, **event.kwargs)
+            if callback is None:
+                event.callback(*event.args, **event.kwargs)
+            else:
+                callback(*args)
             return True
         return False
 
@@ -185,19 +222,28 @@ class EventLoop:
         # The inner loop is the simulator's hottest path (one iteration per
         # simulated event); keep bound-method and module lookups out of it.
         heap = self._heap
-        heappop = heapq.heappop
-        unbounded = max_events is None
+        horizon = inf if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
         try:
-            while heap:
-                if not unbounded and fired >= max_events:
-                    break
-                time, _seq, event = heap[0]
+            while heap and fired < limit:
+                time, _seq, callback, args = heap[0]
+                if callback is not None:
+                    # A message: nothing to cancel, no handle to release.
+                    if time > horizon:
+                        break
+                    heappop(heap)
+                    self._now = time
+                    self._processed += 1
+                    fired += 1
+                    callback(*args)
+                    continue
+                event = args
                 if event.cancelled:
                     heappop(heap)
                     event._loop = None
                     self._dead -= 1
                     continue
-                if until is not None and time > until:
+                if time > horizon:
                     break
                 heappop(heap)
                 event._loop = None
@@ -230,34 +276,10 @@ class EventLoop:
         :class:`EventLoop`.
         """
         for entry in self._heap:
-            entry[2]._loop = None
+            if entry[2] is None:
+                entry[3]._loop = None
         self._heap.clear()
         self._dead = 0
         self._processed = 0
         self._seq = 0
 
-
-class BatchedEventLoop(EventLoop):
-    """An :class:`EventLoop` whose heap may also hold *typed* entries.
-
-    The batched simulator kernel (:mod:`repro.simulator.kernel`) pushes plain
-    tuples ``(time, seq, code, a, b, c)`` — where ``code`` is a small int —
-    onto the heap alongside ordinary ``(time, seq, Event)`` entries, and runs
-    its own dispatch loop over both.  Because ``seq`` is unique, tuple
-    comparison never reaches the third slot, so the two entry shapes order
-    correctly against each other.  Only compaction needs to care: it must
-    not assume every entry carries an :class:`Event`.
-
-    :meth:`step`/:meth:`run` are inherited unchanged — they are only safe
-    while the heap holds pure ``Event`` entries (before the kernel starts or
-    after it drains), which is how the kernel uses them.
-    """
-
-    def _compact(self) -> None:
-        self._heap[:] = [
-            entry
-            for entry in self._heap
-            if not (isinstance(entry[2], Event) and entry[2].cancelled)
-        ]
-        heapq.heapify(self._heap)
-        self._dead = 0

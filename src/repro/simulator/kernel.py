@@ -12,10 +12,11 @@ dispatch loop:
   id counter of the object path exactly (both count creations from zero in
   the same order).
 * **Typed heap entries** — the simulation's seven event kinds are plain
-  tuples ``(time, seq, code, a, b, c)`` pushed onto the same heap that
-  generic :class:`~repro.simulator.engine.Event` entries (scenario
-  components, fluctuation processes) use.  ``seq`` is unique, so tuple
-  comparison never reaches the mixed third slot.
+  tuples ``(time, seq, code, a, b, c)`` pushed onto the same heap that the
+  loop's own entries use — ``(time, seq, None, Event)`` timers (scenario
+  components, fluctuation processes) and ``(time, seq, callback, args)``
+  messages.  ``seq`` is unique, so tuple comparison never reaches the mixed
+  third slot.
 * **Vectorized service draws** — each server consumes a pre-drawn block of
   standard-exponential variates on its own RNG stream
   (``rng.standard_exponential(n)`` advances the stream exactly as ``n``
@@ -69,8 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchedKernel", "KernelServer"]
 
-# Typed heap-entry codes (slot 2 of a 6-tuple; generic entries carry an
-# Event object there instead).
+# Typed heap-entry codes (slot 2 of a 6-tuple; the loop's own entries carry
+# None (timer) or a callback (message) there instead).
 _ENQUEUE = 0  # (t, seq, 0, rid, sid, 0.0)      request arrives at server
 _FINISH = 1  # (t, seq, 1, rid, sid, st)       service slot completes
 _RESPONSE = 2  # (t, seq, 2, rid, qsize, stime)  response arrives at client
@@ -818,16 +819,21 @@ class BatchedKernel:
                 fr_pop()
             code = entry[2]
             if type(code) is not int:
-                # A generic Event (scenario component, fluctuation process).
-                event = code
-                event._loop = None
-                if event.cancelled:
-                    loop._dead -= 1
-                    continue
+                # A generic loop entry: a timer's Event (scenario component,
+                # fluctuation process) or a handle-free message.
+                if code is None:
+                    event = entry[3]
+                    event._loop = None
+                    if event.cancelled:
+                        loop._dead -= 1
+                        continue
                 loop._now = t
                 fired += 1
                 proc.generated = generated
-                event.callback(*event.args, **event.kwargs)
+                if code is None:
+                    event.callback(*event.args, **event.kwargs)
+                else:
+                    code(*entry[3])
                 generated = proc.generated
                 inv_rate = 1.0 / proc.rate_per_ms
                 network = sim.network

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterator
 
 __all__ = ["Request", "RequestKind", "request_id_counter"]
@@ -72,7 +72,6 @@ class Request:
     backpressured: bool = False
     service_time: float | None = None
     attempts: int = 0
-    metadata: dict = field(default_factory=dict)
 
     @classmethod
     def create(

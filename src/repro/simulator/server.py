@@ -218,7 +218,7 @@ class SimServer:
             request.started_service_at = self.loop.now
             service_time = self._draw_service_time(request)
             request.service_time = service_time
-            self.loop.schedule(service_time, self._finish_service, request, service_time)
+            self.loop.post(service_time, self._finish_service, request, service_time)
 
     def _draw_service_time(self, request: Request) -> float:
         mean = self.current_service_time_ms * self._size_factor(request)

@@ -19,7 +19,7 @@ from ..controls import ControlSpec
 from ..core.config import C3Config
 from ..strategies import StrategySpec
 from .client import SimClient
-from .engine import BatchedEventLoop, EventLoop
+from .engine import EventLoop
 from .fluctuation import BimodalFluctuation
 from .metrics import METRICS_MODES, MetricsCollector, SimulationResult
 from .network import ConstantLatency, NetworkModel
@@ -211,7 +211,7 @@ class ReplicaSelectionSimulation:
 
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
-        self.loop = BatchedEventLoop() if config.kernel == "batched" else EventLoop()
+        self.loop = EventLoop()
         self.rng = np.random.default_rng(config.seed)
         self.metrics = MetricsCollector(
             window_ms=config.load_window_ms,
@@ -349,7 +349,7 @@ class ReplicaSelectionSimulation:
         def on_complete(request: Request, feedback, service_time: float) -> None:
             client = self.clients[self._client_index(request.client_id)]
             delay = self.network.one_way_delay(request.server_id, request.client_id)
-            self.loop.schedule(delay, client.on_server_response, request, feedback, service_time)
+            self.loop.post(delay, client.on_server_response, request, feedback, service_time)
 
         return on_complete
 

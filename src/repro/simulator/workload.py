@@ -303,7 +303,7 @@ class PoissonArrivalProcess:
             gap = float(self.rng.exponential(1.0 / self.rate_per_ms))
         else:
             gap = self.gap_source() * (1.0 / self.rate_per_ms)
-        self.loop.schedule(gap, self._arrive)
+        self.loop.post(gap, self._arrive)
 
     def _arrive(self) -> None:
         self.generated += 1

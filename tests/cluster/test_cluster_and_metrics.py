@@ -156,3 +156,24 @@ class TestCassandraClusterRuns:
         result = run_cluster(ClusterConfig(strategy="C3", **FAST))
         assert len(result.extra["node_stats"]) == FAST["num_nodes"]
         assert result.extra["generators"] == FAST["num_generators"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"workload_mix": "update_heavy"},
+            {"strategy": "DS", "speculative_retry_percentile": 50.0},
+        ],
+    )
+    def test_drained_cluster_retains_no_operation_state(self, overrides):
+        """Regression: _pending_by_copy used to keep every copy ever issued."""
+        cluster = CassandraCluster(ClusterConfig(**{"strategy": "C3", **FAST, **overrides}))
+        result = cluster.run()
+        assert result.completed_requests > 50
+        # run() returns once every operation has its first response; give the
+        # stragglers (write replicas, read repairs, losing speculative copies)
+        # time to answer too.
+        cluster.loop.run(until=cluster.loop.now + 10_000.0)
+        for coordinator in cluster.coordinators.values():
+            assert coordinator._pending == {}
+            assert coordinator._pending_by_copy == {}

@@ -155,6 +155,34 @@ class TestSpeculativeRetry:
         assert cluster.metrics.speculative_retries == cluster.coordinator.speculations_fired
 
 
+class TestCopyIndex:
+    def test_copy_entry_is_dropped_with_its_response(self):
+        cluster = MiniCluster()
+        cluster.execute(key=1, is_read=False)
+        index = cluster.coordinator._pending_by_copy
+        assert len(index) == 3  # the write and its two replica copies
+        cluster.loop.run(max_events=3 + 3 + 1)  # three enqueues, three finishes, first ack
+        assert len(cluster.completed) == 1
+        # The operation is complete, yet its two stragglers are still known.
+        assert cluster.coordinator.pending_operations == 0
+        assert len(index) == 2
+        cluster.loop.run_until_idle()
+        assert index == {}
+        assert len(cluster.completed) == 1
+
+    def test_losing_speculative_copy_is_dropped_when_it_answers(self):
+        policy = SpeculativeRetryPolicy(percentile=50.0, min_samples=5)
+        for _ in range(5):
+            policy.record(1.0)
+        cluster = MiniCluster(spec_policy=policy, slow_nodes=(1, 2))
+        for key in range(30):
+            cluster.execute(key=key)
+        cluster.loop.run_until_idle()
+        assert cluster.coordinator.speculations_fired > 0
+        assert cluster.coordinator._pending == {}
+        assert cluster.coordinator._pending_by_copy == {}
+
+
 class TestBackpressurePath:
     def test_backpressured_reads_complete_via_retry(self):
         config = C3Config(initial_rate=1.0, rate_delta_ms=10.0)

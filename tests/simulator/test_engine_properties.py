@@ -6,7 +6,10 @@ These pin down the invariants the whole simulator's determinism rests on:
 * cancelled events never fire, whatever the cancellation pattern;
 * ``run(until=h)`` never executes an event scheduled past ``h``;
 * lazy heap compaction is invisible: any cancellation pattern leaves the
-  surviving schedule's semantics untouched.
+  surviving schedule's semantics untouched;
+* all of the above with the heap shared between ``schedule()``'s timers and
+  ``post()``'s handle-free messages (the ``mixed_*`` properties): the lane a
+  call site picks never changes what fires, when, or in which order.
 """
 
 from __future__ import annotations
@@ -117,3 +120,132 @@ def test_step_horizon_interleaving_matches_single_run(ops, data):
         sliced.run(until=horizon)
     oneshot.run_until_idle()
     assert fired_sliced == fired_oneshot
+
+
+# ---------------------------------------------------------------- mixed heaps
+#: One instruction on a mixed heap: (time, use the message lane?, cancel?).
+#: Messages cannot be cancelled, so the flag only applies to timers.
+mixed_ops = st.lists(st.tuples(times, st.booleans(), st.booleans()), min_size=0, max_size=150)
+
+
+def _load(loop: EventLoop, ops, fired: list[int]) -> list[tuple[float, int]]:
+    """Apply ``ops`` to a loop at time 0; return the surviving (time, seq)."""
+    survivors = []
+    for seq, (time, message, cancel) in enumerate(ops):
+        if message:
+            loop.post(time, fired.append, seq)
+        elif cancel:
+            loop.schedule_at(time, fired.append, seq).cancel()
+            continue
+        else:
+            loop.schedule_at(time, fired.append, seq)
+        survivors.append((time, seq))
+    return survivors
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=mixed_ops)
+def test_mixed_heap_fires_in_time_then_seq_order(ops):
+    loop = EventLoop()
+    fired: list[int] = []
+    survivors = _load(loop, ops, fired)
+    assert loop.live_pending_events == len(survivors)
+    assert loop.pending_events >= len(survivors)
+    assert loop.run_until_idle() == len(survivors)
+    assert fired == [seq for _, seq in sorted(survivors)]
+    assert loop.pending_events == loop.live_pending_events == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=mixed_ops)
+def test_mixed_heap_equals_the_all_timer_heap(ops):
+    """The lane is invisible: posting instead of scheduling changes nothing."""
+    mixed = EventLoop()
+    timers = EventLoop()
+    fired_mixed: list[int] = []
+    fired_timers: list[int] = []
+    _load(mixed, ops, fired_mixed)
+    _load(timers, [(time, False, cancel and not message) for time, message, cancel in ops], fired_timers)
+    assert mixed.live_pending_events == timers.live_pending_events
+    mixed.run_until_idle()
+    timers.run_until_idle()
+    assert fired_mixed == fired_timers
+    assert mixed.now == timers.now
+    assert mixed.processed_events == timers.processed_events
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=mixed_ops, horizon=times, max_events=st.integers(min_value=0, max_value=200))
+def test_mixed_heap_respects_horizon_and_max_events(ops, horizon, max_events):
+    loop = EventLoop()
+    fired: list[int] = []
+    survivors = sorted(_load(loop, ops, fired))
+    due = [seq for time, seq in survivors if time <= horizon]
+    assert loop.run(until=horizon, max_events=max_events) == min(len(due), max_events)
+    assert fired == due[:max_events]
+    if max_events > len(due):
+        assert loop.now >= horizon  # the run ended on the horizon, not the budget
+    assert loop.live_pending_events == len(survivors) - len(fired)
+    loop.run_until_idle()
+    assert fired == [seq for _, seq in survivors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(times, st.booleans(), st.booleans()), min_size=80, max_size=250))
+def test_mixed_heap_compaction_is_invisible(ops):
+    compacting = EventLoop()
+    reference = EventLoop()
+    reference.COMPACT_MIN_SIZE = 10**9  # effectively disable compaction
+    fired_a: list[int] = []
+    fired_b: list[int] = []
+    _load(compacting, ops, fired_a)
+    _load(reference, ops, fired_b)
+    assert compacting.live_pending_events == reference.live_pending_events
+    assert compacting.pending_events <= reference.pending_events
+    compacting.run_until_idle()
+    reference.run_until_idle()
+    assert fired_a == fired_b
+    assert compacting.now == reference.now
+    assert compacting.processed_events == reference.processed_events
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(st.tuples(times, st.booleans(), st.booleans()), min_size=1, max_size=100), data=st.data())
+def test_mixed_heap_step_and_run_interleavings_match_single_run(ops, data):
+    """Any mix of step(), run(until=...) and run(max_events=...) equals one run."""
+    driven = EventLoop()
+    oneshot = EventLoop()
+    fired_driven: list[int] = []
+    fired_oneshot: list[int] = []
+    _load(driven, ops, fired_driven)
+    _load(oneshot, ops, fired_oneshot)
+    horizon = 0.0
+    while driven.live_pending_events:
+        move = data.draw(st.sampled_from(["step", "slice", "burst"]), label="move")
+        if move == "step":
+            assert driven.step()
+        elif move == "slice":
+            horizon = max(horizon, driven.now) + data.draw(st.floats(min_value=0.5, max_value=20.0), label="slice")
+            driven.run(until=horizon)
+        else:
+            driven.run(max_events=data.draw(st.integers(min_value=1, max_value=10), label="burst"))
+    assert not driven.step()
+    oneshot.run_until_idle()
+    assert fired_driven == fired_oneshot
+    assert driven.processed_events == oneshot.processed_events
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=mixed_ops, fired_before=st.integers(min_value=0, max_value=20))
+def test_clear_on_a_mixed_heap_resets_every_counter(ops, fired_before):
+    loop = EventLoop()
+    fired: list[int] = []
+    _load(loop, ops, fired)
+    loop.run(max_events=fired_before)
+    loop.clear()
+    assert loop.pending_events == loop.live_pending_events == loop.processed_events == 0
+    del fired[:]
+    loop.post(1.0, fired.append, 0)
+    loop.schedule(1.0, fired.append, 1)
+    loop.run_until_idle()
+    assert fired == [0, 1]
