@@ -16,10 +16,11 @@ import numpy as np
 
 from ..controls import ControlSpec
 from ..core.config import C3Config
-from ..simulator.engine import EventLoop
+from ..simulator.engine import EventLoop, SimulationError
 from ..simulator.network import ConstantLatency, NetworkModel
 from ..simulator.metrics import SimulationResult
 from ..simulator.request import Request
+from ..simulator.server import server_state_reader
 from ..strategies import StrategySpec
 from ..workloads.records import FixedRecordSize, ZipfSkewedRecordSize
 from ..workloads.ycsb import YCSBWorkload
@@ -165,7 +166,14 @@ class ClusterConfig:
 
 
 class CassandraCluster:
-    """Builds and runs one cluster scenario."""
+    """Builds and runs one cluster scenario.
+
+    Lifecycle: build → run → release, as for the flat simulator.  A cluster
+    runs once; at the end of :meth:`run` it unhooks what closes its graph
+    into a cycle and releases its event loop, so dropping the last reference
+    frees it by reference counting.  Nodes, coordinators, selectors, gossip,
+    metrics and the loop's clock and event count stay readable afterwards.
+    """
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
@@ -182,6 +190,7 @@ class CassandraCluster:
         self.generators: list[ClosedLoopGenerator] = []
         self.compaction: CompactionProcess | None = None
         self.gc: GCPauseProcess | None = None
+        self._ran = False
         self._build()
 
     # ------------------------------------------------------------------ assembly
@@ -207,11 +216,12 @@ class CassandraCluster:
         c3_config = cfg.c3_config or C3Config().with_clients(cfg.num_nodes)
         strategy_spec = cfg.strategy_spec
         hedging_spec = cfg.hedging_spec
+        node_state_fn = server_state_reader(self.nodes)
         spec_policy = None
         for node_id in self.node_ids:
             selector = strategy_spec.build(
                 rng=np.random.default_rng(self.rng.integers(2**63)),
-                server_state_fn=self._node_state,
+                server_state_fn=node_state_fn,
                 iowait_fn=self.gossip.latest_iowait,
                 record_rate_history=cfg.record_rate_history,
                 c3_config=c3_config,
@@ -293,10 +303,6 @@ class CassandraCluster:
             delay = self.network.one_way_delay(request.server_id, coordinator.node_id)
         self.loop.post(delay, coordinator.on_remote_response, request, feedback, service_time)
 
-    def _node_state(self, node_id: Hashable) -> tuple[float, float]:
-        node = self.nodes[node_id]
-        return (node.pending_requests, node.current_service_time_ms)
-
     # ----------------------------------------------------------------------- run
     def pending_operations(self) -> int:
         """Client operations currently in flight across all coordinators."""
@@ -304,6 +310,9 @@ class CassandraCluster:
 
     def run(self) -> SimulationResult:
         """Run the scenario and return the collected metrics."""
+        if self._ran:
+            raise SimulationError("this cluster already ran; build a new one")
+        self._ran = True
         cfg = self.config
         self.gossip.start()
         if self.compaction is not None:
@@ -331,7 +340,25 @@ class CassandraCluster:
             "gc_pauses": self.gc.pauses if self.gc else 0,
             "node_stats": {nid: node.stats() for nid, node in self.nodes.items()},
         }
-        return self.metrics.result(duration_ms=duration, strategy=cfg.strategy, extra=extra)
+        result = self.metrics.result(duration_ms=duration, strategy=cfg.strategy, extra=extra)
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Unhook what closes the finished cluster into a reference cycle.
+
+        Nodes reach the cluster through their completion handler, and every
+        operation or straggling copy still open at a coordinator holds its
+        generator's callback while the generator holds the coordinator.
+        Unplugging the generators leaves the coordinators' book-keeping as
+        the run left it; the gossip, compaction, GC and retry timers go with
+        the loop's heap.
+        """
+        for node in self.nodes.values():
+            node.on_complete = None
+        for generator in self.generators:
+            generator.coordinator = None
+        self.loop.release()
 
 
 def run_cluster(config: ClusterConfig) -> SimulationResult:

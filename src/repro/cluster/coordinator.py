@@ -234,6 +234,9 @@ class Coordinator:
         pending = self._pending.get(op_id)
         if pending is None or pending.completed:
             return
+        # The handle has fired: an open operation must not keep it (and
+        # through its callback this coordinator) around.
+        pending.speculation_event = None
         policy = self.speculative_retry
         if policy is None or pending.speculations >= policy.max_extra:
             return

@@ -3,8 +3,8 @@
 Three layers:
 
 * :mod:`repro.scenarios.processes` — imperative, loop-attached perturbation
-  processes (the primitives; also re-exported as the historical
-  :mod:`repro.simulator.fluctuation` API);
+  processes (the primitives; the three paper-era ones are also exported
+  from :mod:`repro.simulator`);
 * :mod:`repro.scenarios.components` — declarative components that
   instantiate the processes against a :class:`ScenarioContext`;
 * :mod:`repro.scenarios.registry` — named builtin scenarios

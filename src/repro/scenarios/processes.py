@@ -4,9 +4,8 @@ Each process attaches to the event loop and manipulates simulator objects
 (server speed, server liveness, arrival rate) over time.  They are the
 engine-level building blocks: the declarative layer
 (:mod:`repro.scenarios.components`) instantiates them, and
-:mod:`repro.simulator.fluctuation` re-exports the three historical ones
-(``BimodalFluctuation``, ``LatencyInflation``, ``TransientSlowdowns``) so the
-paper-era API keeps working.
+:mod:`repro.simulator` exports the three paper-era ones
+(``BimodalFluctuation``, ``LatencyInflation``, ``TransientSlowdowns``).
 
 Every process supports ``stop()``: it cancels any events the process still
 has scheduled and restores the state it perturbed (service-rate multipliers,

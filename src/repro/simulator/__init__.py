@@ -1,7 +1,7 @@
 """The flat discrete-event simulation substrate (§6 of the paper)."""
 
+from ..scenarios.processes import BimodalFluctuation, LatencyInflation, TransientSlowdowns
 from .engine import Event, EventLoop, SimulationError
-from .fluctuation import BimodalFluctuation, LatencyInflation, TransientSlowdowns
 from .metrics import METRICS_MODES, MetricsCollector, SimulationResult, WindowedCounter
 from .network import ConstantLatency, JitteredLatency, LognormalLatency, NetworkModel
 from .request import Request, RequestKind

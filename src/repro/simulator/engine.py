@@ -36,6 +36,19 @@ Three hot-path details matter at scale:
   dead entries exceed half of a sufficiently large heap, which keeps the
   amortised cost of cancellation O(log n) without ever changing observable
   event ordering.
+
+Lifecycle.  A timer handle whose callback is a bound method of the object
+that keeps the handle is a reference cycle (``Event → method → owner →
+Event``), and a finished simulation full of those is freed only by the cycle
+collector.  So an :class:`Event` that can no longer fire holds nothing:
+:meth:`Event.cancel` lets go of callback and arguments at once, and owners
+drop a handle when it fires (``self._retry_event = None`` first thing in the
+callback).  Two calls end a loop's work.  :meth:`EventLoop.release` is the
+end of a *run*: it drops the heap and cancels every queued timer but keeps
+``now`` and ``processed_events`` for whoever reads the loop afterwards — the
+simulators call it last thing in ``run()``, so that a finished simulation is
+freed by reference counting alone.  :meth:`EventLoop.clear` is a *reset*:
+``release()`` plus zeroed counters, for a loop that is about to be reused.
 """
 
 from __future__ import annotations
@@ -50,6 +63,10 @@ __all__ = ["Event", "EventLoop", "SimulationError"]
 
 class SimulationError(RuntimeError):
     """Raised for invalid interactions with the event loop."""
+
+
+def _never(*args: Any, **kwargs: Any) -> None:
+    """Callback of an :class:`Event` that was cancelled or released."""
 
 
 class Event:
@@ -74,10 +91,18 @@ class Event:
         """Prevent the event from firing (no-op if it already fired)."""
         if self.cancelled:
             return
-        self.cancelled = True
         loop = self._loop
+        self._drop()
         if loop is not None:
             loop._note_cancelled()
+
+    def _drop(self) -> None:
+        """Mark the event as never firing and let go of everything it holds."""
+        self.cancelled = True
+        self._loop = None
+        self.callback = _never
+        self.args = ()
+        self.kwargs = {}
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -263,23 +288,34 @@ class EventLoop:
         """Run until no events remain (or ``max_events`` fired)."""
         return self.run(until=None, max_events=max_events)
 
-    def clear(self) -> None:
-        """Drop every pending event and reset the loop for reuse.
+    def release(self) -> None:
+        """Drop every pending event; keep the clock and the counters.
 
-        Besides emptying the heap this resets the drained-heap bookkeeping
-        (cancelled-entry count, fired-event counter, FIFO sequence counter)
-        so a loop can be safely reused between scenarios.  The re-entrancy
-        guard is left alone: ``run()`` owns it via try/finally — even a
-        callback calling ``clear()`` mid-run must not open the door to a
-        nested ``run()``.  The clock is also intentionally left where it is:
-        callers that want a fresh timeline should build a fresh
-        :class:`EventLoop`.
+        The end of a run: queued timers are cancelled (their handles let go
+        of their callbacks, and a late :meth:`Event.cancel` on one is a
+        no-op), queued messages are forgotten, and ``now`` /
+        ``processed_events`` stay readable.  The heap is emptied in place,
+        so aliases held by a running :meth:`run` or by the batched kernel
+        stay valid, and the loop accepts new events afterwards.
         """
         for entry in self._heap:
             if entry[2] is None:
-                entry[3]._loop = None
+                entry[3]._drop()
         self._heap.clear()
         self._dead = 0
+
+    def clear(self) -> None:
+        """Drop every pending event and reset the loop for reuse.
+
+        :meth:`release` plus a reset of the fired-event counter and the FIFO
+        sequence counter, so a loop can be safely reused between scenarios.
+        The re-entrancy guard is left alone: ``run()`` owns it via
+        try/finally — even a callback calling ``clear()`` mid-run must not
+        open the door to a nested ``run()``.  The clock is also intentionally
+        left where it is: callers that want a fresh timeline should build a
+        fresh :class:`EventLoop`.
+        """
+        self.release()
         self._processed = 0
         self._seq = 0
 

@@ -1474,9 +1474,11 @@ class BatchedKernel:
                     self._c3_s_evals[cid],
                 )
 
-        # Scratch state of this run — but the servers keep the kernel alive
-        # (KernelServer.kernel) and a finished simulation is a reference
-        # cycle, freed only by a full collection: release the arena now.
+        # The run is over: hand the servers back to their own
+        # ``_try_start_service`` (kernel ↔ KernelServer is a cycle through
+        # the simulation otherwise) and drop the arena.
+        for server in self.servers:
+            server.kernel = None
         self._created, self._disp, self._comp = [], [], []
         self._client, self._kind, self._parent, self._sid = [], [], [], []
         self._group, self._srv_times = [], []

@@ -12,7 +12,7 @@ and its current smoothed service time.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable, Mapping
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..core.feedback import ServerFeedback
 from .engine import EventLoop
 from .request import Request
 
-__all__ = ["DownServerTracker", "SimServer"]
+__all__ = ["DownServerTracker", "SimServer", "server_state_reader"]
 
 
 class DownServerTracker:
@@ -36,6 +36,22 @@ class DownServerTracker:
 
     def __init__(self) -> None:
         self.count = 0
+
+
+def server_state_reader(servers: Mapping[Hashable, Any]) -> Callable[[Hashable], tuple[float, float]]:
+    """The ``server_state_fn`` handed to oracle-style selectors.
+
+    Reads ``(pending_requests, current_service_time_ms)`` off the live
+    servers (or cluster nodes).  It closes over the server table only: a
+    bound method of the simulation here would tie every selector back to the
+    simulation that owns it.
+    """
+
+    def server_state(server_id: Hashable) -> tuple[float, float]:
+        server = servers[server_id]
+        return (server.pending_requests, server.current_service_time_ms)
+
+    return server_state
 
 
 class SimServer:

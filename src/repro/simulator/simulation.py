@@ -17,14 +17,14 @@ import numpy as np
 
 from ..controls import ControlSpec
 from ..core.config import C3Config
+from ..scenarios.processes import BimodalFluctuation
 from ..strategies import StrategySpec
 from .client import SimClient
-from .engine import EventLoop
-from .fluctuation import BimodalFluctuation
+from .engine import EventLoop, SimulationError
 from .metrics import METRICS_MODES, MetricsCollector, SimulationResult
 from .network import ConstantLatency, NetworkModel
 from .request import Request
-from .server import DownServerTracker, SimServer
+from .server import DownServerTracker, SimServer, server_state_reader
 from .workload import DemandSkew, WorkloadGenerator, replica_groups
 
 __all__ = ["KERNELS", "RNGS", "SimulationConfig", "ReplicaSelectionSimulation", "run_simulation"]
@@ -207,7 +207,14 @@ class SimulationConfig:
 
 
 class ReplicaSelectionSimulation:
-    """Builds and runs one flat-simulator scenario."""
+    """Builds and runs one flat-simulator scenario.
+
+    Lifecycle: build → run → release.  A simulation runs once; at the end
+    of :meth:`run` it unhooks what ``_build`` wired in a circle and releases
+    its event loop, so dropping the last reference frees the whole graph by
+    reference counting.  Clients, selectors, servers, metrics and the loop's
+    clock and event count stay readable afterwards.
+    """
 
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
@@ -228,6 +235,7 @@ class ReplicaSelectionSimulation:
         self.scenario = None  # Scenario instance when config.scenario is set
         self._scenario_ctx = None
         self.generator: WorkloadGenerator | None = None
+        self._ran = False
         self._build()
 
     # ---------------------------------------------------------------- assembly
@@ -267,6 +275,7 @@ class ReplicaSelectionSimulation:
             down_tracker=self.down_tracker, servers=self.servers
         )
         hedging_spec = cfg.hedging_spec
+        server_state_fn = server_state_reader(self.servers)
         block_rngs = cfg.rng == "block"
         if block_rngs:
             from .workload import BlockRNG
@@ -279,7 +288,7 @@ class ReplicaSelectionSimulation:
                 selector_rng = BlockRNG(selector_rng)
             selector = strategy_spec.build(
                 rng=selector_rng,
-                server_state_fn=self._server_state,
+                server_state_fn=server_state_fn,
                 record_rate_history=cfg.record_rate_history,
                 c3_config=c3_config,
             )
@@ -357,18 +366,45 @@ class ReplicaSelectionSimulation:
         # Client ids are assigned densely (0..n-1) by _build.
         return int(client_id)
 
-    def _server_state(self, server_id: Hashable) -> tuple[float, float]:
-        server = self.servers[server_id]
-        return (server.pending_requests, server.current_service_time_ms)
-
     # --------------------------------------------------------------------- run
     def run(self) -> SimulationResult:
         """Run the scenario to completion and return the collected metrics."""
-        cfg = self.config
-        if cfg.kernel == "batched":
+        if self._ran:
+            raise SimulationError("this simulation already ran; build a new one")
+        self._ran = True
+        if self.config.kernel == "batched":
             from .kernel import BatchedKernel
 
-            return BatchedKernel(self).run()
+            result = BatchedKernel(self).run()
+        else:
+            result = self._run_object()
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Unhook the callbacks that close ``_build``'s graph into a cycle.
+
+        Servers reach the clients through their completion handlers, the
+        arrival process reaches its generator, the scenario context reaches
+        the simulation, and every pending event reaches whoever scheduled
+        it.  None of these fires again once the run is over.  Stopping the
+        fluctuation process returns the servers to nominal speed and with
+        that takes back the speed factors they key by the process (a named
+        scenario was stopped the same way before the result was built).
+        """
+        if self.fluctuation is not None:
+            self.fluctuation.stop()
+        for server in self.servers.values():
+            server.on_complete = None
+        assert self.generator is not None
+        self.generator.process.on_arrival = None
+        if self._scenario_ctx is not None:
+            self._scenario_ctx.simulation = None
+        self.loop.release()
+
+    def _run_object(self) -> SimulationResult:
+        """The run on the object kernel: callbacks on the shared event loop."""
+        cfg = self.config
         if self.scenario is not None:
             self.scenario.start(self._scenario_ctx)
         elif self.fluctuation is not None:

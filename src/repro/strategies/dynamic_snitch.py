@@ -116,8 +116,11 @@ class DynamicSnitchSelector(StatefulSelector):
         self.decay_alpha = float(decay_alpha)
         self.rng = rng or np.random.default_rng()
 
+        # The factory captures the size, not ``self``: a selector must not
+        # be a reference cycle on its own.
+        history_size = self.history_size
         self._latency_history: dict[Hashable, deque[float]] = defaultdict(
-            lambda: deque(maxlen=self.history_size)
+            lambda: deque(maxlen=history_size)
         )
         self._scores: dict[Hashable, float] = {}
         self._last_update = -float("inf")

@@ -167,13 +167,19 @@ class TestCassandraClusterRuns:
     )
     def test_drained_cluster_retains_no_operation_state(self, overrides):
         """Regression: _pending_by_copy used to keep every copy ever issued."""
-        cluster = CassandraCluster(ClusterConfig(**{"strategy": "C3", **FAST, **overrides}))
+
+        class Drained(CassandraCluster):
+            def _release(self):
+                # run() ends once every operation has its first response, and
+                # releasing the loop drops what is still on the wire; give the
+                # stragglers (write replicas, read repairs, losing speculative
+                # copies) time to answer first.
+                self.loop.run(until=self.loop.now + 10_000.0)
+                super()._release()
+
+        cluster = Drained(ClusterConfig(**{"strategy": "C3", **FAST, **overrides}))
         result = cluster.run()
         assert result.completed_requests > 50
-        # run() returns once every operation has its first response; give the
-        # stragglers (write replicas, read repairs, losing speculative copies)
-        # time to answer too.
-        cluster.loop.run(until=cluster.loop.now + 10_000.0)
         for coordinator in cluster.coordinators.values():
             assert coordinator._pending == {}
             assert coordinator._pending_by_copy == {}

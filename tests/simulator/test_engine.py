@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
 import heapq
+import weakref
 
 import pytest
 
@@ -218,6 +220,82 @@ class TestClearReuse:
         loop.schedule(1.0, clearing_then_nesting)
         loop.run_until_idle()
         assert seen == ["guarded"]
+
+
+class TestRelease:
+    """release() ends a run: the heap goes, the clock and the counters stay."""
+
+    def test_release_drops_pending_work_and_keeps_clock_and_counters(self):
+        loop = EventLoop()
+        fired = []
+        loop.post(1.0, fired.append, "message")
+        loop.schedule(2.0, fired.append, "timer")
+        loop.run(until=2.0)
+        loop.post(1.0, fired.append, "late-message")
+        loop.schedule(1.0, fired.append, "late-timer")
+        loop.schedule(1.0, fired.append, "cancelled").cancel()
+        loop.release()
+        assert (loop.pending_events, loop.live_pending_events) == (0, 0)
+        assert loop.now == 2.0
+        assert loop.processed_events == 2
+        assert loop.run_until_idle() == 0
+        assert fired == ["message", "timer"]
+
+    def test_release_cancels_queued_handles_and_late_cancel_is_a_noop(self):
+        loop = EventLoop()
+        handles = [loop.schedule(float(i + 1), lambda: None) for i in range(100)]
+        loop.release()
+        assert all(handle.cancelled for handle in handles)
+        for handle in handles:
+            handle.cancel()  # must not reach the loop's dead-entry count
+        fresh = loop.schedule(1.0, lambda: None)
+        assert (loop.pending_events, loop.live_pending_events) == (1, 1)
+        fresh.cancel()
+        assert (loop.pending_events, loop.live_pending_events) == (1, 0)
+
+    def test_a_handle_that_cannot_fire_holds_nothing(self):
+        """``Event → method → owner → Event`` is a cycle while the handle
+        keeps its callback; cancel() and release() both let go of it."""
+
+        class Owner:
+            def __init__(self, loop):
+                self.handle = loop.schedule(1.0, self.fire)
+
+            def fire(self):  # pragma: no cover - never fires
+                raise AssertionError
+
+        def freed_by_refcount(end) -> bool:
+            loop = EventLoop()
+            owner = Owner(loop)
+            probe = weakref.ref(owner)
+            end(loop, owner)
+            del owner
+            return probe() is None
+
+        gc.disable()
+        try:
+            assert not freed_by_refcount(lambda loop, owner: None)
+            assert freed_by_refcount(lambda loop, owner: loop.release())
+            # A cancelled entry may outlive the call in the heap (lazy
+            # cancellation), so the queue has to go too.
+            assert freed_by_refcount(lambda loop, owner: (owner.handle.cancel(), loop.release()))
+        finally:
+            gc.enable()
+            gc.collect()
+
+    def test_released_loop_is_reusable_and_keeps_fifo_order(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        loop.run_until_idle()
+        loop.post(5.0, lambda: None)
+        loop.release()
+        order = []
+        for name in "abc":
+            loop.schedule_at(loop.now + 1.0, order.append, name)
+        loop.post(1.0, order.append, "d")
+        assert loop.run_until_idle() == 4
+        assert order == ["a", "b", "c", "d"]
+        assert loop.processed_events == 5
 
 
 class TestCompaction:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.scenarios.processes import BimodalFluctuation, LatencyInflation, TransientSlowdowns
 from repro.simulator.engine import EventLoop
-from repro.simulator.fluctuation import BimodalFluctuation, LatencyInflation, TransientSlowdowns
 from repro.simulator.server import SimServer
 
 
