@@ -178,7 +178,8 @@ def render_live_section(trials: Sequence[tuple[str, Mapping]]) -> str:
         return "\n".join(lines)
     lines.append(
         "Localhost asyncio cluster trials (`c3-repro live`); latencies are "
-        "warmup/cooldown-trimmed streaming-histogram statistics."
+        "warmup/cooldown-trimmed streaming-histogram statistics, measured from the "
+        "time each operation was due; slip is how late the load generator issued it."
     )
     lines.append("")
     headers = [
@@ -186,6 +187,8 @@ def render_live_section(trials: Sequence[tuple[str, Mapping]]) -> str:
         "strategy",
         "scenario",
         "servers",
+        "completed/issued",
+        "slip p99 (ms)",
         "n",
         "mean (ms)",
         "median (ms)",
@@ -205,6 +208,8 @@ def render_live_section(trials: Sequence[tuple[str, Mapping]]) -> str:
                 f"`{config.get('strategy', '-')}`",
                 f"`{config.get('scenario', '-')}`",
                 config.get("num_servers", "-"),
+                f"{results.get('completed', '-')}/{results.get('issued', '-')}",
+                results.get("slip_ms", {}).get("p99", "-"),
                 results.get("trimmed_count", "-"),
                 latency.get("mean", "-"),
                 latency.get("median", "-"),

@@ -951,7 +951,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     r = result.results
     latency = r["latency_ms"]
     print(
-        f"completed {r['completed']}/{r['issued']} "
+        f"completed {r['completed']}/{r['issued']}, slip p99 {r['slip_ms']['p99']:.2f} ms "
         f"({r['timeouts']} timeouts, {r['rejected']} rejected, "
         f"{r['backpressure']} backpressured); {r['trimmed_count']} in the "
         f"measured window ({r['throughput_rps']:.1f} req/s)"

@@ -6,10 +6,28 @@ the simulator uses — the selector built from a canonical
 quantile-hedging policy from :class:`~repro.controls.spec.ControlSpec`
 strings — against live replica servers (:mod:`repro.live.server`):
 
-- **Open-loop Poisson arrivals** exactly like the simulator's workload
-  module: exponential inter-arrival gaps at a fixed rate, each arrival
-  assigned a ring-placement replica group
-  (:func:`~repro.simulator.workload.replica_groups`) uniformly at random.
+- **Open-loop Poisson arrivals on an absolute schedule**:
+  :func:`arrival_schedule` is the simulator workload module's process —
+  exponential inter-arrival gaps at a fixed rate, each arrival assigned a
+  ring-placement replica group
+  (:func:`~repro.simulator.workload.replica_groups`) uniformly at random —
+  as a pure iterator of ``(due_ms, group, kind)``, a function of
+  ``(seed, rate, duration)`` alone.  :meth:`LiveLoadClient.run` only turns
+  it into sleeps: it sleeps *until* each due time and issues immediately
+  when it is late, so a slow host or a coarse timer (epoll rounds every
+  timeout up to a whole millisecond) delays operations but never removes
+  them from the offered load.
+- **Latency from the intended time**: an operation's clock starts at its
+  due time, not at the moment the generator got round to issuing it, so
+  the wait a late client imposes is part of ``latency_ms`` (coordinated
+  omission corrected) and of the request timeout.  How late the generator
+  ran is reported separately as ``slip_ms`` (``issue − due``).
+- **Every operation is accounted for**: it completes, or the reaper closes
+  it as a timeout ``request_timeout_ms`` after its due time wherever it is
+  waiting — on the wire, in C3's backpressure backlog, parked behind an
+  all-suspect group, or rejected by the replica it was sent to — so
+  ``issued == completed + timeouts`` whenever :meth:`~LiveLoadClient.run`
+  returns.
 - **Real feedback**: every response frame piggybacks the server's queue
   size and EWMA service time, which become the
   :class:`~repro.core.feedback.ServerFeedback` the selector's
@@ -22,19 +40,17 @@ strings — against live replica servers (:mod:`repro.live.server`):
 
 The wall clock is ``time.monotonic()`` in milliseconds **relative to
 client construction**, so ``now`` values handed to selectors/detectors
-start near zero and advance the way simulator time does.  (Absolute
-monotonic values would also be *correct*, but the shared control-plane
-components assume sim-style epochs — e.g. the CUBIC receive-rate tracker
-rolls its 20 ms windows forward from t=0, which against an hours-large
-first timestamp is hundreds of thousands of no-op window rolls.)
+start near zero and advance the way simulator time does; the harness runs
+the scenario timeline and the warm-up/cool-down trim on the same clock.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +60,7 @@ from ..simulator.workload import replica_groups
 from ..strategies.spec import StrategySpec
 from .protocol import ProtocolError, read_message, write_message
 
-__all__ = ["LiveClientResult", "LiveLoadClient"]
+__all__ = ["LiveClientResult", "LiveLoadClient", "arrival_schedule"]
 
 #: Floor on backpressure retry sleeps, mirroring SimClient._MIN_RETRY_MS.
 _MIN_RETRY_MS = 0.1
@@ -54,9 +70,51 @@ _PARKED_RETRY_MS = 5.0
 _REAPER_INTERVAL_MS = 50.0
 
 
+def arrival_schedule(
+    rng: np.random.Generator,
+    rate_per_ms: float,
+    duration_ms: float,
+    groups: Sequence[tuple[int, ...]],
+    read_fraction: float,
+) -> Iterator[tuple[float, tuple[int, ...], str]]:
+    """Open-loop Poisson arrivals as ``(due_ms, group, kind)``, no clock involved.
+
+    ``due_ms`` counts from the start of the run: ``due_k = due_{k-1} + gap_k``
+    with exponential gaps, ending before the first ``due_k >= duration_ms``.
+    Each arrival draws gap, then group, then kind from ``rng``, so the
+    sequence depends on the generator's seed, the rate and the duration and
+    on nothing the host does.
+    """
+    inv_rate = 1.0 / rate_per_ms
+    n_groups = len(groups)
+    due_ms = 0.0
+    while True:
+        due_ms += float(rng.exponential(inv_rate))
+        if due_ms >= duration_ms:
+            return
+        group = groups[int(rng.integers(n_groups))]
+        kind = "read" if rng.random() < read_fraction else "write"
+        yield due_ms, group, kind
+
+
+def _slip_summary(slips_ms: Sequence[float]) -> dict[str, float]:
+    if not slips_ms:
+        return {"mean": 0.0, "p99": 0.0, "max": 0.0}
+    # Nearest rank on a sorted list: the first ``np.percentile`` call of a
+    # process costs it ~1.3 MB of resident memory, more than a whole trial's state.
+    ordered = sorted(slips_ms)
+    p99 = ordered[math.ceil(0.99 * len(ordered)) - 1]
+    return {"mean": sum(ordered) / len(ordered), "p99": p99, "max": ordered[-1]}
+
+
 @dataclass
 class _Pending:
-    """One in-flight wire request (primary or speculative duplicate)."""
+    """One in-flight wire request (primary or speculative duplicate).
+
+    A wire request outlives its operation: the loser of a hedged pair still
+    reports feedback, or times out ``request_timeout_ms`` after it was sent,
+    and either way hands its slot back to the selector.
+    """
 
     op_id: int
     server_id: int
@@ -66,12 +124,18 @@ class _Pending:
 
 @dataclass
 class _Operation:
-    """One logical client operation (may fan out into hedged duplicates)."""
+    """One logical client operation (may fan out into hedged duplicates).
+
+    ``created_ms`` is the time the schedule *intended* it to be issued;
+    latency and ``deadline_ms`` (``created_ms + request_timeout_ms``) are
+    measured from there.
+    """
 
     op_id: int
     group: tuple[int, ...]
     kind: str
     created_ms: float
+    deadline_ms: float
     done: bool = False
     used: set[int] = field(default_factory=set)
     hedges_fired: int = 0
@@ -89,6 +153,8 @@ class LiveClientResult:
     parked: int = 0
     hedges_fired: int = 0
     hedges_won: int = 0
+    #: ``issue − due`` over every operation (ms): how late the generator ran.
+    slip_ms: dict[str, float] = field(default_factory=lambda: _slip_summary(()))
     sent_per_server: dict[int, int] = field(default_factory=dict)
     selector_stats: dict[str, Any] = field(default_factory=dict)
 
@@ -144,12 +210,13 @@ class LiveLoadClient:
         self._readers: list[asyncio.Task] = []
         self._ops: dict[int, _Operation] = {}
         self._pending: dict[int, _Pending] = {}
-        self._wire_to_op: dict[int, int] = {}
         self._next_id = 0
         self._stop = False
         self._parked: list[_Operation] = []
         self._retry_task: asyncio.Task | None = None
         self._parked_task: asyncio.Task | None = None
+        #: ``issue − due`` of every operation issued so far, in schedule order (ms).
+        self.slips_ms: list[float] = []
         self._epoch = time.monotonic()
 
     # --------------------------------------------------------------- clock
@@ -182,40 +249,53 @@ class LiveLoadClient:
                 writer.close()
 
     # ----------------------------------------------------------------- run
+    def schedule(self, duration_s: float) -> Iterator[tuple[float, tuple[int, ...], str]]:
+        """This client's :func:`arrival_schedule` for a run of ``duration_s``."""
+        return arrival_schedule(
+            self._wl_rng, self.rate_per_ms, duration_s * 1000.0, self.groups, self.read_fraction
+        )
+
     async def run(self, duration_s: float, drain_grace_s: float | None = None) -> LiveClientResult:
-        """Generate open-loop load for ``duration_s``, then drain in-flight."""
+        """Offer the schedule's load for ``duration_s``, then drain open operations."""
         reaper = asyncio.create_task(self._reap_timeouts(), name="reaper")
-        deadline = self._now_ms() + duration_s * 1000.0
-        wl = self._wl_rng
-        inv_rate = 1.0 / self.rate_per_ms
-        n_groups = len(self.groups)
+        start_ms = self._now_ms()
         try:
-            while not self._stop:
-                gap_ms = float(wl.exponential(inv_rate))
-                now = self._now_ms()
-                if now + gap_ms >= deadline:
+            for due_ms, group, kind in self.schedule(duration_s):
+                due_ms += start_ms
+                # Always a yield, even when late: response readers run
+                # between the issues of a catch-up burst.
+                await asyncio.sleep(max(due_ms - self._now_ms(), 0.0) / 1000.0)
+                if self._stop:
                     break
-                await asyncio.sleep(gap_ms / 1000.0)
-                group = self.groups[int(wl.integers(n_groups))]
-                kind = "read" if wl.random() < self.read_fraction else "write"
-                self._issue(group, kind)
+                self._issue(group, kind, due_ms)
             grace = self.request_timeout_ms / 1000.0 if drain_grace_s is None else drain_grace_s
             drain_until = self._now_ms() + grace * 1000.0
-            while self._pending and self._now_ms() < drain_until:
+            while self._ops and self._now_ms() < drain_until:
                 await asyncio.sleep(0.01)
         finally:
             self._stop = True
             reaper.cancel()
             await asyncio.gather(reaper, return_exceptions=True)
+            # Whatever is still open will never be answered now.
+            self.result.timeouts += len(self._ops)
+            self._ops.clear()
+        self.result.slip_ms = _slip_summary(self.slips_ms)
         self.result.selector_stats = dict(self.selector.stats())
         return self.result
 
     # --------------------------------------------------------------- issue
-    def _issue(self, group: tuple[int, ...], kind: str) -> None:
+    def _issue(self, group: tuple[int, ...], kind: str, due_ms: float) -> None:
         now = self._now_ms()
+        self.slips_ms.append(now - due_ms)
         op_id = self._next_id
         self._next_id += 1
-        op = _Operation(op_id=op_id, group=group, kind=kind, created_ms=now)
+        op = _Operation(
+            op_id=op_id,
+            group=group,
+            kind=kind,
+            created_ms=due_ms,
+            deadline_ms=due_ms + self.request_timeout_ms,
+        )
         self._ops[op_id] = op
         self.result.issued += 1
         self._submit(op, now)
@@ -245,14 +325,18 @@ class LiveLoadClient:
             self._parked_task = asyncio.ensure_future(self._retry_parked())
 
     async def _retry_parked(self) -> None:
-        await asyncio.sleep(_PARKED_RETRY_MS / 1000.0)
-        if self._stop:
-            return
-        parked, self._parked = self._parked, []
-        now = self._now_ms()
-        for op in parked:
-            if not op.done:
-                self._submit(op, now)
+        # A loop, not one tick: the resubmits below re-park into this same
+        # (still running) task, and during the drain no new arrival comes
+        # along to start another.
+        while self._parked:
+            await asyncio.sleep(_PARKED_RETRY_MS / 1000.0)
+            if self._stop:
+                return
+            parked, self._parked = self._parked, []
+            now = self._now_ms()
+            for op in parked:
+                if not op.done:
+                    self._submit(op, now)
 
     def _schedule_retry(self, delay_ms: float) -> None:
         if self._retry_task is not None and not self._retry_task.done():
@@ -264,15 +348,22 @@ class LiveLoadClient:
         if self._stop:
             return
         now = self._now_ms()
-        released = self.selector.drain_backlog(now)
-        for request, server_id in released:
-            op = self._ops.get(int(request))  # type: ignore[arg-type]
-            if op is not None and not op.done:
-                self._send(op, int(server_id), now, primary=True)
+        self._send_released(self.selector.drain_backlog(now), now)
         if self.selector.pending_backlog():
             retry = self.selector.next_retry_ms(now)
             self._retry_task = None
             self._schedule_retry(retry if retry is not None else 1.0)
+
+    def _send_released(self, released: Sequence[tuple[Any, Any]], now: float) -> None:
+        """Dispatch what the selector's backlog let go, to the replica it chose."""
+        for request, server_id in released:
+            op = self._ops.get(int(request))
+            if op is not None:
+                self._send(op, int(server_id), now, primary=True)
+            else:
+                # Timed out while backlogged; the selector has already
+                # charged the replica for a send that will not happen.
+                self.selector.on_timeout(server_id, now)
 
     def _send(self, op: _Operation, server_id: int, now: float, *, primary: bool) -> None:
         writer = self._writers[server_id]
@@ -282,7 +373,6 @@ class LiveLoadClient:
         wire_id = self._next_id
         self._next_id += 1
         op.used.add(server_id)
-        self._wire_to_op[wire_id] = op.op_id
         self._pending[wire_id] = _Pending(
             op_id=op.op_id,
             server_id=server_id,
@@ -337,17 +427,16 @@ class LiveLoadClient:
 
     def _on_response(self, message: dict) -> None:
         now = self._now_ms()
-        wire_id = int(message["id"])
-        pending = self._pending.pop(wire_id, None)
-        op_id = self._wire_to_op.pop(wire_id, None)
-        if pending is None or op_id is None:
+        pending = self._pending.pop(int(message["id"]), None)
+        if pending is None:
             return  # already timed out
         sid = pending.server_id
         if self.detector is not None:
             self.detector.heartbeat(sid, now)
         if message.get("rejected"):
             # Never serviced: release the selector's outstanding slot but
-            # record no feedback-driven EWMA fold or latency.
+            # record no feedback-driven EWMA fold or latency.  The operation
+            # stays open until its deadline.
             self.result.rejected += 1
             self.selector.on_timeout(sid, now)
             return
@@ -358,42 +447,36 @@ class LiveLoadClient:
         )
         response_time = now - pending.sent_ms
         released = self.selector.on_response(sid, feedback, response_time, now)
-        op = self._ops.get(op_id)
-        if op is not None and not op.done:
+        op = self._ops.pop(pending.op_id, None)
+        if op is not None:
             op.done = True
             self.result.completed += 1
             if op.hedges_fired and sid != next(iter(op.used)):
                 self.result.hedges_won += 1
+            latency = now - op.created_ms
             if self.hedging is not None and op.kind == "read":
-                self.hedging.record(now - op.created_ms)
+                self.hedging.record(latency)
             if self.on_complete is not None:
-                self.on_complete(now, now - op.created_ms)
-            self._ops.pop(op_id, None)
-        for request, server_id in released:
-            released_op = self._ops.get(int(request))  # type: ignore[arg-type]
-            if released_op is not None and not released_op.done:
-                self._send(released_op, int(server_id), now, primary=True)
+                self.on_complete(now, latency)
+        self._send_released(released, now)
 
     # -------------------------------------------------------------- reaper
     async def _reap_timeouts(self) -> None:
         while not self._stop:
             await asyncio.sleep(_REAPER_INTERVAL_MS / 1000.0)
             now = self._now_ms()
+            # Wire requests: hand the slot of each unanswered one back.
             expired = [wid for wid, p in self._pending.items() if p.deadline_ms <= now]
             for wire_id in expired:
-                pending = self._pending.pop(wire_id, None)
-                op_id = self._wire_to_op.pop(wire_id, None)
-                if pending is None:
-                    continue
-                self.selector.on_timeout(pending.server_id, now)
-                if op_id is None:
-                    continue
-                op = self._ops.get(op_id)
-                if op is not None and not op.done:
-                    still_inflight = any(
-                        p.op_id == op_id for p in self._pending.values()
-                    )
-                    if not still_inflight:
-                        op.done = True
-                        self.result.timeouts += 1
-                        self._ops.pop(op_id, None)
+                self.selector.on_timeout(self._pending.pop(wire_id).server_id, now)
+            # Operations, wherever they wait.  ``_ops`` is in due order and
+            # the timeout is one constant, so the expired ones are a prefix.
+            overdue = []
+            for op in self._ops.values():
+                if op.deadline_ms > now:
+                    break
+                overdue.append(op)
+            for op in overdue:
+                op.done = True
+                self.result.timeouts += 1
+                del self._ops[op.op_id]

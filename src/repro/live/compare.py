@@ -14,7 +14,9 @@ Usable as a module CLI::
 
     python -m repro.live.compare <c3-trial-dir> <baseline-trial-dir>
 
-exits 0 when the ordering holds, 1 when it is violated, 2 on bad inputs.
+exits 0 when the ordering holds, 1 when it is violated, 2 on bad inputs —
+which includes a pair recorded under different payload schemas, because
+their latencies do not start at the same moment.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class LoadedTrial:
     @property
     def strategy(self) -> str:
         return str(self.payload["config"]["strategy"])
+
+    @property
+    def schema(self) -> str:
+        return str(self.payload["config"].get("schema"))
 
     @property
     def p99_ms(self) -> float:
@@ -112,6 +118,13 @@ def compare_p99(
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     candidate = load_trial(candidate_dir)
     baseline = load_trial(baseline_dir)
+    if candidate.schema != baseline.schema:
+        # Payload schemas differ in where latency starts (v1: at issue, v2:
+        # at the intended time); a p99 ordering across the two means nothing.
+        raise ValueError(
+            f"payload schemas differ: {candidate.directory} is {candidate.schema}, "
+            f"{baseline.directory} is {baseline.schema} — re-record both with one version"
+        )
     ok = candidate.p99_ms <= baseline.p99_ms * (1.0 + tolerance)
     return ComparisonResult(
         candidate_strategy=candidate.strategy,
@@ -140,7 +153,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         result = compare_p99(args.candidate, args.baseline, tolerance=args.tolerance)
     except (OSError, ValueError, KeyError) as error:
-        print(f"comparison failed to load artifacts: {error}", file=sys.stderr)
+        print(f"cannot compare: {error}", file=sys.stderr)
         return 2
     print(result.describe())
     return 0 if result.ok else 1

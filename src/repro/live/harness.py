@@ -66,8 +66,10 @@ __all__ = [
 #: Scenarios the live control channel can express.
 LIVE_SCENARIOS = ("baseline", "slow-node", "gc-storm", "crash-recovery")
 
-#: Version tag written into every payload.
-PAYLOAD_SCHEMA = "live-trial-v1"
+#: Version tag written into every payload.  v2: ``latency_ms`` starts at the
+#: time an operation was *due* (v1: at the time the client issued it) and
+#: ``slip_ms`` reports how far apart the two were.
+PAYLOAD_SCHEMA = "live-trial-v2"
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,12 @@ def _src_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-async def _spawn_server(config: LiveTrialConfig, sid: int) -> tuple[asyncio.subprocess.Process, int]:
+async def _spawn_server(config: LiveTrialConfig, sid: int, procs: list[asyncio.subprocess.Process]) -> int:
+    """Start server ``sid`` and return its port.
+
+    The child joins ``procs`` the moment it exists, so whoever owns that
+    list can reap it whatever goes wrong after — here or in a sibling.
+    """
     env = dict(os.environ)
     src = str(_src_root())
     existing = env.get("PYTHONPATH")
@@ -320,11 +327,11 @@ async def _spawn_server(config: LiveTrialConfig, sid: int) -> tuple[asyncio.subp
     proc = await asyncio.create_subprocess_exec(
         *argv, env=env, stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE
     )
+    procs.append(proc)
     assert proc.stdout is not None
     try:
         line = await asyncio.wait_for(proc.stdout.readline(), timeout=15.0)
     except asyncio.TimeoutError:
-        proc.kill()
         raise RuntimeError(f"server {sid} did not report a port within 15s")
     text = line.decode("utf-8", "replace").strip()
     if not text.startswith("PORT "):
@@ -334,27 +341,46 @@ async def _spawn_server(config: LiveTrialConfig, sid: int) -> tuple[asyncio.subp
                 stderr = await asyncio.wait_for(proc.stderr.read(4096), timeout=1.0)
             except asyncio.TimeoutError:
                 pass
-        proc.kill()
         raise RuntimeError(
             f"server {sid} failed to start: stdout={text!r} stderr={stderr.decode('utf-8', 'replace')!r}"
         )
-    return proc, int(text.split()[1])
+    return int(text.split()[1])
+
+
+async def _reap(proc: asyncio.subprocess.Process, asked_to_exit: bool) -> None:
+    """Wait for one server process to end, making it if it was not asked to."""
+    if proc.returncode is not None:
+        return
+    if not asked_to_exit:
+        proc.terminate()
+    try:
+        await asyncio.wait_for(proc.wait(), timeout=5.0)
+    except asyncio.TimeoutError:
+        proc.kill()
+        await proc.wait()
 
 
 # --------------------------------------------------------------------- trial
 async def _run_trial_async(config: LiveTrialConfig, out_dir: Path) -> LiveTrialResult:
     procs: list[asyncio.subprocess.Process] = []
-    ports: list[int] = []
     control: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
     scenario_task: asyncio.Task | None = None
+    servers = range(config.num_servers)
+    shut_down = False
     started = time.time()
     try:
-        for sid in range(config.num_servers):
-            proc, port = await _spawn_server(config, sid)
-            procs.append(proc)
-            ports.append(port)
-        for sid, port in enumerate(ports):
-            control[sid] = await asyncio.open_connection("127.0.0.1", port)
+        # Every spawn runs to its own end before a failure is raised, so no
+        # child can appear after the ``finally`` below has reaped ``procs``.
+        spawned = await asyncio.gather(
+            *(_spawn_server(config, sid, procs) for sid in servers), return_exceptions=True
+        )
+        ports: list[int] = []
+        for outcome in spawned:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            ports.append(outcome)
+        connections = await asyncio.gather(*(asyncio.open_connection("127.0.0.1", port) for port in ports))
+        control.update(enumerate(connections))
 
         async def send_control(sid: int, op: dict[str, Any]) -> dict:
             reader, writer = control[sid]
@@ -399,23 +425,15 @@ async def _run_trial_async(config: LiveTrialConfig, out_dir: Path) -> LiveTrialR
                 await asyncio.gather(scenario_task, return_exceptions=True)
             await client.close()
 
-        server_stats = []
-        for sid in range(config.num_servers):
-            ack = await send_control(sid, {"op": "stats"})
-            server_stats.append(ack.get("stats", {}))
-        for sid in range(config.num_servers):
-            await send_control(sid, {"op": "shutdown"})
+        acks = await asyncio.gather(*(send_control(sid, {"op": "stats"}) for sid in servers))
+        server_stats = [ack.get("stats", {}) for ack in acks]
+        await asyncio.gather(*(send_control(sid, {"op": "shutdown"}) for sid in servers))
+        shut_down = True
     finally:
         for reader, writer in control.values():
             if not writer.is_closing():
                 writer.close()
-        for proc in procs:
-            if proc.returncode is None:
-                try:
-                    await asyncio.wait_for(proc.wait(), timeout=5.0)
-                except asyncio.TimeoutError:
-                    proc.kill()
-                    await proc.wait()
+        await asyncio.gather(*(_reap(proc, shut_down) for proc in procs))
 
     # ---------------------------------------------------- trim + histogram
     window_start = t0_ms + config.warmup_s * 1000.0
@@ -437,6 +455,7 @@ async def _run_trial_async(config: LiveTrialConfig, out_dir: Path) -> LiveTrialR
         "parked": load.parked,
         "hedges_fired": load.hedges_fired,
         "hedges_won": load.hedges_won,
+        "slip_ms": load.slip_ms,
         "trimmed_count": trimmed,
         "measured_window_s": window_s,
         "throughput_rps": trimmed / window_s if window_s > 0 else 0.0,

@@ -9,6 +9,7 @@ same way YCSB does it (``scrambled`` mode).
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,12 +67,13 @@ class ZipfianGenerator:
         self._zetan = self._zeta(self.num_keys, self.theta)
         self._zeta2 = self._zeta(2, self.theta)
         self._alpha = 1.0 / (1.0 - self.theta)
-        self._eta = (1.0 - (2.0 / self.num_keys) ** (1.0 - self.theta)) / (
-            1.0 - self._zeta2 / self._zetan
-        )
+        self._eta = (1.0 - (2.0 / self.num_keys) ** (1.0 - self.theta)) / (1.0 - self._zeta2 / self._zetan)
 
     @staticmethod
+    @lru_cache(maxsize=32)
     def _zeta(n: int, theta: float) -> float:
+        # Cached because every generator of a cluster asks for the same
+        # (n, theta); the sum keeps its order, so the value is bit-identical.
         return float(sum(1.0 / (i**theta) for i in range(1, n + 1)))
 
     def next_rank(self) -> int:

@@ -18,7 +18,7 @@ from repro.live.harness import LiveTrialConfig, build_payload, write_artifacts
 _PROVENANCE = {"recorded_at_unix": 0.0, "host": "test", "python": "3.11"}
 
 
-def _record_trial(directory, *, strategy, latencies_ms):
+def _record_trial(directory, *, strategy, latencies_ms, schema=None):
     """Write one artifact directory the way the harness does."""
     config = LiveTrialConfig(strategy=strategy, scenario="slow-node", duration_s=2.0)
     histogram = LatencyHistogram()
@@ -31,7 +31,10 @@ def _record_trial(directory, *, strategy, latencies_ms):
         "latency_ms": {"count": summary.count, "p99": summary.p99},
         "histogram_digest": histogram.digest(),
     }
-    payload = build_payload(config.config_payload(), results, provenance=_PROVENANCE)
+    config_payload = config.config_payload()
+    if schema is not None:
+        config_payload["schema"] = schema
+    payload = build_payload(config_payload, results, provenance=_PROVENANCE)
     write_artifacts(directory, payload, histogram)
     return directory
 
@@ -118,6 +121,18 @@ class TestCompareP99:
         # ...but fails a zero-tolerance gate.
         assert not compare_p99(a, b, tolerance=0.0).ok
 
+    def test_schemas_with_different_latency_origins_are_not_compared(self, trials, tmp_path, capsys):
+        fast, slow = trials
+        old = _record_trial(
+            tmp_path / "v1", strategy="lor", latencies_ms=[5.0] * 50, schema="live-trial-v1"
+        )
+        assert load_trial(old).schema == "live-trial-v1"  # still loads on its own
+        with pytest.raises(ValueError, match="schemas differ"):
+            compare_p99(fast, old)
+        assert main([str(fast), str(old)]) == 2
+        assert "schemas differ" in capsys.readouterr().err
+        assert main([str(old), str(old)]) == 0  # same origin on both sides
+
     def test_negative_tolerance_rejected(self, trials):
         fast, slow = trials
         with pytest.raises(ValueError, match="non-negative"):
@@ -132,4 +147,4 @@ class TestMain:
         assert main([str(fast), str(slow / "missing")]) == 2
         out = capsys.readouterr()
         assert "ordering holds" in out.out
-        assert "failed to load artifacts" in out.err
+        assert "cannot compare" in out.err

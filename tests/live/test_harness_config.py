@@ -53,7 +53,7 @@ class TestLiveTrialConfig:
 
         payload = LiveTrialConfig(scenario="gc-storm").config_payload()
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["schema"] == "live-trial-v1"
+        assert payload["schema"] == "live-trial-v2"
 
 
 class TestScenarioSchedule:

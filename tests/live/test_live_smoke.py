@@ -179,6 +179,10 @@ class TestRunTrialEndToEnd:
             assert (out_dir / name).is_file()
         assert result.results["completed"] > 0
         assert result.results["trimmed_count"] > 0
+        # The offered load is the seed's schedule, and none of it goes missing.
+        twin = LiveLoadClient([("127.0.0.1", 1)] * 2, replication_factor=2, arrival_rate_per_s=120.0, seed=7)
+        assert result.results["issued"] == len(list(twin.schedule(1.5)))
+        assert result.results["issued"] == result.results["completed"] + result.results["timeouts"]
         assert result.histogram.count == result.results["trimmed_count"]
         assert result.payload["digest"] == payload_digest(result.payload)
         assert "recorded_at_unix" in result.payload["provenance"]

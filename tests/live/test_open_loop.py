@@ -1,0 +1,250 @@
+"""The live load generator keeps its schedule and accounts for every operation.
+
+Four properties, each sub-second: the arrival schedule is a pure function
+of ``(seed, rate, duration)``; a client whose sleeps all run late still
+offers exactly that schedule and measures latency from the time each
+operation was due; an operation that never reaches a server (backlogged,
+parked) ends as a timeout instead of vanishing; and a trial whose servers
+fail to start leaves no process behind.
+"""
+
+import asyncio
+import contextlib
+import sys
+
+import numpy as np
+import pytest
+
+from repro.live import client as client_module
+from repro.live.client import LiveLoadClient, arrival_schedule
+from repro.live.harness import LiveTrialConfig, run_trial
+from repro.live.server import ReplicaServer
+from repro.simulator.workload import replica_groups
+
+_NOWHERE = [("127.0.0.1", 1), ("127.0.0.1", 2)]  # never connected to
+
+
+@contextlib.asynccontextmanager
+async def _servers(count, **kwargs):
+    """``count`` in-process replica servers; yields their addresses."""
+    servers = [ReplicaServer(sid, deterministic=True, seed=sid, **kwargs) for sid in range(count)]
+    ports = [await server.start() for server in servers]
+    try:
+        yield [("127.0.0.1", port) for port in ports]
+    finally:
+        for server in servers:
+            server._shutdown.set()
+            await server.serve_until_shutdown()
+
+
+async def _run(addresses, duration_s, *, prepare=None, during=None, **kwargs):
+    """One client run against ``addresses``; returns (client, result, completions).
+
+    ``prepare(client)`` is called before the run, ``during(client)`` runs beside it.
+    """
+    completions = []
+    client = LiveLoadClient(
+        addresses, on_complete=lambda at_ms, latency_ms: completions.append((at_ms, latency_ms)), **kwargs
+    )
+    if prepare is not None:
+        prepare(client)
+    await client.connect()
+    side = asyncio.ensure_future(during(client)) if during is not None else None
+    try:
+        result = await client.run(duration_s)
+        if side is not None:
+            await side
+    finally:
+        if side is not None:
+            side.cancel()
+            await asyncio.gather(side, return_exceptions=True)
+        await client.close()
+    return client, result, completions
+
+
+class TestArrivalSchedule:
+    GROUPS = replica_groups(3, 2)
+
+    def _schedule(self, seed, rate_per_ms=0.4, duration_ms=500.0, read_fraction=0.5):
+        rng = np.random.default_rng(seed)
+        return list(arrival_schedule(rng, rate_per_ms, duration_ms, self.GROUPS, read_fraction))
+
+    def test_same_seed_same_schedule(self):
+        assert self._schedule(5) == self._schedule(5)
+        assert self._schedule(5) != self._schedule(6)
+
+    def test_dues_increase_and_end_before_the_deadline(self):
+        dues = [due for due, _, _ in self._schedule(1)]
+        assert len(dues) > 100  # ~200 expected at 0.4/ms over 500 ms
+        assert all(a < b for a, b in zip(dues, dues[1:]))
+        assert 0.0 < dues[0] and dues[-1] < 500.0
+
+    def test_draws_are_gap_then_group_then_kind(self):
+        schedule = self._schedule(2)
+        rng = np.random.default_rng(2)
+        due = 0.0
+        for got_due, got_group, got_kind in schedule:
+            due += float(rng.exponential(1.0 / 0.4))
+            group = self.GROUPS[int(rng.integers(len(self.GROUPS)))]
+            kind = "read" if rng.random() < 0.5 else "write"
+            assert (got_due, got_group, got_kind) == (due, group, kind)
+        # The schedule stopped at the first arrival due at or past the deadline.
+        assert due + float(rng.exponential(1.0 / 0.4)) >= 500.0
+        assert {kind for _, _, kind in schedule} == {"read", "write"}
+
+    def test_client_schedule_is_its_seeds_first_child_stream(self):
+        client = LiveLoadClient(_NOWHERE, replication_factor=2, arrival_rate_per_s=300.0, seed=9)
+        workload_rng = np.random.default_rng(9).spawn(3)[0]
+        expected = list(arrival_schedule(workload_rng, 0.3, 400.0, replica_groups(2, 2), 1.0))
+        assert list(client.schedule(0.4)) == expected
+        assert all(kind == "read" for _, _, kind in expected)
+
+
+class _LateAsyncio:
+    """``asyncio`` as the client module sees it, every sleep 1 ms late."""
+
+    def __getattr__(self, name):
+        return getattr(asyncio, name)
+
+    @staticmethod
+    async def sleep(delay):
+        await asyncio.sleep(delay + 0.001)
+
+
+class TestLateClient:
+    @pytest.mark.parametrize("strategy", ["c3", "lor"])
+    def test_offers_the_whole_schedule_and_times_from_the_due_time(self, strategy, monkeypatch):
+        monkeypatch.setattr(client_module, "asyncio", _LateAsyncio())
+        settings = dict(strategy=strategy, replication_factor=2, arrival_rate_per_s=300.0, seed=4)
+        dues = [due for due, _, _ in LiveLoadClient(_NOWHERE, **settings).schedule(0.4)]
+
+        async def scenario():
+            async with _servers(2, base_service_ms=1.0) as addresses:
+                return await _run(addresses, 0.4, **settings)
+
+        client, result, completions = asyncio.run(scenario())
+        # Same seed, same offered load, whichever strategy and however late.
+        assert result.issued == len(dues) > 100
+        assert result.completed == result.issued and result.timeouts == 0
+        slips = client.slips_ms
+        assert len(slips) == len(dues) and min(slips) >= 1.0
+        assert result.slip_ms["max"] == max(slips) >= result.slip_ms["p99"] >= result.slip_ms["mean"] >= 1.0
+        # Each latency starts at the operation's due time: the origins are the
+        # schedule shifted by the run's start, and so include that op's slip.
+        completions.sort(key=lambda item: item[0] - item[1])
+        origins = [at_ms - latency_ms for at_ms, latency_ms in completions]
+        assert [origin - origins[0] for origin in origins] == pytest.approx(
+            [due - dues[0] for due in dues], abs=1e-6
+        )
+        assert all(latency_ms >= slip for (_, latency_ms), slip in zip(completions, slips))
+
+
+class TestNoOperationIsLost:
+    PHI = dict(strategy="lor", failure_detector="phi", replication_factor=2, arrival_rate_per_s=200.0, seed=1)
+
+    def test_backlogged_operations_time_out_instead_of_vanishing(self):
+        """A rate limiter pinned at 1 per window admits ~100/s of the 400/s offered."""
+
+        async def scenario():
+            async with _servers(2, base_service_ms=1.0) as addresses:
+                return await _run(
+                    addresses,
+                    0.3,
+                    strategy="c3:initial_rate=1,max_rate=1",
+                    replication_factor=2,
+                    arrival_rate_per_s=400.0,
+                    request_timeout_ms=150.0,
+                    seed=0,
+                )
+
+        client, result, _ = asyncio.run(scenario())
+        assert result.backpressure > 0
+        assert result.completed > 0 and result.timeouts > 0
+        assert result.issued == result.completed + result.timeouts
+        assert not client._ops
+
+    @staticmethod
+    def _all_suspect(client):
+        # Four heartbeats 1 ms apart, then ~100 ms of silence: phi ≈ 40.
+        for sid in range(len(client.addresses)):
+            for at_ms in (-103.0, -102.0, -101.0, -100.0):
+                client.detector.heartbeat(sid, at_ms)
+
+    def test_operations_parked_at_their_deadline_time_out(self):
+        async def scenario():
+            async with _servers(2, base_service_ms=1.0) as addresses:
+                return await _run(
+                    addresses, 0.15, prepare=self._all_suspect, request_timeout_ms=100.0, **self.PHI
+                )
+
+        _, result, _ = asyncio.run(scenario())
+        assert result.issued > 10 and result.parked >= result.issued
+        assert sum(result.sent_per_server.values()) == 0  # nothing ever left the client
+        assert (result.completed, result.timeouts) == (0, result.issued)
+
+    def test_parked_operations_are_retried_during_the_drain(self):
+        """The detector clears only after the last arrival; the drain must still resubmit."""
+
+        async def recover(client):
+            await asyncio.sleep(0.15)
+            for sid in range(len(client.addresses)):
+                client.detector.heartbeat(sid, client.now_ms())
+
+        async def scenario():
+            async with _servers(2, base_service_ms=1.0) as addresses:
+                return await _run(
+                    addresses,
+                    0.1,
+                    prepare=self._all_suspect,
+                    during=recover,
+                    request_timeout_ms=1_000.0,
+                    **self.PHI,
+                )
+
+        _, result, _ = asyncio.run(scenario())
+        assert result.issued > 5 and result.parked >= result.issued
+        assert (result.completed, result.timeouts) == (result.issued, 0)
+
+
+class TestTrialAccounting:
+    def test_issued_is_the_schedule_length_and_every_operation_ends(self, tmp_path):
+        """Through the harness; the C3 twin is the end-to-end trial in test_live_smoke."""
+        config = LiveTrialConfig(
+            strategy="lor",
+            num_servers=2,
+            replication_factor=2,
+            duration_s=0.3,
+            warmup_s=0.05,
+            cooldown_s=0.05,
+            arrival_rate_per_s=250.0,
+            base_service_ms=1.0,
+            seed=11,
+        )
+        expected = LiveLoadClient(_NOWHERE, replication_factor=2, arrival_rate_per_s=250.0, seed=11)
+        results = run_trial(config, tmp_path / "trial").results
+        assert results["issued"] == len(list(expected.schedule(0.3)))
+        assert results["issued"] == results["completed"] + results["timeouts"]
+        assert set(results["slip_ms"]) == {"mean", "p99", "max"}
+        assert 0.0 <= results["slip_ms"]["mean"] <= results["slip_ms"]["p99"] <= results["slip_ms"]["max"]
+
+
+class TestFailedSpawn:
+    def test_no_server_process_survives_a_sibling_that_fails_to_start(self, monkeypatch, tmp_path):
+        spawn = asyncio.create_subprocess_exec
+        children = []
+
+        async def spawn_with_a_broken_server_1(*argv, **kwargs):
+            if argv[argv.index("--server-id") + 1] == "1":
+                # Alive, but never says PORT: it has to be terminated, not waited for.
+                argv = (sys.executable, "-c", "import time; print('boom', flush=True); time.sleep(60)")
+            child = await spawn(*argv, **kwargs)
+            children.append(child)
+            return child
+
+        monkeypatch.setattr(asyncio, "create_subprocess_exec", spawn_with_a_broken_server_1)
+        config = LiveTrialConfig(strategy="lor", num_servers=3, duration_s=1.0, warmup_s=0.1, cooldown_s=0.1)
+        with pytest.raises(RuntimeError, match="server 1 failed to start: stdout='boom'"):
+            run_trial(config, tmp_path / "trial")
+        assert len(children) == 3  # the siblings did start
+        assert all(child.returncode is not None for child in children)  # ...and every one was reaped
+        assert not (tmp_path / "trial").exists()

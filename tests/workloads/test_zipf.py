@@ -48,6 +48,13 @@ class TestZipfianGenerator:
         generator = ZipfianGenerator(1, rng=np.random.default_rng(0))
         assert generator.next_key() == 0
 
+    def test_memoised_zeta_is_the_plain_sum_bit_for_bit(self):
+        expected = float(sum(1.0 / (i**0.9) for i in range(1, 778)))
+        first = ZipfianGenerator(777, theta=0.9)
+        again = ZipfianGenerator(777, theta=0.9)  # served from the cache
+        assert first._zetan == again._zetan == expected
+        assert ZipfianGenerator(778, theta=0.9)._zetan != expected  # keyed on n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ZipfianGenerator(0)
