@@ -3,9 +3,8 @@
 The batched kernel is the flat simulator's hot-path engine: typed heap
 entries instead of Event objects, arena request state instead of Request
 instances, inlined per-event handlers (including the C3 submit/response
-path against the scorer's dense arrays), monotone FIFO lanes for the
-constant-latency ENQUEUE/RESPONSE event kinds, and dense per-server/
-per-client accounting.  Exact-mode results are digest-identical to the
+path against the scorer's dense arrays), and dense per-server/per-client
+accounting.  Exact-mode results are digest-identical to the
 object path per RNG regime (``tests/simulator/test_kernel_equivalence.py``
 pins ``rng="v1"``, ``tests/simulator/test_rng_block.py`` pins
 ``rng="block"``), so the only thing left to regress is speed — which

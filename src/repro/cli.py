@@ -68,7 +68,7 @@ from .analysis.histogram import quantile_within_bound
 from .analysis.report import format_table
 from .analysis.report_sweep import markdown_to_html, render_report
 from .cluster import ClusterConfig, run_cluster
-from .controls import control_names, get_control, kind_label
+from .controls.registry import CONTROLS
 from .experiments import list_experiments, registry, run_experiment
 from .runner import (
     SearchResult,
@@ -84,7 +84,8 @@ from .runner import (
 from .runner.results import AGGREGATE_METRICS
 from .scenarios import get_scenario, scenario_names
 from .simulator import SimulationConfig, run_simulation
-from .strategies import get_strategy, strategy_names
+from .strategies.registry import STRATEGIES
+from .strategies.specbase import Registry
 
 __all__ = ["main", "build_parser"]
 
@@ -469,61 +470,42 @@ def _cmd_scenarios() -> int:
     return 0
 
 
-def _cmd_strategies() -> int:
+_STRATEGY_GRAMMAR_NOTE = (
+    "spec grammar: NAME[:param=value,...] — names/aliases are case-insensitive, "
+    "values are JSON scalars, parenthesised short-hands are accepted param "
+    "aliases (e.g. \"c3:cubic_c=2e-4,b=3\"); a param left unset (or null) uses "
+    "the paper default shown above."
+)
+_CONTROL_GRAMMAR_NOTE = (
+    "spec grammar: NAME[:param=value,...] — the same grammar as strategies; "
+    "e.g. --failure-detector \"phi:threshold=8\" or --hedging "
+    "\"hedge:quantile=0.95,max_extra=1\". Defaults (binary detection, no "
+    "hedging) reproduce the legacy simulator byte-for-byte; any selection x "
+    "detection x hedging combination is a valid sweep point."
+)
+
+
+def _cmd_registry(registry: Registry, grammar_note: str) -> int:
+    """Print one registry's listing: a row per entry, then its spec-grammar note."""
+    with_kind = len(registry.kinds) > 1
     rows = []
-    for name in strategy_names():
-        info = get_strategy(name)
+    for name in registry.names():
+        info = registry.get(name)
         rendered = []
         for field_name, default in info.param_defaults().items():
             aliases = info.aliases_for(field_name)
             label = f"{field_name} ({', '.join(aliases)})" if aliases else field_name
             rendered.append(f"{label}={default!r}")
-        rows.append(
-            [
-                name,
-                ", ".join(info.aliases) or "-",
-                info.description,
-                ", ".join(rendered) or "-",
-            ]
-        )
-    print(format_table(["strategy", "aliases", "description", "params (defaults)"], rows))
+        row = [name, ", ".join(info.aliases) or "-", info.description, ", ".join(rendered) or "-"]
+        if with_kind:
+            row.insert(1, registry.kinds[info.kind])
+        rows.append(row)
+    headers = [registry.noun, "aliases", "description", "params (defaults)"]
+    if with_kind:
+        headers.insert(1, "kind")
+    print(format_table(headers, rows))
     print()
-    print(
-        "spec grammar: NAME[:param=value,...] — names/aliases are case-insensitive, "
-        "values are JSON scalars, parenthesised short-hands are accepted param "
-        "aliases (e.g. \"c3:cubic_c=2e-4,b=3\"); a param left unset (or null) uses "
-        "the paper default shown above."
-    )
-    return 0
-
-
-def _cmd_controls() -> int:
-    rows = []
-    for name in control_names():
-        info = get_control(name)
-        rendered = []
-        for field_name, default in info.param_defaults().items():
-            aliases = info.aliases_for(field_name)
-            label = f"{field_name} ({', '.join(aliases)})" if aliases else field_name
-            rendered.append(f"{label}={default!r}")
-        rows.append(
-            [
-                name,
-                kind_label(info.kind),
-                ", ".join(info.aliases) or "-",
-                info.description,
-                ", ".join(rendered) or "-",
-            ]
-        )
-    print(format_table(["control", "kind", "aliases", "description", "params (defaults)"], rows))
-    print()
-    print(
-        "spec grammar: NAME[:param=value,...] — the same grammar as strategies; "
-        "e.g. --failure-detector \"phi:threshold=8\" or --hedging "
-        "\"hedge:quantile=0.95,max_extra=1\". Defaults (binary detection, no "
-        "hedging) reproduce the legacy simulator byte-for-byte; any selection x "
-        "detection x hedging combination is a valid sweep point."
-    )
+    print(grammar_note)
     return 0
 
 
@@ -1027,9 +1009,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "scenarios":
         return _cmd_scenarios()
     if args.command == "strategies":
-        return _cmd_strategies()
+        return _cmd_registry(STRATEGIES, _STRATEGY_GRAMMAR_NOTE)
     if args.command == "controls":
-        return _cmd_controls()
+        return _cmd_registry(CONTROLS, _CONTROL_GRAMMAR_NOTE)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "simulate":

@@ -1,7 +1,7 @@
 """A Cassandra-like cluster substrate for the paper's §2/§5 experiments."""
 
 from .cluster import CassandraCluster, ClusterConfig, GeneratorGroup, run_cluster
-from .coordinator import Coordinator, SpeculativeRetryPolicy
+from .coordinator import Coordinator
 from .disk import DiskModel, DiskProfile, HDD_PROFILE, SSD_PROFILE
 from .events import CompactionProcess, GCPauseProcess
 from .gossip import GossipEntry, GossipService
@@ -28,7 +28,6 @@ __all__ = [
     "HDD_PROFILE",
     "OperationSample",
     "SSD_PROFILE",
-    "SpeculativeRetryPolicy",
     "StorageEngine",
     "TokenRing",
     "run_cluster",

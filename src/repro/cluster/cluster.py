@@ -24,7 +24,7 @@ from ..simulator.server import server_state_reader
 from ..strategies import StrategySpec
 from ..workloads.records import FixedRecordSize, ZipfSkewedRecordSize
 from ..workloads.ycsb import YCSBWorkload
-from .coordinator import Coordinator, SpeculativeRetryPolicy
+from .coordinator import Coordinator
 from .disk import DiskProfile, HDD_PROFILE, SSD_PROFILE
 from .events import CompactionProcess, GCPauseProcess
 from .gossip import GossipService
@@ -82,11 +82,9 @@ class ClusterConfig:
     :class:`~repro.strategies.StrategySpec` — and is normalized to the
     canonical spec string at construction.
 
-    Hedged reads can be configured two equivalent ways:
-    ``speculative_retry_percentile`` (the legacy Cassandra-style spelling,
-    e.g. ``99.0``) or ``hedging`` (a control spec such as
-    ``"hedge:quantile=0.99"``, which additionally exposes ``max_extra``).
-    Setting both is an error.
+    ``hedging`` turns on hedged reads — Cassandra's speculative retry — with
+    a control spec such as ``"hedge:quantile=0.99"`` (the paper's
+    ``99percentile`` configuration).
     """
 
     num_nodes: int = 15
@@ -104,7 +102,6 @@ class ClusterConfig:
     num_keys: int = 10_000
     zipf_theta: float = 0.99
     read_repair_probability: float = 0.1
-    speculative_retry_percentile: float | None = None
     hedging: "str | Mapping[str, Any] | ControlSpec | None" = None
     network_delay_ms: float = 0.25
     gossip_interval_ms: float = 1_000.0
@@ -122,11 +119,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         self.strategy = StrategySpec.parse(self.strategy).canonical()
         if self.hedging is not None:
-            if self.speculative_retry_percentile is not None:
-                raise ValueError(
-                    "speculative_retry_percentile and hedging configure the same "
-                    "mechanism; set only one"
-                )
             self.hedging = ControlSpec.parse(self.hedging, kind="hedge").canonical()
         if self.num_nodes < self.replication_factor:
             raise ValueError("num_nodes must be >= replication_factor")
@@ -217,7 +209,6 @@ class CassandraCluster:
         strategy_spec = cfg.strategy_spec
         hedging_spec = cfg.hedging_spec
         node_state_fn = server_state_reader(self.nodes)
-        spec_policy = None
         for node_id in self.node_ids:
             selector = strategy_spec.build(
                 rng=np.random.default_rng(self.rng.integers(2**63)),
@@ -226,10 +217,6 @@ class CassandraCluster:
                 record_rate_history=cfg.record_rate_history,
                 c3_config=c3_config,
             )
-            if cfg.speculative_retry_percentile is not None:
-                spec_policy = SpeculativeRetryPolicy(percentile=cfg.speculative_retry_percentile)
-            elif hedging_spec is not None:
-                spec_policy = hedging_spec.build()
             coordinator = Coordinator(
                 loop=self.loop,
                 node_id=node_id,
@@ -239,10 +226,9 @@ class CassandraCluster:
                 network=self.network,
                 metrics=self.metrics,
                 read_repair_probability=cfg.read_repair_probability,
-                speculative_retry=spec_policy,
+                speculative_retry=None if hedging_spec is None else hedging_spec.build(),
                 rng=np.random.default_rng(self.rng.integers(2**63)),
             )
-            spec_policy = None
             self.coordinators[node_id] = coordinator
 
         self._build_generators()

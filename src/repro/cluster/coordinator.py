@@ -26,50 +26,12 @@ from .metrics import ClusterMetrics
 from .node import ClusterNode
 from .ring import TokenRing
 
-__all__ = ["SpeculativeRetryPolicy", "Coordinator"]
+__all__ = ["Coordinator"]
 
 #: Minimum delay before re-checking a backpressured backlog (ms).
 _MIN_RETRY_MS = 0.1
 #: Loop-back delay for a coordinator reading from its own storage (ms).
 _LOCAL_DELAY_MS = 0.02
-
-
-class SpeculativeRetryPolicy(QuantileHedging):
-    """Cassandra-style percentile speculative retry.
-
-    After dispatching a read, the coordinator waits until the configured
-    percentile of recently observed read latencies before re-issuing the read
-    to a different replica (§5 "Comparison against request reissues").
-
-    This is the legacy, percentile-spelled face of the generalized
-    :class:`~repro.controls.hedging.QuantileHedging` policy:
-    ``SpeculativeRetryPolicy(percentile=p)`` is exactly
-    ``QuantileHedging(quantile=p / 100, max_extra=1)``.  (``p / 100`` and
-    ``quantile * 100`` are both exact for the percentiles in use, so the
-    estimated thresholds — and therefore pinned digests — are unchanged.)
-
-    Parameters
-    ----------
-    percentile:
-        The trigger percentile (99.0 reproduces the paper's configuration).
-    min_samples:
-        Number of latency samples required before speculation activates.
-    history:
-        Size of the sliding latency window used to estimate the percentile.
-    """
-
-    def __init__(self, percentile: float = 99.0, min_samples: int = 50, history: int = 1000) -> None:
-        if not 0.0 < percentile < 100.0:
-            raise ValueError("percentile must be in (0, 100)")
-        if min_samples < 1 or history < min_samples:
-            raise ValueError("invalid sample window configuration")
-        super().__init__(
-            quantile=float(percentile) / 100.0,
-            max_extra=1,
-            min_samples=min_samples,
-            history=history,
-        )
-        self.percentile = float(percentile)
 
 
 @dataclass(slots=True)
@@ -110,10 +72,9 @@ class Coordinator:
     read_repair_probability:
         Fraction of reads duplicated to every replica (Cassandra default 0.1).
     speculative_retry:
-        Optional hedging policy — any
-        :class:`~repro.controls.hedging.QuantileHedging` (of which the
-        legacy :class:`SpeculativeRetryPolicy` is a subclass); its
-        ``max_extra`` bounds the extra copies issued per read.
+        Optional hedging policy (a
+        :class:`~repro.controls.hedging.QuantileHedging`); its ``max_extra``
+        bounds the extra copies issued per read.
     rng:
         Random generator.
     """

@@ -12,6 +12,7 @@ are modelled as per-node background processes:
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +21,57 @@ from ..simulator.engine import EventLoop
 
 __all__ = ["CompactionProcess", "GCPauseProcess"]
 
+#: ``on_event(node, started_at_ms, duration_ms)``, called as each episode begins.
+EpisodeHook = Callable[[object, float, float], None]
 
-class CompactionProcess:
+
+class _NodeEpisodes:
+    """Poisson-arriving episodes on each node: begin, last a while, end, repeat.
+
+    The one implementation behind :class:`CompactionProcess` and
+    :class:`GCPauseProcess`, which differ only in the pair of node methods
+    an episode calls: ``node.begin_<episode>()`` and ``node.end_<episode>()``.
+    Two exponential draws per episode on the shared ``rng``, in this order:
+    the gap before it (drawn when the node's previous episode ends) and its
+    duration (drawn as it begins).
+    """
+
+    def __init__(self, loop, nodes, mean_interarrival_ms, mean_duration_ms, rng, on_event, episode):
+        if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
+            raise ValueError("durations must be positive")
+        self.loop = loop
+        self.nodes = list(nodes)
+        self.mean_interarrival_ms = float(mean_interarrival_ms)
+        self.mean_duration_ms = float(mean_duration_ms)
+        self.rng = rng or np.random.default_rng()
+        self.on_event = on_event
+        self._begin_on = methodcaller(f"begin_{episode}")
+        self._end_on = methodcaller(f"end_{episode}")
+        self.started = 0
+
+    def start(self) -> None:
+        """Schedule the first episode on every node."""
+        for node in self.nodes:
+            self._schedule_next(node)
+
+    def _schedule_next(self, node) -> None:
+        gap = float(self.rng.exponential(self.mean_interarrival_ms))
+        self.loop.schedule(gap, self._begin, node)
+
+    def _begin(self, node) -> None:
+        duration = float(self.rng.exponential(self.mean_duration_ms))
+        self._begin_on(node)
+        self.started += 1
+        if self.on_event is not None:
+            self.on_event(node, self.loop.now, duration)
+        self.loop.schedule(duration, self._end, node)
+
+    def _end(self, node) -> None:
+        self._end_on(node)
+        self._schedule_next(node)
+
+
+class CompactionProcess(_NodeEpisodes):
     """Poisson-arriving compactions on each node.
 
     Parameters
@@ -45,41 +95,17 @@ class CompactionProcess:
         mean_interarrival_ms: float = 20_000.0,
         mean_duration_ms: float = 2_000.0,
         rng: np.random.Generator | None = None,
-        on_event: Callable[[object, float, float], None] | None = None,
+        on_event: EpisodeHook | None = None,
     ) -> None:
-        if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
-            raise ValueError("durations must be positive")
-        self.loop = loop
-        self.nodes = list(nodes)
-        self.mean_interarrival_ms = float(mean_interarrival_ms)
-        self.mean_duration_ms = float(mean_duration_ms)
-        self.rng = rng or np.random.default_rng()
-        self.on_event = on_event
-        self.compactions_started = 0
+        super().__init__(loop, nodes, mean_interarrival_ms, mean_duration_ms, rng, on_event, "compaction")
 
-    def start(self) -> None:
-        """Schedule the first compaction on every node."""
-        for node in self.nodes:
-            self._schedule_next(node)
-
-    def _schedule_next(self, node) -> None:
-        gap = float(self.rng.exponential(self.mean_interarrival_ms))
-        self.loop.schedule(gap, self._begin, node)
-
-    def _begin(self, node) -> None:
-        duration = float(self.rng.exponential(self.mean_duration_ms))
-        node.begin_compaction()
-        self.compactions_started += 1
-        if self.on_event is not None:
-            self.on_event(node, self.loop.now, duration)
-        self.loop.schedule(duration, self._end, node)
-
-    def _end(self, node) -> None:
-        node.end_compaction()
-        self._schedule_next(node)
+    @property
+    def compactions_started(self) -> int:
+        """Compactions begun so far, over all nodes."""
+        return self.started
 
 
-class GCPauseProcess:
+class GCPauseProcess(_NodeEpisodes):
     """Poisson-arriving stop-the-world GC pauses on each node.
 
     During a pause the node's service is stalled: its storage server is
@@ -95,35 +121,11 @@ class GCPauseProcess:
         mean_interarrival_ms: float = 10_000.0,
         mean_pause_ms: float = 120.0,
         rng: np.random.Generator | None = None,
-        on_event: Callable[[object, float, float], None] | None = None,
+        on_event: EpisodeHook | None = None,
     ) -> None:
-        if mean_interarrival_ms <= 0 or mean_pause_ms <= 0:
-            raise ValueError("durations must be positive")
-        self.loop = loop
-        self.nodes = list(nodes)
-        self.mean_interarrival_ms = float(mean_interarrival_ms)
-        self.mean_pause_ms = float(mean_pause_ms)
-        self.rng = rng or np.random.default_rng()
-        self.on_event = on_event
-        self.pauses = 0
+        super().__init__(loop, nodes, mean_interarrival_ms, mean_pause_ms, rng, on_event, "gc_pause")
 
-    def start(self) -> None:
-        """Schedule the first pause on every node."""
-        for node in self.nodes:
-            self._schedule_next(node)
-
-    def _schedule_next(self, node) -> None:
-        gap = float(self.rng.exponential(self.mean_interarrival_ms))
-        self.loop.schedule(gap, self._begin, node)
-
-    def _begin(self, node) -> None:
-        pause = float(self.rng.exponential(self.mean_pause_ms))
-        node.begin_gc_pause()
-        self.pauses += 1
-        if self.on_event is not None:
-            self.on_event(node, self.loop.now, pause)
-        self.loop.schedule(pause, self._end, node)
-
-    def _end(self, node) -> None:
-        node.end_gc_pause()
-        self._schedule_next(node)
+    @property
+    def pauses(self) -> int:
+        """Pauses begun so far, over all nodes."""
+        return self.started

@@ -19,7 +19,6 @@ from .registry import (
     kind_label,
     register_control,
     resolve_control,
-    resolve_control_params,
 )
 from .spec import ControlSpec
 
@@ -48,5 +47,4 @@ __all__ = [
     "kind_label",
     "register_control",
     "resolve_control",
-    "resolve_control_params",
 ]

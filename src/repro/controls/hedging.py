@@ -1,8 +1,6 @@
 """Hedged-request (speculative-retry) policies.
 
-Generalizes the Cassandra-style percentile speculative retry that
-previously lived only inside the cluster coordinator
-(:class:`~repro.cluster.coordinator.SpeculativeRetryPolicy`): after a read
+Cassandra-style percentile speculative retry, generalized: after a read
 is dispatched, wait until the configured quantile of recently observed
 read latencies has elapsed, then re-issue the read to a *different*
 replica; whichever copy responds first completes the operation.  §5 of the
@@ -83,9 +81,9 @@ class QuantileHedging:
 
     ``record()`` folds completed-read latencies into a sliding window;
     ``threshold_ms()`` reports how long to wait before issuing an extra
-    copy, or ``None`` while warming up.  The legacy
-    ``SpeculativeRetryPolicy(percentile=p)`` is this policy with
-    ``quantile = p / 100`` and ``max_extra = 1``.
+    copy, or ``None`` while warming up.  Cassandra's ``speculative_retry:
+    <p>percentile`` is this policy with ``quantile = p / 100`` and
+    ``max_extra = 1``.
     """
 
     def __init__(

@@ -2,22 +2,11 @@
 
 The third leg of the registry architecture — after scenarios (what is
 perturbed) and strategies (how replicas are ranked) — controls describe the
-*adaptive machinery around* selection: how failures are detected, when
-requests are hedged, and how per-server send rates adapt.  Each control
-module declares a frozen *param dataclass* (defaults = the paper's /
-Cassandra's values) and registers its implementation with
-:func:`register_control`::
-
-    @register_control(
-        "phi",
-        kind="detector",
-        aliases=("PHI_ACCRUAL",),
-        params=PhiParams,
-        description="Phi-accrual failure detector over response heartbeats",
-    )
-    class PhiAccrualFailureDetector: ...
-
-Controls are grouped by ``kind``:
+*adaptive machinery around* selection.  Each control module declares a
+frozen *param dataclass* (defaults = the paper's / Cassandra's values) and
+registers its implementation with :func:`register_control` —
+:meth:`Registry.register <repro.strategies.specbase.Registry.register>` of
+:data:`CONTROLS` — under one ``kind``:
 
 * ``"detector"`` — failure detectors consulted by clients before replica
   selection (``SimulationConfig.failure_detector``);
@@ -26,22 +15,17 @@ Controls are grouped by ``kind``:
 * ``"rate"`` — per-server send-rate controllers (the generic CUBIC
   controller shared by C3 and the RR ablation).
 
-Name resolution, alias handling, did-you-mean errors, and parameter
-coercion reuse the strategy registry's machinery
-(:mod:`repro.strategies.paramspec`), so both registries speak the same
-spec grammar.
+A custom ``factory`` receives the keyword context of
+``ControlSpec.build(**context)`` as a mapping (the shared crash tracker, the
+server map); the default factory ignores it.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import difflib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
-
-from ..strategies.paramspec import Validator, resolve_param_overrides
+from ..strategies.specbase import Registry, RegistryEntry
 
 __all__ = [
+    "CONTROLS",
     "CONTROL_KINDS",
     "ControlInfo",
     "control_names",
@@ -49,215 +33,20 @@ __all__ = [
     "kind_label",
     "register_control",
     "resolve_control",
-    "resolve_control_params",
 ]
 
-#: The control families a registration may declare.
-CONTROL_KINDS = ("detector", "hedge", "rate")
+#: The control families a registration may declare, with their
+#: human-readable labels (error messages, CLI listing).
+CONTROLS = Registry(
+    "control",
+    kinds={"detector": "failure detector", "hedge": "hedging policy", "rate": "rate controller"},
+)
+CONTROL_KINDS = tuple(CONTROLS.kinds)
 
-#: Human-readable labels per kind (error messages, CLI listing).
-_KIND_LABELS = {
-    "detector": "failure detector",
-    "hedge": "hedging policy",
-    "rate": "rate controller",
-}
-
-#: Builder: (explicit params, runtime context) -> control instance.  The
-#: context carries live objects (the shared crash tracker, the server map)
-#: that only exist inside a run — mirroring the strategies' BuildContext.
-Factory = Callable[[Mapping[str, Any], Mapping[str, Any]], Any]
-
-
-def kind_label(kind: str) -> str:
-    """The human-readable name of a control kind (``"detector"`` → ...)."""
-    return _KIND_LABELS[kind]
-
-
-@dataclass(frozen=True)
-class ControlInfo:
-    """One registered control: canonical name, kind, aliases, params, builder."""
-
-    name: str
-    kind: str
-    aliases: tuple[str, ...]
-    params_cls: type
-    description: str
-    factory: Factory
-    param_aliases: Mapping[str, str] = field(default_factory=dict)
-    validate: Validator | None = None
-    control_cls: type | None = None
-
-    def param_defaults(self) -> dict[str, Any]:
-        """``{field name: default value}`` of the param dataclass."""
-        instance = self.params_cls()
-        return {
-            f.name: getattr(instance, f.name) for f in dataclasses.fields(self.params_cls)
-        }
-
-    def aliases_for(self, field_name: str) -> tuple[str, ...]:
-        """Registered short-hand aliases mapping to ``field_name``, sorted."""
-        return tuple(
-            sorted(alias for alias, target in self.param_aliases.items() if target == field_name)
-        )
-
-
-_REGISTRY: dict[str, ControlInfo] = {}
-#: Case-normalized name/alias token -> canonical name.
-_LOOKUP: dict[str, str] = {}
-
-
-def _normalize(token: str) -> str:
-    return token.strip().lower()
-
-
-def _register(info: ControlInfo) -> None:
-    if info.kind not in CONTROL_KINDS:
-        raise ValueError(
-            f"control {info.name!r} declares unknown kind {info.kind!r}; "
-            f"valid kinds: {', '.join(CONTROL_KINDS)}"
-        )
-    if info.name in _REGISTRY:
-        raise ValueError(f"control {info.name!r} is already registered")
-    tokens = {_normalize(info.name), *(_normalize(alias) for alias in info.aliases)}
-    for token in sorted(tokens):
-        owner = _LOOKUP.get(token)
-        if owner is not None:
-            raise ValueError(
-                f"control name/alias {token!r} is already registered by {owner!r}"
-            )
-    _REGISTRY[info.name] = info
-    for token in tokens:
-        _LOOKUP[token] = info.name
-
-
-def _default_factory(cls: type) -> Factory:
-    """Build ``cls(**param fields)``; the runtime context is ignored."""
-
-    def build(params: Mapping[str, Any], context: Mapping[str, Any]) -> Any:
-        return cls(**params)
-
-    return build
-
-
-def register_control(
-    name: str,
-    *,
-    kind: str,
-    aliases: tuple[str, ...] = (),
-    params: type,
-    description: str,
-    param_aliases: Mapping[str, str] | None = None,
-    factory: Factory | None = None,
-    validate: Validator | None = None,
-) -> Callable[[type], type]:
-    """Class decorator registering a control under ``name``.
-
-    Parameters
-    ----------
-    name:
-        Canonical control name (``"phi"``, ``"hedge"``, ``"cubic"``).
-        Matching is case-insensitive everywhere.
-    kind:
-        Control family: ``"detector"``, ``"hedge"``, or ``"rate"``.
-    aliases:
-        Alternate names accepted wherever a control is referenced.
-    params:
-        Frozen dataclass of the control's tunable parameters; field defaults
-        are the paper's / Cassandra's values.
-    description:
-        One-line description for ``c3-repro controls`` and the README table.
-    param_aliases:
-        Short-hand parameter spellings mapped to field names.
-    factory:
-        Custom builder ``(explicit_params, context) -> control`` for controls
-        whose construction needs runtime objects from the context mapping
-        (e.g. the shared crash tracker).  The default factory splats params
-        into the constructor and ignores the context.
-    validate:
-        Optional hook raising ``ValueError`` for invalid *values* at spec
-        parse time (unknown names/keys are always rejected by the registry).
-    """
-    if not dataclasses.is_dataclass(params):
-        raise TypeError(f"params must be a dataclass, got {params!r}")
-
-    def decorator(cls: type) -> type:
-        resolved_aliases = dict(param_aliases or {})
-        field_names = {f.name for f in dataclasses.fields(params)}
-        bad = sorted(set(resolved_aliases.values()) - field_names)
-        if bad:
-            raise ValueError(f"param_aliases target unknown fields {bad} on {params.__name__}")
-        _register(
-            ControlInfo(
-                name=name,
-                kind=kind,
-                aliases=tuple(aliases),
-                params_cls=params,
-                description=description,
-                factory=factory or _default_factory(cls),
-                param_aliases=resolved_aliases,
-                validate=validate,
-                control_cls=cls,
-            )
-        )
-        return cls
-
-    return decorator
-
-
-def control_names(kind: str | None = None) -> tuple[str, ...]:
-    """Registered canonical control names (optionally one kind), in order."""
-    if kind is None:
-        return tuple(_REGISTRY)
-    return tuple(name for name, info in _REGISTRY.items() if info.kind == kind)
-
-
-def get_control(name: str) -> ControlInfo:
-    """The registration for a *canonical* name (KeyError when absent)."""
-    return _REGISTRY[name]
-
-
-def resolve_control(name: str, kind: str | None = None) -> ControlInfo:
-    """Look a control up by name or alias, case-insensitively.
-
-    ``kind`` narrows the lookup to one control family: a valid name of the
-    wrong family is rejected with a message naming both families, and the
-    did-you-mean candidates are restricted to that family.
-    """
-    if not isinstance(name, str):
-        raise TypeError(f"control name must be a string, got {type(name).__name__}")
-    wanted = f"{kind_label(kind)}s" if kind is not None else "controls"
-    valid = control_names(kind)
-    canonical = _LOOKUP.get(_normalize(name))
-    if canonical is None:
-        pool = sorted(
-            token for token, owner in _LOOKUP.items()
-            if kind is None or _REGISTRY[owner].kind == kind
-        )
-        close = difflib.get_close_matches(_normalize(name), pool, n=1)
-        hint = f"; did you mean {_LOOKUP[close[0]]!r}?" if close else ""
-        raise ValueError(
-            f"unknown control {name!r}; valid {wanted}: {', '.join(valid) or '(none)'}{hint}"
-        )
-    info = _REGISTRY[canonical]
-    if kind is not None and info.kind != kind:
-        raise ValueError(
-            f"control {info.name!r} is a {kind_label(info.kind)}, not a "
-            f"{kind_label(kind)}; valid {wanted}: {', '.join(valid) or '(none)'}"
-        )
-    return info
-
-
-def resolve_control_params(info: ControlInfo, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate and normalize explicit params for one control.
-
-    Same semantics as the strategy registry: aliases expand, unknown keys
-    are rejected with a did-you-mean suggestion, values coerce to the
-    annotated field types, and defaults are dropped.
-    """
-    return resolve_param_overrides(
-        info.params_cls,
-        params,
-        subject=f"control {info.name}",
-        param_aliases=info.param_aliases,
-        validate=info.validate,
-    )
+ControlInfo = RegistryEntry
+register_control = CONTROLS.register
+control_names = CONTROLS.names
+get_control = CONTROLS.get
+resolve_control = CONTROLS.resolve
+#: The human-readable name of a control kind (``"detector"`` → ``"failure detector"``).
+kind_label = CONTROLS.kinds.__getitem__

@@ -1,15 +1,8 @@
 """The canonical, parameterized control specification.
 
-A :class:`ControlSpec` is ``(control name, explicit parameter overrides)``
-in the same canonical form as
-:class:`~repro.strategies.spec.StrategySpec` — names resolve through the
-control registry, aliases expand, values coerce against the registered
-frozen param dataclass, and parameters equal to the registered default are
-dropped.  ``"phi:threshold=8"`` therefore normalizes to ``"phi"`` (8 is
-the default), ``"hedge:quantile=0.99,max_extra=2"`` round-trips exactly,
-and two spellings of the same configuration share one canonical string,
-one digest, and one sweep cache key.
-
+:class:`ControlSpec` is the :class:`~repro.strategies.specbase.Spec` of the
+control registry: ``"phi:threshold=8"`` normalizes to ``"phi"`` (8 is the
+default) and ``"hedge:quantile=0.99,max_extra=2"`` round-trips exactly.
 ``SimulationConfig.failure_detector`` / ``.hedging`` and
 ``ClusterConfig.hedging`` store the canonical string; the *default*
 control specs (``"binary"`` detector, no hedging) are additionally omitted
@@ -19,112 +12,24 @@ stay byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
-from ..strategies.paramspec import format_params, parse_spec_string, spec_digest
-from .registry import (
-    ControlInfo,
-    kind_label,
-    resolve_control,
-    resolve_control_params,
-)
+from ..strategies.specbase import Spec
+from .registry import CONTROLS
 
 __all__ = ["ControlSpec"]
 
 
-@dataclass(frozen=True)
-class ControlSpec:
-    """A validated, canonical ``(control, parameters)`` pair.
+class ControlSpec(Spec):
+    """A :class:`~repro.strategies.specbase.Spec` of the control registry."""
 
-    Construct via :meth:`parse` (or :meth:`of`); the constructor itself does
-    not validate, so hand-built instances bypass canonicalization.
-    ``params`` is a sorted tuple of ``(field name, value)`` pairs holding
-    only the *explicit, non-default* overrides.
-    """
-
-    name: str
-    params: tuple[tuple[str, Any], ...] = ()
-
-    # ----------------------------------------------------------- construction
-    @classmethod
-    def parse(
-        cls,
-        value: "str | Mapping[str, Any] | ControlSpec",
-        kind: str | None = None,
-    ) -> "ControlSpec":
-        """Parse and canonicalize a control reference of any accepted form.
-
-        ``kind`` restricts the lookup to one control family (``"detector"``,
-        ``"hedge"``, ``"rate"``) so a config field can reject a valid control
-        of the wrong family with a precise error.
-        """
-        if isinstance(value, ControlSpec):
-            return cls.of(value.name, value.params_dict, kind=kind)
-        if isinstance(value, str):
-            name, params = parse_spec_string(value, label="control spec")
-            return cls.of(name, params, kind=kind)
-        if isinstance(value, Mapping):
-            unknown = sorted(set(value) - {"name", "params"})
-            if unknown:
-                raise ValueError(
-                    f"unknown keys {unknown} in control mapping; expected "
-                    f"{{'name': ..., 'params': {{...}}}}"
-                )
-            if "name" not in value:
-                raise ValueError("control mapping needs a 'name' key")
-            return cls.of(value["name"], dict(value.get("params") or {}), kind=kind)
-        raise TypeError(
-            f"cannot parse a control from {type(value).__name__}; "
-            f"expected str, mapping, or ControlSpec"
-        )
-
-    @classmethod
-    def of(
-        cls,
-        name: str,
-        params: Mapping[str, Any] | None = None,
-        kind: str | None = None,
-    ) -> "ControlSpec":
-        """Build a canonical spec from a name and explicit params."""
-        info = resolve_control(name, kind=kind)
-        resolved = resolve_control_params(info, dict(params or {}))
-        return cls(name=info.name, params=tuple(sorted(resolved.items())))
-
-    # ------------------------------------------------------------- inspection
-    @property
-    def params_dict(self) -> dict[str, Any]:
-        """The explicit overrides as a plain dict."""
-        return dict(self.params)
-
-    @property
-    def info(self) -> ControlInfo:
-        """This spec's registry entry."""
-        return resolve_control(self.name)
+    registry = CONTROLS
 
     @property
     def kind(self) -> str:
         """The control family (``"detector"``, ``"hedge"``, ``"rate"``)."""
-        return self.info.kind
+        return self.entry.kind
 
-    def canonical(self) -> str:
-        """The canonical string form (parses back to an equal spec)."""
-        if not self.params:
-            return self.name
-        return f"{self.name}:{format_params(self.params)}"
-
-    def digest(self) -> str:
-        """A stable content digest of the canonical spec.
-
-        Two references to the same control configuration — whatever their
-        spelling — share a digest; any parameter change produces a new one.
-        """
-        return spec_digest(self.name, self.params_dict)
-
-    def __str__(self) -> str:
-        return self.canonical()
-
-    # ------------------------------------------------------------------ build
     def build(self, **context: Any) -> Any:
         """Instantiate this spec's control with the given runtime context.
 
@@ -132,9 +37,4 @@ class ControlSpec:
         detectors take ``down_tracker`` and ``servers``); the default
         factory ignores the context entirely.
         """
-        info = self.info
-        return info.factory(self.params_dict, context)
-
-    def describe(self) -> str:
-        """``"<kind label> <canonical string>"`` for logs and errors."""
-        return f"{kind_label(self.kind)} {self.canonical()}"
+        return self.entry.factory(self.params_dict, context)

@@ -24,21 +24,17 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the speculative-retry comparison.
 
-    The retry mechanism can be addressed two equivalent ways: the legacy
-    ``retry_percentile`` spelling (the default, pinned by the regression
-    suite) or a ``hedging`` control spec such as ``"hedge:quantile=0.99"``
-    — ``retry_percentile=p`` and ``hedging=f"hedge:quantile={p / 100}"``
-    produce identical rows, which the controls test suite asserts
-    row-for-row.
+    The retry mechanism is a ``hedging`` control spec.  ``retry_percentile``
+    (the paper's spelling, and the default) is shorthand for it:
+    ``retry_percentile=p`` is ``hedging="hedge:quantile=<p / 100>"``, and
+    the controls test suite asserts the two give identical rows.
     """
     scale = scale or ClusterScale()
-    if hedging is not None:
-        spec_overrides = dict(strategy="DS", hedging=hedging)
-    else:
-        spec_overrides = dict(strategy="DS", speculative_retry_percentile=retry_percentile)
+    if hedging is None:
+        hedging = {"name": "hedge", "params": {"quantile": retry_percentile / 100.0}}
     scenarios = [
         ("DS", dict(strategy="DS")),
-        ("DS+spec", spec_overrides),
+        ("DS+spec", dict(strategy="DS", hedging=hedging)),
         ("C3", dict(strategy="C3")),
     ]
     rows = []

@@ -137,6 +137,8 @@ class _Operation:
     created_ms: float
     deadline_ms: float
     done: bool = False
+    #: Server the primary copy went to (``None`` until it is on the wire).
+    primary: int | None = None
     used: set[int] = field(default_factory=set)
     hedges_fired: int = 0
 
@@ -373,6 +375,8 @@ class LiveLoadClient:
         wire_id = self._next_id
         self._next_id += 1
         op.used.add(server_id)
+        if primary:
+            op.primary = server_id
         self._pending[wire_id] = _Pending(
             op_id=op.op_id,
             server_id=server_id,
@@ -399,10 +403,16 @@ class LiveLoadClient:
             if self._stop or op.done:
                 return
             now = self._now_ms()
-            candidates = [s for s in op.group if s not in op.used]
+            unused = [s for s in op.group if s not in op.used]
+            candidates = unused
             if self.detector is not None and self.detector.suspicious():
-                candidates = [s for s in candidates if self.detector.is_alive(s, now)]
+                candidates = [s for s in unused if self.detector.is_alive(s, now)]
             if not candidates:
+                if unused:
+                    # Every unused replica is currently suspect.  Keep the
+                    # timer armed while budget remains, so hedging resumes
+                    # once one recovers (as SimClient and the kernel do).
+                    self._maybe_hedge(op)
                 return
             target = candidates[int(self._cli_rng.integers(len(candidates)))]
             op.hedges_fired += 1
@@ -451,7 +461,7 @@ class LiveLoadClient:
         if op is not None:
             op.done = True
             self.result.completed += 1
-            if op.hedges_fired and sid != next(iter(op.used)):
+            if op.hedges_fired and sid != op.primary:
                 self.result.hedges_won += 1
             latency = now - op.created_ms
             if self.hedging is not None and op.kind == "read":

@@ -33,6 +33,7 @@ from ..controls import ControlSpec
 from ..core.config import C3Config
 from ..simulator import DemandSkew, SimulationConfig
 from ..strategies import StrategySpec
+from ..strategies.specbase import Spec
 
 __all__ = [
     "SweepSpec",
@@ -53,12 +54,13 @@ def _jsonify(value: Any) -> Any:
     """Convert ``value`` into a JSON-serializable equivalent.
 
     Dataclasses (``DemandSkew``, ``C3Config``) become dicts, tuples become
-    lists; a :class:`StrategySpec` becomes its canonical string (the same
+    lists; a :class:`~repro.strategies.specbase.Spec` (``StrategySpec``,
+    ``ControlSpec``) becomes its canonical string (the same
     form ``SimulationConfig`` stores, so both spellings hash identically);
     anything json can't express raises so cache keys never silently
     depend on ``repr`` formatting.
     """
-    if isinstance(value, (StrategySpec, ControlSpec)):
+    if isinstance(value, Spec):
         return value.canonical()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {k: _jsonify(v) for k, v in dataclasses.asdict(value).items()}

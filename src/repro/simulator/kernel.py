@@ -36,6 +36,31 @@ dispatch loop:
   run, replacing one dict update per completion with one scatter per
   distinct window.
 
+The inlined selector paths are twins of code that also lives behind the
+selectors' methods, and each stays because it pays.  Requests per host
+second of the fast path over this kernel's own polymorphic ``_CUSTOM`` path
+(``selector.submit`` / ``on_response`` per request, dispatch still inline;
+``_detect_mode`` patched to return it) on the ``flat_scale`` configuration,
+ten interleaved process pairs per strategy, digests equal in every pair and
+the fast path ahead in every pair:
+
+===============  ======================
+inlined path     fast / polymorphic
+===============  ======================
+C3               1.45x  (1.35–1.41x)
+LOR              1.77x  (1.57x)
+P2C              1.53x  (1.32x)
+stock selectors  1.32x  (1.26x)
+===============  ======================
+
+(Median of the per-pair ratios at 60 000 requests a leg; in brackets an
+earlier run of the same comparison at 120 000, ahead in at least nine pairs.)
+
+Everything timed — ENQUEUE and RESPONSE entries included — shares the one
+heap; only the next workload arrival is kept outside it, as a scalar.
+Plain heap pushes measured 0.98–1.10x the speed of dedicated monotone lanes
+for those two entry kinds (five workloads, within noise), so there are none.
+
 Equivalence contract: for any config, ``kernel="batched"`` must produce a
 result whose digest is byte-identical to ``kernel="object"`` — same RNG
 draw order on every stream, same heap ordering, same float expressions (see
@@ -47,7 +72,6 @@ rate changes) are read through the live server/network/process objects.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any
 
@@ -326,17 +350,6 @@ class BatchedKernel:
         #: rng="block" shares the generator's BlockDraws; None under "v1".
         self.blocks = generator.block_draws
 
-        # Monotone FIFO lanes for ENQUEUE/RESPONSE entries.  Under a
-        # constant-latency network every such entry is pushed at
-        # now + const_delay with ``now`` nondecreasing, so per-lane push
-        # order equals (time, seq) order and a deque replaces the heap's
-        # O(log n) sifts with O(1) appends/poplefts.  Entries keep the heap
-        # tuple shape so the dispatch handlers are shared; a mid-run network
-        # change drains both lanes back into the heap (see _run_slice).
-        self._fifo_enq: "deque[tuple]" = deque()
-        self._fifo_resp: "deque[tuple]" = deque()
-        self._fifo_on = type(sim.network) is ConstantLatency
-
     @staticmethod
     def _detect_mode(selector: ReplicaSelector) -> int:
         """Pick the fast path the selector's exact type allows.
@@ -544,49 +557,23 @@ class BatchedKernel:
         inv_rate = 1.0 / proc.rate_per_ms
         network = sim.network
         const_delay = network.delay_ms if type(network) is ConstantLatency else None
-        fifo_e = self._fifo_enq
-        fifo_r = self._fifo_resp
-        fifo_on = self._fifo_on
-        fe_app = fifo_e.append
-        fr_app = fifo_r.append
-        fe_pop = fifo_e.popleft
-        fr_pop = fifo_r.popleft
         issued_delta = 0
         completed_delta = 0
         arr_t = self._arr_t
         arr_seq = self._arr_seq
         fired = 0
         while True:
-            # Four event sources merge by (time, seq): the heap, the two
-            # monotone FIFO lanes, and the scalar next-arrival.  seqs are
-            # globally unique, so the comparisons below impose exactly the
-            # order one shared heap would.
+            # Two event sources merge by (time, seq): the heap and the scalar
+            # next-arrival.  seqs are globally unique, so the comparison
+            # below imposes exactly the order one shared heap would.
             if heap:
                 entry = heap[0]
                 t = entry[0]
                 s = entry[1]
-                src = 0
             else:
                 entry = None
                 t = _NEVER
                 s = 0
-                src = 0
-            if fifo_e:
-                cand = fifo_e[0]
-                ct = cand[0]
-                if ct < t or (ct == t and cand[1] < s):
-                    entry = cand
-                    t = ct
-                    s = cand[1]
-                    src = 2
-            if fifo_r:
-                cand = fifo_r[0]
-                ct = cand[0]
-                if ct < t or (ct == t and cand[1] < s):
-                    entry = cand
-                    t = ct
-                    s = cand[1]
-                    src = 3
             if arr_t < t or (arr_t == t and arr_seq < s):
                 arrival = True
                 t = arr_t
@@ -749,10 +736,7 @@ class BatchedKernel:
                         delay = network.one_way_delay(cid, sid)
                     seq_v = loop._seq
                     loop._seq = seq_v + 1
-                    if fifo_on:
-                        fe_app((t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
-                    else:
-                        push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
+                    push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
                     if kind == _READ and rrp > 0.0:
                         if hedged:
                             coin = crngs[cid].random()
@@ -793,10 +777,7 @@ class BatchedKernel:
                                     delay = network.one_way_delay(cid, s)
                                 seq_v = loop._seq
                                 loop._seq = seq_v + 1
-                                if fifo_on:
-                                    fe_app((t + delay, seq_v, _ENQUEUE, dup, s, 0.0))
-                                else:
-                                    push(heap, (t + delay, seq_v, _ENQUEUE, dup, s, 0.0))
+                                push(heap, (t + delay, seq_v, _ENQUEUE, dup, s, 0.0))
                                 rr_cnt[cid] += 1
                     if hedged:
                         self._maybe_hedge(rid, cid, t)
@@ -811,12 +792,7 @@ class BatchedKernel:
                 else:
                     arr_t = _NEVER
                 continue
-            if src == 0:
-                pop(heap)
-            elif src == 2:
-                fe_pop()
-            else:
-                fr_pop()
+            pop(heap)
             code = entry[2]
             if type(code) is not int:
                 # A generic loop entry: a timer's Event (scenario component,
@@ -837,21 +813,7 @@ class BatchedKernel:
                 generated = proc.generated
                 inv_rate = 1.0 / proc.rate_per_ms
                 network = sim.network
-                new_delay = network.delay_ms if type(network) is ConstantLatency else None
-                if new_delay != const_delay:
-                    # The one-way delay changed (network swap): future
-                    # pushes would break the FIFO lanes' monotonicity, so
-                    # drain both lanes into the heap (entries already have
-                    # the heap tuple shape) and run heap-only from here on.
-                    const_delay = new_delay
-                    if fifo_on:
-                        fifo_on = self._fifo_on = False
-                        for cand in fifo_e:
-                            push(heap, cand)
-                        fifo_e.clear()
-                        for cand in fifo_r:
-                            push(heap, cand)
-                        fifo_r.clear()
+                const_delay = network.delay_ms if type(network) is ConstantLatency else None
                 continue
             # loop._now is deliberately NOT updated per typed event: nothing
             # on the typed path reads the loop clock (handlers take ``t``
@@ -1015,10 +977,7 @@ class BatchedKernel:
                     delay = network.one_way_delay(sid, cid)
                 seq_v = loop._seq
                 loop._seq = seq_v + 1
-                if fifo_on:
-                    fr_app((t + delay, seq_v, _RESPONSE, rid, qsize, stime))
-                else:
-                    push(heap, (t + delay, seq_v, _RESPONSE, rid, qsize, stime))
+                push(heap, (t + delay, seq_v, _RESPONSE, rid, qsize, stime))
             elif code == _ENQUEUE:
                 rid = entry[3]
                 sid = entry[4]
@@ -1064,12 +1023,7 @@ class BatchedKernel:
                 self._on_retry(entry[3], t)
             else:
                 self._on_parked(entry[3], t)
-        if (
-            arr_t > until
-            and (not heap or heap[0][0] > until)
-            and (not fifo_e or fifo_e[0][0] > until)
-            and (not fifo_r or fifo_r[0][0] > until)
-        ):
+        if arr_t > until and (not heap or heap[0][0] > until):
             loop._now = max(loop._now, until)
         loop._processed += fired
         self._arr_t = arr_t
@@ -1175,11 +1129,7 @@ class BatchedKernel:
         loop = self.loop
         seq = loop._seq
         loop._seq = seq + 1
-        entry = (t + delay, seq, _ENQUEUE, rid, sid, 0.0)
-        if self._fifo_on:
-            self._fifo_enq.append(entry)
-        else:
-            heappush(self.heap, entry)
+        heappush(self.heap, (t + delay, seq, _ENQUEUE, rid, sid, 0.0))
 
     def _sel_timeout(self, cid: int, sid: int, t: float) -> None:
         if self.mode <= _P2C:

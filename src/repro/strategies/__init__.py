@@ -37,7 +37,6 @@ from .dynamic_snitch import DynamicSnitchParams, DynamicSnitchSelector
 from .registry import (
     BuildContext,
     StrategyInfo,
-    build_selector,
     get_strategy,
     register_strategy,
     resolve_strategy,
@@ -71,7 +70,6 @@ __all__ = [
     "WeightedRandomParams",
     "WeightedRandomSelector",
     "STRATEGY_NAMES",
-    "build_selector",
     "c3_config_from_params",
     "get_strategy",
     "make_selector",

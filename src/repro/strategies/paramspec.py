@@ -7,7 +7,9 @@ against a frozen param dataclass, and default-value dropping so every
 spelling of the same configuration normalizes identically.  The control
 registry (:mod:`repro.controls`) speaks the same language, so the grammar
 and coercion rules live here, parameterized by a ``subject`` label
-("strategy C3", "control phi") purely for error messages.
+("strategy C3", "control phi") purely for error messages.  The registry and
+spec classes both families instantiate are built on it in
+:mod:`repro.strategies.specbase`.
 
 Everything in this module is pure string/type manipulation: no registry
 state, no simulator imports.

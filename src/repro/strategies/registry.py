@@ -2,7 +2,8 @@
 
 Each strategy module declares a frozen *param dataclass* (defaults = the
 paper's values) and registers its selector class with
-:func:`register_strategy`::
+:func:`register_strategy` — :meth:`Registry.register
+<repro.strategies.specbase.Registry.register>` of :data:`STRATEGIES`::
 
     @register_strategy(
         "LRT",
@@ -15,36 +16,28 @@ paper's values) and registers its selector class with
 
 Registration makes the strategy addressable everywhere a strategy name is
 accepted — ``SimulationConfig.strategy``, ``ClusterConfig.strategy``, sweep
-grids, and the CLI — including the parameterized spec syntax of
-:class:`~repro.strategies.spec.StrategySpec` (``"c3:cubic_c=2e-4"``).
+grids, and the CLI — including the ``"c3:cubic_c=2e-4"`` spec syntax.
 ``STRATEGY_NAMES``, the factory aliases, and the CLI listing are all derived
 from this registry, so they can never drift apart.
-
-Unknown strategy names and unknown parameters are rejected with a
-closest-match ("did you mean …?") suggestion instead of surfacing as a deep
-``TypeError`` from an untyped ``**kwargs`` passthrough.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import difflib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+import functools
+from dataclasses import dataclass
+from typing import Callable, Hashable
 
 import numpy as np
 
 from ..core.config import C3Config
-from .base import ReplicaSelector
-from .paramspec import resolve_param_overrides
+from .specbase import Registry, RegistryEntry
 
 __all__ = [
+    "STRATEGIES",
     "BuildContext",
     "StrategyInfo",
-    "build_selector",
     "get_strategy",
     "register_strategy",
-    "resolve_params",
     "resolve_strategy",
     "strategy_names",
 ]
@@ -72,203 +65,10 @@ class BuildContext:
     c3_config: C3Config | None = None
 
 
-#: Builder: (explicit params, context) -> selector instance.
-Factory = Callable[[Mapping[str, Any], BuildContext], ReplicaSelector]
-#: Optional early validation hook over the explicit (alias-resolved) params.
-Validator = Callable[[Mapping[str, Any]], None]
+STRATEGIES = Registry("strategy", kinds={"strategy": "strategy"})
 
-
-@dataclass(frozen=True)
-class StrategyInfo:
-    """One registered strategy: canonical name, aliases, params, builder."""
-
-    name: str
-    aliases: tuple[str, ...]
-    params_cls: type
-    description: str
-    factory: Factory
-    param_aliases: Mapping[str, str] = field(default_factory=dict)
-    requires: tuple[str, ...] = ()
-    validate: Validator | None = None
-    selector_cls: type | None = None
-
-    def param_defaults(self) -> dict[str, Any]:
-        """``{field name: default value}`` of the param dataclass."""
-        instance = self.params_cls()
-        return {
-            f.name: getattr(instance, f.name) for f in dataclasses.fields(self.params_cls)
-        }
-
-    def aliases_for(self, field_name: str) -> tuple[str, ...]:
-        """Registered short-hand aliases mapping to ``field_name``, sorted."""
-        return tuple(
-            sorted(alias for alias, target in self.param_aliases.items() if target == field_name)
-        )
-
-
-_REGISTRY: dict[str, StrategyInfo] = {}
-#: Case-normalized name/alias token -> canonical name.
-_LOOKUP: dict[str, str] = {}
-
-
-def _normalize(token: str) -> str:
-    return token.strip().upper()
-
-
-def _register(info: StrategyInfo) -> None:
-    if info.name in _REGISTRY:
-        raise ValueError(f"strategy {info.name!r} is already registered")
-    tokens = {_normalize(info.name), *(_normalize(alias) for alias in info.aliases)}
-    for token in sorted(tokens):
-        owner = _LOOKUP.get(token)
-        if owner is not None:
-            raise ValueError(
-                f"strategy name/alias {token!r} is already registered by {owner!r}"
-            )
-    _REGISTRY[info.name] = info
-    for token in tokens:
-        _LOOKUP[token] = info.name
-
-
-def _default_factory(cls: type, context_args: tuple[str, ...]) -> Factory:
-    """Build ``cls(**param fields, **requested context attributes)``."""
-
-    def build(params: Mapping[str, Any], ctx: BuildContext) -> ReplicaSelector:
-        kwargs: dict[str, Any] = dict(params)
-        for arg in context_args:
-            kwargs[arg] = getattr(ctx, arg)
-        return cls(**kwargs)
-
-    return build
-
-
-def register_strategy(
-    name: str,
-    *,
-    aliases: tuple[str, ...] = (),
-    params: type,
-    description: str,
-    context_args: tuple[str, ...] = (),
-    param_aliases: Mapping[str, str] | None = None,
-    factory: Factory | None = None,
-    requires: tuple[str, ...] = (),
-    validate: Validator | None = None,
-) -> Callable[[type], type]:
-    """Class decorator registering a selector under ``name``.
-
-    Parameters
-    ----------
-    name:
-        Canonical strategy name (the paper's abbreviation, e.g. ``"C3"``).
-        Matching is case-insensitive everywhere.
-    aliases:
-        Alternate names accepted wherever a strategy is referenced.
-    params:
-        Frozen dataclass of the strategy's tunable parameters; field defaults
-        are the paper's values.
-    description:
-        One-line description for ``c3-repro strategies`` and the README table.
-    context_args:
-        :class:`BuildContext` attribute names forwarded to the constructor by
-        the default factory (ignored when ``factory`` is given).
-    param_aliases:
-        Short-hand parameter spellings (paper notation) mapped to field
-        names, e.g. ``{"cubic_c": "gamma"}``.
-    factory:
-        Custom builder ``(explicit_params, ctx) -> selector`` for strategies
-        whose parameters do not splat directly into the constructor.
-    requires:
-        Context attributes that must be non-None to build this strategy
-        (e.g. the oracle's ground-truth callback).
-    validate:
-        Optional hook raising ``ValueError`` for invalid *values* at spec
-        parse time (unknown names/keys are always rejected by the registry).
-    """
-    if not dataclasses.is_dataclass(params):
-        raise TypeError(f"params must be a dataclass, got {params!r}")
-
-    def decorator(cls: type) -> type:
-        resolved_aliases = dict(param_aliases or {})
-        field_names = {f.name for f in dataclasses.fields(params)}
-        bad = sorted(set(resolved_aliases.values()) - field_names)
-        if bad:
-            raise ValueError(f"param_aliases target unknown fields {bad} on {params.__name__}")
-        _register(
-            StrategyInfo(
-                name=name,
-                aliases=tuple(aliases),
-                params_cls=params,
-                description=description,
-                factory=factory or _default_factory(cls, tuple(context_args)),
-                param_aliases=resolved_aliases,
-                requires=tuple(requires),
-                validate=validate,
-                selector_cls=cls,
-            )
-        )
-        return cls
-
-    return decorator
-
-
-def strategy_names() -> tuple[str, ...]:
-    """Every registered canonical strategy name, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def get_strategy(name: str) -> StrategyInfo:
-    """The registration for a *canonical* name (KeyError when absent)."""
-    return _REGISTRY[name]
-
-
-def resolve_strategy(name: str) -> StrategyInfo:
-    """Look a strategy up by name or alias, case-insensitively.
-
-    Unknown names raise ``ValueError`` listing the valid names plus a
-    closest-match suggestion when one is plausible.
-    """
-    if not isinstance(name, str):
-        raise TypeError(f"strategy name must be a string, got {type(name).__name__}")
-    canonical = _LOOKUP.get(_normalize(name))
-    if canonical is None:
-        close = difflib.get_close_matches(_normalize(name), sorted(_LOOKUP), n=1)
-        hint = f"; did you mean {_LOOKUP[close[0]]!r}?" if close else ""
-        raise ValueError(
-            f"unknown strategy {name!r}; valid names: {', '.join(strategy_names())}{hint}"
-        )
-    return _REGISTRY[canonical]
-
-
-# ---------------------------------------------------------------------------
-# Parameter resolution: alias expansion, unknown-key rejection, type coercion.
-# The mechanics are shared with the control registry via
-# :mod:`repro.strategies.paramspec`.
-# ---------------------------------------------------------------------------
-
-
-def resolve_params(info: StrategyInfo, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate and normalize explicit params for one strategy.
-
-    Aliases are expanded to canonical field names, unknown keys are rejected
-    with a did-you-mean suggestion, values are coerced to the annotated field
-    types, and entries equal to the registered default are dropped — so two
-    spellings of the same configuration normalize identically (and a bare
-    name stays a bare name).
-    """
-    return resolve_param_overrides(
-        info.params_cls,
-        params,
-        subject=f"strategy {info.name}",
-        param_aliases=info.param_aliases,
-        validate=info.validate,
-    )
-
-
-def build_selector(spec: "Any", ctx: BuildContext | None = None) -> ReplicaSelector:
-    """Instantiate the selector described by a :class:`StrategySpec`."""
-    ctx = ctx or BuildContext()
-    info = resolve_strategy(spec.name)
-    for requirement in info.requires:
-        if getattr(ctx, requirement) is None:
-            raise ValueError(f"the {info.name} strategy requires {requirement}")
-    return info.factory(spec.params_dict, ctx)
+StrategyInfo = RegistryEntry
+register_strategy = functools.partial(STRATEGIES.register, kind="strategy")
+strategy_names = STRATEGIES.names
+get_strategy = STRATEGIES.get
+resolve_strategy = STRATEGIES.resolve

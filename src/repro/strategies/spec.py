@@ -1,120 +1,35 @@
 """The canonical, parameterized strategy specification.
 
-A :class:`StrategySpec` is ``(strategy name, explicit parameter overrides)``
-in a *canonical* form:
-
-* the name is the registry's canonical name (``"c3"`` → ``"C3"``);
-* parameter aliases are expanded (``cubic_c`` → ``gamma``) and values are
-  coerced to the registered field types;
-* parameters equal to the registered default (the paper's value) are
-  dropped, so every spelling of the same configuration — ``"c3"``,
-  ``"C3:score_exponent=3"``, ``{"name": "c3"}`` — normalizes to the same
-  spec, the same canonical string, and the same digest.  (Corollary:
-  "explicitly set to the default" and "unset" are indistinguishable, so a
-  default-valued param cannot override a non-default base ``c3_config`` —
-  put every intended override in the spec itself.)
-
-Specs parse from strings (``"c3"``, ``"c3:cubic_c=4e-4,b=3"``), from
-mappings (``{"name": "c3", "params": {"beta": 0.5}}``), and from other
-specs; :meth:`canonical` formats back to the string grammar so
-``parse(spec.canonical()) == spec`` always holds.  The canonical string is
-what :class:`~repro.simulator.simulation.SimulationConfig` stores, hashes
-into sweep cache keys, and prints in reports — bare strategy names stay
+:class:`StrategySpec` is the :class:`~repro.strategies.specbase.Spec` of the
+strategy registry — ``"c3"``, ``"C3:score_exponent=3"`` and
+``{"name": "c3"}`` all normalize to ``"C3"`` — plus the one thing that is
+strategy-specific: building a selector from the runtime
+:class:`~repro.strategies.registry.BuildContext`.  Because "explicitly set
+to the default" and "unset" are indistinguishable, a default-valued param
+cannot override a non-default base ``c3_config`` — put every intended
+override in the spec itself.  The canonical string is what
+:class:`~repro.simulator.simulation.SimulationConfig` stores, hashes into
+sweep cache keys, and prints in reports — bare strategy names stay
 byte-identical to the pre-registry era.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
-
 import numpy as np
 
 from ..core.config import C3Config
 from .base import ReplicaSelector
-from .paramspec import format_params, parse_spec_string, spec_digest
-from .registry import (
-    BuildContext,
-    IowaitFn,
-    ServerStateFn,
-    build_selector,
-    resolve_params,
-    resolve_strategy,
-)
+from .registry import STRATEGIES, BuildContext, IowaitFn, ServerStateFn
+from .specbase import Spec
 
 __all__ = ["StrategySpec"]
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """A validated, canonical ``(strategy, parameters)`` pair.
+class StrategySpec(Spec):
+    """A :class:`~repro.strategies.specbase.Spec` of the strategy registry."""
 
-    Construct via :meth:`parse` (or :meth:`of`); the constructor itself does
-    not validate, so hand-built instances bypass canonicalization.
-    ``params`` is a sorted tuple of ``(field name, value)`` pairs holding
-    only the *explicit, non-default* overrides.
-    """
+    registry = STRATEGIES
 
-    name: str
-    params: tuple[tuple[str, Any], ...] = ()
-
-    # ----------------------------------------------------------- construction
-    @classmethod
-    def parse(cls, value: "str | Mapping[str, Any] | StrategySpec") -> "StrategySpec":
-        """Parse and canonicalize a strategy reference of any accepted form."""
-        if isinstance(value, StrategySpec):
-            return cls.of(value.name, value.params_dict)
-        if isinstance(value, str):
-            name, params = parse_spec_string(value, label="strategy spec")
-            return cls.of(name, params)
-        if isinstance(value, Mapping):
-            unknown = sorted(set(value) - {"name", "params"})
-            if unknown:
-                raise ValueError(
-                    f"unknown keys {unknown} in strategy mapping; expected "
-                    f"{{'name': ..., 'params': {{...}}}}"
-                )
-            if "name" not in value:
-                raise ValueError("strategy mapping needs a 'name' key")
-            return cls.of(value["name"], dict(value.get("params") or {}))
-        raise TypeError(
-            f"cannot parse a strategy from {type(value).__name__}; "
-            f"expected str, mapping, or StrategySpec"
-        )
-
-    @classmethod
-    def of(cls, name: str, params: Mapping[str, Any] | None = None) -> "StrategySpec":
-        """Build a canonical spec from a name and explicit params."""
-        info = resolve_strategy(name)
-        resolved = resolve_params(info, dict(params or {}))
-        return cls(name=info.name, params=tuple(sorted(resolved.items())))
-
-    # ------------------------------------------------------------- inspection
-    @property
-    def params_dict(self) -> dict[str, Any]:
-        """The explicit overrides as a plain dict."""
-        return dict(self.params)
-
-    def canonical(self) -> str:
-        """The canonical string form (parses back to an equal spec)."""
-        if not self.params:
-            return self.name
-        return f"{self.name}:{format_params(self.params)}"
-
-    def digest(self) -> str:
-        """A stable content digest of the canonical spec.
-
-        Two references to the same strategy configuration — whatever their
-        spelling — share a digest; any parameter change produces a new one.
-        This is what keeps runner cache keys and golden digests deterministic
-        across refactors of the spec grammar.
-        """
-        return spec_digest(self.name, self.params_dict)
-
-    def __str__(self) -> str:
-        return self.canonical()
-
-    # ------------------------------------------------------------------ build
     def build(
         self,
         *,
@@ -125,11 +40,9 @@ class StrategySpec:
         c3_config: C3Config | None = None,
     ) -> ReplicaSelector:
         """Instantiate this spec's selector with the given runtime context."""
-        ctx = BuildContext(
-            rng=rng,
-            server_state_fn=server_state_fn,
-            iowait_fn=iowait_fn,
-            record_rate_history=record_rate_history,
-            c3_config=c3_config,
-        )
-        return build_selector(self, ctx)
+        ctx = BuildContext(rng, server_state_fn, iowait_fn, record_rate_history, c3_config)
+        entry = self.entry
+        for requirement in entry.requires:
+            if getattr(ctx, requirement) is None:
+                raise ValueError(f"the {entry.name} strategy requires {requirement}")
+        return entry.factory(self.params_dict, ctx)

@@ -146,7 +146,7 @@ class TestCassandraClusterRuns:
         assert len(result.per_server_completed) == FAST["num_nodes"]
 
     def test_speculative_retry_config_enables_policy(self):
-        config = ClusterConfig(strategy="DS", speculative_retry_percentile=50.0, **FAST)
+        config = ClusterConfig(strategy="DS", hedging="hedge:quantile=0.5", **FAST)
         cluster = CassandraCluster(config)
         assert all(c.speculative_retry is not None for c in cluster.coordinators.values())
         result = cluster.run()
@@ -162,7 +162,7 @@ class TestCassandraClusterRuns:
         [
             {},
             {"workload_mix": "update_heavy"},
-            {"strategy": "DS", "speculative_retry_percentile": 50.0},
+            {"strategy": "DS", "hedging": "hedge:quantile=0.5"},
         ],
     )
     def test_drained_cluster_retains_no_operation_state(self, overrides):

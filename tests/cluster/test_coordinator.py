@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster.coordinator import Coordinator, SpeculativeRetryPolicy
+from repro.cluster.coordinator import Coordinator
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode
 from repro.cluster.ring import TokenRing
 from repro.cluster.storage import StorageEngine
+from repro.controls.hedging import QuantileHedging
 from repro.core.config import C3Config
 from repro.simulator.engine import EventLoop
 from repro.simulator.network import ConstantLatency
@@ -127,7 +128,7 @@ class TestWritePath:
 
 class TestSpeculativeRetry:
     def test_policy_threshold_warms_up(self):
-        policy = SpeculativeRetryPolicy(percentile=99.0, min_samples=5)
+        policy = QuantileHedging(quantile=0.99, min_samples=5)
         assert policy.threshold_ms() is None
         for latency in (1.0, 2.0, 3.0, 4.0, 100.0):
             policy.record(latency)
@@ -136,12 +137,12 @@ class TestSpeculativeRetry:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            SpeculativeRetryPolicy(percentile=0.0)
+            QuantileHedging(quantile=0.0)
         with pytest.raises(ValueError):
-            SpeculativeRetryPolicy(min_samples=10, history=5)
+            QuantileHedging(min_samples=10, history=5)
 
     def test_speculation_fires_against_slow_replica(self):
-        policy = SpeculativeRetryPolicy(percentile=50.0, min_samples=5)
+        policy = QuantileHedging(quantile=0.5, min_samples=5)
         for latency in (1.0, 1.0, 1.0, 1.0, 1.0):
             policy.record(latency)
         # Node 1 and 2 are extremely slow; reads that land there trigger
@@ -171,7 +172,7 @@ class TestCopyIndex:
         assert len(cluster.completed) == 1
 
     def test_losing_speculative_copy_is_dropped_when_it_answers(self):
-        policy = SpeculativeRetryPolicy(percentile=50.0, min_samples=5)
+        policy = QuantileHedging(quantile=0.5, min_samples=5)
         for _ in range(5):
             policy.record(1.0)
         cluster = MiniCluster(spec_policy=policy, slow_nodes=(1, 2))

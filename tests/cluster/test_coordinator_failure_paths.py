@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.coordinator import Coordinator, SpeculativeRetryPolicy
+from repro.cluster.coordinator import Coordinator
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode
 from repro.cluster.ring import TokenRing
@@ -159,7 +159,7 @@ class TestStaleAndDuplicateResponses:
 
 class TestPolicyGating:
     def test_cold_policy_never_speculates(self):
-        policy = SpeculativeRetryPolicy(percentile=99.0, min_samples=50)
+        policy = QuantileHedging(quantile=0.99, min_samples=50)
         loop, coord, nodes, metrics, completed, execute = make_cluster(
             spec_policy=policy, slow_nodes=(0, 1, 2)
         )

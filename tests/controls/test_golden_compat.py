@@ -9,8 +9,8 @@ Three byte-for-byte contracts:
 * the default control specs are invisible to runner payloads, so cache keys
   and payload hashes predating the controls axes are unchanged;
 * the ``speculative`` experiment produces identical rows whether the retry
-  mechanism is spelled as the legacy ``retry_percentile`` or as the
-  generalized ``hedging="hedge:quantile=..."`` control spec.
+  mechanism is spelled as the paper's ``retry_percentile`` or as the
+  ``hedging="hedge:quantile=..."`` control spec it is shorthand for.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ class TestDefaultControlsInvisibleToPayloads:
 
 class TestSpeculativeExperimentEquivalence:
     def test_percentile_and_hedge_spec_rows_match(self):
-        # The same retry mechanism, two spellings: the legacy percentile
-        # parameter and the generalized hedging control spec must produce
-        # identical experiment rows (same RNG draws, same speculation
-        # thresholds, same completions).
+        # The experiment's two argument spellings of one retry mechanism —
+        # the paper's percentile and the hedging control spec it is shorthand
+        # for — must produce identical experiment rows (same RNG draws, same
+        # speculation thresholds, same completions).
         run = experiment_registry.get("speculative")
         scale = ClusterScale(
             num_nodes=5, num_generators=10, duration_ms=400.0, num_keys=500

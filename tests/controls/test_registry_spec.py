@@ -1,8 +1,14 @@
-"""Registry and spec-grammar tests for the control-plane registry."""
+"""Registry and spec-grammar tests for the control-plane registry.
+
+The generic behaviour is the contract of ``tests/registry_contract.py``
+(shared with the strategy registry) run over this registry's data; what is
+asserted here directly is about kinds and about particular controls.
+"""
 
 from __future__ import annotations
 
 import pytest
+from registry_contract import RegistryContract, SpecParsingContract, spec_properties_contract
 
 from repro.controls import (
     CONTROL_KINDS,
@@ -17,10 +23,27 @@ from repro.controls.detectors import (
     PhiAccrualFailureDetector,
 )
 from repro.controls.hedging import QuantileHedging
+from repro.controls.registry import CONTROLS
 from repro.core.rate_control import CubicRateController
 
 
-class TestRegistryListing:
+class TestRegistryListing(RegistryContract):
+    registry = CONTROLS
+    ALIASES = [("C3_RATE", "cubic"), ("ground_truth", "binary"), ("Phi_Accrual", "phi"), ("speculative", "hedge")]
+    TYPO = ("phii", "phi")
+
+    # The same lookups through the public name bound to the registry.
+    def test_aliases_resolve(self):
+        assert resolve_control("GROUND_TRUTH").name == "binary"
+        assert resolve_control("PHI_ACCRUAL").name == "phi"
+        assert resolve_control("SPECULATIVE").name == "hedge"
+        assert resolve_control("SPECULATIVE_RETRY").name == "hedge"
+        assert resolve_control("CUBIC_RATE").name == "cubic"
+
+    def test_lookup_is_case_insensitive(self):
+        assert resolve_control("PHI").name == "phi"
+        assert resolve_control("Hedge").name == "hedge"
+
     def test_builtin_controls_registered(self):
         assert set(control_names()) >= {"binary", "phi", "hedge", "cubic"}
 
@@ -38,24 +61,16 @@ class TestRegistryListing:
         assert kind_label("hedge") == "hedging policy"
         assert kind_label("rate") == "rate controller"
 
-    def test_aliases_resolve(self):
-        assert resolve_control("GROUND_TRUTH").name == "binary"
-        assert resolve_control("PHI_ACCRUAL").name == "phi"
-        assert resolve_control("SPECULATIVE").name == "hedge"
-        assert resolve_control("SPECULATIVE_RETRY").name == "hedge"
-        assert resolve_control("CUBIC_RATE").name == "cubic"
-
-    def test_lookup_is_case_insensitive(self):
-        assert resolve_control("PHI").name == "phi"
-        assert resolve_control("Hedge").name == "hedge"
-
-    def test_unknown_control_suggests(self):
-        with pytest.raises(ValueError, match="phi"):
-            resolve_control("phii")
-
     def test_kind_mismatch_is_a_precise_error(self):
         with pytest.raises(ValueError, match="hedging policy, not a failure detector"):
             resolve_control("hedge", kind="detector")
+
+    def test_did_you_mean_stays_within_the_kind(self):
+        with pytest.raises(ValueError, match="valid failure detectors: binary, phi; did you mean 'phi'"):
+            resolve_control("phii", kind="detector")
+        with pytest.raises(ValueError) as err:
+            resolve_control("phii", kind="hedge")
+        assert "did you mean" not in str(err.value)
 
     def test_param_defaults_exposed(self):
         phi = get_control("phi")
@@ -64,35 +79,15 @@ class TestRegistryListing:
         assert hedge.param_defaults()["quantile"] == 0.95
 
 
-class TestSpecParsing:
-    def test_defaults_are_dropped(self):
-        # 8.0 is the registered default, so the override vanishes and both
-        # spellings share one canonical string, digest, and cache key.
-        explicit = ControlSpec.parse("phi:threshold=8")
-        bare = ControlSpec.parse("phi")
-        assert explicit == bare
-        assert explicit.canonical() == "phi"
-        assert explicit.digest() == bare.digest()
-
-    def test_non_default_params_round_trip(self):
-        spec = ControlSpec.parse("hedge:quantile=0.99,max_extra=2")
-        assert spec.params_dict == {"quantile": 0.99, "max_extra": 2}
-        assert ControlSpec.parse(spec.canonical()) == spec
-
-    def test_param_alias_expands(self):
-        assert ControlSpec.parse("hedge:q=0.99") == ControlSpec.parse("hedge:quantile=0.99")
-
-    def test_mapping_form(self):
-        spec = ControlSpec.parse({"name": "phi", "params": {"threshold": 6}})
-        assert spec == ControlSpec.parse("phi:threshold=6")
-
-    def test_mapping_form_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            ControlSpec.parse({"name": "phi", "threshold": 6})
-
-    def test_unknown_param_did_you_mean(self):
-        with pytest.raises(ValueError, match="did you mean 'threshold'"):
-            ControlSpec.parse("phi:treshold=6")
+class TestSpecParsing(SpecParsingContract):
+    spec_cls = ControlSpec
+    # 8.0 is phi's registered default, so the override vanishes.
+    DEFAULTED = [("phi:threshold=8", "phi")]
+    ALIASED = ("hedge:q=0.99", "hedge:quantile=0.99")
+    MAPPING = ({"name": "phi", "params": {"threshold": 6}}, "phi:threshold=6")
+    BAD_MAPPING = {"name": "phi", "threshold": 6}
+    NON_DEFAULT = ("hedge:quantile=0.99,max_extra=2", {"quantile": 0.99, "max_extra": 2})
+    PARAM_TYPO = ("phi:treshold=6", "threshold")
 
     def test_invalid_values_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="threshold must be positive"):
@@ -107,14 +102,24 @@ class TestSpecParsing:
         assert ControlSpec.parse("hedge").kind == "hedge"
         assert ControlSpec.parse("cubic").kind == "rate"
 
-    def test_distinct_params_distinct_digests(self):
-        assert ControlSpec.parse("phi:threshold=6").digest() != ControlSpec.parse("phi").digest()
-
     def test_str_is_canonical(self):
         # Values coerce against the registered param dataclass, so integer
         # and float spellings of a float field share one canonical string.
         assert str(ControlSpec.parse("phi:threshold=6")) == "phi:threshold=6.0"
         assert str(ControlSpec.parse("phi:threshold=6.0")) == "phi:threshold=6.0"
+
+
+#: Valid example values per (control, param) for the round-trip suite.
+_PARAM_VALUES = {
+    "binary": {},
+    "phi": {"threshold": (2.0, 8.0, 12.5), "window": (10, 1000), "min_intervals": (1, 5)},
+    "hedge": {"quantile": (0.5, 0.95, 0.999), "max_extra": (1, 3), "min_samples": (5, 50)},
+    "cubic": {"beta": (0.1, 0.5), "initial_rate": (1.0, 40.0), "max_rate": (50.0, 1000.0), "gamma": (2e-4,)},
+}
+
+
+class TestSpecProperties(spec_properties_contract(ControlSpec, _PARAM_VALUES)):
+    pass
 
 
 class TestSpecBuild:

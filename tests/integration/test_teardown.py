@@ -45,7 +45,7 @@ GC_STORM = dict(
 JITTER = dict(scenario="network-jitter", scenario_params=dict(at_ms=30.0))
 HEDGE = "hedge:quantile=0.9,min_samples=10"
 EAGER_HEDGE = "hedge:quantile=0.5,max_extra=2,min_samples=10"
-SPECULATIVE = dict(strategy="DS", speculative_retry_percentile=50.0)
+SPECULATIVE = dict(strategy="DS", hedging="hedge:quantile=0.5")
 
 
 def flat(**overrides):

@@ -9,7 +9,7 @@ event for event.  These tests pin that contract three ways:
   kernel special-cases (LOR / P2C dense state, stock selectors, the C3
   scheduler), plus the hard paths — crash/recovery liveness filtering,
   phi-accrual suspicion, hedged reads, read-repair fan-out, backpressure
-  parking, demand skew, streaming metrics;
+  parking, demand skew, a mid-run network-delay change, streaming metrics;
 * a hypothesis property over random small configurations, so the
   equivalence is not an artifact of hand-picked parameters;
 * a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
@@ -62,6 +62,9 @@ MATRIX = {
         read_fraction=0.7,
         demand_skew=DemandSkew(client_fraction=0.2, demand_fraction=0.8),
     ),
+    # The one-way delay changes (and becomes jittered) mid-run, so ENQUEUE /
+    # RESPONSE entries are not pushed in time order: only the heap orders them.
+    "jitter-c3": dict(HARD, strategy="C3", scenario="network-jitter"),
     "streaming-c3": dict(HARD, strategy="C3", metrics_mode="streaming"),
     "backpressure-c3": dict(
         PLAIN, strategy="C3:initial_rate=0.1,min_rate=0.1,max_rate=0.1"

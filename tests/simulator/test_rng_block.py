@@ -45,9 +45,9 @@ HARD = dict(num_servers=10, num_clients=12, num_requests=2000, seed=11)
 
 #: Block-domain equivalence matrix: every kernel-special-cased selector mode
 #: plus the rare paths (crash liveness filtering, phi suspicion, hedged
-#: reads, demand skew, backpressure parking, mid-run latency swap — the
-#: network-jitter scenario flips ConstantLatency parameters mid-run, which
-#: exercises the kernel's FIFO-lane drain-to-heap fallback).
+#: reads, demand skew, backpressure parking, mid-run latency swap — after
+#: the network-jitter scenario's delay change ENQUEUE/RESPONSE entries are
+#: no longer pushed in time order, so only the heap orders them).
 MATRIX = {
     "plain-lor": dict(PLAIN, strategy="LOR"),
     "plain-p2c": dict(PLAIN, strategy="P2C"),

@@ -14,14 +14,16 @@ Three layers of guarantees:
   the registry redesign (pinned pre-redesign hashes), and parameterized
   specs are behaviourally identical to the legacy ``c3_config`` escape
   hatch.
-"""
 
-import dataclasses
+The first two are the contract of ``tests/registry_contract.py`` (shared with
+the control registry) run over this registry's data, plus the assertions
+about particular strategies.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from registry_contract import RegistryContract, SpecParsingContract, spec_cases, spec_properties_contract
 
 from repro.core.config import C3Config
 from repro.runner.spec import config_to_payload, content_hash
@@ -35,7 +37,7 @@ from repro.strategies import (
     resolve_strategy,
     strategy_names,
 )
-from repro.strategies.registry import StrategyInfo, _register
+from repro.strategies.registry import STRATEGIES
 
 
 def fake_state(server_id):
@@ -47,12 +49,9 @@ def fake_state(server_id):
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_strategy_names_matches_legacy_tuple(self):
-        assert strategy_names() == ("C3", "ORA", "LOR", "RR", "RAND", "LRT", "P2C", "WRAND", "DS")
-        assert STRATEGY_NAMES == strategy_names()
-
-    @pytest.mark.parametrize("alias,canonical", [
+class TestRegistry(RegistryContract):
+    registry = STRATEGIES
+    ALIASES = [
         ("ORACLE", "ORA"),
         ("least_outstanding", "LOR"),
         ("Round_Robin", "RR"),
@@ -62,34 +61,15 @@ class TestRegistry:
         ("weighted_random", "WRAND"),
         ("dynamic_snitch", "DS"),
         ("c3", "C3"),
-    ])
-    def test_aliases_resolve_case_insensitively(self, alias, canonical):
-        assert resolve_strategy(alias).name == canonical
+    ]
+    TYPO = ("c33", "C3")
 
-    def test_unknown_name_has_did_you_mean(self):
-        with pytest.raises(ValueError, match="did you mean 'C3'"):
-            resolve_strategy("c33")
+    def test_strategy_names_matches_legacy_tuple(self):
+        assert strategy_names() == ("C3", "ORA", "LOR", "RR", "RAND", "LRT", "P2C", "WRAND", "DS")
+        assert STRATEGY_NAMES == strategy_names()
 
-    def test_unknown_name_lists_valid_names(self):
-        with pytest.raises(ValueError, match="valid names: C3, ORA, LOR"):
-            resolve_strategy("definitely-not-a-strategy")
-
-    def test_duplicate_name_rejected(self):
-        info = get_strategy("LOR")
-        with pytest.raises(ValueError, match="already registered"):
-            _register(dataclasses.replace(info))
-
-    def test_duplicate_alias_rejected(self):
-        info = get_strategy("LOR")
-        with pytest.raises(ValueError, match="already registered"):
-            _register(dataclasses.replace(info, name="LOR2", aliases=("RANDOM",)))
-
-    def test_every_registration_has_description_and_params(self):
-        for name in strategy_names():
-            info = get_strategy(name)
-            assert isinstance(info, StrategyInfo)
-            assert info.description
-            assert dataclasses.is_dataclass(info.params_cls)
+    def test_public_names_are_the_registry(self):
+        assert resolve_strategy("lor") is get_strategy("LOR") is STRATEGIES.get("LOR")
 
     def test_param_aliases_reported_per_field(self):
         info = get_strategy("C3")
@@ -103,7 +83,15 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
-class TestSpecParsing:
+class TestSpecParsing(SpecParsingContract):
+    spec_cls = StrategySpec
+    DEFAULTED = [("c3:score_exponent=3.0", "C3"), ("c3:b=3", "C3"), ("ds:iowait_weight=100", "DS")]
+    ALIASED = ("c3:cubic_c=2e-4", "c3:gamma=2e-4")
+    MAPPING = ({"name": "c3", "params": {"cubic_c": 2e-4}}, "c3:cubic_c=2e-4")
+    BAD_MAPPING = {"name": "c3", "param": {}}
+    NON_DEFAULT = ("rr:rate_limited=false", {"rate_limited": False})
+    PARAM_TYPO = ("c3:cubicc=1e-4", "cubic_c")
+
     def test_bare_name_stays_bare(self):
         assert StrategySpec.parse("C3").canonical() == "C3"
         assert StrategySpec.parse("lor").canonical() == "LOR"
@@ -114,32 +102,11 @@ class TestSpecParsing:
         assert spec.params_dict == {"gamma": 0.0002}
         assert spec.canonical() == "C3:gamma=0.0002"
 
-    def test_default_valued_params_are_dropped(self):
-        assert StrategySpec.parse("c3:score_exponent=3.0") == StrategySpec.parse("C3")
-        assert StrategySpec.parse("c3:b=3") == StrategySpec.parse("C3")
-        assert StrategySpec.parse("ds:iowait_weight=100") == StrategySpec.parse("DS")
-
     def test_params_sorted_in_canonical_form(self):
         a = StrategySpec.parse("c3:beta=0.5,b=2")
         b = StrategySpec.parse("c3:b=2,beta=0.5")
         assert a == b
         assert a.canonical() == "C3:beta=0.5,score_exponent=2.0"
-
-    def test_mapping_form(self):
-        spec = StrategySpec.parse({"name": "c3", "params": {"cubic_c": 2e-4}})
-        assert spec == StrategySpec.parse("c3:cubic_c=2e-4")
-
-    def test_mapping_form_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            StrategySpec.parse({"name": "c3", "param": {}})
-
-    def test_spec_passthrough_is_idempotent(self):
-        spec = StrategySpec.parse("rr:rate_limited=false")
-        assert StrategySpec.parse(spec) == spec
-
-    def test_unknown_param_has_did_you_mean(self):
-        with pytest.raises(ValueError, match="did you mean 'cubic_c'"):
-            StrategySpec.parse("c3:cubicc=1e-4")
 
     def test_unknown_param_lists_valid_params(self):
         with pytest.raises(ValueError, match="valid parameters"):
@@ -212,37 +179,9 @@ _PARAM_VALUES = {
 }
 
 
-@st.composite
-def strategy_specs(draw):
-    """A random valid (strategy, params) choice drawn from the table above."""
-    name = draw(st.sampled_from(sorted(_PARAM_VALUES)))
-    pool = _PARAM_VALUES[name]
-    keys = draw(st.lists(st.sampled_from(sorted(pool)), unique=True, max_size=len(pool)))
-    params = {key: draw(st.sampled_from(pool[key])) for key in keys}
-    return name, params
-
-
-class TestSpecProperties:
+class TestSpecProperties(spec_properties_contract(StrategySpec, _PARAM_VALUES)):
     @settings(max_examples=150, deadline=None)
-    @given(strategy_specs())
-    def test_canonical_round_trip(self, case):
-        name, params = case
-        spec = StrategySpec.of(name, params)
-        reparsed = StrategySpec.parse(spec.canonical())
-        assert reparsed == spec
-        assert reparsed.canonical() == spec.canonical()
-
-    @settings(max_examples=150, deadline=None)
-    @given(strategy_specs())
-    def test_digest_is_spelling_independent(self, case):
-        name, params = case
-        spec = StrategySpec.of(name, params)
-        # Same configuration via string, mapping, and lower-case spellings.
-        assert StrategySpec.parse(spec.canonical()).digest() == spec.digest()
-        assert StrategySpec.parse({"name": name.lower(), "params": params}).digest() == spec.digest()
-
-    @settings(max_examples=150, deadline=None)
-    @given(strategy_specs())
+    @given(spec_cases(_PARAM_VALUES))
     def test_config_normalization_matches_spec(self, case):
         name, params = case
         spec = StrategySpec.of(name, params)
