@@ -10,12 +10,12 @@ These benchmarks pin the cost of each lane in isolation, so an engine
 regression is attributable before it shows up (diluted about five-fold) in
 a whole simulation:
 
-* each lane's wall clock feeds the ``BENCH_baseline.json`` regression gate
-  like every other benchmark, with its µs/event in ``extra_info``;
+* each lane's wall clock is recorded in the perf job's ``BENCH_ci.json``
+  artifact like every other benchmark, with its µs/event in ``extra_info``;
 * the timer/message ratio is measured interleaved (best-of-N of each,
   alternating, so box-load drift hits both lanes equally), recorded always
   and asserted only in the perf job (``wall_clock_gate``).  Measured on the
-  box that wrote the baseline: about 2x (1.4 against 0.7 µs per event).  It
+  box that first recorded it: about 2x (1.4 against 0.7 µs per event).  It
   is the reason hot call sites are on ``post`` — if it falls towards 1 the
   second lane no longer pays for itself.
 """
@@ -24,7 +24,7 @@ import time
 
 from repro.simulator.engine import EventLoop
 
-#: Events per round: enough to clear the regression gate's 50 ms floor.
+#: Events per round: enough for a round to run for tens of milliseconds.
 N_EVENTS = 200_000
 
 #: Hops in flight at once, i.e. the heap depth the sifts see.  A

@@ -8,10 +8,10 @@ accounting.  Exact-mode results are digest-identical to the
 object path per RNG regime (``tests/simulator/test_kernel_equivalence.py``
 pins ``rng="v1"``, ``tests/simulator/test_rng_block.py`` pins
 ``rng="block"``), so the only thing left to regress is speed — which
-these benchmarks gate two ways:
+these benchmarks watch two ways:
 
-* the batched wall-clock itself feeds the ``BENCH_baseline.json``
-  regression gate like every other benchmark;
+* the batched wall-clock itself is recorded in the perf job's
+  ``BENCH_ci.json`` artifact like every other benchmark;
 * the object/batched speedup ratio is measured interleaved (best-of-N of
   each, alternating, so box-load drift hits both paths equally) and
   asserted against a conservative floor.  Measured on the CI box:
@@ -30,8 +30,8 @@ import time
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 
 #: Hot-path configuration: the default read-heavy workload at default
-#: utilization/read-repair, sized so one run comfortably clears the
-#: regression gate's 50 ms floor on both kernels.
+#: utilization/read-repair, sized so one run takes well over 50 ms on both
+#: kernels.
 N_REQUESTS = 20_000
 BASE = dict(num_servers=10, num_clients=12, num_requests=N_REQUESTS, seed=7)
 

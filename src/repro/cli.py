@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from pathlib import Path
@@ -83,11 +84,89 @@ from .runner import (
 )
 from .runner.results import AGGREGATE_METRICS
 from .scenarios import get_scenario, scenario_names
-from .simulator import SimulationConfig, run_simulation
+from .simulator import KERNELS, METRICS_MODES, RNGS, SimulationConfig, run_simulation
 from .strategies.registry import STRATEGIES
 from .strategies.specbase import Registry
 
 __all__ = ["main", "build_parser"]
+
+_STRATEGY_HELP = (
+    "strategy name or parameterized spec, e.g. C3 or \"c3:cubic_c=2e-4,b=3\" "
+    "(see `c3-repro strategies`)"
+)
+_DETECTOR_HELP = (
+    "failure-detector control spec, e.g. binary or \"phi:threshold=8\" "
+    "(see `c3-repro controls`)"
+)
+_HEDGING_HELP = (
+    "hedging control spec, e.g. \"hedge:quantile=0.95,max_extra=1\" "
+    "(see `c3-repro controls`; default: no hedging)"
+)
+
+#: The flat-run flags of ``simulate`` / ``sweep`` / ``search`` / ``scale``:
+#: argparse dest -> (SimulationConfig field, ``add_argument`` keywords).  A
+#: flag's default is the field's own unless the subcommand overrides it, and
+#: the choices are the simulator's tables, so neither is written down here.
+_FLAT_FLAGS: dict[str, tuple[str, dict]] = {
+    "strategy": ("strategy", {"help": _STRATEGY_HELP}),
+    "failure_detector": ("failure_detector", {"help": _DETECTOR_HELP}),
+    "hedging": ("hedging", {"help": _HEDGING_HELP}),
+    "servers": ("num_servers", {"type": int}),
+    "clients": ("num_clients", {"type": int}),
+    "requests": ("num_requests", {"type": int, "help": "requests per run"}),
+    "utilization": ("utilization", {"type": float}),
+    "interval": ("fluctuation_interval_ms", {"type": float, "help": "fluctuation interval (ms)"}),
+    "seed": ("seed", {"type": int}),
+    "relative_error": (
+        "histogram_relative_error",
+        {"type": float, "help": "histogram relative-error bound (default: 0.01 = 1%%)"},
+    ),
+    "metrics_mode": (
+        "metrics_mode",
+        {
+            "choices": list(METRICS_MODES),
+            "help": "latency collection: exact per-request lists or fixed-memory streaming histograms",
+        },
+    ),
+    "kernel": (
+        "kernel",
+        {
+            "choices": list(KERNELS),
+            "help": "event-loop kernel: the per-event object path or the batched "
+                    "typed-event path (identical exact-mode results, several times faster)",
+        },
+    ),
+    "rng": (
+        "rng",
+        {
+            "choices": list(RNGS),
+            "help": "RNG regime: v1 (scalar draws, legacy digests) or block "
+                    "(block-drawn variates — faster, kernel-identical, a new digest domain)",
+        },
+    ),
+}
+_CONFIG_DEFAULTS = {field.name: field.default for field in fields(SimulationConfig)}
+
+
+def _add_flat_flags(parser: argparse.ArgumentParser, dests: str, **defaults) -> None:
+    """Add the named :data:`_FLAT_FLAGS` to ``parser``, in the order given."""
+    for dest in dests.split():
+        field, keywords = _FLAT_FLAGS[dest]
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            default=defaults.get(dest, _CONFIG_DEFAULTS[field]),
+            **keywords,
+        )
+
+
+def _sim_config(args: argparse.Namespace, **overrides) -> SimulationConfig:
+    """The :class:`SimulationConfig` a subcommand's parsed flat-run flags describe."""
+    chosen = {
+        field: getattr(args, dest)
+        for dest, (field, _) in _FLAT_FLAGS.items()
+        if hasattr(args, dest)
+    }
+    return SimulationConfig(**{**chosen, **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,29 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario override for experiments that accept one (see `c3-repro scenarios`)",
     )
 
-    strategy_help = (
-        "strategy name or parameterized spec, e.g. C3 or \"c3:cubic_c=2e-4,b=3\" "
-        "(see `c3-repro strategies`)"
-    )
-    detector_help = (
-        "failure-detector control spec, e.g. binary or \"phi:threshold=8\" "
-        "(see `c3-repro controls`)"
-    )
-    hedging_help = (
-        "hedging control spec, e.g. \"hedge:quantile=0.95,max_extra=1\" "
-        "(see `c3-repro controls`; default: no hedging)"
-    )
-
     sim_parser = sub.add_parser("simulate", help="run one flat-simulator scenario")
-    sim_parser.add_argument("--strategy", default="C3", help=strategy_help)
-    sim_parser.add_argument("--failure-detector", default="binary", help=detector_help)
-    sim_parser.add_argument("--hedging", default=None, help=hedging_help)
-    sim_parser.add_argument("--servers", type=int, default=50)
-    sim_parser.add_argument("--clients", type=int, default=150)
-    sim_parser.add_argument("--requests", type=int, default=10_000)
-    sim_parser.add_argument("--utilization", type=float, default=0.7)
-    sim_parser.add_argument("--interval", type=float, default=100.0, help="fluctuation interval (ms)")
-    sim_parser.add_argument("--seed", type=int, default=0)
+    _add_flat_flags(
+        sim_parser,
+        "strategy failure_detector hedging servers clients requests utilization interval seed",
+        requests=10_000,
+    )
     sim_parser.add_argument(
         "--scenario", default=None, metavar="NAME",
         help="named perturbation scenario (see `c3-repro scenarios`)",
@@ -139,24 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario-param", action="append", dest="scenario_params", metavar="KEY=VALUE",
         help="override one scenario knob (repeatable; values parsed as JSON, else string)",
     )
-    sim_parser.add_argument(
-        "--metrics-mode", default="exact", choices=["exact", "streaming"],
-        help="latency collection: exact per-request lists or fixed-memory streaming histograms",
-    )
-    sim_parser.add_argument(
-        "--kernel", default="object", choices=["object", "batched"],
-        help="event-loop kernel: the per-event object path or the batched "
-             "typed-event path (identical exact-mode results, several times faster)",
-    )
-    sim_parser.add_argument(
-        "--rng", default="v1", choices=["v1", "block"],
-        help="RNG regime: v1 (scalar draws, legacy digests) or block "
-             "(block-drawn variates — faster, kernel-identical, a new digest domain)",
-    )
+    _add_flat_flags(sim_parser, "metrics_mode kernel rng")
 
     cluster_parser = sub.add_parser("cluster", help="run one cluster scenario")
-    cluster_parser.add_argument("--strategy", default="C3", help=strategy_help)
-    cluster_parser.add_argument("--hedging", default=None, help=hedging_help)
+    cluster_parser.add_argument("--strategy", default="C3", help=_STRATEGY_HELP)
+    cluster_parser.add_argument("--hedging", default=None, help=_HEDGING_HELP)
     cluster_parser.add_argument("--nodes", type=int, default=15)
     cluster_parser.add_argument("--generators", type=int, default=60)
     cluster_parser.add_argument("--duration", type=float, default=2_000.0, help="duration (ms)")
@@ -169,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--strategy", action="append", dest="strategies", metavar="SPEC",
-        help=f"strategy to include — {strategy_help} (repeatable; default: C3 LOR RR); "
+        help=f"strategy to include — {_STRATEGY_HELP} (repeatable; default: C3 LOR RR); "
              "distinct parameterizations of one strategy sweep as distinct grid points",
     )
     sweep_parser.add_argument(
@@ -187,17 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--failure-detector", action="append", dest="failure_detectors", metavar="SPEC",
-        help=f"failure detector to grid over — {detector_help} (repeatable; "
+        help=f"failure detector to grid over — {_DETECTOR_HELP} (repeatable; "
              "default: binary, no detector dimension)",
     )
     sweep_parser.add_argument(
         "--hedging", action="append", dest="hedging_specs", metavar="SPEC",
-        help=f"hedging policy to grid over — {hedging_help.replace('default: no hedging', 'repeatable')}; "
+        help=f"hedging policy to grid over — {_HEDGING_HELP.replace('default: no hedging', 'repeatable')}; "
              "the literal value 'none' grids an unhedged point",
     )
-    sweep_parser.add_argument("--servers", type=int, default=10)
-    sweep_parser.add_argument("--clients", type=int, default=40)
-    sweep_parser.add_argument("--requests", type=int, default=2_000, help="requests per trial")
+    _add_flat_flags(sweep_parser, "servers clients requests", servers=10, clients=40, requests=2_000)
     sweep_parser.add_argument("--num-seeds", type=int, default=4, help="replicates per grid point")
     sweep_parser.add_argument("--base-seed", type=int, default=0, help="first seed of the replicate range")
     sweep_parser.add_argument("--workers", type=int, default=None, help="pool size (default: CPU count)")
@@ -206,20 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".sweep-cache",
         help="trial result cache directory (default: .sweep-cache)",
     )
-    sweep_parser.add_argument(
-        "--kernel", default="object", choices=["object", "batched"],
-        help="event-loop kernel for every trial (see `simulate --kernel`)",
-    )
-    sweep_parser.add_argument(
-        "--rng", default="v1", choices=["v1", "block"],
-        help="RNG regime for every trial (see `simulate --rng`)",
-    )
+    _add_flat_flags(sweep_parser, "kernel rng")
     sweep_parser.add_argument("--no-cache", action="store_true", help="disable the trial cache")
     sweep_parser.add_argument("--json", dest="json_path", metavar="PATH", help="also save the full sweep result as JSON")
-    sweep_parser.add_argument(
-        "--metrics-mode", default="exact", choices=["exact", "streaming"],
-        help="latency collection mode for every trial (streaming = fixed-memory histograms)",
-    )
+    _add_flat_flags(sweep_parser, "metrics_mode")
     sweep_parser.add_argument(
         "--checkpoint", action="store_true",
         help="write a resumable completion manifest under the cache dir "
@@ -251,15 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     scale_parser = sub.add_parser(
         "scale", help="smoke-test streaming (scale-mode) metrics on one large run"
     )
-    scale_parser.add_argument("--strategy", default="C3", help=strategy_help)
-    scale_parser.add_argument("--servers", type=int, default=50)
-    scale_parser.add_argument("--clients", type=int, default=150)
-    scale_parser.add_argument("--requests", type=int, default=100_000)
-    scale_parser.add_argument("--utilization", type=float, default=0.7)
-    scale_parser.add_argument("--seed", type=int, default=0)
-    scale_parser.add_argument(
-        "--relative-error", type=float, default=0.01,
-        help="histogram relative-error bound (default: 0.01 = 1%%)",
+    _add_flat_flags(
+        scale_parser,
+        "strategy servers clients requests utilization seed relative_error",
+        requests=100_000,
     )
     scale_parser.add_argument(
         "--compare-exact", action="store_true",
@@ -295,12 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-seeds", type=int, default=1,
         help="seed-prefix floor for the first rung (default: 1)",
     )
-    search_parser.add_argument("--servers", type=int, default=10)
-    search_parser.add_argument("--clients", type=int, default=40)
-    search_parser.add_argument("--requests", type=int, default=2_000, help="requests per trial")
-    search_parser.add_argument("--utilization", type=float, default=0.7)
-    search_parser.add_argument(
-        "--interval", type=float, default=100.0, help="fluctuation interval (ms)"
+    _add_flat_flags(
+        search_parser,
+        "servers clients requests utilization interval",
+        servers=10, clients=40, requests=2_000,
     )
     search_parser.add_argument(
         "--num-seeds", type=int, default=4,
@@ -315,14 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
              "what makes successive halving cheap (default: .sweep-cache)",
     )
     search_parser.add_argument("--no-cache", action="store_true", help="disable the trial cache")
-    search_parser.add_argument(
-        "--kernel", default="object", choices=["object", "batched"],
-        help="event-loop kernel for every trial (see `simulate --kernel`)",
-    )
-    search_parser.add_argument(
-        "--rng", default="v1", choices=["v1", "block"],
-        help="RNG regime for every trial (see `simulate --rng`)",
-    )
+    _add_flat_flags(search_parser, "kernel rng")
     search_parser.add_argument(
         "--compare-dense", action="store_true",
         help="also run the dense grid (every candidate × every seed, cache-shared with "
@@ -538,21 +561,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("--scenario-param requires --scenario", file=sys.stderr)
         return 2
     try:
-        config = SimulationConfig(
-            num_servers=args.servers,
-            num_clients=args.clients,
-            num_requests=args.requests,
-            utilization=args.utilization,
-            fluctuation_interval_ms=args.interval,
-            strategy=args.strategy,
-            seed=args.seed,
+        config = _sim_config(
+            args,
             scenario=args.scenario,
             scenario_params=_parse_scenario_params(args.scenario_params),
-            metrics_mode=args.metrics_mode,
-            failure_detector=args.failure_detector,
-            hedging=args.hedging,
-            kernel=args.kernel,
-            rng=args.rng,
         )
     except ValueError as error:
         # Malformed KEY=VALUE pairs, unknown scenario knobs, and invalid
@@ -643,14 +655,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # parameterized specs alike) and rejects unknown strategies or
         # params with the registry's did-you-mean error.
         spec = SweepSpec(
-            base=SimulationConfig(
-                num_servers=args.servers,
-                num_clients=args.clients,
-                num_requests=args.requests,
-                metrics_mode=args.metrics_mode,
-                kernel=args.kernel,
-                rng=args.rng,
-            ),
+            base=_sim_config(args),
             grid=grid,
             seeds=seed_range(args.num_seeds, args.base_seed),
         )
@@ -748,16 +753,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     try:
-        config = SimulationConfig(
-            num_servers=args.servers,
-            num_clients=args.clients,
-            num_requests=args.requests,
-            utilization=args.utilization,
-            strategy=args.strategy,
-            seed=args.seed,
-            metrics_mode="streaming",
-            histogram_relative_error=args.relative_error,
-        )
+        config = _sim_config(args, metrics_mode="streaming")
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -811,16 +807,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 2
     candidates = [f"{args.strategy}:{args.param}={value}" for value in raw_values]
     try:
-        base = SimulationConfig(
-            num_servers=args.servers,
-            num_clients=args.clients,
-            num_requests=args.requests,
-            utilization=args.utilization,
-            fluctuation_interval_ms=args.interval,
-            strategy=args.strategy,
-            kernel=args.kernel,
-            rng=args.rng,
-        )
+        base = _sim_config(args)
         seeds = seed_range(args.num_seeds, args.base_seed)
         runner = SweepRunner(
             max_workers=args.workers,

@@ -5,8 +5,9 @@ slow-node scenario and asserts the simulated ordering — C3's p99 at or
 below LOR's — holds live.  The comparison itself is pure artifact
 arithmetic: :func:`load_trial` reads a trial directory written by
 :func:`~repro.live.harness.run_trial` (validating the payload digest
-along the way), :func:`compare_p99` reports the ordering with a relative
-tolerance for localhost scheduling noise.  Because it only touches
+and, against it, the histogram file along the way), :func:`compare_p99`
+reports the ordering with a relative tolerance for localhost scheduling
+noise.  Because it only touches
 recorded files, the gate is unit-testable and deterministic even when
 the live run itself is skipped on a flaky runner.
 
@@ -100,6 +101,14 @@ def load_trial(directory: "str | Path") -> LoadedTrial:
     histogram = LatencyHistogram.from_dict(
         json.loads(histogram_path.read_text(encoding="utf-8"))
     )
+    # The payload digest covers the histogram only through this field; p99 is
+    # read from histogram.json, so the file has to be the one the payload names.
+    expected = payload["results"]["histogram_digest"]
+    if histogram.digest() != expected:
+        raise ValueError(
+            f"histogram digest mismatch in {histogram_path}: payload records {expected!r}, "
+            f"file holds {histogram.digest()!r} — artifact edited or truncated"
+        )
     if histogram.count == 0:
         raise ValueError(f"{histogram_path} holds an empty histogram — trial recorded no latencies")
     return LoadedTrial(directory=path, payload=payload, histogram=histogram)

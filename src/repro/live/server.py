@@ -73,7 +73,9 @@ class ReplicaServer:
         self._up = True
         self._multiplier = 1.0
         self._resume_at = 0.0  # monotonic ms; workers stall until this
-        self._smoothed_service_ms = 0.0
+        # Seeded with the nominal service time, as SimServer seeds its EWMA:
+        # feedback before (or folded with) the first service reports it.
+        self._smoothed_service_ms = self.base_service_ms
         self._start_ms = time.monotonic() * 1000.0
         self._load_buckets: dict[int, int] = {}
         self.accepted = 0

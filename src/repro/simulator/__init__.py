@@ -6,13 +6,15 @@ from .metrics import METRICS_MODES, MetricsCollector, SimulationResult, Windowed
 from .network import ConstantLatency, JitteredLatency, LognormalLatency, NetworkModel
 from .request import Request, RequestKind
 from .server import SimServer
-from .simulation import ReplicaSelectionSimulation, SimulationConfig, run_simulation
+from .simulation import KERNELS, RNGS, ReplicaSelectionSimulation, SimulationConfig, run_simulation
 from .client import SimClient
 from .workload import DemandSkew, PoissonArrivalProcess, WorkloadGenerator, replica_groups
 
 __all__ = [
     "BimodalFluctuation",
+    "KERNELS",
     "METRICS_MODES",
+    "RNGS",
     "ConstantLatency",
     "DemandSkew",
     "Event",

@@ -247,9 +247,9 @@ class SimClient:
         )
         if not candidates:
             # Every unused replica is currently suspect (e.g. a transient
-            # full-group crash).  Keep the timer armed while budget remains
-            # so hedging resumes once a replica recovers, instead of being
-            # permanently disarmed for this request.
+            # full-group crash).  Keep the timer armed while budget and an
+            # unused replica remain, so hedging resumes once one recovers
+            # instead of being permanently disarmed for this request.
             self._rearm_hedge(op, primary_id)
             return
         target = candidates[int(self.rng.integers(len(candidates)))]
@@ -273,9 +273,14 @@ class SimClient:
         self._rearm_hedge(op, primary_id)
 
     def _rearm_hedge(self, op: _HedgedRead, primary_id: int) -> None:
-        """Re-schedule the hedge timer while the policy's budget remains."""
+        """Re-schedule the hedge timer while budget and an unused replica remain.
+
+        Once every replica of the group holds a copy there is nothing left
+        to hedge to, whatever the budget says: a re-armed timer would only
+        fire, find no candidate and re-arm again until the read completes.
+        """
         assert self.hedging is not None
-        if op.fired < self.hedging.max_extra:
+        if op.fired < self.hedging.max_extra and len(op.used) < len(op.primary.replica_group):
             threshold = self.hedging.threshold_ms()
             if threshold is not None:
                 op.event = self.loop.schedule(threshold, self._fire_hedge, primary_id)

@@ -56,6 +56,35 @@ stock selectors  1.32x  (1.26x)
 (Median of the per-pair ratios at 60 000 requests a leg; in brackets an
 earlier run of the same comparison at 120 000, ahead in at least nine pairs.)
 
+``run_slice`` also carried four blocks transcribed from handlers the kernel
+has anyway.  Each was replaced by a call to its handler (the coin block by
+the scalar draw the object path makes) and measured alone against the inline
+version on the ``flat_scale`` configuration — interleaved pairs, one seed a
+pair, order alternating, digests equal in every pair; the ratio is requests
+per host second with the call over inline.  No median leaves the quartile
+spread of the inline side's own legs (8–28 % of its median on the loaded
+machine that measured; the in-process harness comparing the inline version
+with itself read 1.08, 12/16), so all four are calls now, and these are the
+figures that bringing one back inline would have to beat:
+
+==============================================  =========================================
+was inline in ``run_slice``                     call / inline: median of pairs (wins)
+==============================================  =========================================
+read-repair fanout → ``_rr_fanout``             0.97 (4/10) · 1.03 (13/20)
+read-repair coin block → ``rng.random()``       0.94 (2/10) · 1.01 (6/12) · 0.95 (6/20)
+FINISH slot refill → ``start_service``          0.93 (3/10) · 0.98 (5/12) · 0.97 (8/20)
+C3 backpressure's own arrival rescheduling      0.97 (4/10) · 1.00 (10/20)
+==============================================  =========================================
+
+(First figure: process pairs of three 120 000-request legs; last: single
+legs alternating inside one process.)  The workload variates come from the
+generator's draw source (:data:`~repro.simulator.workload.RNGS`), so nothing
+here knows the ``rng`` regime; ``"block"`` over ``"v1"`` on this code is
+1.19x under this kernel (``flat_scale`` configuration, 28 949 → 34 825
+requests per host second, 10/10 pairs) and 1.13x on the object path
+(``flat_c3``'s, 18 824 → 21 310, 9/10), which is why the regime keeps its
+second digest domain.
+
 Everything timed — ENQUEUE and RESPONSE entries included — shares the one
 heap; only the next workload arrival is kept outside it, as a scalar.
 Plain heap pushes measured 0.98–1.10x the speed of dedicated monotone lanes
@@ -125,8 +154,6 @@ _NEVER = float("inf")
 
 #: Pre-drawn standard-exponential variates per server block.
 _SVC_BLOCK = 512
-#: Pre-drawn uniform variates per client block (read-repair coins).
-_RR_BLOCK = 256
 
 # _HedgedRead field indices (list-based for hot-path speed).
 _OP_DONE = 0
@@ -163,7 +190,7 @@ class KernelServer(SimServer):
         if kernel is None:
             super()._try_start_service()
         else:
-            kernel.start_service(self)
+            kernel.start_service(self, kernel.loop._now)
 
 
 class BatchedKernel:
@@ -214,7 +241,7 @@ class BatchedKernel:
         self._srv_det = [s.deterministic for s in srv]
         self._srv_alpha = [s._service_time_ewma.alpha for s in srv]
         # Write-only server accounting lives in dense lists for the run and
-        # is folded back in _sync_back().  Nothing reads these mid-run: the
+        # is folded back in finish().  Nothing reads these mid-run: the
         # snitch/oracle ``server_state_fn`` reads only pending_requests and
         # current_service_time_ms, which stay live on the object.
         self._s_reqr = [s.requests_received for s in srv]
@@ -316,8 +343,6 @@ class BatchedKernel:
         self._retry_armed = [False] * n
         self._hedge_ops: list[dict] = [{} for _ in range(n)]
         self._hedge_by_copy: list[dict] = [{} for _ in range(n)]
-        self._rr_blk: list["np.ndarray | None"] = [None] * n
-        self._rr_idx = [0] * n
 
         # Client counters (synced back to SimClient objects at end of run).
         self._requests_handled = [0] * n
@@ -342,13 +367,11 @@ class BatchedKernel:
         assert generator is not None
         self.gen = generator
         self.proc = generator.process
-        self.wrng = generator.rng
         self.groups = generator.groups
-        self.n_groups = len(generator.groups)
-        self._client_probs = generator._client_probs
         self.read_fraction = generator.read_fraction
-        #: rng="block" shares the generator's BlockDraws; None under "v1".
-        self.blocks = generator.block_draws
+        #: The generator's draw source: the kernel consumes the workload
+        #: variates itself, at the positions the object path would.
+        self.draws = generator.draws
 
     @staticmethod
     def _detect_mode(selector: ReplicaSelector) -> int:
@@ -379,48 +402,27 @@ class BatchedKernel:
 
     # ------------------------------------------------------------------- run
     def run(self) -> "SimulationResult":
-        sim = self.sim
-        cfg = sim.config
+        """The whole run, under the driver both engines share."""
+        return self.sim.drive(self)
+
+    def start(self) -> None:
+        """Draw the first workload arrival.
+
+        The next arrival is scalar state rather than a heap entry: arrival
+        times are strictly increasing, so at most one is pending and it never
+        needs heap ordering among its own kind.  It still consumes a heap
+        sequence number at "push" time so (time, seq) comparisons against
+        real heap entries break ties exactly as the object path's scheduled
+        arrival events do.
+        """
         loop = self.loop
-        if sim.scenario is not None:
-            sim.scenario.start(sim._scenario_ctx)
-        elif sim.fluctuation is not None:
-            sim.fluctuation.start()
-        # The next workload arrival is scalar state rather than a heap entry:
-        # arrival times are strictly increasing, so at most one is pending
-        # and it never needs heap ordering among its own kind.  It still
-        # consumes a heap sequence number at "push" time so (time, seq)
-        # comparisons against real heap entries break ties exactly as the
-        # object path's scheduled arrival events do.
         if self.proc.total_arrivals > 0:
-            if self.blocks is None:
-                gap = float(self.wrng.exponential(1.0 / self.proc.rate_per_ms))
-            else:
-                gap = self.blocks.next_gap() * (1.0 / self.proc.rate_per_ms)
-            self._arr_t = loop._now + gap
+            self._arr_t = loop._now + self.draws.next_gap() * (1.0 / self.proc.rate_per_ms)
             self._arr_seq = loop._seq
             loop._seq += 1
         else:
             self._arr_t = _NEVER
             self._arr_seq = 0
-
-        slice_ms = max(10.0, cfg.fluctuation_interval_ms)
-        while self.completed < cfg.num_requests and loop._now < cfg.max_sim_time_ms:
-            self._run_slice(loop._now + slice_ms)
-
-        duration = loop._now
-        if sim.scenario is not None:
-            sim.scenario.stop()
-        self._sync_back()
-        extra = {
-            "config": cfg,
-            "clients": self.n_clients,
-            "servers": len(self.servers),
-            "backlog_remaining": sum(sel.pending_backlog() for sel in self._sels),
-            "parked_remaining": sum(len(parked) for parked in self._parked),
-            "scenario": cfg.scenario,
-        }
-        return self.metrics.result(duration_ms=duration, strategy=cfg.strategy, extra=extra)
 
     def _push(self, time: float, code: int, a, b, c) -> None:
         loop = self.loop
@@ -428,17 +430,20 @@ class BatchedKernel:
         loop._seq = seq + 1
         heappush(self.heap, (time, seq, code, a, b, c))
 
-    def _run_slice(self, until: float) -> None:
+    def run_slice(self, until: float) -> None:
         """Process every heap entry with ``time <= until``.
 
         The four per-request handlers (RESPONSE, FINISH, ENQUEUE, ARRIVAL)
         are inlined here with their state hoisted into locals: at ~5 heap
         entries per completed request, attribute lookups inside the handlers
-        are the dominant Python overhead once allocation is gone.  The rare
-        paths — suspicious-mode submits, custom selectors, hedge/retry/park
-        timers, restore-time queue drains — still go through the method
-        handlers (``_submit``, ``_send``, ``start_service``, ...), which the
-        inline blocks transcribe with loop-invariant reads hoisted.
+        are the dominant Python overhead once allocation is gone.  The rest
+        — suspicious-mode submits, custom selectors, the read-repair fanout,
+        hedge/retry/park timers, and refilling a freed service slot from the
+        queue — goes through the method handlers (``_submit``,
+        ``_rr_fanout``, ``start_service``, ...).  Only the refill is common
+        (four FINISH events in five on the ``flat_scale`` configuration); the
+        module docstring records what each call measured against a
+        transcribed copy.
         """
         loop = self.loop
         heap = self.heap
@@ -492,8 +497,6 @@ class BatchedKernel:
         ewv = self._s_ewv
         ewc = self._s_ewc
         crngs = self._crngs
-        rr_blk = self._rr_blk
-        rr_idx = self._rr_idx
         if mode <= _P2C:
             out_all = self._out
             subm = self._subm
@@ -531,23 +534,14 @@ class BatchedKernel:
             c3_floor = self.c3_floor
             c3_rc = self.c3_rc
         proc = self.proc
-        wrng = self.wrng
-        w_integers = wrng.integers
-        w_random = wrng.random
-        w_exponential = wrng.exponential
-        blocks = self.blocks
-        if blocks is not None:
-            blk_client = blocks.next_client
-            blk_group = blocks.next_group
-            blk_coin = blocks.next_coin
-            blk_gap = blocks.next_gap
+        draws = self.draws
+        next_client = draws.next_client
+        next_group = draws.next_group
+        next_coin = draws.next_coin
+        next_gap = draws.next_gap
         groups = self.groups
-        n_clients = self.n_clients
-        n_groups = self.n_groups
-        client_probs = self._client_probs
         read_fraction = self.read_fraction
         always_read = read_fraction >= 1.0
-        rr_cnt = self._rr_count
         # Arrival-process state and the network model only change via
         # scenario events, so both are hoisted here and re-derived after
         # each generic Event callback rather than per event.  ``generated``
@@ -590,17 +584,9 @@ class BatchedKernel:
                 # identically.
                 fired += 1
                 generated += 1
-                if blocks is None:
-                    if client_probs is None:
-                        cid = int(w_integers(n_clients))
-                    else:
-                        cid = int(wrng.choice(n_clients, p=client_probs))
-                    group = groups[int(w_integers(n_groups))]
-                    kind = _READ if always_read or w_random() < read_fraction else _WRITE
-                else:
-                    cid = blk_client()
-                    group = groups[blk_group()]
-                    kind = _READ if always_read or blk_coin() < read_fraction else _WRITE
+                cid = next_client()
+                group = groups[next_group()]
+                kind = _READ if always_read or next_coin() < read_fraction else _WRITE
                 rid = len(created)
                 created_app(t)
                 client_app(cid)
@@ -620,7 +606,6 @@ class BatchedKernel:
                     # modes (no liveness filtering needed, so the
                     # dispatch-time re-check is also vacuous).
                     if mode == _STOCK:
-                        out = None
                         sel = sels[cid]
                         sel.requests_submitted += 1
                         sid = sel.choose(group, t)
@@ -630,12 +615,10 @@ class BatchedKernel:
                         # scorer's live dense arrays (expression transcribed
                         # from cubic_score, bitwise-equal), rank by
                         # (score, outstanding, tiekey), then the rate-control
-                        # acquire loop.  Read-repair duplicates below go
-                        # through on_duplicate_send (out is None) — the
-                        # arrays are shared, so method fallbacks stay
-                        # coherent with this inline path.
-                        out = None
-                        sel = sels[cid]
+                        # acquire loop.  The arrays are shared, so method
+                        # fallbacks (read-repair duplicates go through
+                        # on_duplicate_send) stay coherent with this inline
+                        # path.
                         c3_subm[cid] += 1
                         rt_val = c3_rt_val[cid]
                         qs_val = c3_qs_val[cid]
@@ -681,21 +664,11 @@ class BatchedKernel:
                                     group, t
                                 )
                                 self._schedule_retry(cid, retry_after, t)
-                                if generated < total_arrivals:
-                                    if blocks is None:
-                                        gap = float(w_exponential(inv_rate))
-                                    else:
-                                        gap = blk_gap() * inv_rate
-                                    arr_t = t + gap
-                                    arr_seq = loop._seq
-                                    loop._seq = arr_seq + 1
-                                else:
-                                    arr_t = _NEVER
-                                continue
-                        souts[sid] += 1
-                        c3_last_sent[cid][sid] = t
-                        c3_s_sends[cid] += 1
-                        c3_sent[cid] += 1
+                        if sid >= 0:
+                            souts[sid] += 1
+                            c3_last_sent[cid][sid] = t
+                            c3_s_sends[cid] += 1
+                            c3_sent[cid] += 1
                     else:
                         subm[cid] += 1
                         out = out_all[cid]
@@ -729,64 +702,23 @@ class BatchedKernel:
                                 ew = ew_all[cid]
                                 sid = a if out[a] + ew[a] <= out[b] + ew[b] else b
                         out[sid] += 1
-                    disp[rid] = t
-                    sid_of[rid] = sid
-                    delay = const_delay
-                    if delay is None:
-                        delay = network.one_way_delay(cid, sid)
-                    seq_v = loop._seq
-                    loop._seq = seq_v + 1
-                    push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
-                    if kind == _READ and rrp > 0.0:
+                    # sid < 0: C3 backpressure queued the request, and only
+                    # the next arrival is left to draw.
+                    if sid >= 0:
+                        disp[rid] = t
+                        sid_of[rid] = sid
+                        delay = const_delay
+                        if delay is None:
+                            delay = network.one_way_delay(cid, sid)
+                        seq_v = loop._seq
+                        loop._seq = seq_v + 1
+                        push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
+                        if kind == _READ and rrp > 0.0 and crngs[cid].random() < rrp:
+                            self._rr_fanout(rid, cid, t)
                         if hedged:
-                            coin = crngs[cid].random()
-                        else:
-                            block = rr_blk[cid]
-                            i = rr_idx[cid]
-                            if block is None or i >= _RR_BLOCK:
-                                block = rr_blk[cid] = crngs[cid].random(_RR_BLOCK)
-                                i = 0
-                            rr_idx[cid] = i + 1
-                            coin = block[i]
-                        if coin < rrp:
-                            # Inline fanout: the dispatch-time liveness
-                            # recheck of _rr_fanout/_dispatch is vacuous on
-                            # this not-suspicious path, the crashed-sibling
-                            # skip is not (phi can be calm while a server is
-                            # objectively down).
-                            down = tracker.count
-                            for s in group:
-                                if s == sid or (down and not servers[s]._up):
-                                    continue
-                                dup = len(created)
-                                created_app(t)
-                                client_app(cid)
-                                group_app(group)
-                                kind_app(_READ_REPAIR)
-                                parent_app(rid)
-                                disp_app(t)
-                                sid_app(s)
-                                comp_app(-1.0)
-                                self.duplicates += 1
-                                if out is not None:
-                                    out[s] += 1
-                                else:
-                                    sel.on_duplicate_send(s, t)
-                                delay = const_delay
-                                if delay is None:
-                                    delay = network.one_way_delay(cid, s)
-                                seq_v = loop._seq
-                                loop._seq = seq_v + 1
-                                push(heap, (t + delay, seq_v, _ENQUEUE, dup, s, 0.0))
-                                rr_cnt[cid] += 1
-                    if hedged:
-                        self._maybe_hedge(rid, cid, t)
+                            self._maybe_hedge(rid, cid, t)
                 if generated < total_arrivals:
-                    if blocks is None:
-                        gap = float(w_exponential(inv_rate))
-                    else:
-                        gap = blk_gap() * inv_rate
-                    arr_t = t + gap
+                    arr_t = t + next_gap() * inv_rate
                     arr_seq = loop._seq
                     loop._seq = arr_seq + 1
                 else:
@@ -947,30 +879,7 @@ class BatchedKernel:
                 qsize = len(queue) + ins
                 stime = value if value > 1e-3 else 1e-3
                 if queue and server._up and ins < conc_all[sid]:
-                    concurrency = conc_all[sid]
-                    server_rng = srng_all[sid]
-                    deterministic = det_all[sid]
-                    mean = (base_all[sid] * server._service_time_multiplier) * size_factor
-                    block = server._svc_block
-                    i = server._svc_i
-                    while ins < concurrency and queue:
-                        next_rid = queue.popleft()
-                        ins += 1
-                        if deterministic:
-                            st = mean
-                        else:
-                            if block is None or i >= _SVC_BLOCK:
-                                block = server._svc_block = server_rng.standard_exponential(
-                                    _SVC_BLOCK
-                                )
-                                i = 0
-                            st = float(mean * block[i])
-                            i += 1
-                        seq_v = loop._seq
-                        loop._seq = seq_v + 1
-                        push(heap, (t + st, seq_v, _FINISH, next_rid, sid, st))
-                    server._in_service = ins
-                    server._svc_i = i
+                    self.start_service(server, t)
                 cid = client_of[rid]
                 delay = const_delay
                 if delay is None:
@@ -1143,23 +1052,8 @@ class BatchedKernel:
         if self._kind[rid] != _READ or self._parent[rid] >= 0:
             return
         rrp = self.rrp
-        if rrp <= 0.0:
-            return
-        if self._hedged:
-            # The client RNG interleaves coins with hedge-target draws, so
-            # stay on the scalar stream.
-            coin = self._crngs[cid].random()
-        else:
-            block = self._rr_blk[cid]
-            i = self._rr_idx[cid]
-            if block is None or i >= len(block):
-                block = self._rr_blk[cid] = self._crngs[cid].random(_RR_BLOCK)
-                i = 0
-            self._rr_idx[cid] = i + 1
-            coin = block[i]
-        if coin >= rrp:
-            return
-        self._rr_fanout(rid, cid, t)
+        if rrp > 0.0 and self._crngs[cid].random() < rrp:
+            self._rr_fanout(rid, cid, t)
 
     def _rr_fanout(self, rid: int, cid: int, t: float) -> None:
         """Send read-repair duplicates to the primary's live siblings."""
@@ -1217,7 +1111,8 @@ class BatchedKernel:
             candidates = tuple(s for s in group if s not in used and det.is_alive(s, t))
         if not candidates:
             # Every unused replica is currently suspect; keep the timer armed
-            # while budget remains (see SimClient._fire_hedge).
+            # while budget and an unused replica remain (see
+            # SimClient._rearm_hedge, whose decision this repeats).
             self._rearm_hedge(cid, rid, op, policy, t)
             return
         target = candidates[int(self._crngs[cid].integers(len(candidates)))]
@@ -1235,7 +1130,7 @@ class BatchedKernel:
         self._rearm_hedge(cid, rid, op, policy, t)
 
     def _rearm_hedge(self, cid: int, rid: int, op: list, policy, t: float) -> None:
-        if op[_OP_FIRED] < policy.max_extra:
+        if op[_OP_FIRED] < policy.max_extra and len(op[_OP_USED]) < len(self._group[rid]):
             threshold = policy.threshold_ms()
             if threshold is not None:
                 loop = self.loop
@@ -1272,17 +1167,17 @@ class BatchedKernel:
             self._record_latency(rid, comp[rid] - self._created[rid])
 
     # -------------------------------------------------------------- servers
-    def start_service(self, server: KernelServer) -> None:
+    def start_service(self, server: KernelServer, t: float) -> None:
         """Start queued requests while slots are free (block-drawn times).
 
-        Also the target of :meth:`KernelServer._try_start_service`, so
-        scenario ``restore()`` calls drain through the same stream.
+        Called when a FINISH frees a slot, and the target of
+        :meth:`KernelServer._try_start_service`, so scenario ``restore()``
+        calls drain through the same stream.
         """
         queue = server._queue
         if not queue or not server._up or server._in_service >= server.concurrency:
             return
         loop = self.loop
-        t = loop._now
         heap = self.heap
         sid = server.server_id
         rng = server.rng
@@ -1358,12 +1253,13 @@ class BatchedKernel:
             self._schedule_retry(cid, retry if retry is not None else 1.0, t)
 
     # ------------------------------------------------------------- write-back
-    def _sync_back(self) -> None:
+    def finish(self) -> int:
         """Fold kernel-local state back into the object graph.
 
         After this, ``sim.metrics``, every ``SimClient`` counter, and the
         LOR/P2C selector state match what the object path would have left
-        behind, so ``stats()``/``result()`` work unchanged.
+        behind, so ``stats()``/``result()`` work unchanged.  Returns the
+        number of requests still parked.
         """
         metrics = self.metrics
         if self._exact:
@@ -1432,3 +1328,4 @@ class BatchedKernel:
         self._created, self._disp, self._comp = [], [], []
         self._client, self._kind, self._parent, self._sid = [], [], [], []
         self._group, self._srv_times = [], []
+        return sum(len(parked) for parked in self._parked)

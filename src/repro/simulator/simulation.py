@@ -25,18 +25,58 @@ from .metrics import METRICS_MODES, MetricsCollector, SimulationResult
 from .network import ConstantLatency, NetworkModel
 from .request import Request
 from .server import DownServerTracker, SimServer, server_state_reader
-from .workload import DemandSkew, WorkloadGenerator, replica_groups
+from .workload import RNGS, DemandSkew, WorkloadGenerator, replica_groups
 
 __all__ = ["KERNELS", "RNGS", "SimulationConfig", "ReplicaSelectionSimulation", "run_simulation"]
 
-#: Valid values of ``SimulationConfig.kernel``.
-KERNELS = ("object", "batched")
 
-#: Valid values of ``SimulationConfig.rng`` (random-draw regimes).  Each
-#: regime is a separate digest domain: within a regime, object and batched
-#: kernels are digest-identical; across regimes the RNG streams occupy
-#: different positions, so results legitimately differ.
-RNGS = ("v1", "block")
+class ObjectEngine:
+    """``kernel="object"``: every event is a callback on the shared loop.
+
+    The engine interface :meth:`ReplicaSelectionSimulation.drive` runs:
+    ``start()`` schedules the first arrival, ``run_slice(until)`` processes
+    events up to a time, ``completed`` counts finished data requests, and
+    ``finish()`` settles the engine's state into the object graph and returns
+    how many requests are still parked.  Here the state already lives on the
+    clients and the metrics collector.
+    """
+
+    def __init__(self, sim: "ReplicaSelectionSimulation") -> None:
+        self.sim = sim
+
+    def run(self) -> SimulationResult:
+        return self.sim.drive(self)
+
+    def start(self) -> None:
+        assert self.sim.generator is not None
+        self.sim.generator.start()
+
+    @property
+    def completed(self) -> int:
+        return self.sim.metrics.completed_requests
+
+    def run_slice(self, until: float) -> None:
+        self.sim.loop.run(until=until)
+
+    def finish(self) -> int:
+        return sum(len(c._parked) for c in self.sim.clients)
+
+
+def _object_kernel():
+    return SimServer, ObjectEngine
+
+
+def _batched_kernel():
+    # Imported on first use: the package's largest module, and no
+    # object-path run needs it.
+    from .kernel import BatchedKernel, KernelServer
+
+    return KernelServer, BatchedKernel
+
+
+#: ``SimulationConfig.kernel`` → a callable returning (server class, engine
+#: class); the two kernels are digest-identical by construction.
+KERNELS = {"object": _object_kernel, "batched": _batched_kernel}
 
 
 @dataclass(slots=True)
@@ -64,17 +104,17 @@ class SimulationConfig:
     normalized to the canonical spec string at construction, so bare names
     stay byte-identical in payloads, cache keys, and golden digests.
 
-    ``kernel`` selects the event-processing engine: ``"object"`` (the
+    ``kernel`` names an entry of :data:`KERNELS`, the engine: ``"object"`` (the
     default — Event objects calling client/server methods) or ``"batched"``
     (the typed-tuple hot-path kernel in :mod:`repro.simulator.kernel`,
     several times faster and digest-identical by construction).
 
-    ``rng`` selects the random-draw regime: ``"v1"`` (the default — scalar
-    per-arrival/per-decision Generator calls, byte-identical to every
-    pre-existing digest and cache key) or ``"block"`` (workload trio and
-    selector draws served from block-drawn variates — several µs cheaper
-    per request, digest-identical across kernels but a *different digest
-    domain* than ``"v1"`` because the stream positions move).
+    ``rng`` names an entry of :data:`RNGS`, the draw regime: ``"v1"`` (the
+    default — scalar per-arrival/per-decision Generator calls, byte-identical
+    to every pre-existing digest and cache key) or ``"block"`` (workload
+    trio and selector draws served from block-drawn variates — several µs
+    cheaper per request, digest-identical across kernels but a *different
+    digest domain* than ``"v1"`` because the stream positions move).
 
     ``failure_detector`` and ``hedging`` address registered controls (see
     :mod:`repro.controls`) through the same spec grammar.  The defaults —
@@ -145,9 +185,9 @@ class SimulationConfig:
         if not 0.0 < self.histogram_relative_error < 1.0:
             raise ValueError("histogram_relative_error must be in (0, 1)")
         if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; choose one of {KERNELS}")
+            raise ValueError(f"unknown kernel {self.kernel!r}; choose one of {tuple(KERNELS)}")
         if self.rng not in RNGS:
-            raise ValueError(f"unknown rng {self.rng!r}; choose one of {RNGS}")
+            raise ValueError(f"unknown rng {self.rng!r}; choose one of {tuple(RNGS)}")
         if self.scenario is not None:
             from ..scenarios.registry import validate_scenario
 
@@ -245,11 +285,8 @@ class ReplicaSelectionSimulation:
         # run, so pooled workers that reuse a process hand out exactly the
         # ids a fresh serial run would (reproducible traces/artifacts).
         self._request_ids = itertools.count()
-        server_cls = SimServer
-        if cfg.kernel == "batched":
-            from .kernel import KernelServer
-
-            server_cls = KernelServer
+        server_cls, self._engine_cls = KERNELS[cfg.kernel]()
+        draw_source, selector_rng_adapter = RNGS[cfg.rng]
         for sid in range(cfg.num_servers):
             server_rng = np.random.default_rng(self.rng.integers(2**63))
             server = server_cls(
@@ -276,16 +313,13 @@ class ReplicaSelectionSimulation:
         )
         hedging_spec = cfg.hedging_spec
         server_state_fn = server_state_reader(self.servers)
-        block_rngs = cfg.rng == "block"
-        if block_rngs:
-            from .workload import BlockRNG
         for cid in range(cfg.num_clients):
             selector_rng = np.random.default_rng(self.rng.integers(2**63))
-            if block_rngs:
+            if selector_rng_adapter is not None:
                 # Selector draws come from the same child stream, but served
-                # through the block adapter — identical on both kernels, a
-                # different digest domain than the scalar regime.
-                selector_rng = BlockRNG(selector_rng)
+                # through the regime's adapter — identical on both kernels, a
+                # different digest domain than the bare Generator.
+                selector_rng = selector_rng_adapter(selector_rng)
             selector = strategy_spec.build(
                 rng=selector_rng,
                 server_state_fn=server_state_fn,
@@ -340,7 +374,7 @@ class ReplicaSelectionSimulation:
             record_size=cfg.record_size,
             rng=workload_rng,
             id_source=self._request_ids,
-            rng_regime=cfg.rng,
+            draw_source=draw_source,
         )
 
         if self.scenario is not None:
@@ -372,12 +406,7 @@ class ReplicaSelectionSimulation:
         if self._ran:
             raise SimulationError("this simulation already ran; build a new one")
         self._ran = True
-        if self.config.kernel == "batched":
-            from .kernel import BatchedKernel
-
-            result = BatchedKernel(self).run()
-        else:
-            result = self._run_object()
+        result = self._engine_cls(self).run()
         self._release()
         return result
 
@@ -402,37 +431,35 @@ class ReplicaSelectionSimulation:
             self._scenario_ctx.simulation = None
         self.loop.release()
 
-    def _run_object(self) -> SimulationResult:
-        """The run on the object kernel: callbacks on the shared event loop."""
+    def drive(self, engine) -> SimulationResult:
+        """The one run loop, whichever engine of :data:`KERNELS` executes it."""
         cfg = self.config
+        loop = self.loop
         if self.scenario is not None:
             self.scenario.start(self._scenario_ctx)
         elif self.fluctuation is not None:
             self.fluctuation.start()
-        assert self.generator is not None
-        self.generator.start()
+        engine.start()
 
         # Perturbation processes may schedule events forever, so the loop is
         # advanced in slices until every data request has completed (or the
         # hard time cap is hit, which indicates an unstable configuration).
         slice_ms = max(10.0, cfg.fluctuation_interval_ms)
-        while (
-            self.metrics.completed_requests < cfg.num_requests
-            and self.loop.now < cfg.max_sim_time_ms
-        ):
-            self.loop.run(until=self.loop.now + slice_ms)
+        while engine.completed < cfg.num_requests and loop.now < cfg.max_sim_time_ms:
+            engine.run_slice(loop.now + slice_ms)
 
-        duration = self.loop.now
+        duration = loop.now
         if self.scenario is not None:
             # Symmetric teardown: restores server speeds/liveness so loop or
             # server objects can be inspected or reused after the run.
             self.scenario.stop()
+        parked_remaining = engine.finish()
         extra = {
             "config": cfg,
             "clients": len(self.clients),
             "servers": len(self.servers),
             "backlog_remaining": sum(c.selector.pending_backlog() for c in self.clients),
-            "parked_remaining": sum(len(c._parked) for c in self.clients),
+            "parked_remaining": parked_remaining,
             "scenario": cfg.scenario,
         }
         return self.metrics.result(duration_ms=duration, strategy=cfg.strategy, extra=extra)

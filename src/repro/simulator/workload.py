@@ -17,10 +17,12 @@ from .engine import EventLoop
 from .request import Request, RequestKind
 
 __all__ = [
+    "RNGS",
     "BlockDraws",
     "BlockRNG",
     "DemandSkew",
     "PoissonArrivalProcess",
+    "ScalarDraws",
     "WorkloadGenerator",
     "replica_groups",
 ]
@@ -80,6 +82,47 @@ class DemandSkew:
         probs[:heavy] = self.demand_fraction / heavy
         probs[heavy:] = (1.0 - self.demand_fraction) / light
         return probs
+
+
+class ScalarDraws:
+    """One Generator call per variate — the ``rng="v1"`` regime's stream.
+
+    The draw-source interface both engines consume: ``next_client`` /
+    ``next_group`` / ``next_coin`` / ``next_gap``, each one variate.  Here
+    every call is the scalar Generator call the legacy stream made at that
+    point, so ``"v1"`` digests and cache keys are unchanged; ``next_gap`` is
+    a *standard* exponential that the caller scales by ``1/λ``, which is bit
+    for bit ``rng.exponential(1/λ)`` and leaves the generator in the same
+    state (``tests/simulator/test_rng_block.py``).
+    """
+
+    __slots__ = ("rng", "num_clients", "client_probs", "num_groups")
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        num_clients: int,
+        client_probs: "np.ndarray | None",
+        num_groups: int,
+    ) -> None:
+        self.rng = rng
+        self.num_clients = num_clients
+        self.client_probs = client_probs
+        self.num_groups = num_groups
+
+    def next_client(self) -> int:
+        if self.client_probs is None:
+            return int(self.rng.integers(self.num_clients))
+        return int(self.rng.choice(self.num_clients, p=self.client_probs))
+
+    def next_group(self) -> int:
+        return int(self.rng.integers(self.num_groups))
+
+    def next_coin(self) -> float:
+        return self.rng.random()
+
+    def next_gap(self) -> float:
+        return self.rng.standard_exponential()
 
 
 class BlockDraws:
@@ -255,11 +298,10 @@ class PoissonArrivalProcess:
         Callback invoked (with no arguments) at each arrival instant.
     rng:
         Random generator for the exponential inter-arrival draws.
-    gap_source:
-        Optional zero-argument callable returning *standard*-exponential
-        variates (``rng="block"``'s :meth:`BlockDraws.next_gap`); when set,
-        gaps are ``gap_source() * (1/λ)`` instead of scalar
-        ``rng.exponential`` draws.
+    next_gap:
+        Zero-argument callable returning *standard*-exponential variates —
+        a draw source's ``next_gap``; gaps are ``next_gap() * (1/λ)``.
+        Defaults to scalar draws from ``rng``.
     """
 
     def __init__(
@@ -269,7 +311,7 @@ class PoissonArrivalProcess:
         total_arrivals: int,
         on_arrival: Callable[[], None],
         rng: np.random.Generator | None = None,
-        gap_source: Callable[[], float] | None = None,
+        next_gap: Callable[[], float] | None = None,
     ) -> None:
         if rate_per_ms <= 0:
             raise ValueError("rate_per_ms must be positive")
@@ -279,8 +321,7 @@ class PoissonArrivalProcess:
         self.rate_per_ms = float(rate_per_ms)
         self.total_arrivals = int(total_arrivals)
         self.on_arrival = on_arrival
-        self.rng = rng or np.random.default_rng()
-        self.gap_source = gap_source
+        self.next_gap = next_gap or (rng or np.random.default_rng()).standard_exponential
         self.generated = 0
 
     def start(self) -> None:
@@ -299,11 +340,7 @@ class PoissonArrivalProcess:
         self.rate_per_ms = float(rate_per_ms)
 
     def _schedule_next(self) -> None:
-        if self.gap_source is None:
-            gap = float(self.rng.exponential(1.0 / self.rate_per_ms))
-        else:
-            gap = self.gap_source() * (1.0 / self.rate_per_ms)
-        self.loop.post(gap, self._arrive)
+        self.loop.post(self.next_gap() * (1.0 / self.rate_per_ms), self._arrive)
 
     def _arrive(self) -> None:
         self.generated += 1
@@ -340,10 +377,11 @@ class WorkloadGenerator:
     id_source:
         Optional per-simulation request-id counter (defaults to the
         process-global counter).
-    rng_regime:
-        ``"v1"`` (scalar per-arrival draws, the legacy stream) or
-        ``"block"`` (block-drawn variates via a shared
-        :class:`BlockDraws`, a distinct digest domain).
+    draw_source:
+        The class serving the workload variates from ``rng`` — an entry of
+        :data:`RNGS`: :class:`ScalarDraws` (the default, the legacy stream)
+        or :class:`BlockDraws` (a distinct digest domain).  The instance is
+        ``self.draws``; the batched kernel consumes the same one.
     """
 
     def __init__(
@@ -358,7 +396,7 @@ class WorkloadGenerator:
         record_size: int = 1024,
         rng: np.random.Generator | None = None,
         id_source: Iterator[int] | None = None,
-        rng_regime: str = "v1",
+        draw_source: "type[ScalarDraws] | type[BlockDraws]" = ScalarDraws,
     ) -> None:
         if not clients:
             raise ValueError("need at least one client")
@@ -373,23 +411,10 @@ class WorkloadGenerator:
         self.record_size = int(record_size)
         self.rng = rng or np.random.default_rng()
         self._id_source = id_source
-        self._client_probs = (
-            demand_skew.client_probabilities(len(self.clients)) if demand_skew else None
-        )
-        self.block_draws: BlockDraws | None = None
-        if rng_regime == "block":
-            self.block_draws = BlockDraws(
-                self.rng, len(self.clients), self._client_probs, len(self.groups)
-            )
-        elif rng_regime != "v1":
-            raise ValueError(f"unknown rng_regime {rng_regime!r}")
+        client_probs = demand_skew.client_probabilities(len(self.clients)) if demand_skew else None
+        self.draws = draw_source(self.rng, len(self.clients), client_probs, len(self.groups))
         self.process = PoissonArrivalProcess(
-            loop,
-            rate_per_ms,
-            total_requests,
-            self._generate_one,
-            rng=self.rng,
-            gap_source=self.block_draws.next_gap if self.block_draws is not None else None,
+            loop, rate_per_ms, total_requests, self._generate_one, next_gap=self.draws.next_gap
         )
         self.requests_generated = 0
 
@@ -397,33 +422,15 @@ class WorkloadGenerator:
         """Begin generating arrivals."""
         self.process.start()
 
-    def _pick_client(self):
-        if self.block_draws is not None:
-            return self.clients[self.block_draws.next_client()]
-        if self._client_probs is None:
-            idx = int(self.rng.integers(len(self.clients)))
-        else:
-            idx = int(self.rng.choice(len(self.clients), p=self._client_probs))
-        return self.clients[idx]
-
     def _generate_one(self) -> None:
-        blocks = self.block_draws
-        if blocks is not None:
-            client = self.clients[blocks.next_client()]
-            group = self.groups[blocks.next_group()]
-            kind = (
-                RequestKind.READ
-                if self.read_fraction >= 1.0 or blocks.next_coin() < self.read_fraction
-                else RequestKind.WRITE
-            )
-        else:
-            client = self._pick_client()
-            group = self.groups[int(self.rng.integers(len(self.groups)))]
-            kind = (
-                RequestKind.READ
-                if self.read_fraction >= 1.0 or self.rng.random() < self.read_fraction
-                else RequestKind.WRITE
-            )
+        draws = self.draws
+        client = self.clients[draws.next_client()]
+        group = self.groups[draws.next_group()]
+        kind = (
+            RequestKind.READ
+            if self.read_fraction >= 1.0 or draws.next_coin() < self.read_fraction
+            else RequestKind.WRITE
+        )
         request = Request.create(
             client_id=client.client_id,
             replica_group=group,
@@ -434,3 +441,11 @@ class WorkloadGenerator:
         )
         self.requests_generated += 1
         client.on_request(request)
+
+
+#: ``SimulationConfig.rng`` → (workload draw source, selector-side RNG adapter
+#: or ``None`` for the bare Generator).  Each regime is a separate digest
+#: domain: within one, object and batched kernels are digest-identical; across
+#: them the RNG streams occupy different positions, so results legitimately
+#: differ.  ``"v1"`` is the legacy stream every pinned digest uses.
+RNGS = {"v1": (ScalarDraws, None), "block": (BlockDraws, BlockRNG)}

@@ -17,6 +17,7 @@ Three bugs shipped with the PR 6 hedging seam, each pinned here:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.controls import ControlSpec
 from repro.controls.hedging import QuantileHedging
@@ -26,6 +27,7 @@ from repro.simulator.engine import EventLoop
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.network import ConstantLatency
 from repro.simulator.request import Request, RequestKind
+from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 from repro.strategies import make_selector
 
 
@@ -186,3 +188,36 @@ class TestHedgeRearmsThroughTransientOutage:
         client._maybe_schedule_hedge(primary)
         loop.run(until=50.0)
         assert client.hedges_fired == 2  # max_extra
+
+
+class TestHedgeTimerStopsWhenEveryReplicaIsUsed:
+    """A budget beyond RF − 1 buys nothing and must cost nothing.
+
+    At RF 3 two hedges put a copy on every replica of the group.  A timer
+    re-armed on the remaining budget alone would fire, find no unused
+    replica and re-arm again until the read completes — same hedges, same
+    digest, thousands of empty events.  Both kernels take the same decision.
+    """
+
+    @pytest.mark.parametrize("kernel", ["object", "batched"])
+    def test_budget_beyond_the_group_processes_no_extra_events(self, kernel):
+        def run(max_extra: int):
+            sim = ReplicaSelectionSimulation(
+                SimulationConfig(
+                    strategy="LOR",
+                    num_servers=6,
+                    num_clients=8,
+                    num_requests=3_000,
+                    scenario="slow-node",
+                    hedging=f"hedge:quantile=0.5,max_extra={max_extra}",
+                    kernel=kernel,
+                    seed=3,
+                )
+            )
+            result = sim.run()
+            hedges = sum(client.hedges_fired for client in sim.clients)
+            return sim.loop.processed_events, hedges, result.digest()
+
+        events, hedges, digest = run(max_extra=2)
+        assert hedges > 1_000, "the run must actually hedge"
+        assert run(max_extra=5) == (events, hedges, digest)

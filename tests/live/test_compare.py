@@ -148,3 +148,17 @@ class TestMain:
         out = capsys.readouterr()
         assert "ordering holds" in out.out
         assert "cannot compare" in out.err
+
+    def test_edited_histogram_fails_the_gate(self, trials, capsys):
+        """p99 is read from histogram.json, which the payload digest covers
+        only through ``results.histogram_digest``: an edited file is refused."""
+        fast, slow = trials
+        histogram_path = slow / "histogram.json"
+        stored = json.loads(histogram_path.read_text())
+        bucket = max(stored["buckets"], key=int)
+        stored["buckets"][bucket] += 1  # count stays 400: the file still parses
+        histogram_path.write_text(json.dumps(stored))
+        with pytest.raises(ValueError, match="histogram digest mismatch"):
+            load_trial(slow)
+        assert main([str(fast), str(slow)]) == 2
+        assert "cannot compare" in capsys.readouterr().err

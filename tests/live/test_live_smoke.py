@@ -39,7 +39,9 @@ class TestReplicaServer:
             assert response["id"] == 7
             assert response["server_id"] == 3
             assert response["rejected"] is False
-            assert response["service_time_ms"] > 0
+            # The EWMA is seeded with the base service time (as SimServer's
+            # is), so the first fold of a deterministic 0.5 ms service is 0.5.
+            assert response["service_time_ms"] == 0.5
             assert response["queue_size"] >= 0
             ack = await _control(reader, writer, "stats")
             assert ack["stats"]["served"] == 1
@@ -77,6 +79,8 @@ class TestReplicaServer:
                 rejections.append(frame)
             assert rejections and all(r["rejected"] for r in rejections)
             assert all(r["queue_size"] >= 1 for r in rejections)
+            # Nothing has been served yet: the seed, not the 1e-3 floor.
+            assert all(r["service_time_ms"] == 200.0 for r in rejections)
             assert frame["stats"]["rejected"] == len(rejections)
             await _control(reader, writer, "shutdown")
             writer.close()

@@ -14,6 +14,10 @@ digest-identical, exactly like the v1 contract pinned in
   ``1/λ`` at consumption and keep ``set_rate`` forward-looking;
 * the :class:`BlockDraws` / :class:`BlockRNG` serving discipline (refill
   exactly on exhaustion, derivations fixed);
+* the other row of the draw-source table: :class:`ScalarDraws` is, variate
+  for variate and in generator state, the scalar calls ``rng="v1"`` always
+  made, and both kernels consume whichever source they are handed in the
+  same order;
 * object-vs-batched digest equality across a curated block-regime matrix
   (every selector mode + crash/phi/hedging/skew/backpressure/jitter) and a
   hypothesis property with the rng regime as an explicit axis;
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
-from repro.simulator.workload import BLOCK_SIZE, BlockDraws, BlockRNG, DemandSkew
+from repro.simulator.workload import BLOCK_SIZE, BlockDraws, BlockRNG, DemandSkew, ScalarDraws
 
 
 def _digest(kernel: str, **kw) -> str:
@@ -151,6 +155,84 @@ class TestBlockDrawFoundation:
         scalar = [float(scalar_rng.standard_exponential()) for _ in range(257)]
         block = block_rng.standard_exponential(257).tolist()
         assert scalar == block[:257]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    rate_per_ms=st.floats(min_value=1e-3, max_value=1e3),
+    num_clients=st.integers(min_value=2, max_value=200),
+    num_groups=st.integers(min_value=1, max_value=200),
+    heavy_clients=st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.95)),
+)
+def test_scalar_draws_are_the_scalar_calls_they_replace(
+    seed, rate_per_ms, num_clients, num_groups, heavy_clients
+):
+    """``rng="v1"`` through the draw-source interface is the legacy stream:
+    every variate bit-equal to the raw Generator call the generator and the
+    arrival process used to make, and the Generator left in the same state
+    (``next_gap() * (1/λ)`` against ``exponential(1/λ)`` included)."""
+    probs = None if heavy_clients is None else DemandSkew(heavy_clients).client_probabilities(num_clients)
+    raw = np.random.default_rng(seed)
+    served = np.random.default_rng(seed)
+    draws = ScalarDraws(served, num_clients, probs, num_groups)
+    scale = 1.0 / rate_per_ms
+    for _ in range(40):
+        assert draws.next_gap() * scale == float(raw.exponential(scale))
+        if probs is None:
+            assert draws.next_client() == int(raw.integers(num_clients))
+        else:
+            assert draws.next_client() == int(raw.choice(num_clients, p=probs))
+        assert draws.next_group() == int(raw.integers(num_groups))
+        assert draws.next_coin() == raw.random()
+    assert served.bit_generator.state == raw.bit_generator.state
+
+
+class _RecordingDraws:
+    """A draw source that notes which variate kind each consumer asks for."""
+
+    def __init__(self, draws) -> None:
+        self.order: list[str] = []
+        for kind in ("client", "group", "coin", "gap"):
+            setattr(self, f"next_{kind}", self._recorded(kind, getattr(draws, f"next_{kind}")))
+
+    def _recorded(self, kind, draw):
+        def recorded():
+            self.order.append(kind)
+            return draw()
+
+        return recorded
+
+
+#: Runs whose draw order the digests pin only indirectly: the C3 fast path
+#: (its backpressure branch reschedules the arrival itself), a hedged run,
+#: a crash (suspicious-mode submits leave the inline path) and a write mix
+#: (the coin is only drawn when ``read_fraction < 1``).
+DRAW_ORDER_RUNS = {
+    "c3": dict(PLAIN, strategy="C3"),
+    "c3-backpressure": dict(PLAIN, strategy="C3:initial_rate=0.1,min_rate=0.1,max_rate=0.1"),
+    "hedged": dict(HARD, strategy="LOR", hedging="hedge:quantile=0.9"),
+    "crash-recovery": dict(HARD, strategy="C3", scenario="crash-recovery"),
+    "writes": dict(PLAIN, strategy="P2C", read_fraction=0.7),
+}
+
+
+@pytest.mark.parametrize("rng", ["v1", "block"])
+@pytest.mark.parametrize("name", sorted(DRAW_ORDER_RUNS))
+def test_both_kernels_consume_the_draw_source_in_the_same_order(name, rng):
+    orders = {}
+    for kernel in ("object", "batched"):
+        sim = ReplicaSelectionSimulation(
+            SimulationConfig(kernel=kernel, rng=rng, **DRAW_ORDER_RUNS[name])
+        )
+        recording = _RecordingDraws(sim.generator.draws)
+        sim.generator.draws = recording
+        sim.generator.process.next_gap = recording.next_gap
+        sim.run()
+        orders[kernel] = recording.order
+    assert orders["object"] == orders["batched"]
+    assert orders["object"].count("gap") == orders["object"].count("client") > 0
+    assert ("coin" in orders["object"]) == (name == "writes")
 
 
 class TestBlockDraws:
