@@ -201,7 +201,6 @@ class Coordinator:
         policy = self.speculative_retry
         if policy is None or pending.speculations >= policy.max_extra:
             return
-        pending.speculations += 1
         primary = pending.primary
         exclude = {primary.server_id} | pending.speculation_targets
         candidates = [nid for nid in primary.replica_group if nid not in exclude]
@@ -209,14 +208,16 @@ class Coordinator:
             return
         target = candidates[int(self.rng.integers(len(candidates)))]
         pending.speculation_targets.add(target)
+        pending.speculations += 1
         duplicate = self._make_copy(primary, RequestKind.SPECULATIVE)
         self._pending_by_copy[duplicate.request_id] = pending
         self.metrics.record_copy("speculative")
         self.speculations_fired += 1
         self.selector.on_duplicate_send(target, self.loop.now)
         self._dispatch(duplicate, target)
-        # With max_extra > 1 the hedge timer re-arms for the next extra copy.
-        if pending.speculations < policy.max_extra:
+        # The hedge timer re-arms while budget and an unused replica remain:
+        # once every replica holds a copy it would only fire to find nothing.
+        if pending.speculations < policy.max_extra and len(candidates) > 1:
             threshold = policy.threshold_ms()
             if threshold is not None:
                 pending.speculation_event = self.loop.schedule(threshold, self._speculate, op_id)

@@ -8,6 +8,11 @@ are modelled as per-node background processes:
   times for its duration;
 * a **GC pause** stalls request service entirely for a short interval (the
   node keeps accepting requests, they just queue up).
+
+Both are faces of :class:`repro.scenarios.processes.PoissonEpisodes` — the
+episode loop, its two exponential draws and their order live there; a face
+names the pair of node methods an episode calls.  Neither can be stopped:
+the cluster ends a run by releasing its loop.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..scenarios.processes import PoissonEpisodes
 from ..simulator.engine import EventLoop
 
 __all__ = ["CompactionProcess", "GCPauseProcess"]
@@ -25,53 +31,7 @@ __all__ = ["CompactionProcess", "GCPauseProcess"]
 EpisodeHook = Callable[[object, float, float], None]
 
 
-class _NodeEpisodes:
-    """Poisson-arriving episodes on each node: begin, last a while, end, repeat.
-
-    The one implementation behind :class:`CompactionProcess` and
-    :class:`GCPauseProcess`, which differ only in the pair of node methods
-    an episode calls: ``node.begin_<episode>()`` and ``node.end_<episode>()``.
-    Two exponential draws per episode on the shared ``rng``, in this order:
-    the gap before it (drawn when the node's previous episode ends) and its
-    duration (drawn as it begins).
-    """
-
-    def __init__(self, loop, nodes, mean_interarrival_ms, mean_duration_ms, rng, on_event, episode):
-        if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
-            raise ValueError("durations must be positive")
-        self.loop = loop
-        self.nodes = list(nodes)
-        self.mean_interarrival_ms = float(mean_interarrival_ms)
-        self.mean_duration_ms = float(mean_duration_ms)
-        self.rng = rng or np.random.default_rng()
-        self.on_event = on_event
-        self._begin_on = methodcaller(f"begin_{episode}")
-        self._end_on = methodcaller(f"end_{episode}")
-        self.started = 0
-
-    def start(self) -> None:
-        """Schedule the first episode on every node."""
-        for node in self.nodes:
-            self._schedule_next(node)
-
-    def _schedule_next(self, node) -> None:
-        gap = float(self.rng.exponential(self.mean_interarrival_ms))
-        self.loop.schedule(gap, self._begin, node)
-
-    def _begin(self, node) -> None:
-        duration = float(self.rng.exponential(self.mean_duration_ms))
-        self._begin_on(node)
-        self.started += 1
-        if self.on_event is not None:
-            self.on_event(node, self.loop.now, duration)
-        self.loop.schedule(duration, self._end, node)
-
-    def _end(self, node) -> None:
-        self._end_on(node)
-        self._schedule_next(node)
-
-
-class CompactionProcess(_NodeEpisodes):
+class CompactionProcess(PoissonEpisodes):
     """Poisson-arriving compactions on each node.
 
     Parameters
@@ -97,7 +57,10 @@ class CompactionProcess(_NodeEpisodes):
         rng: np.random.Generator | None = None,
         on_event: EpisodeHook | None = None,
     ) -> None:
-        super().__init__(loop, nodes, mean_interarrival_ms, mean_duration_ms, rng, on_event, "compaction")
+        super().__init__(
+            loop, nodes, mean_interarrival_ms, mean_duration_ms, rng, on_event,
+            begin=methodcaller("begin_compaction"), end=methodcaller("end_compaction"),
+        )
 
     @property
     def compactions_started(self) -> int:
@@ -105,7 +68,7 @@ class CompactionProcess(_NodeEpisodes):
         return self.started
 
 
-class GCPauseProcess(_NodeEpisodes):
+class GCPauseProcess(PoissonEpisodes):
     """Poisson-arriving stop-the-world GC pauses on each node.
 
     During a pause the node's service is stalled: its storage server is
@@ -123,7 +86,10 @@ class GCPauseProcess(_NodeEpisodes):
         rng: np.random.Generator | None = None,
         on_event: EpisodeHook | None = None,
     ) -> None:
-        super().__init__(loop, nodes, mean_interarrival_ms, mean_pause_ms, rng, on_event, "gc_pause")
+        super().__init__(
+            loop, nodes, mean_interarrival_ms, mean_pause_ms, rng, on_event,
+            begin=methodcaller("begin_gc_pause"), end=methodcaller("end_gc_pause"),
+        )
 
     @property
     def pauses(self) -> int:

@@ -4,7 +4,9 @@ Three layers:
 
 * :mod:`repro.scenarios.processes` — imperative, loop-attached perturbation
   processes (the primitives; the three paper-era ones are also exported
-  from :mod:`repro.simulator`);
+  from :mod:`repro.simulator`), among them ``PoissonEpisodes``, the one
+  begin → last → end → repeat loop that ``TransientSlowdowns`` and the
+  cluster's compaction and GC-pause processes are faces of;
 * :mod:`repro.scenarios.components` — declarative components that
   instantiate the processes against a :class:`ScenarioContext`;
 * :mod:`repro.scenarios.registry` — named builtin scenarios

@@ -7,19 +7,23 @@ engine-level building blocks: the declarative layer
 :mod:`repro.simulator` exports the three paper-era ones
 (``BimodalFluctuation``, ``LatencyInflation``, ``TransientSlowdowns``).
 
-Every process supports ``stop()``: it cancels any events the process still
-has scheduled and restores the state it perturbed (service-rate multipliers,
-crashed servers, arrival rates).  This closes a reuse bug: a perturbation
-event that fires exactly at the simulation horizon — ``run(until=h)`` fires
-events *at* ``h`` — leaves servers perturbed, and an :class:`EventLoop` that
-is then ``clear()``-ed and reused would run its next scenario against
-degraded servers.  ``stop()`` is the symmetric teardown that makes reuse
-safe; the fluctuation regression suite pins this behavior.
+Every process a scenario starts supports ``stop()``: it cancels any events
+the process still has scheduled and restores the state it perturbed
+(service-rate multipliers, crashed servers, arrival rates).  This closes a
+reuse bug: a perturbation event that fires exactly at the simulation horizon
+— ``run(until=h)`` fires events *at* ``h`` — leaves servers perturbed, and an
+:class:`EventLoop` that is then ``clear()``-ed and reused would run its next
+scenario against degraded servers.  ``stop()`` is the symmetric teardown that
+makes reuse safe; the fluctuation regression suite pins this behavior.  Each
+process keeps the handle of every timer it has pending and ``stop()`` cancels
+them all, so no callback needs to ask whether it was stopped: a cancelled
+:class:`Event` never fires.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from operator import methodcaller
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "BimodalFluctuation",
     "CrashSchedule",
     "LatencyInflation",
+    "PoissonEpisodes",
     "TransientSlowdowns",
 ]
 
@@ -86,7 +91,6 @@ class BimodalFluctuation:
         self.rng = rng or np.random.default_rng()
         self.flips = 0
         self._started = False
-        self._stopped = False
         self._next_flip: "Event | None" = None
 
     @property
@@ -103,7 +107,6 @@ class BimodalFluctuation:
 
     def stop(self) -> None:
         """Cancel the pending flip and restore every server to nominal speed."""
-        self._stopped = True
         if self._next_flip is not None:
             self._next_flip.cancel()
             self._next_flip = None
@@ -111,8 +114,6 @@ class BimodalFluctuation:
             server.set_service_rate_multiplier(1.0, source=self)
 
     def _flip(self) -> None:
-        if self._stopped:
-            return
         for server in self.servers:
             if self.rng.random() < self.fast_probability:
                 server.set_service_rate_multiplier(self.rate_multiplier, source=self)
@@ -155,7 +156,6 @@ class LatencyInflation:
                 raise ValueError("slowdown factor must be positive")
         self.active_episodes = 0
         self._events: list["Event"] = []
-        self._stopped = False
 
     def start(self) -> None:
         """Schedule all episodes."""
@@ -166,7 +166,6 @@ class LatencyInflation:
 
     def stop(self) -> None:
         """Cancel pending episode edges and restore the nominal service time."""
-        self._stopped = True
         for event in self._events:
             event.cancel()
         self._events.clear()
@@ -174,20 +173,68 @@ class LatencyInflation:
         self.server.set_service_time_multiplier(1.0, source=self)
 
     def _begin(self, factor: float) -> None:
-        if self._stopped:
-            return
         self.active_episodes += 1
         self.server.set_service_time_multiplier(factor, source=self)
 
     def _end(self) -> None:
-        if self._stopped:
-            return
         self.active_episodes = max(0, self.active_episodes - 1)
         if self.active_episodes == 0:
             self.server.set_service_time_multiplier(1.0, source=self)
 
 
-class TransientSlowdowns:
+class PoissonEpisodes:
+    """Poisson-arriving episodes on each target: begin, last a while, end, repeat.
+
+    The one episode loop behind :class:`TransientSlowdowns` and the cluster's
+    :class:`~repro.cluster.events.CompactionProcess` and
+    :class:`~repro.cluster.events.GCPauseProcess`, which differ only in the
+    ``begin(target)`` / ``end(target)`` actions they hand in.  Two exponential
+    draws per episode on the shared ``rng``, in this order: the gap before it
+    (drawn when the target's previous episode ends) and its duration (drawn
+    as it begins).  ``on_event(target, started_at_ms, duration_ms)`` is called
+    as each episode begins.
+    """
+
+    def __init__(self, loop, targets, mean_interarrival_ms, mean_duration_ms, rng, on_event, begin, end):
+        if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
+            raise ValueError("mean durations must be positive")
+        self.loop = loop
+        self.targets = list(targets)
+        self.mean_interarrival_ms = float(mean_interarrival_ms)
+        self.mean_duration_ms = float(mean_duration_ms)
+        self.rng = rng or np.random.default_rng()
+        self.on_event = on_event
+        self._begin_on = begin
+        self._end_on = end
+        self.started = 0
+
+    def start(self) -> None:
+        """Schedule the first episode on every target."""
+        for target in self.targets:
+            self._schedule_next(target)
+
+    def _arm(self, delay: float, edge: Callable[[Any], None], target: Any) -> None:
+        """Schedule one episode edge; a face that can stop keeps the handle."""
+        self.loop.schedule(delay, edge, target)
+
+    def _schedule_next(self, target: Any) -> None:
+        gap = float(self.rng.exponential(self.mean_interarrival_ms))
+        self._arm(gap, self._begin, target)
+
+    def _begin(self, target: Any) -> None:
+        duration = float(self.rng.exponential(self.mean_duration_ms))
+        self._begin_on(target)
+        self.started += 1
+        if self.on_event is not None:
+            self.on_event(target, self.loop.now, duration)
+        self._arm(duration, self._end, target)
+
+    def _end(self, target: Any) -> None:
+        self._end_on(target)
+        self._schedule_next(target)
+
+
+class TransientSlowdowns(PoissonEpisodes):
     """Poisson-arriving transient slowdowns (GC-pause-like events).
 
     Each affected server is slowed by ``slowdown_factor`` for an
@@ -205,54 +252,35 @@ class TransientSlowdowns:
         rng: np.random.Generator | None = None,
         on_event: Callable[["SimServer", float, float], None] | None = None,
     ) -> None:
-        if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
-            raise ValueError("mean durations must be positive")
         if slowdown_factor <= 0:
             raise ValueError("slowdown_factor must be positive")
-        self.loop = loop
-        self.servers = list(servers)
-        self.mean_interarrival_ms = float(mean_interarrival_ms)
-        self.mean_duration_ms = float(mean_duration_ms)
         self.slowdown_factor = float(slowdown_factor)
-        self.rng = rng or np.random.default_rng()
-        self.on_event = on_event
-        self.events = 0
+        # The multiplier is keyed by a token, not by ``self``: the actions live
+        # on the process, and one that held the process would be a cycle.
+        source = object()
+        super().__init__(
+            loop, servers, mean_interarrival_ms, mean_duration_ms, rng, on_event,
+            begin=methodcaller("set_service_time_multiplier", self.slowdown_factor, source=source),
+            end=methodcaller("set_service_time_multiplier", 1.0, source=source),
+        )
         self._pending: dict[object, "Event"] = {}
-        self._stopped = False
 
-    def start(self) -> None:
-        """Schedule the first slowdown for every server."""
-        for server in self.servers:
-            self._schedule_next(server)
+    @property
+    def events(self) -> int:
+        """Slowdowns begun so far, over all servers."""
+        return self.started
 
     def stop(self) -> None:
         """Cancel pending pause edges and restore every server's speed."""
-        self._stopped = True
         for event in self._pending.values():
             event.cancel()
         self._pending.clear()
-        for server in self.servers:
-            server.set_service_time_multiplier(1.0, source=self)
+        for server in self.targets:
+            self._end_on(server)
 
-    def _schedule_next(self, server: "SimServer") -> None:
-        gap = float(self.rng.exponential(self.mean_interarrival_ms))
-        self._pending[server.server_id] = self.loop.schedule(gap, self._begin, server)
-
-    def _begin(self, server: "SimServer") -> None:
-        if self._stopped:
-            return
-        duration = float(self.rng.exponential(self.mean_duration_ms))
-        server.set_service_time_multiplier(self.slowdown_factor, source=self)
-        self.events += 1
-        if self.on_event is not None:
-            self.on_event(server, self.loop.now, duration)
-        self._pending[server.server_id] = self.loop.schedule(duration, self._end, server)
-
-    def _end(self, server: "SimServer") -> None:
-        if self._stopped:
-            return
-        server.set_service_time_multiplier(1.0, source=self)
-        self._schedule_next(server)
+    def _arm(self, delay: float, edge: Callable[["SimServer"], None], server: "SimServer") -> None:
+        # One edge is pending per server at any time, so this holds every live timer.
+        self._pending[server.server_id] = self.loop.schedule(delay, edge, server)
 
 
 class CrashSchedule:
@@ -279,7 +307,6 @@ class CrashSchedule:
         self.windows = list(windows)
         self.crashes = 0
         self._events: list["Event"] = []
-        self._stopped = False
 
     def start(self) -> None:
         """Schedule every crash/restart edge."""
@@ -290,7 +317,6 @@ class CrashSchedule:
 
     def stop(self) -> None:
         """Cancel pending edges and restart anything still down."""
-        self._stopped = True
         for event in self._events:
             event.cancel()
         self._events.clear()
@@ -299,14 +325,10 @@ class CrashSchedule:
                 server.restore()
 
     def _crash(self, server: "SimServer") -> None:
-        if self._stopped:
-            return
         self.crashes += 1
         server.crash()
 
     def _restore(self, server: "SimServer") -> None:
-        if self._stopped:
-            return
         server.restore()
 
 
@@ -337,7 +359,6 @@ class ArrivalRateSchedule:
         self.changes = 0
         self._base_rate: float | None = None
         self._events: list["Event"] = []
-        self._stopped = False
 
     def start(self) -> None:
         """Capture the base rate and schedule every step."""
@@ -347,7 +368,6 @@ class ArrivalRateSchedule:
 
     def stop(self) -> None:
         """Cancel pending steps and restore the base arrival rate."""
-        self._stopped = True
         for event in self._events:
             event.cancel()
         self._events.clear()
@@ -355,8 +375,6 @@ class ArrivalRateSchedule:
             self.process.set_rate(self._base_rate)
 
     def _apply(self, factor: float) -> None:
-        if self._stopped:
-            return
         self.changes += 1
         assert self._base_rate is not None
         self.process.set_rate(self._base_rate * factor)

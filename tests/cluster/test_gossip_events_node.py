@@ -7,6 +7,7 @@ from repro.cluster.events import CompactionProcess, GCPauseProcess
 from repro.cluster.gossip import GossipService
 from repro.cluster.node import ClusterNode
 from repro.cluster.storage import StorageEngine
+from repro.scenarios.processes import TransientSlowdowns
 from repro.simulator.engine import EventLoop
 from repro.simulator.request import Request, RequestKind
 
@@ -99,6 +100,64 @@ class TestBackgroundEvents:
         assert process.pauses > 0
         assert node.gc_pauses == process.pauses
         assert len(events) == process.pauses
+
+    @pytest.mark.parametrize(
+        "face, duration_kwarg",
+        [(CompactionProcess, "mean_duration_ms"), (GCPauseProcess, "mean_pause_ms"),
+         (TransientSlowdowns, "mean_duration_ms")],
+    )
+    def test_episode_sequence_is_pinned(self, face, duration_kwarg):
+        """The three faces of the one Poisson episode loop draw and schedule alike.
+
+        Captured from the three separate loops this one replaced.  Both draws
+        come off one shared ``rng`` as edges fire — the gap as a target's
+        previous episode ends, the duration as the next begins — so a change
+        in either the draws or the order edges fire in moves every value.
+        """
+        loop = EventLoop()
+        edges = []
+
+        class Target:
+            def __init__(self, name):
+                self.server_id = name
+
+            def begin(self):
+                edges.append((loop.now, "begin", self.server_id))
+
+            def end(self):
+                edges.append((loop.now, "end", self.server_id))
+
+            begin_compaction = begin_gc_pause = begin
+            end_compaction = end_gc_pause = end
+
+            def set_service_time_multiplier(self, multiplier, source=None):
+                (self.end if multiplier == 1.0 else self.begin)()
+
+        episodes = []
+        process = face(
+            loop, [Target(name) for name in "abc"], mean_interarrival_ms=60.0,
+            rng=np.random.default_rng(11),
+            on_event=lambda target, now, duration: episodes.append((now, target.server_id, duration)),
+            **{duration_kwarg: 25.0},
+        )
+        process.start()
+        loop.run(until=130.0)
+        assert episodes == [
+            (13.775545879046422, "a", 1.1449259962957345),
+            (21.91553431150633, "a", 94.77153611641809),
+            (32.2984204705386, "b", 1.7851715065663658),
+            (45.405241213790475, "b", 7.298168744477905),
+            (67.34446087202093, "c", 8.65148631022409),
+            (94.9302999582421, "b", 25.40550502223633),
+            (124.46203203659594, "a", 33.87977820521232),
+            (124.89380003111232, "c", 68.18643570546715),
+        ]
+        # Each episode begins and ends its own target, and nothing else fires.
+        assert edges == sorted(
+            [(now, "begin", name) for now, name, _ in episodes]
+            + [(now + duration, "end", name) for now, name, duration in episodes if now + duration <= 130.0]
+        )
+        assert loop.processed_events == len(edges) == 14
 
     def test_validation(self):
         loop = EventLoop()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import CassandraCluster, ClusterConfig
 from repro.controls import ControlSpec
 from repro.controls.hedging import QuantileHedging
 from repro.core.feedback import ServerFeedback
@@ -196,26 +197,35 @@ class TestHedgeTimerStopsWhenEveryReplicaIsUsed:
     At RF 3 two hedges put a copy on every replica of the group.  A timer
     re-armed on the remaining budget alone would fire, find no unused
     replica and re-arm again until the read completes — same hedges, same
-    digest, thousands of empty events.  Both kernels take the same decision.
+    digest, thousands of empty events.  Both kernels and the cluster
+    coordinator take the same decision.
     """
 
-    @pytest.mark.parametrize("kernel", ["object", "batched"])
-    def test_budget_beyond_the_group_processes_no_extra_events(self, kernel):
+    @pytest.mark.parametrize("executor", ["object", "batched", "cluster"])
+    def test_budget_beyond_the_group_processes_no_extra_events(self, executor):
         def run(max_extra: int):
-            sim = ReplicaSelectionSimulation(
-                SimulationConfig(
-                    strategy="LOR",
-                    num_servers=6,
-                    num_clients=8,
-                    num_requests=3_000,
-                    scenario="slow-node",
-                    hedging=f"hedge:quantile=0.5,max_extra={max_extra}",
-                    kernel=kernel,
-                    seed=3,
+            hedging = f"hedge:quantile=0.5,max_extra={max_extra}"
+            if executor == "cluster":
+                sim = CassandraCluster(
+                    ClusterConfig(num_nodes=7, num_generators=30, duration_ms=600.0, hedging=hedging, seed=3)
                 )
-            )
-            result = sim.run()
-            hedges = sum(client.hedges_fired for client in sim.clients)
+                result = sim.run()
+                hedges = sum(c.speculations_fired for c in sim.coordinators.values())
+            else:
+                sim = ReplicaSelectionSimulation(
+                    SimulationConfig(
+                        strategy="LOR",
+                        num_servers=6,
+                        num_clients=8,
+                        num_requests=3_000,
+                        scenario="slow-node",
+                        hedging=hedging,
+                        kernel=executor,
+                        seed=3,
+                    )
+                )
+                result = sim.run()
+                hedges = sum(client.hedges_fired for client in sim.clients)
             return sim.loop.processed_events, hedges, result.digest()
 
         events, hedges, digest = run(max_extra=2)
