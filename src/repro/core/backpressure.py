@@ -143,6 +143,20 @@ class BackpressureQueues:
         self.backpressure_events += 1
         return entry
 
+    def cancel(self, request: object) -> bool:
+        """Withdraw a waiting request its caller has given up on.
+
+        Returns whether it was waiting here.  A cancelled request is neither
+        placed nor counted as dequeued; O(backlog) per call.
+        """
+        for queue in self._queues.values():
+            for entry in queue._entries:
+                if entry.request == request:
+                    queue._entries.remove(entry)
+                    queue._resized(-1)
+                    return True
+        return False
+
     def pending(self) -> int:
         """Total requests currently waiting across all groups (O(1))."""
         return self._pending

@@ -180,6 +180,10 @@ class C3Scheduler:
     def _place_entry(self, entry: BacklogEntry, now: float) -> Hashable | None:
         return self._place(self.scorer.rank(entry.replica_group), now)
 
+    def cancel(self, request: object) -> bool:
+        """Drop ``request`` from the backlog (it timed out waiting there)."""
+        return self.backlog.cancel(request)
+
     def pending_backlog(self) -> int:
         """Number of requests currently held by backpressure."""
         return self.backlog.pending()

@@ -24,10 +24,10 @@ strings — against live replica servers (:mod:`repro.live.server`):
   ran is reported separately as ``slip_ms`` (``issue − due``).
 - **Every operation is accounted for**: it completes, or the reaper closes
   it as a timeout ``request_timeout_ms`` after its due time wherever it is
-  waiting — on the wire, in C3's backpressure backlog, parked behind an
-  all-suspect group, or rejected by the replica it was sent to — so
-  ``issued == completed + timeouts`` whenever :meth:`~LiveLoadClient.run`
-  returns.
+  waiting — on the wire, in C3's backpressure backlog (which it is
+  cancelled from), parked behind an all-suspect group, or rejected by the
+  replica it was sent to — so ``issued == completed + timeouts`` whenever
+  :meth:`~LiveLoadClient.run` returns.
 - **Real feedback**: every response frame piggybacks the server's queue
   size and EWMA service time, which become the
   :class:`~repro.core.feedback.ServerFeedback` the selector's
@@ -279,8 +279,7 @@ class LiveLoadClient:
             reaper.cancel()
             await asyncio.gather(reaper, return_exceptions=True)
             # Whatever is still open will never be answered now.
-            self.result.timeouts += len(self._ops)
-            self._ops.clear()
+            self._time_out(list(self._ops.values()))
         self.result.slip_ms = _slip_summary(self.slips_ms)
         self.result.selector_stats = dict(self.selector.stats())
         return self.result
@@ -363,8 +362,9 @@ class LiveLoadClient:
             if op is not None:
                 self._send(op, int(server_id), now, primary=True)
             else:
-                # Timed out while backlogged; the selector has already
-                # charged the replica for a send that will not happen.
+                # Timed out while backlogged by a selector that keeps the
+                # default no-op cancel(); it has already charged the
+                # replica for a send that will not happen.
                 self.selector.on_timeout(server_id, now)
 
     def _send(self, op: _Operation, server_id: int, now: float, *, primary: bool) -> None:
@@ -486,7 +486,14 @@ class LiveLoadClient:
                 if op.deadline_ms > now:
                     break
                 overdue.append(op)
-            for op in overdue:
-                op.done = True
-                self.result.timeouts += 1
-                del self._ops[op.op_id]
+            self._time_out(overdue)
+
+    def _time_out(self, ops: Sequence[_Operation]) -> None:
+        """Close ``ops`` as timeouts.  One still in the selector's backlog is
+        withdrawn, so no release spends a permit on it and the retry task
+        does not wait for it."""
+        for op in ops:
+            op.done = True
+            self.result.timeouts += 1
+            self.selector.cancel(op.op_id)
+            del self._ops[op.op_id]

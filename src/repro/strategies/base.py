@@ -63,6 +63,13 @@ class ReplicaSelector(ABC):
         """Release any backlogged requests that can now be placed."""
         return []
 
+    def cancel(self, request: object) -> None:
+        """Withdraw ``request`` from any backlog: its caller gave up on it.
+
+        A cancelled request is never released by :meth:`drain_backlog`.  The
+        default holds no backlog and does nothing.
+        """
+
     def pending_backlog(self) -> int:
         """Number of requests currently parked by backpressure."""
         return 0

@@ -188,6 +188,9 @@ class C3Selector(ReplicaSelector):
         released = self.scheduler.drain_backlog(now)
         return [(entry.request, chosen) for entry, chosen in released]
 
+    def cancel(self, request: object) -> None:
+        self.scheduler.cancel(request)
+
     def pending_backlog(self) -> int:
         return self.scheduler.backlog.pending()
 

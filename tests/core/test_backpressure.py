@@ -110,6 +110,18 @@ class TestBackpressureQueues:
         assert [entry.request for entry, _ in released] == ["free"]
         assert queues.pending() == 1
 
+    def test_cancel_withdraws_one_request_and_keeps_pending_exact(self):
+        queues = BackpressureQueues()
+        for request in ("r1", "r2", "r3"):
+            queues.enqueue(request, ("a",), now=0.0)
+        queues.enqueue("r4", ("b",), now=0.0)
+        assert queues.cancel("r2") and queues.cancel("r4")
+        assert not queues.cancel("r2") and not queues.cancel("never")
+        assert queues.pending() == 2
+        released = queues.drain_ready(now=1.0, can_place=lambda entry, now: "a")
+        assert [entry.request for entry, _ in released] == ["r1", "r3"]
+        assert queues.pending() == 0
+
     def test_stats_aggregation(self):
         queues = BackpressureQueues()
         queues.enqueue("r1", ("a",), now=0.0)

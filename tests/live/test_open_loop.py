@@ -144,12 +144,26 @@ class TestNoOperationIsLost:
 
     def test_backlogged_operations_time_out_instead_of_vanishing(self):
         """A rate limiter pinned at 1 per window admits ~100/s of the 400/s offered."""
+        released_dead = []
+
+        def watch_releases(client):
+            send_released = client._send_released
+
+            def checked(released, now):
+                # Each released request must still be open: one that timed
+                # out in the backlog was cancelled there, so the limiter
+                # spends no permit on it.
+                released_dead.extend(request for request, _ in released if int(request) not in client._ops)
+                send_released(released, now)
+
+            client._send_released = checked
 
         async def scenario():
             async with _servers(2, base_service_ms=1.0) as addresses:
                 return await _run(
                     addresses,
                     0.3,
+                    prepare=watch_releases,
                     strategy="c3:initial_rate=1,max_rate=1",
                     replication_factor=2,
                     arrival_rate_per_s=400.0,
@@ -162,6 +176,8 @@ class TestNoOperationIsLost:
         assert result.completed > 0 and result.timeouts > 0
         assert result.issued == result.completed + result.timeouts
         assert not client._ops
+        assert released_dead == []
+        assert client.selector.pending_backlog() == 0
 
     @staticmethod
     def _all_suspect(client):

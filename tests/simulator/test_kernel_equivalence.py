@@ -9,11 +9,13 @@ event for event.  These tests pin that contract three ways:
   kernel special-cases (LOR / P2C dense state, stock selectors, the C3
   scheduler), plus the hard paths — crash/recovery liveness filtering,
   phi-accrual suspicion, hedged reads, read-repair fan-out, backpressure
-  parking, demand skew, a mid-run network-delay change, streaming metrics;
-* a hypothesis property over random small configurations, so the
-  equivalence is not an artifact of hand-picked parameters;
+  parking, demand skew, a mid-run network-delay change, streaming metrics,
+  copies outliving their primary (the kernel recycles request slots) and a
+  run long enough to flush the per-server load series in chunks;
+* a hypothesis property over random small configurations, hedged or not,
+  so the equivalence is not an artifact of hand-picked parameters;
 * a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
-  scatter the kernel uses to rebuild per-server load series at sync-back.
+  scatter the kernel uses to build per-server load series.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.simulator.kernel import _FLUSH_BLOCK
 from repro.simulator.metrics import WindowedCounter
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 from repro.simulator.workload import DemandSkew
@@ -38,6 +41,11 @@ def assert_kernels_equivalent(**kw) -> None:
 
 PLAIN = dict(num_servers=10, num_clients=12, num_requests=1200, seed=7)
 HARD = dict(num_servers=10, num_clients=12, num_requests=2000, seed=11)
+HEDGED_REUSE = dict(
+    hedging="hedge:quantile=0.5,max_extra=2",
+    read_repair_probability=0.5,
+    scenario="crash-recovery",
+)
 
 #: Every selector mode and every rare-path feature the kernel handles.
 MATRIX = {
@@ -81,6 +89,16 @@ MATRIX = {
         hedging="hedge:quantile=0.9",
         scenario_params={"targets": [0, 1, 2], "down_ms": 300.0, "stagger_ms": 0.0},
     ),
+    # Two copies a read and read-repair duplicates around crashes: copies
+    # outlive their primary, so the kernel's recycled request slots must not
+    # be handed out while a copy can still name its primary's.
+    "hedge2-rr-crash-c3": dict(HARD, strategy="C3", **HEDGED_REUSE),
+    "hedge2-rr-crash-lor": dict(HARD, strategy="LOR", **HEDGED_REUSE),
+    # Enough completions to flush the kernel's buffered load series
+    # several times before the final flush.
+    "flush-chunks-lor": dict(
+        num_servers=6, num_clients=8, num_requests=4 * _FLUSH_BLOCK, seed=5, strategy="LOR"
+    ),
 }
 
 
@@ -99,6 +117,9 @@ def test_batched_kernel_matches_object_kernel(name):
     utilization=st.floats(min_value=0.3, max_value=0.9),
     read_repair_probability=st.floats(min_value=0.0, max_value=0.6),
     read_fraction=st.floats(min_value=0.5, max_value=1.0),
+    hedging=st.sampled_from(
+        [None, "hedge:quantile=0.5,max_extra=1", "hedge:quantile=0.5,max_extra=2"]
+    ),
 )
 def test_batched_kernel_matches_object_kernel_property(
     num_servers,
@@ -109,6 +130,7 @@ def test_batched_kernel_matches_object_kernel_property(
     utilization,
     read_repair_probability,
     read_fraction,
+    hedging,
 ):
     assert_kernels_equivalent(
         num_servers=num_servers,
@@ -119,6 +141,7 @@ def test_batched_kernel_matches_object_kernel_property(
         utilization=utilization,
         read_repair_probability=read_repair_probability,
         read_fraction=read_fraction,
+        hedging=hedging,
     )
 
 

@@ -78,6 +78,14 @@ MATRIX = {
     "backpressure-c3": dict(
         PLAIN, strategy="C3:initial_rate=0.1,min_rate=0.1,max_rate=0.1"
     ),
+    # Copies outlive their primary: recycled request slots under hedging.
+    "hedge2-rr-crash-c3": dict(
+        HARD,
+        strategy="C3",
+        hedging="hedge:quantile=0.5,max_extra=2",
+        read_repair_probability=0.5,
+        scenario="crash-recovery",
+    ),
 }
 
 
