@@ -3,8 +3,8 @@
 :func:`render_report` renders any combination of saved sweep results
 (:meth:`~repro.runner.SweepResult.save` JSON), successive-halving search
 results (:meth:`~repro.runner.SearchResult.save` JSON), live-trial
-payloads (``c3-repro live`` artifact directories), and
-``benchmarks/BENCH_*.json`` pytest-benchmark snapshots into a single
+payloads (``c3-repro live`` artifact directories), and the
+pytest-benchmark snapshots a caller names into a single
 markdown document; :func:`markdown_to_html` converts that markdown (the
 subset this module emits: headings, pipe tables, bullet lists, paragraphs)
 into a dependency-free standalone HTML page.  The ``c3-repro report`` CLI

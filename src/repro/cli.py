@@ -49,7 +49,7 @@ Sub-commands
 ``report``
     Render saved sweep results (``sweep --json``), search results
     (``search --json``), live-trial directories (``--live``) and
-    ``benchmarks/BENCH_*.json`` perf snapshots into one markdown (and
+    pytest-benchmark snapshots named by ``--bench`` into one markdown (and
     optionally HTML) artifact — the reviewable results page CI uploads
     for every PR.
 """
@@ -71,6 +71,7 @@ from .analysis.report_sweep import markdown_to_html, render_report
 from .cluster import ClusterConfig, run_cluster
 from .controls.registry import CONTROLS
 from .experiments import list_experiments, registry, run_experiment
+from .live import LiveTrialConfig, run_trial
 from .runner import (
     SearchResult,
     SweepCheckpoint,
@@ -146,6 +147,47 @@ _FLAT_FLAGS: dict[str, tuple[str, dict]] = {
     ),
 }
 _CONFIG_DEFAULTS = {field.name: field.default for field in fields(SimulationConfig)}
+
+#: The ``live`` flags: argparse dest -> (LiveTrialConfig field, ``add_argument``
+#: keywords).  Every default is the field's own.
+_LIVE_FLAGS: dict[str, tuple[str, dict]] = {
+    "strategy": ("strategy", dict(metavar="SPEC", help="strategy spec as in simulate (default %(default)s)")),
+    "failure_detector": (
+        "failure_detector",
+        dict(metavar="SPEC", help="failure-detector spec (e.g. phi:threshold=8); liveness is phi-driven"),
+    ),
+    "hedging": ("hedging", dict(metavar="SPEC", help="hedging spec (e.g. hedge:quantile=0.95,max_extra=1)")),
+    "scenario": (
+        "scenario",
+        dict(metavar="NAME", help="live-supported scenario: baseline, slow-node, gc-storm, crash-recovery "
+                                  "(underscores accepted)"),
+    ),
+    "servers": ("num_servers", dict(type=int, help="server processes (default %(default)s)")),
+    "replication_factor": (
+        "replication_factor", dict(type=int, metavar="RF", help="replica group size (default %(default)s)"),
+    ),
+    "duration": (
+        "duration_s",
+        dict(type=float, metavar="SECONDS", help="whole trial, warmup included (default %(default)s)"),
+    ),
+    "warmup": (
+        "warmup_s", dict(type=float, metavar="SECONDS", help="leading seconds trimmed (default %(default)s)"),
+    ),
+    "cooldown": (
+        "cooldown_s",
+        dict(type=float, metavar="SECONDS", help="trailing seconds trimmed (default %(default)s)"),
+    ),
+    "rate": (
+        "arrival_rate_per_s",
+        dict(type=float, metavar="REQ_PER_S", help="open-loop Poisson arrivals (default %(default)s req/s)"),
+    ),
+    "service_time": (
+        "base_service_ms",
+        dict(type=float, metavar="MS", help="mean exponential service time (default %(default)s ms)"),
+    ),
+    "seed": ("seed", dict(type=int, help="trial seed (default %(default)s)")),
+}
+_LIVE_DEFAULTS = {field.name: field.default for field in fields(LiveTrialConfig)}
 
 
 def _add_flat_flags(parser: argparse.ArgumentParser, dests: str, **defaults) -> None:
@@ -360,53 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
         "live",
         help="run one live asyncio cluster trial (localhost server processes)",
     )
-    live_parser.add_argument(
-        "--strategy", default="c3", metavar="SPEC",
-        help="strategy spec, same grammar as simulate (default: c3)",
-    )
-    live_parser.add_argument(
-        "--failure-detector", default=None, metavar="SPEC",
-        help="failure-detector spec (e.g. phi:threshold=8); live liveness is phi-driven",
-    )
-    live_parser.add_argument(
-        "--hedging", default=None, metavar="SPEC",
-        help="hedging spec (e.g. hedge:quantile=0.95,max_extra=1)",
-    )
-    live_parser.add_argument(
-        "--scenario", default="baseline", metavar="NAME",
-        help="live-supported scenario: baseline, slow-node, gc-storm, crash-recovery "
-             "(underscores accepted)",
-    )
+    for dest, (field, keywords) in _LIVE_FLAGS.items():
+        live_parser.add_argument(
+            "--" + dest.replace("_", "-"), default=_LIVE_DEFAULTS[field], **keywords
+        )
     live_parser.add_argument(
         "--scenario-param", action="append", dest="scenario_params", metavar="KEY=VALUE",
         help="override one scenario knob; repeatable",
     )
-    live_parser.add_argument("--servers", type=int, default=3, help="server processes (default 3)")
-    live_parser.add_argument(
-        "--replication-factor", type=int, default=3, metavar="RF",
-        help="replica group size (default 3)",
-    )
-    live_parser.add_argument(
-        "--duration", type=float, default=10.0, metavar="SECONDS",
-        help="total trial duration including warmup/cooldown (default 10)",
-    )
-    live_parser.add_argument(
-        "--warmup", type=float, default=1.0, metavar="SECONDS",
-        help="leading seconds trimmed from the latency capture (default 1)",
-    )
-    live_parser.add_argument(
-        "--cooldown", type=float, default=0.5, metavar="SECONDS",
-        help="trailing seconds trimmed from the latency capture (default 0.5)",
-    )
-    live_parser.add_argument(
-        "--rate", type=float, default=200.0, metavar="REQ_PER_S",
-        help="open-loop Poisson arrival rate (default 200 req/s)",
-    )
-    live_parser.add_argument(
-        "--service-time", type=float, default=4.0, metavar="MS",
-        help="mean exponential service time per server (default 4 ms)",
-    )
-    live_parser.add_argument("--seed", type=int, default=42, help="trial seed (default 42)")
     live_parser.add_argument(
         "--out", default=None, metavar="DIR",
         help="artifact directory (default: trials/<strategy>-<scenario>-seed<seed>)",
@@ -414,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_parser = sub.add_parser(
         "report",
-        help="render sweep/search JSON results and BENCH_*.json snapshots into one artifact",
+        help="render sweep/search/live results and --bench snapshots into one artifact",
     )
     report_parser.add_argument(
         "--live", action="append", dest="live_paths", metavar="DIR",
@@ -430,12 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--bench", action="append", dest="bench_paths", metavar="PATH",
-        help="pytest-benchmark JSON snapshot; repeatable "
-             "(default: benchmarks/BENCH_*.json when present)",
-    )
-    report_parser.add_argument(
-        "--no-bench", action="store_true",
-        help="skip the perf-trajectory section even when benchmarks/BENCH_*.json exists",
+        help="pytest-benchmark JSON snapshot for the perf-trajectory section; repeatable",
     )
     report_parser.add_argument(
         "--title", default="C3 reproduction — sweep report", help="report title",
@@ -883,25 +881,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
-    # Imported lazily: the live package pulls in asyncio subprocess
-    # machinery no other subcommand needs.
-    from .live import LiveTrialConfig, run_trial
-
     try:
         config = LiveTrialConfig(
-            strategy=args.strategy,
-            failure_detector=args.failure_detector,
-            hedging=args.hedging,
-            scenario=args.scenario,
             scenario_params=_parse_scenario_params(args.scenario_params),
-            num_servers=args.servers,
-            replication_factor=args.replication_factor,
-            duration_s=args.duration,
-            warmup_s=args.warmup,
-            cooldown_s=args.cooldown,
-            arrival_rate_per_s=args.rate,
-            base_service_ms=args.service_time,
-            seed=args.seed,
+            **{field: getattr(args, dest) for dest, (field, _) in _LIVE_FLAGS.items()},
         )
     except (KeyError, ValueError) as error:
         print(str(error), file=sys.stderr)
@@ -948,16 +931,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except (OSError, KeyError, ValueError) as error:
             print(f"cannot load search result {path}: {error}", file=sys.stderr)
             return 2
-    if args.no_bench:
-        bench_paths: list[Path] = []
-    elif args.bench_paths:
-        bench_paths = [Path(p) for p in args.bench_paths]
-        missing = [str(p) for p in bench_paths if not p.is_file()]
-        if missing:
-            print(f"benchmark snapshot(s) not found: {', '.join(missing)}", file=sys.stderr)
-            return 2
-    else:
-        bench_paths = sorted(Path("benchmarks").glob("BENCH_*.json"))
+    bench_paths = [Path(p) for p in args.bench_paths or ()]
+    missing = [str(p) for p in bench_paths if not p.is_file()]
+    if missing:
+        print(f"benchmark snapshot(s) not found: {', '.join(missing)}", file=sys.stderr)
+        return 2
     live_trials = []
     for path in args.live_paths or ():
         try:

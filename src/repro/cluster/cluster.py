@@ -9,7 +9,7 @@ gossip, compaction and GC processes, and closed-loop YCSB generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Hashable, Mapping
 
 import numpy as np
@@ -35,6 +35,13 @@ from .storage import StorageEngine
 from .workload_bridge import ClosedLoopGenerator
 
 __all__ = ["GeneratorGroup", "ClusterConfig", "CassandraCluster", "run_cluster"]
+
+#: Fixed parameters of the scaled-down §5 deployment (no scenario varies them).
+NODE_CONCURRENCY = 8
+GOSSIP_INTERVAL_MS = 1_000.0
+COMPACTION_DURATION_MS = 1_500.0
+GC_PAUSE_MS = 100.0
+ZIPF_THETA = 0.99
 
 
 @dataclass(slots=True)
@@ -91,30 +98,22 @@ class ClusterConfig:
     replication_factor: int = 3
     disk: str = "hdd"
     cache_hit_probability: float = 0.1
-    node_concurrency: int = 8
     strategy: "str | Mapping[str, Any] | StrategySpec" = "C3"
-    c3_config: C3Config | None = None
     num_generators: int = 40
     workload_mix: str = "read_heavy"
     generator_groups: list[GeneratorGroup] | None = None
     duration_ms: float = 2_000.0
     drain_timeout_ms: float = 10_000.0
     num_keys: int = 10_000
-    zipf_theta: float = 0.99
     read_repair_probability: float = 0.1
     hedging: "str | Mapping[str, Any] | ControlSpec | None" = None
     network_delay_ms: float = 0.25
-    gossip_interval_ms: float = 1_000.0
     compaction_enabled: bool = True
     compaction_interarrival_ms: float = 15_000.0
-    compaction_duration_ms: float = 1_500.0
     gc_enabled: bool = True
     gc_interarrival_ms: float = 8_000.0
-    gc_pause_ms: float = 100.0
     window_ms: float = 100.0
-    record_rate_history: bool = False
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.strategy = StrategySpec.parse(self.strategy).canonical()
@@ -176,7 +175,7 @@ class CassandraCluster:
 
         self.node_ids = list(range(config.num_nodes))
         self.ring = TokenRing(self.node_ids, config.replication_factor)
-        self.gossip = GossipService(self.loop, interval_ms=config.gossip_interval_ms)
+        self.gossip = GossipService(self.loop, interval_ms=GOSSIP_INTERVAL_MS)
         self.nodes: dict[Hashable, ClusterNode] = {}
         self.coordinators: dict[Hashable, Coordinator] = {}
         self.generators: list[ClosedLoopGenerator] = []
@@ -198,14 +197,14 @@ class CassandraCluster:
                 loop=self.loop,
                 node_id=node_id,
                 storage=storage,
-                concurrency=cfg.node_concurrency,
+                concurrency=NODE_CONCURRENCY,
                 on_complete=self._route_response,
                 rng=np.random.default_rng(self.rng.integers(2**63)),
             )
             self.nodes[node_id] = node
             self.gossip.register(node_id, lambda n=node: n.iowait)
 
-        c3_config = cfg.c3_config or C3Config().with_clients(cfg.num_nodes)
+        c3_config = C3Config().with_clients(cfg.num_nodes)
         strategy_spec = cfg.strategy_spec
         hedging_spec = cfg.hedging_spec
         node_state_fn = server_state_reader(self.nodes)
@@ -214,7 +213,6 @@ class CassandraCluster:
                 rng=np.random.default_rng(self.rng.integers(2**63)),
                 server_state_fn=node_state_fn,
                 iowait_fn=self.gossip.latest_iowait,
-                record_rate_history=cfg.record_rate_history,
                 c3_config=c3_config,
             )
             coordinator = Coordinator(
@@ -238,7 +236,7 @@ class CassandraCluster:
                 loop=self.loop,
                 nodes=list(self.nodes.values()),
                 mean_interarrival_ms=cfg.compaction_interarrival_ms,
-                mean_duration_ms=cfg.compaction_duration_ms,
+                mean_duration_ms=COMPACTION_DURATION_MS,
                 rng=np.random.default_rng(self.rng.integers(2**63)),
             )
         if cfg.gc_enabled:
@@ -246,7 +244,7 @@ class CassandraCluster:
                 loop=self.loop,
                 nodes=list(self.nodes.values()),
                 mean_interarrival_ms=cfg.gc_interarrival_ms,
-                mean_pause_ms=cfg.gc_pause_ms,
+                mean_pause_ms=GC_PAUSE_MS,
                 rng=np.random.default_rng(self.rng.integers(2**63)),
             )
 
@@ -263,7 +261,7 @@ class CassandraCluster:
                 workload = YCSBWorkload(
                     mix=group.mix,
                     num_keys=cfg.num_keys,
-                    zipf_theta=cfg.zipf_theta,
+                    zipf_theta=ZIPF_THETA,
                     record_sizes=record_sizes,
                     rng=np.random.default_rng(self.rng.integers(2**63)),
                 )

@@ -13,7 +13,7 @@ The defaults follow §4 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .cubic import gamma_for_saddle
 
@@ -89,7 +89,6 @@ class C3Config:
     rate_excess_tolerance: float = 1.2
     rate_min_utilisation: float = 0.4
     service_time_floor_ms: float = 1e-3
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.score_exponent <= 0:

@@ -344,11 +344,16 @@ class CubicRateController:
 
 
 class PerServerRateControl:
-    """A collection of :class:`CubicRateController`, one per server."""
+    """A collection of :class:`CubicRateController`, one per server.
 
-    def __init__(self, config: C3Config, record_history: bool = False) -> None:
+    ``record_history`` is copied onto each controller as it is created, so
+    setting it after construction and before the first request records every
+    rate increase and decrease (the Figure 13 trace).
+    """
+
+    def __init__(self, config: C3Config) -> None:
         self.config = config
-        self.record_history = record_history
+        self.record_history = False
         self._controllers: dict[Hashable, CubicRateController] = {}
 
     def controller(self, server_id: Hashable) -> CubicRateController:

@@ -73,15 +73,12 @@ class C3Scheduler:
     ----------
     config:
         The :class:`~repro.core.config.C3Config` to operate under.
-    record_rate_history:
-        When True, every rate increase/decrease is recorded (used to
-        regenerate the Figure 13 trace).
     """
 
-    def __init__(self, config: C3Config | None = None, record_rate_history: bool = False) -> None:
+    def __init__(self, config: C3Config | None = None) -> None:
         self.config = config or C3Config()
         self.scorer = ReplicaScorer(self.config)
-        self.rate_control = PerServerRateControl(self.config, record_history=record_rate_history)
+        self.rate_control = PerServerRateControl(self.config)
         self.backlog = BackpressureQueues()
         self.requests_submitted = 0
         self.requests_sent = 0

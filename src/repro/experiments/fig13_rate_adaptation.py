@@ -41,19 +41,11 @@ def run(
     recreated by starting from a lower per-server rate and relaxing the
     light-sender guards of the controller (see C3Config.rate_min_utilisation).
     """
-    from ..core.config import C3Config
-
     config = ClusterConfig(
         num_nodes=num_nodes,
         num_generators=num_generators,
         duration_ms=duration_ms,
-        strategy="C3",
-        c3_config=C3Config(
-            initial_rate=initial_rate,
-            rate_min_utilisation=0.15,
-            rate_excess_tolerance=1.3,
-        ).with_clients(num_nodes),
-        record_rate_history=True,
+        strategy=f"c3:initial_rate={initial_rate},rate_min_utilisation=0.15,rate_excess_tolerance=1.3",
         compaction_enabled=False,
         gc_enabled=False,
         seed=seed,
@@ -61,6 +53,9 @@ def run(
     cluster = CassandraCluster(config)
     tracked = cluster.node_ids[-1]
     tracked_node = cluster.nodes[tracked]
+    observers = cluster.node_ids[:observer_count]
+    for observer in observers:
+        cluster.coordinators[observer].selector.scheduler.rate_control.record_history = True
 
     episode_windows = [(duration_ms * start, duration_ms * end) for start, end in episodes]
     for start_ms, end_ms in episode_windows:
@@ -69,7 +64,6 @@ def run(
 
     result = cluster.run()
 
-    observers = cluster.node_ids[:observer_count]
     rows = []
     data = {"tracked_node": tracked, "episodes_ms": episode_windows, "result": result}
     for observer in observers:

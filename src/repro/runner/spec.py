@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..controls import ControlSpec
-from ..core.config import C3Config
 from ..simulator import DemandSkew, SimulationConfig
 from ..strategies import StrategySpec
 from ..strategies.specbase import Spec
@@ -48,6 +47,17 @@ __all__ = [
 #: SimulationConfig field names a grid may override (everything but ``seed``,
 #: which is owned by the spec's ``seeds`` axis).
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SimulationConfig))
+
+#: Retired SimulationConfig fields at the one value every payload ever held.
+#: Payloads keep writing them, so cache keys and pinned payload hashes from
+#: before the fields went stay byte-identical.
+_RETIRED_FIELDS = {
+    "arrival_rate_per_ms": None,
+    "c3_config": None,
+    "extra": {},
+    "load_window_ms": 100.0,
+    "record_rate_history": False,
+}
 
 
 def _jsonify(value: Any) -> Any:
@@ -101,6 +111,7 @@ def config_to_payload(config: SimulationConfig) -> dict:
     be traced to the kernel that produced it.
     """
     payload = {f.name: _jsonify(getattr(config, f.name)) for f in dataclasses.fields(config)}
+    payload.update(_jsonify(_RETIRED_FIELDS))
     if payload.get("failure_detector") == "binary":
         del payload["failure_detector"]
     if payload.get("hedging") is None:
@@ -118,13 +129,16 @@ def payload_to_config(payload: Mapping[str, Any]) -> SimulationConfig:
     """Rebuild a :class:`SimulationConfig` from :func:`config_to_payload` output.
 
     This is what pool workers use: payloads cross the process boundary as
-    plain dicts, so the worker owns the reconstruction.
+    plain dicts, so the worker owns the reconstruction.  The retired fields
+    are dropped; a payload holding any other value for one raises
+    ``ValueError``, since no config can reproduce it.
     """
     params = dict(payload)
+    for name, default in _RETIRED_FIELDS.items():
+        if params.pop(name, default) != default:
+            raise ValueError(f"payload sets the retired config field {name!r}")
     if params.get("demand_skew") is not None:
         params["demand_skew"] = DemandSkew(**params["demand_skew"])
-    if params.get("c3_config") is not None:
-        params["c3_config"] = C3Config(**params["c3_config"])
     for name in ("num_servers", "replication_factor", "num_clients", "num_requests",
                  "server_concurrency", "seed", "record_size"):
         if params.get(name) is not None:

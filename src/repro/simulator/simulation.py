@@ -144,18 +144,13 @@ class SimulationConfig:
     demand_skew: DemandSkew | None = None
     record_size: int = 1024
     read_fraction: float = 1.0
-    c3_config: C3Config | None = None
-    arrival_rate_per_ms: float | None = None
     max_sim_time_ms: float = 600_000.0
-    load_window_ms: float = 100.0
-    record_rate_history: bool = False
     metrics_mode: str = "exact"
     histogram_relative_error: float = 0.01
     failure_detector: "str | Mapping[str, Any] | ControlSpec" = "binary"
     hedging: "str | Mapping[str, Any] | ControlSpec | None" = None
     kernel: str = "object"
     rng: str = "v1"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Normalize any accepted strategy form to the canonical spec string
@@ -236,9 +231,7 @@ class SimulationConfig:
 
     @property
     def target_arrival_rate_per_ms(self) -> float:
-        """Arrival rate implied by the utilization (unless overridden)."""
-        if self.arrival_rate_per_ms is not None:
-            return self.arrival_rate_per_ms
+        """Arrival rate implied by the utilization."""
         return self.utilization * self.system_capacity_per_ms
 
     def copy(self, **overrides) -> "SimulationConfig":
@@ -261,7 +254,6 @@ class ReplicaSelectionSimulation:
         self.loop = EventLoop()
         self.rng = np.random.default_rng(config.seed)
         self.metrics = MetricsCollector(
-            window_ms=config.load_window_ms,
             metrics_mode=config.metrics_mode,
             histogram_relative_error=config.histogram_relative_error,
         )
@@ -301,7 +293,7 @@ class ReplicaSelectionSimulation:
             server.on_complete = self._make_completion_handler()
             self.servers[sid] = server
 
-        c3_config = cfg.c3_config or C3Config().with_clients(cfg.num_clients)
+        c3_config = C3Config().with_clients(cfg.num_clients)
         strategy_spec = cfg.strategy_spec
         # One detector instance serves every client (liveness is cluster-wide
         # knowledge); hedging policies are per-client, like the coordinator's
@@ -323,7 +315,6 @@ class ReplicaSelectionSimulation:
             selector = strategy_spec.build(
                 rng=selector_rng,
                 server_state_fn=server_state_fn,
-                record_rate_history=cfg.record_rate_history,
                 c3_config=c3_config,
             )
             client_rng = np.random.default_rng(self.rng.integers(2**63))

@@ -89,7 +89,6 @@ def make_selector(
     rng: np.random.Generator | None = None,
     server_state_fn: Callable[[Hashable], tuple[float, float]] | None = None,
     iowait_fn: Callable[[Hashable], float] | None = None,
-    record_rate_history: bool = False,
     **params: Any,
 ) -> ReplicaSelector:
     """Build a selector from a strategy name or parameterized spec.
@@ -109,8 +108,6 @@ def make_selector(
         Ground-truth callback required by the ``ORA`` strategy.
     iowait_fn:
         Gossip callback used by the ``DS`` strategy.
-    record_rate_history:
-        Enables per-server rate traces on the C3 strategy (Figure 13).
     params:
         Strategy parameters, validated against the registered param
         dataclass — unknown names are rejected with a closest-match
@@ -123,6 +120,5 @@ def make_selector(
         rng=rng,
         server_state_fn=server_state_fn,
         iowait_fn=iowait_fn,
-        record_rate_history=record_rate_history,
         c3_config=config,
     )

@@ -52,13 +52,11 @@ def c3_config_from_params(
 ) -> C3Config:
     """Apply explicit spec params over a base :class:`C3Config`.
 
-    The base carries the deployment-derived defaults (notably
-    ``with_clients``); params present in the spec override it field-by-field.
-    Note the canonicalization consequence: a spec param equal to the
-    registered default was dropped at parse time (it means "the paper
-    value"), so it cannot *restore* a default over a base config that
-    diverges from it — when mixing a custom ``c3_config`` with spec params,
-    express every intended override in the spec.
+    The base carries the deployment-derived defaults (``with_clients``);
+    params present in the spec override it field-by-field.  Specs are the
+    one way to set C3 params, and the base differs from ``C3Config()`` only
+    in fields whose param default is ``None`` ("derived"), so the params
+    that parsing drops for equalling their default lose nothing.
     """
     config = base or C3Config()
     overrides = {key: value for key, value in params.items() if value is not None}
@@ -73,7 +71,7 @@ def _validate_c3_params(params: Mapping[str, Any]) -> None:
 
 def _build_c3(params: Mapping[str, Any], ctx: BuildContext) -> "C3Selector":
     config = c3_config_from_params(params, ctx.c3_config)
-    return C3Selector(config=config, record_rate_history=ctx.record_rate_history)
+    return C3Selector(config=config)
 
 
 @register_strategy(
@@ -99,15 +97,16 @@ class C3Selector(ReplicaSelector):
         control.  Remember to call :meth:`C3Config.with_clients` (or set
         ``concurrency_weight``) so the concurrency compensation matches the
         deployment, as the paper prescribes.
-    record_rate_history:
-        Forwarded to the scheduler; enables the Figure 13 rate traces.
+
+    Set ``scheduler.rate_control.record_history`` before the run to keep the
+    per-server rate traces :meth:`rate_history` returns (Figure 13).
     """
 
     name = "C3"
 
-    def __init__(self, config: C3Config | None = None, record_rate_history: bool = False) -> None:
+    def __init__(self, config: C3Config | None = None) -> None:
         self.config = config or C3Config()
-        self.scheduler = C3Scheduler(self.config, record_rate_history=record_rate_history)
+        self.scheduler = C3Scheduler(self.config)
 
     # ------------------------------------------------------------------ sends
     def submit(self, request: object, replica_group: Sequence[Hashable], now: float) -> SelectorDecision:

@@ -61,7 +61,6 @@ class BuildContext:
     rng: np.random.Generator | None = None
     server_state_fn: ServerStateFn | None = None
     iowait_fn: IowaitFn | None = None
-    record_rate_history: bool = False
     c3_config: C3Config | None = None
 
 

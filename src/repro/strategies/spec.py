@@ -4,10 +4,10 @@
 strategy registry — ``"c3"``, ``"C3:score_exponent=3"`` and
 ``{"name": "c3"}`` all normalize to ``"C3"`` — plus the one thing that is
 strategy-specific: building a selector from the runtime
-:class:`~repro.strategies.registry.BuildContext`.  Because "explicitly set
-to the default" and "unset" are indistinguishable, a default-valued param
-cannot override a non-default base ``c3_config`` — put every intended
-override in the spec itself.  The canonical string is what
+:class:`~repro.strategies.registry.BuildContext`.  Specs are the one way to
+set C3 parameters: the context's ``c3_config`` is only the deployment base
+(``C3Config().with_clients(n)``) that a spec's params override.  The
+canonical string is what
 :class:`~repro.simulator.simulation.SimulationConfig` stores, hashes into
 sweep cache keys, and prints in reports — bare strategy names stay
 byte-identical to the pre-registry era.
@@ -36,11 +36,10 @@ class StrategySpec(Spec):
         rng: np.random.Generator | None = None,
         server_state_fn: ServerStateFn | None = None,
         iowait_fn: IowaitFn | None = None,
-        record_rate_history: bool = False,
         c3_config: C3Config | None = None,
     ) -> ReplicaSelector:
         """Instantiate this spec's selector with the given runtime context."""
-        ctx = BuildContext(rng, server_state_fn, iowait_fn, record_rate_history, c3_config)
+        ctx = BuildContext(rng, server_state_fn, iowait_fn, c3_config)
         entry = self.entry
         for requirement in entry.requires:
             if getattr(ctx, requirement) is None:

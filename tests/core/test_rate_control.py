@@ -283,5 +283,7 @@ class TestPerServerRateControl:
         assert control.earliest_availability(["a", "b"], 0.0) > 0.0
 
     def test_record_history_propagates(self, c3_config):
-        control = PerServerRateControl(c3_config, record_history=True)
+        control = PerServerRateControl(c3_config)
+        assert control.record_history is False
+        control.record_history = True  # set after building, before any request
         assert control.controller("x").record_history is True

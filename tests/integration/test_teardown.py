@@ -63,6 +63,11 @@ EXECUTORS = {
 }
 
 
+def record_rate_history(selectors) -> None:
+    for selector in selectors:
+        selector.scheduler.rate_control.record_history = True
+
+
 def crashed(simulation) -> bool:
     return sum(server.crashes for server in simulation.servers.values()) > 0
 
@@ -193,7 +198,8 @@ def test_a_second_run_raises(executor):
 # --------------------------------------------------- post-run inspection
 @pytest.mark.parametrize("kernel", ["object", "batched"])
 def test_flat_run_stays_inspectable(kernel):
-    simulation = flat(strategy="C3", kernel=kernel, record_rate_history=True)()
+    simulation = flat(strategy="C3", kernel=kernel)()
+    record_rate_history(c.selector for c in simulation.clients)
     result = simulation.run()
     loop = simulation.loop
     assert loop.processed_events > 0
@@ -228,7 +234,8 @@ def test_scenario_run_restores_servers_and_stays_inspectable():
 
 
 def test_cluster_run_stays_inspectable():
-    executor = cluster(strategy="C3", record_rate_history=True)()
+    executor = cluster(strategy="C3")()
+    record_rate_history(c.selector for c in executor.coordinators.values())
     result = executor.run()
     loop = executor.loop
     assert loop.processed_events > 0

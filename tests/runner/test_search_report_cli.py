@@ -94,14 +94,14 @@ class TestReportCommand:
         html_output = tmp_path / "report.html"
         assert main([
             "report", "--sweep", str(sweep_json), "--search", str(search_json),
-            "--no-bench", "--output", str(output), "--html", str(html_output),
+            "--output", str(output), "--html", str(html_output),
         ]) == 0
         out = capsys.readouterr().out
         assert f"wrote: {output}" in out and f"wrote: {html_output}" in out
         markdown = output.read_text(encoding="utf-8")
         assert "## Sweep: sweep" in markdown
         assert "**Winner: `C3:gamma=" in markdown
-        assert "Performance trajectory" not in markdown  # --no-bench
+        assert "Performance trajectory" not in markdown  # no --bench given
         page = html_output.read_text(encoding="utf-8")
         assert page.startswith("<!DOCTYPE html>") and "<table>" in page
 

@@ -116,6 +116,28 @@ class TestHashing:
         assert content_hash(config_to_payload(v1)) != content_hash(config_to_payload(block))
         assert payload_to_config(config_to_payload(block)) == block
 
+    #: The retired SimulationConfig fields at the values every payload held.
+    RETIRED = {
+        "arrival_rate_per_ms": None,
+        "c3_config": None,
+        "extra": {},
+        "load_window_ms": 100.0,
+        "record_rate_history": False,
+    }
+
+    def test_legacy_payload_with_retired_fields_roundtrips(self):
+        # Payloads keep the retired keys, so pre-retirement cache keys hold.
+        config = SimulationConfig(num_servers=9, num_requests=123, seed=4)
+        payload = config_to_payload(config)
+        assert {key: payload[key] for key in self.RETIRED} == self.RETIRED
+        assert payload_to_config(payload) == config
+        assert payload_to_config({**payload, **self.RETIRED}) == config
+
+    def test_retired_field_off_its_default_raises(self):
+        payload = {**config_to_payload(SimulationConfig()), "load_window_ms": 50.0}
+        with pytest.raises(ValueError, match="load_window_ms"):
+            payload_to_config(payload)
+
     def test_canonical_json_rejects_unserializable(self):
         with pytest.raises(TypeError):
             canonical_json({"fn": lambda: None})

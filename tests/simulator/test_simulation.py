@@ -21,10 +21,6 @@ class TestSimulationConfig:
         assert config.system_capacity_per_ms == pytest.approx(20.0)
         assert config.target_arrival_rate_per_ms == pytest.approx(10.0)
 
-    def test_explicit_arrival_rate_override(self):
-        config = SimulationConfig(arrival_rate_per_ms=3.0)
-        assert config.target_arrival_rate_per_ms == 3.0
-
     def test_no_fluctuation_rate_factor(self):
         config = SimulationConfig(fluctuation_enabled=False)
         assert config.effective_rate_multiplier == 1.0

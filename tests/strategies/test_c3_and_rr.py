@@ -54,7 +54,8 @@ class TestC3Selector:
         assert selector.scheduler.scorer.outstanding("a") == 0
 
     def test_rate_history_available_when_enabled(self):
-        selector = C3Selector(C3Config(initial_rate=2.0), record_rate_history=True)
+        selector = C3Selector(C3Config(initial_rate=2.0))
+        selector.scheduler.rate_control.record_history = True
         selector.submit("r", ("a",), 0.0)
         assert selector.rate_history("a") == []
         assert "a" in selector.sending_rates()

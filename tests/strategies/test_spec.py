@@ -12,8 +12,8 @@ Three layers of guarantees:
 * **Byte-identity** — configs built from bare strategy names produce the
   exact payloads, cache keys, and simulation digests they produced before
   the registry redesign (pinned pre-redesign hashes), and parameterized
-  specs are behaviourally identical to the legacy ``c3_config`` escape
-  hatch.
+  specs build the same ``C3Config`` the retired ``c3_config`` field was
+  set to by hand.
 
 The first two are the contract of ``tests/registry_contract.py`` (shared with
 the control registry) run over this registry's data, plus the assertions
@@ -27,7 +27,7 @@ from registry_contract import RegistryContract, SpecParsingContract, spec_cases,
 
 from repro.core.config import C3Config
 from repro.runner.spec import config_to_payload, content_hash
-from repro.simulator import SimulationConfig, run_simulation
+from repro.simulator import ReplicaSelectionSimulation, SimulationConfig, run_simulation
 from repro.strategies import (
     STRATEGY_NAMES,
     C3Selector,
@@ -245,25 +245,17 @@ class TestBareNameByteIdentity:
         assert config_to_payload(SimulationConfig(strategy="c3"))["strategy"] == "C3"
 
     def test_spec_equivalent_to_c3_config_escape_hatch(self):
-        # A parameterized spec must reproduce the legacy c3_config path
-        # measurement-for-measurement: same selector configuration, same RNG
-        # draws, same latencies.  (The full digests differ only by design —
-        # they include the strategy label, which the spec run reports in its
-        # parameterized canonical form.)
-        base = dict(num_servers=9, num_clients=10, num_requests=200, utilization=0.6, seed=3)
-        via_spec = run_simulation(SimulationConfig(strategy="c3:b=2,beta=0.4", **base))
-        via_config = run_simulation(
-            SimulationConfig(
-                strategy="C3",
-                c3_config=C3Config(score_exponent=2.0, beta=0.4).with_clients(10),
-                **base,
-            )
+        # The retired SimulationConfig.c3_config field took a hand-built
+        # C3Config; a spec builds the same one over the with_clients base,
+        # so every selector of the run is configured identically.
+        simulation = ReplicaSelectionSimulation(
+            SimulationConfig(strategy="c3:b=2,beta=0.4", num_servers=9, num_clients=10, seed=3)
         )
-        assert via_spec.strategy == "C3:beta=0.4,score_exponent=2.0"
-        assert np.array_equal(via_spec.latencies_ms, via_config.latencies_ms)
-        assert via_spec.summary.as_dict() == via_config.summary.as_dict()
-        assert via_spec.completed_requests == via_config.completed_requests
-        assert via_spec.backpressure_events == via_config.backpressure_events
+        assert simulation.config.strategy == "C3:beta=0.4,score_exponent=2.0"
+        by_hand = C3Config(score_exponent=2.0, beta=0.4).with_clients(10)
+        assert all(client.selector.config == by_hand for client in simulation.clients)
+        with pytest.raises(TypeError):
+            SimulationConfig(c3_config=by_hand)
 
     def test_spec_params_change_the_measurement(self):
         base = dict(num_servers=9, num_clients=10, num_requests=200, utilization=0.9, seed=3)

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.live import LiveTrialConfig
 
 
 class TestParser:
@@ -14,6 +17,25 @@ class TestParser:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
+
+
+    @pytest.mark.parametrize("dest, field", [
+        ("strategy", "strategy"),
+        ("failure_detector", "failure_detector"),
+        ("hedging", "hedging"),
+        ("scenario", "scenario"),
+        ("servers", "num_servers"),
+        ("replication_factor", "replication_factor"),
+        ("duration", "duration_s"),
+        ("warmup", "warmup_s"),
+        ("cooldown", "cooldown_s"),
+        ("rate", "arrival_rate_per_s"),
+        ("service_time", "base_service_ms"),
+        ("seed", "seed"),
+    ])
+    def test_live_flag_defaults_are_the_config_defaults(self, dest, field):
+        defaults = {f.name: f.default for f in dataclasses.fields(LiveTrialConfig)}
+        assert getattr(build_parser().parse_args(["live"]), dest) == defaults[field]
 
 
 class TestCommands:
