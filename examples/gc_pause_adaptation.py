@@ -27,8 +27,9 @@ STRATEGIES = {
 }
 
 
-def build_config(strategy: str, seed: int = 21, duration_ms: float = 3_000.0) -> ClusterConfig:
-    return ClusterConfig(
+def run_with_degraded_node(strategy: str, seed: int = 21) -> dict:
+    duration_ms = 3_000.0
+    config = ClusterConfig(
         num_nodes=7,
         num_generators=80,
         duration_ms=duration_ms,
@@ -37,11 +38,7 @@ def build_config(strategy: str, seed: int = 21, duration_ms: float = 3_000.0) ->
         gc_enabled=False,
         seed=seed,
     )
-
-
-def run_with_degraded_node(strategy: str, seed: int = 21) -> dict:
-    duration_ms = 3_000.0
-    cluster = CassandraCluster(build_config(strategy, seed, duration_ms))
+    cluster = CassandraCluster(config)
     tracked = cluster.node_ids[-1]
     tracked_node = cluster.nodes[tracked]
 

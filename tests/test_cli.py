@@ -18,7 +18,6 @@ class TestParser:
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
 
-
     @pytest.mark.parametrize("dest, field", [
         ("strategy", "strategy"),
         ("failure_detector", "failure_detector"),
