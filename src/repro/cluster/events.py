@@ -11,7 +11,7 @@ are modelled as per-node background processes:
 
 Both are faces of :class:`repro.scenarios.processes.PoissonEpisodes` — the
 episode loop, its two exponential draws and their order live there; a face
-names the pair of node methods an episode calls.  Neither can be stopped:
+names the pair of node methods an episode calls.  Neither is stopped:
 the cluster ends a run by releasing its loop.
 """
 

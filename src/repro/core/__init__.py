@@ -7,7 +7,7 @@ simulation substrate so it can be unit-tested and reused directly.
 from .backpressure import BacklogEntry, BacklogQueue, BackpressureQueues
 from .config import C3Config
 from .cubic import cubic_inflection_ms, gamma_for_saddle
-from .ewma import EWMA, TimeDecayedEWMA
+from .ewma import EWMA
 from .feedback import ServerFeedback
 from .rate_control import (
     CubicRateController,
@@ -34,7 +34,6 @@ __all__ = [
     "ScheduleDecision",
     "ServerFeedback",
     "ServerStats",
-    "TimeDecayedEWMA",
     "cubic_inflection_ms",
     "cubic_rate",
     "cubic_score",

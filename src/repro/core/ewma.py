@@ -1,22 +1,16 @@
 """Exponentially weighted moving averages used by the C3 control loops.
 
 The paper (§3.1) smooths the per-response feedback signals (queue size,
-service time) as well as the client-observed response times with EWMAs.  Two
-variants are provided:
-
-* :class:`EWMA` — classic fixed-weight EWMA, new = alpha * sample + (1-alpha) * old.
-* :class:`TimeDecayedEWMA` — a time-aware EWMA whose effective weight grows
-  with the gap since the previous sample, so that stale state decays when a
-  server has not been contacted for a while.  This mirrors how production
-  implementations (for example the Cassandra patch and the MongoDB port the
-  authors mention) avoid pinning a score to ancient history.
+service time) as well as the client-observed response times with EWMAs:
+:class:`EWMA` is the classic fixed-weight one,
+new = alpha * sample + (1-alpha) * old.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["EWMA", "TimeDecayedEWMA"]
+__all__ = ["EWMA"]
 
 
 class EWMA:
@@ -75,72 +69,3 @@ class EWMA:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EWMA(alpha={self.alpha}, value={self.value:.6g}, count={self._count})"
-
-
-class TimeDecayedEWMA:
-    """An EWMA whose smoothing weight depends on inter-sample gaps.
-
-    The effective per-sample weight is ``1 - exp(-dt / tau)`` where ``dt`` is
-    the time since the previous sample and ``tau`` the decay time constant.
-    Rapid-fire samples therefore change the average slowly (as a small-alpha
-    EWMA would), while a sample arriving after a long silence almost fully
-    replaces the stale value.
-
-    Parameters
-    ----------
-    tau:
-        Decay time constant, in the same time unit the caller uses for
-        timestamps (milliseconds throughout this code base).
-    """
-
-    __slots__ = ("tau", "_value", "_last_time", "_count")
-
-    def __init__(self, tau: float = 100.0) -> None:
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        self.tau = float(tau)
-        self._value: float | None = None
-        self._last_time: float | None = None
-        self._count = 0
-
-    def update(self, sample: float, now: float) -> float:
-        """Fold ``sample`` observed at time ``now`` into the average."""
-        sample = float(sample)
-        if math.isnan(sample):
-            raise ValueError("cannot update TimeDecayedEWMA with NaN")
-        if self._value is None or self._last_time is None:
-            self._value = sample
-        else:
-            dt = max(0.0, float(now) - self._last_time)
-            weight = 1.0 - math.exp(-dt / self.tau)
-            # Guard against a zero gap collapsing the weight entirely: even
-            # back-to-back samples should nudge the average a little.
-            weight = max(weight, 1e-3)
-            self._value = weight * sample + (1.0 - weight) * self._value
-        self._last_time = float(now)
-        self._count += 1
-        return self._value
-
-    @property
-    def value(self) -> float:
-        """Current smoothed value (0.0 when no samples have been observed)."""
-        return 0.0 if self._value is None else self._value
-
-    @property
-    def initialized(self) -> bool:
-        """True once at least one sample has been folded in."""
-        return self._value is not None
-
-    @property
-    def count(self) -> int:
-        """Number of samples folded in via :meth:`update`."""
-        return self._count
-
-    def reset(self) -> None:
-        """Discard all state."""
-        self._value = None
-        self._last_time = None
-        self._count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TimeDecayedEWMA(tau={self.tau}, value={self.value:.6g}, count={self._count})"

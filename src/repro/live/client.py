@@ -226,8 +226,6 @@ class LiveLoadClient:
         """Milliseconds since this client was constructed (monotonic)."""
         return (time.monotonic() - self._epoch) * 1000.0
 
-    _now_ms = now_ms
-
     # ---------------------------------------------------------- connection
     async def connect(self) -> None:
         for sid, (host, port) in enumerate(self.addresses):
@@ -260,19 +258,19 @@ class LiveLoadClient:
     async def run(self, duration_s: float, drain_grace_s: float | None = None) -> LiveClientResult:
         """Offer the schedule's load for ``duration_s``, then drain open operations."""
         reaper = asyncio.create_task(self._reap_timeouts(), name="reaper")
-        start_ms = self._now_ms()
+        start_ms = self.now_ms()
         try:
             for due_ms, group, kind in self.schedule(duration_s):
                 due_ms += start_ms
                 # Always a yield, even when late: response readers run
                 # between the issues of a catch-up burst.
-                await asyncio.sleep(max(due_ms - self._now_ms(), 0.0) / 1000.0)
+                await asyncio.sleep(max(due_ms - self.now_ms(), 0.0) / 1000.0)
                 if self._stop:
                     break
                 self._issue(group, kind, due_ms)
             grace = self.request_timeout_ms / 1000.0 if drain_grace_s is None else drain_grace_s
-            drain_until = self._now_ms() + grace * 1000.0
-            while self._ops and self._now_ms() < drain_until:
+            drain_until = self.now_ms() + grace * 1000.0
+            while self._ops and self.now_ms() < drain_until:
                 await asyncio.sleep(0.01)
         finally:
             self._stop = True
@@ -286,7 +284,7 @@ class LiveLoadClient:
 
     # --------------------------------------------------------------- issue
     def _issue(self, group: tuple[int, ...], kind: str, due_ms: float) -> None:
-        now = self._now_ms()
+        now = self.now_ms()
         self.slips_ms.append(now - due_ms)
         op_id = self._next_id
         self._next_id += 1
@@ -334,7 +332,7 @@ class LiveLoadClient:
             if self._stop:
                 return
             parked, self._parked = self._parked, []
-            now = self._now_ms()
+            now = self.now_ms()
             for op in parked:
                 if not op.done:
                     self._submit(op, now)
@@ -348,7 +346,7 @@ class LiveLoadClient:
         await asyncio.sleep(delay_ms / 1000.0)
         if self._stop:
             return
-        now = self._now_ms()
+        now = self.now_ms()
         self._send_released(self.selector.drain_backlog(now), now)
         if self.selector.pending_backlog():
             retry = self.selector.next_retry_ms(now)
@@ -402,7 +400,7 @@ class LiveLoadClient:
             await asyncio.sleep(threshold / 1000.0)
             if self._stop or op.done:
                 return
-            now = self._now_ms()
+            now = self.now_ms()
             unused = [s for s in op.group if s not in op.used]
             candidates = unused
             if self.detector is not None and self.detector.suspicious():
@@ -436,7 +434,7 @@ class LiveLoadClient:
                 self._on_response(message)
 
     def _on_response(self, message: dict) -> None:
-        now = self._now_ms()
+        now = self.now_ms()
         pending = self._pending.pop(int(message["id"]), None)
         if pending is None:
             return  # already timed out
@@ -474,7 +472,7 @@ class LiveLoadClient:
     async def _reap_timeouts(self) -> None:
         while not self._stop:
             await asyncio.sleep(_REAPER_INTERVAL_MS / 1000.0)
-            now = self._now_ms()
+            now = self.now_ms()
             # Wire requests: hand the slot of each unanswered one back.
             expired = [wid for wid, p in self._pending.items() if p.deadline_ms <= now]
             for wire_id in expired:

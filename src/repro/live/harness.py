@@ -17,6 +17,9 @@ Underscores are accepted and normalized (``slow_node`` == ``slow-node``).
 The live backend supports ``baseline``, ``slow-node``, ``gc-storm``, and
 ``crash-recovery``; the rest describe simulator-only mechanisms (network
 jitter models, demand skew) and are rejected with a clear error.
+``slow-node`` and ``crash-recovery`` replay the simulator component's own
+timeline (:func:`scenario_schedule`); ``gc-storm`` is the one live-specific
+mapping (:func:`_gc_storm_driver`).
 
 Each trial writes a self-describing artifact directory::
 
@@ -47,7 +50,9 @@ import numpy as np
 from ..analysis.histogram import LatencyHistogram
 from ..controls.spec import ControlSpec
 from ..runner.spec import content_hash
-from ..scenarios import get_scenario
+from ..scenarios import ScriptedComponent, build_scenario, get_scenario
+from ..scenarios.components import Edge
+from ..simulator.simulation import SimulationConfig
 from ..strategies.spec import StrategySpec
 from .client import LiveLoadClient
 from .protocol import read_message, write_message
@@ -132,6 +137,9 @@ class LiveTrialConfig:
                 f"warmup_s + cooldown_s ({self.warmup_s + self.cooldown_s}) must leave a "
                 f"measurement window inside duration_s ({self.duration_s})"
             )
+        # The timeline is the simulator's, so a knob it rejects (a target
+        # outside the cluster, say) fails here with the simulator's message.
+        scenario_schedule(self)
 
     def config_payload(self) -> dict[str, Any]:
         """Every field, JSON-serializable, canonical strings throughout."""
@@ -226,36 +234,27 @@ def write_artifacts(
 
 
 # ------------------------------------------------------------------ scenario
-def scenario_schedule(config: LiveTrialConfig) -> list[tuple[float, int, dict[str, Any]]]:
-    """The deterministic control-op schedule: ``(at_ms, server_id, op)``.
+def scenario_schedule(config: LiveTrialConfig) -> list[Edge]:
+    """The scenario's scripted control ops: ``(at_ms, server_id, op)``.
 
-    Covers ``slow-node`` and ``crash-recovery`` (whose sim components are
-    time-table driven); ``gc-storm`` is stochastic and handled by
+    These are the simulator's own edges for the same knobs and server count
+    (:meth:`ScriptedComponent.edges`), in the order its event loop fires
+    them.  ``gc-storm`` is stochastic and has none; it is handled by
     :func:`_gc_storm_driver`.  Times are relative to trial start.
     """
-    params = config.scenario_params
-    ops: list[tuple[float, int, dict[str, Any]]] = []
-    if config.scenario == "slow-node":
-        target = int(params["target"]) % config.num_servers
-        ops.append((float(params["start_ms"]), target, {"op": "slow", "factor": float(params["factor"])}))
-        if params["end_ms"] is not None:
-            ops.append((float(params["end_ms"]), target, {"op": "slow", "factor": 1.0}))
-    elif config.scenario == "crash-recovery":
-        targets = params["targets"]
-        if targets is None:
-            targets = [0]
-        first_at = float(params["first_at_ms"])
-        down_ms = float(params["down_ms"])
-        stagger = float(params["stagger_ms"])
-        period = float(params["period_ms"])
-        for repeat in range(int(params["repeats"])):
-            for index, raw in enumerate(targets):
-                sid = int(raw) % config.num_servers
-                crash_at = first_at + index * stagger + repeat * period
-                ops.append((crash_at, sid, {"op": "crash"}))
-                ops.append((crash_at + down_ms, sid, {"op": "restore"}))
-    ops.sort(key=lambda item: item[0])
-    return ops
+    simulated = SimulationConfig(
+        num_servers=config.num_servers,
+        replication_factor=config.replication_factor,
+        scenario=config.scenario,
+        scenario_params=dict(config.scenario_params),
+    )
+    edges = [
+        edge
+        for component in build_scenario(simulated).components
+        if isinstance(component, ScriptedComponent)
+        for edge in component.edges(config.num_servers)
+    ]
+    return sorted(edges, key=lambda edge: edge[0])
 
 
 async def _gc_storm_driver(

@@ -1,14 +1,14 @@
 """Composable fault/perturbation scenarios for the simulator.
 
-Three layers:
+Two layers:
 
-* :mod:`repro.scenarios.processes` — imperative, loop-attached perturbation
-  processes (the primitives; the three paper-era ones are also exported
-  from :mod:`repro.simulator`), among them ``PoissonEpisodes``, the one
-  begin → last → end → repeat loop that ``TransientSlowdowns`` and the
-  cluster's compaction and GC-pause processes are faces of;
-* :mod:`repro.scenarios.components` — declarative components that
-  instantiate the processes against a :class:`ScenarioContext`;
+* :mod:`repro.scenarios.components` — declarative components that schedule
+  and undo their own edges against a :class:`ScenarioContext`.  The scripted
+  ones (``SlowServers``, ``CrashWindows``) are a list of control edges that
+  the live harness replays as it is; ``BimodalServiceRates`` and ``GCPauses``
+  run the two loops of :mod:`repro.scenarios.processes`, which the legacy
+  fluctuation path and the cluster's compaction and GC-pause processes
+  share;
 * :mod:`repro.scenarios.registry` — named builtin scenarios
   (``baseline``, ``bimodal``, ``gc-storm``, ``crash-recovery``,
   ``slow-node``, ``network-jitter``, ``load-spike``, ``heterogeneous``)
@@ -24,15 +24,10 @@ from .components import (
     HeterogeneousServiceRates,
     LoadSpike,
     NetworkDelayChange,
+    ScriptedComponent,
     SlowServers,
 )
-from .processes import (
-    ArrivalRateSchedule,
-    BimodalFluctuation,
-    CrashSchedule,
-    LatencyInflation,
-    TransientSlowdowns,
-)
+from .processes import BimodalFluctuation
 from .registry import (
     ScenarioDefinition,
     build_scenario,
@@ -44,22 +39,19 @@ from .registry import (
 )
 
 __all__ = [
-    "ArrivalRateSchedule",
     "BimodalFluctuation",
     "BimodalServiceRates",
-    "CrashSchedule",
     "CrashWindows",
     "GCPauses",
     "HeterogeneousServiceRates",
-    "LatencyInflation",
     "LoadSpike",
     "NetworkDelayChange",
     "Scenario",
     "ScenarioComponent",
     "ScenarioContext",
     "ScenarioDefinition",
+    "ScriptedComponent",
     "SlowServers",
-    "TransientSlowdowns",
     "build_scenario",
     "get_scenario",
     "register_scenario",

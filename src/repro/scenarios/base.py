@@ -3,11 +3,10 @@
 A :class:`Scenario` is a named, ordered list of
 :class:`ScenarioComponent` instances.  Components are declarative
 descriptions ("GC pauses on all servers", "crash server 0 at t=250 ms for
-400 ms"); when the simulation starts they attach imperative processes
-(:mod:`repro.scenarios.processes`) to the event loop through a
-:class:`ScenarioContext`, which exposes the attachment points the simulator
-offers — servers, the network model, the workload arrival process, and a
-seeded RNG stream.
+400 ms"); when the simulation starts they schedule their edges on the event
+loop through a :class:`ScenarioContext`, which exposes the attachment points
+the simulator offers — servers, the network model, the workload arrival
+process, and a seeded RNG stream.
 
 Determinism: every random decision inside a scenario draws from RNGs spawned
 via :meth:`ScenarioContext.spawn_rng`, which derive deterministically from
@@ -19,7 +18,7 @@ digest suite pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -30,7 +29,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
     from ..simulator.workload import PoissonArrivalProcess
 
-__all__ = ["Scenario", "ScenarioComponent", "ScenarioContext"]
+__all__ = ["Scenario", "ScenarioComponent", "ScenarioContext", "target_indices"]
+
+
+def target_indices(targets: Any, num_servers: int) -> list[int]:
+    """Resolve a declarative target spec into server indexes in ``range(num_servers)``.
+
+    Accepted specs:
+
+    * ``"all"`` / ``None`` — every server;
+    * an ``int`` — the server at that index (negative indexes allowed);
+    * a ``float`` fraction in (0, 1) — the first ``round(f × N)``
+      servers (at least one);
+    * a sequence of ``int`` indexes.
+    """
+    if targets is None or targets == "all":
+        return list(range(num_servers))
+    if isinstance(targets, bool):
+        raise ValueError("targets must not be a bool")
+    if isinstance(targets, int):
+        return [_index(targets, num_servers)]
+    if isinstance(targets, float):
+        if not 0.0 < targets < 1.0:
+            raise ValueError("fractional targets must be in (0, 1)")
+        return list(range(max(1, round(targets * num_servers))))
+    return [_index(int(i), num_servers) for i in targets]
+
+
+def _index(index: int, num_servers: int) -> int:
+    if not -num_servers <= index < num_servers:
+        raise ValueError(f"scenario target index {index} is out of range for {num_servers} servers")
+    return index % num_servers
 
 
 class ScenarioContext:
@@ -73,38 +102,9 @@ class ScenarioContext:
         return np.random.default_rng(self.rng.integers(2**63))
 
     # -------------------------------------------------------------- targets
-    def resolve_targets(self, targets) -> list["SimServer"]:
-        """Resolve a declarative target spec into concrete servers.
-
-        Accepted specs:
-
-        * ``"all"`` / ``None`` — every server;
-        * an ``int`` — the server at that index (negative indexes allowed);
-        * a ``float`` fraction in (0, 1) — the first ``round(f × N)``
-          servers (at least one);
-        * a sequence of ``int`` indexes.
-        """
-        servers = self.servers
-        if targets is None or targets == "all":
-            return list(servers)
-        if isinstance(targets, bool):
-            raise ValueError("targets must not be a bool")
-        if isinstance(targets, int):
-            return [self._server_at(targets)]
-        if isinstance(targets, float):
-            if not 0.0 < targets < 1.0:
-                raise ValueError("fractional targets must be in (0, 1)")
-            count = max(1, round(targets * len(servers)))
-            return list(servers[:count])
-        return [self._server_at(int(i)) for i in targets]
-
-    def _server_at(self, index: int) -> "SimServer":
-        if not -len(self.servers) <= index < len(self.servers):
-            raise ValueError(
-                f"scenario target index {index} is out of range for "
-                f"{len(self.servers)} servers"
-            )
-        return self.servers[index]
+    def resolve_targets(self, targets: Any) -> list["SimServer"]:
+        """The servers a target spec names (see :func:`target_indices`)."""
+        return [self.servers[i] for i in target_indices(targets, len(self.servers))]
 
     # -------------------------------------------------------------- network
     @property
@@ -134,9 +134,9 @@ class ScenarioContext:
 class ScenarioComponent:
     """One composable perturbation.
 
-    Subclasses implement :meth:`start` (attach processes / schedule events on
-    the context) and may override :meth:`stop` to tear their perturbation
-    down so event loops and servers can be reused.
+    Subclasses implement :meth:`start` (schedule their edges on the context)
+    and may override :meth:`stop` to tear their perturbation down so event
+    loops and servers can be reused.
     """
 
     def start(self, ctx: ScenarioContext) -> None:

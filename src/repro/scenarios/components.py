@@ -1,36 +1,46 @@
 """Declarative scenario components.
 
-Each component is a frozen dataclass of plain-JSON-able knobs; ``start``
-instantiates the corresponding imperative process from
-:mod:`repro.scenarios.processes` (or schedules events directly) against a
-:class:`~repro.scenarios.base.ScenarioContext`.  Components are the
-vocabulary builtin scenarios are written in, and the intended extension
-point for new ones: a new workload is a new combination of these (or one new
-component), not a new simulator code path.
+Each component is a frozen dataclass of plain-JSON-able knobs whose ``start``
+schedules its own edges against a
+:class:`~repro.scenarios.base.ScenarioContext` and whose ``stop`` undoes
+them.  Components are the vocabulary builtin scenarios are written in, and
+the intended extension point for new ones: a new workload is a new
+combination of these (or one new component), not a new simulator code path.
+
+The scripted components (:class:`SlowServers`, :class:`CrashWindows`) are
+their :meth:`~ScriptedComponent.edges`: ``(at_ms, server_index, op)`` in the
+live control vocabulary (``{"op": "slow", "factor": f}``,
+``{"op": "crash"}``, ``{"op": "restore"}``).  The simulator schedules that
+list on its event loop and the live harness replays it over the control
+channel, so both backends run one timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
+from typing import TYPE_CHECKING, Any
 
-from .base import ScenarioComponent, ScenarioContext
-from .processes import (
-    ArrivalRateSchedule,
-    BimodalFluctuation,
-    CrashSchedule,
-    LatencyInflation,
-    TransientSlowdowns,
-)
+from .base import ScenarioComponent, ScenarioContext, target_indices
+from .processes import BimodalFluctuation, PoissonEpisodes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..simulator.server import SimServer
 
 __all__ = [
     "BimodalServiceRates",
     "CrashWindows",
+    "Edge",
     "GCPauses",
     "HeterogeneousServiceRates",
     "LoadSpike",
     "NetworkDelayChange",
+    "ScriptedComponent",
     "SlowServers",
 ]
+
+#: One scripted control edge: ``(at_ms, server_index, op)``.
+Edge = tuple[float, int, dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,11 @@ class BimodalServiceRates(ScenarioComponent):
 
 @dataclass(frozen=True)
 class GCPauses(ScenarioComponent):
-    """Poisson-arriving GC-pause-like slowdowns on the target servers."""
+    """Poisson-arriving GC-pause-like slowdowns on the target servers.
+
+    Each pause slows its server by ``slowdown_factor`` for an exponentially
+    distributed duration; pauses arrive per server as a Poisson process.
+    """
 
     mean_interarrival_ms: float = 1000.0
     mean_duration_ms: float = 100.0
@@ -73,23 +87,78 @@ class GCPauses(ScenarioComponent):
     targets: object = "all"
 
     def start(self, ctx: ScenarioContext) -> None:
-        process = TransientSlowdowns(
-            loop=ctx.loop,
-            servers=ctx.resolve_targets(self.targets),
-            mean_interarrival_ms=self.mean_interarrival_ms,
-            mean_duration_ms=self.mean_duration_ms,
-            slowdown_factor=self.slowdown_factor,
-            rng=ctx.spawn_rng(),
+        servers = ctx.resolve_targets(self.targets)
+        rng = ctx.spawn_rng()
+        if self.slowdown_factor <= 0:
+            raise ValueError("slowdown_factor must be positive")
+        # The factor is keyed by a token, not by the episode loop: the actions
+        # live on the loop, and one that held the loop would be a cycle.
+        source = object()
+        episodes = PoissonEpisodes(
+            ctx.loop,
+            servers,
+            self.mean_interarrival_ms,
+            self.mean_duration_ms,
+            rng,
+            None,
+            begin=methodcaller("set_service_time_multiplier", float(self.slowdown_factor), source=source),
+            end=methodcaller("set_service_time_multiplier", 1.0, source=source),
         )
-        object.__setattr__(self, "_process", process)
-        process.start()
+        object.__setattr__(self, "_episodes", episodes)
+        episodes.start()
 
     def stop(self) -> None:
-        getattr(self, "_process").stop()
+        getattr(self, "_episodes").stop()
+
+
+def _apply(server: "SimServer", op: dict[str, Any], source: object) -> None:
+    """Apply one control edge to a simulated server."""
+    if op["op"] == "slow":
+        server.set_service_time_multiplier(op["factor"], source=source)
+    elif op["op"] == "crash":
+        server.crash()
+    else:
+        server.restore()
+
+
+class ScriptedComponent(ScenarioComponent):
+    """A component whose perturbation is a fixed timeline of control edges.
+
+    :meth:`edges` is the one definition of that timeline.  ``start``
+    schedules every edge on the loop in list order; ``stop`` cancels what is
+    still pending and undoes every edge: a slowdown is withdrawn and a
+    crashed server restored.
+    """
+
+    def edges(self, num_servers: int) -> list[Edge]:
+        """The timeline on ``num_servers`` servers, in scheduling order."""
+        raise NotImplementedError
+
+    def start(self, ctx: ScenarioContext) -> None:
+        # Speed factors are keyed by a token of this start, so that two equal
+        # components compose instead of sharing one factor.
+        source = object()
+        events = []
+        applied = []
+        for at_ms, index, op in self.edges(len(ctx.servers)):
+            server = ctx.servers[index]
+            events.append(ctx.loop.schedule_at(at_ms, _apply, server, op, source))
+            applied.append((server, op))
+        object.__setattr__(self, "_undo", (events, applied, source))
+
+    def stop(self) -> None:
+        events, applied, source = getattr(self, "_undo")
+        for event in events:
+            event.cancel()
+        for server, op in applied:
+            if op["op"] == "slow":
+                server.set_service_time_multiplier(1.0, source=source)
+            else:
+                server.restore()
 
 
 @dataclass(frozen=True)
-class SlowServers(ScenarioComponent):
+class SlowServers(ScriptedComponent):
     """Scripted slowdown episodes on the target servers.
 
     ``end_ms=None`` makes the slowdown permanent — a heterogeneity /
@@ -101,29 +170,30 @@ class SlowServers(ScenarioComponent):
     end_ms: float | None = None
     targets: object = 0
 
-    def start(self, ctx: ScenarioContext) -> None:
-        processes = []
-        for server in ctx.resolve_targets(self.targets):
-            process = LatencyInflation(
-                ctx.loop, server, episodes=[(self.start_ms, self.end_ms, self.factor)]
-            )
-            process.start()
-            processes.append(process)
-        object.__setattr__(self, "_processes", processes)
-
-    def stop(self) -> None:
-        for process in getattr(self, "_processes"):
-            process.stop()
+    def edges(self, num_servers: int) -> list[Edge]:
+        indices = target_indices(self.targets, num_servers)
+        if self.end_ms is not None and self.end_ms <= self.start_ms:
+            raise ValueError(f"episode end must follow start: {(self.start_ms, self.end_ms)}")
+        if self.factor <= 0:
+            raise ValueError("slowdown factor must be positive")
+        edges: list[Edge] = []
+        for index in indices:
+            edges.append((self.start_ms, index, {"op": "slow", "factor": float(self.factor)}))
+            if self.end_ms is not None:
+                edges.append((self.end_ms, index, {"op": "slow", "factor": 1.0}))
+        return edges
 
 
 @dataclass(frozen=True)
-class CrashWindows(ScenarioComponent):
+class CrashWindows(ScriptedComponent):
     """Crash + restart the target servers on a staggered schedule.
 
     Target server ``k`` (in resolution order) crashes at
     ``first_at_ms + k × stagger_ms`` and restarts ``down_ms`` later
     (``down_ms=None`` = permanent failure).  ``repeats`` > 1 replays the
-    window every ``period_ms``.
+    window every ``period_ms``.  While a server is down it starts no new
+    service and clients route around it; requests already on the network
+    queue and resume when it restarts (see :meth:`SimServer.crash`).
     """
 
     first_at_ms: float = 250.0
@@ -133,21 +203,22 @@ class CrashWindows(ScenarioComponent):
     period_ms: float = 2000.0
     targets: object = (0,)
 
-    def start(self, ctx: ScenarioContext) -> None:
+    def edges(self, num_servers: int) -> list[Edge]:
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        windows = []
-        for k, server in enumerate(ctx.resolve_targets(self.targets)):
+        edges: list[Edge] = []
+        for k, index in enumerate(target_indices(self.targets, num_servers)):
             for r in range(self.repeats):
                 start = self.first_at_ms + k * self.stagger_ms + r * self.period_ms
-                end = None if self.down_ms is None else start + self.down_ms
-                windows.append((server, start, end))
-        process = CrashSchedule(ctx.loop, windows)
-        object.__setattr__(self, "_process", process)
-        process.start()
-
-    def stop(self) -> None:
-        getattr(self, "_process").stop()
+                if start < 0:
+                    raise ValueError("crash start must be non-negative")
+                edges.append((start, index, {"op": "crash"}))
+                if self.down_ms is not None:
+                    end = start + self.down_ms
+                    if end <= start:
+                        raise ValueError(f"crash window end must follow start: {(start, end)}")
+                    edges.append((end, index, {"op": "restore"}))
+        return edges
 
 
 @dataclass(frozen=True)
@@ -165,8 +236,9 @@ class NetworkDelayChange(ScenarioComponent):
     jitter_ms: float = 0.0
 
     def start(self, ctx: ScenarioContext) -> None:
-        from ..simulator.network import ConstantLatency, JitteredLatency
+        from ..simulator.network import ConstantLatency, JitteredLatency, NetworkModel
 
+        model: NetworkModel
         if self.jitter_ms > 0:
             model = JitteredLatency(self.delay_ms, self.jitter_ms, rng=ctx.spawn_rng())
         else:
@@ -185,7 +257,11 @@ class NetworkDelayChange(ScenarioComponent):
 
 @dataclass(frozen=True)
 class LoadSpike(ScenarioComponent):
-    """Multiply the arrival rate by ``factor`` between ``start_ms`` and ``end_ms``."""
+    """Multiply the arrival rate by ``factor`` between ``start_ms`` and ``end_ms``.
+
+    The base rate is the one the arrival process has when the component
+    starts; ``end_ms=None`` keeps the spike to the end of the run.
+    """
 
     start_ms: float = 500.0
     end_ms: float | None = 1000.0
@@ -197,12 +273,20 @@ class LoadSpike(ScenarioComponent):
             if self.end_ms <= self.start_ms:
                 raise ValueError("end_ms must follow start_ms")
             steps.append((self.end_ms, 1.0))
-        process = ArrivalRateSchedule(ctx.loop, ctx.arrival_process, steps)
-        object.__setattr__(self, "_process", process)
-        process.start()
+        if self.start_ms < 0:
+            raise ValueError("step time must be non-negative")
+        if self.factor <= 0:
+            raise ValueError("rate factor must be positive")
+        process = ctx.arrival_process
+        base_rate = process.rate_per_ms
+        events = [ctx.loop.schedule_at(at, process.set_rate, base_rate * factor) for at, factor in steps]
+        object.__setattr__(self, "_undo", (events, process, base_rate))
 
     def stop(self) -> None:
-        getattr(self, "_process").stop()
+        events, process, base_rate = getattr(self, "_undo")
+        for event in events:
+            event.cancel()
+        process.set_rate(base_rate)
 
 
 @dataclass(frozen=True)

@@ -115,16 +115,20 @@ def validate_scenario(name: str, params: Mapping[str, Any] | None = None) -> Non
     get_scenario(name).resolve_params(params)
 
 
-def build_scenario(config: "SimulationConfig") -> Scenario:
-    """Build the scenario named by ``config.scenario`` for this run."""
+def _definition(config: "SimulationConfig") -> ScenarioDefinition:
     if config.scenario is None:
         raise ValueError("config.scenario is None; nothing to build")
-    return get_scenario(config.scenario).build(config)
+    return get_scenario(config.scenario)
+
+
+def build_scenario(config: "SimulationConfig") -> Scenario:
+    """Build the scenario named by ``config.scenario`` for this run."""
+    return _definition(config).build(config)
 
 
 def scenario_rate_factor(config: "SimulationConfig") -> float:
     """The scenario's mean service-rate multiplier (for load sizing)."""
-    definition = get_scenario(config.scenario)
+    definition = _definition(config)
     params = definition.resolve_params(config.scenario_params)
     if definition.rate_factor is None:
         return 1.0
@@ -144,32 +148,25 @@ register_scenario(
 )
 
 
+def _bimodal_multiplier(config: "SimulationConfig", params: dict) -> float:
+    multiplier = params["rate_multiplier"]
+    return config.fluctuation_multiplier if multiplier is None else multiplier
+
+
 def _bimodal_components(config: "SimulationConfig", params: dict) -> Sequence[ScenarioComponent]:
+    interval_ms = params["interval_ms"]
     return (
         BimodalServiceRates(
-            interval_ms=(
-                config.fluctuation_interval_ms
-                if params["interval_ms"] is None
-                else params["interval_ms"]
-            ),
-            rate_multiplier=(
-                config.fluctuation_multiplier
-                if params["rate_multiplier"] is None
-                else params["rate_multiplier"]
-            ),
+            interval_ms=config.fluctuation_interval_ms if interval_ms is None else interval_ms,
+            rate_multiplier=_bimodal_multiplier(config, params),
             fast_probability=params["fast_probability"],
         ),
     )
 
 
 def _bimodal_rate_factor(config: "SimulationConfig", params: dict) -> float:
-    multiplier = (
-        config.fluctuation_multiplier
-        if params["rate_multiplier"] is None
-        else params["rate_multiplier"]
-    )
     fast = params["fast_probability"]
-    return (1.0 - fast) + fast * multiplier
+    return (1.0 - fast) + fast * _bimodal_multiplier(config, params)
 
 
 register_scenario(
@@ -200,6 +197,7 @@ register_scenario(
         },
     )
 )
+
 
 def _crash_recovery_components(config: "SimulationConfig", params: dict) -> Sequence[ScenarioComponent]:
     targets = params["targets"]
@@ -251,25 +249,24 @@ register_scenario(
     )
 )
 
+
+def _network_jitter_components(config: "SimulationConfig", params: dict) -> Sequence[ScenarioComponent]:
+    delay_ms = params["delay_ms"]
+    jitter_ms = params["jitter_ms"]
+    return (
+        NetworkDelayChange(
+            at_ms=params["at_ms"],
+            delay_ms=2.0 * config.network_delay_ms if delay_ms is None else delay_ms,
+            jitter_ms=1.6 * config.network_delay_ms if jitter_ms is None else jitter_ms,
+        ),
+    )
+
+
 register_scenario(
     ScenarioDefinition(
         name="network-jitter",
         description="Network latency becomes jittery mid-run (EC2-like variance)",
-        factory=lambda config, params: (
-            NetworkDelayChange(
-                at_ms=params["at_ms"],
-                delay_ms=(
-                    2.0 * config.network_delay_ms
-                    if params["delay_ms"] is None
-                    else params["delay_ms"]
-                ),
-                jitter_ms=(
-                    1.6 * config.network_delay_ms
-                    if params["jitter_ms"] is None
-                    else params["jitter_ms"]
-                ),
-            ),
-        ),
+        factory=_network_jitter_components,
         knobs={"at_ms": 250.0, "delay_ms": None, "jitter_ms": None},
     )
 )
@@ -293,9 +290,7 @@ register_scenario(
     ScenarioDefinition(
         name="heterogeneous",
         description="Static per-server speed diversity (unequal machines)",
-        factory=lambda config, params: (
-            HeterogeneousServiceRates(spread=params["spread"]),
-        ),
+        factory=lambda config, params: (HeterogeneousServiceRates(spread=params["spread"]),),
         knobs={"spread": 2.5},
     )
 )

@@ -1,6 +1,6 @@
 """The flat discrete-event simulation substrate (§6 of the paper)."""
 
-from ..scenarios.processes import BimodalFluctuation, LatencyInflation, TransientSlowdowns
+from ..scenarios.processes import BimodalFluctuation
 from .engine import Event, EventLoop, SimulationError
 from .metrics import METRICS_MODES, MetricsCollector, SimulationResult, WindowedCounter
 from .network import ConstantLatency, JitteredLatency, LognormalLatency, NetworkModel
@@ -20,7 +20,6 @@ __all__ = [
     "Event",
     "EventLoop",
     "JitteredLatency",
-    "LatencyInflation",
     "LognormalLatency",
     "MetricsCollector",
     "NetworkModel",
@@ -33,7 +32,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationError",
     "SimulationResult",
-    "TransientSlowdowns",
     "WindowedCounter",
     "WorkloadGenerator",
     "replica_groups",

@@ -1,5 +1,8 @@
 """Unit tests for gossip, background events and the cluster node."""
 
+from functools import partial
+from operator import methodcaller
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from repro.cluster.events import CompactionProcess, GCPauseProcess
 from repro.cluster.gossip import GossipService
 from repro.cluster.node import ClusterNode
 from repro.cluster.storage import StorageEngine
-from repro.scenarios.processes import TransientSlowdowns
+from repro.scenarios.processes import PoissonEpisodes
 from repro.simulator.engine import EventLoop
 from repro.simulator.request import Request, RequestKind
 
@@ -104,10 +107,13 @@ class TestBackgroundEvents:
     @pytest.mark.parametrize(
         "face, duration_kwarg",
         [(CompactionProcess, "mean_duration_ms"), (GCPauseProcess, "mean_pause_ms"),
-         (TransientSlowdowns, "mean_duration_ms")],
+         pytest.param(
+             partial(PoissonEpisodes, begin=methodcaller("begin"), end=methodcaller("end")),
+             "mean_duration_ms", id="PoissonEpisodes-mean_duration_ms",
+         )],
     )
     def test_episode_sequence_is_pinned(self, face, duration_kwarg):
-        """The three faces of the one Poisson episode loop draw and schedule alike.
+        """The one Poisson episode loop and its two cluster faces draw and schedule alike.
 
         Captured from the three separate loops this one replaced.  Both draws
         come off one shared ``rng`` as edges fire — the gap as a target's
@@ -129,9 +135,6 @@ class TestBackgroundEvents:
 
             begin_compaction = begin_gc_pause = begin
             end_compaction = end_gc_pause = end
-
-            def set_service_time_multiplier(self, multiplier, source=None):
-                (self.end if multiplier == 1.0 else self.begin)()
 
         episodes = []
         process = face(

@@ -1,10 +1,8 @@
 """Unit tests for the EWMA primitives."""
 
-import math
-
 import pytest
 
-from repro.core.ewma import EWMA, TimeDecayedEWMA
+from repro.core.ewma import EWMA
 
 
 class TestEWMA:
@@ -72,52 +70,3 @@ class TestEWMA:
         for _ in range(200):
             ewma.update(42.0)
         assert ewma.value == pytest.approx(42.0)
-
-
-class TestTimeDecayedEWMA:
-    def test_first_sample_seeds_value(self):
-        ewma = TimeDecayedEWMA(tau=50.0)
-        ewma.update(12.0, now=0.0)
-        assert ewma.value == 12.0
-
-    def test_long_gap_nearly_replaces_value(self):
-        ewma = TimeDecayedEWMA(tau=10.0)
-        ewma.update(100.0, now=0.0)
-        ewma.update(0.0, now=1000.0)
-        assert ewma.value == pytest.approx(0.0, abs=1e-6)
-
-    def test_short_gap_changes_value_slowly(self):
-        ewma = TimeDecayedEWMA(tau=1000.0)
-        ewma.update(100.0, now=0.0)
-        ewma.update(0.0, now=1.0)
-        assert ewma.value > 90.0
-
-    def test_weight_matches_exponential_formula(self):
-        tau, dt = 20.0, 5.0
-        ewma = TimeDecayedEWMA(tau=tau)
-        ewma.update(10.0, now=0.0)
-        ewma.update(30.0, now=dt)
-        weight = 1.0 - math.exp(-dt / tau)
-        assert ewma.value == pytest.approx(weight * 30.0 + (1 - weight) * 10.0)
-
-    def test_zero_gap_still_moves_value(self):
-        ewma = TimeDecayedEWMA(tau=100.0)
-        ewma.update(0.0, now=5.0)
-        ewma.update(100.0, now=5.0)
-        assert ewma.value > 0.0
-
-    def test_invalid_tau_rejected(self):
-        with pytest.raises(ValueError):
-            TimeDecayedEWMA(tau=0.0)
-
-    def test_nan_rejected(self):
-        ewma = TimeDecayedEWMA()
-        with pytest.raises(ValueError):
-            ewma.update(float("nan"), now=0.0)
-
-    def test_reset(self):
-        ewma = TimeDecayedEWMA()
-        ewma.update(5.0, now=1.0)
-        ewma.reset()
-        assert not ewma.initialized
-        assert ewma.count == 0

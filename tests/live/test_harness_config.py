@@ -1,6 +1,11 @@
 """Unit tests for live trial configuration, scheduling, and payloads."""
 
+import re
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.live.harness import (
     LiveTrialConfig,
@@ -8,6 +13,9 @@ from repro.live.harness import (
     payload_digest,
     scenario_schedule,
 )
+from repro.scenarios import ScenarioContext, build_scenario
+from repro.simulator import SimulationConfig
+from repro.simulator.engine import EventLoop
 
 _RESULTS = {
     "completed": 100,
@@ -48,6 +56,14 @@ class TestLiveTrialConfig:
         with pytest.raises(ValueError, match="replication_factor"):
             LiveTrialConfig(num_servers=2, replication_factor=3)
 
+    def test_target_outside_the_cluster_is_rejected(self):
+        with pytest.raises(ValueError, match="scenario target index 5 is out of range for 3 servers"):
+            LiveTrialConfig(scenario="slow-node", scenario_params={"target": 5})
+
+    def test_crash_recovery_without_repeats_is_rejected(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            LiveTrialConfig(scenario="crash-recovery", scenario_params={"repeats": 0})
+
     def test_config_payload_is_json_round_trippable(self):
         import json
 
@@ -60,13 +76,12 @@ class TestScenarioSchedule:
     def test_baseline_has_no_ops(self):
         assert scenario_schedule(LiveTrialConfig(scenario="baseline")) == []
 
+    def test_gc_storm_has_no_scripted_ops(self):
+        assert scenario_schedule(LiveTrialConfig(scenario="gc-storm")) == []
+
     def test_slow_node_without_end_slows_once(self):
-        config = LiveTrialConfig(
-            scenario="slow-node", scenario_params={"factor": 3.0, "start_ms": 100.0}
-        )
-        assert scenario_schedule(config) == [
-            (100.0, 0, {"op": "slow", "factor": 3.0})
-        ]
+        config = LiveTrialConfig(scenario="slow-node", scenario_params={"factor": 3.0, "start_ms": 100.0})
+        assert scenario_schedule(config) == [(100.0, 0, {"op": "slow", "factor": 3.0})]
 
     def test_slow_node_with_end_restores_factor_one(self):
         config = LiveTrialConfig(
@@ -83,9 +98,12 @@ class TestScenarioSchedule:
             scenario="crash-recovery",
             scenario_params={"first_at_ms": 200.0, "down_ms": 300.0},
         )
+        # The simulator's default targets on 3 servers: 0 and 3 // 2, staggered by 600 ms.
         assert scenario_schedule(config) == [
             (200.0, 0, {"op": "crash"}),
             (500.0, 0, {"op": "restore"}),
+            (800.0, 1, {"op": "crash"}),
+            (1100.0, 1, {"op": "restore"}),
         ]
 
     def test_crash_recovery_staggers_targets_and_repeats(self):
@@ -107,6 +125,92 @@ class TestScenarioSchedule:
         # Every crash has a matching restore down_ms later.
         restores = {(at, sid) for at, sid, op in ops if op["op"] == "restore"}
         assert restores == {(at + 50.0, sid) for at, sid in crashes}
+
+    def test_crash_recovery_without_down_ms_crashes_for_good(self):
+        config = LiveTrialConfig(scenario="crash-recovery", scenario_params={"down_ms": None})
+        assert scenario_schedule(config) == [(250.0, 0, {"op": "crash"}), (850.0, 1, {"op": "crash"})]
+
+
+class RecordingServer:
+    """A server that records each control edge applied to it, at loop time."""
+
+    def __init__(self, loop, server_id, timeline):
+        self.loop = loop
+        self.server_id = server_id
+        self.timeline = timeline
+
+    def set_service_time_multiplier(self, multiplier, source=None):
+        self.timeline.append((self.loop.now, self.server_id, {"op": "slow", "factor": multiplier}))
+
+    def crash(self):
+        self.timeline.append((self.loop.now, self.server_id, {"op": "crash"}))
+
+    def restore(self):
+        self.timeline.append((self.loop.now, self.server_id, {"op": "restore"}))
+
+
+def simulated_timeline(num_servers, scenario, knobs):
+    """The edges the simulator fires for ``scenario`` on ``num_servers`` servers, in firing order."""
+    config = SimulationConfig(
+        num_servers=num_servers,
+        replication_factor=1,
+        num_requests=0,
+        scenario=scenario,
+        scenario_params=knobs,
+    )
+    loop = EventLoop()
+    timeline = []
+    servers = [RecordingServer(loop, sid, timeline) for sid in range(num_servers)]
+    build_scenario(config).start(ScenarioContext(loop, servers, config, np.random.default_rng(0)))
+    loop.run_until_idle()
+    return timeline
+
+
+_TIMES = st.floats(min_value=0.0, max_value=5_000.0)
+_SLOW_NODE = st.fixed_dictionaries(
+    {},
+    optional={
+        "factor": st.floats(min_value=0.25, max_value=16.0),
+        "start_ms": _TIMES,
+        "end_ms": st.none() | _TIMES,
+        "target": st.integers(min_value=-8, max_value=8),
+    },
+)
+_CRASH_RECOVERY = st.fixed_dictionaries(
+    {},
+    optional={
+        "first_at_ms": _TIMES,
+        "down_ms": st.none() | st.floats(min_value=-100.0, max_value=2_000.0),
+        "stagger_ms": st.floats(min_value=0.0, max_value=2_000.0),
+        "repeats": st.integers(min_value=1, max_value=3),
+        "period_ms": _TIMES,
+        "targets": st.none() | st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4),
+    },
+)
+_SCENARIOS = st.one_of(
+    st.tuples(st.just("slow-node"), _SLOW_NODE),
+    st.tuples(st.just("crash-recovery"), _CRASH_RECOVERY),
+)
+
+
+class TestScheduleParity:
+    """The live timeline of a scripted scenario is the simulator's, edge for edge."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(num_servers=st.integers(min_value=1, max_value=7), scenario=_SCENARIOS)
+    @example(num_servers=3, scenario=("crash-recovery", {}))
+    @example(num_servers=3, scenario=("crash-recovery", {"down_ms": None}))
+    @example(num_servers=3, scenario=("slow-node", {"target": 5}))
+    def test_live_schedule_is_the_simulated_timeline(self, num_servers, scenario):
+        name, knobs = scenario
+        live = dict(scenario=name, scenario_params=knobs, num_servers=num_servers, replication_factor=1)
+        try:
+            simulated = simulated_timeline(num_servers, name, knobs)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                LiveTrialConfig(**live)
+        else:
+            assert scenario_schedule(LiveTrialConfig(**live)) == simulated
 
 
 class TestPayloadDigest:
@@ -131,12 +235,8 @@ class TestPayloadDigest:
     def test_digest_covers_config_and_results(self):
         config_payload = LiveTrialConfig().config_payload()
         base = build_payload(config_payload, _RESULTS, provenance={})
-        other_results = build_payload(
-            config_payload, {**_RESULTS, "completed": 101}, provenance={}
-        )
-        other_config = build_payload(
-            LiveTrialConfig(seed=43).config_payload(), _RESULTS, provenance={}
-        )
+        other_results = build_payload(config_payload, {**_RESULTS, "completed": 101}, provenance={})
+        other_config = build_payload(LiveTrialConfig(seed=43).config_payload(), _RESULTS, provenance={})
         assert base["digest"] != other_results["digest"]
         assert base["digest"] != other_config["digest"]
 

@@ -1,11 +1,11 @@
-"""Unit tests for scenario components and the new perturbation processes."""
+"""Unit tests for scenario components and the perturbations they schedule."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.scenarios import (
-    ArrivalRateSchedule,
-    CrashSchedule,
     CrashWindows,
     GCPauses,
     HeterogeneousServiceRates,
@@ -21,13 +21,15 @@ from repro.scenarios import ScenarioContext
 from repro.simulator.workload import PoissonArrivalProcess
 
 
-def make_context(num_servers=5, config=None):
-    loop = EventLoop()
-    servers = [
+def make_context(num_servers=5, config=None, loop=None, servers=None):
+    loop = loop or EventLoop()
+    servers = servers or [
         SimServer(loop, server_id=i, deterministic=True, rng=np.random.default_rng(i))
         for i in range(num_servers)
     ]
-    config = config or SimulationConfig(num_servers=num_servers, num_clients=4, num_requests=0)
+    config = config or SimulationConfig(
+        num_servers=len(servers), replication_factor=1, num_clients=4, num_requests=0
+    )
     return ScenarioContext(loop, servers, config, np.random.default_rng(0))
 
 
@@ -39,19 +41,20 @@ def make_server(loop, sid=0, tracker=None):
 
 
 class TestCrashSchedule:
+    """Crash/restart windows, as the ``CrashWindows`` component schedules them."""
+
     def test_crash_and_restore_edges(self):
         loop = EventLoop()
         tracker = DownServerTracker()
         server = make_server(loop, tracker=tracker)
-        schedule = CrashSchedule(loop, [(server, 10.0, 30.0)])
-        schedule.start()
+        CrashWindows(first_at_ms=10.0, down_ms=20.0).start(make_context(loop=loop, servers=[server]))
         loop.run(until=5.0)
         assert server.is_up and tracker.count == 0
         loop.run(until=15.0)
         assert not server.is_up and tracker.count == 1
         loop.run(until=35.0)
         assert server.is_up and tracker.count == 0
-        assert schedule.crashes == 1
+        assert server.crashes == 1
 
     def test_down_server_queues_but_does_not_serve(self):
         from repro.simulator.request import Request
@@ -72,18 +75,20 @@ class TestCrashSchedule:
         loop = EventLoop()
         tracker = DownServerTracker()
         server = make_server(loop, tracker=tracker)
-        schedule = CrashSchedule(loop, [(server, 5.0, None)])
-        schedule.start()
+        schedule = CrashWindows(first_at_ms=5.0, down_ms=None)
+        schedule.start(make_context(loop=loop, servers=[server]))
         loop.run(until=50.0)
         assert not server.is_up
         schedule.stop()
         assert server.is_up and tracker.count == 0
 
     def test_invalid_window_rejected(self):
-        loop = EventLoop()
-        server = make_server(loop)
-        with pytest.raises(ValueError):
-            CrashSchedule(loop, [(server, 10.0, 5.0)])
+        ctx = make_context(num_servers=1)
+        with pytest.raises(ValueError, match="end must follow start"):
+            CrashWindows(first_at_ms=10.0, down_ms=-5.0).start(ctx)
+        with pytest.raises(ValueError, match="non-negative"):
+            CrashWindows(first_at_ms=-1.0).start(ctx)
+        assert ctx.loop.pending_events == 0
 
     def test_crash_restore_idempotent(self):
         tracker = DownServerTracker()
@@ -96,22 +101,40 @@ class TestCrashSchedule:
         assert tracker.count == 0
 
 
+def arrival_context(process):
+    """A context whose simulation is just the workload's arrival process."""
+    ctx = make_context(loop=process.loop)
+    ctx.simulation = SimpleNamespace(generator=SimpleNamespace(process=process))
+    return ctx
+
+
 class TestArrivalRateSchedule:
+    """Arrival-rate steps, as the ``LoadSpike`` component schedules them."""
+
     def test_steps_scale_the_base_rate_and_stop_restores(self):
         loop = EventLoop()
         process = PoissonArrivalProcess(
             loop, rate_per_ms=2.0, total_arrivals=10_000,
             on_arrival=lambda: None, rng=np.random.default_rng(0),
         )
-        schedule = ArrivalRateSchedule(loop, process, [(10.0, 3.0), (20.0, 1.0)])
+        spike = LoadSpike(start_ms=10.0, end_ms=20.0, factor=3.0)
         process.start()
-        schedule.start()
+        spike.start(arrival_context(process))
         loop.run(until=15.0)
         assert process.rate_per_ms == pytest.approx(6.0)
         loop.run(until=25.0)
         assert process.rate_per_ms == pytest.approx(2.0)
-        assert schedule.changes == 2
-        schedule.stop()
+        spike.stop()
+        assert process.rate_per_ms == pytest.approx(2.0)
+
+    def test_open_spike_lasts_until_stop(self):
+        loop = EventLoop()
+        process = PoissonArrivalProcess(loop, rate_per_ms=2.0, total_arrivals=1, on_arrival=lambda: None)
+        spike = LoadSpike(start_ms=10.0, end_ms=None, factor=1.5)
+        spike.start(arrival_context(process))
+        loop.run(until=1_000.0)
+        assert process.rate_per_ms == pytest.approx(3.0)
+        spike.stop()
         assert process.rate_per_ms == pytest.approx(2.0)
 
     def test_invalid_steps_rejected(self):
@@ -120,7 +143,9 @@ class TestArrivalRateSchedule:
             loop, rate_per_ms=2.0, total_arrivals=1, on_arrival=lambda: None
         )
         with pytest.raises(ValueError):
-            ArrivalRateSchedule(loop, process, [(10.0, 0.0)])
+            LoadSpike(start_ms=10.0, factor=0.0).start(arrival_context(process))
+        with pytest.raises(ValueError):
+            LoadSpike(start_ms=-1.0).start(arrival_context(process))
         with pytest.raises(ValueError):
             process.set_rate(0.0)
 
@@ -190,6 +215,68 @@ class TestDeclarativeComponents:
         ctx = make_context()  # no simulation attached
         with pytest.raises(ValueError):
             NetworkDelayChange(at_ms=0.0, delay_ms=1.0).start(ctx)
+
+
+class TestScriptedEdges:
+    """The scripted components' timelines, as data and as scheduled events."""
+
+    def test_slow_servers_edges_are_live_control_ops(self):
+        component = SlowServers(factor=3, start_ms=10.0, end_ms=30.0, targets=[2, -3])
+        assert component.edges(3) == [
+            (10.0, 2, {"op": "slow", "factor": 3.0}),
+            (30.0, 2, {"op": "slow", "factor": 1.0}),
+            (10.0, 0, {"op": "slow", "factor": 3.0}),
+            (30.0, 0, {"op": "slow", "factor": 1.0}),
+        ]
+
+    def test_crash_windows_edges_stagger_targets_then_repeat(self):
+        component = CrashWindows(
+            first_at_ms=0.0, down_ms=10.0, stagger_ms=100.0, repeats=2, period_ms=1_000.0, targets=(1, 0)
+        )
+        crash, restore = {"op": "crash"}, {"op": "restore"}
+        assert component.edges(2) == [
+            (0.0, 1, crash), (10.0, 1, restore), (1_000.0, 1, crash), (1_010.0, 1, restore),
+            (100.0, 0, crash), (110.0, 0, restore), (1_100.0, 0, crash), (1_110.0, 0, restore),
+        ]
+
+    def test_permanent_crash_has_no_restore_edge(self):
+        component = CrashWindows(down_ms=None, targets=(0, 1))
+        assert component.edges(3) == [(250.0, 0, {"op": "crash"}), (850.0, 1, {"op": "crash"})]
+
+    def test_start_schedules_one_event_per_edge(self):
+        ctx = make_context()
+        component = CrashWindows(first_at_ms=5.0, down_ms=5.0, stagger_ms=1.0, targets="all", repeats=2)
+        component.start(ctx)
+        assert ctx.loop.pending_events == len(component.edges(5)) == 20
+        ctx.loop.run_until_idle()
+        assert [s.crashes for s in ctx.servers] == [2] * 5
+        assert all(s.is_up for s in ctx.servers)
+
+    def test_stop_before_the_first_edge_cancels_the_timeline(self):
+        ctx = make_context(num_servers=2)
+        crash = CrashWindows(first_at_ms=100.0, down_ms=None, targets=(0,))
+        slow = SlowServers(factor=4.0, start_ms=100.0, targets=1)
+        crash.start(ctx)
+        slow.start(ctx)
+        ctx.loop.run(until=50.0)
+        crash.stop()
+        slow.stop()
+        ctx.loop.run(until=1_000.0)
+        assert ctx.servers[0].is_up and ctx.servers[0].crashes == 0
+        assert ctx.servers[1].current_service_time_ms == pytest.approx(4.0)
+
+    def test_equal_slowdowns_compose(self):
+        ctx = make_context(num_servers=1)
+        first, second = SlowServers(factor=2.0), SlowServers(factor=2.0)
+        assert first == second
+        first.start(ctx)
+        second.start(ctx)
+        ctx.loop.run(until=1.0)
+        assert ctx.servers[0].current_service_time_ms == pytest.approx(16.0)
+        second.stop()
+        assert ctx.servers[0].current_service_time_ms == pytest.approx(8.0)
+        first.stop()
+        assert ctx.servers[0].current_service_time_ms == pytest.approx(4.0)
 
 
 class TestComposedSpeedPerturbations:

@@ -1,9 +1,11 @@
-"""Unit tests for the service-time fluctuation processes."""
+"""Unit tests for the service-time fluctuation processes and components."""
 
 import numpy as np
 import pytest
 
-from repro.scenarios.processes import BimodalFluctuation, LatencyInflation, TransientSlowdowns
+from repro.scenarios import GCPauses, ScenarioContext, SlowServers
+from repro.scenarios.processes import BimodalFluctuation
+from repro.simulator import SimulationConfig
 from repro.simulator.engine import EventLoop
 from repro.simulator.server import SimServer
 
@@ -13,6 +15,11 @@ def make_servers(loop, count=4):
         SimServer(loop, server_id=i, base_service_time_ms=4.0, deterministic=True, rng=np.random.default_rng(i))
         for i in range(count)
     ]
+
+
+def make_context(loop, servers):
+    config = SimulationConfig(num_servers=len(servers), replication_factor=1, num_requests=0)
+    return ScenarioContext(loop, servers, config, np.random.default_rng(0))
 
 
 class TestBimodalFluctuation:
@@ -35,11 +42,6 @@ class TestBimodalFluctuation:
         # One flip per server per interval, including the initial one at t=0.
         assert fluct.flips == 3 * 10
 
-    def test_mean_service_rate_factor(self):
-        loop = EventLoop()
-        fluct = BimodalFluctuation(loop, [], rate_multiplier=3.0)
-        assert fluct.mean_service_rate_factor == 2.0
-
     def test_start_is_idempotent(self):
         loop = EventLoop()
         servers = make_servers(loop, count=1)
@@ -60,11 +62,12 @@ class TestBimodalFluctuation:
 
 
 class TestLatencyInflation:
+    """Scripted slowdown episodes, as the ``SlowServers`` component schedules them."""
+
     def test_episode_slows_then_restores(self):
         loop = EventLoop()
         server = make_servers(loop, count=1)[0]
-        inflation = LatencyInflation(loop, server, episodes=[(10.0, 20.0, 5.0)])
-        inflation.start()
+        SlowServers(factor=5.0, start_ms=10.0, end_ms=20.0).start(make_context(loop, [server]))
         loop.run(until=15.0)
         assert server.current_service_time_ms == pytest.approx(20.0)
         loop.run(until=25.0)
@@ -72,11 +75,11 @@ class TestLatencyInflation:
 
     def test_invalid_episode_rejected(self):
         loop = EventLoop()
-        server = make_servers(loop, count=1)[0]
+        ctx = make_context(loop, make_servers(loop, count=1))
         with pytest.raises(ValueError):
-            LatencyInflation(loop, server, episodes=[(10.0, 5.0, 2.0)])
+            SlowServers(factor=2.0, start_ms=10.0, end_ms=5.0).start(ctx)
         with pytest.raises(ValueError):
-            LatencyInflation(loop, server, episodes=[(1.0, 2.0, 0.0)])
+            SlowServers(factor=0.0, start_ms=1.0, end_ms=2.0).start(ctx)
 
 
 class TestHorizonEdgeAndLoopReuse:
@@ -118,23 +121,19 @@ class TestHorizonEdgeAndLoopReuse:
         server = make_servers(loop, count=1)[0]
         # The episode's end lies beyond the horizon: pre-fix the server kept
         # its 5x multiplier forever after clear().
-        inflation = LatencyInflation(loop, server, episodes=[(50.0, 150.0, 5.0)])
-        inflation.start()
+        inflation = SlowServers(factor=5.0, start_ms=50.0, end_ms=150.0)
+        inflation.start(make_context(loop, [server]))
         loop.run(until=100.0)
         assert server.current_service_time_ms == pytest.approx(20.0)
         loop.clear()
         inflation.stop()
         assert server.current_service_time_ms == pytest.approx(4.0)
-        assert inflation.active_episodes == 0
 
     def test_transient_slowdown_straddling_horizon_is_reset_by_stop(self):
         loop = EventLoop()
         servers = make_servers(loop, count=2)
-        slowdowns = TransientSlowdowns(
-            loop, servers, mean_interarrival_ms=5.0, mean_duration_ms=1000.0,
-            slowdown_factor=4.0, rng=np.random.default_rng(1),
-        )
-        slowdowns.start()
+        slowdowns = GCPauses(mean_interarrival_ms=5.0, mean_duration_ms=1000.0, slowdown_factor=4.0)
+        slowdowns.start(make_context(loop, servers))
         loop.run(until=50.0)
         assert any(s.current_service_time_ms == pytest.approx(16.0) for s in servers)
         loop.clear()
@@ -146,8 +145,8 @@ class TestHorizonEdgeAndLoopReuse:
     def test_permanent_episode_supported(self):
         loop = EventLoop()
         server = make_servers(loop, count=1)[0]
-        inflation = LatencyInflation(loop, server, episodes=[(10.0, None, 3.0)])
-        inflation.start()
+        inflation = SlowServers(factor=3.0, start_ms=10.0, end_ms=None)
+        inflation.start(make_context(loop, [server]))
         loop.run(until=20.0)
         assert server.current_service_time_ms == pytest.approx(12.0)
         inflation.stop()
@@ -155,27 +154,24 @@ class TestHorizonEdgeAndLoopReuse:
 
 
 class TestTransientSlowdowns:
+    """Poisson-arriving slowdowns, as the ``GCPauses`` component schedules them."""
+
     def test_slowdowns_occur_and_recover(self):
         loop = EventLoop()
         servers = make_servers(loop, count=2)
-        events = []
-        slowdowns = TransientSlowdowns(
-            loop,
-            servers,
-            mean_interarrival_ms=20.0,
-            mean_duration_ms=5.0,
-            slowdown_factor=4.0,
-            rng=np.random.default_rng(3),
-            on_event=lambda server, t, d: events.append((server.server_id, t)),
+        GCPauses(mean_interarrival_ms=20.0, mean_duration_ms=5.0, slowdown_factor=4.0).start(
+            make_context(loop, servers)
         )
-        slowdowns.start()
-        loop.run(until=500.0)
-        assert slowdowns.events > 0
-        assert len(events) == slowdowns.events
+        seen = set()
+        for until in range(1, 501):
+            loop.run(until=float(until))
+            seen.update(round(s.current_service_time_ms, 6) for s in servers)
+        assert seen == {4.0, 16.0}
 
     def test_invalid_parameters(self):
         loop = EventLoop()
+        ctx = make_context(loop, make_servers(loop, count=1))
         with pytest.raises(ValueError):
-            TransientSlowdowns(loop, [], mean_interarrival_ms=0.0)
+            GCPauses(mean_interarrival_ms=0.0).start(ctx)
         with pytest.raises(ValueError):
-            TransientSlowdowns(loop, [], slowdown_factor=0.0)
+            GCPauses(slowdown_factor=0.0).start(ctx)
