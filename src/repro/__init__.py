@@ -15,66 +15,59 @@ The package is organised as:
 * :mod:`repro.workloads`   — YCSB-style workload generation.
 * :mod:`repro.analysis`    — percentiles, ECDFs, oscillation metrics, reports.
 * :mod:`repro.experiments` — one module per paper figure/table.
+* :mod:`repro.live`        — the same specs driving real server processes.
+
+The names in ``__all__`` are exported lazily (PEP 562): ``import repro``
+loads no subpackage, and ``repro.SimulationConfig`` or ``from repro import
+SimulationConfig`` imports :mod:`repro.simulator` on first use.  A live
+replica server process imports this package on its way to
+:mod:`repro.live.server`, so it does not pay for the simulator, the
+strategies or numpy.
 """
 
-from .controls import (
-    ControlSpec,
-    control_names,
-    register_control,
-)
-from .core import (
-    C3Config,
-    C3Scheduler,
-    CubicRateController,
-    EWMA,
-    ReplicaScorer,
-    ScheduleDecision,
-    ServerFeedback,
-    cubic_rate,
-    cubic_score,
-)
-from .simulator import (
-    DemandSkew,
-    ReplicaSelectionSimulation,
-    SimulationConfig,
-    SimulationResult,
-    run_simulation,
-)
-from .strategies import (
-    STRATEGY_NAMES,
-    StrategySpec,
-    make_selector,
-    register_strategy,
-    strategy_names,
-)
-from .analysis import LatencySummary, summarize
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "C3Config",
-    "C3Scheduler",
-    "ControlSpec",
-    "CubicRateController",
-    "DemandSkew",
-    "EWMA",
-    "LatencySummary",
-    "ReplicaScorer",
-    "ReplicaSelectionSimulation",
-    "STRATEGY_NAMES",
-    "ScheduleDecision",
-    "ServerFeedback",
-    "SimulationConfig",
-    "SimulationResult",
-    "StrategySpec",
-    "control_names",
-    "cubic_rate",
-    "cubic_score",
-    "make_selector",
-    "register_control",
-    "register_strategy",
-    "run_simulation",
-    "strategy_names",
-    "summarize",
-    "__version__",
-]
+#: Public name -> the subpackage that defines it.
+_EXPORTS = {
+    "ControlSpec": "controls",
+    "control_names": "controls",
+    "register_control": "controls",
+    "C3Config": "core",
+    "C3Scheduler": "core",
+    "CubicRateController": "core",
+    "EWMA": "core",
+    "ReplicaScorer": "core",
+    "ScheduleDecision": "core",
+    "ServerFeedback": "core",
+    "cubic_rate": "core",
+    "cubic_score": "core",
+    "DemandSkew": "simulator",
+    "ReplicaSelectionSimulation": "simulator",
+    "SimulationConfig": "simulator",
+    "SimulationResult": "simulator",
+    "run_simulation": "simulator",
+    "STRATEGY_NAMES": "strategies",
+    "StrategySpec": "strategies",
+    "make_selector": "strategies",
+    "register_strategy": "strategies",
+    "strategy_names": "strategies",
+    "LatencySummary": "analysis",
+    "summarize": "analysis",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

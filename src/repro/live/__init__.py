@@ -15,44 +15,37 @@ comparison gate (used by the CI ``live-smoke`` job) in
 :mod:`repro.live.compare`.
 """
 
+from importlib import import_module
 from typing import Any
 
-from .harness import (
-    LiveTrialConfig,
-    LiveTrialResult,
-    build_payload,
-    payload_digest,
-    run_trial,
-    write_artifacts,
-)
 from .protocol import MAX_FRAME_BYTES, encode_message, read_message, write_message
 
-# The comparison gate is imported lazily so `python -m repro.live.compare`
-# doesn't re-execute a module this package already loaded (runpy's
-# found-in-sys.modules RuntimeWarning).
-_COMPARE_EXPORTS = ("ComparisonResult", "compare_p99", "load_trial")
+# The harness and the comparison gate are imported on first use: a replica
+# server process imports this package and needs neither (nor the simulator
+# and numpy behind them), and `python -m repro.live.compare` must not find
+# its module already loaded (runpy's found-in-sys.modules RuntimeWarning).
+_EXPORTS = {
+    "LiveTrialConfig": "harness",
+    "LiveTrialResult": "harness",
+    "build_payload": "harness",
+    "payload_digest": "harness",
+    "run_trial": "harness",
+    "write_artifacts": "harness",
+    "ComparisonResult": "compare",
+    "compare_p99": "compare",
+    "load_trial": "compare",
+}
+
+__all__ = sorted([*_EXPORTS, "MAX_FRAME_BYTES", "encode_message", "read_message", "write_message"])
 
 
 def __getattr__(name: str) -> Any:
-    if name in _COMPARE_EXPORTS:
-        from . import compare
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
-        return getattr(compare, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "ComparisonResult",
-    "LiveTrialConfig",
-    "LiveTrialResult",
-    "MAX_FRAME_BYTES",
-    "build_payload",
-    "compare_p99",
-    "encode_message",
-    "load_trial",
-    "payload_digest",
-    "read_message",
-    "run_trial",
-    "write_artifacts",
-    "write_message",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

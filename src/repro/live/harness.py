@@ -40,6 +40,7 @@ import json
 import os
 import socket
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -323,26 +324,26 @@ async def _spawn_server(config: LiveTrialConfig, sid: int, procs: list[asyncio.s
         "--seed",
         str(config.seed * 10_007 + sid + 1),
     ]
-    proc = await asyncio.create_subprocess_exec(
-        *argv, env=env, stdout=asyncio.subprocess.PIPE, stderr=asyncio.subprocess.PIPE
-    )
-    procs.append(proc)
-    assert proc.stdout is not None
-    try:
-        line = await asyncio.wait_for(proc.stdout.readline(), timeout=15.0)
-    except asyncio.TimeoutError:
-        raise RuntimeError(f"server {sid} did not report a port within 15s")
-    text = line.decode("utf-8", "replace").strip()
-    if not text.startswith("PORT "):
-        stderr = b""
-        if proc.stderr is not None:
-            try:
-                stderr = await asyncio.wait_for(proc.stderr.read(4096), timeout=1.0)
-            except asyncio.TimeoutError:
-                pass
-        raise RuntimeError(
-            f"server {sid} failed to start: stdout={text!r} stderr={stderr.decode('utf-8', 'replace')!r}"
+    # stderr goes to an unnamed file, not a pipe: nobody reads a pipe once
+    # PORT is in, and a full one would block the server's next write and keep
+    # ``proc.wait()`` in :func:`_reap` from ever returning.
+    with tempfile.TemporaryFile() as stderr:
+        proc = await asyncio.create_subprocess_exec(
+            *argv, env=env, stdout=asyncio.subprocess.PIPE, stderr=stderr
         )
+        procs.append(proc)
+        assert proc.stdout is not None
+        try:
+            line = await asyncio.wait_for(proc.stdout.readline(), timeout=15.0)
+        except asyncio.TimeoutError:
+            raise RuntimeError(f"server {sid} did not report a port within 15s")
+        text = line.decode("utf-8", "replace").strip()
+        if not text.startswith("PORT "):
+            stderr.seek(0)
+            raise RuntimeError(
+                f"server {sid} failed to start: stdout={text!r} "
+                f"stderr={stderr.read(4096).decode('utf-8', 'replace')!r}"
+            )
     return int(text.split()[1])
 
 

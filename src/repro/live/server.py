@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import random
 import sys
 import time
 from typing import Any
-
-import numpy as np
 
 from .protocol import ProtocolError, read_message, write_message
 
@@ -65,7 +64,9 @@ class ReplicaServer:
         self.concurrency = int(concurrency)
         self.queue_capacity = int(queue_capacity)
         self.deterministic = bool(deterministic)
-        self._rng = np.random.default_rng(seed)
+        # The stdlib generator, not numpy's: one draw per request needs no
+        # vector RNG, and a server process then starts without importing numpy.
+        self._rng = random.Random(seed)
         self._queue: asyncio.Queue[tuple[dict, asyncio.StreamWriter]] = asyncio.Queue(
             maxsize=queue_capacity
         )
@@ -120,6 +121,11 @@ class ReplicaServer:
             "service_time_ms": stime if stime > 1e-3 else 1e-3,
         }
 
+    def _service_ms(self) -> float:
+        """One service time: exponential, mean ``base_service_ms`` x the slow-down multiplier."""
+        mean = self.base_service_ms * self._multiplier
+        return mean if self.deterministic else mean * self._rng.expovariate(1.0)
+
     async def _worker(self) -> None:
         queue = self._queue
         while True:
@@ -139,11 +145,7 @@ class ReplicaServer:
                     self.dropped += 1
                     continue
             self._in_service += 1
-            mean = self.base_service_ms * self._multiplier
-            if self.deterministic:
-                service_ms = mean
-            else:
-                service_ms = float(mean * self._rng.standard_exponential())
+            service_ms = self._service_ms()
             await asyncio.sleep(service_ms / 1000.0)
             self._in_service -= 1
             self._smoothed_service_ms = (

@@ -126,6 +126,29 @@ class TestReplicaServer:
         asyncio.run(scenario())
 
 
+class TestServiceTimes:
+    @staticmethod
+    def _draws(count, *, factor=1.0, **kwargs):
+        server = ReplicaServer(0, base_service_ms=2.0, **kwargs)
+        server._handle_control({"op": "slow", "factor": factor})
+        return [server._service_ms() for _ in range(count)]
+
+    def test_a_seed_fixes_the_sequence(self):
+        assert self._draws(100, seed=5) == self._draws(100, seed=5)
+        assert self._draws(100, seed=5) != self._draws(100, seed=6)
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_draws_are_exponential_around_the_slowed_mean(self, factor):
+        draws = self._draws(20_000, factor=factor, seed=11)
+        mean = 2.0 * factor
+        assert sum(draws) / len(draws) == pytest.approx(mean, rel=0.03)
+        # Exponential, not merely centred: about 1 - 1/e of the draws fall below the mean.
+        assert sum(d < mean for d in draws) / len(draws) == pytest.approx(0.632, abs=0.02)
+
+    def test_deterministic_returns_exactly_the_mean(self):
+        assert self._draws(5, factor=3.0, deterministic=True, seed=5) == [6.0] * 5
+
+
 class TestLiveLoadClient:
     @pytest.mark.parametrize("strategy", ["c3", "lor"])
     def test_short_run_completes_requests(self, strategy):

@@ -1,15 +1,17 @@
 """The live load generator keeps its schedule and accounts for every operation.
 
-Four properties, each sub-second: the arrival schedule is a pure function
-of ``(seed, rate, duration)``; a client whose sleeps all run late still
-offers exactly that schedule and measures latency from the time each
+Five properties, each a second or two: the arrival schedule is a pure
+function of ``(seed, rate, duration)``; a client whose sleeps all run late
+still offers exactly that schedule and measures latency from the time each
 operation was due; an operation that never reaches a server (backlogged,
-parked) ends as a timeout instead of vanishing; and a trial whose servers
-fail to start leaves no process behind.
+parked) ends as a timeout instead of vanishing; a trial whose servers fail
+to start leaves no process behind; and a server that writes more to its
+stderr than a pipe holds neither stalls nor hangs its trial.
 """
 
 import asyncio
 import contextlib
+import json
 import sys
 
 import numpy as np
@@ -264,3 +266,55 @@ class TestFailedSpawn:
         assert len(children) == 3  # the siblings did start
         assert all(child.returncode is not None for child in children)  # ...and every one was reaped
         assert not (tmp_path / "trial").exists()
+
+
+# Server 0 is a real server that writes 1 MiB to stderr 0.3 s after it starts:
+# more than a pipe plus asyncio's reader buffer hold.
+_CHATTY_SERVER = """
+import sys, threading, time
+from repro.live.server import main
+
+def chatter():
+    time.sleep(0.3)
+    for _ in range(64):
+        sys.stderr.write("x" * 16384)
+    sys.stderr.flush()
+
+threading.Thread(target=chatter, daemon=True).start()
+sys.exit(main(sys.argv[1:]))
+"""
+
+_CHATTY_TRIAL = """
+import asyncio, json, sys
+from repro.live.harness import LiveTrialConfig, run_trial
+
+spawn = asyncio.create_subprocess_exec
+children = []
+
+async def spawn_with_a_chatty_server_0(*argv, **kwargs):
+    if argv[argv.index("--server-id") + 1] == "0":
+        argv = (sys.executable, "-c", CHATTY_SERVER, *argv[3:])
+    child = await spawn(*argv, **kwargs)
+    children.append(child)
+    return child
+
+asyncio.create_subprocess_exec = spawn_with_a_chatty_server_0
+config = LiveTrialConfig(strategy="lor", num_servers=3, duration_s=1.0, warmup_s=0.1, cooldown_s=0.1)
+results = run_trial(config, sys.argv[1]).results
+print(json.dumps({"results": results, "returncodes": [child.returncode for child in children]}))
+"""
+
+
+class TestChattyServer:
+    def test_a_server_filling_its_stderr_neither_stalls_nor_hangs_the_trial(self, fresh_python, tmp_path):
+        # In a child with a timeout: an unread stderr pipe used to hang the trial's reaping forever.
+        script = f"CHATTY_SERVER = {_CHATTY_SERVER!r}\n{_CHATTY_TRIAL}"
+        done = fresh_python("-c", script, str(tmp_path / "trial"))
+        assert done.returncode == 0, done.stderr
+        outcome = json.loads(done.stdout.splitlines()[-1])
+        results = outcome["results"]
+        assert results["issued"] > 100
+        assert results["issued"] == results["completed"] + results["timeouts"]
+        # Every server, the chatty one included, exited on its own after the
+        # shutdown frame: none had to be terminated or killed by the reaper.
+        assert outcome["returncodes"] == [0, 0, 0]
