@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".sweep-cache",
         help="trial result cache directory (default: .sweep-cache)",
     )
-    _add_flat_flags(sweep_parser, "kernel rng")
+    _add_flat_flags(sweep_parser, "rng")
     sweep_parser.add_argument("--no-cache", action="store_true", help="disable the trial cache")
     sweep_parser.add_argument("--json", dest="json_path", metavar="PATH", help="also save the full sweep result as JSON")
     _add_flat_flags(sweep_parser, "metrics_mode")
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
              "what makes successive halving cheap (default: .sweep-cache)",
     )
     search_parser.add_argument("--no-cache", action="store_true", help="disable the trial cache")
-    _add_flat_flags(search_parser, "kernel rng")
+    _add_flat_flags(search_parser, "rng")
     search_parser.add_argument(
         "--compare-dense", action="store_true",
         help="also run the dense grid (every candidate × every seed, cache-shared with "

@@ -5,6 +5,12 @@
 on request — with per-trial result caching keyed by the trial's config
 content hash.
 
+Engine: every trial runs on the batched kernel, whatever its config's
+``kernel`` says.  Only results are kept, and the kernel's are the object
+path's digest for digest on every selector, control and scenario a sweep
+can name (the equivalence matrices of ``tests/simulator/test_kernel_equivalence.py``
+and ``test_rng_block.py``), so ``kernel`` is not part of a trial's identity.
+
 Determinism: a trial's outcome is a pure function of its resolved
 ``SimulationConfig`` (every random stream in the simulator derives from
 ``config.seed``), so execution order, worker count, and serial-vs-pool mode
@@ -26,15 +32,18 @@ trial is cached *then* marked complete as it finishes (completion order, not
 batch order), so an interrupt at any point — including ``SIGKILL`` mid-pool —
 leaves a manifest from which the next run continues with zero re-executed
 trials; ``max_trials`` bounds how many cache misses one invocation may
-execute, turning the same mechanism into deliberate budget slicing.
+execute, turning the same mechanism into deliberate budget slicing.  A
+trial that raises stops the pool: trials not yet handed to a worker never
+start, every trial that did finish is still cached and marked, and the
+trial's own exception surfaces.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Sequence
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from typing import Callable, Iterable, Sequence
 
 from ..simulator.simulation import run_simulation
 from .cache import TrialCache
@@ -55,7 +64,7 @@ def execute_trial(job: dict) -> dict:
     """
     config = payload_to_config(job["config"])
     started = time.perf_counter()
-    result = run_simulation(config)
+    result = run_simulation(config.copy(kernel="batched"))
     wall = time.perf_counter() - started
     trial = TrialSpec(index=job["index"], params=job["params"], seed=job["seed"], config=config)
     payload = TrialResult.from_simulation(trial, result, wall).to_dict()
@@ -139,9 +148,7 @@ class SweepRunner:
         if checkpoint is not None:
             # Cache hits are completed by definition; one batched mark keeps
             # the manifest write count proportional to executions, not size.
-            checkpoint.mark_completed(
-                *(i for i, slot in enumerate(slots) if slot is not None)
-            )
+            checkpoint.mark_completed(*(i for i, slot in enumerate(slots) if slot is not None))
 
         deferred = 0
         if max_trials is not None and len(pending) > max_trials:
@@ -201,10 +208,31 @@ class SweepRunner:
                 on_result(out["index"], out["trial"])
             return
         workers = min(self.max_workers, len(jobs))
+        failed: Future | None = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(execute_trial, job) for job in jobs}
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    out = future.result()
-                    on_result(out["index"], out["trial"])
+            try:
+                while futures and failed is None:
+                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
+                    failed = _deliver(done, on_result)
+            finally:
+                # After a failure (or an interrupt) no queued trial starts;
+                # this waits only for the trials a worker already holds.
+                pool.shutdown(cancel_futures=True)
+        if failed is not None:
+            _deliver(futures, on_result)
+            failed.result()  # re-raises the trial's exception unchanged
+
+
+def _deliver(futures: Iterable[Future], on_result: Callable[[int, dict], None]) -> Future | None:
+    """Pass every finished, successful trial to ``on_result``; return the first failed one."""
+    failed: Future | None = None
+    for future in futures:
+        if future.cancelled():
+            continue
+        if future.exception() is not None:
+            failed = failed or future
+            continue
+        out = future.result()
+        on_result(out["index"], out["trial"])
+    return failed

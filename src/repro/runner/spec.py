@@ -99,16 +99,13 @@ def config_to_payload(config: SimulationConfig) -> dict:
     """A JSON-serializable dict capturing every field of ``config``.
 
     The *default* control specs — the ``"binary"`` failure detector,
-    ``hedging=None``, the ``"object"`` kernel and the ``"v1"`` RNG
-    regime — are omitted from the payload, so configs predating those
-    axes keep byte-identical payloads
+    ``hedging=None`` and the ``"v1"`` RNG regime — are omitted from the
+    payload, so configs predating those axes keep byte-identical payloads
     (and therefore cache keys and pinned payload hashes);
     :func:`payload_to_config` restores the defaults on reconstruction.
-    Non-default values are included and produce distinct cache keys.  Note
-    the ``kernel`` consequence: object and batched runs of the same config
-    cache separately even though their exact-mode results are
-    digest-identical — the axis exists precisely so a digest mismatch could
-    be traced to the kernel that produced it.
+    Non-default values are included and produce distinct cache keys.
+    ``kernel`` is always omitted: the runner executes every trial on the
+    batched kernel, so the field cannot tell two results apart.
     """
     payload = {f.name: _jsonify(getattr(config, f.name)) for f in dataclasses.fields(config)}
     payload.update(_jsonify(_RETIRED_FIELDS))
@@ -116,8 +113,7 @@ def config_to_payload(config: SimulationConfig) -> dict:
         del payload["failure_detector"]
     if payload.get("hedging") is None:
         del payload["hedging"]
-    if payload.get("kernel") == "object":
-        del payload["kernel"]
+    del payload["kernel"]
     # rng="block" is a different digest domain, so it must cache separately;
     # the "v1" default is omitted to keep pre-existing cache keys intact.
     if payload.get("rng") == "v1":

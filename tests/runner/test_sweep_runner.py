@@ -1,8 +1,12 @@
 """Behavioral tests for the SweepRunner: caching, pooling, aggregation."""
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.runner import SweepRunner, SweepResult, SweepSpec
+from repro.runner import SweepCheckpoint, SweepResult, SweepRunner, SweepSpec
+from repro.runner import runner as runner_module
 from repro.simulator import SimulationConfig
 
 #: A grid small enough for the pool path to stay fast on one core.
@@ -39,6 +43,49 @@ class TestExecution:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(max_workers=0)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched trial body reaches pool workers only through fork",
+)
+class TestPoolFailure:
+    def test_failed_trial_stops_the_pool_and_keeps_finished_trials(self, tmp_path, monkeypatch):
+        # Seed 0 raises at once; every other trial takes 0.2 s.  Each trial
+        # leaves a file when it starts and when it returns.
+        real = runner_module.run_simulation
+
+        def trial_body(config):
+            (tmp_path / f"started-{config.seed}").touch()
+            if config.seed == 0:
+                raise ValueError("seed 0 refuses to run")
+            time.sleep(0.2)
+            result = real(config)
+            (tmp_path / f"returned-{config.seed}").touch()
+            return result
+
+        monkeypatch.setattr(runner_module, "run_simulation", trial_body)
+        spec = SweepSpec(base=TINY, grid={"strategy": ("C3",)}, seeds=range(20))
+        runner = SweepRunner(max_workers=2, cache_dir=tmp_path / "cache")
+        checkpoint = SweepCheckpoint.open(spec, tmp_path / "manifest.json")
+        with pytest.raises(ValueError) as failure:
+            runner.run(spec, checkpoint=checkpoint)
+
+        assert type(failure.value) is ValueError
+        assert str(failure.value) == "seed 0 refuses to run"
+
+        def seeds(prefix):
+            return {int(path.name.split("-")[1]) for path in tmp_path.glob(f"{prefix}-*")}
+
+        # Only the trials a worker already held run after the failure, not
+        # the 19 that were queued behind it.
+        assert len(seeds("started") - {0}) <= 8
+        returned = seeds("returned")
+        assert returned
+        trials = spec.trials()
+        assert {trial.seed for trial in trials if trial.key in runner.cache} == returned
+        completed = SweepCheckpoint.load(checkpoint.path).completed_indices()
+        assert {trials[index].seed for index in completed} == returned
 
 
 class TestCacheBehavior:

@@ -10,8 +10,9 @@ event for event.  These tests pin that contract three ways:
   scheduler), plus the hard paths — crash/recovery liveness filtering,
   phi-accrual suspicion, hedged reads, read-repair fan-out, backpressure
   parking, demand skew, a mid-run network-delay change, streaming metrics,
-  copies outliving their primary (the kernel recycles request slots) and a
-  run long enough to flush the per-server load series in chunks;
+  copies outliving their primary (the kernel recycles request slots), a
+  run long enough to flush the per-server load series in chunks, every
+  builtin scenario and the legacy fluctuation fields on and off;
 * a hypothesis property over random small configurations, hedged or not,
   so the equivalence is not an artifact of hand-picked parameters;
 * a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
@@ -99,6 +100,27 @@ MATRIX = {
     "flush-chunks-lor": dict(
         num_servers=6, num_clients=8, num_requests=4 * _FLUSH_BLOCK, seed=5, strategy="LOR"
     ),
+    # The remaining builtin scenarios and the legacy fluctuation fields: the
+    # sweep runner executes every trial on the kernel, so every perturbation
+    # a sweep can name is pinned here.
+    "gc-storm-c3": dict(
+        HARD,
+        strategy="C3",
+        scenario="gc-storm",
+        scenario_params={"mean_interarrival_ms": 100.0},
+    ),
+    "slow-node-lor": dict(HARD, strategy="LOR", scenario="slow-node"),
+    # The default spike window starts after this run ends; move it inside.
+    "load-spike-c3": dict(
+        HARD,
+        strategy="C3",
+        scenario="load-spike",
+        scenario_params={"start_ms": 50.0, "end_ms": 250.0},
+    ),
+    "bimodal-p2c": dict(PLAIN, strategy="P2C", scenario="bimodal"),
+    "heterogeneous-ds": dict(PLAIN, strategy="DS", scenario="heterogeneous"),
+    "fluctuation-10ms-c3": dict(PLAIN, strategy="C3", fluctuation_interval_ms=10.0),
+    "fluctuation-off-c3": dict(PLAIN, strategy="C3", fluctuation_enabled=False),
 }
 
 
