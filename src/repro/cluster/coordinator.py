@@ -16,6 +16,7 @@ from typing import Callable, Hashable, Mapping
 import numpy as np
 
 from ..controls.hedging import QuantileHedging
+from ..core import samplers
 from ..core.feedback import ServerFeedback
 from ..simulator.engine import Event, EventLoop
 from ..simulator.network import NetworkModel
@@ -104,6 +105,7 @@ class Coordinator:
         self.read_repair_probability = read_repair_probability
         self.speculative_retry = speculative_retry
         self.rng = rng or np.random.default_rng()
+        self._rr_coin = samplers.uniform(self.rng)
 
         self._pending: dict[int, _PendingOperation] = {}
         self._pending_by_copy: dict[int, _PendingOperation] = {}
@@ -170,7 +172,7 @@ class Coordinator:
     def _maybe_read_repair(self, request: Request, pending: _PendingOperation) -> None:
         if self.read_repair_probability <= 0.0:
             return
-        if self.rng.random() >= self.read_repair_probability:
+        if self._rr_coin() >= self.read_repair_probability:
             return
         for node_id in request.replica_group:
             if node_id == request.server_id:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import samplers
+
 __all__ = ["DiskProfile", "HDD_PROFILE", "SSD_PROFILE", "DiskModel"]
 
 
@@ -97,6 +99,7 @@ class DiskModel:
     ) -> None:
         self.profile = profile
         self.rng = rng or np.random.default_rng()
+        self._exp = samplers.standard_exponential(self.rng)
         self.deterministic = deterministic
         self.reads_sampled = 0
         self.writes_sampled = 0
@@ -104,7 +107,7 @@ class DiskModel:
     def _draw(self, mean_ms: float) -> float:
         if self.deterministic:
             return mean_ms
-        return float(self.rng.exponential(mean_ms))
+        return mean_ms * self._exp()
 
     def read_time(
         self,

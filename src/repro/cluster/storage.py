@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import samplers
 from ..core.ewma import EWMA
 from .disk import DiskModel, DiskProfile, HDD_PROFILE
 
@@ -44,6 +45,7 @@ class StorageEngine:
         if not 0.0 <= cache_hit_probability <= 1.0:
             raise ValueError("cache_hit_probability must be in [0, 1]")
         self.rng = rng or np.random.default_rng()
+        self._cache_coin = samplers.uniform(self.rng)
         self.disk = DiskModel(profile, rng=self.rng, deterministic=deterministic)
         self.cache_hit_probability = float(cache_hit_probability)
         self.compacting = False
@@ -74,7 +76,7 @@ class StorageEngine:
         """Sample the service time of one read, in milliseconds."""
         self.reads_served += 1
         self._activity.update(min(1.0, concurrent_reads / 16.0))
-        cache_hit = self.rng.random() < self.cache_hit_probability
+        cache_hit = self._cache_coin() < self.cache_hit_probability
         return self.disk.read_time(
             concurrent_reads=max(0, concurrent_reads),
             compacting=self.compacting,

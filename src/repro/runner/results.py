@@ -65,9 +65,12 @@ class TrialResult:
 
     @classmethod
     def from_simulation(
-        cls, trial: "TrialSpec", result: "SimulationResult", wall_time_s: float
+        cls, trial: "TrialSpec", key: str, result: "SimulationResult", wall_time_s: float
     ) -> "TrialResult":
         """Distill a full simulation result into its persisted summary.
+
+        ``key`` is the cache key the trial was scheduled under (``trial.key``
+        as the scheduler computed it), so it is not hashed a second time.
 
         Streaming-mode results keep their latency histograms (serialized,
         JSON-safe) so downstream aggregation can pool replicates by
@@ -92,7 +95,7 @@ class TrialResult:
             params=dict(trial.params),
             seed=trial.seed,
             strategy=result.strategy or trial.config.strategy,
-            key=trial.key,
+            key=key,
             summary=result.summary.as_dict(),
             throughput_rps=result.throughput_rps,
             completed_requests=result.completed_requests,

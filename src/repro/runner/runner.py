@@ -67,12 +67,11 @@ def execute_trial(job: dict) -> dict:
     result = run_simulation(config.copy(kernel="batched"))
     wall = time.perf_counter() - started
     trial = TrialSpec(index=job["index"], params=job["params"], seed=job["seed"], config=config)
-    payload = TrialResult.from_simulation(trial, result, wall).to_dict()
     # Record the key the scheduler looked up, not one recomputed from the
     # round-tripped config: payload_to_config normalizes types (e.g. float
     # 40.0 → int 40), and a key drift here would make cache writes land
     # under a key that is never read back.
-    payload["key"] = job["key"]
+    payload = TrialResult.from_simulation(trial, job["key"], result, wall).to_dict()
     return {"index": job["index"], "trial": payload}
 
 

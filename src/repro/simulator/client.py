@@ -26,6 +26,7 @@ import numpy as np
 
 from ..controls.detectors import BinaryFailureDetector, FailureDetector
 from ..controls.hedging import QuantileHedging
+from ..core import samplers
 from ..core.feedback import ServerFeedback
 from ..strategies.base import ReplicaSelector
 from .engine import Event, EventLoop
@@ -115,6 +116,7 @@ class SimClient:
         self.metrics = metrics
         self.read_repair_probability = read_repair_probability
         self.rng = rng or np.random.default_rng()
+        self._rr_coin = samplers.uniform(self.rng)
         self.down_tracker = down_tracker
         self.failure_detector: FailureDetector = (
             failure_detector
@@ -193,7 +195,7 @@ class SimClient:
             return
         if self.read_repair_probability <= 0.0:
             return
-        if self.rng.random() >= self.read_repair_probability:
+        if self._rr_coin() >= self.read_repair_probability:
             return
         down = self.down_tracker is not None and self.down_tracker.count
         for server_id in request.replica_group:

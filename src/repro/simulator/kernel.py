@@ -95,11 +95,15 @@ C3 backpressure's own arrival rescheduling      0.97 (4/10) · 1.00 (10/20)
 (First figure: process pairs of three 120 000-request legs; last: single
 legs alternating inside one process.)  The workload variates come from the
 generator's draw source (:data:`~repro.simulator.workload.RNGS`), so nothing
-here knows the ``rng`` regime; ``"block"`` over ``"v1"`` on this code is
-1.19x under this kernel (``flat_scale`` configuration, 28 949 → 34 825
-requests per host second, 10/10 pairs) and 1.13x on the object path
-(``flat_c3``'s, 18 824 → 21 310, 9/10), which is why the regime keeps its
-second digest domain.
+here knows the ``rng`` regime.  ``"block"`` over ``"v1"`` was 1.19x under
+this kernel (``flat_scale`` configuration, 28 949 → 34 825 requests per
+host second, 10/10 pairs) and 1.13x on the object path (``flat_c3``'s,
+18 824 → 21 310, 9/10) while every ``v1`` variate was a Generator method
+call.  Since the scalar draws call numpy's C samplers directly
+(:mod:`repro.core.samplers`), the same comparison (C3, ten alternating
+process pairs) reads 1.03x under this kernel (7/10, quartiles 0.94–1.14)
+and 1.03x on the object path (9/10, 1.01–1.05): the speed that kept the
+regime's second digest domain is down to a few per cent.
 
 Everything timed — ENQUEUE and RESPONSE entries included — shares the one
 heap; only the next workload arrival is kept outside it, as a scalar.
@@ -284,6 +288,7 @@ class BatchedKernel:
         # attributes the base classes don't declare; Any is the honest type.
         self._sels: list[Any] = [c.selector for c in clients]
         self._crngs = [c.rng for c in clients]
+        self._rr_coins = [c._rr_coin for c in clients]
         self.rrp = float(cfg.read_repair_probability)
         self._policies: list[Any] = [c.hedging for c in clients]
         self._hedged = any(p is not None for p in self._policies)
@@ -517,7 +522,7 @@ class BatchedKernel:
         maxq = self._s_maxq
         ewv = self._s_ewv
         ewc = self._s_ewc
-        crngs = self._crngs
+        rr_coins = self._rr_coins
         if mode <= _P2C:
             out_all = self._out
             subm = self._subm
@@ -745,7 +750,7 @@ class BatchedKernel:
                         seq_v = loop._seq
                         loop._seq = seq_v + 1
                         push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
-                        if kind == _READ and rrp > 0.0 and crngs[cid].random() < rrp:
+                        if kind == _READ and rrp > 0.0 and rr_coins[cid]() < rrp:
                             self._rr_fanout(rid, cid, t)
                         if hedged:
                             self._maybe_hedge(rid, cid, t)
@@ -1100,7 +1105,7 @@ class BatchedKernel:
         if self._kind[rid] != _READ or self._parent[rid] >= 0:
             return
         rrp = self.rrp
-        if rrp > 0.0 and self._crngs[cid].random() < rrp:
+        if rrp > 0.0 and self._rr_coins[cid]() < rrp:
             self._rr_fanout(rid, cid, t)
 
     def _rr_fanout(self, rid: int, cid: int, t: float) -> None:

@@ -16,6 +16,7 @@ from typing import Any, Callable, Hashable, Mapping
 
 import numpy as np
 
+from ..core import samplers
 from ..core.ewma import EWMA
 from ..core.feedback import ServerFeedback
 from .engine import EventLoop
@@ -99,6 +100,7 @@ class SimServer:
         self.base_service_time_ms = float(base_service_time_ms)
         self.concurrency = int(concurrency)
         self.rng = rng or np.random.default_rng()
+        self._exp = samplers.standard_exponential(self.rng)
         self.deterministic = deterministic
         self.on_complete = on_complete
 
@@ -240,7 +242,7 @@ class SimServer:
         mean = self.current_service_time_ms * self._size_factor(request)
         if self.deterministic:
             return mean
-        return float(self.rng.exponential(mean))
+        return mean * self._exp()
 
     def _size_factor(self, request: Request) -> float:
         """Scale service time with record size (1 KB is the baseline)."""

@@ -110,11 +110,12 @@ class SimulationConfig:
     several times faster and digest-identical by construction).
 
     ``rng`` names an entry of :data:`RNGS`, the draw regime: ``"v1"`` (the
-    default — scalar per-arrival/per-decision Generator calls, byte-identical
-    to every pre-existing digest and cache key) or ``"block"`` (workload
-    trio and selector draws served from block-drawn variates — several µs
-    cheaper per request, digest-identical across kernels but a *different
-    digest domain* than ``"v1"`` because the stream positions move).
+    default — scalar per-arrival/per-decision draws, byte-identical to every
+    pre-existing digest and cache key) or ``"block"`` (workload trio and
+    selector draws served from block-drawn variates — digest-identical
+    across kernels but a *different digest domain* than ``"v1"`` because the
+    stream positions move; only a few per cent faster since the scalar
+    draws skip numpy's Python dispatch, see :mod:`repro.core.samplers`).
 
     ``failure_detector`` and ``hedging`` address registered controls (see
     :mod:`repro.controls`) through the same spec grammar.  The defaults —

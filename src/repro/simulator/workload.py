@@ -13,6 +13,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ..core import samplers
 from .engine import EventLoop
 from .request import Request, RequestKind
 
@@ -85,18 +86,20 @@ class DemandSkew:
 
 
 class ScalarDraws:
-    """One Generator call per variate — the ``rng="v1"`` regime's stream.
+    """One scalar draw per variate — the ``rng="v1"`` regime's stream.
 
     The draw-source interface both engines consume: ``next_client`` /
-    ``next_group`` / ``next_coin`` / ``next_gap``, each one variate.  Here
-    every call is the scalar Generator call the legacy stream made at that
-    point, so ``"v1"`` digests and cache keys are unchanged; ``next_gap`` is
-    a *standard* exponential that the caller scales by ``1/λ``, which is bit
-    for bit ``rng.exponential(1/λ)`` and leaves the generator in the same
-    state (``tests/simulator/test_rng_block.py``).
+    ``next_group`` / ``next_coin`` / ``next_gap``, each one variate.  Each is
+    a :mod:`~repro.core.samplers` sampler bound to ``rng`` — numpy's C
+    function behind the scalar Generator call the legacy stream made at that
+    point, so ``"v1"`` digests and cache keys are unchanged (a skewed
+    ``next_client`` stays ``rng.choice``); ``next_gap`` is a *standard*
+    exponential that the caller scales by ``1/λ``, which is bit for bit
+    ``rng.exponential(1/λ)`` and leaves the generator in the same state
+    (``tests/simulator/test_rng_block.py``).
     """
 
-    __slots__ = ("rng", "num_clients", "client_probs", "num_groups")
+    __slots__ = ("next_client", "next_group", "next_coin", "next_gap")
 
     def __init__(
         self,
@@ -105,24 +108,14 @@ class ScalarDraws:
         client_probs: "np.ndarray | None",
         num_groups: int,
     ) -> None:
-        self.rng = rng
-        self.num_clients = num_clients
-        self.client_probs = client_probs
-        self.num_groups = num_groups
-
-    def next_client(self) -> int:
-        if self.client_probs is None:
-            return int(self.rng.integers(self.num_clients))
-        return int(self.rng.choice(self.num_clients, p=self.client_probs))
-
-    def next_group(self) -> int:
-        return int(self.rng.integers(self.num_groups))
-
-    def next_coin(self) -> float:
-        return self.rng.random()
-
-    def next_gap(self) -> float:
-        return self.rng.standard_exponential()
+        self.next_client: Callable[[], int] = (
+            samplers.below(rng, num_clients)
+            if client_probs is None
+            else lambda: int(rng.choice(num_clients, p=client_probs))
+        )
+        self.next_group = samplers.below(rng, num_groups)
+        self.next_coin = samplers.uniform(rng)
+        self.next_gap = samplers.standard_exponential(rng)
 
 
 class BlockDraws:

@@ -18,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core import samplers
 from .records import FixedRecordSize, ZipfSkewedRecordSize
 from .zipf import UniformKeyGenerator, ZipfianGenerator
 
@@ -91,6 +92,7 @@ class YCSBWorkload:
             mix = WORKLOAD_MIXES[mix]
         self.mix = mix
         self.rng = rng or np.random.default_rng()
+        self._read_coin = samplers.uniform(self.rng)
         if key_distribution == "zipfian":
             self.keys = ZipfianGenerator(num_keys, theta=zipf_theta, rng=self.rng)
         elif key_distribution == "uniform":
@@ -110,7 +112,7 @@ class YCSBWorkload:
         self.operations_generated += 1
         return Operation(
             key=self.keys.next_key(),
-            is_read=self.rng.random() < self.mix.read_fraction,
+            is_read=self._read_coin() < self.mix.read_fraction,
             record_size=self.record_sizes.sample(),
         )
 

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..core import samplers
+
 __all__ = ["ZipfianGenerator", "UniformKeyGenerator"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -63,11 +65,19 @@ class ZipfianGenerator:
         self.theta = float(theta)
         self.scrambled = scrambled
         self.rng = rng or np.random.default_rng()
+        self._uniform = samplers.uniform(self.rng)
 
         self._zetan = self._zeta(self.num_keys, self.theta)
         self._zeta2 = self._zeta(2, self.theta)
         self._alpha = 1.0 / (1.0 - self.theta)
-        self._eta = (1.0 - (2.0 / self.num_keys) ** (1.0 - self.theta)) / (1.0 - self._zeta2 / self._zetan)
+        # For n <= 2 every draw returns rank 0 or 1 before reading eta
+        # (u * zetan < zetan <= 1 + 0.5**theta), and at n = 2 its formula
+        # divides by zero; YCSB computes a NaN there and never reads it.
+        self._eta = (
+            (1.0 - (2.0 / self.num_keys) ** (1.0 - self.theta)) / (1.0 - self._zeta2 / self._zetan)
+            if self.num_keys > 2
+            else 0.0
+        )
 
     @staticmethod
     @lru_cache(maxsize=32)
@@ -78,7 +88,7 @@ class ZipfianGenerator:
 
     def next_rank(self) -> int:
         """Draw a popularity rank in ``[0, num_keys)`` (0 = most popular)."""
-        u = self.rng.random()
+        u = self._uniform()
         uz = u * self._zetan
         if uz < 1.0:
             return 0
@@ -114,10 +124,11 @@ class UniformKeyGenerator:
             raise ValueError("num_keys must be >= 1")
         self.num_keys = int(num_keys)
         self.rng = rng or np.random.default_rng()
+        self._below = samplers.below(self.rng, self.num_keys)
 
     def next_key(self) -> int:
         """Draw a key uniformly."""
-        return int(self.rng.integers(self.num_keys))
+        return self._below()
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` keys."""

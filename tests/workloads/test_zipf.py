@@ -48,6 +48,28 @@ class TestZipfianGenerator:
         generator = ZipfianGenerator(1, rng=np.random.default_rng(0))
         assert generator.next_key() == 0
 
+    @pytest.mark.parametrize("num_keys", [1, 2, 3])
+    def test_tiny_key_spaces_draw_valid_ranks(self, num_keys):
+        generator = ZipfianGenerator(num_keys, rng=np.random.default_rng(num_keys))
+        assert {generator.next_rank() for _ in range(2000)} <= set(range(num_keys))
+        assert {generator.next_key() for _ in range(2000)} <= set(range(num_keys))
+
+    def test_two_keys_follow_their_popularity(self):
+        generator = ZipfianGenerator(2, scrambled=False, rng=np.random.default_rng(7))
+        draws = 20_000
+        counts = np.bincount([generator.next_rank() for _ in range(draws)], minlength=2)
+        for rank in (0, 1):
+            p = generator.popularity(rank)
+            # Five binomial standard deviations of the expected count.
+            assert abs(counts[rank] - draws * p) < 5 * np.sqrt(draws * p * (1 - p))
+
+    def test_three_keys_draw_the_sequence_they_always_drew(self):
+        generator = ZipfianGenerator(3, rng=np.random.default_rng(2024))
+        assert [generator.next_rank() for _ in range(40)] == [
+            1, 0, 0, 1, 2, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 2, 1, 1, 0,
+            0, 0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 1, 0, 0, 2, 2, 0,
+        ]  # fmt: skip
+
     def test_memoised_zeta_is_the_plain_sum_bit_for_bit(self):
         expected = float(sum(1.0 / (i**0.9) for i in range(1, 778)))
         first = ZipfianGenerator(777, theta=0.9)
