@@ -97,11 +97,6 @@ class ClusterNode:
         return self._in_service
 
     @property
-    def gc_paused(self) -> bool:
-        """Whether a stop-the-world pause is in progress."""
-        return self._gc_paused
-
-    @property
     def smoothed_service_time(self) -> float:
         """EWMA of recent service times (ms) — the 1/μ feedback."""
         return self._service_time_ewma.value

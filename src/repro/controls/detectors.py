@@ -229,13 +229,6 @@ class PhiAccrualFailureDetector:
         silence = max(now - last, 0.0)
         return silence / (mean * _LN10)
 
-    def mean_interval_ms(self, server_id: Hashable) -> float | None:
-        """Mean heartbeat inter-arrival estimate, or ``None`` without samples."""
-        intervals = self._intervals.get(server_id)
-        if not intervals:
-            return None
-        return max(sum(intervals) / len(intervals), self.floor_ms)
-
     def suspicious(self) -> bool:
         # Filtering only matters once at least one server has enough history
         # to be convictable at all.

@@ -113,8 +113,3 @@ class QuantileHedging:
         if len(self._window) < self.min_samples:
             return None
         return float(np.percentile(np.asarray(self._window), self.quantile * 100.0))
-
-    @property
-    def sample_count(self) -> int:
-        """Number of latencies currently in the sliding window."""
-        return len(self._window)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 from .config import C3Config
 from .cubic import cubic_inflection_ms, cubic_rate
@@ -44,7 +44,9 @@ class RateLimiter:
     mechanism with a fixed window δ: the number of permits consumed in the
     current window is tracked, and the window resets once δ has elapsed.
     Fractional rates are honoured by accumulating fractional allowances
-    across windows.
+    across windows.  Permits are taken by
+    :meth:`CubicRateController.try_acquire`, which rolls the window and
+    consumes a permit in one pass.
     """
 
     __slots__ = ("delta_ms", "_rate", "_window_start", "_used", "_carry")
@@ -90,25 +92,6 @@ class RateLimiter:
             self._carry = min(cap, leftover + self._rate * (windows - 1))
             self._window_start += windows * self.delta_ms
             self._used = 0.0
-
-    def available(self, now: float) -> float:
-        """Permits still available in the window containing ``now``."""
-        self._roll_window(now)
-        budget = self._rate + self._carry
-        return max(0.0, budget - self._used)
-
-    def within_rate(self, now: float) -> bool:
-        """True when at least one whole permit is available."""
-        return self.available(now) >= 1.0
-
-    def try_acquire(self, now: float) -> bool:
-        """Consume a permit if available; return whether it was granted."""
-        self._roll_window(now)
-        budget = self._rate + self._carry
-        if budget - self._used >= 1.0:
-            self._used += 1.0
-            return True
-        return False
 
     def time_until_available(self, now: float) -> float:
         """Milliseconds until the next permit could be granted (0 if now)."""
@@ -247,14 +230,6 @@ class CubicRateController:
         """Current sending-rate limit (requests per δ window)."""
         return self.limiter.rate
 
-    def rrate(self, now: float) -> float:
-        """Current smoothed receive rate (responses per δ window)."""
-        return self.receive.rate(now)
-
-    def within_rate(self, now: float) -> bool:
-        """Whether a request may be sent to this server right now."""
-        return self.limiter.within_rate(now)
-
     # try_acquire and on_response run once per request on every executor
     # (the batched kernel calls them too): one pass over the limiter's and
     # trackers' slots, rolling a window only when its boundary was crossed.
@@ -274,14 +249,6 @@ class CubicRateController:
             sent._count += 1.0
             return True
         return False
-
-    def send_rate(self, now: float) -> float:
-        """Achieved send rate (requests per δ window)."""
-        return self.sent.rate(now)
-
-    def time_until_available(self, now: float) -> float:
-        """Milliseconds until a permit will be available again."""
-        return self.limiter.time_until_available(now)
 
     def on_response(self, now: float) -> None:
         """Update the rate from a response arriving at ``now`` (Algorithm 2).
@@ -364,19 +331,6 @@ class PerServerRateControl:
             ctrl.record_history = self.record_history
             self._controllers[server_id] = ctrl
         return ctrl
-
-    def __contains__(self, server_id: Hashable) -> bool:
-        return server_id in self._controllers
-
-    def __iter__(self) -> Iterator[CubicRateController]:
-        return iter(self._controllers.values())
-
-    def __len__(self) -> int:
-        return len(self._controllers)
-
-    def within_rate(self, server_id: Hashable, now: float) -> bool:
-        """Whether the per-server limiter currently admits a send."""
-        return self.controller(server_id).within_rate(now)
 
     def try_acquire(self, server_id: Hashable, now: float) -> bool:
         """Consume a send permit for ``server_id`` if available."""

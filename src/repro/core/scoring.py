@@ -46,7 +46,7 @@ snapshot does not write back into the scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -333,13 +333,6 @@ class ReplicaScorer:
         i = self._slot(server_id)
         return 1.0 + self._out[i] * self.config.concurrency_weight + self._qs_val[i]
 
-    def expected_service_time(self, server_id: Hashable) -> float:
-        """Smoothed service time ``1/μ̄_s`` with the configured numeric floor."""
-        i = self._slot(server_id)
-        if not self._st_cnt[i]:
-            return self.config.service_time_floor_ms
-        return max(self._st_val[i], self.config.service_time_floor_ms)
-
     def score(self, server_id: Hashable) -> float:
         """The C3 score Ψ_s for one server (lower is better)."""
         i = self._slot(server_id)
@@ -358,10 +351,6 @@ class ReplicaScorer:
             service_time=service_time,
             exponent=cfg.score_exponent,
         )
-
-    def scores(self, replica_group: Iterable[Hashable]) -> Mapping[Hashable, float]:
-        """Scores for every member of ``replica_group``."""
-        return {server_id: self.score(server_id) for server_id in replica_group}
 
     def scores_array(self, replica_group: Iterable[Hashable]) -> np.ndarray:
         """Scores for a whole replica group as one vectorized numpy expression.
@@ -431,10 +420,6 @@ class ReplicaScorer:
                 k += 1
         decorated.sort()
         return [group[d[3]] for d in decorated]
-
-    def best(self, replica_group: Iterable[Hashable]) -> Hashable:
-        """The best-ranked replica of the group."""
-        return self.rank(replica_group)[0]
 
     # ------------------------------------------------------------------ kernel
     def kernel_state(

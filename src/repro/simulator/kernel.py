@@ -35,14 +35,14 @@ dispatch loop:
   (``rng.standard_exponential(n)`` advances the stream exactly as ``n``
   scalar ``rng.exponential(mean)`` calls do, and ``mean * e`` is bitwise
   equal to ``exponential(mean)``).
-* **Batched selector scoring** — LOR and P2C score replica groups over
-  contiguous per-client arrays (outstanding counts, queue-EWMA values)
-  instead of defaultdict lookups, with end-of-run write-back through the
-  selectors' ``kernel_state``/``kernel_restore`` seams.  C3 is scored
-  inline over the scorer's live dense arrays and calls the shared
+* **Batched selector scoring** — LOR scores replica groups over contiguous
+  per-client outstanding counts instead of defaultdict lookups, with
+  end-of-run write-back through the selector's ``kernel_state``/
+  ``kernel_restore`` seams.  C3 is scored inline over the scorer's live
+  dense arrays and calls the shared
   :class:`~repro.core.rate_control.CubicRateController` objects.  Every
-  other strategy runs through its normal selector methods (correct, less
-  accelerated).
+  other strategy, P2C included, runs through its normal selector methods
+  (correct, less accelerated).
 * **Batched metrics** — latencies accumulate in flat lists (exact mode) or
   go straight into the streaming histograms, and per-server completion
   times are buffered and flushed through
@@ -65,7 +65,6 @@ inlined path     fast / polymorphic
 ===============  ======================
 C3               1.45x  (1.35–1.41x)
 LOR              1.77x  (1.57x)
-P2C              1.53x  (1.32x)
 stock selectors  1.32x  (1.26x)
 ===============  ======================
 
@@ -131,7 +130,6 @@ from ..core.feedback import ServerFeedback
 from ..strategies.base import ReplicaSelector, StatefulSelector
 from ..strategies.c3 import C3Selector
 from ..strategies.least_outstanding import LeastOutstandingSelector
-from ..strategies.power_of_two import PowerOfTwoSelector
 from .client import _MIN_RETRY_MS, _PARKED_RETRY_MS
 from .metrics import WindowedCounter
 from .network import ConstantLatency
@@ -164,10 +162,9 @@ _SPECULATIVE = 3
 
 # Selector fast-path modes.
 _LOR = 0
-_P2C = 1
-_STOCK = 2
-_CUSTOM = 3
-_C3 = 4
+_STOCK = 1
+_CUSTOM = 2
+_C3 = 3
 
 #: Sentinel "no pending arrival" time (compares after every real event).
 _NEVER = float("inf")
@@ -300,20 +297,6 @@ class BatchedKernel:
             self._out: list[Any] = [sel.kernel_state(num_servers) for sel in self._sels]
             self._subm = [sel.requests_submitted for sel in self._sels]
             self._resp = [sel.responses_received for sel in self._sels]
-        elif self.mode == _P2C:
-            self._sel_rngs = [sel.rng for sel in self._sels]
-            self.p2c_alpha = float(self._sels[0].alpha)
-            self._out = []
-            self._ew_val: list[Any] = []
-            self._ew_init: list[Any] = []
-            for sel in self._sels:
-                out, values, seeded = sel.kernel_state(num_servers)
-                self._out.append(out)
-                self._ew_val.append(values)
-                self._ew_init.append(seeded)
-            self._ew_cnt = [[0] * num_servers for _ in self._sels]
-            self._subm = [sel.requests_submitted for sel in self._sels]
-            self._resp = [sel.responses_received for sel in self._sels]
         elif self.mode == _C3:
             states = [sel.kernel_state(num_servers) for sel in self._sels]
             c3_cfg = self._sels[0].config
@@ -407,7 +390,7 @@ class BatchedKernel:
     def _detect_mode(selector: ReplicaSelector) -> int:
         """Pick the fast path the selector's exact type allows.
 
-        The inlined LOR/P2C paths require the *exact* class (a subclass may
+        The inlined LOR path requires the *exact* class (a subclass may
         override any hook); the generic stock path requires the base
         ``submit``/``on_response``/backlog methods to be unoverridden.
         Anything else — C3, rate-limited round-robin, user strategies —
@@ -416,8 +399,6 @@ class BatchedKernel:
         cls = type(selector)
         if cls is LeastOutstandingSelector:
             return _LOR
-        if cls is PowerOfTwoSelector:
-            return _P2C
         if cls is C3Selector:
             return _C3
         if (
@@ -523,16 +504,11 @@ class BatchedKernel:
         ewv = self._s_ewv
         ewc = self._s_ewc
         rr_coins = self._rr_coins
-        if mode <= _P2C:
+        if mode == _LOR:
             out_all = self._out
             subm = self._subm
             resp = self._resp
             sel_rngs = self._sel_rngs
-        if mode == _P2C:
-            ew_all = self._ew_val
-            ew_init_all = self._ew_init
-            ew_cnt_all = self._ew_cnt
-            p2c_alpha = self.p2c_alpha
         if mode == _C3:
             c3_rt_val = self._c3_rt_val
             c3_rt_cnt = self._c3_rt_cnt
@@ -639,7 +615,7 @@ class BatchedKernel:
                 if suspicious or mode == _CUSTOM:
                     self._submit(rid, cid, t)
                 else:
-                    # Inline submit + dispatch for the LOR/P2C/stock fast
+                    # Inline submit + dispatch for the LOR/stock/C3 fast
                     # modes (no liveness filtering needed, so the
                     # dispatch-time re-check is also vacuous).
                     if mode == _STOCK:
@@ -707,37 +683,28 @@ class BatchedKernel:
                             c3_s_sends[cid] += 1
                             c3_sent[cid] += 1
                     else:
+                        # LOR, in one pass: track the current minimum and
+                        # lazily build the tie list only when a tie exists,
+                        # so the common no-tie case touches no list
+                        # machinery.
                         subm[cid] += 1
                         out = out_all[cid]
-                        if mode == _LOR:
-                            # One pass: track the current minimum and lazily
-                            # build the tie list only when a tie exists, so
-                            # the common no-tie case touches no list
-                            # machinery.
-                            sid = -1
-                            lowest = 1 << 60
-                            tied = None
-                            for s in group:
-                                v = out[s]
-                                if v < lowest:
-                                    lowest = v
-                                    sid = s
-                                    tied = None
-                                elif v == lowest:
-                                    if tied is None:
-                                        tied = [sid, s]
-                                    else:
-                                        tied.append(s)
-                            if tied is not None:
-                                sid = tied[int(sel_rngs[cid].integers(len(tied)))]
-                        else:
-                            if len(group) == 1:
-                                sid = group[0]
-                            else:
-                                idx = sel_rngs[cid].choice(len(group), size=2, replace=False)
-                                a, b = group[int(idx[0])], group[int(idx[1])]
-                                ew = ew_all[cid]
-                                sid = a if out[a] + ew[a] <= out[b] + ew[b] else b
+                        sid = -1
+                        lowest = 1 << 60
+                        tied = None
+                        for s in group:
+                            v = out[s]
+                            if v < lowest:
+                                lowest = v
+                                sid = s
+                                tied = None
+                            elif v == lowest:
+                                if tied is None:
+                                    tied = [sid, s]
+                                else:
+                                    tied.append(s)
+                        if tied is not None:
+                            sid = tied[int(sel_rngs[cid].integers(len(tied)))]
                         out[sid] += 1
                     # sid < 0: C3 backpressure queued the request, and only
                     # the next arrival is left to draw.
@@ -806,18 +773,6 @@ class BatchedKernel:
                     out = out_all[cid]
                     if out[sid] > 0:
                         out[sid] -= 1
-                elif mode == _P2C:
-                    resp[cid] += 1
-                    out = out_all[cid]
-                    if out[sid] > 0:
-                        out[sid] -= 1
-                    ew = ew_all[cid]
-                    if ew_init_all[cid][sid]:
-                        ew[sid] = p2c_alpha * float(entry[4]) + (1.0 - p2c_alpha) * ew[sid]
-                    else:
-                        ew[sid] = float(entry[4])
-                        ew_init_all[cid][sid] = True
-                    ew_cnt_all[cid][sid] += 1
                 elif mode == _STOCK:
                     sel = sels[cid]
                     sel.responses_received += 1
@@ -1038,18 +993,6 @@ class BatchedKernel:
                 sid = tied[int(self._sel_rngs[cid].integers(len(tied)))]
             out[sid] += 1
             self._send(rid, cid, sid, t)
-        elif mode == _P2C:
-            self._subm[cid] += 1
-            out = self._out[cid]
-            if len(candidates) == 1:
-                sid = candidates[0]
-            else:
-                idx = self._sel_rngs[cid].choice(len(candidates), size=2, replace=False)
-                a, b = candidates[int(idx[0])], candidates[int(idx[1])]
-                ew = self._ew_val[cid]
-                sid = a if out[a] + ew[a] <= out[b] + ew[b] else b
-            out[sid] += 1
-            self._send(rid, cid, sid, t)
         elif mode == _STOCK:
             sel = self._sels[cid]
             sel.requests_submitted += 1
@@ -1094,7 +1037,7 @@ class BatchedKernel:
         heappush(self.heap, (t + delay, seq, _ENQUEUE, rid, sid, 0.0))
 
     def _sel_timeout(self, cid: int, sid: int, t: float) -> None:
-        if self.mode <= _P2C:
+        if self.mode == _LOR:
             out = self._out[cid]
             if out[sid] > 0:
                 out[sid] -= 1
@@ -1114,7 +1057,7 @@ class BatchedKernel:
         primary_sid = self._sid[rid]
         group = self._group[rid]
         servers = self.servers
-        fast = self.mode <= _P2C
+        fast = self.mode == _LOR
         for sid in group:
             if sid == primary_sid:
                 continue
@@ -1176,7 +1119,7 @@ class BatchedKernel:
         self._hedge_by_copy[cid][duplicate] = rid
         self.duplicates += 1
         self._hedges_fired[cid] += 1
-        if self.mode <= _P2C:
+        if self.mode == _LOR:
             self._out[cid][target] += 1
         else:
             self._sels[cid].on_duplicate_send(target, t)
@@ -1330,7 +1273,7 @@ class BatchedKernel:
         """Fold kernel-local state back into the object graph.
 
         After this, ``sim.metrics``, every ``SimClient`` counter, and the
-        LOR/P2C selector state match what the object path would have left
+        LOR and C3 selector state match what the object path would have left
         behind, so ``stats()``/``result()`` work unchanged.  Returns the
         number of requests still parked.
         """
@@ -1366,16 +1309,6 @@ class BatchedKernel:
         if self.mode == _LOR:
             for cid, sel in enumerate(self._sels):
                 sel.kernel_restore(self._out[cid], self._subm[cid], self._resp[cid])
-        elif self.mode == _P2C:
-            for cid, sel in enumerate(self._sels):
-                sel.kernel_restore(
-                    self._out[cid],
-                    self._ew_val[cid],
-                    self._ew_init[cid],
-                    self._ew_cnt[cid],
-                    self._subm[cid],
-                    self._resp[cid],
-                )
         elif self.mode == _C3:
             for cid, sel in enumerate(self._sels):
                 sel.kernel_restore(

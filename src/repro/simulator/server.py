@@ -129,11 +129,6 @@ class SimServer:
         return self.base_service_time_ms * self._service_time_multiplier
 
     @property
-    def current_service_rate(self) -> float:
-        """Requests per ms per service slot in the current state."""
-        return 1.0 / self.current_service_time_ms
-
-    @property
     def queue_length(self) -> int:
         """Requests waiting for a service slot (excludes in-service)."""
         return len(self._queue)

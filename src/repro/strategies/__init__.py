@@ -29,9 +29,7 @@ from .oracle import OracleParams, OracleSelector
 from .least_outstanding import LeastOutstandingParams, LeastOutstandingSelector
 from .round_robin import RoundRobinParams, RoundRobinSelector
 from .random_choice import RandomParams, RandomSelector
-from .least_response_time import LeastResponseTimeParams, LeastResponseTimeSelector
 from .power_of_two import PowerOfTwoParams, PowerOfTwoSelector
-from .weighted_random import WeightedRandomParams, WeightedRandomSelector
 from .dynamic_snitch import DynamicSnitchParams, DynamicSnitchSelector
 
 from .registry import (
@@ -52,8 +50,6 @@ __all__ = [
     "DynamicSnitchSelector",
     "LeastOutstandingParams",
     "LeastOutstandingSelector",
-    "LeastResponseTimeParams",
-    "LeastResponseTimeSelector",
     "OracleParams",
     "OracleSelector",
     "PowerOfTwoParams",
@@ -67,8 +63,6 @@ __all__ = [
     "StatefulSelector",
     "StrategyInfo",
     "StrategySpec",
-    "WeightedRandomParams",
-    "WeightedRandomSelector",
     "STRATEGY_NAMES",
     "c3_config_from_params",
     "get_strategy",

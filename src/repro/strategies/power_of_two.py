@@ -90,42 +90,3 @@ class PowerOfTwoSelector(StatefulSelector):
     def on_timeout(self, server_id: Hashable, now: float) -> None:
         if self._outstanding[server_id] > 0:
             self._outstanding[server_id] -= 1
-
-    # ------------------------------------------------------ batched-kernel seam
-    def kernel_state(self, num_servers: int) -> tuple[list[int], list[float], list[bool]]:
-        """Dense per-server state: (outstanding, EWMA values, EWMA seeded?).
-
-        An unseeded EWMA contributes 0.0 to the load estimate but must seed
-        directly from its first sample, so the kernel needs the seeded flag
-        alongside the value.
-        """
-        outstanding = [self._outstanding[sid] for sid in range(num_servers)]
-        values: list[float] = []
-        seeded: list[bool] = []
-        for sid in range(num_servers):
-            ewma = self._queue_feedback.get(sid)
-            initialized = ewma is not None and ewma.initialized
-            values.append(ewma.value if initialized else 0.0)
-            seeded.append(initialized)
-        return outstanding, values, seeded
-
-    def kernel_restore(
-        self,
-        outstanding: Sequence[int],
-        values: Sequence[float],
-        seeded: Sequence[bool],
-        counts: Sequence[int],
-        submitted: int,
-        responses: int,
-    ) -> None:
-        """Fold the kernel's dense per-server state back into the selector."""
-        self.requests_submitted = submitted
-        self.responses_received = responses
-        for sid, count in enumerate(outstanding):
-            if count:
-                self._outstanding[sid] = count
-        for sid, initialized in enumerate(seeded):
-            if initialized:
-                ewma = self._queue_ewma(sid)
-                ewma._value = values[sid]
-                ewma._count = counts[sid]

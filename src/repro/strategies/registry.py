@@ -6,13 +6,13 @@ paper's values) and registers its selector class with
 <repro.strategies.specbase.Registry.register>` of :data:`STRATEGIES`::
 
     @register_strategy(
-        "LRT",
-        aliases=("LEAST_RESPONSE_TIME",),
-        params=LRTParams,
-        description="Lowest smoothed response time",
+        "P2C",
+        aliases=("POWER_OF_TWO",),
+        params=PowerOfTwoParams,
+        description="Power-of-two-choices: sample two replicas, pick the less loaded",
         context_args=("rng",),
     )
-    class LeastResponseTimeSelector(StatefulSelector): ...
+    class PowerOfTwoSelector(StatefulSelector): ...
 
 Registration makes the strategy addressable everywhere a strategy name is
 accepted — ``SimulationConfig.strategy``, ``ClusterConfig.strategy``, sweep

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from repro.core.config import C3Config
 from repro.core.ewma import EWMA
 from repro.core.feedback import ServerFeedback
-from repro.core.rate_control import RateLimiter, cubic_rate
+from repro.core.rate_control import CubicRateController, cubic_rate
 from repro.core.scheduler import C3Scheduler
 from repro.core.scoring import ReplicaScorer, cubic_score
 
@@ -64,7 +64,7 @@ class TestScoreProperties:
             )
         ranking = scorer.rank(group)
         assert sorted(ranking) == sorted(group)
-        scores = scorer.scores(group)
+        scores = dict(zip(group, scorer.scores_array(group).tolist()))
         assert scores[ranking[0]] == min(scores.values())
 
 
@@ -93,12 +93,12 @@ class TestRateLimiterProperties:
     def test_grants_never_exceed_rate_plus_carry_budget(self, rate, gaps):
         """Over any run, grants are bounded by the elapsed windows' budget."""
         delta = 10.0
-        limiter = RateLimiter(rate=rate, delta_ms=delta)
+        controller = CubicRateController(C3Config(initial_rate=rate, rate_delta_ms=delta))
         now = 0.0
         grants = 0
         for gap in gaps:
             now += gap
-            if limiter.try_acquire(now):
+            if controller.try_acquire(now):
                 grants += 1
         windows_elapsed = int(now // delta) + 1
         budget = windows_elapsed * rate + max(rate, 1.0)

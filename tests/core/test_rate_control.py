@@ -40,37 +40,46 @@ class TestCubicRateFunction:
             cubic_rate(1.0, -1.0, 0.2, 1.0)
 
 
+def _limited(rate: float, delta_ms: float = 10.0) -> CubicRateController:
+    """A controller whose limiter admits ``rate`` sends per ``delta_ms`` window.
+
+    Sends take their permit through :meth:`CubicRateController.try_acquire`,
+    the one acquire path every executor runs.
+    """
+    return CubicRateController(C3Config(initial_rate=rate, rate_delta_ms=delta_ms))
+
+
 class TestRateLimiter:
     def test_admits_up_to_rate_per_window(self):
-        limiter = RateLimiter(rate=3.0, delta_ms=10.0)
-        grants = [limiter.try_acquire(0.0) for _ in range(5)]
+        ctrl = _limited(3.0)
+        grants = [ctrl.try_acquire(0.0) for _ in range(5)]
         assert grants == [True, True, True, False, False]
 
     def test_window_roll_replenishes(self):
-        limiter = RateLimiter(rate=2.0, delta_ms=10.0)
-        assert limiter.try_acquire(0.0)
-        assert limiter.try_acquire(0.0)
-        assert not limiter.try_acquire(5.0)
-        assert limiter.try_acquire(10.0)
+        ctrl = _limited(2.0)
+        assert ctrl.try_acquire(0.0)
+        assert ctrl.try_acquire(0.0)
+        assert not ctrl.try_acquire(5.0)
+        assert ctrl.try_acquire(10.0)
 
     def test_fractional_rate_eventually_grants(self):
         """Rates below one request per window must not starve forever."""
-        limiter = RateLimiter(rate=0.25, delta_ms=10.0)
-        assert not limiter.try_acquire(0.0)
+        ctrl = _limited(0.25)
+        assert not ctrl.try_acquire(0.0)
         granted_at = None
         t = 0.0
         while t < 200.0:
             t += 10.0
-            if limiter.try_acquire(t):
+            if ctrl.try_acquire(t):
                 granted_at = t
                 break
         assert granted_at is not None and granted_at <= 50.0
 
     def test_unused_allowance_carries_bounded(self):
-        limiter = RateLimiter(rate=2.0, delta_ms=10.0)
+        ctrl = _limited(2.0)
         # Skip many idle windows; the carried allowance is bounded by one
         # bucket (max(rate, 1)), so at most rate + carry permits are granted.
-        grants = sum(limiter.try_acquire(1000.0) for _ in range(10))
+        grants = sum(ctrl.try_acquire(1000.0) for _ in range(10))
         assert grants <= 4
 
     def test_time_until_available_zero_when_permits_left(self):
@@ -78,9 +87,9 @@ class TestRateLimiter:
         assert limiter.time_until_available(0.0) == 0.0
 
     def test_time_until_available_after_exhaustion(self):
-        limiter = RateLimiter(rate=1.0, delta_ms=10.0)
-        assert limiter.try_acquire(2.0)
-        wait = limiter.time_until_available(2.0)
+        ctrl = _limited(1.0)
+        assert ctrl.try_acquire(2.0)
+        wait = ctrl.limiter.time_until_available(2.0)
         assert 0.0 < wait <= 10.0
 
     def test_rate_setter_validation(self):
@@ -89,10 +98,10 @@ class TestRateLimiter:
             limiter.rate = 0.0
 
     def test_clock_rewind_resets_window(self):
-        limiter = RateLimiter(rate=1.0, delta_ms=10.0)
-        limiter.try_acquire(100.0)
+        ctrl = _limited(1.0)
+        ctrl.try_acquire(100.0)
         # Rewinding the clock must not crash or starve.
-        assert limiter.try_acquire(0.0)
+        assert ctrl.try_acquire(0.0)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -147,7 +156,7 @@ class TestCubicRateController:
     def test_initial_state(self):
         ctrl = CubicRateController(self._config(), "s")
         assert ctrl.srate == 10.0
-        assert ctrl.within_rate(0.0)
+        assert ctrl.try_acquire(0.0)
 
     def test_decrease_when_server_falls_behind(self):
         config = self._config(hysteresis_ms=0.0)
@@ -258,10 +267,9 @@ class TestCubicRateController:
 class TestPerServerRateControl:
     def test_controllers_created_lazily(self, c3_config):
         control = PerServerRateControl(c3_config)
-        assert len(control) == 0
+        assert control.rates() == {}
         control.controller("a")
-        assert "a" in control
-        assert len(control) == 1
+        assert list(control.rates()) == ["a"]
 
     def test_try_acquire_and_rates(self, c3_config):
         control = PerServerRateControl(c3_config)

@@ -143,13 +143,12 @@ class TestReplicaScorerRanking:
     def test_rank_prefers_lower_score(self):
         scorer = self._loaded_scorer()
         assert scorer.rank(["slow", "fast"]) == ["fast", "slow"]
-        assert scorer.best(["slow", "fast"]) == "fast"
 
-    def test_scores_mapping_matches_score(self):
+    def test_scores_array_matches_score(self):
         scorer = self._loaded_scorer()
-        scores = scorer.scores(["fast", "slow"])
-        assert scores["fast"] == pytest.approx(scorer.score("fast"))
-        assert scores["slow"] == pytest.approx(scorer.score("slow"))
+        fast, slow = scorer.scores_array(["fast", "slow"])
+        assert fast == pytest.approx(scorer.score("fast"))
+        assert slow == pytest.approx(scorer.score("slow"))
 
     def test_outstanding_requests_push_ranking_away(self):
         config = C3Config(ewma_alpha=1.0, concurrency_weight=5.0)
@@ -160,7 +159,7 @@ class TestReplicaScorerRanking:
         # Pile outstanding requests onto "a".
         for _ in range(5):
             scorer.on_send("a", 2.0)
-        assert scorer.best(["a", "b"]) == "b"
+        assert scorer.rank(["a", "b"])[0] == "b"
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ class TestSimulationConfig:
 
 
 class TestRunSimulation:
-    @pytest.mark.parametrize("strategy", ["C3", "LOR", "RR", "ORA", "RAND", "LRT", "P2C", "WRAND"])
+    @pytest.mark.parametrize("strategy", ["C3", "LOR", "RR", "ORA", "RAND", "P2C"])
     def test_every_strategy_completes_all_requests(self, strategy):
         config = SimulationConfig(strategy=strategy, **FAST)
         result = run_simulation(config)

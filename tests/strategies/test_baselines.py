@@ -1,4 +1,4 @@
-"""Unit tests for the baseline selectors (LOR, ORA, RAND, LRT, P2C, WRAND)."""
+"""Unit tests for the baseline selectors (LOR, ORA, RAND, P2C)."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from repro.core.feedback import ServerFeedback
 from repro.strategies import (
     LeastOutstandingSelector,
-    LeastResponseTimeSelector,
     OracleSelector,
     PowerOfTwoSelector,
     RandomSelector,
-    WeightedRandomSelector,
 )
 
 
@@ -75,25 +73,6 @@ class TestRandom:
         assert all(count > 120 for count in counts.values())
 
 
-class TestLeastResponseTime:
-    def test_prefers_lowest_smoothed_response_time(self):
-        selector = LeastResponseTimeSelector(alpha=1.0, rng=np.random.default_rng(0))
-        selector.on_response("slow", None, 50.0, 1.0)
-        selector.on_response("fast", None, 2.0, 1.0)
-        assert selector.choose(("slow", "fast"), 2.0) == "fast"
-
-    def test_unsampled_servers_explored_first(self):
-        selector = LeastResponseTimeSelector(rng=np.random.default_rng(0))
-        selector.on_response("known", None, 5.0, 1.0)
-        assert selector.choose(("known", "unknown"), 2.0) == "unknown"
-
-    def test_smoothed_value_accessor(self):
-        selector = LeastResponseTimeSelector(alpha=0.5)
-        selector.on_response("a", None, 10.0, 1.0)
-        selector.on_response("a", None, 0.0, 2.0)
-        assert selector.smoothed_response_time("a") == pytest.approx(5.0)
-
-
 class TestPowerOfTwo:
     def test_single_member_group(self):
         selector = PowerOfTwoSelector(rng=np.random.default_rng(0))
@@ -119,24 +98,3 @@ class TestPowerOfTwo:
         selector.record_response("a", None, 1.0, 1.0)
         assert selector.load_estimate("a") == 0.0
 
-
-class TestWeightedRandom:
-    def test_invalid_signal_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedRandomSelector(signal="nonsense")
-
-    def test_prefers_low_cost_servers(self):
-        selector = WeightedRandomSelector(signal="outstanding", rng=np.random.default_rng(0))
-        for _ in range(20):
-            selector.record_send("loaded", 0.0)
-        counts = {"loaded": 0, "idle": 0}
-        for _ in range(300):
-            counts[selector.choose(("loaded", "idle"), 0.0)] += 1
-        assert counts["idle"] > counts["loaded"]
-
-    @pytest.mark.parametrize("signal", ["outstanding", "queue", "response_time"])
-    def test_all_signals_work(self, signal):
-        selector = WeightedRandomSelector(signal=signal, rng=np.random.default_rng(0))
-        decision = selector.submit("r", ("a", "b"), 0.0)
-        selector.on_response(decision.server_id, ServerFeedback(queue_size=1, service_time=1.0), 2.0, 1.0)
-        assert selector.cost(decision.server_id) >= 0.0

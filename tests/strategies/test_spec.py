@@ -20,7 +20,6 @@ the control registry) run over this registry's data, plus the assertions
 about particular strategies.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from registry_contract import RegistryContract, SpecParsingContract, spec_cases, spec_properties_contract
@@ -56,17 +55,21 @@ class TestRegistry(RegistryContract):
         ("least_outstanding", "LOR"),
         ("Round_Robin", "RR"),
         ("random", "RAND"),
-        ("LEAST_RESPONSE_TIME", "LRT"),
         ("power_of_two", "P2C"),
-        ("weighted_random", "WRAND"),
         ("dynamic_snitch", "DS"),
         ("c3", "C3"),
     ]
     TYPO = ("c33", "C3")
 
     def test_strategy_names_matches_legacy_tuple(self):
-        assert strategy_names() == ("C3", "ORA", "LOR", "RR", "RAND", "LRT", "P2C", "WRAND", "DS")
+        assert strategy_names() == ("C3", "ORA", "LOR", "RR", "RAND", "P2C", "DS")
         assert STRATEGY_NAMES == strategy_names()
+
+    @pytest.mark.parametrize("name", ["LRT", "least_response_time", "WRAND", "weighted_random"])
+    def test_removed_strategies_are_unknown_names(self, name):
+        """Least-response-time and weighted-random are gone, aliases included."""
+        with pytest.raises(ValueError, match=f"unknown strategy '{name}'"):
+            resolve_strategy(name)
 
     def test_public_names_are_the_registry(self):
         assert resolve_strategy("lor") is get_strategy("LOR") is STRATEGIES.get("LOR")
@@ -110,7 +113,7 @@ class TestSpecParsing(SpecParsingContract):
 
     def test_unknown_param_lists_valid_params(self):
         with pytest.raises(ValueError, match="valid parameters"):
-            StrategySpec.parse("lrt:alhpa=0.5")
+            StrategySpec.parse("p2c:alhpa=0.5")
 
     def test_strategy_with_no_params_rejects_any_param(self):
         with pytest.raises(ValueError, match=r"valid parameters: \(none\)"):
@@ -138,15 +141,15 @@ class TestSpecParsing(SpecParsingContract):
     def test_non_finite_floats_rejected_at_parse_time(self):
         # repr(nan)/repr(inf) are not JSON, so accepting them would break
         # the parse(canonical()) round trip and poison stored configs.
-        for bad in ("lrt:alpha=NaN", "c3:beta=Infinity", "c3:gamma=-Infinity"):
+        for bad in ("p2c:alpha=NaN", "c3:beta=Infinity", "c3:gamma=-Infinity"):
             with pytest.raises(ValueError, match="must be finite"):
                 StrategySpec.parse(bad)
 
     def test_value_validation_happens_at_parse_time(self):
         with pytest.raises(ValueError, match="beta"):
             StrategySpec.parse("c3:beta=2")
-        with pytest.raises(ValueError, match="signal"):
-            StrategySpec.parse("wrand:signal=bogus")
+        with pytest.raises(ValueError, match="beta"):
+            StrategySpec.parse("rr:beta=1.5")
         with pytest.raises(ValueError, match="badness_threshold"):
             StrategySpec.parse("ds:badness_threshold=1.5")
 
@@ -167,9 +170,7 @@ _PARAM_VALUES = {
         "initial_rate": (5.0, 50.0),
         "beta": (0.1, 0.8),
     },
-    "LRT": {"alpha": (0.1, 0.5, 0.99)},
     "P2C": {"alpha": (0.1, 0.5, 0.99)},
-    "WRAND": {"signal": ("outstanding", "queue", "response_time"), "alpha": (0.25, 0.75)},
     "DS": {
         "update_interval_ms": (50.0, 250.0),
         "iowait_weight": (1.0, 10.0, 200.0),
@@ -286,11 +287,11 @@ class TestSpecBuild:
         assert selector.rate_limited is False
 
     def test_make_selector_kwargs_validated_with_did_you_mean(self):
-        with pytest.raises(ValueError, match="did you mean 'signal'"):
-            make_selector("WRAND", signall="queue", rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="did you mean 'rate_limited'"):
+            make_selector("RR", rate_limitd=False)
 
     def test_make_selector_kwargs_override_spec_params(self):
-        selector = make_selector("lrt:alpha=0.5", alpha=0.25)
+        selector = make_selector("p2c:alpha=0.5", alpha=0.25)
         assert selector.alpha == 0.25
 
     def test_oracle_still_requires_state_fn(self):

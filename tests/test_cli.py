@@ -4,8 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.live import LiveTrialConfig
+from repro.simulator import SimulationConfig, run_simulation
 
 
 class TestParser:
@@ -153,13 +155,75 @@ class TestScaleMode:
         assert "pooled p99.9" in capsys.readouterr().out
 
 
+def _spy_on_run_simulation(monkeypatch) -> list[SimulationConfig]:
+    """Record every config the CLI hands to ``run_simulation``, still running it."""
+    seen: list[SimulationConfig] = []
+
+    def spy(config):
+        seen.append(config)
+        return run_simulation(config)
+
+    monkeypatch.setattr(cli, "run_simulation", spy)
+    return seen
+
+
+class TestKernelDefault:
+    """``simulate`` and ``scale`` run on the batched kernel unless told otherwise.
+
+    The equivalence contract makes the default invisible in output: the
+    batched table must be byte-identical to the object path's.
+    """
+
+    SMALL_RUN = ["--servers", "5", "--clients", "4", "--requests", "300", "--seed", "3"]
+
+    def test_simulate_kernel_flag_defaults_to_batched(self):
+        assert build_parser().parse_args(["simulate"]).kernel == "batched"
+
+    def test_config_kernel_default_is_unchanged(self):
+        assert SimulationConfig().kernel == "object"
+
+    @pytest.mark.parametrize("kernel", ["object", "batched"])
+    def test_simulate_kernel_flag_reaches_the_config(self, kernel, monkeypatch, capsys):
+        seen = _spy_on_run_simulation(monkeypatch)
+        assert main(["simulate", *self.SMALL_RUN, "--kernel", kernel]) == 0
+        assert [config.kernel for config in seen] == [kernel]
+
+    def test_simulate_without_flag_runs_batched(self, monkeypatch, capsys):
+        seen = _spy_on_run_simulation(monkeypatch)
+        assert main(["simulate", *self.SMALL_RUN]) == 0
+        assert [config.kernel for config in seen] == ["batched"]
+
+    def test_scale_runs_batched_on_both_legs(self, monkeypatch, capsys):
+        seen = _spy_on_run_simulation(monkeypatch)
+        assert main(["scale", *self.SMALL_RUN, "--compare-exact"]) == 0
+        assert [(config.kernel, config.metrics_mode) for config in seen] == [
+            ("batched", "streaming"),
+            ("batched", "exact"),
+        ]
+
+    @pytest.mark.parametrize("strategy", ["C3", "ORA", "LOR", "RR", "RAND", "P2C", "DS"])
+    def test_simulate_default_prints_the_object_table(self, strategy, capsys):
+        assert main(["simulate", "--strategy", strategy, *self.SMALL_RUN, "--kernel", "object"]) == 0
+        object_out = capsys.readouterr().out
+        assert main(["simulate", "--strategy", strategy, *self.SMALL_RUN]) == 0
+        assert capsys.readouterr().out == object_out
+
+    @pytest.mark.parametrize("scenario", ["crash-recovery", "bimodal"])
+    def test_simulate_default_prints_the_object_table_under_scenario(self, scenario, capsys):
+        args = ["simulate", "--scenario", scenario, *self.SMALL_RUN]
+        assert main([*args, "--kernel", "object"]) == 0
+        object_out = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == object_out
+
+
 class TestStrategyRegistryCLI:
     def test_strategies_subcommand_lists_registry(self, capsys):
         assert main(["strategies"]) == 0
         out = capsys.readouterr().out
         # Canonical names, aliases, and param defaults all come from the
         # registry — including the paper-notation param aliases.
-        for name in ("C3", "ORA", "LOR", "RR", "RAND", "LRT", "P2C", "WRAND", "DS"):
+        for name in ("C3", "ORA", "LOR", "RR", "RAND", "P2C", "DS"):
             assert name in out
         assert "DYNAMIC_SNITCH" in out
         assert "gamma (cubic_c)" in out
