@@ -74,11 +74,9 @@ from .experiments import list_experiments, registry, run_experiment
 from .live import LiveTrialConfig, run_trial
 from .runner import (
     SearchResult,
-    SweepCheckpoint,
     SweepResult,
     SweepRunner,
     SweepSpec,
-    checkpoint_path_for,
     dense_argmin,
     seed_range,
     successive_halving,
@@ -301,19 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--json", dest="json_path", metavar="PATH", help="also save the full sweep result as JSON")
     _add_flat_flags(sweep_parser, "metrics_mode")
     sweep_parser.add_argument(
-        "--checkpoint", action="store_true",
-        help="write a resumable completion manifest under the cache dir "
-             "(<cache-dir>/checkpoints/<spec-key>.json), updated as each trial finishes",
-    )
-    sweep_parser.add_argument(
-        "--resume", action="store_true",
-        help="continue a checkpointed sweep from its manifest (implies --checkpoint; "
-             "errors if no manifest exists for this spec)",
-    )
-    sweep_parser.add_argument(
         "--max-trials", type=int, default=None, metavar="N",
-        help="execute at most N cache-miss trials this invocation, deferring the rest "
-             "to a later --resume (budget slicing; requires --checkpoint)",
+        help="execute at most N cache-miss trials this invocation; rerunning the same "
+             "command continues from the cache (budget slicing; needs the cache)",
     )
 
     sub.add_parser("scenarios", help="list builtin fault/perturbation scenarios")
@@ -617,16 +605,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if seed_error:
         print(seed_error, file=sys.stderr)
         return 2
-    checkpointing = args.checkpoint or args.resume
-    if checkpointing and args.no_cache:
+    if args.max_trials is not None and args.no_cache:
         print(
-            "--checkpoint/--resume need the trial cache (it stores the completed "
-            "results a resume reloads); drop --no-cache",
+            "--max-trials defers trials to a rerun that reloads finished ones from "
+            "the trial cache; drop --no-cache",
             file=sys.stderr,
         )
-        return 2
-    if args.max_trials is not None and not checkpointing:
-        print("--max-trials defers trials to a later --resume, so it requires --checkpoint", file=sys.stderr)
         return 2
     if args.max_trials is not None and args.max_trials < 0:
         print(f"--max-trials must be >= 0, got {args.max_trials}", file=sys.stderr)
@@ -666,26 +650,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         parallel=not args.serial,
     )
-    checkpoint = None
-    if checkpointing:
-        manifest_path = checkpoint_path_for(args.cache_dir, spec.key)
-        if args.resume and not manifest_path.is_file():
-            print(
-                f"nothing to resume: no checkpoint manifest at {manifest_path} "
-                f"(run with --checkpoint first, or check --cache-dir)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            checkpoint = SweepCheckpoint.open(spec, manifest_path)
-        except ValueError as error:
-            print(error, file=sys.stderr)
-            return 2
     mode = "serial" if args.serial else f"pool x{runner.max_workers}"
     print(f"sweep {spec.key[:12]}: {spec.describe()} [{mode}]")
-    if checkpoint is not None:
-        print(f"checkpoint: {checkpoint.path} ({checkpoint.describe_progress()})")
-    result = runner.run(spec, checkpoint=checkpoint, max_trials=args.max_trials)
+    result = runner.run(spec, max_trials=args.max_trials)
     if not result.complete:
         print(
             f"trials: {result.total_trials} total, {result.executed} executed, "
@@ -693,7 +660,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(
             f"sweep incomplete: {len(result.trials)}/{result.total_trials} trials "
-            f"complete; rerun with --resume to continue"
+            f"complete; rerun the same command to continue"
         )
         if args.json_path:
             saved = result.save(args.json_path)

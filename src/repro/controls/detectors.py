@@ -153,14 +153,15 @@ class PhiDetectorParams:
     floor_ms: float = 0.05
 
 
-def _validate_phi(params: Mapping[str, Any]) -> None:
-    if "threshold" in params and params["threshold"] <= 0:
+def _check_phi(threshold: float, window: int, min_intervals: int, floor_ms: float) -> None:
+    """The phi knobs' constraints, checked at spec parse and construction alike."""
+    if threshold <= 0:
         raise ValueError("phi threshold must be positive")
-    if "window" in params and params["window"] < 1:
+    if window < 1:
         raise ValueError("phi window must be >= 1")
-    if "min_intervals" in params and params["min_intervals"] < 1:
+    if min_intervals < 1:
         raise ValueError("phi min_intervals must be >= 1")
-    if "floor_ms" in params and params["floor_ms"] <= 0:
+    if floor_ms <= 0:
         raise ValueError("phi floor_ms must be positive")
 
 
@@ -170,7 +171,7 @@ def _validate_phi(params: Mapping[str, Any]) -> None:
     aliases=("PHI_ACCRUAL",),
     params=PhiDetectorParams,
     description="Phi-accrual suspicion over response-arrival heartbeats (Cassandra-style)",
-    validate=_validate_phi,
+    validate=lambda params: _check_phi(**params),
 )
 class PhiAccrualFailureDetector:
     """Phi-accrual failure detection over response-arrival heartbeats.
@@ -191,14 +192,7 @@ class PhiAccrualFailureDetector:
         min_intervals: int = 3,
         floor_ms: float = 0.05,
     ) -> None:
-        if threshold <= 0:
-            raise ValueError("phi threshold must be positive")
-        if window < 1:
-            raise ValueError("phi window must be >= 1")
-        if min_intervals < 1:
-            raise ValueError("phi min_intervals must be >= 1")
-        if floor_ms <= 0:
-            raise ValueError("phi floor_ms must be positive")
+        _check_phi(threshold, window, min_intervals, floor_ms)
         self.threshold = float(threshold)
         self.window = int(window)
         self.min_intervals = int(min_intervals)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -56,15 +55,14 @@ class HedgeParams:
     history: int = 1000
 
 
-def _validate_hedge(params: Mapping[str, Any]) -> None:
-    if "quantile" in params and not 0.0 < params["quantile"] < 1.0:
+def _check_hedge(quantile: float, max_extra: int, min_samples: int, history: int) -> None:
+    """The hedge knobs' constraints, checked at spec parse and construction alike."""
+    if not 0.0 < quantile < 1.0:
         raise ValueError("hedge quantile must be in (0, 1)")
-    if "max_extra" in params and params["max_extra"] < 1:
+    if max_extra < 1:
         raise ValueError("hedge max_extra must be >= 1")
-    if "min_samples" in params and params["min_samples"] < 1:
-        raise ValueError("hedge min_samples must be >= 1")
-    if "history" in params and params["history"] < 1:
-        raise ValueError("hedge history must be >= 1")
+    if not 1 <= min_samples <= history:
+        raise ValueError("invalid sample window configuration: need 1 <= min_samples <= history")
 
 
 @register_control(
@@ -74,7 +72,7 @@ def _validate_hedge(params: Mapping[str, Any]) -> None:
     params=HedgeParams,
     description="Quantile-triggered hedged requests (Cassandra speculative retry)",
     param_aliases={"q": "quantile"},
-    validate=_validate_hedge,
+    validate=lambda params: _check_hedge(**params),
 )
 class QuantileHedging:
     """Quantile-triggered hedging state: a latency window plus a threshold.
@@ -93,12 +91,7 @@ class QuantileHedging:
         min_samples: int = 50,
         history: int = 1000,
     ) -> None:
-        if not 0.0 < quantile < 1.0:
-            raise ValueError("hedge quantile must be in (0, 1)")
-        if max_extra < 1:
-            raise ValueError("hedge max_extra must be >= 1")
-        if min_samples < 1 or history < min_samples:
-            raise ValueError("invalid sample window configuration")
+        _check_hedge(quantile, max_extra, min_samples, history)
         self.quantile = float(quantile)
         self.max_extra = int(max_extra)
         self.min_samples = int(min_samples)

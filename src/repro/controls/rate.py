@@ -17,36 +17,40 @@ controller's limiter denies a permit — it has no rate logic of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..core.config import C3Config
 from ..core.rate_control import CubicRateController
+from ..strategies.paramspec import config_params
 from .registry import register_control
 
 __all__ = ["CubicRateParams", "cubic_config_from_params"]
 
 
-@dataclass(frozen=True, slots=True)
-class CubicRateParams:
-    """The rate-control slice of :class:`~repro.core.config.C3Config`.
+CubicRateParams = config_params(
+    "CubicRateParams",
+    C3Config,
+    (
+        "initial_rate",
+        "rate_delta_ms",
+        "beta",
+        "smax",
+        "saddle_duration_ms",
+        "gamma",
+        "hysteresis_ms",
+        "ewma_alpha",
+        "min_rate",
+        "max_rate",
+        "rate_excess_tolerance",
+        "rate_min_utilisation",
+    ),
+    module=__name__,
+    doc="""The rate-control slice of :class:`~repro.core.config.C3Config`.
 
-    Field names and defaults match ``C3Config`` exactly, so a spec override
-    maps one-to-one onto the config the controller is built from.
-    """
-
-    initial_rate: float = 10.0
-    rate_delta_ms: float = 20.0
-    beta: float = 0.2
-    smax: float = 10.0
-    saddle_duration_ms: float = 100.0
-    gamma: float | None = None
-    hysteresis_ms: float | None = None
-    ewma_alpha: float = 0.9
-    min_rate: float = 0.1
-    max_rate: float | None = None
-    rate_excess_tolerance: float = 1.2
-    rate_min_utilisation: float = 0.4
+    Each field is the config's own (name, type and default), so a spec
+    override maps one-to-one onto the config the controller is built from.
+    """,
+)
 
 
 def cubic_config_from_params(

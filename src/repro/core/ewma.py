@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["EWMA"]
+__all__ = ["EWMA", "check_alpha"]
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a smoothing weight outside ``(0, 1]``."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
 class EWMA:
@@ -29,8 +35,7 @@ class EWMA:
     __slots__ = ("alpha", "_value", "_count")
 
     def __init__(self, alpha: float = 0.9, initial: float | None = None) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        check_alpha(alpha)
         self.alpha = float(alpha)
         self._value: float | None = None if initial is None else float(initial)
         self._count = 0

@@ -26,6 +26,7 @@ from typing import Hashable, Iterable
 
 from .config import C3Config
 from .cubic import cubic_inflection_ms, cubic_rate
+from .ewma import check_alpha
 
 __all__ = [
     "cubic_inflection_ms",
@@ -116,8 +117,7 @@ class ReceiveRateTracker:
     def __init__(self, delta_ms: float = 20.0, alpha: float = 0.9) -> None:
         if delta_ms <= 0:
             raise ValueError("delta_ms must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        check_alpha(alpha)
         self.delta_ms = float(delta_ms)
         self.alpha = float(alpha)
         self._window_start = 0.0

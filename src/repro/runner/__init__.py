@@ -50,7 +50,6 @@ produce byte-identical measurements for a given spec.
 """
 
 from .cache import TrialCache
-from .checkpoint import CheckpointMismatch, SweepCheckpoint, checkpoint_path_for
 from .results import GridPointAggregate, SweepResult, TrialResult, aggregate_trials
 from .runner import SweepRunner, execute_trial
 from .search import (
@@ -72,11 +71,9 @@ from .spec import (
 )
 
 __all__ = [
-    "CheckpointMismatch",
     "GridPointAggregate",
     "RungResult",
     "SearchResult",
-    "SweepCheckpoint",
     "SweepRunner",
     "SweepResult",
     "SweepSpec",
@@ -86,7 +83,6 @@ __all__ = [
     "aggregate_trials",
     "candidate_digest",
     "canonical_json",
-    "checkpoint_path_for",
     "config_to_payload",
     "content_hash",
     "dense_argmin",

@@ -60,13 +60,21 @@ class TrialCache:
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()
 
+    def _entries(self) -> list[Path]:
+        # Only files in the cache's own layout count: other JSON files that
+        # share the root (a report, a foreign tool's state) are not entries.
+        return [
+            path
+            for path in self.root.glob("*/*.json")
+            if len(path.stem) >= 3 and path.parent.name == path.stem[:2]
+        ]
+
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._entries())
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in self.root.glob("*/*.json"):
+        entries = self._entries()
+        for path in entries:
             path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+        return len(entries)

@@ -26,16 +26,15 @@ their latency histograms inside the summary dict as serialized bucket maps
 (O(buckets), not O(requests)), so even million-request trials ship
 kilobytes between processes.
 
-Resumable execution: ``run(spec, checkpoint=..., max_trials=...)`` threads a
-:class:`~repro.runner.checkpoint.SweepCheckpoint` through the run.  Each
-trial is cached *then* marked complete as it finishes (completion order, not
-batch order), so an interrupt at any point — including ``SIGKILL`` mid-pool —
-leaves a manifest from which the next run continues with zero re-executed
-trials; ``max_trials`` bounds how many cache misses one invocation may
-execute, turning the same mechanism into deliberate budget slicing.  A
-trial that raises stops the pool: trials not yet handed to a worker never
-start, every trial that did finish is still cached and marked, and the
-trial's own exception surfaces.
+Resumable execution: each finished trial is written atomically to the
+cache as it completes, in completion order, not at the end of the batch.
+A killed run (``SIGKILL`` mid-pool included) or one capped by
+``run(spec, max_trials=N)`` therefore loses only the trials still running,
+and running the same spec again with the same cache executes exactly the
+rest.  ``max_trials`` bounds how many cache misses one invocation executes,
+which turns this into deliberate budget slicing.  A trial that raises stops
+the pool: trials not yet handed to a worker never start, every trial that
+did finish is still cached, and the trial's own exception surfaces.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..simulator.simulation import run_simulation
 from .cache import TrialCache
-from .checkpoint import CheckpointMismatch, SweepCheckpoint
 from .results import SweepResult, TrialResult
 from .spec import SweepSpec, TrialSpec, config_to_payload, payload_to_config
 
@@ -103,29 +101,17 @@ class SweepRunner:
         self.parallel = parallel
 
     # ---------------------------------------------------------------- running
-    def run(
-        self,
-        spec: SweepSpec,
-        checkpoint: SweepCheckpoint | None = None,
-        max_trials: int | None = None,
-    ) -> SweepResult:
+    def run(self, spec: SweepSpec, max_trials: int | None = None) -> SweepResult:
         """Execute (or fetch from cache) every trial of ``spec``.
 
-        With a ``checkpoint``, completion state is persisted incrementally
-        (cache write first, then the completion mark — the manifest can
-        trail the cache but never lead it).  ``max_trials`` caps how many
-        cache *misses* this invocation executes; deferred trials stay
-        pending in the checkpoint and the returned result is partial
-        (``result.complete`` is False, ``result.trials`` holds the
-        completed prefix-by-expansion-order subset only).
+        ``max_trials`` caps how many cache *misses* this invocation
+        executes; the deferred trials run on a later call with the same
+        cache, and the returned result is partial (``result.complete`` is
+        False, ``result.trials`` holds only the completed trials, in
+        expansion order).
         """
         if max_trials is not None and max_trials < 0:
             raise ValueError("max_trials must be >= 0")
-        if checkpoint is not None and checkpoint.spec_key != spec.key:
-            raise CheckpointMismatch(
-                f"checkpoint {checkpoint.path} tracks sweep {checkpoint.spec_key[:12]}, "
-                f"not {spec.key[:12]} ({spec.describe()})"
-            )
         started = time.perf_counter()
         trials = spec.trials()
         slots: list[TrialResult | None] = [None] * len(trials)
@@ -144,10 +130,6 @@ class SweepRunner:
                     slots[trial.index] = None
             if slots[trial.index] is None:
                 pending.append((trial, key))
-        if checkpoint is not None:
-            # Cache hits are completed by definition; one batched mark keeps
-            # the manifest write count proportional to executions, not size.
-            checkpoint.mark_completed(*(i for i, slot in enumerate(slots) if slot is not None))
 
         deferred = 0
         if max_trials is not None and len(pending) > max_trials:
@@ -159,11 +141,6 @@ class SweepRunner:
             slots[index] = result
             if self.cache is not None:
                 self.cache.put(result.key, payload)
-            if checkpoint is not None:
-                # Marked only after the cache write above has been replaced
-                # into place, so a kill between the two re-executes (safe)
-                # rather than skipping (wrong).
-                checkpoint.mark_completed(index)
 
         self._execute(pending, on_result)
 
@@ -186,8 +163,8 @@ class SweepRunner:
         """Run the cache misses, serially or through the pool.
 
         ``on_result`` fires once per trial *as it completes* (completion
-        order under the pool), which is what makes checkpoint marks and
-        cache writes incremental rather than end-of-batch.
+        order under the pool), which is what makes cache writes incremental
+        rather than end-of-batch.
         """
         jobs = [
             {

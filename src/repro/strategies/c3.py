@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable, Mapping, Sequence
 
 from ..core.config import C3Config
@@ -11,40 +10,29 @@ from ..core.rate_control import CubicRateController, PerServerRateControl, RateC
 from ..core.scheduler import C3Scheduler
 from ..core.scoring import ReplicaScorer
 from .base import ReplicaSelector, SelectorDecision
+from .paramspec import config_params
 from .registry import BuildContext, register_strategy
 
 __all__ = ["C3Params", "C3Selector", "c3_config_from_params"]
 
 
-@dataclass(frozen=True, slots=True)
-class C3Params:
-    """Sweepable C3 parameters (defaults = the paper's §4 values).
+C3Params = config_params(
+    "C3Params",
+    C3Config,
+    derived=("concurrency_weight",),
+    module=__name__,
+    doc="""Sweepable C3 parameters (defaults = the paper's §4 values).
 
-    Fields mirror :class:`~repro.core.config.C3Config`; a spec param simply
-    overrides the matching config field.  ``None`` means "derived": the
-    concurrency weight defaults to the number of clients in the deployment,
-    ``gamma`` to the saddle-duration heuristic, and the hysteresis to twice
-    the rate window.  Paper-notation aliases are registered alongside:
-    ``b`` (score exponent), ``w`` (concurrency weight), ``cubic_c`` (the
-    cubic curve's scaling factor γ) and ``delta_ms`` (the rate window δ).
-    """
-
-    score_exponent: float = 3.0
-    concurrency_weight: float | None = None
-    ewma_alpha: float = 0.9
-    rate_delta_ms: float = 20.0
-    beta: float = 0.2
-    smax: float = 10.0
-    saddle_duration_ms: float = 100.0
-    gamma: float | None = None
-    hysteresis_ms: float | None = None
-    initial_rate: float = 10.0
-    min_rate: float = 0.1
-    max_rate: float | None = None
-    rate_control_enabled: bool = True
-    rate_excess_tolerance: float = 1.2
-    rate_min_utilisation: float = 0.4
-    service_time_floor_ms: float = 1e-3
+    The fields are :class:`~repro.core.config.C3Config`'s, with its types
+    and defaults; a spec param simply overrides the matching config field.
+    ``None`` means "derived": the concurrency weight defaults to the number
+    of clients in the deployment, ``gamma`` to the saddle-duration
+    heuristic, and the hysteresis to twice the rate window.  Paper-notation
+    aliases are registered alongside: ``b`` (score exponent), ``w``
+    (concurrency weight), ``cubic_c`` (the cubic curve's scaling factor γ)
+    and ``delta_ms`` (the rate window δ).
+    """,
+)
 
 
 def c3_config_from_params(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -45,12 +45,13 @@ class DynamicSnitchParams:
     decay_alpha: float = 0.75
 
 
-def _validate_ds_params(params: Mapping[str, Any]) -> None:
-    if params.get("update_interval_ms", 100.0) <= 0:
+def _check_ds(update_interval_ms: float, reset_interval_ms: float, badness_threshold: float) -> None:
+    """The DS knobs' constraints, checked at spec parse and construction alike."""
+    if update_interval_ms <= 0:
         raise ValueError("update_interval_ms must be positive")
-    if params.get("reset_interval_ms", 600_000.0) <= 0:
+    if reset_interval_ms <= 0:
         raise ValueError("reset_interval_ms must be positive")
-    if not 0.0 <= params.get("badness_threshold", 0.0) < 1.0:
+    if not 0.0 <= badness_threshold < 1.0:
         raise ValueError("badness_threshold must be in [0, 1)")
 
 
@@ -60,7 +61,9 @@ def _validate_ds_params(params: Mapping[str, Any]) -> None:
     params=DynamicSnitchParams,
     description="Cassandra Dynamic Snitching: interval-scored latency history + gossiped iowait",
     context_args=("rng", "iowait_fn"),
-    validate=_validate_ds_params,
+    validate=lambda params: _check_ds(
+        params["update_interval_ms"], params["reset_interval_ms"], params["badness_threshold"]
+    ),
 )
 class DynamicSnitchSelector(StatefulSelector):
     """Interval-scored, latency-history + iowait based replica selection.
@@ -101,12 +104,7 @@ class DynamicSnitchSelector(StatefulSelector):
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
-        if update_interval_ms <= 0:
-            raise ValueError("update_interval_ms must be positive")
-        if reset_interval_ms <= 0:
-            raise ValueError("reset_interval_ms must be positive")
-        if not 0.0 <= badness_threshold < 1.0:
-            raise ValueError("badness_threshold must be in [0, 1)")
+        _check_ds(update_interval_ms, reset_interval_ms, badness_threshold)
         self.update_interval_ms = float(update_interval_ms)
         self.reset_interval_ms = float(reset_interval_ms)
         self.iowait_fn = iowait_fn

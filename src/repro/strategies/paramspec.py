@@ -25,11 +25,12 @@ import json
 import math
 import types
 import typing
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 __all__ = [
     "accepted_types",
     "coerce_value",
+    "config_params",
     "describe_types",
     "format_params",
     "format_value",
@@ -39,7 +40,9 @@ __all__ = [
     "spec_digest",
 ]
 
-#: Optional early validation hook over the explicit (alias-resolved) params.
+#: Optional early validation hook over the full parameter set: the registered
+#: defaults overlaid with the explicit (alias-resolved) overrides, so a
+#: constraint between two params sees both even when only one is set.
 Validator = Callable[[Mapping[str, Any]], None]
 
 
@@ -225,5 +228,35 @@ def resolve_param_overrides(
         name: value for name, value in resolved.items() if value != defaults[name]
     }
     if validate is not None:
-        validate(normalized)
+        validate({**defaults, **normalized})
     return normalized
+
+
+def config_params(
+    cls_name: str,
+    config_cls: type,
+    names: Sequence[str] | None = None,
+    *,
+    derived: Collection[str] = (),
+    module: str,
+    doc: str,
+) -> type:
+    """A frozen param dataclass over fields of the config dataclass ``config_cls``.
+
+    Each of ``names`` (default: every field, in declaration order) keeps the
+    config field's name, type and default, so the knobs are declared once,
+    on the config.  A field in ``derived`` defaults to ``None`` instead,
+    meaning "derived from the deployment", and its type admits ``None``.
+    """
+    hints = typing.get_type_hints(config_cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    spec = [
+        (name, hints[name] | None, dataclasses.field(default=None))
+        if name in derived
+        else (name, hints[name], dataclasses.field(default=defaults[name]))
+        for name in (defaults if names is None else names)
+    ]
+    cls = dataclasses.make_dataclass(cls_name, spec, frozen=True, slots=True)
+    cls.__module__ = module
+    cls.__doc__ = doc
+    return cls

@@ -15,7 +15,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from ..core.ewma import EWMA
+from ..core.ewma import EWMA, check_alpha
 from ..core.feedback import ServerFeedback
 from .base import StatefulSelector
 from .registry import register_strategy
@@ -37,6 +37,7 @@ class PowerOfTwoParams:
     params=PowerOfTwoParams,
     description="Power-of-two-choices: sample two replicas, pick the less loaded",
     context_args=("rng",),
+    validate=lambda params: check_alpha(params["alpha"]),
 )
 class PowerOfTwoSelector(StatefulSelector):
     """Sample two replicas, pick the less loaded one."""
@@ -45,6 +46,7 @@ class PowerOfTwoSelector(StatefulSelector):
 
     def __init__(self, alpha: float = 0.9, rng: np.random.Generator | None = None) -> None:
         super().__init__()
+        check_alpha(alpha)
         self.rng = rng or np.random.default_rng()
         self.alpha = alpha
         self._outstanding: dict[Hashable, int] = defaultdict(int)

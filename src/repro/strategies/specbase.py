@@ -134,7 +134,8 @@ class Registry:
             (e.g. the oracle's ground-truth callback).
         validate:
             Optional hook raising ``ValueError`` for invalid *values* at spec
-            parse time (unknown names/keys are always rejected).
+            parse time (unknown names/keys are always rejected).  It receives
+            every field: the defaults overlaid with the explicit overrides.
         """
         if not dataclasses.is_dataclass(params):
             raise TypeError(f"params must be a dataclass, got {params!r}")

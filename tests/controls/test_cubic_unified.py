@@ -11,6 +11,7 @@ reappear silently.
 from __future__ import annotations
 
 import math
+import typing
 
 import hypothesis.strategies as st
 import pytest
@@ -52,6 +53,9 @@ class TestSharedConstants:
             "rate_excess_tolerance", "rate_min_utilisation",
         ):
             assert getattr(params, name) == getattr(config, name), name
+        config_hints = typing.get_type_hints(C3Config)
+        for name, hint in typing.get_type_hints(CubicRateParams).items():
+            assert hint == config_hints[name], name
 
 
 class TestFormulaInverses:

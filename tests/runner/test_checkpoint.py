@@ -1,17 +1,13 @@
-"""Unit tests for the resumable-sweep checkpoint manifest."""
+"""Resuming a sweep through the trial cache alone.
 
-import json
+The cache is the sweep's only persistent state: every finished trial is
+written to it atomically as it completes, so re-running the same spec
+against the same cache executes exactly the trials that are missing.
+"""
 
 import pytest
 
-from repro.runner import (
-    CheckpointMismatch,
-    SweepCheckpoint,
-    SweepRunner,
-    SweepSpec,
-    checkpoint_path_for,
-    seed_range,
-)
+from repro.runner import SweepRunner, SweepSpec, seed_range
 from repro.simulator import SimulationConfig
 
 
@@ -25,144 +21,42 @@ def tiny_spec(**overrides) -> SweepSpec:
     )
 
 
-class TestManifestLifecycle:
-    def test_checkpoint_path_layout(self, tmp_path):
-        path = checkpoint_path_for(tmp_path, "abc123")
-        assert path == tmp_path / "checkpoints" / "abc123.json"
-
-    def test_create_then_load_round_trips(self, tmp_path):
-        spec = tiny_spec()
-        path = tmp_path / "manifest.json"
-        created = SweepCheckpoint.create(spec, path)
-        assert path.is_file()
-        loaded = SweepCheckpoint.load(path)
-        assert loaded.spec_key == spec.key
-        assert loaded.trial_keys == tuple(t.key for t in spec.trials())
-        assert loaded.completed_indices() == ()
-        assert loaded.description == spec.describe()
-        assert loaded.num_trials == created.num_trials == 6
-
-    def test_open_creates_when_missing_and_loads_when_present(self, tmp_path):
-        spec = tiny_spec()
-        path = tmp_path / "manifest.json"
-        first = SweepCheckpoint.open(spec, path)
-        first.mark_completed(0, 2)
-        second = SweepCheckpoint.open(spec, path)
-        assert second.completed_indices() == (0, 2)
-
-    def test_open_rejects_manifest_for_a_different_spec(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        SweepCheckpoint.create(tiny_spec(), path)
-        other = tiny_spec(num_requests=81)
-        with pytest.raises(CheckpointMismatch, match="delete the manifest"):
-            SweepCheckpoint.open(other, path)
-
-    def test_corrupt_manifest_is_a_clean_value_error(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt sweep checkpoint"):
-            SweepCheckpoint.load(path)
-
-    def test_unsupported_version_is_a_clean_value_error(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"version": 99}), encoding="utf-8")
-        with pytest.raises(ValueError, match="unsupported sweep checkpoint"):
-            SweepCheckpoint.load(path)
-
-    def test_missing_manifest_is_a_clean_value_error(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read sweep checkpoint"):
-            SweepCheckpoint.load(tmp_path / "nope.json")
-
-
-class TestCompletionState:
-    def make(self, tmp_path) -> SweepCheckpoint:
-        return SweepCheckpoint.create(tiny_spec(), tmp_path / "manifest.json")
-
-    def test_mark_completed_persists_immediately(self, tmp_path):
-        checkpoint = self.make(tmp_path)
-        checkpoint.mark_completed(1, 4)
-        reloaded = SweepCheckpoint.load(checkpoint.path)
-        assert reloaded.completed_indices() == (1, 4)
-        assert reloaded.pending_indices() == (0, 2, 3, 5)
-        assert reloaded.is_completed(4) and not reloaded.is_completed(0)
-
-    def test_mark_completed_is_idempotent(self, tmp_path):
-        checkpoint = self.make(tmp_path)
-        checkpoint.mark_completed(1)
-        before = checkpoint.path.read_bytes()
-        checkpoint.mark_completed(1)
-        assert checkpoint.path.read_bytes() == before
-        assert checkpoint.num_completed == 1
-
-    def test_out_of_range_indices_are_rejected(self, tmp_path):
-        checkpoint = self.make(tmp_path)
-        with pytest.raises(ValueError, match="out of range"):
-            checkpoint.mark_completed(6)
-        with pytest.raises(ValueError, match="out of range"):
-            SweepCheckpoint(
-                checkpoint.path, checkpoint.spec_key, checkpoint.trial_keys, completed=(-1,)
-            )
-
-    def test_progress_reporting(self, tmp_path):
-        checkpoint = self.make(tmp_path)
-        assert checkpoint.describe_progress() == "0/6 trials complete"
-        assert not checkpoint.is_complete
-        checkpoint.mark_completed(*range(6))
-        assert checkpoint.describe_progress() == "6/6 trials complete"
-        assert checkpoint.is_complete
-
-
 class TestRunnerIntegration:
     def test_max_trials_caps_executions_and_resume_completes(self, tmp_path):
         spec = tiny_spec()
         runner = SweepRunner(max_workers=1, cache_dir=tmp_path / "cache", parallel=False)
-        manifest = checkpoint_path_for(tmp_path / "cache", spec.key)
 
-        first = runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest), max_trials=2)
+        first = runner.run(spec, max_trials=2)
         assert first.executed == 2 and not first.complete
         assert len(first.trials) == 2 and first.total_trials == 6
 
-        second = runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest))
+        second = runner.run(spec)
         assert second.executed == 4 and second.cached == 2 and second.complete
 
-        third = runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest))
+        third = runner.run(spec)
         assert third.executed == 0 and third.cached == 6
         assert second.digest() == third.digest()
 
     def test_resumed_digest_matches_uninterrupted_run(self, tmp_path):
         spec = tiny_spec()
         runner = SweepRunner(max_workers=1, cache_dir=tmp_path / "cache", parallel=False)
-        manifest = checkpoint_path_for(tmp_path / "cache", spec.key)
-        runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest), max_trials=3)
-        resumed = runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest))
+        runner.run(spec, max_trials=3)
+        resumed = runner.run(spec)
 
         clean = SweepRunner(max_workers=1, cache_dir=tmp_path / "other", parallel=False).run(spec)
         assert resumed.digest() == clean.digest()
-
-    def test_run_rejects_checkpoint_for_a_different_spec(self, tmp_path):
-        spec = tiny_spec()
-        other = tiny_spec(num_requests=81)
-        runner = SweepRunner(max_workers=1, cache_dir=tmp_path / "cache", parallel=False)
-        checkpoint = SweepCheckpoint.open(spec, tmp_path / "cache" / "m.json")
-        with pytest.raises(CheckpointMismatch):
-            runner.run(other, checkpoint=checkpoint)
 
     def test_negative_max_trials_is_rejected(self, tmp_path):
         runner = SweepRunner(max_workers=1, parallel=False)
         with pytest.raises(ValueError, match="max_trials must be >= 0"):
             runner.run(tiny_spec(), max_trials=-1)
 
-    def test_manifest_never_substitutes_for_the_cache(self, tmp_path):
-        # A stale completion mark with a wiped cache must re-execute, not
-        # skip: the manifest is an index over the cache, not a result store.
+    def test_wiped_cache_reexecutes_everything_with_an_equal_digest(self, tmp_path):
         spec = tiny_spec()
         cache_dir = tmp_path / "cache"
         runner = SweepRunner(max_workers=1, cache_dir=cache_dir, parallel=False)
-        manifest = checkpoint_path_for(cache_dir, spec.key)
-        baseline = runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest))
-        for entry in cache_dir.glob("**/*.json"):
-            if "checkpoints" not in entry.parts:
-                entry.unlink()
-        rerun = runner.run(spec, checkpoint=SweepCheckpoint.open(spec, manifest))
+        baseline = runner.run(spec)
+        assert runner.cache.clear() == 6
+        rerun = runner.run(spec)
         assert rerun.executed == 6 and rerun.cached == 0
         assert rerun.digest() == baseline.digest()

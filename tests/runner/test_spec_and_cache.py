@@ -170,3 +170,18 @@ class TestTrialCache:
             cache.put(f"{i:02d}" + "f" * 62, {"i": i})
         assert cache.clear() == 3
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("foreign", ["checkpoints/x.json", "ab/notes.json", "ab/a.json"])
+    def test_len_and_clear_count_only_entries(self, tmp_path, foreign):
+        # Caches written by older versions still hold a sweep manifest at
+        # checkpoints/<spec-key>.json; it is not an entry and must survive.
+        cache = TrialCache(tmp_path)
+        for i in range(4):
+            cache.put(f"{i:02d}" + "e" * 62, {"i": i})
+        planted = tmp_path / foreign
+        planted.parent.mkdir(exist_ok=True)
+        planted.write_text("{}", encoding="utf-8")
+        assert len(cache) == 4
+        assert cache.clear() == 4
+        assert len(cache) == 0
+        assert planted.is_file()

@@ -1,5 +1,7 @@
 """Tests for the ``sweep`` CLI command and its cache behavior."""
 
+import pytest
+
 from repro.cli import main
 from repro.runner import SweepResult
 
@@ -165,91 +167,70 @@ class TestSeedFlagValidation:
         assert "--base-seed must be >= 0, got -3" in capsys.readouterr().err
 
 
-class TestCheckpointFlags:
-    def run_checkpointed(self, capsys, cache: str, *extra: str) -> tuple[int, str, str]:
+class TestMaxTrialsFlag:
+    def run_budgeted(self, capsys, cache: str, *extra: str) -> tuple[int, str, str]:
         code = main(SWEEP_ARGS + ["--cache-dir", cache] + list(extra))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
     def test_budgeted_run_then_resume_reexecutes_nothing(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
-        code, out, _ = self.run_checkpointed(
-            capsys, cache, "--checkpoint", "--max-trials", "5"
-        )
+        code, out, _ = self.run_budgeted(capsys, cache, "--max-trials", "5")
         assert code == 0
-        assert "checkpoint:" in out and "0/12 trials complete" in out
         assert "sweep incomplete: 5/12 trials complete" in out
-        assert "rerun with --resume" in out
+        assert "rerun the same command to continue" in out
 
-        code, resumed, _ = self.run_checkpointed(capsys, cache, "--resume")
+        code, resumed, _ = self.run_budgeted(capsys, cache)
         assert code == 0
-        assert "5/12 trials complete" in resumed  # progress shown before running
         assert "7 executed, 5 from cache" in resumed
         digest_line = next(
             line for line in resumed.splitlines() if line.startswith("sweep digest:")
         )
 
-        code, rerun, _ = self.run_checkpointed(capsys, cache, "--resume")
+        code, rerun, _ = self.run_budgeted(capsys, cache)
         assert code == 0
         assert "0 executed, 12 from cache" in rerun
         assert digest_line in rerun.splitlines()
 
     def test_digest_matches_an_uninterrupted_sweep(self, capsys, tmp_path):
         interrupted = str(tmp_path / "a")
-        self.run_checkpointed(capsys, interrupted, "--checkpoint", "--max-trials", "4")
-        _, resumed, _ = self.run_checkpointed(capsys, interrupted, "--resume")
-        _, clean, _ = self.run_checkpointed(capsys, str(tmp_path / "b"))
+        self.run_budgeted(capsys, interrupted, "--max-trials", "4")
+        _, resumed, _ = self.run_budgeted(capsys, interrupted)
+        _, clean, _ = self.run_budgeted(capsys, str(tmp_path / "b"))
 
         def digest(out: str) -> str:
             return next(line for line in out.splitlines() if line.startswith("sweep digest:"))
 
         assert digest(resumed) == digest(clean)
 
-    def test_resume_without_manifest_is_a_clean_error(self, capsys, tmp_path):
-        code, _, err = self.run_checkpointed(capsys, str(tmp_path / "cache"), "--resume")
-        assert code == 2
-        assert "nothing to resume" in err
-
-    def test_max_trials_requires_checkpointing(self, capsys, tmp_path):
-        code, _, err = self.run_checkpointed(
-            capsys, str(tmp_path / "cache"), "--max-trials", "3"
-        )
-        assert code == 2
-        assert "requires --checkpoint" in err
-
-    def test_negative_max_trials_is_a_clean_error(self, capsys, tmp_path):
-        code, _, err = self.run_checkpointed(
-            capsys, str(tmp_path / "cache"), "--checkpoint", "--max-trials", "-1"
-        )
-        assert code == 2
-        assert "--max-trials must be >= 0" in err
-
-    def test_checkpoint_conflicts_with_no_cache(self, capsys, tmp_path):
-        code, _, err = self.run_checkpointed(
-            capsys, str(tmp_path / "cache"), "--checkpoint", "--no-cache"
+    def test_max_trials_conflicts_with_no_cache(self, capsys, tmp_path):
+        code, _, err = self.run_budgeted(
+            capsys, str(tmp_path / "cache"), "--max-trials", "3", "--no-cache"
         )
         assert code == 2
         assert "drop --no-cache" in err
 
-    def test_spec_change_under_resume_is_a_checkpoint_mismatch(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        self.run_checkpointed(capsys, cache, "--checkpoint", "--max-trials", "2")
-        code = main(
-            SWEEP_ARGS + ["--cache-dir", cache, "--resume", "--requests", "151"]
-        )
-        captured = capsys.readouterr()
-        # A changed spec has a different key, so there is no manifest for it.
+    def test_negative_max_trials_is_a_clean_error(self, capsys, tmp_path):
+        code, _, err = self.run_budgeted(capsys, str(tmp_path / "cache"), "--max-trials", "-1")
         assert code == 2
-        assert "nothing to resume" in captured.err
+        assert "--max-trials must be >= 0" in err
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    def test_manifest_flags_are_gone(self, capsys, tmp_path, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(SWEEP_ARGS + ["--cache-dir", str(tmp_path / "cache"), flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert flag not in capsys.readouterr().out
 
     def test_partial_json_export(self, capsys, tmp_path):
         from repro.runner import SweepResult
 
         json_path = tmp_path / "partial.json"
-        code, out, _ = self.run_checkpointed(
-            capsys,
-            str(tmp_path / "cache"),
-            "--checkpoint", "--max-trials", "3", "--json", str(json_path),
+        code, out, _ = self.run_budgeted(
+            capsys, str(tmp_path / "cache"), "--max-trials", "3", "--json", str(json_path)
         )
         assert code == 0
         assert "saved (partial):" in out

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.runner import SweepCheckpoint, SweepResult, SweepRunner, SweepSpec
+from repro.runner import SweepResult, SweepRunner, SweepSpec
 from repro.runner import runner as runner_module
 from repro.simulator import SimulationConfig
 
@@ -67,9 +67,8 @@ class TestPoolFailure:
         monkeypatch.setattr(runner_module, "run_simulation", trial_body)
         spec = SweepSpec(base=TINY, grid={"strategy": ("C3",)}, seeds=range(20))
         runner = SweepRunner(max_workers=2, cache_dir=tmp_path / "cache")
-        checkpoint = SweepCheckpoint.open(spec, tmp_path / "manifest.json")
         with pytest.raises(ValueError) as failure:
-            runner.run(spec, checkpoint=checkpoint)
+            runner.run(spec)
 
         assert type(failure.value) is ValueError
         assert str(failure.value) == "seed 0 refuses to run"
@@ -84,8 +83,6 @@ class TestPoolFailure:
         assert returned
         trials = spec.trials()
         assert {trial.seed for trial in trials if trial.key in runner.cache} == returned
-        completed = SweepCheckpoint.load(checkpoint.path).completed_indices()
-        assert {trials[index].seed for index in completed} == returned
 
 
 class TestCacheBehavior:
