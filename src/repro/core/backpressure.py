@@ -161,10 +161,6 @@ class BackpressureQueues:
         """Total requests currently waiting across all groups (O(1))."""
         return self._pending
 
-    def nonempty_queues(self) -> list[BacklogQueue]:
-        """All backlogs that currently hold at least one request."""
-        return [q for q in self._queues.values() if q]
-
     def queues(self) -> list[BacklogQueue]:
         """All backlogs ever created (including currently empty ones)."""
         return list(self._queues.values())

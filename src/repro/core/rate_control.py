@@ -332,14 +332,6 @@ class PerServerRateControl:
             self._controllers[server_id] = ctrl
         return ctrl
 
-    def try_acquire(self, server_id: Hashable, now: float) -> bool:
-        """Consume a send permit for ``server_id`` if available."""
-        return self.controller(server_id).try_acquire(now)
-
-    def on_response(self, server_id: Hashable, now: float) -> None:
-        """Feed a response event into the matching controller."""
-        self.controller(server_id).on_response(now)
-
     def rates(self) -> dict[Hashable, float]:
         """Snapshot of current sending rates (requests per δ window)."""
         return {sid: ctrl.srate for sid, ctrl in self._controllers.items()}

@@ -51,7 +51,8 @@ def _c3_param_sweep(
 
     ``variants`` is ``[(label, spec string), ...]``; the sweep grids the
     specs on the ``strategy`` axis (replicated across ``seeds``) and each
-    label's row/data reports the seed-averaged latency metrics.
+    label's row/data reports the seed-averaged latency metrics (data also
+    ``backpressure_events``).
     """
     base = SimulationConfig(**sim_params)
     grid = {"strategy": tuple(spec for _, spec in variants)}
@@ -64,6 +65,8 @@ def _c3_param_sweep(
         point = by_strategy[StrategySpec.parse(spec).canonical()]
         metrics = {name: point.metrics[key].mean for key, name in _METRIC_COLUMNS}
         metrics["throughput_rps"] = point.metrics["throughput_rps"].mean
+        events = [t.backpressure_events for t in result.trials if t.params == point.params]
+        metrics["backpressure_events"] = sum(events) / len(events)
         rows.append([label] + [metrics[name] for _, name in _METRIC_COLUMNS])
         data[label] = metrics
     return rows, data
@@ -144,7 +147,8 @@ def run_rate_control_ablation(
     """Compare full C3 against ranking-only C3 (no rate control/backpressure).
 
     The difference is most visible near saturation, so the default
-    utilisation is higher than in the other ablations.
+    utilisation is higher than in the other ablations.  Rows end with the
+    mean backpressure events; a note says when rate control never engaged.
     """
     variants = [
         ("C3 (ranking + rate control)", "C3"),
@@ -161,14 +165,20 @@ def run_rate_control_ablation(
             "utilization": utilization,
         },
     )
+    notes = [
+        "Rate control bounds the combined demand on a single server; the RR baseline of "
+        "Figure 14 isolates the complementary question (rate control without ranking).",
+    ]
+    full, ranking_only = rows
+    if data[full[0]]["backpressure_events"] == 0 and full[1:] == ranking_only[1:]:
+        notes.insert(0, "Rate control did not engage at this configuration: no backpressure, identical rows.")
+    for row in rows:
+        row.append(data[row[0]]["backpressure_events"])
     return ExperimentResult(
         experiment_id="ablation_rate_control",
         title=f"C3 latency (ms) with and without rate control (utilization {utilization:.0%})",
-        headers=["variant", "median", "p95", "p99", "p99.9"],
+        headers=["variant", "median", "p95", "p99", "p99.9", "backpressure events"],
         rows=rows,
-        notes=[
-            "Rate control bounds the combined demand on a single server; the RR baseline of "
-            "Figure 14 isolates the complementary question (rate control without ranking).",
-        ],
+        notes=notes,
         data=data,
     )

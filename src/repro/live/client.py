@@ -360,9 +360,9 @@ class LiveLoadClient:
             if op is not None:
                 self._send(op, int(server_id), now, primary=True)
             else:
-                # Timed out while backlogged by a selector that keeps the
-                # default no-op cancel(); it has already charged the
-                # replica for a send that will not happen.
+                # Timed out while backlogged by a custom selector without
+                # cancel(): it has already charged the replica for a send
+                # that will not happen.
                 self.selector.on_timeout(server_id, now)
 
     def _send(self, op: _Operation, server_id: int, now: float, *, primary: bool) -> None:

@@ -390,11 +390,11 @@ class BatchedKernel:
     def _detect_mode(selector: ReplicaSelector) -> int:
         """Pick the fast path the selector's exact type allows.
 
-        The inlined LOR path requires the *exact* class (a subclass may
-        override any hook); the generic stock path requires the base
+        The inlined LOR and C3 paths require the *exact* class (a subclass
+        may override any hook); the generic stock path requires the base
         ``submit``/``on_response``/backlog methods to be unoverridden.
-        Anything else — C3, rate-limited round-robin, user strategies —
-        takes the fully polymorphic path.
+        Anything else — rate-limited round-robin (a ``C3Selector`` whose
+        scorer rotates), user strategies — takes the fully polymorphic path.
         """
         cls = type(selector)
         if cls is LeastOutstandingSelector:

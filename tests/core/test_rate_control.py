@@ -273,20 +273,20 @@ class TestPerServerRateControl:
 
     def test_try_acquire_and_rates(self, c3_config):
         control = PerServerRateControl(c3_config)
-        assert control.try_acquire("a", 0.0)
+        assert control.controller("a").try_acquire(0.0)
         assert control.rates() == {"a": c3_config.initial_rate}
 
     def test_earliest_availability_zero_when_any_server_free(self, c3_config):
         control = PerServerRateControl(c3_config)
         # Exhaust "a" but leave "b" untouched.
-        while control.try_acquire("a", 0.0):
+        while control.controller("a").try_acquire(0.0):
             pass
         assert control.earliest_availability(["a", "b"], 0.0) == 0.0
 
     def test_earliest_availability_positive_when_all_exhausted(self, c3_config):
         control = PerServerRateControl(c3_config)
         for server in ("a", "b"):
-            while control.try_acquire(server, 0.0):
+            while control.controller(server).try_acquire(0.0):
                 pass
         assert control.earliest_availability(["a", "b"], 0.0) > 0.0
 

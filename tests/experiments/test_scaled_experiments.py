@@ -121,6 +121,20 @@ class TestSimulatorExperimentsTiny:
             "ablation_rate_control", num_clients=15, num_servers=9, num_requests=400
         )
         assert len(result.rows) == 2
+        # 15 clients never exhaust a permit here: the two variants are one
+        # run, and the result says why instead of printing twin rows silently.
+        full, ranking_only = result.rows
+        assert full[1:] == ranking_only[1:] and full[-1] == 0
+        assert result.notes[0].startswith("Rate control did not engage")
+
+    def test_ablation_rate_control_reports_backpressure_when_it_engages(self):
+        result = run_experiment(
+            "ablation_rate_control", num_clients=3, num_servers=9, num_requests=400
+        )
+        full, ranking_only = result.rows
+        assert full[-1] > 0 and ranking_only[-1] == 0
+        assert full[1:-1] != ranking_only[1:-1]
+        assert not any("did not engage" in note for note in result.notes)
 
 
 class TestScenarioExperimentsTiny:

@@ -144,8 +144,13 @@ class TestLateClient:
 class TestNoOperationIsLost:
     PHI = dict(strategy="lor", failure_detector="phi", replication_factor=2, arrival_rate_per_s=200.0, seed=1)
 
-    def test_backlogged_operations_time_out_instead_of_vanishing(self):
-        """A rate limiter pinned at 1 per window admits ~100/s of the 400/s offered."""
+    @staticmethod
+    def _overloaded(strategy):
+        """Offer 400/s to ``strategy``; returns (client, result, dead releases).
+
+        A dead release is a request the selector's backlog let go after its
+        operation had already closed.
+        """
         released_dead = []
 
         def watch_releases(client):
@@ -166,7 +171,7 @@ class TestNoOperationIsLost:
                     addresses,
                     0.3,
                     prepare=watch_releases,
-                    strategy="c3:initial_rate=1,max_rate=1",
+                    strategy=strategy,
                     replication_factor=2,
                     arrival_rate_per_s=400.0,
                     request_timeout_ms=150.0,
@@ -174,10 +179,23 @@ class TestNoOperationIsLost:
                 )
 
         client, result, _ = asyncio.run(scenario())
+        return client, result, released_dead
+
+    def test_backlogged_operations_time_out_instead_of_vanishing(self):
+        """A rate limiter pinned at 1 per window admits ~100/s of the 400/s offered."""
+        client, result, released_dead = self._overloaded("c3:initial_rate=1,max_rate=1")
         assert result.backpressure > 0
         assert result.completed > 0 and result.timeouts > 0
         assert result.issued == result.completed + result.timeouts
         assert not client._ops
+        assert released_dead == []
+        assert client.selector.pending_backlog() == 0
+
+    def test_round_robin_backlog_cancels_timed_out_operations(self):
+        """RR's backlog is C3's: an operation that timed out in it is withdrawn."""
+        client, result, released_dead = self._overloaded("rr:initial_rate=1")
+        assert result.backpressure > 0 and result.timeouts > 0
+        assert result.issued == result.completed + result.timeouts
         assert released_dead == []
         assert client.selector.pending_backlog() == 0
 
