@@ -34,7 +34,7 @@ from .ring import TokenRing
 from .storage import StorageEngine
 from .workload_bridge import ClosedLoopGenerator
 
-__all__ = ["GeneratorGroup", "ClusterConfig", "CassandraCluster", "run_cluster"]
+__all__ = ["DISK_PROFILES", "GeneratorGroup", "ClusterConfig", "CassandraCluster", "run_cluster"]
 
 #: Fixed parameters of the scaled-down §5 deployment (no scenario varies them).
 NODE_CONCURRENCY = 8
@@ -42,6 +42,8 @@ GOSSIP_INTERVAL_MS = 1_000.0
 COMPACTION_DURATION_MS = 1_500.0
 GC_PAUSE_MS = 100.0
 ZIPF_THETA = 0.99
+#: ``ClusterConfig.disk`` -> the profile it selects.
+DISK_PROFILES = {"hdd": HDD_PROFILE, "ssd": SSD_PROFILE}
 
 
 @dataclass(slots=True)
@@ -125,13 +127,13 @@ class ClusterConfig:
             raise ValueError("duration_ms must be positive")
         if self.num_generators < 1 and not self.generator_groups:
             raise ValueError("need at least one generator")
-        if self.disk not in ("hdd", "ssd"):
-            raise ValueError("disk must be 'hdd' or 'ssd'")
+        if self.disk not in DISK_PROFILES:
+            raise ValueError(f"disk must be {' or '.join(map(repr, DISK_PROFILES))}")
 
     @property
     def disk_profile(self) -> DiskProfile:
         """The configured disk profile."""
-        return HDD_PROFILE if self.disk == "hdd" else SSD_PROFILE
+        return DISK_PROFILES[self.disk]
 
     @property
     def strategy_spec(self) -> StrategySpec:

@@ -122,6 +122,10 @@ class SweepRunner:
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 try:
+                    # The key hashes the resolved config, not the grid that
+                    # named it: a trial cached by another spec carries that
+                    # spec's axes, so it is relabelled with this one's.
+                    cached = {**cached, "params": dict(trial.params)}
                     slots[trial.index] = TrialResult.from_dict(cached, from_cache=True)
                 except TypeError:
                     # Schema drift (an entry written by an older TrialResult

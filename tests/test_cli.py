@@ -163,7 +163,7 @@ def _spy_on_run_simulation(monkeypatch) -> list[SimulationConfig]:
         seen.append(config)
         return run_simulation(config)
 
-    monkeypatch.setattr(cli, "run_simulation", spy)
+    monkeypatch.setattr(f"repro.{cli.COMMANDS['simulate'][0]}.cli.run_simulation", spy)
     return seen
 
 
