@@ -6,7 +6,7 @@ import argparse
 
 from ..analysis.report import format_table
 from ..cli import usage_error
-from ..scenarios.cli import check_scenarios
+from ..scenarios.registry import SCENARIOS
 from . import list_experiments, registry, run_experiment
 
 
@@ -27,12 +27,12 @@ def run_arguments(parser: argparse.ArgumentParser) -> None:
 def run_command(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.scenario is not None:
-        error = check_scenarios([args.scenario])
-        if error:
+        try:
+            kwargs["scenario"] = SCENARIOS.resolve(args.scenario).name
+        except ValueError as error:
             return usage_error(error)
         if not registry.supports_param(args.experiment_id, "scenario"):
             return usage_error(f"experiment {args.experiment_id!r} does not accept a --scenario override")
-        kwargs["scenario"] = args.scenario
     result = run_experiment(args.experiment_id, **kwargs)
     print(result.to_text())
     return 0

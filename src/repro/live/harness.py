@@ -9,9 +9,9 @@ channel, then trim the first ``warmup_s`` and last ``cooldown_s`` of
 completions and record what remains into the streaming
 :class:`~repro.analysis.histogram.LatencyHistogram`.
 
-Scenario strings are the *simulator's* scenario names: the harness
-resolves knobs through the same registry
-(:func:`repro.scenarios.get_scenario` + ``resolve_params``), so a live
+Scenario strings are the *simulator's* scenario names: the harness fills
+in knob defaults from the same registry (:data:`repro.scenarios.SCENARIOS`)
+and checks the knobs through a simulator config of the trial, so a live
 ``slow-node`` trial and a simulated one share defaults and validation.
 Underscores are accepted and normalized (``slow_node`` == ``slow-node``).
 The live backend supports ``baseline``, ``slow-node``, ``gc-storm``, and
@@ -51,7 +51,7 @@ import numpy as np
 from ..analysis.histogram import LatencyHistogram
 from ..controls.spec import ControlSpec
 from ..runner.spec import content_hash
-from ..scenarios import ScriptedComponent, build_scenario, get_scenario
+from ..scenarios import SCENARIOS, ScriptedComponent, build_scenario
 from ..scenarios.components import Edge
 from ..simulator.simulation import SimulationConfig
 from ..strategies.spec import StrategySpec
@@ -119,8 +119,8 @@ class LiveTrialConfig:
                 f"scenario {self.scenario!r} is not supported by the live backend; "
                 f"choose one of {', '.join(LIVE_SCENARIOS)}"
             )
-        params = get_scenario(name).resolve_params(dict(self.scenario_params))
         object.__setattr__(self, "scenario", name)
+        params = {**SCENARIOS.get(name).param_defaults(), **self.scenario_params}
         object.__setattr__(self, "scenario_params", params)
         if self.num_servers < 1:
             raise ValueError(f"num_servers must be >= 1, got {self.num_servers}")
@@ -138,8 +138,8 @@ class LiveTrialConfig:
                 f"warmup_s + cooldown_s ({self.warmup_s + self.cooldown_s}) must leave a "
                 f"measurement window inside duration_s ({self.duration_s})"
             )
-        # The timeline is the simulator's, so a knob it rejects (a target
-        # outside the cluster, say) fails here with the simulator's message.
+        # The timeline is the simulator's, whose config checks every knob, so a
+        # knob it rejects (a target outside the cluster, say) fails here alike.
         scenario_schedule(self)
 
     def config_payload(self) -> dict[str, Any]:

@@ -11,7 +11,7 @@ from ..analysis.report import format_table
 from ..analysis.report_sweep import markdown_to_html, render_report
 from ..cli import usage_error
 from ..controls.cli import DETECTOR_HELP, HEDGING_HELP
-from ..scenarios.cli import check_scenarios
+from ..scenarios.registry import SCENARIOS
 from ..simulator.cli import add_flat_flags, flat_config
 from ..strategies.cli import STRATEGY_HELP
 from .results import AGGREGATE_METRICS, SweepResult
@@ -130,10 +130,10 @@ def sweep_command(args: argparse.Namespace) -> int:
         "fluctuation_interval_ms": tuple(args.intervals or (100.0,)),
     }
     if args.scenarios:
-        error = check_scenarios(args.scenarios)
-        if error:
+        try:
+            grid["scenario"] = tuple(SCENARIOS.resolve(name).name for name in args.scenarios)
+        except ValueError as error:
             return usage_error(error)
-        grid["scenario"] = tuple(args.scenarios)
     if args.failure_detectors:
         grid["failure_detector"] = tuple(args.failure_detectors)
     if args.hedging_specs:

@@ -11,9 +11,9 @@ Two layers:
   share;
 * :mod:`repro.scenarios.registry` — named builtin scenarios
   (``baseline``, ``bimodal``, ``gc-storm``, ``crash-recovery``,
-  ``slow-node``, ``network-jitter``, ``load-spike``, ``heterogeneous``)
-  addressable from :attr:`SimulationConfig.scenario`, sweep grids and the
-  CLI.
+  ``slow-node``, ``network-jitter``, ``load-spike``, ``heterogeneous``), each
+  a typed param dataclass on the spec registry :data:`SCENARIOS`,
+  addressable from :attr:`SimulationConfig.scenario`, sweep grids and the CLI.
 """
 
 from .base import Scenario, ScenarioComponent, ScenarioContext
@@ -28,17 +28,10 @@ from .components import (
     SlowServers,
 )
 from .processes import BimodalFluctuation
-from .registry import (
-    ScenarioDefinition,
-    build_scenario,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-    scenario_rate_factor,
-    validate_scenario,
-)
+from .registry import SCENARIOS, build_scenario, scenario_names, scenario_rate_factor
 
 __all__ = [
+    "SCENARIOS",
     "BimodalFluctuation",
     "BimodalServiceRates",
     "CrashWindows",
@@ -49,13 +42,9 @@ __all__ = [
     "Scenario",
     "ScenarioComponent",
     "ScenarioContext",
-    "ScenarioDefinition",
     "ScriptedComponent",
     "SlowServers",
     "build_scenario",
-    "get_scenario",
-    "register_scenario",
     "scenario_names",
     "scenario_rate_factor",
-    "validate_scenario",
 ]

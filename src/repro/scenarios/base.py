@@ -156,18 +156,10 @@ class Scenario:
         Registry name (what ``SimulationConfig.scenario`` refers to).
     components:
         The perturbations, started in order.
-    rate_factor:
-        Mean service-rate multiplier the scenario induces, used by
-        :attr:`SimulationConfig.effective_rate_multiplier` to size the
-        arrival rate for a target utilization (1.0 = capacity unchanged).
-    description:
-        One-line human description for ``c3-repro scenarios``.
     """
 
     name: str
     components: tuple[ScenarioComponent, ...] = ()
-    rate_factor: float = 1.0
-    description: str = ""
     _started: list = field(default_factory=list, repr=False, compare=False)
 
     def start(self, ctx: ScenarioContext) -> None:

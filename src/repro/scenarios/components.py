@@ -13,6 +13,10 @@ live control vocabulary (``{"op": "slow", "factor": f}``,
 ``{"op": "crash"}``, ``{"op": "restore"}``).  The simulator schedules that
 list on its event loop and the live harness replays it over the control
 channel, so both backends run one timeline.
+
+A component checks its knobs when it is built, with a ``check_*`` function
+that the scenario registry's ``validate`` hooks call too: a bad knob fails
+when a config names it, and a hand-built component fails the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from operator import methodcaller
 from typing import TYPE_CHECKING, Any
 
 from .base import ScenarioComponent, ScenarioContext, target_indices
-from .processes import BimodalFluctuation, PoissonEpisodes
+from .processes import BimodalFluctuation, PoissonEpisodes, check_bimodal, check_episodes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.server import SimServer
@@ -37,6 +41,12 @@ __all__ = [
     "NetworkDelayChange",
     "ScriptedComponent",
     "SlowServers",
+    "check_crash_windows",
+    "check_gc_pauses",
+    "check_load_spike",
+    "check_network_delay",
+    "check_slowdown",
+    "check_spread",
 ]
 
 #: One scripted control edge: ``(at_ms, server_index, op)``.
@@ -57,6 +67,9 @@ class BimodalServiceRates(ScenarioComponent):
     fast_probability: float = 0.5
     targets: object = "all"
 
+    def __post_init__(self) -> None:
+        check_bimodal(self.interval_ms, self.rate_multiplier, self.fast_probability)
+
     def start(self, ctx: ScenarioContext) -> None:
         process = BimodalFluctuation(
             loop=ctx.loop,
@@ -73,6 +86,13 @@ class BimodalServiceRates(ScenarioComponent):
         getattr(self, "_process").stop()
 
 
+def check_gc_pauses(mean_interarrival_ms: float, mean_duration_ms: float, slowdown_factor: float) -> None:
+    """``GCPauses``' knob constraints."""
+    check_episodes(mean_interarrival_ms, mean_duration_ms)
+    if slowdown_factor <= 0:
+        raise ValueError("slowdown_factor must be positive")
+
+
 @dataclass(frozen=True)
 class GCPauses(ScenarioComponent):
     """Poisson-arriving GC-pause-like slowdowns on the target servers.
@@ -86,11 +106,12 @@ class GCPauses(ScenarioComponent):
     slowdown_factor: float = 4.0
     targets: object = "all"
 
+    def __post_init__(self) -> None:
+        check_gc_pauses(self.mean_interarrival_ms, self.mean_duration_ms, self.slowdown_factor)
+
     def start(self, ctx: ScenarioContext) -> None:
         servers = ctx.resolve_targets(self.targets)
         rng = ctx.spawn_rng()
-        if self.slowdown_factor <= 0:
-            raise ValueError("slowdown_factor must be positive")
         # The factor is keyed by a token, not by the episode loop: the actions
         # live on the loop, and one that held the loop would be a cycle.
         source = object()
@@ -157,6 +178,16 @@ class ScriptedComponent(ScenarioComponent):
                 server.restore()
 
 
+def check_slowdown(factor: float, start_ms: float, end_ms: float | None) -> None:
+    """``SlowServers``' knob constraints."""
+    if start_ms < 0:
+        raise ValueError(f"slowdown start must be non-negative, got {start_ms}")
+    if end_ms is not None and end_ms <= start_ms:
+        raise ValueError(f"episode end must follow start: {(start_ms, end_ms)}")
+    if factor <= 0:
+        raise ValueError("slowdown factor must be positive")
+
+
 @dataclass(frozen=True)
 class SlowServers(ScriptedComponent):
     """Scripted slowdown episodes on the target servers.
@@ -170,18 +201,26 @@ class SlowServers(ScriptedComponent):
     end_ms: float | None = None
     targets: object = 0
 
+    def __post_init__(self) -> None:
+        check_slowdown(self.factor, self.start_ms, self.end_ms)
+
     def edges(self, num_servers: int) -> list[Edge]:
-        indices = target_indices(self.targets, num_servers)
-        if self.end_ms is not None and self.end_ms <= self.start_ms:
-            raise ValueError(f"episode end must follow start: {(self.start_ms, self.end_ms)}")
-        if self.factor <= 0:
-            raise ValueError("slowdown factor must be positive")
         edges: list[Edge] = []
-        for index in indices:
+        for index in target_indices(self.targets, num_servers):
             edges.append((self.start_ms, index, {"op": "slow", "factor": float(self.factor)}))
             if self.end_ms is not None:
                 edges.append((self.end_ms, index, {"op": "slow", "factor": 1.0}))
         return edges
+
+
+def check_crash_windows(first_at_ms: float, down_ms: float | None, repeats: int) -> None:
+    """``CrashWindows``' knob constraints; ``edges`` checks the later, staggered starts."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if first_at_ms < 0:
+        raise ValueError("crash start must be non-negative")
+    if down_ms is not None and down_ms <= 0:
+        raise ValueError(f"crash window end must follow start: down_ms={down_ms}")
 
 
 @dataclass(frozen=True)
@@ -203,9 +242,10 @@ class CrashWindows(ScriptedComponent):
     period_ms: float = 2000.0
     targets: object = (0,)
 
+    def __post_init__(self) -> None:
+        check_crash_windows(self.first_at_ms, self.down_ms, self.repeats)
+
     def edges(self, num_servers: int) -> list[Edge]:
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
         edges: list[Edge] = []
         for k, index in enumerate(target_indices(self.targets, num_servers)):
             for r in range(self.repeats):
@@ -214,11 +254,20 @@ class CrashWindows(ScriptedComponent):
                     raise ValueError("crash start must be non-negative")
                 edges.append((start, index, {"op": "crash"}))
                 if self.down_ms is not None:
-                    end = start + self.down_ms
-                    if end <= start:
-                        raise ValueError(f"crash window end must follow start: {(start, end)}")
-                    edges.append((end, index, {"op": "restore"}))
+                    edges.append((start + self.down_ms, index, {"op": "restore"}))
         return edges
+
+
+def check_network_delay(at_ms: float, delay_ms: float | None, jitter_ms: float | None) -> None:
+    """``NetworkDelayChange``' knob constraints; ``None`` is a value derived from the config."""
+    if at_ms < 0:
+        raise ValueError(f"network change time must be non-negative, got {at_ms}")
+    if delay_ms is not None and delay_ms < 0:
+        raise ValueError(f"network delay_ms must be non-negative, got {delay_ms}")
+    if jitter_ms is not None and jitter_ms < 0:
+        raise ValueError(f"network jitter_ms must be non-negative, got {jitter_ms}")
+    if delay_ms is not None and jitter_ms is not None and jitter_ms > delay_ms:
+        raise ValueError("jitter must not exceed the base latency")
 
 
 @dataclass(frozen=True)
@@ -234,6 +283,9 @@ class NetworkDelayChange(ScenarioComponent):
     at_ms: float = 0.0
     delay_ms: float = 0.25
     jitter_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_network_delay(self.at_ms, self.delay_ms, self.jitter_ms)
 
     def start(self, ctx: ScenarioContext) -> None:
         from ..simulator.network import ConstantLatency, JitteredLatency, NetworkModel
@@ -255,6 +307,16 @@ class NetworkDelayChange(ScenarioComponent):
         getattr(self, "_ctx").set_network(getattr(self, "_original"))
 
 
+def check_load_spike(start_ms: float, end_ms: float | None, factor: float) -> None:
+    """``LoadSpike``' knob constraints."""
+    if end_ms is not None and end_ms <= start_ms:
+        raise ValueError("end_ms must follow start_ms")
+    if start_ms < 0:
+        raise ValueError("step time must be non-negative")
+    if factor <= 0:
+        raise ValueError("rate factor must be positive")
+
+
 @dataclass(frozen=True)
 class LoadSpike(ScenarioComponent):
     """Multiply the arrival rate by ``factor`` between ``start_ms`` and ``end_ms``.
@@ -267,16 +329,13 @@ class LoadSpike(ScenarioComponent):
     end_ms: float | None = 1000.0
     factor: float = 2.0
 
+    def __post_init__(self) -> None:
+        check_load_spike(self.start_ms, self.end_ms, self.factor)
+
     def start(self, ctx: ScenarioContext) -> None:
         steps = [(self.start_ms, self.factor)]
         if self.end_ms is not None:
-            if self.end_ms <= self.start_ms:
-                raise ValueError("end_ms must follow start_ms")
             steps.append((self.end_ms, 1.0))
-        if self.start_ms < 0:
-            raise ValueError("step time must be non-negative")
-        if self.factor <= 0:
-            raise ValueError("rate factor must be positive")
         process = ctx.arrival_process
         base_rate = process.rate_per_ms
         events = [ctx.loop.schedule_at(at, process.set_rate, base_rate * factor) for at, factor in steps]
@@ -287,6 +346,12 @@ class LoadSpike(ScenarioComponent):
         for event in events:
             event.cancel()
         process.set_rate(base_rate)
+
+
+def check_spread(spread: float) -> None:
+    """``HeterogeneousServiceRates``' knob constraint."""
+    if spread < 1.0:
+        raise ValueError("spread must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -301,9 +366,10 @@ class HeterogeneousServiceRates(ScenarioComponent):
     spread: float = 2.0
     targets: object = "all"
 
+    def __post_init__(self) -> None:
+        check_spread(self.spread)
+
     def start(self, ctx: ScenarioContext) -> None:
-        if self.spread < 1.0:
-            raise ValueError("spread must be >= 1")
         rng = ctx.spawn_rng()
         servers = ctx.resolve_targets(self.targets)
         for server in servers:

@@ -31,7 +31,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from ..simulator.engine import Event, EventLoop
     from ..simulator.server import SimServer
 
-__all__ = ["BimodalFluctuation", "PoissonEpisodes"]
+__all__ = ["BimodalFluctuation", "PoissonEpisodes", "check_bimodal", "check_episodes"]
+
+
+def check_bimodal(interval_ms: float | None, rate_multiplier: float | None, fast_probability: float) -> None:
+    """The fluctuation knobs' constraints; ``None`` is a value the config's fluctuation fields give."""
+    if interval_ms is not None and interval_ms <= 0:
+        raise ValueError("interval_ms must be positive")
+    if rate_multiplier is not None and rate_multiplier <= 0:
+        raise ValueError("rate_multiplier must be positive")
+    if not 0.0 <= fast_probability <= 1.0:
+        raise ValueError("fast_probability must be in [0, 1]")
+
+
+def check_episodes(mean_interarrival_ms: float, mean_duration_ms: float) -> None:
+    """:class:`PoissonEpisodes`' constraint on its two means."""
+    if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
+        raise ValueError("mean durations must be positive")
 
 
 class BimodalFluctuation:
@@ -69,12 +85,7 @@ class BimodalFluctuation:
         fast_probability: float = 0.5,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
-        if rate_multiplier <= 0:
-            raise ValueError("rate_multiplier must be positive")
-        if not 0.0 <= fast_probability <= 1.0:
-            raise ValueError("fast_probability must be in [0, 1]")
+        check_bimodal(interval_ms, rate_multiplier, fast_probability)
         self.loop = loop
         self.servers = list(servers)
         self.interval_ms = float(interval_ms)
@@ -124,8 +135,7 @@ class PoissonEpisodes:
     """
 
     def __init__(self, loop, targets, mean_interarrival_ms, mean_duration_ms, rng, on_event, begin, end):
-        if mean_interarrival_ms <= 0 or mean_duration_ms <= 0:
-            raise ValueError("mean durations must be positive")
+        check_episodes(mean_interarrival_ms, mean_duration_ms)
         self.loop = loop
         self.targets = list(targets)
         self.mean_interarrival_ms = float(mean_interarrival_ms)

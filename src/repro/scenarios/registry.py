@@ -1,23 +1,26 @@
-"""The builtin scenario registry.
+"""The builtin scenarios, on the spec registry strategies and controls share.
 
 Scenarios are referenced by name from :attr:`SimulationConfig.scenario`
 (with knob overrides in ``scenario_params``), which makes them sweepable
 grid dimensions, cacheable by content hash, and CLI-addressable
-(``c3-repro simulate --scenario gc-storm``,
-``c3-repro sweep --scenario gc-storm --scenario crash-recovery …``).
+(``c3-repro simulate --scenario gc-storm``).
 
-Each :class:`ScenarioDefinition` declares its knobs with defaults; unknown
-knob names are rejected so a typo'd ``scenario_params`` fails loudly instead
-of silently running the default scenario.  ``register_scenario`` is public:
-downstream code can add its own named scenarios and immediately sweep over
-them.
+Each scenario is a frozen dataclass of its typed knobs, registered on
+:data:`SCENARIOS`.  Knobs resolve like strategy and control params: unknown
+names get a did-you-mean, values are coerced to the field type, and the
+``validate`` hook runs the component's own range check.  ``SimulationConfig``
+resolves its scenario when it is constructed, so a bad knob never gets a
+sweep trial key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Any, Mapping
 
+from ..strategies.paramspec import resolve_param_overrides
+from ..strategies.specbase import Registry, RegistryEntry
 from .base import Scenario, ScenarioComponent
 from .components import (
     BimodalServiceRates,
@@ -26,271 +29,215 @@ from .components import (
     HeterogeneousServiceRates,
     LoadSpike,
     NetworkDelayChange,
+    ScriptedComponent,
     SlowServers,
+    check_crash_windows,
+    check_gc_pauses,
+    check_load_spike,
+    check_network_delay,
+    check_slowdown,
+    check_spread,
 )
+from .processes import check_bimodal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.simulation import SimulationConfig
 
 __all__ = [
-    "ScenarioDefinition",
+    "SCENARIOS",
+    "ScenarioParams",
     "build_scenario",
-    "get_scenario",
-    "register_scenario",
+    "check_scenario",
+    "resolve_scenario",
     "scenario_names",
     "scenario_rate_factor",
-    "validate_scenario",
 ]
 
-#: Builder: (config, resolved params) -> components.
-Factory = Callable[["SimulationConfig", dict], Sequence[ScenarioComponent]]
-#: Rate factor: (config, resolved params) -> mean service-rate multiplier.
-RateFactor = Callable[["SimulationConfig", dict], float]
+SCENARIOS = Registry("scenario", kinds={"scenario": "scenario"})
+#: Every registered scenario name; registration below is alphabetical.
+scenario_names = SCENARIOS.names
+#: Each builtin's param class is its own registration: the knobs build the perturbation.
+_register = partial(SCENARIOS.register, kind="scenario")
 
 
-@dataclass(frozen=True)
-class ScenarioDefinition:
-    """A named scenario template: knobs + component factory."""
+class ScenarioParams:
+    """A scenario's knobs; subclasses are frozen dataclasses of them."""
 
-    name: str
-    description: str
-    factory: Factory
-    knobs: Mapping[str, Any] = field(default_factory=dict)
-    rate_factor: RateFactor | None = None
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        """The perturbation components this scenario runs under ``config``."""
+        return ()
 
-    def resolve_params(self, params: Mapping[str, Any] | None) -> dict:
-        """Merge ``params`` over the knob defaults, rejecting unknown keys."""
-        params = dict(params or {})
-        unknown = sorted(set(params) - set(self.knobs))
-        if unknown:
-            raise ValueError(
-                f"unknown scenario_params {unknown} for scenario {self.name!r}; "
-                f"knobs: {', '.join(sorted(self.knobs)) or '(none)'}"
-            )
-        resolved = dict(self.knobs)
-        resolved.update(params)
-        return resolved
-
-    def build(self, config: "SimulationConfig") -> Scenario:
-        """Instantiate the scenario for ``config``."""
-        params = self.resolve_params(config.scenario_params)
-        components = tuple(self.factory(config, params))
-        factor = self.rate_factor(config, params) if self.rate_factor else 1.0
-        return Scenario(
-            name=self.name,
-            components=components,
-            rate_factor=float(factor),
-            description=self.description,
-        )
+    def rate_factor(self, config: "SimulationConfig") -> float:
+        """The mean service-rate multiplier the scenario induces (load sizing)."""
+        return 1.0
 
 
-_REGISTRY: dict[str, ScenarioDefinition] = {}
-
-
-def register_scenario(definition: ScenarioDefinition) -> ScenarioDefinition:
-    """Register a scenario definition under its name (unique)."""
-    if definition.name in _REGISTRY:
-        raise ValueError(f"scenario {definition.name!r} is already registered")
-    _REGISTRY[definition.name] = definition
-    return definition
-
-
-def scenario_names() -> tuple[str, ...]:
-    """Every registered scenario name, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_scenario(name: str) -> ScenarioDefinition:
-    """Look a scenario up by name (ValueError lists the known names)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; available scenarios: {', '.join(scenario_names())}"
-        ) from None
-
-
-def validate_scenario(name: str, params: Mapping[str, Any] | None = None) -> None:
-    """Raise ValueError for an unknown name or unknown knob keys."""
-    get_scenario(name).resolve_params(params)
-
-
-def _definition(config: "SimulationConfig") -> ScenarioDefinition:
-    if config.scenario is None:
-        raise ValueError("config.scenario is None; nothing to build")
-    return get_scenario(config.scenario)
+def resolve_scenario(name: str, params: Mapping[str, Any] | None) -> tuple[RegistryEntry, ScenarioParams]:
+    """The registration ``name`` resolves to and its typed, checked knobs (else ``ValueError``)."""
+    entry = SCENARIOS.resolve(name)
+    explicit = resolve_param_overrides(
+        entry.params_cls, dict(params or {}), subject=f"scenario {entry.name}", validate=entry.validate
+    )
+    return entry, entry.params_cls(**explicit)
 
 
 def build_scenario(config: "SimulationConfig") -> Scenario:
     """Build the scenario named by ``config.scenario`` for this run."""
-    return _definition(config).build(config)
+    entry, params = resolve_scenario(config.scenario, config.scenario_params)
+    return Scenario(name=entry.name, components=params.components(config))
 
 
 def scenario_rate_factor(config: "SimulationConfig") -> float:
     """The scenario's mean service-rate multiplier (for load sizing)."""
-    definition = _definition(config)
-    params = definition.resolve_params(config.scenario_params)
-    if definition.rate_factor is None:
-        return 1.0
-    return float(definition.rate_factor(config, params))
+    return float(resolve_scenario(config.scenario, config.scenario_params)[1].rate_factor(config))
+
+
+def check_scenario(config: "SimulationConfig") -> None:
+    """Raise ``ValueError`` unless ``config``'s scenario builds and its timelines fit its servers."""
+    for component in build_scenario(config).components:
+        if isinstance(component, ScriptedComponent):
+            component.edges(config.num_servers)
 
 
 # --------------------------------------------------------------------------
-# Builtin scenarios.
+# Builtin scenarios, in name order.  Where the knobs are the component's own
+# fields, ``components`` passes them on as ``**vars(self)``.
 # --------------------------------------------------------------------------
 
-register_scenario(
-    ScenarioDefinition(
-        name="baseline",
-        description="No perturbation: homogeneous servers at steady load",
-        factory=lambda config, params: (),
-    )
+
+@_register("baseline", description="No perturbation: homogeneous servers at steady load")
+@dataclass(frozen=True)
+class BaselineParams(ScenarioParams):
+    """No knobs: nothing is perturbed."""
+
+
+@_register(
+    "bimodal",
+    description="Paper §6 fluctuation: servers flip between μ and D·μ every interval",
+    validate=lambda p: check_bimodal(**p),
 )
+@dataclass(frozen=True)
+class BimodalParams(ScenarioParams):
+    """``None`` takes the config's ``fluctuation_interval_ms`` / ``fluctuation_multiplier``."""
+
+    interval_ms: float | None = None
+    rate_multiplier: float | None = None
+    fast_probability: float = 0.5
+
+    def _multiplier(self, config: "SimulationConfig") -> float:
+        return config.fluctuation_multiplier if self.rate_multiplier is None else self.rate_multiplier
+
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        interval_ms = config.fluctuation_interval_ms if self.interval_ms is None else self.interval_ms
+        return (BimodalServiceRates(interval_ms, self._multiplier(config), self.fast_probability),)
+
+    def rate_factor(self, config: "SimulationConfig") -> float:
+        fast = self.fast_probability
+        return (1.0 - fast) + fast * self._multiplier(config)
 
 
-def _bimodal_multiplier(config: "SimulationConfig", params: dict) -> float:
-    multiplier = params["rate_multiplier"]
-    return config.fluctuation_multiplier if multiplier is None else multiplier
-
-
-def _bimodal_components(config: "SimulationConfig", params: dict) -> Sequence[ScenarioComponent]:
-    interval_ms = params["interval_ms"]
-    return (
-        BimodalServiceRates(
-            interval_ms=config.fluctuation_interval_ms if interval_ms is None else interval_ms,
-            rate_multiplier=_bimodal_multiplier(config, params),
-            fast_probability=params["fast_probability"],
-        ),
-    )
-
-
-def _bimodal_rate_factor(config: "SimulationConfig", params: dict) -> float:
-    fast = params["fast_probability"]
-    return (1.0 - fast) + fast * _bimodal_multiplier(config, params)
-
-
-register_scenario(
-    ScenarioDefinition(
-        name="bimodal",
-        description="Paper §6 fluctuation: servers flip between μ and D·μ every interval",
-        factory=_bimodal_components,
-        knobs={"interval_ms": None, "rate_multiplier": None, "fast_probability": 0.5},
-        rate_factor=_bimodal_rate_factor,
-    )
+@_register(
+    "crash-recovery",
+    description="Servers crash and restart on a staggered schedule; clients route around them",
+    validate=lambda p: check_crash_windows(p["first_at_ms"], p["down_ms"], p["repeats"]),
 )
+@dataclass(frozen=True)
+class CrashRecoveryParams(ScenarioParams):
+    """``down_ms=None`` crashes for good; ``targets=None`` picks two well-separated servers."""
 
-register_scenario(
-    ScenarioDefinition(
-        name="gc-storm",
-        description="Frequent long GC-like pauses hitting every server",
-        factory=lambda config, params: (
-            GCPauses(
-                mean_interarrival_ms=params["mean_interarrival_ms"],
-                mean_duration_ms=params["mean_duration_ms"],
-                slowdown_factor=params["slowdown_factor"],
-            ),
-        ),
-        knobs={
-            "mean_interarrival_ms": 400.0,
-            "mean_duration_ms": 60.0,
-            "slowdown_factor": 6.0,
-        },
-    )
+    first_at_ms: float = 250.0
+    down_ms: float | None = 400.0
+    stagger_ms: float = 600.0
+    repeats: int = 1
+    period_ms: float = 2000.0
+    targets: tuple[int, ...] | None = None
+
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        targets = self.targets
+        if targets is None:
+            # Default: two well-separated servers (one for tiny clusters), so
+            # the scenario works at any num_servers without knob surgery.
+            targets = tuple(sorted({0, config.num_servers // 2}))
+        return (CrashWindows(**{**vars(self), "targets": targets}),)
+
+
+@_register(
+    "gc-storm",
+    description="Frequent long GC-like pauses hitting every server",
+    validate=lambda p: check_gc_pauses(**p),
 )
+@dataclass(frozen=True)
+class GCStormParams(ScenarioParams):
+    mean_interarrival_ms: float = 400.0
+    mean_duration_ms: float = 60.0
+    slowdown_factor: float = 6.0
+
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        return (GCPauses(**vars(self)),)
 
 
-def _crash_recovery_components(config: "SimulationConfig", params: dict) -> Sequence[ScenarioComponent]:
-    targets = params["targets"]
-    if targets is None:
-        # Default: two well-separated servers (one for tiny clusters), so
-        # the scenario works at any num_servers without knob surgery.
-        targets = tuple(sorted({0, config.num_servers // 2}))
-    return (
-        CrashWindows(
-            first_at_ms=params["first_at_ms"],
-            down_ms=params["down_ms"],
-            stagger_ms=params["stagger_ms"],
-            repeats=int(params["repeats"]),
-            period_ms=params["period_ms"],
-            targets=tuple(targets),
-        ),
-    )
-
-
-register_scenario(
-    ScenarioDefinition(
-        name="crash-recovery",
-        description="Servers crash and restart on a staggered schedule; clients route around them",
-        factory=_crash_recovery_components,
-        knobs={
-            "first_at_ms": 250.0,
-            "down_ms": 400.0,
-            "stagger_ms": 600.0,
-            "repeats": 1,
-            "period_ms": 2000.0,
-            "targets": None,
-        },
-    )
+@_register(
+    "heterogeneous",
+    description="Static per-server speed diversity (unequal machines)",
+    validate=lambda p: check_spread(**p),
 )
+@dataclass(frozen=True)
+class HeterogeneousParams(ScenarioParams):
+    spread: float = 2.5
 
-register_scenario(
-    ScenarioDefinition(
-        name="slow-node",
-        description="One permanently slow server (degraded disk / noisy neighbor)",
-        factory=lambda config, params: (
-            SlowServers(
-                factor=params["factor"],
-                start_ms=params["start_ms"],
-                end_ms=params["end_ms"],
-                targets=int(params["target"]),
-            ),
-        ),
-        knobs={"factor": 4.0, "start_ms": 0.0, "end_ms": None, "target": 0},
-    )
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        return (HeterogeneousServiceRates(**vars(self)),)
+
+
+@_register(
+    "load-spike",
+    description="Arrival rate multiplied during a window (flash crowd)",
+    validate=lambda p: check_load_spike(**p),
 )
+@dataclass(frozen=True)
+class LoadSpikeParams(ScenarioParams):
+    """``end_ms=None`` keeps the spike to the end of the run."""
+
+    start_ms: float = 400.0
+    end_ms: float | None = 900.0
+    factor: float = 1.6
+
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        return (LoadSpike(**vars(self)),)
 
 
-def _network_jitter_components(config: "SimulationConfig", params: dict) -> Sequence[ScenarioComponent]:
-    delay_ms = params["delay_ms"]
-    jitter_ms = params["jitter_ms"]
-    return (
-        NetworkDelayChange(
-            at_ms=params["at_ms"],
-            delay_ms=2.0 * config.network_delay_ms if delay_ms is None else delay_ms,
-            jitter_ms=1.6 * config.network_delay_ms if jitter_ms is None else jitter_ms,
-        ),
-    )
-
-
-register_scenario(
-    ScenarioDefinition(
-        name="network-jitter",
-        description="Network latency becomes jittery mid-run (EC2-like variance)",
-        factory=_network_jitter_components,
-        knobs={"at_ms": 250.0, "delay_ms": None, "jitter_ms": None},
-    )
+@_register(
+    "network-jitter",
+    description="Network latency becomes jittery mid-run (EC2-like variance)",
+    validate=lambda p: check_network_delay(**p),
 )
+@dataclass(frozen=True)
+class NetworkJitterParams(ScenarioParams):
+    """``None`` derives the delay (2×) and jitter (1.6×) from the config's ``network_delay_ms``."""
 
-register_scenario(
-    ScenarioDefinition(
-        name="load-spike",
-        description="Arrival rate multiplied during a window (flash crowd)",
-        factory=lambda config, params: (
-            LoadSpike(
-                start_ms=params["start_ms"],
-                end_ms=params["end_ms"],
-                factor=params["factor"],
-            ),
-        ),
-        knobs={"start_ms": 400.0, "end_ms": 900.0, "factor": 1.6},
-    )
-)
+    at_ms: float = 250.0
+    delay_ms: float | None = None
+    jitter_ms: float | None = None
 
-register_scenario(
-    ScenarioDefinition(
-        name="heterogeneous",
-        description="Static per-server speed diversity (unequal machines)",
-        factory=lambda config, params: (HeterogeneousServiceRates(spread=params["spread"]),),
-        knobs={"spread": 2.5},
-    )
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        delay_ms = 2.0 * config.network_delay_ms if self.delay_ms is None else self.delay_ms
+        jitter_ms = 1.6 * config.network_delay_ms if self.jitter_ms is None else self.jitter_ms
+        return (NetworkDelayChange(self.at_ms, delay_ms, jitter_ms),)
+
+
+@_register(
+    "slow-node",
+    description="One permanently slow server (degraded disk / noisy neighbor)",
+    validate=lambda p: check_slowdown(p["factor"], p["start_ms"], p["end_ms"]),
 )
+@dataclass(frozen=True)
+class SlowNodeParams(ScenarioParams):
+    """``end_ms=None`` keeps server ``target`` slow to the end of the run."""
+
+    factor: float = 4.0
+    start_ms: float = 0.0
+    end_ms: float | None = None
+    target: int = 0
+
+    def components(self, config: "SimulationConfig") -> tuple[ScenarioComponent, ...]:
+        return (SlowServers(self.factor, self.start_ms, self.end_ms, targets=self.target),)

@@ -10,7 +10,7 @@ from ..analysis.histogram import quantile_within_bound
 from ..analysis.report import format_table
 from ..cli import usage_error
 from ..controls.cli import DETECTOR_HELP, HEDGING_HELP
-from ..scenarios.cli import check_scenarios, parse_scenario_params
+from ..scenarios.cli import parse_scenario_params
 from ..strategies.cli import STRATEGY_HELP
 from .metrics import METRICS_MODES
 from .simulation import KERNELS, RNGS, SimulationConfig, run_simulation
@@ -90,11 +90,7 @@ def simulate_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def simulate_command(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        error = check_scenarios([args.scenario])
-        if error:
-            return usage_error(error)
-    elif args.scenario_params:
+    if args.scenario is None and args.scenario_params:
         return usage_error("--scenario-param requires --scenario")
     try:
         config = flat_config(
@@ -103,8 +99,8 @@ def simulate_command(args: argparse.Namespace) -> int:
             scenario_params=parse_scenario_params(args.scenario_params),
         )
     except ValueError as error:
-        # Malformed KEY=VALUE pairs, unknown scenario knobs, and invalid
-        # config values all surface as the CLI's clean exit-2 error shape.
+        # Malformed KEY=VALUE pairs, unknown scenarios, bad knobs (checked as the
+        # config is built) and invalid config values all surface as exit 2.
         return usage_error(error)
     result = run_simulation(config)
     summary = result.summary

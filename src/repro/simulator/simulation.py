@@ -185,9 +185,12 @@ class SimulationConfig:
         if self.rng not in RNGS:
             raise ValueError(f"unknown rng {self.rng!r}; choose one of {tuple(RNGS)}")
         if self.scenario is not None:
-            from ..scenarios.registry import validate_scenario
+            # Checked here, against num_servers, so no sweep trial key is handed out for a
+            # scenario that cannot run; scenario_params stays as given (it is hashed).
+            from ..scenarios.registry import SCENARIOS, check_scenario
 
-            validate_scenario(self.scenario, self.scenario_params)
+            self.scenario = SCENARIOS.resolve(self.scenario).name
+            check_scenario(self)
         elif self.scenario_params:
             raise ValueError("scenario_params given without a scenario name")
 

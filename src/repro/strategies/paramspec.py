@@ -144,7 +144,7 @@ def accepted_types(hint: Any) -> tuple[set[type], bool]:
 
 
 def describe_types(accepted: set[type]) -> str:
-    return " | ".join(sorted(t.__name__ for t in accepted)) or "nothing"
+    return " | ".join(sorted(t.__name__ if isinstance(t, type) else str(t) for t in accepted)) or "nothing"
 
 
 def coerce_value(subject: str, field_name: str, value: Any, hint: Any) -> Any:
@@ -178,6 +178,10 @@ def coerce_value(subject: str, field_name: str, value: Any, hint: Any) -> Any:
         return int(value)
     if str in accepted and isinstance(value, str):
         return value
+    # The one container type: a tuple of ints (a scenario's target servers).
+    ints = isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    if tuple[int, ...] in accepted and ints:
+        return tuple(value)
     raise ValueError(
         f"parameter {field_name!r} of {subject} expects "
         f"{describe_types(accepted)}, got {value!r}"

@@ -97,7 +97,7 @@ class Registry:
         *,
         kind: str,
         aliases: tuple[str, ...] = (),
-        params: type,
+        params: type | None = None,
         description: str,
         context_args: tuple[str, ...] = (),
         param_aliases: Mapping[str, str] | None = None,
@@ -117,7 +117,8 @@ class Registry:
             Alternate names accepted wherever the name is.
         params:
             Frozen dataclass of the tunable parameters; field defaults are
-            the paper's / Cassandra's values.
+            the paper's / Cassandra's values.  Omitted, the decorated class
+            is its own param class (a scenario's knobs build its perturbation).
         description:
             One-line description for the CLI listing and the README table.
         context_args:
@@ -137,15 +138,16 @@ class Registry:
             parse time (unknown names/keys are always rejected).  It receives
             every field: the defaults overlaid with the explicit overrides.
         """
-        if not dataclasses.is_dataclass(params):
-            raise TypeError(f"params must be a dataclass, got {params!r}")
 
         def decorator(cls: type) -> type:
+            params_cls = cls if params is None else params
+            if not dataclasses.is_dataclass(params_cls):
+                raise TypeError(f"params must be a dataclass, got {params_cls!r}")
             resolved_aliases = dict(param_aliases or {})
-            field_names = {f.name for f in dataclasses.fields(params)}
+            field_names = {f.name for f in dataclasses.fields(params_cls)}
             bad = sorted(set(resolved_aliases.values()) - field_names)
             if bad:
-                raise ValueError(f"param_aliases target unknown fields {bad} on {params.__name__}")
+                raise ValueError(f"param_aliases target unknown fields {bad} on {params_cls.__name__}")
 
             def default_factory(explicit: Mapping[str, Any], context: Any) -> Any:
                 kwargs = dict(explicit)
@@ -158,7 +160,7 @@ class Registry:
                     name=name,
                     kind=kind,
                     aliases=tuple(aliases),
-                    params_cls=params,
+                    params_cls=params_cls,
                     description=description,
                     factory=factory or default_factory,
                     param_aliases=resolved_aliases,

@@ -1,20 +1,25 @@
 """Unit tests for the scenario registry and the declarative layer."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from registry_contract import RegistryContract
 
+from repro.cli import main
+from repro.live import cli as live_cli
+from repro.live.harness import LiveTrialConfig
+from repro.runner import SweepSpec
 from repro.scenarios import (
+    SCENARIOS,
     Scenario,
     ScenarioContext,
-    ScenarioDefinition,
     build_scenario,
-    get_scenario,
-    register_scenario,
     scenario_names,
     scenario_rate_factor,
-    validate_scenario,
 )
-from repro.scenarios.registry import _REGISTRY
+from repro.scenarios.registry import ScenarioParams, resolve_scenario
 from repro.simulator import SimulationConfig
 from repro.simulator.engine import EventLoop
 from repro.simulator.server import SimServer
@@ -40,12 +45,12 @@ class TestRegistry:
         assert list(names) == sorted(names)
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="available scenarios: .*gc-storm"):
-            get_scenario("gc-typo")
+        with pytest.raises(ValueError, match="valid names: .*gc-storm"):
+            SCENARIOS.resolve("gc-typo")
 
     def test_unknown_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario_params \\['nope'\\]"):
-            validate_scenario("gc-storm", {"nope": 1})
+        with pytest.raises(ValueError, match="unknown parameter 'nope' for scenario gc-storm"):
+            resolve_scenario("gc-storm", {"nope": 1})
 
     def test_knob_override_reaches_the_component(self):
         config = SimulationConfig(
@@ -56,26 +61,26 @@ class TestRegistry:
         assert scenario.components[0].slowdown_factor == 9.0
 
     def test_duplicate_registration_rejected(self):
-        definition = get_scenario("baseline")
+        entry = SCENARIOS.get("baseline")
         with pytest.raises(ValueError, match="already registered"):
-            register_scenario(definition)
+            SCENARIOS.add(entry)
 
-    def test_custom_registration_roundtrip(self):
-        definition = ScenarioDefinition(
-            name="test-custom",
-            description="test",
-            factory=lambda config, params: (),
-            knobs={"x": 1},
+    def test_custom_registration_roundtrip(self, monkeypatch):
+        # Register on a copy of the registry's tables, restored afterwards.
+        monkeypatch.setattr(SCENARIOS, "_entries", dict(SCENARIOS._entries))
+        monkeypatch.setattr(SCENARIOS, "_lookup", dict(SCENARIOS._lookup))
+
+        @dataclasses.dataclass(frozen=True)
+        class CustomParams(ScenarioParams):
+            x: int = 1
+
+        SCENARIOS.register("test-custom", kind="scenario", params=CustomParams, description="test")(CustomParams)
+        assert SCENARIOS.resolve("test-custom").params_cls is CustomParams
+        config = SimulationConfig(
+            num_servers=5, num_clients=4, num_requests=0, scenario="test-custom", scenario_params={"x": 2}
         )
-        register_scenario(definition)
-        try:
-            assert get_scenario("test-custom") is definition
-            config = SimulationConfig(
-                num_servers=5, num_clients=4, num_requests=0, scenario="test-custom"
-            )
-            assert build_scenario(config).name == "test-custom"
-        finally:
-            del _REGISTRY["test-custom"]
+        assert build_scenario(config).name == "test-custom"
+        assert resolve_scenario("test-custom", {"x": 2.0})[1] == CustomParams(x=2)
 
 
 class TestRateFactors:
@@ -179,3 +184,141 @@ class TestScenarioLifecycle:
             scenario.start(make_context())
         scenario.stop()
         assert calls == ["start", "stop"]
+
+
+class TestScenarioRegistryContract(RegistryContract):
+    registry = SCENARIOS
+    ALIASES = [("GC-Storm", "gc-storm")]
+    TYPO = ("gc-strom", "gc-storm")
+
+
+#: Every scenario's knobs and defaults as the registry declared them before
+#: the knobs were typed; the literal types matter (``c3-repro scenarios``
+#: prints their reprs, and live payloads carry them).
+KNOB_DEFAULTS = {
+    "baseline": {},
+    "bimodal": {"interval_ms": None, "rate_multiplier": None, "fast_probability": 0.5},
+    "crash-recovery": {
+        "first_at_ms": 250.0, "down_ms": 400.0, "stagger_ms": 600.0,
+        "repeats": 1, "period_ms": 2000.0, "targets": None,
+    },
+    "gc-storm": {"mean_interarrival_ms": 400.0, "mean_duration_ms": 60.0, "slowdown_factor": 6.0},
+    "heterogeneous": {"spread": 2.5},
+    "load-spike": {"start_ms": 400.0, "end_ms": 900.0, "factor": 1.6},
+    "network-jitter": {"at_ms": 250.0, "delay_ms": None, "jitter_ms": None},
+    "slow-node": {"factor": 4.0, "start_ms": 0.0, "end_ms": None, "target": 0},
+}
+
+
+class TestTypedKnobs:
+    @pytest.mark.parametrize("name", sorted(KNOB_DEFAULTS))
+    def test_defaults_keep_their_values_order_and_literal_types(self, name):
+        defaults = SCENARIOS.get(name).param_defaults()
+        assert list(defaults.items()) == list(KNOB_DEFAULTS[name].items())
+        assert [type(v) for v in defaults.values()] == [type(v) for v in KNOB_DEFAULTS[name].values()]
+
+    def test_every_builtin_is_registered_in_name_order(self):
+        assert scenario_names() == tuple(sorted(KNOB_DEFAULTS))
+
+    def test_values_are_coerced_to_the_field_types(self):
+        _, params = resolve_scenario("crash-recovery", {"targets": [0, 2], "repeats": 2.0, "down_ms": 300})
+        assert params.targets == (0, 2) and params.repeats == 2 and params.down_ms == 300.0
+        assert type(params.repeats) is int and type(params.down_ms) is float
+
+    def test_scenario_params_are_stored_as_given(self):
+        # Validation coerces a copy: the config's params, hashed into cache
+        # keys, keep the caller's literal values.
+        given = {"factor": 4, "target": 1}
+        config = SimulationConfig(num_servers=5, scenario="slow-node", scenario_params=given)
+        assert config.scenario_params == given and type(config.scenario_params["factor"]) is int
+
+    def test_a_name_in_any_case_is_stored_canonically(self):
+        assert SimulationConfig(num_servers=5, scenario="GC-Storm").scenario == "gc-storm"
+
+    @pytest.mark.parametrize(
+        "targets,message",
+        [([True], "expects tuple"), ([0.5], "expects tuple"), ("all", "expects tuple"), ([0, 7], "out of range")],
+    )
+    def test_crash_targets_must_be_server_indexes(self, targets, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(num_servers=5, scenario="crash-recovery", scenario_params={"targets": targets})
+
+
+#: ``(scenario, knobs, message)`` rejected when the config is constructed.
+BAD_KNOBS = [
+    ("slow-node", {"factor": "abc"}, "'factor' of scenario slow-node expects float, got 'abc'"),
+    ("slow-node", {"factor": True}, "'factor' of scenario slow-node expects float, got a boolean"),
+    ("slow-node", {"factor": -1}, "slowdown factor must be positive"),
+    ("slow-node", {"target": 7}, "scenario target index 7 is out of range for 3 servers"),
+    ("slow-node", {"factor": -1, "target": 7}, "slowdown factor must be positive"),
+    ("heterogeneous", {"spread": float("nan")}, "'spread' of scenario heterogeneous must be finite"),
+    ("heterogeneous", {"spread": 0.5}, "spread must be >= 1"),
+    ("crash-recovery", {"targets": "all"}, "'targets' of scenario crash-recovery expects tuple"),
+    ("crash-recovery", {"repeats": 0}, "repeats must be >= 1"),
+    ("crash-recovery", {"down_ms": 0.0}, "crash window end must follow start"),
+    ("crash-recovery", {"stagger_ms": -300.0, "targets": [0, 1]}, "crash start must be non-negative"),
+    ("network-jitter", {"jitter_ms": -1}, "network jitter_ms must be non-negative"),
+    ("network-jitter", {"delay_ms": -1}, "network delay_ms must be non-negative"),
+    ("network-jitter", {"jitter_ms": 2.0}, "jitter must not exceed the base latency"),
+    ("gc-storm", {"mean_duration_ms": 0}, "mean durations must be positive"),
+    ("gc-storm", {"slowdown_factor": 0}, "slowdown_factor must be positive"),
+    ("load-spike", {"end_ms": 100.0}, "end_ms must follow start_ms"),
+    ("bimodal", {"fast_probability": 1.5}, "fast_probability must be in"),
+    ("gc-storm", {"slowdown": 2.0}, "did you mean 'slowdown_factor'"),
+]
+
+
+class TestRejectedAtConstruction:
+    @pytest.mark.parametrize("name,knobs,message", BAD_KNOBS)
+    def test_simulation_config_rejects_the_knob(self, name, knobs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimulationConfig(num_servers=3, scenario=name, scenario_params=knobs)
+
+    def test_no_sweep_key_is_handed_out(self):
+        with pytest.raises(ValueError, match="slowdown factor must be positive"):
+            SweepSpec(
+                base=SimulationConfig(
+                    num_servers=3, scenario="slow-node", scenario_params={"factor": -1, "target": 7}
+                ),
+                seeds=(0, 1),
+            )
+        spec = SweepSpec(
+            base=SimulationConfig(num_servers=9, scenario="slow-node", scenario_params={"target": 7}),
+            grid={"num_servers": (9, 3)},
+        )
+        with pytest.raises(ValueError, match="out of range for 3 servers"):
+            spec.trials()
+
+    def test_live_config_raises_value_errors(self):
+        with pytest.raises(ValueError, match="expects float, got 'abc'"):
+            LiveTrialConfig(scenario="slow-node", scenario_params={"factor": "abc"})
+        with pytest.raises(ValueError, match="got a boolean"):
+            LiveTrialConfig(scenario="slow-node", scenario_params={"factor": True})
+        with pytest.raises(ValueError, match="out of range for 3 servers"):
+            LiveTrialConfig(scenario="crash-recovery", scenario_params={"targets": [3]})
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "knob,message",
+        [
+            ('factor="abc"', "parameter 'factor' of scenario slow-node expects float, got 'abc'"),
+            ("factor=-1", "slowdown factor must be positive"),
+            ("target=7", "scenario target index 7 is out of range for 3 servers"),
+        ],
+    )
+    def test_bad_knob_exits_2_with_one_line(self, knob, message, capsys):
+        args = ["simulate", "--scenario", "slow-node", "--scenario-param", knob, "--servers", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+
+    def test_live_bad_knob_exits_2_before_any_server_spawns(self, capsys, monkeypatch):
+        monkeypatch.setattr(live_cli, "run_trial", lambda *a, **k: pytest.fail("a trial was started"))
+        assert main(["live", "--scenario", "slow-node", "--scenario-param", 'factor="abc"']) == 2
+        assert capsys.readouterr().err == "parameter 'factor' of scenario slow-node expects float, got 'abc'\n"
+
+    def test_unknown_scenario_suggests_the_closest(self, capsys):
+        assert main(["simulate", "--scenario", "gc-strom"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "did you mean 'gc-storm'?" in err
