@@ -5,12 +5,13 @@ operation and internally fetches the record from a replica (§2.3).  The
 coordinator is the C3 client in the paper's implementation: it runs replica
 ranking, rate control and backpressure for reads, issues read-repair
 duplicates (10 % of reads go to every replica), fans writes out to all
-replicas, and optionally speculatively retries slow reads.
+replicas, and optionally speculatively retries slow reads — as an adapter
+over :mod:`repro.core.lifecycle`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from ..controls.hedging import QuantileHedging
 from ..core import samplers
 from ..core.feedback import ServerFeedback
-from ..simulator.engine import Event, EventLoop
+from ..core.lifecycle import Hedge, RequestLifecycle
+from ..simulator.engine import EventLoop
 from ..simulator.network import NetworkModel
 from ..simulator.request import Request, RequestKind
 from ..strategies.base import ReplicaSelector
@@ -29,8 +31,6 @@ from .ring import TokenRing
 
 __all__ = ["Coordinator"]
 
-#: Minimum delay before re-checking a backpressured backlog (ms).
-_MIN_RETRY_MS = 0.1
 #: Loop-back delay for a coordinator reading from its own storage (ms).
 _LOCAL_DELAY_MS = 0.02
 
@@ -46,18 +46,21 @@ class _PendingOperation:
     group_label: str
     on_done: Callable[[Request, float], None]
     completed: bool = False
-    speculation_event: Event | None = None
-    speculations: int = 0
-    speculation_targets: set = field(default_factory=set)
-
-    @property
-    def speculated(self) -> bool:
-        """Whether at least one speculative copy has been issued."""
-        return self.speculations > 0
+    #: The read's hedge, once armed.
+    hedge: Hedge | None = None
 
 
-class Coordinator:
-    """One node's coordinator role.
+class Coordinator(RequestLifecycle):
+    """One node's coordinator role.  Its intended differences from the flat
+    and live clients:
+
+    - **I/O**: a sent request is a :meth:`EventLoop.post` to its node after
+      the network's one-way delay, or ``_LOCAL_DELAY_MS`` to itself.
+    - **Completion**: the first response of *any* copy completes the
+      operation — read-repair and write copies included — and the hedge
+      policy learns ``now − issued_at``.
+    - **Writes** fan out to every replica and make no selection; read
+      repair indexes each copy under its operation.  No failure detector.
 
     Parameters
     ----------
@@ -95,21 +98,25 @@ class Coordinator:
     ) -> None:
         if not 0.0 <= read_repair_probability <= 1.0:
             raise ValueError("read_repair_probability must be in [0, 1]")
+        super().__init__(
+            selector=selector,
+            detector=None,
+            hedging=speculative_retry,
+            rng=rng or np.random.default_rng(),
+            schedule=loop.schedule,
+            clock=lambda: loop.now,
+        )
         self.loop = loop
         self.node_id = node_id
         self.ring = ring
-        self.selector = selector
         self.nodes = nodes
         self.network = network
         self.metrics = metrics
         self.read_repair_probability = read_repair_probability
-        self.speculative_retry = speculative_retry
-        self.rng = rng or np.random.default_rng()
         self._rr_coin = samplers.uniform(self.rng)
 
         self._pending: dict[int, _PendingOperation] = {}
         self._pending_by_copy: dict[int, _PendingOperation] = {}
-        self._retry_event: Event | None = None
         self.operations_executed = 0
         self.reads_executed = 0
         self.writes_executed = 0
@@ -150,119 +157,12 @@ class Coordinator:
 
         if operation.is_read:
             self.reads_executed += 1
-            self._submit_read(request, pending)
+            self._submit(request, now)
         else:
             self.writes_executed += 1
-            self._execute_write(request, pending)
+            self._execute_write(request, pending, now)
         return request
 
-    # --------------------------------------------------------------------- reads
-    def _submit_read(self, request: Request, pending: _PendingOperation) -> None:
-        now = self.loop.now
-        decision = self.selector.submit(request, request.replica_group, now)
-        if decision.sent:
-            self._dispatch(request, decision.server_id)
-            self._maybe_read_repair(request, pending)
-            self._maybe_schedule_speculation(pending)
-        else:
-            request.backpressured = True
-            self.metrics.record_backpressure()
-            self._schedule_retry(decision.retry_after_ms)
-
-    def _maybe_read_repair(self, request: Request, pending: _PendingOperation) -> None:
-        if self.read_repair_probability <= 0.0:
-            return
-        if self._rr_coin() >= self.read_repair_probability:
-            return
-        for node_id in request.replica_group:
-            if node_id == request.server_id:
-                continue
-            duplicate = self._make_copy(request, RequestKind.READ_REPAIR)
-            self._pending_by_copy[duplicate.request_id] = pending
-            self.metrics.record_copy("read_repair")
-            self.selector.on_duplicate_send(node_id, self.loop.now)
-            self._dispatch(duplicate, node_id)
-
-    def _maybe_schedule_speculation(self, pending: _PendingOperation) -> None:
-        if self.speculative_retry is None or not pending.is_read:
-            return
-        if pending.speculations >= self.speculative_retry.max_extra:
-            return
-        threshold = self.speculative_retry.threshold_ms()
-        if threshold is None:
-            return
-        pending.speculation_event = self.loop.schedule(threshold, self._speculate, pending.op_id)
-
-    def _speculate(self, op_id: int) -> None:
-        pending = self._pending.get(op_id)
-        if pending is None or pending.completed:
-            return
-        # The handle has fired: an open operation must not keep it (and
-        # through its callback this coordinator) around.
-        pending.speculation_event = None
-        policy = self.speculative_retry
-        if policy is None or pending.speculations >= policy.max_extra:
-            return
-        primary = pending.primary
-        exclude = {primary.server_id} | pending.speculation_targets
-        candidates = [nid for nid in primary.replica_group if nid not in exclude]
-        if not candidates:
-            return
-        target = candidates[int(self.rng.integers(len(candidates)))]
-        pending.speculation_targets.add(target)
-        pending.speculations += 1
-        duplicate = self._make_copy(primary, RequestKind.SPECULATIVE)
-        self._pending_by_copy[duplicate.request_id] = pending
-        self.metrics.record_copy("speculative")
-        self.speculations_fired += 1
-        self.selector.on_duplicate_send(target, self.loop.now)
-        self._dispatch(duplicate, target)
-        # The hedge timer re-arms while budget and an unused replica remain:
-        # once every replica holds a copy it would only fire to find nothing.
-        if pending.speculations < policy.max_extra and len(candidates) > 1:
-            threshold = policy.threshold_ms()
-            if threshold is not None:
-                pending.speculation_event = self.loop.schedule(threshold, self._speculate, op_id)
-
-    # -------------------------------------------------------------------- writes
-    def _execute_write(self, request: Request, pending: _PendingOperation) -> None:
-        """Fan the write out to every replica; the op completes on first ack."""
-        group = list(request.replica_group)
-        primary_target = group[int(self.rng.integers(len(group)))]
-        self.selector.on_duplicate_send(primary_target, self.loop.now)
-        self._dispatch(request, primary_target)
-        for node_id in group:
-            if node_id == primary_target:
-                continue
-            copy = self._make_copy(request, RequestKind.WRITE)
-            self._pending_by_copy[copy.request_id] = pending
-            self.metrics.record_copy("write_replica")
-            self.selector.on_duplicate_send(node_id, self.loop.now)
-            self._dispatch(copy, node_id)
-
-    # ------------------------------------------------------------------ plumbing
-    def _make_copy(self, request: Request, kind: str) -> Request:
-        return Request.create(
-            client_id=self.node_id,
-            replica_group=request.replica_group,
-            created_at=self.loop.now,
-            kind=kind,
-            key=request.key,
-            record_size=request.record_size,
-            parent_id=request.request_id,
-        )
-
-    def _dispatch(self, request: Request, node_id: Hashable) -> None:
-        now = self.loop.now
-        request.mark_dispatched(now, node_id)
-        delay = (
-            _LOCAL_DELAY_MS
-            if node_id == self.node_id
-            else self.network.one_way_delay(self.node_id, node_id)
-        )
-        self.loop.post(delay, self.nodes[node_id].enqueue, request)
-
-    # ------------------------------------------------------------------ responses
     def on_remote_response(self, request: Request, feedback: ServerFeedback, service_time: float) -> None:
         """Handle a response for any request copy this coordinator dispatched."""
         now = self.loop.now
@@ -272,14 +172,7 @@ class Coordinator:
             now - request.dispatched_at if request.dispatched_at is not None else now - request.created_at
         )
         released = self.selector.on_response(request.server_id, feedback, response_time, now)
-        for pending_request, server_id in released:
-            self._dispatch(pending_request, server_id)
-            rel_pending = self._pending_by_copy.get(pending_request.request_id)
-            if rel_pending is not None:
-                self._maybe_read_repair(pending_request, rel_pending)
-                self._maybe_schedule_speculation(rel_pending)
-        if self.selector.pending_backlog() > 0:
-            self._schedule_retry(self.selector.next_retry_ms(now) or _MIN_RETRY_MS)
+        self._release_all(released, now)
 
         # Each copy answers at most once, so its index entry goes with its
         # response; a completed operation's stragglers stay recognised until
@@ -290,35 +183,82 @@ class Coordinator:
 
     def _complete_operation(self, pending: _PendingOperation, now: float) -> None:
         pending.completed = True
-        if pending.speculation_event is not None:
-            pending.speculation_event.cancel()
+        if pending.hedge is not None:
+            self._close_hedge(pending.hedge)
         latency = now - pending.issued_at
-        if pending.is_read and self.speculative_retry is not None:
-            self.speculative_retry.record(latency)
+        if pending.is_read and self.hedging is not None:
+            self.hedging.record(latency)
         self.metrics.record_operation(latency, pending.is_read, now, pending.group_label)
         pending.on_done(pending.primary, latency)
         self._pending.pop(pending.op_id, None)
 
-    # -------------------------------------------------------------------- retries
-    def _schedule_retry(self, delay_ms: float) -> None:
-        if self._retry_event is not None and not self._retry_event.cancelled:
-            return
-        delay = max(float(delay_ms), _MIN_RETRY_MS)
-        self._retry_event = self.loop.schedule(delay, self._retry_backlog)
+    # ------------------------------------------------------------ lifecycle I/O
+    def _transmit(self, request: Request, node_id: Hashable, now: float) -> bool:
+        request.mark_dispatched(now, node_id)
+        delay = (
+            _LOCAL_DELAY_MS
+            if node_id == self.node_id
+            else self.network.one_way_delay(self.node_id, node_id)
+        )
+        self.loop.post(delay, self.nodes[node_id].enqueue, request)
+        return True
 
-    def _retry_backlog(self) -> None:
-        self._retry_event = None
-        now = self.loop.now
-        released = self.selector.drain_backlog(now)
-        for request, server_id in released:
-            self._dispatch(request, server_id)
-            pending = self._pending_by_copy.get(request.request_id)
-            if pending is not None:
-                self._maybe_read_repair(request, pending)
-                self._maybe_schedule_speculation(pending)
-        if self.selector.pending_backlog() > 0:
-            retry = self.selector.next_retry_ms(now)
-            self._schedule_retry(retry if retry is not None else 1.0)
+    def _count_backpressure(self, request: Request) -> None:
+        request.backpressured = True
+        self.metrics.record_backpressure()
+
+    def _copy(self, request: Request, kind: str, now: float) -> Request:
+        return Request.create(
+            client_id=self.node_id,
+            replica_group=request.replica_group,
+            created_at=now,
+            kind=kind,
+            key=request.key,
+            record_size=request.record_size,
+            parent_id=request.request_id,
+        )
+
+    def _read_repair(self, request: Request, now: float) -> None:
+        pending = self._pending_by_copy.get(request.request_id)
+        if pending is None or self.read_repair_probability <= 0.0:
+            return
+        if self._rr_coin() < self.read_repair_probability:
+            self._fan_out(request, pending, request.server_id, RequestKind.READ_REPAIR, "read_repair", now)
+
+    def _hedge(self, request: Request, node_id: Hashable, now: float) -> None:
+        pending = self._pending_by_copy.get(request.request_id)
+        if pending is not None and pending.is_read:
+            pending.hedge = self._arm_hedge(request, request.replica_group, node_id)
+
+    def _send_hedge(self, hedge: Hedge, node_id: Hashable, now: float) -> None:
+        pending = self._pending[hedge.op.request_id]
+        duplicate = self._copy(hedge.op, RequestKind.SPECULATIVE, now)
+        self._pending_by_copy[duplicate.request_id] = pending
+        self.metrics.record_copy("speculative")
+        self.speculations_fired += 1
+        self._transmit(duplicate, node_id, now)
+
+    # -------------------------------------------------------------------- writes
+    def _execute_write(self, request: Request, pending: _PendingOperation, now: float) -> None:
+        """Fan the write out to every replica; the op completes on first ack."""
+        group = request.replica_group
+        primary_target = group[int(self.rng.integers(len(group)))]
+        self.selector.on_duplicate_send(primary_target, now)
+        self._transmit(request, primary_target, now)
+        self._fan_out(request, pending, primary_target, RequestKind.WRITE, "write_replica", now)
+
+    def _fan_out(
+        self, request: Request, pending: _PendingOperation, skip: Hashable, kind: str, label: str, now: float
+    ) -> None:
+        """A ``kind`` copy of ``request`` to every replica but ``skip``."""
+        for node_id in request.replica_group:
+            if node_id == skip:
+                continue
+            copy = self._copy(request, kind, now)
+            self._pending_by_copy[copy.request_id] = pending
+            self.metrics.record_copy(label)
+            self.selector.on_duplicate_send(node_id, now)
+            self._transmit(copy, node_id, now)
 
     # ---------------------------------------------------------------- observation
     @property

@@ -33,10 +33,10 @@ strings — against live replica servers (:mod:`repro.live.server`):
   :class:`~repro.core.feedback.ServerFeedback` the selector's
   ``on_response`` sees — C3's scoring/EWMA/cubic rate control run
   unmodified.
-- **Liveness + hedging**: responses double as detector heartbeats (the
-  phi-accrual detector works off real silence); the hedging policy arms a
-  per-request timer that fires a speculative duplicate to an unused
-  replica, first response wins.
+- **One lifecycle**: submit, backlog retry, all-suspect parking and the
+  hedge timer are the shared :class:`~repro.core.lifecycle.RequestLifecycle`
+  on the event loop's ``call_later``; responses double as detector
+  heartbeats (the phi-accrual detector works off real silence).
 
 The wall clock is ``time.monotonic()`` in milliseconds **relative to
 client construction**, so ``now`` values handed to selectors/detectors
@@ -56,16 +56,13 @@ import numpy as np
 
 from ..controls.spec import ControlSpec
 from ..core.feedback import ServerFeedback
+from ..core.lifecycle import Hedge, RequestLifecycle
 from ..simulator.workload import replica_groups
 from ..strategies.spec import StrategySpec
 from .protocol import ProtocolError, read_message, write_message
 
 __all__ = ["LiveClientResult", "LiveLoadClient", "arrival_schedule"]
 
-#: Floor on backpressure retry sleeps, mirroring SimClient._MIN_RETRY_MS.
-_MIN_RETRY_MS = 0.1
-#: Retry cadence when every replica is suspect, mirroring _PARKED_RETRY_MS.
-_PARKED_RETRY_MS = 5.0
 #: How often the reaper scans for request timeouts (ms).
 _REAPER_INTERVAL_MS = 50.0
 
@@ -97,6 +94,11 @@ def arrival_schedule(
         yield due_ms, group, kind
 
 
+def _call_later(delay_ms: float, fn: Callable[..., object], *args: object) -> asyncio.TimerHandle:
+    """The lifecycle's ``schedule`` on the running event loop (delay in ms)."""
+    return asyncio.get_running_loop().call_later(delay_ms / 1000.0, fn, *args)
+
+
 def _slip_summary(slips_ms: Sequence[float]) -> dict[str, float]:
     if not slips_ms:
         return {"mean": 0.0, "p99": 0.0, "max": 0.0}
@@ -109,7 +111,7 @@ def _slip_summary(slips_ms: Sequence[float]) -> dict[str, float]:
 
 @dataclass
 class _Pending:
-    """One in-flight wire request (primary or speculative duplicate).
+    """One in-flight wire request (primary or hedge copy).
 
     A wire request outlives its operation: the loser of a hedged pair still
     reports feedback, or times out ``request_timeout_ms`` after it was sent,
@@ -120,27 +122,27 @@ class _Pending:
     server_id: int
     sent_ms: float
     deadline_ms: float
+    hedge: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class _Operation:
     """One logical client operation (may fan out into hedged duplicates).
 
     ``created_ms`` is the time the schedule *intended* it to be issued;
     latency and ``deadline_ms`` (``created_ms + request_timeout_ms``) are
-    measured from there.
+    measured from there.  It is the request object the selector sees, so it
+    compares by identity.
     """
 
     op_id: int
-    group: tuple[int, ...]
+    replica_group: tuple[int, ...]
     kind: str
     created_ms: float
     deadline_ms: float
     done: bool = False
-    #: Server the primary copy went to (``None`` until it is on the wire).
-    primary: int | None = None
-    used: set[int] = field(default_factory=set)
-    hedges_fired: int = 0
+    #: The read's hedge, once armed.
+    hedge: Hedge | None = None
 
 
 @dataclass
@@ -161,8 +163,18 @@ class LiveClientResult:
     selector_stats: dict[str, Any] = field(default_factory=dict)
 
 
-class LiveLoadClient:
-    """Replay the simulator's client behavior against live servers."""
+class LiveLoadClient(RequestLifecycle):
+    """Replay the simulator's client behavior against live servers.  Its
+    intended differences from the flat and cluster clients:
+
+    - **I/O**: a send is a frame under a fresh wire id; a closed writer hands
+      the slot straight back.  The reaper times out wire requests and
+      operations, withdrawing the latter from the backlog and the park; one
+      a custom selector (no ``cancel``) still held is handed back on release.
+    - **Completion**: the first answered copy completes the operation, and
+      latency — which the hedge policy learns — runs from its due time.
+      A rejected copy completes nothing.  No read repair.
+    """
 
     def __init__(
         self,
@@ -193,18 +205,23 @@ class LiveLoadClient:
         #: ``on_complete(completed_at_ms, latency_ms)`` per finished op.
         self.on_complete = on_complete
         root = np.random.default_rng(seed)
-        self._wl_rng, sel_rng, self._cli_rng = root.spawn(3)
+        self._wl_rng, sel_rng, cli_rng = root.spawn(3)
         self.strategy_spec = StrategySpec.parse(strategy)
-        self.selector = self.strategy_spec.build(rng=sel_rng)
-        self.detector: Any = None
+        selector = self.strategy_spec.build(rng=sel_rng)
+        detector: Any = None
         if failure_detector is not None:
             spec = ControlSpec.parse(failure_detector, kind="detector")
             # Live servers expose no ground-truth liveness, so the binary
             # detector degrades to never-suspicious; phi is the real one.
-            self.detector = spec.build(down_tracker=None, servers=None)
-        self.hedging: Any = None
-        if hedging is not None:
-            self.hedging = ControlSpec.parse(hedging, kind="hedge").build()
+            detector = spec.build(down_tracker=None, servers=None)
+        super().__init__(
+            selector=selector,
+            detector=detector,
+            hedging=None if hedging is None else ControlSpec.parse(hedging, kind="hedge").build(),
+            rng=cli_rng,
+            schedule=_call_later,
+            clock=self.now_ms,
+        )
         self.result = LiveClientResult(
             sent_per_server={sid: 0 for sid in range(n)},
         )
@@ -214,9 +231,6 @@ class LiveLoadClient:
         self._pending: dict[int, _Pending] = {}
         self._next_id = 0
         self._stop = False
-        self._parked: list[_Operation] = []
-        self._retry_task: asyncio.Task | None = None
-        self._parked_task: asyncio.Task | None = None
         #: ``issue − due`` of every operation issued so far, in schedule order (ms).
         self.slips_ms: list[float] = []
         self._epoch = time.monotonic()
@@ -238,9 +252,6 @@ class LiveLoadClient:
     async def close(self) -> None:
         self._stop = True
         tasks = list(self._readers)
-        for extra in (self._retry_task, self._parked_task):
-            if extra is not None:
-                tasks.append(extra)
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
@@ -278,6 +289,7 @@ class LiveLoadClient:
             await asyncio.gather(reaper, return_exceptions=True)
             # Whatever is still open will never be answered now.
             self._time_out(list(self._ops.values()))
+            self._cancel_timers()
         self.result.slip_ms = _slip_summary(self.slips_ms)
         self.result.selector_stats = dict(self.selector.stats())
         return self.result
@@ -290,7 +302,7 @@ class LiveLoadClient:
         self._next_id += 1
         op = _Operation(
             op_id=op_id,
-            group=group,
+            replica_group=group,
             kind=kind,
             created_ms=due_ms,
             deadline_ms=due_ms + self.request_timeout_ms,
@@ -299,127 +311,52 @@ class LiveLoadClient:
         self.result.issued += 1
         self._submit(op, now)
 
-    def _submit(self, op: _Operation, now: float) -> None:
-        candidates: Sequence[int] = op.group
-        if self.detector is not None and self.detector.suspicious():
-            live = tuple(s for s in candidates if self.detector.is_alive(s, now))
-            if not live:
-                self._park(op)
-                return
-            candidates = live
-        decision = self.selector.submit(op.op_id, candidates, now)
-        if decision.server_id is None:
-            # The selector holds the request in its own backlog (C3's
-            # submit enqueues on backpressure); only schedule the drain.
-            self.result.backpressure += 1
-            self._schedule_retry(decision.retry_after_ms)
-            return
-        self._send(op, int(decision.server_id), now, primary=True)
+    # ------------------------------------------------------- lifecycle I/O
+    def _count_backpressure(self, op: _Operation) -> None:
+        # The selector holds the operation in its own backlog (C3's submit
+        # enqueues on backpressure); the lifecycle schedules the drain.
+        self.result.backpressure += 1
 
-    def _park(self, op: _Operation) -> None:
-        """Every replica is suspect: hold the op until a retry tick."""
+    def _count_park(self, op: _Operation) -> None:
         self.result.parked += 1
-        self._parked.append(op)
-        if self._parked_task is None or self._parked_task.done():
-            self._parked_task = asyncio.ensure_future(self._retry_parked())
 
-    async def _retry_parked(self) -> None:
-        # A loop, not one tick: the resubmits below re-park into this same
-        # (still running) task, and during the drain no new arrival comes
-        # along to start another.
-        while self._parked:
-            await asyncio.sleep(_PARKED_RETRY_MS / 1000.0)
-            if self._stop:
-                return
-            parked, self._parked = self._parked, []
-            now = self.now_ms()
-            for op in parked:
-                if not op.done:
-                    self._submit(op, now)
-
-    def _schedule_retry(self, delay_ms: float) -> None:
-        if self._retry_task is not None and not self._retry_task.done():
+    def _release(self, op: _Operation, server_id: int, now: float) -> None:
+        if op.done:
+            # Timed out while backlogged by a custom selector without
+            # cancel(): it has already charged the replica for a send that
+            # will not happen.
+            self.selector.on_timeout(server_id, now)
             return
-        self._retry_task = asyncio.ensure_future(self._retry_backlog(max(delay_ms, _MIN_RETRY_MS)))
+        super()._release(op, server_id, now)
 
-    async def _retry_backlog(self, delay_ms: float) -> None:
-        await asyncio.sleep(delay_ms / 1000.0)
-        if self._stop:
-            return
-        now = self.now_ms()
-        self._send_released(self.selector.drain_backlog(now), now)
-        if self.selector.pending_backlog():
-            retry = self.selector.next_retry_ms(now)
-            self._retry_task = None
-            self._schedule_retry(retry if retry is not None else 1.0)
-
-    def _send_released(self, released: Sequence[tuple[Any, Any]], now: float) -> None:
-        """Dispatch what the selector's backlog let go, to the replica it chose."""
-        for request, server_id in released:
-            op = self._ops.get(int(request))
-            if op is not None:
-                self._send(op, int(server_id), now, primary=True)
-            else:
-                # Timed out while backlogged by a custom selector without
-                # cancel(): it has already charged the replica for a send
-                # that will not happen.
-                self.selector.on_timeout(server_id, now)
-
-    def _send(self, op: _Operation, server_id: int, now: float, *, primary: bool) -> None:
+    def _transmit(self, op: _Operation, server_id: int, now: float, hedge: bool = False) -> bool:
+        """One copy of ``op`` onto ``server_id``'s socket; whether it was written."""
+        server_id = int(server_id)
         writer = self._writers[server_id]
         if writer.is_closing():
             self.selector.on_timeout(server_id, now)
-            return
+            return False
         wire_id = self._next_id
         self._next_id += 1
-        op.used.add(server_id)
-        if primary:
-            op.primary = server_id
         self._pending[wire_id] = _Pending(
             op_id=op.op_id,
             server_id=server_id,
             sent_ms=now,
             deadline_ms=now + self.request_timeout_ms,
+            hedge=hedge,
         )
         self.result.sent_per_server[server_id] = self.result.sent_per_server.get(server_id, 0) + 1
         write_message(writer, {"t": "req", "id": wire_id, "kind": op.kind})
         # No await here: StreamWriter.write buffers; the event loop flushes.
-        if primary and op.kind == "read":
-            self._maybe_hedge(op)
+        return True
 
-    # -------------------------------------------------------------- hedging
-    def _maybe_hedge(self, op: _Operation) -> None:
-        policy = self.hedging
-        if policy is None or op.hedges_fired >= policy.max_extra:
-            return
-        threshold = policy.threshold_ms()
-        if threshold is None:
-            return
+    def _hedge(self, op: _Operation, server_id: int, now: float) -> None:
+        if op.kind == "read":
+            op.hedge = self._arm_hedge(op.op_id, op.replica_group, server_id)
 
-        async def _fire() -> None:
-            await asyncio.sleep(threshold / 1000.0)
-            if self._stop or op.done:
-                return
-            now = self.now_ms()
-            unused = [s for s in op.group if s not in op.used]
-            candidates = unused
-            if self.detector is not None and self.detector.suspicious():
-                candidates = [s for s in unused if self.detector.is_alive(s, now)]
-            if not candidates:
-                if unused:
-                    # Every unused replica is currently suspect.  Keep the
-                    # timer armed while budget remains, so hedging resumes
-                    # once one recovers (as SimClient and the kernel do).
-                    self._maybe_hedge(op)
-                return
-            target = candidates[int(self._cli_rng.integers(len(candidates)))]
-            op.hedges_fired += 1
-            self.result.hedges_fired += 1
-            self.selector.on_duplicate_send(target, now)
-            self._send(op, target, now, primary=False)
-            self._maybe_hedge(op)
-
-        asyncio.ensure_future(_fire())
+    def _send_hedge(self, hedge: Hedge, server_id: int, now: float) -> None:
+        self.result.hedges_fired += 1
+        self._transmit(self._ops[hedge.op], server_id, now, hedge=True)
 
     # ------------------------------------------------------------ responses
     async def _read_responses(self, server_id: int, reader: asyncio.StreamReader) -> None:
@@ -459,14 +396,16 @@ class LiveLoadClient:
         if op is not None:
             op.done = True
             self.result.completed += 1
-            if op.hedges_fired and sid != op.primary:
+            if op.hedge is not None:
+                self._close_hedge(op.hedge)
+            if pending.hedge:
                 self.result.hedges_won += 1
             latency = now - op.created_ms
             if self.hedging is not None and op.kind == "read":
                 self.hedging.record(latency)
             if self.on_complete is not None:
                 self.on_complete(now, latency)
-        self._send_released(released, now)
+        self._release_all(released, now)
 
     # -------------------------------------------------------------- reaper
     async def _reap_timeouts(self) -> None:
@@ -487,11 +426,13 @@ class LiveLoadClient:
             self._time_out(overdue)
 
     def _time_out(self, ops: Sequence[_Operation]) -> None:
-        """Close ``ops`` as timeouts.  One still in the selector's backlog is
-        withdrawn, so no release spends a permit on it and the retry task
-        does not wait for it."""
+        """Close ``ops`` as timeouts.  One still in the selector's backlog or
+        the park is withdrawn, so no release spends a permit on it and no
+        retry waits for it."""
         for op in ops:
             op.done = True
             self.result.timeouts += 1
-            self.selector.cancel(op.op_id)
+            self._withdraw(op)
+            if op.hedge is not None:
+                self._close_hedge(op.hedge)
             del self._ops[op.op_id]

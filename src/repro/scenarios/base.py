@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.engine import EventLoop
     from ..simulator.network import NetworkModel
     from ..simulator.server import SimServer
-    from ..simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
+    from ..simulator.simulation import ReplicaSelectionSimulation
     from ..simulator.workload import PoissonArrivalProcess
 
 __all__ = ["Scenario", "ScenarioComponent", "ScenarioContext", "target_indices"]
@@ -71,8 +71,6 @@ class ScenarioContext:
         The simulation's event loop.
     servers:
         The simulated servers in id order (``servers[i]`` is server ``i``).
-    config:
-        The resolved :class:`~repro.simulator.SimulationConfig`.
     rng:
         The scenario's root RNG (derived from the simulation seed); use
         :meth:`spawn_rng` rather than drawing from it directly so sibling
@@ -86,13 +84,11 @@ class ScenarioContext:
         self,
         loop: "EventLoop",
         servers: Sequence["SimServer"],
-        config: "SimulationConfig",
         rng: np.random.Generator,
         simulation: "ReplicaSelectionSimulation | None" = None,
     ) -> None:
         self.loop = loop
         self.servers = list(servers)
-        self.config = config
         self.rng = rng
         self.simulation = simulation
 

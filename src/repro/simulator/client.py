@@ -4,7 +4,7 @@ A client owns one :class:`~repro.strategies.base.ReplicaSelector` and drives
 it: it submits incoming requests, dispatches them over the (simulated)
 network, issues read-repair duplicates, retries backpressured requests when
 permits free up, and feeds responses (with their piggy-backed feedback) back
-into the selector.
+into the selector — as an adapter over :mod:`repro.core.lifecycle`.
 
 Liveness knowledge is mediated by a pluggable failure detector (see
 :mod:`repro.controls.detectors`): the default
@@ -19,7 +19,6 @@ wins and the straggler is swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping
 
 import numpy as np
@@ -28,8 +27,9 @@ from ..controls.detectors import BinaryFailureDetector, FailureDetector
 from ..controls.hedging import QuantileHedging
 from ..core import samplers
 from ..core.feedback import ServerFeedback
+from ..core.lifecycle import Hedge, RequestLifecycle
 from ..strategies.base import ReplicaSelector
-from .engine import Event, EventLoop
+from .engine import EventLoop
 from .metrics import MetricsCollector
 from .network import NetworkModel
 from .request import Request, RequestKind
@@ -37,26 +37,18 @@ from .server import DownServerTracker, SimServer
 
 __all__ = ["SimClient"]
 
-#: Minimum delay before re-checking a backpressured backlog (ms).
-_MIN_RETRY_MS = 0.1
 
-#: Delay before re-trying requests parked because every replica was down (ms).
-_PARKED_RETRY_MS = 5.0
+class SimClient(RequestLifecycle):
+    """A client node in the flat simulator.  Its intended differences from
+    the cluster and live clients:
 
-
-@dataclass(slots=True)
-class _HedgedRead:
-    """Book-keeping for one read with a pending or fired hedge."""
-
-    primary: Request
-    used: set
-    fired: int = 0
-    done: bool = False
-    event: Event | None = None
-
-
-class SimClient:
-    """A client node in the flat simulator.
+    - **I/O**: a sent request is a :meth:`EventLoop.post` to its server after
+      the network's one-way delay; copies are new :class:`Request` objects.
+    - **Completion**: the hedge policy learns dispatch-relative response
+      times, and a read-repair copy never completes a read; with hedging on
+      the first of a read's primary and hedge copies completes it.
+    - **Read repair** skips replicas that are down (ground truth), and a
+      copy goes through the detector check of every placement.
 
     Parameters
     ----------
@@ -108,29 +100,33 @@ class SimClient:
     ) -> None:
         if not 0.0 <= read_repair_probability <= 1.0:
             raise ValueError("read_repair_probability must be in [0, 1]")
+        super().__init__(
+            selector=selector,
+            detector=(
+                failure_detector
+                if failure_detector is not None
+                else BinaryFailureDetector(down_tracker, servers)
+            ),
+            hedging=hedging,
+            rng=rng or np.random.default_rng(),
+            schedule=loop.schedule,
+            clock=lambda: loop.now,
+        )
         self.loop = loop
         self.client_id = client_id
-        self.selector = selector
         self.servers = servers
         self.network = network
         self.metrics = metrics
         self.read_repair_probability = read_repair_probability
-        self.rng = rng or np.random.default_rng()
         self._rr_coin = samplers.uniform(self.rng)
         self.down_tracker = down_tracker
-        self.failure_detector: FailureDetector = (
-            failure_detector
-            if failure_detector is not None
-            else BinaryFailureDetector(down_tracker, servers)
-        )
-        self.hedging = hedging
         self._id_source = id_source
 
-        self._retry_event: Event | None = None
-        self._parked: list[Request] = []
-        self._parked_event: Event | None = None
-        self._hedge_ops: dict[int, _HedgedRead] = {}
-        self._hedge_by_copy: dict[int, int] = {}
+        #: Hedged primaries by request id; a completed one stays until its
+        #: own (straggling) response arrives.
+        self._hedge_ops: dict[int, Hedge] = {}
+        #: Hedge copies by request id, until each copy's response arrives.
+        self._hedge_by_copy: dict[int, Hedge] = {}
         self.requests_handled = 0
         self.responses_handled = 0
         self.read_repairs_issued = 0
@@ -143,43 +139,52 @@ class SimClient:
         """Handle a newly generated request."""
         self.requests_handled += 1
         self.metrics.on_issue(request)
-        self._submit(request)
+        self._submit(request, self.loop.now)
 
-    def _submit(self, request: Request) -> None:
-        """Route a request through liveness filtering and replica selection."""
+    def on_server_response(self, request: Request, feedback: ServerFeedback, service_time: float) -> None:
+        """Handle a response arriving back at the client."""
         now = self.loop.now
-        candidates = request.replica_group
-        if self.failure_detector.suspicious():
-            live = tuple(sid for sid in candidates if self.failure_detector.is_alive(sid, now))
-            if not live:
-                self._park(request)
-                return
-            candidates = live
-        decision = self.selector.submit(request, candidates, now)
-        if decision.sent:
-            self._dispatch(request, decision.server_id)
-            self._maybe_read_repair(request)
-            self._maybe_schedule_hedge(request)
+        self.responses_handled += 1
+        self.detector.heartbeat(request.server_id, now)
+        request.mark_completed(now)
+        response_time = (
+            now - request.dispatched_at if request.dispatched_at is not None else now - request.created_at
+        )
+        released = self.selector.on_response(request.server_id, feedback, response_time, now)
+        if self.hedging is not None:
+            self._hedge_complete(request, response_time, now)
         else:
-            request.backpressured = True
-            self.metrics.on_backpressure()
-            self._schedule_retry(decision.retry_after_ms)
+            self.metrics.on_complete(request, now)
+        self._release_all(released, now)
 
-    # ------------------------------------------------------------------ dispatch
-    def _dispatch(self, request: Request, server_id: Hashable) -> None:
-        now = self.loop.now
-        if self.failure_detector.suspicious() and not self.failure_detector.is_alive(server_id, now):
-            # A selector-internal placement (backlog drain) raced with a
-            # crash: release the selector's accounting and park the request
-            # for a fresh selection once a replica is back.
-            self.selector.on_timeout(server_id, now)
-            self._park(request)
-            return
+    # ------------------------------------------------------------ lifecycle I/O
+    def _transmit(self, request: Request, server_id: Hashable, now: float) -> bool:
         request.mark_dispatched(now, server_id)
         delay = self.network.one_way_delay(self.client_id, server_id)
         self.loop.post(delay, self.servers[server_id].enqueue, request)
+        return True
 
-    def _maybe_read_repair(self, request: Request) -> None:
+    def _count_backpressure(self, request: Request) -> None:
+        request.backpressured = True
+        self.metrics.on_backpressure()
+
+    def _count_park(self, request: Request) -> None:
+        self._count_backpressure(request)  # each park is a backpressure event
+        self.requests_parked += 1
+
+    def _copy(self, request: Request, kind: str, now: float) -> Request:
+        return Request.create(
+            client_id=self.client_id,
+            replica_group=request.replica_group,
+            created_at=now,
+            kind=kind,
+            key=request.key,
+            record_size=request.record_size,
+            parent_id=request.request_id,
+            id_source=self._id_source,
+        )
+
+    def _read_repair(self, request: Request, now: float) -> None:
         """With probability p, duplicate the read to all other replicas.
 
         The duplicates add server load and produce feedback (which lets the
@@ -203,89 +208,26 @@ class SimClient:
                 continue
             if down and not self.servers[server_id].is_up:
                 continue
-            duplicate = Request.create(
-                client_id=self.client_id,
-                replica_group=request.replica_group,
-                created_at=self.loop.now,
-                kind=RequestKind.READ_REPAIR,
-                key=request.key,
-                record_size=request.record_size,
-                parent_id=request.request_id,
-                id_source=self._id_source,
-            )
+            duplicate = self._copy(request, RequestKind.READ_REPAIR, now)
             self.metrics.on_issue(duplicate)
-            self.selector.on_duplicate_send(server_id, self.loop.now)
-            self._dispatch(duplicate, server_id)
+            self.selector.on_duplicate_send(server_id, now)
+            self._place(duplicate, server_id, now)
             self.read_repairs_issued += 1
 
     # ------------------------------------------------------------------- hedging
-    def _maybe_schedule_hedge(self, request: Request) -> None:
+    def _hedge(self, request: Request, server_id: Hashable, now: float) -> None:
         """Arm the hedge timer for a freshly dispatched primary read."""
-        if self.hedging is None:
-            return
-        if request.kind != RequestKind.READ or request.is_duplicate:
-            return
-        if request.server_id is None or request.request_id in self._hedge_ops:
-            return
-        threshold = self.hedging.threshold_ms()
-        if threshold is None:
-            return
-        op = _HedgedRead(primary=request, used={request.server_id})
-        op.event = self.loop.schedule(threshold, self._fire_hedge, request.request_id)
-        self._hedge_ops[request.request_id] = op
+        if request.kind == RequestKind.READ and not request.is_duplicate:
+            hedge = self._arm_hedge(request, request.replica_group, server_id)
+            if hedge is not None:
+                self._hedge_ops[request.request_id] = hedge
 
-    def _fire_hedge(self, primary_id: int) -> None:
-        """Issue one extra copy of a still-pending read to a fresh replica."""
-        op = self._hedge_ops.get(primary_id)
-        if op is None or op.done or self.hedging is None:
-            return
-        op.event = None
-        now = self.loop.now
-        primary = op.primary
-        candidates = tuple(
-            sid
-            for sid in primary.replica_group
-            if sid not in op.used and self.failure_detector.is_alive(sid, now)
-        )
-        if not candidates:
-            # Every unused replica is currently suspect (e.g. a transient
-            # full-group crash).  Keep the timer armed while budget and an
-            # unused replica remain, so hedging resumes once one recovers
-            # instead of being permanently disarmed for this request.
-            self._rearm_hedge(op, primary_id)
-            return
-        target = candidates[int(self.rng.integers(len(candidates)))]
-        duplicate = Request.create(
-            client_id=self.client_id,
-            replica_group=primary.replica_group,
-            created_at=now,
-            kind=RequestKind.SPECULATIVE,
-            key=primary.key,
-            record_size=primary.record_size,
-            parent_id=primary.request_id,
-            id_source=self._id_source,
-        )
-        op.used.add(target)
-        op.fired += 1
-        self._hedge_by_copy[duplicate.request_id] = primary_id
+    def _send_hedge(self, hedge: Hedge, server_id: Hashable, now: float) -> None:
+        duplicate = self._copy(hedge.op, RequestKind.SPECULATIVE, now)
+        self._hedge_by_copy[duplicate.request_id] = hedge
         self.metrics.on_issue(duplicate)
         self.hedges_fired += 1
-        self.selector.on_duplicate_send(target, now)
-        self._dispatch(duplicate, target)
-        self._rearm_hedge(op, primary_id)
-
-    def _rearm_hedge(self, op: _HedgedRead, primary_id: int) -> None:
-        """Re-schedule the hedge timer while budget and an unused replica remain.
-
-        Once every replica of the group holds a copy there is nothing left
-        to hedge to, whatever the budget says: a re-armed timer would only
-        fire, find no candidate and re-arm again until the read completes.
-        """
-        assert self.hedging is not None
-        if op.fired < self.hedging.max_extra and len(op.used) < len(op.primary.replica_group):
-            threshold = self.hedging.threshold_ms()
-            if threshold is not None:
-                op.event = self.loop.schedule(threshold, self._fire_hedge, primary_id)
+        self._transmit(duplicate, server_id, now)
 
     def _hedge_complete(self, request: Request, response_time: float, now: float) -> None:
         """First-response-wins completion accounting for hedged reads.
@@ -304,98 +246,33 @@ class SimClient:
         # load series reflect real server activity under hedging instead of
         # shifting the primary's completion into the hedge-win window.
         self.metrics.on_server_complete(request, now)
-        primary_id = self._hedge_by_copy.pop(request.request_id, None)
-        if primary_id is not None:
-            op = self._hedge_ops.get(primary_id)
-            if op is None or op.done:
+        hedge = self._hedge_by_copy.pop(request.request_id, None)
+        if hedge is not None:
+            if hedge.done:
                 return
-            # First response wins: complete the operation now.  The op entry
-            # stays behind (done=True) so the straggling primary response is
+            # First response wins: complete the operation now.  The primary's
+            # entry stays behind (done) so its straggling response is
             # recognised and swallowed; its server load is still credited —
             # at its actual arrival time — by the on_server_complete above.
-            op.done = True
-            if op.event is not None:
-                op.event.cancel()
+            self._close_hedge(hedge)
             self.hedges_won += 1
-            op.primary.mark_completed(now)
-            if op.primary.dispatched_at is not None:
-                policy.record(now - op.primary.dispatched_at)
-            self.metrics.on_client_complete(op.primary)
+            primary = hedge.op
+            primary.mark_completed(now)
+            if primary.dispatched_at is not None:
+                policy.record(now - primary.dispatched_at)
+            self.metrics.on_client_complete(primary)
             return
-        op = self._hedge_ops.pop(request.request_id, None)
-        if op is not None:
-            if op.done:
+        hedge = self._hedge_ops.pop(request.request_id, None)
+        if hedge is not None:
+            if hedge.done:
                 # A copy already completed this operation; the primary's
                 # straggler response is swallowed (latency-wise — its load
                 # contribution was recorded above).
                 return
-            if op.event is not None:
-                op.event.cancel()
+            self._close_hedge(hedge)
         if request.kind == RequestKind.READ and not request.is_duplicate:
             policy.record(response_time)
         self.metrics.on_client_complete(request)
-
-    # ----------------------------------------------------------------- responses
-    def on_server_response(self, request: Request, feedback: ServerFeedback, service_time: float) -> None:
-        """Handle a response arriving back at the client."""
-        now = self.loop.now
-        self.responses_handled += 1
-        self.failure_detector.heartbeat(request.server_id, now)
-        request.mark_completed(now)
-        response_time = (
-            now - request.dispatched_at if request.dispatched_at is not None else now - request.created_at
-        )
-        released = self.selector.on_response(request.server_id, feedback, response_time, now)
-        if self.hedging is not None:
-            self._hedge_complete(request, response_time, now)
-        else:
-            self.metrics.on_complete(request, now)
-        for pending_request, server_id in released:
-            self._dispatch(pending_request, server_id)
-            self._maybe_read_repair(pending_request)
-            self._maybe_schedule_hedge(pending_request)
-        if self.selector.pending_backlog() > 0:
-            self._schedule_retry(self.selector.next_retry_ms(now) or _MIN_RETRY_MS)
-
-    # -------------------------------------------------------------------- parking
-    def _park(self, request: Request) -> None:
-        """Hold a request whose every live routing option is gone.
-
-        Parked requests are re-submitted every ``_PARKED_RETRY_MS`` until a
-        replica restarts (or the simulation's time cap ends the run); each
-        park counts as a backpressure event.
-        """
-        request.backpressured = True
-        self.metrics.on_backpressure()
-        self.requests_parked += 1
-        self._parked.append(request)
-        if self._parked_event is None or self._parked_event.cancelled:
-            self._parked_event = self.loop.schedule(_PARKED_RETRY_MS, self._retry_parked)
-
-    def _retry_parked(self) -> None:
-        self._parked_event = None
-        parked, self._parked = self._parked, []
-        for request in parked:
-            self._submit(request)
-
-    # -------------------------------------------------------------------- retries
-    def _schedule_retry(self, delay_ms: float) -> None:
-        if self._retry_event is not None and not self._retry_event.cancelled:
-            return
-        delay = max(float(delay_ms), _MIN_RETRY_MS)
-        self._retry_event = self.loop.schedule(delay, self._retry_backlog)
-
-    def _retry_backlog(self) -> None:
-        self._retry_event = None
-        now = self.loop.now
-        released = self.selector.drain_backlog(now)
-        for request, server_id in released:
-            self._dispatch(request, server_id)
-            self._maybe_read_repair(request)
-            self._maybe_schedule_hedge(request)
-        if self.selector.pending_backlog() > 0:
-            retry = self.selector.next_retry_ms(now)
-            self._schedule_retry(retry if retry is not None else 1.0)
 
     # ---------------------------------------------------------------- observation
     def stats(self) -> dict:

@@ -42,7 +42,7 @@ that keeps the handle is a reference cycle (``Event → method → owner →
 Event``), and a finished simulation full of those is freed only by the cycle
 collector.  So an :class:`Event` that can no longer fire holds nothing:
 :meth:`Event.cancel` lets go of callback and arguments at once, and owners
-drop a handle when it fires (``self._retry_event = None`` first thing in the
+drop a handle when it fires (``self._retry_timer = None`` first thing in the
 callback).  Two calls end a loop's work.  :meth:`EventLoop.release` is the
 end of a *run*: it drops the heap and cancels every queued timer but keeps
 ``now`` and ``processed_events`` for whoever reads the loop afterwards — the

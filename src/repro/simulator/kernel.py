@@ -127,10 +127,10 @@ import numpy as np
 
 from ..controls.detectors import BinaryFailureDetector
 from ..core.feedback import ServerFeedback
+from ..core.lifecycle import _MIN_RETRY_MS, _PARKED_RETRY_MS
 from ..strategies.base import ReplicaSelector, StatefulSelector
 from ..strategies.c3 import C3Selector
 from ..strategies.least_outstanding import LeastOutstandingSelector
-from .client import _MIN_RETRY_MS, _PARKED_RETRY_MS
 from .metrics import WindowedCounter
 from .network import ConstantLatency
 from .server import SimServer
@@ -176,7 +176,7 @@ _SVC_BLOCK = 512
 #: them into the load series.
 _FLUSH_BLOCK = 8192
 
-# _HedgedRead field indices (list-based for hot-path speed).
+# Hedge field indices (core.lifecycle.Hedge as a list, for hot-path speed).
 _OP_DONE = 0
 _OP_FIRED = 1
 _OP_USED = 2
@@ -1108,7 +1108,7 @@ class BatchedKernel:
         if not candidates:
             # Every unused replica is currently suspect; keep the timer armed
             # while budget and an unused replica remain (see
-            # SimClient._rearm_hedge, whose decision this repeats).
+            # RequestLifecycle._fire_hedge, whose decision this repeats).
             self._rearm_hedge(cid, rid, op, policy, t)
             return
         target = candidates[int(self._crngs[cid].integers(len(candidates)))]

@@ -378,7 +378,6 @@ class ReplicaSelectionSimulation:
             self._scenario_ctx = ScenarioContext(
                 loop=self.loop,
                 servers=[self.servers[sid] for sid in range(cfg.num_servers)],
-                config=cfg,
                 rng=scenario_rng,
                 simulation=self,
             )

@@ -148,7 +148,7 @@ class TestCassandraClusterRuns:
     def test_speculative_retry_config_enables_policy(self):
         config = ClusterConfig(strategy="DS", hedging="hedge:quantile=0.5", **FAST)
         cluster = CassandraCluster(config)
-        assert all(c.speculative_retry is not None for c in cluster.coordinators.values())
+        assert all(c.hedging is not None for c in cluster.coordinators.values())
         result = cluster.run()
         assert result.completed_requests > 0
 

@@ -17,6 +17,7 @@ from repro.cluster.ring import TokenRing
 from repro.cluster.storage import StorageEngine
 from repro.controls.hedging import QuantileHedging
 from repro.core.feedback import ServerFeedback
+from repro.core.lifecycle import Hedge
 from repro.simulator.engine import EventLoop
 from repro.simulator.network import ConstantLatency
 from repro.simulator.request import Request
@@ -124,17 +125,26 @@ class TestSpeculationTimerRaces:
             spec_policy=warmed_policy(threshold=10_000.0)
         )
         request = execute(key=3)
+        hedge = coord._pending[request.request_id].hedge
+        assert hedge is not None and hedge.timer is not None
         loop.run_until_idle()
         assert len(completed) == 1
-        coord._speculate(request.request_id)  # stale timer replay
+        assert hedge.done and hedge.timer is None
+        coord._fire_hedge(hedge)  # stale timer replay
         assert coord.speculations_fired == 0
 
     def test_speculate_on_unknown_operation_is_a_noop(self):
+        # A timer that fires for an operation this coordinator no longer
+        # holds open: its hedge was closed, so nothing is sent.
         loop, coord, nodes, metrics, completed, execute = make_cluster(
             spec_policy=warmed_policy()
         )
-        coord._speculate(999_999)
+        stray = Hedge(op=None, group=(0, 1, 2), used={0})
+        stray.done = True
+        coord._fire_hedge(stray)
+        loop.run_until_idle()
         assert coord.speculations_fired == 0
+        assert sum(node.requests_received for node in nodes.values()) == 0
 
 
 class TestStaleAndDuplicateResponses:

@@ -145,7 +145,7 @@ class TestHedgingNeverTargetsDownReplicas:
             client_id="c", replica_group=tuple(servers), created_at=0.0, kind=RequestKind.READ
         )
         primary.mark_dispatched(0.0, 0)
-        client._maybe_schedule_hedge(primary)
+        client._hedge(primary, 0, 0.0)
         loop.run(until=50.0)
         for sid, server in servers.items():
             if not server.is_up:
@@ -170,7 +170,7 @@ class TestHedgingNeverTargetsDownReplicas:
             client_id="c", replica_group=tuple(servers), created_at=0.0, kind=RequestKind.READ
         )
         primary.mark_dispatched(0.0, 0)
-        client._maybe_schedule_hedge(primary)
+        client._hedge(primary, 0, 0.0)
         loop.run(until=50.0)
         assert client.hedges_fired == 0
         assert all(s.received == [] for s in servers.values())

@@ -83,7 +83,7 @@ def _hedged_primary_with_copy(loop, servers, client):
         client_id="c", replica_group=tuple(servers), created_at=0.0, kind=RequestKind.READ
     )
     primary.mark_dispatched(0.0, 0)
-    client._maybe_schedule_hedge(primary)
+    client._hedge(primary, 0, 0.0)
     loop.run(until=1.5)  # hedge fires at t=1.0, copy lands on a stub at t=1.1
     copies = [
         req
@@ -158,7 +158,7 @@ class TestHedgeRearmsThroughTransientOutage:
             client_id="c", replica_group=tuple(servers), created_at=0.0, kind=RequestKind.READ
         )
         primary.mark_dispatched(0.0, 0)
-        client._maybe_schedule_hedge(primary)
+        client._hedge(primary, 0, 0.0)
 
         def recover() -> None:
             for server in servers.values():
@@ -186,7 +186,7 @@ class TestHedgeRearmsThroughTransientOutage:
             client_id="c", replica_group=tuple(servers), created_at=0.0, kind=RequestKind.READ
         )
         primary.mark_dispatched(0.0, 0)
-        client._maybe_schedule_hedge(primary)
+        client._hedge(primary, 0, 0.0)
         loop.run(until=50.0)
         assert client.hedges_fired == 2  # max_extra
 

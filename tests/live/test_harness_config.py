@@ -161,7 +161,7 @@ def simulated_timeline(num_servers, scenario, knobs):
     loop = EventLoop()
     timeline = []
     servers = [RecordingServer(loop, sid, timeline) for sid in range(num_servers)]
-    build_scenario(config).start(ScenarioContext(loop, servers, config, np.random.default_rng(0)))
+    build_scenario(config).start(ScenarioContext(loop, servers, np.random.default_rng(0)))
     loop.run_until_idle()
     return timeline
 

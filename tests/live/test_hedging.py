@@ -11,7 +11,7 @@ from repro.live.client import LiveLoadClient, _Operation
 
 _NOWHERE = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]  # never connected to
 #: Replica 2 takes the primary, replica 0 is the only hedge target.  ``{2, 0}``
-#: iterates 0 first, which is what judging the winner from ``op.used`` got wrong.
+#: iterates 0 first, which is what judging the winner from the used replicas got wrong.
 _GROUP = (2, 0)
 
 
@@ -52,14 +52,14 @@ def _armed_client():
     return client
 
 
-def _send_primary(client):
-    """Open a read over ``_GROUP`` with its primary copy on replica 2."""
+def _send_primary(client, group=_GROUP):
+    """Open a read over ``group`` with its primary copy on replica 2."""
     now = client.now_ms()
-    op = _Operation(op_id=0, group=_GROUP, kind="read", created_ms=now, deadline_ms=now + 1e6)
+    op = _Operation(op_id=0, replica_group=group, kind="read", created_ms=now, deadline_ms=now + 1e6)
     client._ops[op.op_id] = op
     client._next_id = 1
-    assert client.selector.submit(op.op_id, (2,), now).server_id == 2
-    client._send(op, 2, now, primary=True)
+    assert client.selector.submit(op, (2,), now).server_id == 2
+    client._release(op, 2, now)
     return op
 
 
@@ -80,8 +80,8 @@ class TestHedgeAccounting:
         async def scenario():
             client = _armed_client()
             op = _send_primary(client)
-            await _until(lambda: op.hedges_fired == 1)
-            assert op.used == {2, 0}
+            await _until(lambda: op.hedge.fired == 1)
+            assert op.hedge.used == {2, 0}
             _respond(client, winner)
             assert op.done and client.result.completed == 1
             _respond(client, 2 if winner == 0 else 0)  # the loser: feedback only
@@ -106,10 +106,10 @@ class TestHedgeRearm:
             client.detector = _SuspectDetector(down={0})
             op = _send_primary(client)
             await asyncio.sleep(0.02)  # the 1 ms timer has fired, several times over
-            assert op.hedges_fired == 0 and not client._writers[0].frames
+            assert op.hedge.fired == 0 and not client._writers[0].frames
             client.detector.down.clear()
-            await _until(lambda: op.hedges_fired == 1)
-            assert op.used == {2, 0} and len(client._writers[0].frames) == 1
+            await _until(lambda: op.hedge.fired == 1)
+            assert op.hedge.used == {2, 0} and len(client._writers[0].frames) == 1
             # Budget spent (max_extra=1): answering ends it, nothing is left armed.
             _respond(client, 0)
             await asyncio.sleep(0.01)
@@ -123,9 +123,34 @@ class TestHedgeRearm:
             client = _armed_client()
             client.hedging.max_extra = 2  # budget for a second hedge, but no third replica
             op = _send_primary(client)
-            await _until(lambda: op.hedges_fired == 1)
+            await _until(lambda: op.hedge.fired == 1)
             await asyncio.sleep(0.01)
-            pending = [task for task in asyncio.all_tasks() if task is not asyncio.current_task()]
-            assert op.hedges_fired == 1 and not pending
+            assert op.hedge.fired == 1 and op.hedge.timer is None
 
         asyncio.run(scenario())
+
+    def test_budget_beyond_the_group_arms_the_timer_at_most_twice(self):
+        """``max_extra=3`` on a 3-replica group: two hedges use every replica,
+        so the timer is armed for them and never a third time (the invariant
+        ``tests/controls/test_hedging_metrics.py`` holds on the simulators)."""
+
+        async def scenario():
+            client = _armed_client()
+            client.hedging.max_extra = 3
+            arms = []
+            schedule = client._schedule
+
+            def counting(delay_ms, fn, *args):
+                if fn == client._fire_hedge:
+                    arms.append(delay_ms)
+                return schedule(delay_ms, fn, *args)
+
+            client._schedule = counting
+            op = _send_primary(client, group=(0, 1, 2))
+            await _until(lambda: op.hedge.fired == 2)
+            await asyncio.sleep(0.01)
+            return op, arms
+
+        op, arms = asyncio.run(scenario())
+        assert op.hedge.used == {0, 1, 2}
+        assert len(arms) == 2 and op.hedge.timer is None

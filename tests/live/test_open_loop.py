@@ -154,16 +154,17 @@ class TestNoOperationIsLost:
         released_dead = []
 
         def watch_releases(client):
-            send_released = client._send_released
+            release = client._release
 
-            def checked(released, now):
+            def checked(op, server_id, now):
                 # Each released request must still be open: one that timed
                 # out in the backlog was cancelled there, so the limiter
                 # spends no permit on it.
-                released_dead.extend(request for request, _ in released if int(request) not in client._ops)
-                send_released(released, now)
+                if op.op_id not in client._ops:
+                    released_dead.append(op)
+                release(op, server_id, now)
 
-            client._send_released = checked
+            client._release = checked
 
         async def scenario():
             async with _servers(2, base_service_ms=1.0) as addresses:

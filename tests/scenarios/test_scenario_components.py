@@ -21,16 +21,13 @@ from repro.scenarios import ScenarioContext
 from repro.simulator.workload import PoissonArrivalProcess
 
 
-def make_context(num_servers=5, config=None, loop=None, servers=None):
+def make_context(num_servers=5, loop=None, servers=None):
     loop = loop or EventLoop()
     servers = servers or [
         SimServer(loop, server_id=i, deterministic=True, rng=np.random.default_rng(i))
         for i in range(num_servers)
     ]
-    config = config or SimulationConfig(
-        num_servers=len(servers), replication_factor=1, num_clients=4, num_requests=0
-    )
-    return ScenarioContext(loop, servers, config, np.random.default_rng(0))
+    return ScenarioContext(loop, servers, np.random.default_rng(0))
 
 
 def make_server(loop, sid=0, tracker=None):
@@ -199,7 +196,7 @@ class TestDeclarativeComponents:
             num_servers=5, num_clients=4, num_requests=0, fluctuation_enabled=False
         )
         sim = ReplicaSelectionSimulation(config)
-        ctx = make_context(config=config)
+        ctx = make_context()
         ctx.simulation = sim
         ctx.loop = sim.loop
         component = NetworkDelayChange(at_ms=10.0, delay_ms=1.5)

@@ -58,7 +58,6 @@ def run_composed(components, config) -> object:
     sim._scenario_ctx = ScenarioContext(
         loop=sim.loop,
         servers=[sim.servers[sid] for sid in range(config.num_servers)],
-        config=config,
         rng=np.random.default_rng(123),
         simulation=sim,
     )
@@ -136,7 +135,6 @@ class TestArbitrarySchedulesNeverDeadlock:
         sim._scenario_ctx = ScenarioContext(
             loop=sim.loop,
             servers=[sim.servers[sid] for sid in range(config.num_servers)],
-            config=config,
             rng=np.random.default_rng(7),
             simulation=sim,
         )

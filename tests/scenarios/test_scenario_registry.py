@@ -25,14 +25,13 @@ from repro.simulator.engine import EventLoop
 from repro.simulator.server import SimServer
 
 
-def make_context(num_servers=5, config=None):
+def make_context(num_servers=5):
     loop = EventLoop()
     servers = [
         SimServer(loop, server_id=i, deterministic=True, rng=np.random.default_rng(i))
         for i in range(num_servers)
     ]
-    config = config or SimulationConfig(num_servers=num_servers, num_clients=4, num_requests=0)
-    return ScenarioContext(loop, servers, config, np.random.default_rng(0))
+    return ScenarioContext(loop, servers, np.random.default_rng(0))
 
 
 class TestRegistry:

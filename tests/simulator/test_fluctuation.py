@@ -5,7 +5,6 @@ import pytest
 
 from repro.scenarios import GCPauses, ScenarioContext, SlowServers
 from repro.scenarios.processes import BimodalFluctuation
-from repro.simulator import SimulationConfig
 from repro.simulator.engine import EventLoop
 from repro.simulator.server import SimServer
 
@@ -18,8 +17,7 @@ def make_servers(loop, count=4):
 
 
 def make_context(loop, servers):
-    config = SimulationConfig(num_servers=len(servers), replication_factor=1, num_requests=0)
-    return ScenarioContext(loop, servers, config, np.random.default_rng(0))
+    return ScenarioContext(loop, servers, np.random.default_rng(0))
 
 
 class TestBimodalFluctuation:

@@ -21,7 +21,7 @@ Under a scenario the inputs also include its millisecond knobs: every
 derived from a config field scaled above).  The list is a query over the
 registry, not a hand-kept list.  One known break remains: the client's
 parked and minimum retry delays (``_PARKED_RETRY_MS``, ``_MIN_RETRY_MS`` in
-``simulator/client.py``, imported by the kernel) are absolute times.  A crash
+``core/lifecycle.py``, imported by the kernel) are absolute times.  A crash
 of a whole replica group parks requests and reaches them.
 """
 
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import lifecycle
 from repro.scenarios import SCENARIOS, scenario_names
 from repro.simulator import KERNELS, SimulationConfig, run_simulation
-from repro.simulator import client as sim_client
 from repro.simulator import kernel as sim_kernel
 from repro.simulator.metrics import SimulationResult
 from repro.strategies import get_strategy
@@ -149,8 +149,8 @@ def test_the_retry_delays_are_the_known_break(strategy, kernel, monkeypatch):
     base = run_simulation(config)
     assert _differing(base, run_simulation(_scaled(config, 2.0))) > 0
     # Scaling the two absolute delays too (the kernel holds its own copies) restores it.
-    parked, minimum = 2.0 * sim_client._PARKED_RETRY_MS, 2.0 * sim_client._MIN_RETRY_MS
-    for module in (sim_client, sim_kernel):
+    parked, minimum = 2.0 * lifecycle._PARKED_RETRY_MS, 2.0 * lifecycle._MIN_RETRY_MS
+    for module in (lifecycle, sim_kernel):
         monkeypatch.setattr(module, "_PARKED_RETRY_MS", parked)
         monkeypatch.setattr(module, "_MIN_RETRY_MS", minimum)
     assert _differing(base, run_simulation(_scaled(config, 2.0))) == 0
