@@ -19,10 +19,11 @@ The package is organised as:
 
 The names in ``__all__`` are exported lazily (PEP 562): ``import repro``
 loads no subpackage, and ``repro.SimulationConfig`` or ``from repro import
-SimulationConfig`` imports :mod:`repro.simulator` on first use.  A live
-replica server process imports this package on its way to
-:mod:`repro.live.server`, so it does not pay for the simulator, the
-strategies or numpy.
+SimulationConfig`` imports :mod:`repro.simulator` on first use.  A
+replica server run by hand (``python -m repro.live.server``) imports this
+package on its way to :mod:`repro.live.server`, so it does not pay for the
+simulator, the strategies or numpy; the servers of a live trial are forked
+from the harness and import nothing.
 """
 
 from importlib import import_module

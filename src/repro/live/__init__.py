@@ -7,7 +7,7 @@ processes with genuine asyncio queues (:mod:`repro.live.server`), the load
 generator replays the simulator's open-loop Poisson workload through the
 strategies/controls registries over TCP (:mod:`repro.live.client`), and
 :mod:`repro.live.harness` orchestrates trials in the cluster-test-script
-shape — spawn N localhost server processes, warmup/cooldown trimming,
+shape — fork N localhost server processes, warmup/cooldown trimming,
 streaming-histogram latency capture, per-trial artifact directories.
 
 Wire format lives in :mod:`repro.live.protocol`; the C3-vs-baseline p99
@@ -20,10 +20,11 @@ from typing import Any
 
 from .protocol import MAX_FRAME_BYTES, encode_message, read_message, write_message
 
-# The harness and the comparison gate are imported on first use: a replica
-# server process imports this package and needs neither (nor the simulator
-# and numpy behind them), and `python -m repro.live.compare` must not find
-# its module already loaded (runpy's found-in-sys.modules RuntimeWarning).
+# The harness and the comparison gate are imported on first use: a server
+# run by hand (`python -m repro.live.server`) imports this package and needs
+# neither (nor the simulator and numpy behind them), and `python -m
+# repro.live.compare` must not find its module already loaded (runpy's
+# found-in-sys.modules RuntimeWarning).
 _EXPORTS = {
     "LiveTrialConfig": "harness",
     "LiveTrialResult": "harness",

@@ -1,13 +1,27 @@
 """Trial orchestration for the live backend.
 
 :func:`run_trial` runs one live trial in the cluster-test-script shape:
-spawn ``num_servers`` replica server processes on localhost (port 0,
-discovered from their ``PORT <n>`` stdout line), drive open-loop load
-through :class:`~repro.live.client.LiveLoadClient` for ``duration_s``
-seconds while a scenario driver injects perturbations over the control
-channel, then trim the first ``warmup_s`` and last ``cooldown_s`` of
-completions and record what remains into the streaming
+start ``num_servers`` replica server processes on localhost (port 0,
+each reporting its port over a pipe), drive open-loop load through
+:class:`~repro.live.client.LiveLoadClient` for ``duration_s`` seconds
+while a scenario driver injects perturbations over the control channel,
+then trim the first ``warmup_s`` and last ``cooldown_s`` of completions
+and record what remains into the streaming
 :class:`~repro.analysis.histogram.LatencyHistogram`.
+
+The servers are forked from the harness (``multiprocessing``'s ``fork``
+context), not exec'd as fresh interpreters: each is still its own OS
+process, with its own GIL, event loop and seeded ``random.Random``, and
+runs :func:`repro.live.server.serve`, the function behind
+``python -m repro.live.server``.  Forking skips an interpreter start and
+its imports per server, which was nearly all of a trial's fixed cost.
+They are forked before the harness starts its event loop, so none
+inherits a running loop.  On Python 3.12 and later, ``os.fork`` in a
+process with more than one thread raises a ``DeprecationWarning``; numpy's
+OpenBLAS keeps such a thread here.  The sweep runner's
+``ProcessPoolExecutor`` already forks this same numpy-loaded image on
+Linux, and a forked server never calls into BLAS, so it never needs a lock
+that thread could hold.
 
 Scenario strings are the *simulator's* scenario names: the harness fills
 in knob defaults from the same registry (:data:`repro.scenarios.SCENARIOS`)
@@ -37,14 +51,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import socket
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Any, Mapping
+from typing import IO, Any, Mapping
 
 import numpy as np
 
@@ -55,8 +72,9 @@ from ..scenarios import SCENARIOS, ScriptedComponent, build_scenario
 from ..scenarios.components import Edge
 from ..simulator.simulation import SimulationConfig
 from ..strategies.spec import StrategySpec
-from .client import LiveLoadClient
+from .client import LiveClientResult, LiveLoadClient
 from .protocol import read_message, write_message
+from .server import serve
 
 __all__ = [
     "LIVE_SCENARIOS",
@@ -292,93 +310,100 @@ async def _schedule_driver(config: LiveTrialConfig, send_control, now_fn, t0_ms:
 
 
 # ------------------------------------------------------------------- servers
-def _src_root() -> Path:
-    """The ``src/`` directory this package was imported from."""
-    return Path(__file__).resolve().parents[2]
+def _server_process(config: LiveTrialConfig, sid: int, port_out: Connection, stderr_fd: int) -> None:
+    """Body of forked server ``sid``: serve until ``shutdown``, port to ``port_out``.
 
-
-async def _spawn_server(config: LiveTrialConfig, sid: int, procs: list[asyncio.subprocess.Process]) -> int:
-    """Start server ``sid`` and return its port.
-
-    The child joins ``procs`` the moment it exists, so whoever owns that
-    list can reap it whatever goes wrong after — here or in a sibling.
+    Its stderr goes to an unnamed file, not a pipe: nobody would read a pipe
+    once the port is in, and a server that filled one would block on its
+    next write and never exit.
     """
-    env = dict(os.environ)
-    src = str(_src_root())
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.live.server",
-        "--server-id",
-        str(sid),
-        "--port",
-        "0",
-        "--base-service-ms",
-        str(config.base_service_ms),
-        "--concurrency",
-        str(config.concurrency),
-        "--queue-capacity",
-        str(config.queue_capacity),
-        "--seed",
-        str(config.seed * 10_007 + sid + 1),
-    ]
-    # stderr goes to an unnamed file, not a pipe: nobody reads a pipe once
-    # PORT is in, and a full one would block the server's next write and keep
-    # ``proc.wait()`` in :func:`_reap` from ever returning.
-    with tempfile.TemporaryFile() as stderr:
-        proc = await asyncio.create_subprocess_exec(
-            *argv, env=env, stdout=asyncio.subprocess.PIPE, stderr=stderr
-        )
-        procs.append(proc)
-        assert proc.stdout is not None
-        try:
-            line = await asyncio.wait_for(proc.stdout.readline(), timeout=15.0)
-        except asyncio.TimeoutError:
-            raise RuntimeError(f"server {sid} did not report a port within 15s")
-        text = line.decode("utf-8", "replace").strip()
-        if not text.startswith("PORT "):
-            stderr.seek(0)
-            raise RuntimeError(
-                f"server {sid} failed to start: stdout={text!r} "
-                f"stderr={stderr.read(4096).decode('utf-8', 'replace')!r}"
-            )
-    return int(text.split()[1])
+    os.dup2(stderr_fd, 2)
+    # ``sys.stderr`` need not write to fd 2 (a test runner may capture it), so
+    # it is rebound too: a traceback in the child then lands in the file.
+    sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
+    serve(
+        port_out.send,
+        sid,
+        base_service_ms=config.base_service_ms,
+        concurrency=config.concurrency,
+        queue_capacity=config.queue_capacity,
+        seed=config.seed * 10_007 + sid + 1,
+    )
 
 
-async def _reap(proc: asyncio.subprocess.Process, asked_to_exit: bool) -> None:
-    """Wait for one server process to end, making it if it was not asked to."""
-    if proc.returncode is not None:
-        return
-    if not asked_to_exit:
-        proc.terminate()
+def _start_servers(config: LiveTrialConfig, processes: list[BaseProcess]) -> list[int]:
+    """Fork every server, then return their ports in server order.
+
+    Each child joins ``processes`` the moment it exists, so the caller can
+    reap it whatever goes wrong after — here or in a sibling.
+    """
+    fork = multiprocessing.get_context("fork")
+    channels: list[tuple[Connection, IO[bytes]]] = []
     try:
-        await asyncio.wait_for(proc.wait(), timeout=5.0)
-    except asyncio.TimeoutError:
-        proc.kill()
-        await proc.wait()
+        for sid in range(config.num_servers):
+            port_in, port_out = fork.Pipe(duplex=False)
+            stderr = tempfile.TemporaryFile()
+            channels.append((port_in, stderr))
+            try:
+                process = fork.Process(
+                    target=_server_process, args=(config, sid, port_out, stderr.fileno()), daemon=True
+                )
+                process.start()
+            finally:
+                # Only the child keeps the writing end, so the pipe reads EOF
+                # once that child dies, and no later sibling inherits it.
+                port_out.close()
+            processes.append(process)
+        deadline = time.monotonic() + 15.0
+        ports = []
+        for sid, (port_in, stderr) in enumerate(channels):
+            if not port_in.poll(max(0.0, deadline - time.monotonic())):
+                raise RuntimeError(f"server {sid} did not report a port within 15s")
+            try:
+                ports.append(port_in.recv())
+            except EOFError:
+                text = os.pread(stderr.fileno(), 4096, 0).decode("utf-8", "replace")
+                raise RuntimeError(f"server {sid} failed to start: stderr={text!r}") from None
+        return ports
+    finally:
+        for port_in, stderr in channels:
+            port_in.close()
+            stderr.close()
+
+
+def _join(processes: list[BaseProcess], timeout_s: float) -> None:
+    deadline = time.monotonic() + timeout_s
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+
+
+def _reap(processes: list[BaseProcess], asked_to_exit: bool) -> None:
+    """Wait for every server to end: 5 s for those asked to, then SIGTERM, then SIGKILL."""
+    if asked_to_exit:
+        _join(processes, 5.0)
+    for process in processes:
+        if process.exitcode is None:
+            process.terminate()
+    _join(processes, 5.0)
+    for process in processes:
+        if process.exitcode is None:
+            process.kill()
+            process.join()
 
 
 # --------------------------------------------------------------------- trial
-async def _run_trial_async(config: LiveTrialConfig, out_dir: Path) -> LiveTrialResult:
-    procs: list[asyncio.subprocess.Process] = []
+async def _drive(
+    config: LiveTrialConfig, ports: list[int]
+) -> tuple[LiveClientResult, list[tuple[float, float]], float, list[dict[str, Any]]]:
+    """Load the running servers, then read their stats and shut them down.
+
+    Returns the load result, the ``(completed_at_ms, latency_ms)`` pairs,
+    the trial's start on the client clock, and each server's stats.
+    """
     control: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
     scenario_task: asyncio.Task | None = None
     servers = range(config.num_servers)
-    shut_down = False
-    started = time.time()
     try:
-        # Every spawn runs to its own end before a failure is raised, so no
-        # child can appear after the ``finally`` below has reaped ``procs``.
-        spawned = await asyncio.gather(
-            *(_spawn_server(config, sid, procs) for sid in servers), return_exceptions=True
-        )
-        ports: list[int] = []
-        for outcome in spawned:
-            if isinstance(outcome, BaseException):
-                raise outcome
-            ports.append(outcome)
         connections = await asyncio.gather(*(asyncio.open_connection("127.0.0.1", port) for port in ports))
         control.update(enumerate(connections))
 
@@ -428,12 +453,29 @@ async def _run_trial_async(config: LiveTrialConfig, out_dir: Path) -> LiveTrialR
         acks = await asyncio.gather(*(send_control(sid, {"op": "stats"}) for sid in servers))
         server_stats = [ack.get("stats", {}) for ack in acks]
         await asyncio.gather(*(send_control(sid, {"op": "shutdown"}) for sid in servers))
-        shut_down = True
     finally:
         for reader, writer in control.values():
             if not writer.is_closing():
                 writer.close()
-        await asyncio.gather(*(_reap(proc, shut_down) for proc in procs))
+    return load, completions, t0_ms, server_stats
+
+
+def run_trial(config: LiveTrialConfig, out_dir: "str | Path") -> LiveTrialResult:
+    """Run one live trial end-to-end and write its artifact directory.
+
+    The servers are forked before the event loop starts, so none inherits a
+    running loop, and every one has ended when this returns or raises.
+    """
+    out_dir = Path(out_dir)
+    processes: list[BaseProcess] = []
+    shut_down = False
+    started = time.time()
+    try:
+        ports = _start_servers(config, processes)
+        load, completions, t0_ms, server_stats = asyncio.run(_drive(config, ports))
+        shut_down = True
+    finally:
+        _reap(processes, shut_down)
 
     # ---------------------------------------------------- trim + histogram
     window_start = t0_ms + config.warmup_s * 1000.0
@@ -491,8 +533,3 @@ async def _run_trial_async(config: LiveTrialConfig, out_dir: Path) -> LiveTrialR
         out_dir=out_dir,
         payload=payload,
     )
-
-
-def run_trial(config: LiveTrialConfig, out_dir: "str | Path") -> LiveTrialResult:
-    """Run one live trial end-to-end and write its artifact directory."""
-    return asyncio.run(_run_trial_async(config, Path(out_dir)))

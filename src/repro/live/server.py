@@ -13,12 +13,14 @@ frames (see :mod:`repro.live.protocol`): ``slow`` inflates service times
 ``crash``/``restore`` drop and revive the server (crash-recovery), and
 ``stats`` reads back counters plus a bucketed served-load series.
 
-Run as a process::
+:func:`serve` runs one server in the calling process until a ``shutdown``
+frame and hands the bound port to a callback: the harness forks each
+server and reports that port over a pipe.  Run by hand as a process::
 
     python -m repro.live.server --server-id 0 --port 0 --seed 42
 
-The server binds 127.0.0.1 (port 0 = OS-assigned) and prints ``PORT <n>``
-on stdout once listening, which is how the harness discovers it.
+it binds 127.0.0.1 (port 0 = OS-assigned) and prints ``PORT <n>`` on
+stdout once listening.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import asyncio
 import random
 import sys
 import time
-from typing import Any
+from typing import Any, Callable
 
 from .protocol import ProtocolError, read_message, write_message
 
-__all__ = ["ReplicaServer", "main"]
+__all__ = ["ReplicaServer", "main", "serve"]
 
 #: EWMA weight on the newest observed service time (matches SimServer).
 _EWMA_ALPHA = 0.9
@@ -87,6 +89,9 @@ class ReplicaServer:
         self._shutdown = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
         self._workers: list[asyncio.Task] = []
+        # Open connections, each with the task serving it, so shutdown can
+        # end them itself instead of leaving them to the loop's teardown.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ----------------------------------------------------------- lifecycle
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
@@ -100,14 +105,22 @@ class ReplicaServer:
         return int(sockets[0].getsockname()[1])
 
     async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` control frame arrives, then clean up."""
+        """Block until a ``shutdown`` control frame arrives, then clean up.
+
+        Open connections are closed and their handlers awaited here: a
+        handler left to ``asyncio.run`` would be cancelled, and the stream
+        machinery logs a ``CancelledError`` traceback for each one.
+        """
         await self._shutdown.wait()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for worker in self._workers:
             worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
+        for writer in self._connections.values():
+            writer.close()  # its handler reads EOF and returns
+        await asyncio.gather(*self._workers, *self._connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # ------------------------------------------------------------- service
     def _now_ms(self) -> float:
@@ -204,6 +217,9 @@ class ReplicaServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -230,23 +246,34 @@ class ReplicaServer:
                     write_message(writer, self._handle_control(message))
                     await writer.drain()
                 # Unknown frame types are ignored: forward compatibility.
+        except ConnectionError:
+            pass  # the peer, or shutdown, closed the connection mid-reply
         finally:
+            del self._connections[task]
             if not writer.is_closing():
                 writer.close()
 
 
-async def _run(args: argparse.Namespace) -> None:
-    server = ReplicaServer(
-        args.server_id,
-        base_service_ms=args.base_service_ms,
-        concurrency=args.concurrency,
-        queue_capacity=args.queue_capacity,
-        seed=args.seed,
-        deterministic=args.deterministic,
-    )
-    port = await server.start(args.host, args.port)
-    print(f"PORT {port}", flush=True)
-    await server.serve_until_shutdown()
+def serve(
+    report_port: Callable[[int], object],
+    server_id: int,
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    **settings: Any,
+) -> None:
+    """Run one :class:`ReplicaServer` on a new event loop until ``shutdown``.
+
+    ``report_port`` is called with the bound port once the server listens;
+    ``settings`` are the server's keyword arguments.
+    """
+
+    async def run() -> None:
+        server = ReplicaServer(server_id, **settings)
+        report_port(await server.start(host, port))
+        await server.serve_until_shutdown()
+
+    asyncio.run(run())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -263,7 +290,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--deterministic", action="store_true")
     args = parser.parse_args(argv)
     try:
-        asyncio.run(_run(args))
+        serve(
+            lambda port: print(f"PORT {port}", flush=True),
+            args.server_id,
+            host=args.host,
+            port=args.port,
+            base_service_ms=args.base_service_ms,
+            concurrency=args.concurrency,
+            queue_capacity=args.queue_capacity,
+            seed=args.seed,
+            deterministic=args.deterministic,
+        )
     except KeyboardInterrupt:
         pass
     return 0

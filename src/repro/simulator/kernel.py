@@ -845,16 +845,6 @@ class BatchedKernel:
                 if released:
                     for pending_rid, pending_sid in released:
                         self._send(pending_rid, cid, pending_sid, t)
-                if mode == _CUSTOM:
-                    sel = sels[cid]
-                    if sel.pending_backlog() > 0:
-                        self._schedule_retry(cid, sel.next_retry_ms(t) or _MIN_RETRY_MS, t)
-                elif mode == _C3 and c3_rc:
-                    sched = c3_scheds[cid]
-                    if sched.backlog._pending:
-                        self._schedule_retry(
-                            cid, sched.next_backlog_retry_ms(t) or _MIN_RETRY_MS, t
-                        )
             elif code == _FINISH:
                 rid = entry[3]
                 sid = entry[4]

@@ -1,23 +1,27 @@
 """The live load generator keeps its schedule and accounts for every operation.
 
-Five properties, each a second or two: the arrival schedule is a pure
+Six properties, each a second or two: the arrival schedule is a pure
 function of ``(seed, rate, duration)``; a client whose sleeps all run late
 still offers exactly that schedule and measures latency from the time each
 operation was due; an operation that never reaches a server (backlogged,
 parked) ends as a timeout instead of vanishing; a trial whose servers fail
-to start leaves no process behind; and a server that writes more to its
-stderr than a pipe holds neither stalls nor hangs its trial.
+to start, or that fails under load, leaves no process behind; and a server
+that writes more to its stderr than a pipe holds neither stalls nor hangs
+its trial.
 """
 
 import asyncio
 import contextlib
 import json
-import sys
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.live import client as client_module
+from repro.live import harness
 from repro.live.client import LiveLoadClient, arrival_schedule
 from repro.live.harness import LiveTrialConfig, run_trial
 from repro.live.server import ReplicaServer
@@ -265,75 +269,110 @@ class TestTrialAccounting:
         assert 0.0 <= results["slip_ms"]["mean"] <= results["slip_ms"]["p99"] <= results["slip_ms"]["max"]
 
 
+def _recording_reaps(monkeypatch):
+    """Patch the harness's reaper to record every server process it is handed."""
+    reap = harness._reap
+    reaped = []
+
+    def recorded(processes, asked_to_exit):
+        reaped.extend(processes)
+        reap(processes, asked_to_exit)
+
+    monkeypatch.setattr(harness, "_reap", recorded)
+    return reaped
+
+
 class TestFailedSpawn:
     def test_no_server_process_survives_a_sibling_that_fails_to_start(self, monkeypatch, tmp_path):
-        spawn = asyncio.create_subprocess_exec
-        children = []
+        serve = harness._server_process
 
-        async def spawn_with_a_broken_server_1(*argv, **kwargs):
-            if argv[argv.index("--server-id") + 1] == "1":
-                # Alive, but never says PORT: it has to be terminated, not waited for.
-                argv = (sys.executable, "-c", "import time; print('boom', flush=True); time.sleep(60)")
-            child = await spawn(*argv, **kwargs)
-            children.append(child)
-            return child
+        def broken_server_1(config, sid, port_out, stderr_fd):
+            if sid != 1:
+                return serve(config, sid, port_out, stderr_fd)
+            # Alive, but gives up its port pipe without a port: it has to be
+            # terminated, not waited for.
+            os.write(stderr_fd, b"boom")
+            port_out.close()
+            time.sleep(60)
 
-        monkeypatch.setattr(asyncio, "create_subprocess_exec", spawn_with_a_broken_server_1)
+        # Patched in the parent, inherited by every forked child.
+        monkeypatch.setattr(harness, "_server_process", broken_server_1)
+        reaped = _recording_reaps(monkeypatch)
         config = LiveTrialConfig(strategy="lor", num_servers=3, duration_s=1.0, warmup_s=0.1, cooldown_s=0.1)
-        with pytest.raises(RuntimeError, match="server 1 failed to start: stdout='boom'"):
+        with pytest.raises(RuntimeError, match="server 1 failed to start: stderr='boom'"):
             run_trial(config, tmp_path / "trial")
-        assert len(children) == 3  # the siblings did start
-        assert all(child.returncode is not None for child in children)  # ...and every one was reaped
+        assert len(reaped) == 3  # the siblings did start
+        assert all(process.exitcode is not None for process in reaped)  # ...and every one was reaped
+        assert reaped[1].exitcode == -signal.SIGTERM
         assert not (tmp_path / "trial").exists()
 
 
-# Server 0 is a real server that writes 1 MiB to stderr 0.3 s after it starts:
-# more than a pipe plus asyncio's reader buffer hold.
-_CHATTY_SERVER = """
-import sys, threading, time
-from repro.live.server import main
+class TestFailedTrial:
+    def test_a_trial_that_raises_mid_load_leaves_every_server_reaped(self, monkeypatch, tmp_path):
+        run = LiveLoadClient.run
 
-def chatter():
-    time.sleep(0.3)
-    for _ in range(64):
-        sys.stderr.write("x" * 16384)
-    sys.stderr.flush()
+        async def run_then_fail(client, duration_s):
+            load = asyncio.ensure_future(run(client, duration_s))
+            await asyncio.sleep(0.2)
+            load.cancel()
+            await asyncio.gather(load, return_exceptions=True)
+            assert sum(client.result.sent_per_server.values()) > 0  # the servers were under load
+            raise RuntimeError("the load generator failed")
 
-threading.Thread(target=chatter, daemon=True).start()
-sys.exit(main(sys.argv[1:]))
-"""
+        monkeypatch.setattr(LiveLoadClient, "run", run_then_fail)
+        reaped = _recording_reaps(monkeypatch)
+        config = LiveTrialConfig(strategy="lor", num_servers=3, duration_s=1.0, warmup_s=0.1, cooldown_s=0.1)
+        with pytest.raises(RuntimeError, match="the load generator failed"):
+            run_trial(config, tmp_path / "trial")
+        assert len(reaped) == 3
+        # Never asked to shut down, so each was terminated, and waited for.
+        assert [process.exitcode for process in reaped] == [-signal.SIGTERM] * 3
+        assert not (tmp_path / "trial").exists()
 
+
+# Server 0 is a real server that writes 1 MiB to its stderr 0.3 s after it
+# starts: more than a pipe holds.  The patches are made in the trial's
+# process and inherited by the servers it forks.
 _CHATTY_TRIAL = """
-import asyncio, json, sys
-from repro.live.harness import LiveTrialConfig, run_trial
+import json, sys, threading, time
+from repro.live import harness
 
-spawn = asyncio.create_subprocess_exec
-children = []
+serve, reap = harness._server_process, harness._reap
+reaped = []
 
-async def spawn_with_a_chatty_server_0(*argv, **kwargs):
-    if argv[argv.index("--server-id") + 1] == "0":
-        argv = (sys.executable, "-c", CHATTY_SERVER, *argv[3:])
-    child = await spawn(*argv, **kwargs)
-    children.append(child)
-    return child
+def chatty_server_0(config, sid, port_out, stderr_fd):
+    if sid == 0:
+        def chatter():
+            time.sleep(0.3)
+            for _ in range(64):
+                sys.stderr.write("x" * 16384)
+            sys.stderr.flush()
 
-asyncio.create_subprocess_exec = spawn_with_a_chatty_server_0
-config = LiveTrialConfig(strategy="lor", num_servers=3, duration_s=1.0, warmup_s=0.1, cooldown_s=0.1)
-results = run_trial(config, sys.argv[1]).results
-print(json.dumps({"results": results, "returncodes": [child.returncode for child in children]}))
+        threading.Thread(target=chatter, daemon=True).start()
+    serve(config, sid, port_out, stderr_fd)
+
+def recorded_reap(processes, asked_to_exit):
+    reaped.extend(processes)
+    reap(processes, asked_to_exit)
+
+harness._server_process = chatty_server_0
+harness._reap = recorded_reap
+config = harness.LiveTrialConfig(strategy="lor", num_servers=3, duration_s=1.0, warmup_s=0.1, cooldown_s=0.1)
+results = harness.run_trial(config, sys.argv[1]).results
+print(json.dumps({"results": results, "exitcodes": [process.exitcode for process in reaped]}))
 """
 
 
 class TestChattyServer:
     def test_a_server_filling_its_stderr_neither_stalls_nor_hangs_the_trial(self, fresh_python, tmp_path):
-        # In a child with a timeout: an unread stderr pipe used to hang the trial's reaping forever.
-        script = f"CHATTY_SERVER = {_CHATTY_SERVER!r}\n{_CHATTY_TRIAL}"
-        done = fresh_python("-c", script, str(tmp_path / "trial"))
+        # In a child with a timeout: a server blocked on its stderr would hang the trial's reaping.
+        done = fresh_python("-c", _CHATTY_TRIAL, str(tmp_path / "trial"))
         assert done.returncode == 0, done.stderr
+        assert "x" * 16384 not in done.stderr  # a server's stderr is its own file
         outcome = json.loads(done.stdout.splitlines()[-1])
         results = outcome["results"]
         assert results["issued"] > 100
         assert results["issued"] == results["completed"] + results["timeouts"]
         # Every server, the chatty one included, exited on its own after the
         # shutdown frame: none had to be terminated or killed by the reaper.
-        assert outcome["returncodes"] == [0, 0, 0]
+        assert outcome["exitcodes"] == [0, 0, 0]

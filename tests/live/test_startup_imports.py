@@ -1,8 +1,10 @@
-"""A replica server process imports only what it serves.
+"""A replica server started by hand imports only what it serves.
 
-Every live trial starts fresh server interpreters, so whatever
-``repro.live.server`` pulls in is paid again per server, per trial.  Checked
-in a fresh interpreter by the set of loaded modules, not by a clock.
+A live trial forks its servers from the harness, so they import nothing;
+but ``python -m repro.live.server`` starts a fresh interpreter and pays for
+whatever ``repro.live.server`` pulls in, as every ``c3-repro`` command pays
+for ``import repro``.  Checked in a fresh interpreter by the set of loaded
+modules, not by a clock.
 """
 
 import json
