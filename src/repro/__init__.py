@@ -3,10 +3,11 @@ via Adaptive Replica Selection* (Suresh et al., NSDI 2015).
 
 The package is organised as:
 
-* :mod:`repro.core`        — the C3 algorithm itself (ranking, rate control,
-  backpressure, scheduling), usable standalone.
-* :mod:`repro.strategies`  — C3 plus every baseline selector (LOR, RR, ORA,
-  Dynamic Snitching, …) behind one interface.
+* :mod:`repro.core`        — the C3 algorithm itself, usable standalone:
+  :class:`~repro.core.scheduler.C3Scheduler` (ranking, rate control,
+  backpressure) is the registered ``C3`` strategy.
+* :mod:`repro.strategies`  — the strategy registry, and every baseline
+  selector (LOR, RR, ORA, Dynamic Snitching, …) behind C3's interface.
 * :mod:`repro.controls`    — orthogonal control-plane policies (failure
   detection, hedged requests, rate control) behind a spec registry.
 * :mod:`repro.simulator`   — the flat discrete-event simulator of §6.

@@ -9,13 +9,7 @@ from .config import C3Config
 from .cubic import cubic_inflection_ms, gamma_for_saddle
 from .ewma import EWMA
 from .feedback import ServerFeedback
-from .rate_control import (
-    CubicRateController,
-    PerServerRateControl,
-    RateLimiter,
-    ReceiveRateTracker,
-    cubic_rate,
-)
+from .rate_control import CubicRateController, RateLimiter, ReceiveRateTracker, cubic_rate
 from .scheduler import C3Scheduler, ScheduleDecision
 from .scoring import ReplicaScorer, ServerStats, cubic_score
 
@@ -27,7 +21,6 @@ __all__ = [
     "C3Scheduler",
     "CubicRateController",
     "EWMA",
-    "PerServerRateControl",
     "RateLimiter",
     "ReceiveRateTracker",
     "ReplicaScorer",

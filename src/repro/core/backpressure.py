@@ -29,14 +29,11 @@ class BacklogEntry:
         The candidate servers for the request.
     enqueued_at:
         Time the request entered the backlog (milliseconds).
-    attempts:
-        Number of times the scheduler tried (and failed) to place the request.
     """
 
     request: object
     replica_group: tuple
     enqueued_at: float
-    attempts: int = 0
 
 
 class BacklogQueue:
@@ -80,26 +77,6 @@ class BacklogQueue:
             self.total_wait_ms += max(0.0, now - entry.enqueued_at)
         return entry
 
-    def requeue_front(self, entry: BacklogEntry) -> None:
-        """Put an entry back at the head (it could still not be placed)."""
-        entry.attempts += 1
-        self._entries.appendleft(entry)
-        self._resized(1)
-
-    @property
-    def mean_wait_ms(self) -> float:
-        """Mean backlog wait over all dequeued entries (0 when none)."""
-        if self.total_dequeued == 0:
-            return 0.0
-        return self.total_wait_ms / self.total_dequeued
-
-    def drain(self) -> list[BacklogEntry]:
-        """Remove and return every waiting entry (used at shutdown)."""
-        drained = list(self._entries)
-        self._entries.clear()
-        self._resized(-len(drained))
-        return drained
-
     def _resized(self, change: int) -> None:
         if self._owner is not None:
             self._owner._pending += change
@@ -116,7 +93,6 @@ class BackpressureQueues:
     def __init__(self) -> None:
         self._queues: dict[frozenset, BacklogQueue] = {}
         self._pending = 0
-        self.backpressure_events = 0
 
     @staticmethod
     def group_key(replica_group: Iterable[Hashable]) -> frozenset:
@@ -140,7 +116,6 @@ class BackpressureQueues:
         group = tuple(replica_group)
         entry = BacklogEntry(request=request, replica_group=group, enqueued_at=now)
         self.queue_for(group).push(entry)
-        self.backpressure_events += 1
         return entry
 
     def cancel(self, request: object) -> bool:
@@ -161,16 +136,11 @@ class BackpressureQueues:
         """Total requests currently waiting across all groups (O(1))."""
         return self._pending
 
-    def queues(self) -> list[BacklogQueue]:
-        """All backlogs ever created (including currently empty ones)."""
-        return list(self._queues.values())
-
     def drain_ready(
         self,
         now: float,
         can_place: Callable[[BacklogEntry, float], Hashable | None],
-        max_requests: int | None = None,
-    ) -> list[tuple[BacklogEntry, Hashable]]:
+    ) -> list[tuple[object, Hashable]]:
         """Release backlog entries that can now be placed.
 
         Parameters
@@ -181,35 +151,33 @@ class BackpressureQueues:
             Callback invoked with ``(entry, now)``; it must return the chosen
             server id (and perform any permit accounting) or ``None`` when the
             entry still cannot be placed.
-        max_requests:
-            Optional cap on the number of entries released in this pass.
 
         Returns
         -------
-        list of ``(entry, server_id)`` pairs for every request released.
+        list of ``(request, server_id)`` pairs for every request released.
         """
-        released: list[tuple[BacklogEntry, Hashable]] = []
+        released: list[tuple[object, Hashable]] = []
         for queue in self._queues.values():
             while queue:
-                if max_requests is not None and len(released) >= max_requests:
-                    return released
                 entry = queue.peek()
                 assert entry is not None
                 server_id = can_place(entry, now)
                 if server_id is None:
                     break
                 queue.pop(now)
-                released.append((entry, server_id))
+                released.append((entry.request, server_id))
         return released
 
     def stats(self) -> dict:
         """Aggregate backlog statistics for reporting."""
         queues = list(self._queues.values())
+        # Nothing re-enters a queue, so every enqueue was one backpressure event.
+        total_enqueued = sum(q.total_enqueued for q in queues)
         return {
             "groups": len(queues),
             "pending": self.pending(),
-            "backpressure_events": self.backpressure_events,
-            "total_enqueued": sum(q.total_enqueued for q in queues),
+            "backpressure_events": total_enqueued,
+            "total_enqueued": total_enqueued,
             "total_dequeued": sum(q.total_dequeued for q in queues),
             "max_depth": max((q.max_depth for q in queues), default=0),
             "mean_wait_ms": (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from .config import C3Config
 from .cubic import cubic_inflection_ms, cubic_rate
@@ -34,7 +34,6 @@ __all__ = [
     "RateLimiter",
     "ReceiveRateTracker",
     "CubicRateController",
-    "PerServerRateControl",
 ]
 
 
@@ -309,35 +308,3 @@ class CubicRateController:
                 RateControlEvent(now, self.server_id, "increase", srate, new_rate, self.saturation_rate)
             )
 
-
-class PerServerRateControl:
-    """A collection of :class:`CubicRateController`, one per server.
-
-    ``record_history`` is copied onto each controller as it is created, so
-    setting it after construction and before the first request records every
-    rate increase and decrease (the Figure 13 trace).
-    """
-
-    def __init__(self, config: C3Config) -> None:
-        self.config = config
-        self.record_history = False
-        self._controllers: dict[Hashable, CubicRateController] = {}
-
-    def controller(self, server_id: Hashable) -> CubicRateController:
-        """Return (creating if necessary) the controller for ``server_id``."""
-        ctrl = self._controllers.get(server_id)
-        if ctrl is None:
-            ctrl = CubicRateController(self.config, server_id)
-            ctrl.record_history = self.record_history
-            self._controllers[server_id] = ctrl
-        return ctrl
-
-    def rates(self) -> dict[Hashable, float]:
-        """Snapshot of current sending rates (requests per δ window)."""
-        return {sid: ctrl.srate for sid, ctrl in self._controllers.items()}
-
-    def earliest_availability(self, server_ids: Iterable[Hashable], now: float) -> float:
-        """Smallest wait (ms) until any of ``server_ids`` admits a request."""
-        get = self._controllers.get
-        waits = [(get(sid) or self.controller(sid)).limiter.time_until_available(now) for sid in server_ids]
-        return min(waits) if waits else 0.0

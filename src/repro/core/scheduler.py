@@ -1,40 +1,44 @@
-"""The C3 replica-selection scheduler (Algorithms 1 and 2, §3.3).
+"""The replica-selector interface and C3, the selector it is shaped after (§3.3).
 
-:class:`C3Scheduler` combines the three core mechanisms:
+:class:`ReplicaSelector` is what every client-side strategy implements, and
+:class:`C3Scheduler` is the registered ``C3`` strategy: Algorithms 1 and 2
+in one object, which
 
-* replica ranking via :class:`~repro.core.scoring.ReplicaScorer`;
-* per-server rate limiting and CUBIC adaptation via
-  :class:`~repro.core.rate_control.PerServerRateControl`;
-* per-replica-group backpressure via
+* ranks the replica group via :class:`~repro.core.scoring.ReplicaScorer`;
+* admits through one
+  :class:`~repro.core.rate_control.CubicRateController` per server, created
+  on first contact;
+* parks the rest in per-replica-group
   :class:`~repro.core.backpressure.BackpressureQueues`.
 
-The scheduler is transport-agnostic: a caller (the flat simulator's client,
-the cluster substrate's coordinator, or a real client library) submits
-requests with explicit timestamps and receives either the chosen server id or
-a "backpressured" outcome, and later reports responses with the piggy-backed
-feedback.  All time values are milliseconds.
+Both live here, next to :class:`SelectorDecision`, so that the core never
+imports :mod:`repro.strategies` (which re-exports them and registers the
+scheduler under its spec name).  The scheduler is transport-agnostic: a
+caller (the flat simulator's client, the cluster substrate's coordinator,
+the live client) submits requests with explicit timestamps and receives
+either the chosen server id or a "backpressured" outcome, and later reports
+responses with the piggy-backed feedback.  All time values are milliseconds.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .backpressure import BackpressureQueues, BacklogEntry
 from .config import C3Config
 from .feedback import ServerFeedback
-from .rate_control import PerServerRateControl
+from .rate_control import CubicRateController, RateControlEvent
 from .scoring import ReplicaScorer
 
-__all__ = ["SelectorDecision", "ScheduleDecision", "C3Scheduler"]
+__all__ = ["SelectorDecision", "ScheduleDecision", "ReplicaSelector", "C3Scheduler"]
 
 
 @dataclass(slots=True)
 class SelectorDecision:
     """Outcome of one placement — what every replica selector's ``submit`` returns.
 
-    Defined here (``strategies.base`` re-exports it) so the scheduler's own
-    decision can be one without the core importing the strategy package.
     Not frozen: one is built per request on every strategy, and a frozen
     dataclass's ``__init__`` costs 3.5x as much.
 
@@ -66,24 +70,118 @@ class ScheduleDecision(SelectorDecision):
     ranking: tuple = ()
 
 
-class C3Scheduler:
+class ReplicaSelector(ABC):
+    """Abstract replica-selection strategy.
+
+    A selector is a *client-side* object: each simulated client (or cluster
+    coordinator, or live client) owns one instance.  Backpressure-capable
+    strategies (C3, rate-limited round-robin) and plain ones (LOR, oracle,
+    random, …) are driven by the same client code through
+    :meth:`submit` (placement, possibly backpressured), :meth:`on_response`
+    (accounting, returning any backlogged requests it released) and
+    :meth:`drain_backlog` / :meth:`next_retry_ms` (the client's retry timer).
+    """
+
+    #: Human-readable strategy name (used in reports and plots).
+    name: str = "base"
+
+    @abstractmethod
+    def submit(self, request: object, replica_group: Sequence[Hashable], now: float) -> SelectorDecision:
+        """Choose a server for ``request`` or signal backpressure."""
+
+    @abstractmethod
+    def on_response(
+        self,
+        server_id: Hashable,
+        feedback: ServerFeedback | None,
+        response_time: float,
+        now: float,
+    ) -> list[tuple[object, Hashable]]:
+        """Account for a completed request.
+
+        Returns a (possibly empty) list of ``(request, server_id)`` pairs for
+        backlogged requests released by this response.
+        """
+
+    def on_timeout(self, server_id: Hashable, now: float) -> None:
+        """Account for a request that will never complete.  Optional."""
+
+    def on_duplicate_send(self, server_id: Hashable, now: float) -> None:
+        """Account for a read-repair / speculative duplicate send.
+
+        Duplicates bypass replica selection but still occupy the server and
+        will produce feedback; strategies that track outstanding requests
+        should count them.  The default implementation ignores them.
+        """
+
+    def drain_backlog(self, now: float) -> list[tuple[object, Hashable]]:
+        """Release any backlogged requests that can now be placed."""
+        return []
+
+    def cancel(self, request: object) -> None:
+        """Withdraw ``request`` from any backlog: its caller gave up on it.
+
+        A cancelled request is never released by :meth:`drain_backlog`.  The
+        default holds no backlog and does nothing.
+        """
+
+    def pending_backlog(self) -> int:
+        """Number of requests currently parked by backpressure."""
+        return 0
+
+    def next_retry_ms(self, now: float) -> float | None:
+        """Hint for when the client should retry the backlog (None = never)."""
+        return None
+
+    def stats(self) -> dict:
+        """Strategy-specific counters for reporting (default: empty)."""
+        return {}
+
+
+class C3Scheduler(ReplicaSelector):
     """Client-side C3: ranking + rate control + backpressure.
 
     Parameters
     ----------
     config:
-        The :class:`~repro.core.config.C3Config` to operate under.
+        The :class:`~repro.core.config.C3Config` to operate under.  Remember
+        to call :meth:`C3Config.with_clients` (or set ``concurrency_weight``)
+        so the concurrency compensation matches the deployment, as the paper
+        prescribes.
+
+    ``record_history`` is copied onto each rate controller as it is created,
+    so setting it after construction and before the first request keeps
+    every rate increase and decrease for :meth:`rate_history` (Figure 13).
     """
+
+    name = "C3"
 
     def __init__(self, config: C3Config | None = None) -> None:
         self.config = config or C3Config()
         self.scorer = ReplicaScorer(self.config)
-        self.rate_control = PerServerRateControl(self.config)
+        self.record_history = False
+        self._controllers: dict[Hashable, CubicRateController] = {}
         self.backlog = BackpressureQueues()
         self.requests_submitted = 0
         self.requests_sent = 0
         self.requests_backpressured = 0
         self.responses_received = 0
+
+    # ------------------------------------------------------- rate controllers
+    def controller(self, server_id: Hashable) -> CubicRateController:
+        """Return (creating if necessary) the rate controller for ``server_id``."""
+        ctrl = self._controllers.get(server_id)
+        if ctrl is None:
+            ctrl = CubicRateController(self.config, server_id)
+            ctrl.record_history = self.record_history
+            self._controllers[server_id] = ctrl
+        return ctrl
+
+    def earliest_availability(self, server_ids: Iterable[Hashable], now: float) -> float:
+        """Smallest wait (ms) until any of ``server_ids`` admits a request."""
+        get = self._controllers.get
+        waits = [(get(sid) or self.controller(sid)).limiter.time_until_available(now) for sid in server_ids]
+        return min(waits) if waits else 0.0
 
     # -------------------------------------------------------------- send path
     def submit(
@@ -108,7 +206,7 @@ class C3Scheduler:
             # Backpressure: every candidate replica exceeded its rate.
             self.backlog.enqueue(request, group, now)
             self.requests_backpressured += 1
-            retry_after = self.rate_control.earliest_availability(group, now)
+            retry_after = self.earliest_availability(group, now)
             return ScheduleDecision(None, True, retry_after, tuple(ranking))
         return ScheduleDecision(server_id, False, 0.0, tuple(ranking))
 
@@ -116,9 +214,9 @@ class C3Scheduler:
         """Send to the first ranked replica within its rate (``None``: none is),
         fully accounted: permit consumed, the scorer's send slots bumped."""
         if self.config.rate_control_enabled:
-            controllers = self.rate_control._controllers
+            controllers = self._controllers
             for server_id in ranking:
-                controller = controllers.get(server_id) or self.rate_control.controller(server_id)
+                controller = controllers.get(server_id) or self.controller(server_id)
                 if controller.try_acquire(now):
                     break
             else:
@@ -133,6 +231,12 @@ class C3Scheduler:
         self.requests_sent += 1
         return server_id
 
+    def on_duplicate_send(self, server_id: Hashable, now: float) -> None:
+        # Read-repair duplicates occupy the server and will generate
+        # feedback, so they must be reflected in the outstanding count even
+        # though they bypass ranking and rate limiting.
+        self.scorer.on_send(server_id, now)
+
     # ----------------------------------------------------------- receive path
     def on_response(
         self,
@@ -140,67 +244,111 @@ class C3Scheduler:
         feedback: ServerFeedback | None,
         response_time: float,
         now: float,
-    ) -> list[tuple[BacklogEntry, Hashable]]:
+    ) -> list[tuple[object, Hashable]]:
         """Algorithm 2: record a response and release any unblocked backlog.
 
-        Returns the backlog entries (paired with their chosen servers) that
-        became dispatchable as a result of this response; the caller is
+        Returns the ``(request, server_id)`` pairs of the backlogged requests
+        that became dispatchable as a result of this response; the caller is
         responsible for actually transmitting them.
         """
         self.responses_received += 1
         self.scorer.on_response(server_id, feedback, response_time, now)
         if self.config.rate_control_enabled:
-            rate_control = self.rate_control
-            controller = rate_control._controllers.get(server_id) or rate_control.controller(server_id)
+            controller = self._controllers.get(server_id) or self.controller(server_id)
             controller.on_response(now)
             if self.backlog._pending:
                 return self.drain_backlog(now)
         return []
 
-    def on_timeout(self, server_id: Hashable, now: float, penalty_ms: float | None = None) -> None:
+    def on_timeout(self, server_id: Hashable, now: float) -> None:
         """Record a request that will never complete (lost response)."""
-        self.scorer.on_timeout(server_id, penalty_ms)
+        self.scorer.on_timeout(server_id)
 
     # ------------------------------------------------------------- backlog ops
-    def drain_backlog(
-        self, now: float, max_requests: int | None = None
-    ) -> list[tuple[BacklogEntry, Hashable]]:
+    def drain_backlog(self, now: float) -> list[tuple[object, Hashable]]:
         """Release backlogged requests whose groups now have available permits.
 
-        Each released entry has already had its send accounted (permit
+        Each released request has already had its send accounted (permit
         consumed, outstanding count incremented); the caller just dispatches.
         """
         if not self.config.rate_control_enabled:
             return []
-        return self.backlog.drain_ready(now, self._place_entry, max_requests=max_requests)
+        return self.backlog.drain_ready(now, self._place_entry)
 
     def _place_entry(self, entry: BacklogEntry, now: float) -> Hashable | None:
         return self._place(self.scorer.rank(entry.replica_group), now)
 
-    def cancel(self, request: object) -> bool:
+    def cancel(self, request: object) -> None:
         """Drop ``request`` from the backlog (it timed out waiting there)."""
-        return self.backlog.cancel(request)
+        self.backlog.cancel(request)
 
     def pending_backlog(self) -> int:
         """Number of requests currently held by backpressure."""
         return self.backlog.pending()
 
-    def next_backlog_retry_ms(self, now: float) -> float | None:
+    def next_retry_ms(self, now: float) -> float | None:
         """Earliest wait until any backlogged group may obtain a permit.
 
         Returns ``None`` when no requests are backlogged.
         """
         if not self.backlog._pending:
             return None
-        earliest_availability = self.rate_control.earliest_availability
+        earliest_availability = self.earliest_availability
         return min(
             earliest_availability(group, now) for group, queue in self.backlog._queues.items() if queue
         )
 
+    # ------------------------------------------------------------------ kernel
+    def kernel_state(self, num_servers: int) -> "tuple[tuple, list[CubicRateController]] | None":
+        """Live state views for the batched kernel's inlined C3 path.
+
+        Returns ``(scorer_state, controllers)`` where ``scorer_state`` is
+        :meth:`ReplicaScorer.kernel_state`'s tuple of live dense arrays and
+        ``controllers`` is the eagerly-created per-server
+        :class:`CubicRateController` list (creation draws no randomness and
+        every controller's clock anchors at 0, so eager creation is
+        digest-neutral).  Returns ``None`` — sending the kernel to the
+        polymorphic fallback — when the scorer was subclassed or its slot
+        table is not the identity over ``0..num_servers-1``.
+        """
+        scorer = self.scorer
+        if type(scorer) is not ReplicaScorer:
+            return None
+        state = scorer.kernel_state(num_servers)
+        if state is None:
+            return None
+        return state, [self.controller(sid) for sid in range(num_servers)]
+
+    def kernel_restore(
+        self,
+        submitted: int,
+        sent: int,
+        backpressured: int,
+        responses: int,
+        scorer_sends: int,
+        scorer_responses: int,
+        scorer_evaluations: int,
+    ) -> None:
+        """Fold the kernel's locally-accumulated counter deltas back in.
+
+        The dense scorer arrays, rate controllers and backlog queues are
+        shared live with the kernel (fallback paths mutate them directly),
+        so only the batched observability counters need restoring.
+        """
+        self.requests_submitted += submitted
+        self.requests_sent += sent
+        self.requests_backpressured += backpressured
+        self.responses_received += responses
+        self.scorer.kernel_restore(scorer_sends, scorer_responses, scorer_evaluations)
+
     # ------------------------------------------------------------- observation
     def sending_rates(self) -> dict[Hashable, float]:
         """Current per-server sending rates (requests per δ window)."""
-        return self.rate_control.rates()
+        return {sid: ctrl.srate for sid, ctrl in self._controllers.items()}
+
+    def rate_history(self, server_id: Hashable) -> list[RateControlEvent]:
+        """The recorded rate adjustments for one server (Figure 13 traces)."""
+        return self.controller(server_id).history
 
     def stats(self) -> dict:
         """Aggregate scheduler statistics for reporting and tests."""

@@ -143,17 +143,6 @@ class _ScorerCounters:
         }
 
 
-def _ewma_fold(values: list[float], counts: list[int], i: int, sample: float, alpha: float) -> None:
-    """Fold ``sample`` into the dense EWMA slot ``i`` (mirrors :meth:`EWMA.update`)."""
-    if sample != sample:  # NaN — same guard EWMA.update applies
-        raise ValueError("cannot update EWMA with NaN")
-    if counts[i]:
-        values[i] = alpha * sample + (1.0 - alpha) * values[i]
-    else:
-        values[i] = sample
-    counts[i] += 1
-
-
 class ReplicaScorer:
     """Maintains per-server statistics and ranks replicas by the C3 score.
 
@@ -290,7 +279,8 @@ class ReplicaScorer:
             i = self._slot(server_id)
         if self._out[i] > 0:
             self._out[i] -= 1
-        # _ewma_fold three times, inline: once per response on every executor.
+        # Three EWMA folds (EWMA.update's, on dense slots), inline: once per
+        # response on every executor.
         config = self.config
         alpha = config.ewma_alpha
         keep = 1.0 - alpha
@@ -313,18 +303,11 @@ class ReplicaScorer:
             self._last_fb[i] = now
         self.counters.responses += 1
 
-    def on_timeout(self, server_id: Hashable, penalty_ms: float | None = None) -> None:
-        """Record a request that never completed.
-
-        The outstanding count is decremented and, optionally, a penalty
-        response time is folded in so that a black-holing server gets ranked
-        progressively worse instead of retaining its last (good) score.
-        """
+    def on_timeout(self, server_id: Hashable) -> None:
+        """Record a request that never completed: its outstanding slot is freed."""
         i = self._slot(server_id)
         if self._out[i] > 0:
             self._out[i] -= 1
-        if penalty_ms is not None:
-            _ewma_fold(self._rt_val, self._rt_cnt, i, float(penalty_ms), self.config.ewma_alpha)
         self.counters.timeouts += 1
 
     # ---------------------------------------------------------------- scoring

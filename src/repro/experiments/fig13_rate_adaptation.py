@@ -8,7 +8,10 @@ and when backpressure fires.
 
 The latency inflation is reproduced by scripting compaction episodes on the
 tracked node (a compaction multiplies its read service times), mirroring the
-``tc``-based inflation of the paper's testbed run.
+``tc``-based inflation of the paper's testbed run.  Each observer's selector
+is a :class:`~repro.core.scheduler.C3Scheduler`; setting its
+``record_history`` before the run keeps the rate adjustments that its
+``rate_history`` returns.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def run(
     tracked_node = cluster.nodes[tracked]
     observers = cluster.node_ids[:observer_count]
     for observer in observers:
-        cluster.coordinators[observer].selector.scheduler.rate_control.record_history = True
+        cluster.coordinators[observer].selector.record_history = True
 
     episode_windows = [(duration_ms * start, duration_ms * end) for start, end in episodes]
     for start_ms, end_ms in episode_windows:

@@ -128,8 +128,8 @@ import numpy as np
 from ..controls.detectors import BinaryFailureDetector
 from ..core.feedback import ServerFeedback
 from ..core.lifecycle import _MIN_RETRY_MS, _PARKED_RETRY_MS
+from ..core.scheduler import C3Scheduler
 from ..strategies.base import ReplicaSelector, StatefulSelector
-from ..strategies.c3 import C3Selector
 from ..strategies.least_outstanding import LeastOutstandingSelector
 from .metrics import WindowedCounter
 from .network import ConstantLatency
@@ -307,7 +307,6 @@ class BatchedKernel:
                 # through the fully polymorphic path instead.
                 self.mode = _CUSTOM
             else:
-                self._c3_scheds = [sel.scheduler for sel in self._sels]
                 scorer_state = [s[0] for s in states]
                 self._c3_rt_val = [x[0] for x in scorer_state]
                 self._c3_rt_cnt = [x[1] for x in scorer_state]
@@ -393,13 +392,13 @@ class BatchedKernel:
         The inlined LOR and C3 paths require the *exact* class (a subclass
         may override any hook); the generic stock path requires the base
         ``submit``/``on_response``/backlog methods to be unoverridden.
-        Anything else — rate-limited round-robin (a ``C3Selector`` whose
+        Anything else — rate-limited round-robin (a ``C3Scheduler`` whose
         scorer rotates), user strategies — takes the fully polymorphic path.
         """
         cls = type(selector)
         if cls is LeastOutstandingSelector:
             return _LOR
-        if cls is C3Selector:
+        if cls is C3Scheduler:
             return _C3
         if (
             isinstance(selector, StatefulSelector)
@@ -522,7 +521,6 @@ class BatchedKernel:
             c3_last_fb = self._c3_last_fb
             c3_tiekey = self._c3_tiekey
             c3_ctrl = self._c3_ctrl
-            c3_scheds = self._c3_scheds
             c3_subm = self._c3_subm
             c3_sent = self._c3_sent
             c3_bp = self._c3_bp
@@ -669,13 +667,11 @@ class BatchedKernel:
                                     break
                             if sid < 0:
                                 # Backpressure: every replica is over rate.
-                                sched = c3_scheds[cid]
-                                sched.backlog.enqueue(rid, group, t)
+                                sel = sels[cid]
+                                sel.backlog.enqueue(rid, group, t)
                                 c3_bp[cid] += 1
                                 self.backpressure += 1
-                                retry_after = sched.rate_control.earliest_availability(
-                                    group, t
-                                )
+                                retry_after = sel.earliest_availability(group, t)
                                 self._schedule_retry(cid, retry_after, t)
                         if sid >= 0:
                             souts[sid] += 1
@@ -781,7 +777,7 @@ class BatchedKernel:
                     )
                 elif mode == _C3:
                     # Inline Algorithm 2: three EWMA folds into the scorer's
-                    # live arrays (transcribed from _ewma_fold), then the
+                    # live arrays (transcribed from its on_response), then the
                     # CUBIC controller update and a guarded backlog drain.
                     c3_resp[cid] += 1
                     c3_s_resps[cid] += 1
@@ -817,11 +813,9 @@ class BatchedKernel:
                     c3_last_fb[cid][sid] = t
                     if c3_rc:
                         c3_ctrl[cid][sid].on_response(t)
-                        sched = c3_scheds[cid]
-                        if sched.backlog._pending:
-                            rel = sched.drain_backlog(t)
-                            if rel:
-                                released = [(e.request, chosen) for e, chosen in rel]
+                        sel = sels[cid]
+                        if sel.backlog._pending:
+                            released = sel.drain_backlog(t)
                 else:
                     released = sels[cid].on_response(
                         sid, ServerFeedback(entry[4], entry[5], sid), response_time, t

@@ -24,7 +24,7 @@ from .base import ReplicaSelector, SelectorDecision, StatefulSelector
 
 # Selector modules self-register on import; the import order below fixes the
 # canonical registration order reported by strategy_names() / STRATEGY_NAMES.
-from .c3 import C3Params, C3Selector, c3_config_from_params
+from .c3 import C3Params, c3_config_from_params
 from .oracle import OracleParams, OracleSelector
 from .least_outstanding import LeastOutstandingParams, LeastOutstandingSelector
 from .round_robin import RoundRobinParams, RoundRobinSelector
@@ -45,7 +45,6 @@ from .spec import StrategySpec
 __all__ = [
     "BuildContext",
     "C3Params",
-    "C3Selector",
     "DynamicSnitchParams",
     "DynamicSnitchSelector",
     "LeastOutstandingParams",

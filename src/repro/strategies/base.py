@@ -1,86 +1,22 @@
 """The replica-selector interface shared by C3 and every baseline.
 
-A selector is a *client-side* object: each simulated client (or cluster
-coordinator) owns one instance.  The interface is deliberately shaped like
-the C3 scheduler so that backpressure-capable strategies (C3, rate-limited
-round-robin) and plain strategies (LOR, oracle, random, …) can be driven by
-the same client code:
-
-* :meth:`ReplicaSelector.submit` — request placement, possibly backpressured;
-* :meth:`ReplicaSelector.on_response` — response accounting, returning any
-  backlogged requests that became dispatchable;
-* :meth:`ReplicaSelector.drain_backlog` / :meth:`ReplicaSelector.next_retry_ms`
-  — backlog management for the client's retry timers.
+:class:`ReplicaSelector` and :class:`SelectorDecision` are defined in
+:mod:`repro.core.scheduler` next to :class:`~repro.core.scheduler.C3Scheduler`,
+the C3 strategy itself, and re-exported here.  :class:`StatefulSelector` is
+the convenience base of the strategies without backpressure (LOR, oracle,
+random, …): a ``choose`` plus send/response hooks behind the same
+``submit`` / ``on_response`` calls the clients make on C3.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 from typing import Hashable, Sequence
 
 from ..core.feedback import ServerFeedback
-from ..core.scheduler import SelectorDecision
+from ..core.scheduler import ReplicaSelector, SelectorDecision
 
 __all__ = ["SelectorDecision", "ReplicaSelector", "StatefulSelector"]
-
-
-class ReplicaSelector(ABC):
-    """Abstract replica-selection strategy."""
-
-    #: Human-readable strategy name (used in reports and plots).
-    name: str = "base"
-
-    @abstractmethod
-    def submit(self, request: object, replica_group: Sequence[Hashable], now: float) -> SelectorDecision:
-        """Choose a server for ``request`` or signal backpressure."""
-
-    @abstractmethod
-    def on_response(
-        self,
-        server_id: Hashable,
-        feedback: ServerFeedback | None,
-        response_time: float,
-        now: float,
-    ) -> list[tuple[object, Hashable]]:
-        """Account for a completed request.
-
-        Returns a (possibly empty) list of ``(request, server_id)`` pairs for
-        backlogged requests released by this response.
-        """
-
-    def on_timeout(self, server_id: Hashable, now: float) -> None:
-        """Account for a request that will never complete.  Optional."""
-
-    def on_duplicate_send(self, server_id: Hashable, now: float) -> None:
-        """Account for a read-repair / speculative duplicate send.
-
-        Duplicates bypass replica selection but still occupy the server and
-        will produce feedback; strategies that track outstanding requests
-        should count them.  The default implementation ignores them.
-        """
-
-    def drain_backlog(self, now: float) -> list[tuple[object, Hashable]]:
-        """Release any backlogged requests that can now be placed."""
-        return []
-
-    def cancel(self, request: object) -> None:
-        """Withdraw ``request`` from any backlog: its caller gave up on it.
-
-        A cancelled request is never released by :meth:`drain_backlog`.  The
-        default holds no backlog and does nothing.
-        """
-
-    def pending_backlog(self) -> int:
-        """Number of requests currently parked by backpressure."""
-        return 0
-
-    def next_retry_ms(self, now: float) -> float | None:
-        """Hint for when the client should retry the backlog (None = never)."""
-        return None
-
-    def stats(self) -> dict:
-        """Strategy-specific counters for reporting (default: empty)."""
-        return {}
 
 
 class StatefulSelector(ReplicaSelector):

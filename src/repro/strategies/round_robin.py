@@ -1,10 +1,11 @@
 """Rate-limited round-robin (RR) replica selection.
 
-The §6 baseline that isolates the contribution of C3's replica *ranking*: RR
-is C3's scheduler — the same per-server CUBIC rate controllers, backlog,
-drain, retry hint and cancel — whose scorer rotates each replica group
-instead of ranking it by the cubic score.  The rotation is the policy;
-:class:`~repro.core.scheduler.C3Scheduler` is the one enforcement.
+The §6 baseline that isolates the contribution of C3's replica *ranking*:
+:class:`RoundRobinSelector` subclasses
+:class:`~repro.core.scheduler.C3Scheduler` — the same per-server CUBIC rate
+controllers, backlog, drain, retry hint and cancel — and swaps its scorer
+for one that rotates each replica group instead of ranking it by the cubic
+score.  The rotation is the policy; ``C3Scheduler`` is the one enforcement.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping
 
 from ..core.config import C3Config
+from ..core.scheduler import C3Scheduler
 from ..core.scoring import ReplicaScorer
-from .c3 import C3Selector, c3_config_from_params
+from .c3 import c3_config_from_params
 from .registry import BuildContext, register_strategy
 
 __all__ = ["RoundRobinParams", "RoundRobinSelector"]
@@ -76,7 +78,7 @@ class _RotatingOrder(ReplicaScorer):
     factory=_build_round_robin,
     validate=_validate_rr_params,
 )
-class RoundRobinSelector(C3Selector):
+class RoundRobinSelector(C3Scheduler):
     """Round-robin ordering with per-server rate limiting and backpressure.
 
     ``config`` supplies the rate-control fields.  ``rate_limited=False``
@@ -89,4 +91,4 @@ class RoundRobinSelector(C3Selector):
     def __init__(self, config: C3Config | None = None, rate_limited: bool = True) -> None:
         super().__init__((config or C3Config()).copy(rate_control_enabled=rate_limited))
         self.rate_limited = rate_limited
-        self.scheduler.scorer = _RotatingOrder(self.config)
+        self.scorer = _RotatingOrder(self.config)

@@ -10,9 +10,10 @@ from repro.cluster.ring import TokenRing
 from repro.cluster.storage import StorageEngine
 from repro.controls.hedging import QuantileHedging
 from repro.core.config import C3Config
+from repro.core.scheduler import C3Scheduler
 from repro.simulator.engine import EventLoop
 from repro.simulator.network import ConstantLatency
-from repro.strategies import C3Selector, LeastOutstandingSelector
+from repro.strategies import LeastOutstandingSelector
 from repro.workloads.ycsb import Operation
 
 
@@ -187,7 +188,7 @@ class TestCopyIndex:
 class TestBackpressurePath:
     def test_backpressured_reads_complete_via_retry(self):
         config = C3Config(initial_rate=1.0, rate_delta_ms=10.0)
-        cluster = MiniCluster(selector=C3Selector(config))
+        cluster = MiniCluster(selector=C3Scheduler(config))
         for key in range(12):
             cluster.execute(key=key)
         cluster.loop.run_until_idle()

@@ -20,10 +20,7 @@ class TestBacklogQueue:
         queue = BacklogQueue("g")
         queue.push(BacklogEntry(request="r", replica_group=("a",), enqueued_at=5.0))
         queue.pop(now=15.0)
-        assert queue.mean_wait_ms == pytest.approx(10.0)
-
-    def test_mean_wait_zero_when_nothing_dequeued(self):
-        assert BacklogQueue("g").mean_wait_ms == 0.0
+        assert queue.total_wait_ms == pytest.approx(10.0)
 
     def test_max_depth_tracked(self):
         queue = BacklogQueue("g")
@@ -31,23 +28,6 @@ class TestBacklogQueue:
             queue.push(BacklogEntry(request=i, replica_group=("a",), enqueued_at=0.0))
         queue.pop(0.0)
         assert queue.max_depth == 4
-
-    def test_requeue_front_preserves_order_and_counts_attempts(self):
-        queue = BacklogQueue("g")
-        queue.push(BacklogEntry(request="first", replica_group=("a",), enqueued_at=0.0))
-        queue.push(BacklogEntry(request="second", replica_group=("a",), enqueued_at=0.0))
-        entry = queue.pop(0.0)
-        queue.requeue_front(entry)
-        assert queue.peek().request == "first"
-        assert queue.peek().attempts == 1
-
-    def test_drain_empties_queue(self):
-        queue = BacklogQueue("g")
-        for i in range(3):
-            queue.push(BacklogEntry(request=i, replica_group=("a",), enqueued_at=0.0))
-        drained = queue.drain()
-        assert len(drained) == 3
-        assert len(queue) == 0
 
     def test_bool_and_len(self):
         queue = BacklogQueue("g")
@@ -70,15 +50,15 @@ class TestBackpressureQueues:
         queues.enqueue("r2", ("b", "c"), now=0.0)
         queues.enqueue("r3", ("b", "a"), now=0.0)
         assert queues.pending() == 3
-        assert len(queues.queues()) == 2
-        assert queues.backpressure_events == 3
+        assert queues.stats()["groups"] == 2
+        assert queues.stats()["backpressure_events"] == 3
 
     def test_drain_ready_releases_placeable_entries(self):
         queues = BackpressureQueues()
         queues.enqueue("r1", ("a",), now=0.0)
         queues.enqueue("r2", ("a",), now=0.0)
         released = queues.drain_ready(now=1.0, can_place=lambda entry, now: "a")
-        assert [entry.request for entry, _ in released] == ["r1", "r2"]
+        assert released == [("r1", "a"), ("r2", "a")]
         assert queues.pending() == 0
 
     def test_drain_ready_stops_at_blocked_head(self):
@@ -88,14 +68,6 @@ class TestBackpressureQueues:
         released = queues.drain_ready(now=1.0, can_place=lambda entry, now: None)
         assert released == []
         assert queues.pending() == 2
-
-    def test_drain_ready_respects_max_requests(self):
-        queues = BackpressureQueues()
-        for i in range(5):
-            queues.enqueue(i, ("a",), now=0.0)
-        released = queues.drain_ready(now=1.0, can_place=lambda e, n: "a", max_requests=2)
-        assert len(released) == 2
-        assert queues.pending() == 3
 
     def test_one_blocked_group_does_not_block_others(self):
         """Per-replica-group isolation (§4)."""
@@ -107,7 +79,7 @@ class TestBackpressureQueues:
             return "c" if "c" in entry.replica_group else None
 
         released = queues.drain_ready(now=1.0, can_place=can_place)
-        assert [entry.request for entry, _ in released] == ["free"]
+        assert released == [("free", "c")]
         assert queues.pending() == 1
 
     def test_cancel_withdraws_one_request_and_keeps_pending_exact(self):
@@ -119,8 +91,25 @@ class TestBackpressureQueues:
         assert not queues.cancel("r2") and not queues.cancel("never")
         assert queues.pending() == 2
         released = queues.drain_ready(now=1.0, can_place=lambda entry, now: "a")
-        assert [entry.request for entry, _ in released] == ["r1", "r3"]
+        assert released == [("r1", "a"), ("r3", "a")]
         assert queues.pending() == 0
+
+    def test_mean_wait_zero_when_nothing_dequeued(self):
+        queues = BackpressureQueues()
+        assert queues.stats()["mean_wait_ms"] == 0.0
+        queues.enqueue("r1", ("a",), now=0.0)
+        assert queues.stats()["mean_wait_ms"] == 0.0
+
+    def test_backpressure_events_count_every_enqueue(self):
+        """Released and cancelled requests were each backpressured once."""
+        queues = BackpressureQueues()
+        for i, group in enumerate([("a",), ("b",), ("a",), ("b", "c")]):
+            queues.enqueue(f"r{i}", group, now=0.0)
+        assert queues.cancel("r1")
+        queues.drain_ready(now=1.0, can_place=lambda e, n: "a" if "a" in e.replica_group else None)
+        stats = queues.stats()
+        assert stats["backpressure_events"] == stats["total_enqueued"] == 4
+        assert stats["total_dequeued"] == 2 and stats["pending"] == 1
 
     def test_stats_aggregation(self):
         queues = BackpressureQueues()

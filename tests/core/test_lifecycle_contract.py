@@ -126,7 +126,7 @@ class _Harness:
 
     @property
     def outstanding(self) -> int:
-        return self.client.selector.scheduler.scorer.total_outstanding()
+        return self.client.selector.scorer.total_outstanding()
 
 
 class FlatHarness(_Harness):

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core.config import C3Config
-from repro.core.rate_control import (
-    CubicRateController,
-    PerServerRateControl,
-    RateLimiter,
-    ReceiveRateTracker,
-    cubic_rate,
-)
+from repro.core.rate_control import CubicRateController, RateLimiter, ReceiveRateTracker, cubic_rate
 
 
 class TestCubicRateFunction:
@@ -263,35 +257,3 @@ class TestCubicRateController:
         assert len(ctrl.history) == ctrl.increases + ctrl.decreases
         assert all(event.server_id == "s" for event in ctrl.history)
 
-
-class TestPerServerRateControl:
-    def test_controllers_created_lazily(self, c3_config):
-        control = PerServerRateControl(c3_config)
-        assert control.rates() == {}
-        control.controller("a")
-        assert list(control.rates()) == ["a"]
-
-    def test_try_acquire_and_rates(self, c3_config):
-        control = PerServerRateControl(c3_config)
-        assert control.controller("a").try_acquire(0.0)
-        assert control.rates() == {"a": c3_config.initial_rate}
-
-    def test_earliest_availability_zero_when_any_server_free(self, c3_config):
-        control = PerServerRateControl(c3_config)
-        # Exhaust "a" but leave "b" untouched.
-        while control.controller("a").try_acquire(0.0):
-            pass
-        assert control.earliest_availability(["a", "b"], 0.0) == 0.0
-
-    def test_earliest_availability_positive_when_all_exhausted(self, c3_config):
-        control = PerServerRateControl(c3_config)
-        for server in ("a", "b"):
-            while control.controller(server).try_acquire(0.0):
-                pass
-        assert control.earliest_availability(["a", "b"], 0.0) > 0.0
-
-    def test_record_history_propagates(self, c3_config):
-        control = PerServerRateControl(c3_config)
-        assert control.record_history is False
-        control.record_history = True  # set after building, before any request
-        assert control.controller("x").record_history is True

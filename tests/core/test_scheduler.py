@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.config import C3Config
 from repro.core.feedback import ServerFeedback
-from repro.core.scheduler import C3Scheduler
+from repro.core.scheduler import C3Scheduler, ReplicaSelector
+from repro.core.scoring import ReplicaScorer
+from repro.strategies import StrategySpec, base
 
 
 def make_scheduler(**overrides) -> C3Scheduler:
@@ -76,7 +78,7 @@ class TestOnResponse:
         assert blocked.backpressured
         # A window later the limiter refills; the response triggers a drain.
         released = scheduler.on_response("a", ServerFeedback(queue_size=1, service_time=2.0), 3.0, now=15.0)
-        assert [(entry.request, server) for entry, server in released] == [("r2", "a")]
+        assert released == [("r2", "a")]
         assert scheduler.pending_backlog() == 0
 
     def test_drain_backlog_without_permits_keeps_requests(self):
@@ -87,15 +89,23 @@ class TestOnResponse:
         assert scheduler.drain_backlog(now=0.0) == []
         assert scheduler.pending_backlog() == 1
 
-    def test_next_backlog_retry_hint(self):
+    def test_drain_backlog_returns_request_server_pairs(self):
+        scheduler = make_scheduler(initial_rate=1.0)
+        scheduler.submit("r1", ("a",), now=0.0)
+        assert scheduler.submit("r2", ("a",), now=0.0).backpressured
+        # A window later the limiter has refilled.
+        assert scheduler.drain_backlog(now=15.0) == [("r2", "a")]
+        assert scheduler.pending_backlog() == 0
+
+    def test_next_retry_hint(self):
         scheduler = make_scheduler(initial_rate=1.0)
         scheduler.submit("r1", ("a",), now=0.0)
         scheduler.submit("r2", ("a",), now=0.0)
-        hint = scheduler.next_backlog_retry_ms(now=0.0)
+        hint = scheduler.next_retry_ms(now=0.0)
         assert hint is not None and hint > 0.0
 
-    def test_next_backlog_retry_none_when_empty(self):
-        assert make_scheduler().next_backlog_retry_ms(0.0) is None
+    def test_next_retry_none_when_empty(self):
+        assert make_scheduler().next_retry_ms(0.0) is None
 
     def test_on_timeout_decrements_outstanding(self):
         scheduler = make_scheduler()
@@ -117,3 +127,71 @@ class TestStats:
         scheduler = make_scheduler()
         scheduler.submit("r", ("a",), now=0.0)
         assert "a" in scheduler.sending_rates()
+
+
+class TestRateControllers:
+    def test_controllers_created_lazily(self, c3_config):
+        scheduler = C3Scheduler(c3_config)
+        assert scheduler.sending_rates() == {}
+        scheduler.controller("a")
+        assert list(scheduler.sending_rates()) == ["a"]
+
+    def test_try_acquire_and_rates(self, c3_config):
+        scheduler = C3Scheduler(c3_config)
+        assert scheduler.controller("a").try_acquire(0.0)
+        assert scheduler.sending_rates() == {"a": c3_config.initial_rate}
+
+    def test_earliest_availability_zero_when_any_server_free(self, c3_config):
+        scheduler = C3Scheduler(c3_config)
+        # Exhaust "a" but leave "b" untouched.
+        while scheduler.controller("a").try_acquire(0.0):
+            pass
+        assert scheduler.earliest_availability(["a", "b"], 0.0) == 0.0
+
+    def test_earliest_availability_positive_when_all_exhausted(self, c3_config):
+        scheduler = C3Scheduler(c3_config)
+        for server in ("a", "b"):
+            while scheduler.controller(server).try_acquire(0.0):
+                pass
+        assert scheduler.earliest_availability(["a", "b"], 0.0) > 0.0
+
+    def test_record_history_propagates(self, c3_config):
+        scheduler = C3Scheduler(c3_config)
+        assert scheduler.record_history is False
+        scheduler.record_history = True  # set after building, before any request
+        assert scheduler.controller("x").record_history is True
+
+
+class TestSelectorApi:
+    def test_c3_and_rr_specs_build_the_scheduler(self):
+        assert base.ReplicaSelector is ReplicaSelector
+        for spec in ("c3", "rr"):
+            selector = StrategySpec.parse(spec).build()
+            assert isinstance(selector, C3Scheduler)
+            assert isinstance(selector, ReplicaSelector)
+
+    def test_kernel_state_shares_live_state(self):
+        scheduler = make_scheduler()
+        state = scheduler.kernel_state(3)
+        assert state is not None
+        scorer_state, controllers = state
+        assert controllers == [scheduler.controller(sid) for sid in range(3)]
+        scheduler.scorer.on_send(1, 0.0)
+        assert scorer_state[6][1] == 1  # the outstanding array, shared live
+
+    def test_kernel_state_none_for_subclassed_scorer(self):
+        class CustomScorer(ReplicaScorer):
+            pass
+
+        scheduler = make_scheduler()
+        scheduler.scorer = CustomScorer(scheduler.config)
+        assert scheduler.kernel_state(3) is None
+
+    def test_kernel_restore_folds_counter_deltas(self):
+        scheduler = make_scheduler()
+        scheduler.submit("r", ("a",), now=0.0)
+        scheduler.kernel_restore(5, 4, 1, 3, 4, 3, 12)
+        stats = scheduler.stats()
+        assert (stats["submitted"], stats["sent"], stats["backpressured"], stats["responses"]) == (6, 5, 1, 3)
+        counters = scheduler.scorer.counters
+        assert (counters.sends, counters.responses) == (5, 3)

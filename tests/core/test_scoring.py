@@ -84,12 +84,15 @@ class TestReplicaScorerState:
         with pytest.raises(ValueError):
             scorer.on_response("a", None, response_time=-1.0, now=0.0)
 
-    def test_timeout_decrements_and_optionally_penalises(self):
+    def test_timeout_frees_slot_and_keeps_estimates(self):
         scorer = ReplicaScorer(C3Config(ewma_alpha=1.0))
         scorer.on_send("a", 0.0)
-        scorer.on_timeout("a", penalty_ms=500.0)
+        scorer.on_response("a", None, response_time=7.0, now=1.0)
+        scorer.on_send("a", 2.0)
+        scorer.on_timeout("a")
         assert scorer.outstanding("a") == 0
-        assert scorer.stats_for("a").response_time.value == 500.0
+        assert scorer.stats_for("a").response_time.value == 7.0
+        assert scorer.counters.timeouts == 1
 
     def test_reset_server_forgets_state(self):
         scorer = ReplicaScorer()

@@ -65,7 +65,7 @@ EXECUTORS = {
 
 def record_rate_history(selectors) -> None:
     for selector in selectors:
-        selector.scheduler.rate_control.record_history = True
+        selector.record_history = True
 
 
 def crashed(simulation) -> bool:

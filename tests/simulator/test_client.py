@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import C3Config
+from repro.core.scheduler import C3Scheduler
 from repro.simulator.client import SimClient
 from repro.simulator.engine import EventLoop
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.network import ConstantLatency
 from repro.simulator.request import Request
 from repro.simulator.server import SimServer
-from repro.strategies import C3Selector, LeastOutstandingSelector
+from repro.strategies import LeastOutstandingSelector
 
 
 class Harness:
@@ -108,7 +109,7 @@ class TestReadRepair:
 class TestBackpressureRetries:
     def _c3_selector(self, initial_rate=1.0):
         config = C3Config(initial_rate=initial_rate, rate_delta_ms=10.0, concurrency_weight=1.0)
-        return C3Selector(config)
+        return C3Scheduler(config)
 
     def test_backpressured_requests_eventually_complete(self):
         harness = Harness(self._c3_selector(initial_rate=1.0))
@@ -128,7 +129,7 @@ class TestBackpressureRetries:
         harness = Harness(selector)
         harness.submit(8)
         harness.loop.run_until_idle()
-        assert selector.scheduler.scorer.total_outstanding() == 0
+        assert selector.scorer.total_outstanding() == 0
         assert selector.pending_backlog() == 0
 
     def test_c3_prefers_the_faster_server(self):

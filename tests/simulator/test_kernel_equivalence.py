@@ -12,7 +12,9 @@ event for event.  These tests pin that contract three ways:
   parking, demand skew, a mid-run network-delay change, streaming metrics,
   copies outliving their primary (the kernel recycles request slots), a
   run long enough to flush the per-server load series in chunks, every
-  builtin scenario and the legacy fluctuation fields on and off;
+  builtin scenario and the legacy fluctuation fields on and off — each
+  row also compares every client's and server's ``stats()`` between the
+  two runs, which pins the kernel's end-of-run write-back;
 * a hypothesis property over random small configurations, hedged or not,
   so the equivalence is not an artifact of hand-picked parameters;
 * a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
@@ -124,9 +126,25 @@ MATRIX = {
 }
 
 
+def _run_both(**kw) -> dict:
+    runs = {}
+    for kernel in ("object", "batched"):
+        sim = ReplicaSelectionSimulation(SimulationConfig(kernel=kernel, **kw))
+        runs[kernel] = (sim, sim.run())
+    return runs
+
+
 @pytest.mark.parametrize("name", sorted(MATRIX))
 def test_batched_kernel_matches_object_kernel(name):
-    assert_kernels_equivalent(**MATRIX[name])
+    """Equal digests, and from the same two runs equal client stats (the
+    selector's included) and server stats: the kernel's write-back through
+    ``kernel_restore`` leaves every object as the object path would."""
+    (obj_sim, obj_result), (bat_sim, bat_result) = _run_both(**MATRIX[name]).values()
+    assert obj_result.digest() == bat_result.digest()
+    assert [c.stats() for c in obj_sim.clients] == [c.stats() for c in bat_sim.clients]
+    assert {sid: s.stats() for sid, s in obj_sim.servers.items()} == {
+        sid: s.stats() for sid, s in bat_sim.servers.items()
+    }
 
 
 @settings(max_examples=20, deadline=None)

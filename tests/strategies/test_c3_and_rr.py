@@ -1,16 +1,17 @@
-"""Unit tests for the C3 selector adapter and the rate-limited round-robin."""
+"""Unit tests for C3 behind the selector API and the rate-limited round-robin."""
 
 
 from repro.core.config import C3Config
 from repro.core.feedback import ServerFeedback
-from repro.strategies import C3Selector, RoundRobinSelector
+from repro.core.scheduler import C3Scheduler
+from repro.strategies import RoundRobinSelector
 
 
-class TestC3Selector:
+class TestC3Strategy:
     def _selector(self, **overrides):
         defaults = dict(initial_rate=2.0, rate_delta_ms=10.0, concurrency_weight=1.0)
         defaults.update(overrides)
-        return C3Selector(C3Config(**defaults))
+        return C3Scheduler(C3Config(**defaults))
 
     def test_submit_and_response_round_trip(self):
         selector = self._selector()
@@ -18,7 +19,7 @@ class TestC3Selector:
         assert decision.sent
         released = selector.on_response(decision.server_id, ServerFeedback(1, 2.0), 3.0, 1.0)
         assert released == []
-        assert selector.scheduler.scorer.total_outstanding() == 0
+        assert selector.scorer.total_outstanding() == 0
 
     def test_backpressure_and_release_via_response(self):
         selector = self._selector(initial_rate=1.0)
@@ -49,13 +50,13 @@ class TestC3Selector:
     def test_duplicate_send_tracked_in_outstanding(self):
         selector = self._selector()
         selector.on_duplicate_send("a", 0.0)
-        assert selector.scheduler.scorer.outstanding("a") == 1
+        assert selector.scorer.outstanding("a") == 1
         selector.on_response("a", None, 1.0, 1.0)
-        assert selector.scheduler.scorer.outstanding("a") == 0
+        assert selector.scorer.outstanding("a") == 0
 
     def test_rate_history_available_when_enabled(self):
-        selector = C3Selector(C3Config(initial_rate=2.0))
-        selector.scheduler.rate_control.record_history = True
+        selector = C3Scheduler(C3Config(initial_rate=2.0))
+        selector.record_history = True
         selector.submit("r", ("a",), 0.0)
         assert selector.rate_history("a") == []
         assert "a" in selector.sending_rates()
@@ -67,7 +68,7 @@ class TestC3Selector:
         assert stats["submitted"] == 1 and stats["sent"] == 1
 
     def test_rate_control_disabled_never_backpressures(self):
-        selector = C3Selector(C3Config(rate_control_enabled=False, initial_rate=1.0))
+        selector = C3Scheduler(C3Config(rate_control_enabled=False, initial_rate=1.0))
         decisions = [selector.submit(f"r{i}", ("a",), 0.0) for i in range(10)]
         assert all(d.sent for d in decisions)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import C3Config
+from repro.core.scheduler import C3Scheduler
 from repro.strategies import (
     STRATEGY_NAMES,
-    C3Selector,
     DynamicSnitchSelector,
     LeastOutstandingSelector,
     OracleSelector,
@@ -33,7 +33,7 @@ class TestFactory:
         assert selector is not None
 
     def test_name_is_case_insensitive(self):
-        assert isinstance(make_selector("c3"), C3Selector)
+        assert isinstance(make_selector("c3"), C3Scheduler)
         assert isinstance(make_selector("lor"), LeastOutstandingSelector)
 
     def test_aliases(self):

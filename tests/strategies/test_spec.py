@@ -25,11 +25,11 @@ from hypothesis import given, settings
 from registry_contract import RegistryContract, SpecParsingContract, spec_cases, spec_properties_contract
 
 from repro.core.config import C3Config
+from repro.core.scheduler import C3Scheduler
 from repro.runner.spec import config_to_payload, content_hash
 from repro.simulator import ReplicaSelectionSimulation, SimulationConfig, run_simulation
 from repro.strategies import (
     STRATEGY_NAMES,
-    C3Selector,
     StrategySpec,
     get_strategy,
     make_selector,
@@ -277,7 +277,7 @@ class TestSpecBuild:
         selector = StrategySpec.parse("c3:cubic_c=2e-4,b=2").build(
             c3_config=C3Config().with_clients(40)
         )
-        assert isinstance(selector, C3Selector)
+        assert isinstance(selector, C3Scheduler)
         assert selector.config.gamma == 0.0002
         assert selector.config.score_exponent == 2.0
         assert selector.config.concurrency_weight == 40.0  # base kept where unset
