@@ -45,8 +45,8 @@ def run_with_degraded_node(strategy: str, seed: int = 21) -> dict:
     # Three degradation episodes, like the paper's tc-based latency inflation.
     episodes = [(0.30, 0.45), (0.55, 0.60), (0.70, 0.75)]
     for start, end in episodes:
-        cluster.loop.schedule_at(duration_ms * start, tracked_node.set_slowdown, 6.0)
-        cluster.loop.schedule_at(duration_ms * end, tracked_node.clear_slowdown)
+        cluster.loop.schedule_at(duration_ms * start, tracked_node.set_service_time_multiplier, 6.0)
+        cluster.loop.schedule_at(duration_ms * end, tracked_node.set_service_time_multiplier, 1.0)
 
     result = cluster.run()
     episode_windows = [

@@ -3,7 +3,6 @@
 from .cluster import CassandraCluster, ClusterConfig, GeneratorGroup, run_cluster
 from .coordinator import Coordinator
 from .disk import DiskModel, DiskProfile, HDD_PROFILE, SSD_PROFILE
-from .events import CompactionProcess, GCPauseProcess
 from .gossip import GossipEntry, GossipService
 from .metrics import ClusterMetrics, OperationSample
 from .node import ClusterNode
@@ -17,11 +16,9 @@ __all__ = [
     "ClusterConfig",
     "ClusterMetrics",
     "ClusterNode",
-    "CompactionProcess",
     "Coordinator",
     "DiskModel",
     "DiskProfile",
-    "GCPauseProcess",
     "GeneratorGroup",
     "GossipEntry",
     "GossipService",

@@ -4,18 +4,27 @@
 of nodes, disk type, snitching strategy, generator groups, background
 maintenance, …) and :class:`CassandraCluster` wires everything together and
 runs it: token ring, storage nodes, coordinators with their selectors,
-gossip, compaction and GC processes, and closed-loop YCSB generators.
+gossip, compaction and GC-pause episodes, and closed-loop YCSB generators.
+
+Compactions and GC pauses are the operators' dominant sources of latency
+spikes (§2.1).  Each is a :class:`~repro.scenarios.processes.PoissonEpisodes`
+loop over the nodes: a compaction raises a node's storage iowait and
+multiplies its read service times; a GC pause stalls the node's stage
+(``crash`` / ``restore``) while requests keep queueing.  Neither loop is
+stopped: the cluster ends a run by releasing its loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import methodcaller
 from typing import Any, Hashable, Mapping
 
 import numpy as np
 
 from ..controls import ControlSpec
 from ..core.config import C3Config
+from ..scenarios.processes import PoissonEpisodes
 from ..simulator.engine import EventLoop, SimulationError
 from ..simulator.network import ConstantLatency, NetworkModel
 from ..simulator.metrics import SimulationResult
@@ -26,7 +35,6 @@ from ..workloads.records import FixedRecordSize, ZipfSkewedRecordSize
 from ..workloads.ycsb import YCSBWorkload
 from .coordinator import Coordinator
 from .disk import DiskProfile, HDD_PROFILE, SSD_PROFILE
-from .events import CompactionProcess, GCPauseProcess
 from .gossip import GossipService
 from .metrics import ClusterMetrics
 from .node import ClusterNode
@@ -181,8 +189,8 @@ class CassandraCluster:
         self.nodes: dict[Hashable, ClusterNode] = {}
         self.coordinators: dict[Hashable, Coordinator] = {}
         self.generators: list[ClosedLoopGenerator] = []
-        self.compaction: CompactionProcess | None = None
-        self.gc: GCPauseProcess | None = None
+        self.compaction: PoissonEpisodes | None = None
+        self.gc: PoissonEpisodes | None = None
         self._ran = False
         self._build()
 
@@ -204,7 +212,7 @@ class CassandraCluster:
                 rng=np.random.default_rng(self.rng.integers(2**63)),
             )
             self.nodes[node_id] = node
-            self.gossip.register(node_id, lambda n=node: n.iowait)
+            self.gossip.register(node_id, lambda s=storage: s.iowait)
 
         c3_config = C3Config().with_clients(cfg.num_nodes)
         strategy_spec = cfg.strategy_spec
@@ -234,20 +242,24 @@ class CassandraCluster:
         self._build_generators()
 
         if cfg.compaction_enabled:
-            self.compaction = CompactionProcess(
-                loop=self.loop,
-                nodes=list(self.nodes.values()),
-                mean_interarrival_ms=cfg.compaction_interarrival_ms,
-                mean_duration_ms=COMPACTION_DURATION_MS,
-                rng=np.random.default_rng(self.rng.integers(2**63)),
+            self.compaction = PoissonEpisodes(
+                self.loop,
+                [node.storage for node in self.nodes.values()],
+                cfg.compaction_interarrival_ms,
+                COMPACTION_DURATION_MS,
+                np.random.default_rng(self.rng.integers(2**63)),
+                begin=methodcaller("begin_compaction"),
+                end=methodcaller("end_compaction"),
             )
         if cfg.gc_enabled:
-            self.gc = GCPauseProcess(
-                loop=self.loop,
-                nodes=list(self.nodes.values()),
-                mean_interarrival_ms=cfg.gc_interarrival_ms,
-                mean_pause_ms=GC_PAUSE_MS,
-                rng=np.random.default_rng(self.rng.integers(2**63)),
+            self.gc = PoissonEpisodes(
+                self.loop,
+                list(self.nodes.values()),
+                cfg.gc_interarrival_ms,
+                GC_PAUSE_MS,
+                np.random.default_rng(self.rng.integers(2**63)),
+                begin=methodcaller("crash"),
+                end=methodcaller("restore"),
             )
 
     def _build_generators(self) -> None:
@@ -322,8 +334,8 @@ class CassandraCluster:
             "config": cfg,
             "generators": len(self.generators),
             "nodes": len(self.nodes),
-            "compactions": self.compaction.compactions_started if self.compaction else 0,
-            "gc_pauses": self.gc.pauses if self.gc else 0,
+            "compactions": self.compaction.started if self.compaction else 0,
+            "gc_pauses": self.gc.started if self.gc else 0,
             "node_stats": {nid: node.stats() for nid, node in self.nodes.items()},
         }
         result = self.metrics.result(duration_ms=duration, strategy=cfg.strategy, extra=extra)

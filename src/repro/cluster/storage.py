@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core import samplers
 from ..core.ewma import EWMA
+from ..simulator.request import record_size_factor
 from .disk import DiskModel, DiskProfile, HDD_PROFILE
 
 __all__ = ["StorageEngine"]
@@ -66,12 +67,6 @@ class StorageEngine:
         self.compacting = False
 
     # ------------------------------------------------------------ service time
-    @staticmethod
-    def _size_factor(record_size: int) -> float:
-        if record_size <= 0:
-            return 1.0
-        return max(0.25, record_size / 1024.0)
-
     def read_service_time(self, concurrent_reads: int, record_size: int = 1024) -> float:
         """Sample the service time of one read, in milliseconds."""
         self.reads_served += 1
@@ -81,14 +76,14 @@ class StorageEngine:
             concurrent_reads=max(0, concurrent_reads),
             compacting=self.compacting,
             cache_hit=cache_hit,
-            size_factor=self._size_factor(record_size),
+            size_factor=record_size_factor(record_size),
         )
 
     def write_service_time(self, record_size: int = 1024) -> float:
         """Sample the service time of one write, in milliseconds."""
         self.writes_served += 1
         return self.disk.write_time(
-            compacting=self.compacting, size_factor=self._size_factor(record_size)
+            compacting=self.compacting, size_factor=record_size_factor(record_size)
         )
 
     # ----------------------------------------------------------------- signals

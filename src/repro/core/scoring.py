@@ -27,12 +27,12 @@ The scorer keeps its per-server state in dense parallel arrays (one slot per
 server, appended on first contact) instead of per-server objects.  Three
 consumers read the very same slots:
 
-* the scalar hot path: ``rank`` scores RF-sized groups inline (plain Python
-  arithmetic beats numpy's per-call overhead by ~9x there) and
+* the scalar hot path: ``rank`` scores a group inline (plain Python
+  arithmetic beats numpy's per-call overhead by ~9x at the paper's RF=3) and
   ``on_response`` folds the three EWMAs inline; the scheduler bumps the send
   slots directly.  ``score`` is the one-server form of the same expression;
 * :meth:`ReplicaScorer.scores_array`, which folds a whole replica group into
-  one vectorized numpy expression (used by ``rank`` for wide groups);
+  one vectorized numpy expression, bitwise-equal to the scalar scores;
 * the batched simulator kernel, which obtains the live arrays through
   :meth:`ReplicaScorer.kernel_state` and inlines every read/write — because
   the arrays are shared rather than copied, fallback paths that call scorer
@@ -55,15 +55,6 @@ from .ewma import EWMA
 from .feedback import ServerFeedback
 
 __all__ = ["ServerStats", "ReplicaScorer", "cubic_score"]
-
-#: Group size at or above which :meth:`ReplicaScorer.rank` switches to the
-#: vectorized :meth:`ReplicaScorer.scores_array` path.  At the paper's RF=3
-#: the scalar loop is several times faster than numpy's fixed per-call
-#: overhead; wide groups (cluster-scale rankings) amortize it.  Both paths
-#: produce bitwise-identical scores (pinned by a property test), so the
-#: threshold is a pure performance knob.
-_VECTORIZE_MIN_GROUP = 16
-
 
 def cubic_score(
     response_time: float,
@@ -371,36 +362,31 @@ class ReplicaScorer:
         size = len(group)
         if not size:
             raise ValueError("replica_group must not be empty")
+        # cubic_score's expression inline, once per member, over the dense
+        # slots.  The batched kernel transcribes the same lines; tests pin
+        # both bitwise-equal to cubic_score.
         index, out, tiekey = self._index, self._out, self._tiekey
-        if size >= _VECTORIZE_MIN_GROUP:
-            scores = self.scores_array(group).tolist()
-            slots = [index[sid] for sid in group]
-            decorated = [(scores[k], out[slots[k]], tiekey[slots[k]], k) for k in range(size)]
-        else:
-            # RF-sized groups: cubic_score's expression inline, once per
-            # member, over the dense slots.  The batched kernel transcribes
-            # the same lines; tests pin both bitwise-equal to cubic_score.
-            config = self.config
-            floor = config.service_time_floor_ms
-            weight = config.concurrency_weight
-            exponent = config.score_exponent
-            rt_val, qs_val, st_val, st_cnt = self._rt_val, self._qs_val, self._st_val, self._st_cnt
-            self.counters.score_evaluations += size
-            decorated = []
-            k = 0
-            for sid in group:
-                i = index.get(sid)
-                if i is None:
-                    i = self._slot(sid)
-                service = st_val[i]
-                if not st_cnt[i] or service < floor:
-                    service = floor
-                pending = out[i]
-                queue = 1.0 + pending * weight + qs_val[i]
-                decorated.append(
-                    (rt_val[i] - service + (queue**exponent) / (1.0 / service), pending, tiekey[i], k)
-                )
-                k += 1
+        config = self.config
+        floor = config.service_time_floor_ms
+        weight = config.concurrency_weight
+        exponent = config.score_exponent
+        rt_val, qs_val, st_val, st_cnt = self._rt_val, self._qs_val, self._st_val, self._st_cnt
+        self.counters.score_evaluations += size
+        decorated = []
+        k = 0
+        for sid in group:
+            i = index.get(sid)
+            if i is None:
+                i = self._slot(sid)
+            service = st_val[i]
+            if not st_cnt[i] or service < floor:
+                service = floor
+            pending = out[i]
+            queue = 1.0 + pending * weight + qs_val[i]
+            decorated.append(
+                (rt_val[i] - service + (queue**exponent) / (1.0 / service), pending, tiekey[i], k)
+            )
+            k += 1
         decorated.sort()
         return [group[d[3]] for d in decorated]
 

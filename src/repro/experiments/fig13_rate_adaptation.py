@@ -6,8 +6,8 @@ coordinators' sending rates towards that node adapt (multiplicative decrease
 into the low-rate region, recovery through the saddle, optimistic probing)
 and when backpressure fires.
 
-The latency inflation is reproduced by scripting compaction episodes on the
-tracked node (a compaction multiplies its read service times), mirroring the
+The latency inflation is reproduced by scripting the tracked node's
+service-time multiplier (``set_service_time_multiplier``), mirroring the
 ``tc``-based inflation of the paper's testbed run.  Each observer's selector
 is a :class:`~repro.core.scheduler.C3Scheduler`; setting its
 ``record_history`` before the run keeps the rate adjustments that its
@@ -62,8 +62,8 @@ def run(
 
     episode_windows = [(duration_ms * start, duration_ms * end) for start, end in episodes]
     for start_ms, end_ms in episode_windows:
-        cluster.loop.schedule_at(start_ms, tracked_node.set_slowdown, slowdown_factor)
-        cluster.loop.schedule_at(end_ms, tracked_node.clear_slowdown)
+        cluster.loop.schedule_at(start_ms, tracked_node.set_service_time_multiplier, slowdown_factor)
+        cluster.loop.schedule_at(end_ms, tracked_node.set_service_time_multiplier, 1.0)
 
     result = cluster.run()
 

@@ -7,7 +7,7 @@ Two layers:
   ones (``SlowServers``, ``CrashWindows``) are a list of control edges that
   the live harness replays as it is; ``BimodalServiceRates`` and ``GCPauses``
   run the two loops of :mod:`repro.scenarios.processes`, which the legacy
-  fluctuation path and the cluster's compaction and GC-pause processes
+  fluctuation path and the cluster's compactions and GC pauses
   share;
 * :mod:`repro.scenarios.registry` — named builtin scenarios
   (``baseline``, ``bimodal``, ``gc-storm``, ``crash-recovery``,

@@ -121,7 +121,6 @@ class GCPauses(ScenarioComponent):
             self.mean_interarrival_ms,
             self.mean_duration_ms,
             rng,
-            None,
             begin=methodcaller("set_service_time_multiplier", float(self.slowdown_factor), source=source),
             end=methodcaller("set_service_time_multiplier", 1.0, source=source),
         )

@@ -4,8 +4,8 @@
   ``bimodal`` scenario's component and the simulator's legacy
   ``fluctuation_enabled`` path both run it.
 * :class:`PoissonEpisodes` — Poisson-arriving episodes on each target; the
-  ``GCPauses`` component and the cluster's compaction and GC-pause processes
-  (:mod:`repro.cluster.events`) are faces of it.
+  ``GCPauses`` component and the cluster's compaction and GC-pause episodes
+  (:class:`repro.cluster.CassandraCluster`) run it.
 
 Every other perturbation is a component that schedules its own edges
 (:mod:`repro.scenarios.components`).
@@ -125,23 +125,20 @@ class PoissonEpisodes:
     """Poisson-arriving episodes on each target: begin, last a while, end, repeat.
 
     The one episode loop behind the ``GCPauses`` component and the cluster's
-    :class:`~repro.cluster.events.CompactionProcess` and
-    :class:`~repro.cluster.events.GCPauseProcess`, which differ only in the
-    ``begin(target)`` / ``end(target)`` actions they hand in.  Two exponential
-    draws per episode on the shared ``rng``, in this order: the gap before it
-    (drawn when the target's previous episode ends) and its duration (drawn
-    as it begins).  ``on_event(target, started_at_ms, duration_ms)`` is called
-    as each episode begins.
+    compactions and GC pauses, which differ only in the ``begin(target)`` /
+    ``end(target)`` actions they hand in.  Two exponential draws per episode
+    on the shared ``rng``, in this order: the gap before it (drawn when the
+    target's previous episode ends) and its duration (drawn as it begins).
+    ``started`` counts the episodes begun so far, over all targets.
     """
 
-    def __init__(self, loop, targets, mean_interarrival_ms, mean_duration_ms, rng, on_event, begin, end):
+    def __init__(self, loop, targets, mean_interarrival_ms, mean_duration_ms, rng, begin, end):
         check_episodes(mean_interarrival_ms, mean_duration_ms)
         self.loop = loop
         self.targets = list(targets)
         self.mean_interarrival_ms = float(mean_interarrival_ms)
         self.mean_duration_ms = float(mean_duration_ms)
         self.rng = rng or np.random.default_rng()
-        self.on_event = on_event
         self._begin_on = begin
         self._end_on = end
         self.started = 0
@@ -169,8 +166,6 @@ class PoissonEpisodes:
         duration = float(self.rng.exponential(self.mean_duration_ms))
         self._begin_on(target)
         self.started += 1
-        if self.on_event is not None:
-            self.on_event(target, self.loop.now, duration)
         self._pending[target] = self.loop.schedule(duration, self._end, target)
 
     def _end(self, target: Any) -> None:

@@ -133,6 +133,7 @@ from ..strategies.base import ReplicaSelector, StatefulSelector
 from ..strategies.least_outstanding import LeastOutstandingSelector
 from .metrics import WindowedCounter
 from .network import ConstantLatency
+from .request import record_size_factor
 from .server import SimServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -276,7 +277,7 @@ class BatchedKernel:
         self._s_maxq = [s.max_queue_length for s in srv]
         self._s_ewv: list[Any] = [s._service_time_ewma._value for s in srv]
         self._s_ewc = [s._service_time_ewma._count for s in srv]
-        self.size_factor = 1.0 if cfg.record_size <= 0 else max(0.25, cfg.record_size / 1024.0)
+        self.size_factor = record_size_factor(cfg.record_size)
 
         clients = sim.clients
         self.n_clients = len(clients)

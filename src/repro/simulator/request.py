@@ -6,13 +6,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterator
 
-__all__ = ["Request", "RequestKind", "request_id_counter"]
+__all__ = ["Request", "RequestKind", "record_size_factor", "request_id_counter"]
 
 #: Process-wide fallback id source.  Simulations pass their own per-run
 #: counter (``id_source``) so request ids are reproducible run-to-run —
 #: a pooled worker that reuses a process must hand out the same ids a
 #: fresh serial run would.
 request_id_counter = itertools.count()
+
+
+def record_size_factor(record_size: int) -> float:
+    """Service-time scale of a record: 1 KB is the baseline, 256 B the floor.
+
+    A size of zero or less means "unsized" and scales by 1.
+    """
+    if record_size <= 0:
+        return 1.0
+    return max(0.25, record_size / 1024.0)
 
 
 class RequestKind:

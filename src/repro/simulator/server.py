@@ -7,6 +7,12 @@ times are drawn from an exponential distribution whose mean is the server's
 On every response the server piggy-backs :class:`~repro.core.feedback.ServerFeedback`
 containing its queue size (recorded just before the response is dispatched)
 and its current smoothed service time.
+
+The cluster's storage node (:class:`repro.cluster.node.ClusterNode`) is this
+server too: it overrides only where service times come from
+(``_draw_service_time``), the oracle's view of them
+(``current_service_time_ms``) and its counters (reads and writes in
+``_finish_service``, and ``stats``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from ..core import samplers
 from ..core.ewma import EWMA
 from ..core.feedback import ServerFeedback
 from .engine import EventLoop
-from .request import Request
+from .request import Request, record_size_factor
 
 __all__ = ["DownServerTracker", "SimServer", "server_state_reader"]
 
@@ -234,16 +240,10 @@ class SimServer:
             self.loop.post(service_time, self._finish_service, request, service_time)
 
     def _draw_service_time(self, request: Request) -> float:
-        mean = self.current_service_time_ms * self._size_factor(request)
+        mean = self.current_service_time_ms * record_size_factor(request.record_size)
         if self.deterministic:
             return mean
         return mean * self._exp()
-
-    def _size_factor(self, request: Request) -> float:
-        """Scale service time with record size (1 KB is the baseline)."""
-        if request.record_size <= 0:
-            return 1.0
-        return max(0.25, request.record_size / 1024.0)
 
     def feedback_snapshot(self) -> ServerFeedback:
         """The queue/service-time feedback piggy-backed on a response.

@@ -34,7 +34,7 @@ class MiniCluster:
                 rng=np.random.default_rng(node_id),
             )
             if node_id in slow_nodes:
-                node.set_slowdown(10.0)
+                node.set_service_time_multiplier(10.0)
             self.nodes[node_id] = node
         self.coordinator = Coordinator(
             loop=self.loop,

@@ -46,7 +46,7 @@ def make_cluster(spec_policy=None, read_repair=0.0, num_nodes=3, slow_nodes=(), 
             rng=np.random.default_rng(node_id),
         )
         if node_id in slow_nodes:
-            node.set_slowdown(slowdown)
+            node.set_service_time_multiplier(slowdown)
         nodes[node_id] = node
     coordinator = Coordinator(
         loop=loop,

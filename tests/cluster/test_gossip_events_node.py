@@ -1,18 +1,18 @@
 """Unit tests for gossip, background events and the cluster node."""
 
-from functools import partial
 from operator import methodcaller
 
 import numpy as np
 import pytest
 
-from repro.cluster.events import CompactionProcess, GCPauseProcess
+from repro.cluster import CassandraCluster, ClusterConfig
 from repro.cluster.gossip import GossipService
 from repro.cluster.node import ClusterNode
 from repro.cluster.storage import StorageEngine
 from repro.scenarios.processes import PoissonEpisodes
 from repro.simulator.engine import EventLoop
 from repro.simulator.request import Request, RequestKind
+from repro.simulator.server import SimServer
 
 
 def make_node(loop, node_id=0, concurrency=2, on_complete=None, cache_hit=0.0):
@@ -78,42 +78,65 @@ class TestGossipService:
             GossipService(EventLoop(), interval_ms=0.0)
 
 
+def episodes(loop, targets, begin, end, mean_interarrival_ms=50.0, mean_duration_ms=10.0, seed=0):
+    """A :class:`PoissonEpisodes` loop, as the cluster builds its compactions and GC pauses."""
+    return PoissonEpisodes(
+        loop, targets, mean_interarrival_ms, mean_duration_ms, np.random.default_rng(seed),
+        begin=begin, end=end,
+    )
+
+
 class TestBackgroundEvents:
     def test_compaction_process_toggles_nodes(self):
         loop = EventLoop()
         node = make_node(loop)
-        process = CompactionProcess(
-            loop, [node], mean_interarrival_ms=50.0, mean_duration_ms=20.0, rng=np.random.default_rng(0)
+        process = episodes(
+            loop, [node.storage], methodcaller("begin_compaction"), methodcaller("end_compaction"),
+            mean_duration_ms=20.0,
         )
         process.start()
         loop.run(until=2000.0)
-        assert process.compactions_started > 0
-        assert node.storage.compactions == process.compactions_started
+        assert process.started > 0
+        assert node.storage.compactions == process.started
 
     def test_gc_pause_process_pauses_nodes(self):
         loop = EventLoop()
         node = make_node(loop)
-        events = []
-        process = GCPauseProcess(
-            loop, [node], mean_interarrival_ms=50.0, mean_pause_ms=10.0,
-            rng=np.random.default_rng(1), on_event=lambda n, t, d: events.append(t),
-        )
+        began, ended = [], []
+
+        def begin(target):
+            began.append(loop.now)
+            target.crash()
+
+        def end(target):
+            ended.append(loop.now)
+            target.restore()
+
+        process = episodes(loop, [node], begin, end, seed=1)
         process.start()
         loop.run(until=1000.0)
-        assert process.pauses > 0
-        assert node.gc_pauses == process.pauses
-        assert len(events) == process.pauses
+        assert process.started > 0
+        assert node.stats()["gc_pauses"] == node.crashes == len(began) == process.started
+        # Each pause ends before the next begins on the same node.
+        assert all(b < e < nb for b, e, nb in zip(began, ended, began[1:]))
 
-    @pytest.mark.parametrize(
-        "face, duration_kwarg",
-        [(CompactionProcess, "mean_duration_ms"), (GCPauseProcess, "mean_pause_ms"),
-         pytest.param(
-             partial(PoissonEpisodes, begin=methodcaller("begin"), end=methodcaller("end")),
-             "mean_duration_ms", id="PoissonEpisodes-mean_duration_ms",
-         )],
-    )
-    def test_episode_sequence_is_pinned(self, face, duration_kwarg):
-        """The one Poisson episode loop and its two cluster faces draw and schedule alike.
+    def test_cluster_builds_both_episode_loops(self):
+        """Compactions target the storage engines, GC pauses the nodes, and the run reports both counts."""
+        cluster = CassandraCluster(
+            ClusterConfig(num_nodes=3, num_generators=2, duration_ms=300.0, num_keys=100, seed=1,
+                          gc_interarrival_ms=100.0, compaction_interarrival_ms=150.0)
+        )
+        nodes = list(cluster.nodes.values())
+        assert cluster.compaction.targets == [node.storage for node in nodes]
+        assert cluster.gc.targets == nodes
+        result = cluster.run()
+        assert result.extra["compactions"] == cluster.compaction.started > 0
+        assert result.extra["compactions"] == sum(node.storage.compactions for node in nodes)
+        assert result.extra["gc_pauses"] == cluster.gc.started > 0
+        assert result.extra["gc_pauses"] == sum(node.crashes for node in nodes)
+
+    def test_episode_sequence_is_pinned(self):
+        """The one Poisson episode loop draws and schedules as the loops it replaced did.
 
         Captured from the three separate loops this one replaced.  Both draws
         come off one shared ``rng`` as edges fire — the gap as a target's
@@ -123,54 +146,58 @@ class TestBackgroundEvents:
         loop = EventLoop()
         edges = []
 
-        class Target:
-            def __init__(self, name):
-                self.server_id = name
+        def edge(kind):
+            return lambda target: edges.append((loop.now, kind, target))
 
-            def begin(self):
-                edges.append((loop.now, "begin", self.server_id))
-
-            def end(self):
-                edges.append((loop.now, "end", self.server_id))
-
-            begin_compaction = begin_gc_pause = begin
-            end_compaction = end_gc_pause = end
-
-        episodes = []
-        process = face(
-            loop, [Target(name) for name in "abc"], mean_interarrival_ms=60.0,
-            rng=np.random.default_rng(11),
-            on_event=lambda target, now, duration: episodes.append((now, target.server_id, duration)),
-            **{duration_kwarg: 25.0},
+        process = episodes(
+            loop, list("abc"), edge("begin"), edge("end"), mean_interarrival_ms=60.0,
+            mean_duration_ms=25.0, seed=11,
         )
         process.start()
         loop.run(until=130.0)
-        assert episodes == [
-            (13.775545879046422, "a", 1.1449259962957345),
-            (21.91553431150633, "a", 94.77153611641809),
-            (32.2984204705386, "b", 1.7851715065663658),
-            (45.405241213790475, "b", 7.298168744477905),
-            (67.34446087202093, "c", 8.65148631022409),
-            (94.9302999582421, "b", 25.40550502223633),
-            (124.46203203659594, "a", 33.87977820521232),
-            (124.89380003111232, "c", 68.18643570546715),
+        assert edges == [
+            (13.775545879046422, "begin", "a"),
+            (14.920471875342157, "end", "a"),
+            (21.91553431150633, "begin", "a"),
+            (32.2984204705386, "begin", "b"),
+            (34.083591977104966, "end", "b"),
+            (45.405241213790475, "begin", "b"),
+            (52.70340995826838, "end", "b"),
+            (67.34446087202093, "begin", "c"),
+            (75.99594718224502, "end", "c"),
+            (94.9302999582421, "begin", "b"),
+            (116.68707042792443, "end", "a"),
+            (120.33580498047843, "end", "b"),
+            (124.46203203659594, "begin", "a"),
+            (124.89380003111232, "begin", "c"),
         ]
-        # Each episode begins and ends its own target, and nothing else fires.
-        assert edges == sorted(
-            [(now, "begin", name) for now, name, _ in episodes]
-            + [(now + duration, "end", name) for now, name, duration in episodes if now + duration <= 130.0]
-        )
+        # Nothing but the edges fires.
+        assert process.started == 8
         assert loop.processed_events == len(edges) == 14
 
     def test_validation(self):
         loop = EventLoop()
         with pytest.raises(ValueError):
-            CompactionProcess(loop, [], mean_interarrival_ms=0.0)
+            episodes(loop, [], methodcaller("crash"), methodcaller("restore"), mean_interarrival_ms=0.0)
         with pytest.raises(ValueError):
-            GCPauseProcess(loop, [], mean_pause_ms=0.0)
+            episodes(loop, [], methodcaller("crash"), methodcaller("restore"), mean_duration_ms=0.0)
 
 
 class TestClusterNode:
+    def test_node_is_the_simulator_server(self):
+        """The node adds only its storage-engine service times to the simulator's server.
+
+        ``enqueue`` and ``_finish_service`` stay in the node's own class
+        body: the benchmark's per-layer tracing wraps them there.
+        """
+        assert issubclass(ClusterNode, SimServer)
+        assert vars(ClusterNode)["enqueue"] is SimServer.enqueue
+        own = {name for name in vars(ClusterNode) if name == "__init__" or not name.startswith("__")}
+        assert own == {
+            "__init__", "current_service_time_ms", "enqueue", "_draw_service_time",
+            "_finish_service", "stats",
+        }
+
     def test_read_completes_with_feedback(self):
         loop = EventLoop()
         completions = []
@@ -211,11 +238,11 @@ class TestClusterNode:
         loop = EventLoop()
         completions = []
         node = make_node(loop, on_complete=lambda r, f, st: completions.append(loop.now))
-        node.begin_gc_pause()
+        node.crash()
         node.enqueue(read_request())
         loop.run(until=50.0)
         assert completions == []
-        node.end_gc_pause()
+        node.restore()
         loop.run_until_idle()
         assert len(completions) == 1
 
@@ -226,23 +253,26 @@ class TestClusterNode:
         node.enqueue(read_request())
         loop.run_until_idle()
         baseline = durations[-1]
-        node.set_slowdown(4.0)
+        node.set_service_time_multiplier(4.0)
         node.enqueue(read_request())
         loop.run_until_idle()
         assert durations[-1] == pytest.approx(baseline * 4.0, rel=0.3)
-        node.clear_slowdown()
-        assert node.slowdown == 1.0
+        node.set_service_time_multiplier(1.0)
+        node.enqueue(read_request())
+        loop.run_until_idle()
+        assert durations[-1] == pytest.approx(baseline, rel=0.3)
 
     def test_current_service_time_reflects_conditions(self):
         loop = EventLoop()
         node = make_node(loop)
         base = node.current_service_time_ms
-        node.begin_compaction()
+        node.storage.begin_compaction()
         assert node.current_service_time_ms > base
-        node.end_compaction()
-        node.begin_gc_pause()
-        assert node.current_service_time_ms > base
-        node.end_gc_pause()
+        node.storage.end_compaction()
+        node.crash()
+        assert node.current_service_time_ms == base * 10.0
+        node.restore()
+        assert node.current_service_time_ms == base
 
     def test_feedback_queue_size_counts_pending(self):
         loop = EventLoop()
@@ -268,4 +298,4 @@ class TestClusterNode:
             ClusterNode(loop, 0, StorageEngine(), concurrency=0)
         node = make_node(loop)
         with pytest.raises(ValueError):
-            node.set_slowdown(0.0)
+            node.set_service_time_multiplier(0.0)

@@ -218,7 +218,11 @@ class TestDenseLayout:
             assert vectorized == scalar  # exact, not approx
 
     def test_wide_rank_matches_narrow_rank(self):
-        """rank's vectorization threshold is a pure performance knob."""
+        """rank scores a group far wider than any replication factor like a narrow one.
+
+        ``rank`` has one scalar path for every group size; on 40 replicas it
+        orders by the scalar scores, then outstanding requests, then id.
+        """
         np = pytest.importorskip("numpy")
         rng = np.random.default_rng(3)
         scorer = self._random_scorer(rng, num_servers=40)

@@ -60,8 +60,8 @@ def test_cluster_digest_pinned(cell, mix):
     if cell in SLOWDOWNS:
         node_id, factor, start_ms, end_ms = SLOWDOWNS[cell]
         node = cluster.nodes[node_id]
-        cluster.loop.schedule_at(start_ms, node.set_slowdown, factor)
-        cluster.loop.schedule_at(end_ms, node.clear_slowdown)
+        cluster.loop.schedule_at(start_ms, node.set_service_time_multiplier, factor)
+        cluster.loop.schedule_at(end_ms, node.set_service_time_multiplier, 1.0)
     result = cluster.run()
     speculations = sum(c.speculations_fired for c in cluster.coordinators.values())
     if "hedging" in CELLS[cell]:

@@ -2,8 +2,19 @@
 
 import itertools
 
-from repro.simulator.request import Request, RequestKind
+import pytest
+
+from repro.simulator.request import Request, RequestKind, record_size_factor
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
+
+
+@pytest.mark.parametrize(
+    "record_size, factor",
+    [(0, 1.0), (-1, 1.0), (1, 0.25), (256, 0.25), (300, 300 / 1024.0), (1024, 1.0), (4096, 4.0)],
+)
+def test_record_size_factor(record_size, factor):
+    """One record-size scale for the server, the cluster's storage and the kernel."""
+    assert record_size_factor(record_size) == factor
 
 
 class TestRequest:
