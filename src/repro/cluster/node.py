@@ -4,17 +4,17 @@ Every node in the cluster is both a storage server (this class) and a
 coordinator (see :mod:`repro.cluster.coordinator`).  The storage stage mirrors
 Cassandra's read stage: a bounded pool of worker threads pulls requests off a
 FIFO queue and each response carries C3's piggy-backed feedback.  That is the
-paper's server model in both its testbed (§5) and its simulator (§6), so the
+paper's server model in both its testbed (§5) and its simulator (§6), written
+once in :class:`repro.replica.ReplicaCore` and run by every backend, so the
 node *is* a :class:`~repro.simulator.server.SimServer`: queue, slot refill,
-feedback EWMA and snapshot are the simulator's.  Only the service times
-differ, they come from the node's :class:`StorageEngine`.
+feedback EWMA and snapshot are the core's.  Only the service times differ,
+they come from the node's :class:`StorageEngine`.
 
-The cluster's perturbations use the server's own controls: a GC pause is
-:meth:`~repro.simulator.server.SimServer.crash` /
-:meth:`~repro.simulator.server.SimServer.restore` (the stage stalls, the
-queue keeps growing; no down tracker is wired, so no coordinator routes
-around a pause), and a scripted slowdown is
-:meth:`~repro.simulator.server.SimServer.set_service_time_multiplier`.
+The cluster's perturbations use the core's own controls: a GC pause is
+``crash`` / ``restore`` (the stage stalls, the queue keeps growing; no down
+tracker is wired, so no coordinator routes around a pause), as a live
+server's ``pause`` is, and a scripted slowdown is
+``set_service_time_multiplier``.
 """
 
 from __future__ import annotations
@@ -35,24 +35,11 @@ __all__ = ["ClusterNode"]
 class ClusterNode(SimServer):
     """The storage half of a Cassandra-like node.
 
-    Parameters
-    ----------
-    loop:
-        Shared event loop.
-    node_id:
-        Stable identifier, kept as ``server_id``: also the id of the
-        co-located coordinator.
-    storage:
-        The node's storage engine.
-    concurrency:
-        Read-stage worker count (Cassandra's ``concurrent_reads`` is 32 by
-        default; the model uses a smaller pool because it does not model the
-        OS page cache absorbing most of those threads).
-    on_complete:
-        Callback ``(request, feedback, service_time)`` invoked when a request
-        finishes service.
-    rng:
-        Random generator.
+    ``node_id`` is kept as ``server_id``: also the id of the co-located
+    coordinator.  ``concurrency`` is the read-stage worker count
+    (Cassandra's ``concurrent_reads`` is 32 by default; the model uses a
+    smaller pool because it does not model the OS page cache absorbing most
+    of those threads).
     """
 
     def __init__(

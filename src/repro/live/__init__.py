@@ -3,7 +3,8 @@
 The same canonical :class:`~repro.strategies.StrategySpec` /
 :class:`~repro.controls.ControlSpec` / scenario strings that drive the
 discrete-event simulator drive real load here: replica servers are OS
-processes with genuine asyncio queues (:mod:`repro.live.server`), the load
+processes running the simulator's server model on asyncio's clock
+(:mod:`repro.live.server` over :mod:`repro.replica`), the load
 generator replays the simulator's open-loop Poisson workload through the
 strategies/controls registries over TCP (:mod:`repro.live.client`), and
 :mod:`repro.live.harness` orchestrates trials in the cluster-test-script

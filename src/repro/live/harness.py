@@ -283,12 +283,12 @@ async def _gc_storm_driver(
 ) -> None:
     """Poisson-timed stop-the-world pauses on random servers.
 
-    The sim's gc-storm inflates service times by ``slowdown_factor``
-    during the pause window; over a real socket a stop-the-world stall is
-    the honest analogue — the queue builds behind the paused slots either
-    way — so the live driver maps each storm event to a ``pause`` op for
-    the drawn duration (``slowdown_factor`` is subsumed by the full
-    stall; the knob still validates through the shared registry).
+    The simulator's gc-storm slows a server by ``slowdown_factor`` for each
+    episode; live, an episode is a ``pause`` op for the drawn duration: the
+    server model's crash/restore stall, as a cluster node's GC pause is, so
+    arrivals queue and the requests in service answer with that queue in
+    their feedback.  ``slowdown_factor`` is subsumed by the full stall; the
+    knob still validates through the shared registry.
     """
     params = config.scenario_params
     mean_gap = float(params["mean_interarrival_ms"])

@@ -1,15 +1,17 @@
 """Asyncio TCP replica server process for the live backend.
 
-One :class:`ReplicaServer` is the live analogue of the simulator's
-``SimServer``: a bounded service queue drained by ``concurrency`` worker
-slots, exponential service times (mean = ``base_service_ms`` x the current
-slow-down multiplier), and per-response feedback mirroring
-``SimServer.feedback_snapshot()`` — pending count at slot-release time plus
-the EWMA-smoothed observed service time (alpha 0.9, floored at 1e-3 ms).
+One :class:`ReplicaServer` is the simulator's server model,
+:class:`repro.replica.ReplicaCore`, behind a TCP listener, posting on
+asyncio's clock (``call_later``) with stdlib ``random`` draws.  The shell
+keeps only what makes a live server differ from ``SimServer``, each named
+where it happens: a bounded queue that rejects, and a crash that drops the
+queued work, answers no request that was in service, and drops arrivals
+while the server is down.
 
 Scenario injection arrives over the same TCP listener as load, as ``ctl``
 frames (see :mod:`repro.live.protocol`): ``slow`` inflates service times
-(slow-node), ``pause`` stalls the worker slots for a duration (gc-storm),
+(slow-node), ``pause`` is the core's crash/restore stall for a duration,
+as a cluster GC pause is (gc-storm),
 ``crash``/``restore`` drop and revive the server (crash-recovery), and
 ``stats`` reads back counters plus a bucketed served-load series.
 
@@ -27,23 +29,39 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import random
 import sys
-import time
 from typing import Any, Callable
 
+from ..replica import ReplicaCore
 from .protocol import ProtocolError, read_message, write_message
 
 __all__ = ["ReplicaServer", "main", "serve"]
 
-#: EWMA weight on the newest observed service time (matches SimServer).
-_EWMA_ALPHA = 0.9
 #: Width of one served-load accounting bucket, in milliseconds.
 _LOAD_BUCKET_MS = 100.0
 
 
-class ReplicaServer:
-    """One live replica: bounded queue, worker slots, control channel."""
+class _AsyncioClock:
+    """The core's loop on asyncio's clock: ``now`` and ``post`` in ms."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+
+    now = property(lambda self: self._loop.time() * 1000.0)
+
+    def post(self, delay: float, callback: Callable[..., object], *args: Any) -> None:
+        self._loop.call_later(delay / 1000.0, callback, *args)
+
+
+class ReplicaServer(ReplicaCore):
+    """One live replica: the core server model, a listener, a control channel.
+
+    ``loop`` is a seam for tests: any loop with ``now`` and ``post`` in ms
+    (the simulator's ``EventLoop``, say).  By default the server posts on the
+    running asyncio loop's clock, so it must be built inside that loop.
+    """
 
     def __init__(
         self,
@@ -54,53 +72,38 @@ class ReplicaServer:
         queue_capacity: int = 10_000,
         seed: int = 0,
         deterministic: bool = False,
+        loop: Any = None,
     ) -> None:
-        if base_service_ms <= 0:
-            raise ValueError(f"base_service_ms must be positive, got {base_service_ms}")
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
         if queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        self.server_id = int(server_id)
-        self.base_service_ms = float(base_service_ms)
-        self.concurrency = int(concurrency)
-        self.queue_capacity = int(queue_capacity)
-        self.deterministic = bool(deterministic)
         # The stdlib generator, not numpy's: one draw per request needs no
         # vector RNG, and a server process then starts without importing numpy.
-        self._rng = random.Random(seed)
-        self._queue: asyncio.Queue[tuple[dict, asyncio.StreamWriter]] = asyncio.Queue(
-            maxsize=queue_capacity
+        exp = functools.partial(random.Random(seed).expovariate, 1.0)
+        clock = loop if loop is not None else _AsyncioClock(asyncio.get_running_loop())
+        super().__init__(
+            clock, int(server_id), base_service_ms, concurrency, bool(deterministic), exp, self._respond
         )
-        self._in_service = 0
-        self._up = True
-        self._multiplier = 1.0
-        self._resume_at = 0.0  # monotonic ms; workers stall until this
-        # Seeded with the nominal service time, as SimServer seeds its EWMA:
-        # feedback before (or folded with) the first service reports it.
-        self._smoothed_service_ms = self.base_service_ms
-        self._start_ms = time.monotonic() * 1000.0
+        self.queue_capacity = int(queue_capacity)
+        # The process's current life, which tags each request it takes in;
+        # None while crashed (a crash, not a pause: the process is down).
+        self._life: object | None = object()
+        self._pauses = 0  # pauses not yet over
+        self._start_ms = self.loop.now
         self._load_buckets: dict[int, int] = {}
-        self.accepted = 0
-        self.rejected = 0
-        self.served = 0
-        self.dropped = 0
-        self.enqueued_while_down = 0
+        # Each request is counted once on arrival: accepted
+        # (``requests_received``), rejected, or dropped while down.  An
+        # accepted one is then served, or dropped by a crash.
+        self.rejected = self.dropped_while_down = self.served = self.dropped = 0
         self._shutdown = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
-        self._workers: list[asyncio.Task] = []
         # Open connections, each with the task serving it, so shutdown can
         # end them itself instead of leaving them to the loop's teardown.
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ----------------------------------------------------------- lifecycle
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Bind, start the worker slots, and return the listening port."""
+        """Bind and return the listening port."""
         self._server = await asyncio.start_server(self._handle_connection, host, port)
-        self._workers = [
-            asyncio.create_task(self._worker(), name=f"worker-{self.server_id}-{slot}")
-            for slot in range(self.concurrency)
-        ]
         sockets = self._server.sockets or ()
         return int(sockets[0].getsockname()[1])
 
@@ -114,98 +117,82 @@ class ReplicaServer:
         await self._shutdown.wait()
         if self._server is not None:
             self._server.close()
-        for worker in self._workers:
-            worker.cancel()
         for writer in self._connections.values():
             writer.close()  # its handler reads EOF and returns
-        await asyncio.gather(*self._workers, *self._connections, return_exceptions=True)
+        await asyncio.gather(*self._connections, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
 
     # ------------------------------------------------------------- service
-    def _now_ms(self) -> float:
-        return time.monotonic() * 1000.0
+    def _arrive(self, message: dict, writer: Any) -> None:
+        """Take one request frame into the core, or turn it away."""
+        if self._life is None:
+            # Live: a crashed process drops arrivals unanswered; the
+            # client's timeout and failure detector cover them.
+            self.dropped_while_down += 1
+        elif len(self._queue) >= self.queue_capacity:
+            # Live: the queue is bounded; a full one rejects at once.
+            self.rejected += 1
+            self._answer(writer, message["id"], True, self.feedback_snapshot())
+        else:
+            self.enqueue((message["id"], writer, self._life))
 
-    def _feedback(self) -> dict[str, Any]:
-        stime = self._smoothed_service_ms
-        return {
-            "server_id": self.server_id,
-            "queue_size": self._queue.qsize() + self._in_service,
-            "service_time_ms": stime if stime > 1e-3 else 1e-3,
-        }
+    def _respond(self, request: tuple, feedback: tuple, service_time: float) -> None:
+        op_id, writer, life = request
+        if life is not self._life:
+            # Live: the request was in service when the server crashed, and
+            # its answer died with the process.
+            self.dropped += 1
+            return
+        self.served += 1
+        bucket = int((self.loop.now - self._start_ms) / _LOAD_BUCKET_MS)
+        self._load_buckets[bucket] = self._load_buckets.get(bucket, 0) + 1
+        self._answer(writer, op_id, False, feedback)
 
-    def _service_ms(self) -> float:
-        """One service time: exponential, mean ``base_service_ms`` x the slow-down multiplier."""
-        mean = self.base_service_ms * self._multiplier
-        return mean if self.deterministic else mean * self._rng.expovariate(1.0)
+    def _answer(self, writer: Any, op_id: Any, rejected: bool, feedback: tuple) -> None:
+        if writer.is_closing():
+            return  # client went away; nothing to report to
+        queue_size, service_time = feedback
+        write_message(writer, {
+            "t": "res", "id": op_id, "rejected": rejected, "server_id": self.server_id,
+            "queue_size": queue_size, "service_time_ms": service_time,
+        })
 
-    async def _worker(self) -> None:
-        queue = self._queue
-        while True:
-            request, writer = await queue.get()
-            if not self._up:
-                # Crashed between enqueue and service: the request is lost;
-                # the client's timeout / failure detector covers it.
-                self.dropped += 1
-                continue
-            resume_at = self._resume_at
-            now = self._now_ms()
-            if now < resume_at:
-                # A gc-storm pause: the slot stalls, queueing depth builds
-                # behind it exactly as a stopped-world server would.
-                await asyncio.sleep((resume_at - now) / 1000.0)
-                if not self._up:
-                    self.dropped += 1
-                    continue
-            self._in_service += 1
-            service_ms = self._service_ms()
-            await asyncio.sleep(service_ms / 1000.0)
-            self._in_service -= 1
-            self._smoothed_service_ms = (
-                _EWMA_ALPHA * service_ms + (1.0 - _EWMA_ALPHA) * self._smoothed_service_ms
-            )
-            self.served += 1
-            bucket = int((self._now_ms() - self._start_ms) / _LOAD_BUCKET_MS)
-            self._load_buckets[bucket] = self._load_buckets.get(bucket, 0) + 1
-            if self._up and not writer.is_closing():
-                response = {"t": "res", "id": request["id"], "rejected": False}
-                response.update(self._feedback())
-                try:
-                    write_message(writer, response)
-                    await writer.drain()
-                except (ConnectionError, ProtocolError):
-                    pass  # client went away; nothing to report to
+    def _end_pause(self) -> None:
+        self._pauses -= 1
+        if not self._pauses:
+            self.restore()
 
     # ------------------------------------------------------------- control
     def _handle_control(self, message: dict) -> dict:
         op = message.get("op")
         ack: dict[str, Any] = {"t": "ack", "op": op, "server_id": self.server_id}
         if op == "slow":
-            self._multiplier = float(message["factor"])
+            self.set_service_time_multiplier(float(message["factor"]))
         elif op == "pause":
-            until = self._now_ms() + float(message["duration_ms"])
-            if until > self._resume_at:
-                self._resume_at = until
+            # The core's stall: in-service requests finish and answer, and
+            # arrivals queue until the last overlapping pause ends.
+            self._pauses += 1
+            self.crash()
+            self.loop.post(float(message["duration_ms"]), self._end_pause)
         elif op == "crash":
-            self._up = False
-            # Drop everything queued: a crashed process holds no state.
-            while not self._queue.empty():
-                self._queue.get_nowait()
-                self.dropped += 1
+            # Live: a crashed process holds no state; its queue is lost.  The
+            # core needs no stall: nothing reaches it while the process is down.
+            self._life = None
+            self.dropped += len(self._queue)
+            self._queue.clear()
         elif op == "restore":
-            self._up = True
+            self._life = self._life or object()  # a new life after a crash
         elif op == "stats":
             ack["stats"] = {
                 "server_id": self.server_id,
-                "accepted": self.accepted,
+                "accepted": self.requests_received,
                 "rejected": self.rejected,
                 "served": self.served,
                 "dropped": self.dropped,
-                "enqueued_while_down": self.enqueued_while_down,
+                "enqueued_while_down": self.dropped_while_down,
                 "load_bucket_ms": _LOAD_BUCKET_MS,
-                "load_series": [
-                    [bucket, count] for bucket, count in sorted(self._load_buckets.items())
-                ],
+                "load_series": [list(item) for item in sorted(self._load_buckets.items())],
             }
         elif op == "shutdown":
             self._shutdown.set()
@@ -230,18 +217,7 @@ class ReplicaServer:
                     break
                 kind = message.get("t")
                 if kind == "req":
-                    if not self._up:
-                        self.enqueued_while_down += 1
-                        continue
-                    self.accepted += 1
-                    try:
-                        self._queue.put_nowait((message, writer))
-                    except asyncio.QueueFull:
-                        self.rejected += 1
-                        response = {"t": "res", "id": message["id"], "rejected": True}
-                        response.update(self._feedback())
-                        write_message(writer, response)
-                        await writer.drain()
+                    self._arrive(message, writer)
                 elif kind == "ctl":
                     write_message(writer, self._handle_control(message))
                     await writer.drain()
@@ -288,19 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--queue-capacity", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--deterministic", action="store_true")
-    args = parser.parse_args(argv)
+    settings = vars(parser.parse_args(argv))  # serve's and the server's keywords, by name
     try:
-        serve(
-            lambda port: print(f"PORT {port}", flush=True),
-            args.server_id,
-            host=args.host,
-            port=args.port,
-            base_service_ms=args.base_service_ms,
-            concurrency=args.concurrency,
-            queue_capacity=args.queue_capacity,
-            seed=args.seed,
-            deterministic=args.deterministic,
-        )
+        serve(lambda port: print(f"PORT {port}", flush=True), settings.pop("server_id"), **settings)
     except KeyboardInterrupt:
         pass
     return 0

@@ -264,7 +264,7 @@ class BatchedKernel:
         self._srv_base = [s.base_service_time_ms for s in srv]
         self._srv_rng = [s.rng for s in srv]
         self._srv_det = [s.deterministic for s in srv]
-        self._srv_alpha = [s._service_time_ewma.alpha for s in srv]
+        self._srv_alpha = [s.feedback_alpha for s in srv]
         # Write-only server accounting lives in dense lists for the run and
         # is folded back in finish().  Nothing reads these mid-run: the
         # snitch/oracle ``server_state_fn`` reads only pending_requests and
@@ -275,8 +275,7 @@ class BatchedKernel:
         self._s_cqs = [s.cumulative_queue_samples for s in srv]
         self._s_qs = [s.queue_samples for s in srv]
         self._s_maxq = [s.max_queue_length for s in srv]
-        self._s_ewv: list[Any] = [s._service_time_ewma._value for s in srv]
-        self._s_ewc = [s._service_time_ewma._count for s in srv]
+        self._s_ewv = [s.smoothed_service_time for s in srv]
         self.size_factor = record_size_factor(cfg.record_size)
 
         clients = sim.clients
@@ -502,7 +501,6 @@ class BatchedKernel:
         qs = self._s_qs
         maxq = self._s_maxq
         ewv = self._s_ewv
-        ewc = self._s_ewc
         rr_coins = self._rr_coins
         if mode == _LOR:
             out_all = self._out
@@ -852,7 +850,6 @@ class BatchedKernel:
                 alpha = alpha_all[sid]
                 value = alpha * service_time + (1.0 - alpha) * ewv[sid]
                 ewv[sid] = value
-                ewc[sid] += 1
                 queue = q_all[sid]
                 qsize = len(queue) + ins
                 stime = value if value > 1e-3 else 1e-3
@@ -1278,9 +1275,7 @@ class BatchedKernel:
             server.cumulative_queue_samples = self._s_cqs[sid]
             server.queue_samples = self._s_qs[sid]
             server.max_queue_length = self._s_maxq[sid]
-            ewma = server._service_time_ewma
-            ewma._value = self._s_ewv[sid]
-            ewma._count = self._s_ewc[sid]
+            server.smoothed_service_time = self._s_ewv[sid]
         self._flush_completions()
 
         self.gen.requests_generated = self.proc.generated

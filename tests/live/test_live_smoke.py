@@ -14,6 +14,7 @@ from repro.live.compare import load_trial
 from repro.live.harness import LiveTrialConfig, payload_digest, run_trial
 from repro.live.protocol import read_message, write_message
 from repro.live.server import ReplicaServer
+from repro.simulator.engine import EventLoop
 
 
 async def _request(reader, writer, op_id, timeout=5.0):
@@ -82,6 +83,8 @@ class TestReplicaServer:
             # Nothing has been served yet: the seed, not the 1e-3 floor.
             assert all(r["service_time_ms"] == 200.0 for r in rejections)
             assert frame["stats"]["rejected"] == len(rejections)
+            # Each request is counted once: a rejected one is not also accepted.
+            assert frame["stats"]["accepted"] + frame["stats"]["rejected"] == 3
             await _control(reader, writer, "shutdown")
             writer.close()
             await server.serve_until_shutdown()
@@ -109,6 +112,34 @@ class TestReplicaServer:
 
         asyncio.run(scenario())
 
+    def test_pause_feedback_counts_the_requests_stalled_behind_it(self):
+        async def scenario():
+            server = ReplicaServer(0, base_service_ms=100.0, concurrency=4, deterministic=True)
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for op_id in range(2):
+                write_message(writer, {"t": "req", "id": op_id, "kind": "read"})
+            await writer.drain()
+            await asyncio.sleep(0.02)  # both in service, two slots idle
+            write_message(writer, {"t": "ctl", "op": "pause", "duration_ms": 500.0})
+            for op_id in range(2, 5):
+                write_message(writer, {"t": "req", "id": op_id, "kind": "read"})
+            await writer.drain()
+            frames = [await asyncio.wait_for(read_message(reader), 5.0) for _ in range(6)]
+            assert frames[0]["t"] == "ack"
+            responses = frames[1:]
+            # The two in service answer during the pause, with the three
+            # stalled arrivals still pending behind them; the three follow.
+            assert [r["id"] for r in responses[:2]] == [0, 1]
+            assert [r["queue_size"] for r in responses] == [4, 3, 2, 1, 0]
+            ack = await _control(reader, writer, "stats")
+            assert ack["stats"]["accepted"] == ack["stats"]["served"] == 5
+            await _control(reader, writer, "shutdown")
+            writer.close()
+            await server.serve_until_shutdown()
+
+        asyncio.run(scenario())
+
     def test_slow_factor_inflates_service_times(self):
         async def scenario():
             server = ReplicaServer(0, base_service_ms=1.0, deterministic=True)
@@ -129,9 +160,9 @@ class TestReplicaServer:
 class TestServiceTimes:
     @staticmethod
     def _draws(count, *, factor=1.0, **kwargs):
-        server = ReplicaServer(0, base_service_ms=2.0, **kwargs)
+        server = ReplicaServer(0, base_service_ms=2.0, loop=EventLoop(), **kwargs)
         server._handle_control({"op": "slow", "factor": factor})
-        return [server._service_ms() for _ in range(count)]
+        return [server._draw_service_time(None) for _ in range(count)]
 
     def test_a_seed_fixes_the_sequence(self):
         assert self._draws(100, seed=5) == self._draws(100, seed=5)

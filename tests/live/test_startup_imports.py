@@ -19,7 +19,10 @@ _LOADED = "import json, sys; print(json.dumps(sorted(sys.modules)))"
     [
         ("import repro", {"repro"}),
         ("import repro.live", {"repro", "repro.live", "repro.live.protocol"}),
-        ("import repro.live.server", {"repro", "repro.live", "repro.live.protocol", "repro.live.server"}),
+        (
+            "import repro.live.server",
+            {"repro", "repro.live", "repro.live.protocol", "repro.live.server", "repro.replica"},
+        ),
     ],
 )
 def test_imports_load_no_subpackage_they_do_not_use_and_no_numpy(fresh_python, statement, expected):
