@@ -15,8 +15,12 @@ event for event.  These tests pin that contract three ways:
   builtin scenario and the legacy fluctuation fields on and off — each
   row also compares every client's and server's ``stats()`` between the
   two runs, which pins the kernel's end-of-run write-back;
-* a hypothesis property over random small configurations, hedged or not,
-  so the equivalence is not an artifact of hand-picked parameters;
+* a hypothesis property over random small configurations — every builtin
+  strategy, hedged or not, on the binary or the phi detector, with or
+  without a crash, slow-node or gc-storm scenario, and C3/RR rate-limited
+  on one to three clients so that backpressure engages — comparing the same
+  digests and ``stats()``, so the equivalence is not an artifact of
+  hand-picked parameters;
 * a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
   scatter the kernel uses to build per-server load series.
 """
@@ -31,15 +35,6 @@ from repro.simulator.kernel import _FLUSH_BLOCK
 from repro.simulator.metrics import WindowedCounter
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 from repro.simulator.workload import DemandSkew
-
-
-def _digest(kernel: str, **kw) -> str:
-    config = SimulationConfig(kernel=kernel, **kw)
-    return ReplicaSelectionSimulation(config).run().digest()
-
-
-def assert_kernels_equivalent(**kw) -> None:
-    assert _digest("object", **kw) == _digest("batched", **kw)
 
 
 PLAIN = dict(num_servers=10, num_clients=12, num_requests=1200, seed=7)
@@ -123,6 +118,20 @@ MATRIX = {
     "heterogeneous-ds": dict(PLAIN, strategy="DS", scenario="heterogeneous"),
     "fluctuation-10ms-c3": dict(PLAIN, strategy="C3", fluctuation_interval_ms=10.0),
     "fluctuation-off-c3": dict(PLAIN, strategy="C3", fluctuation_enabled=False),
+    # Paths no other row combines: suspicion-filtered hedge targets, hedge
+    # copies accounted through a stock selector's methods, and backlog
+    # releases that race a crash into the park.
+    "phi-hedge-crash-c3": dict(
+        HARD,
+        strategy="C3",
+        scenario="crash-recovery",
+        failure_detector="phi",
+        hedging="hedge:quantile=0.9",
+    ),
+    "hedge-p2c": dict(HARD, strategy="P2C", hedging="hedge:quantile=0.9"),
+    "backpressure-crash-rr": dict(
+        HARD, strategy="RR:initial_rate=0.5", num_clients=3, scenario="crash-recovery"
+    ),
 }
 
 
@@ -134,12 +143,11 @@ def _run_both(**kw) -> dict:
     return runs
 
 
-@pytest.mark.parametrize("name", sorted(MATRIX))
-def test_batched_kernel_matches_object_kernel(name):
+def assert_kernels_equivalent(**kw) -> None:
     """Equal digests, and from the same two runs equal client stats (the
     selector's included) and server stats: the kernel's write-back through
     ``kernel_restore`` leaves every object as the object path would."""
-    (obj_sim, obj_result), (bat_sim, bat_result) = _run_both(**MATRIX[name]).values()
+    (obj_sim, obj_result), (bat_sim, bat_result) = _run_both(**kw).values()
     assert obj_result.digest() == bat_result.digest()
     assert [c.stats() for c in obj_sim.clients] == [c.stats() for c in bat_sim.clients]
     assert {sid: s.stats() for sid, s in obj_sim.servers.items()} == {
@@ -147,42 +155,60 @@ def test_batched_kernel_matches_object_kernel(name):
     }
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    num_servers=st.integers(min_value=3, max_value=8),
-    num_clients=st.integers(min_value=2, max_value=8),
-    num_requests=st.integers(min_value=50, max_value=300),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    strategy=st.sampled_from(["LOR", "P2C", "C3", "RR", "RAND", "ORA"]),
-    utilization=st.floats(min_value=0.3, max_value=0.9),
-    read_repair_probability=st.floats(min_value=0.0, max_value=0.6),
-    read_fraction=st.floats(min_value=0.5, max_value=1.0),
-    hedging=st.sampled_from(
-        [None, "hedge:quantile=0.5,max_extra=1", "hedge:quantile=0.5,max_extra=2"]
+@pytest.mark.parametrize("name", sorted(MATRIX))
+def test_batched_kernel_matches_object_kernel(name):
+    assert_kernels_equivalent(**MATRIX[name])
+
+
+#: Rate-limited strategies at half a permit per window: on one to three
+#: clients every replica runs out of permits, so requests wait in the
+#: backlog and its retry timer carries them.
+BACKPRESSURED = ["C3:initial_rate=0.5", "RR:initial_rate=0.5"]
+
+#: The property's scenarios, with knobs that land inside a run of a few
+#: hundred milliseconds (a crash, a recovery and GC pauses all happen).
+SCENARIOS = [
+    {},
+    dict(
+        scenario="crash-recovery",
+        scenario_params={"first_at_ms": 30.0, "down_ms": 80.0, "stagger_ms": 40.0},
     ),
-)
-def test_batched_kernel_matches_object_kernel_property(
-    num_servers,
-    num_clients,
-    num_requests,
-    seed,
-    strategy,
-    utilization,
-    read_repair_probability,
-    read_fraction,
-    hedging,
-):
-    assert_kernels_equivalent(
-        num_servers=num_servers,
-        num_clients=num_clients,
-        num_requests=num_requests,
-        seed=seed,
+    dict(scenario="slow-node"),
+    dict(scenario="gc-storm", scenario_params={"mean_interarrival_ms": 50.0}),
+]
+
+
+@st.composite
+def kernel_configs(draw) -> dict:
+    strategy = draw(st.sampled_from(["LOR", "P2C", "C3", "RR", "RAND", "ORA", "DS", *BACKPRESSURED]))
+    clients = (1, 3) if strategy in BACKPRESSURED else (2, 8)
+    return dict(
+        draw(st.sampled_from(SCENARIOS)),
         strategy=strategy,
-        utilization=utilization,
-        read_repair_probability=read_repair_probability,
-        read_fraction=read_fraction,
-        hedging=hedging,
+        num_clients=draw(st.integers(*clients)),
+        num_servers=draw(st.integers(min_value=3, max_value=8)),
+        num_requests=draw(st.integers(min_value=50, max_value=300)),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        utilization=draw(st.floats(min_value=0.3, max_value=0.9)),
+        read_repair_probability=draw(st.floats(min_value=0.0, max_value=0.6)),
+        read_fraction=draw(st.floats(min_value=0.5, max_value=1.0)),
+        failure_detector=draw(st.sampled_from(["binary", "phi"])),
+        hedging=draw(
+            st.sampled_from([None, "hedge:quantile=0.5,max_extra=1", "hedge:quantile=0.5,max_extra=2"])
+        ),
+        # Every such run that completes ends within 11 s of simulated time.
+        # Under phi detection a run can leave requests parked for good:
+        # once traffic stops every replica goes suspect, and nothing probes
+        # them back.  Both kernels then fire the park retry every 5 ms up to
+        # the horizon, which at the default 600 s costs ~10 s a kernel.
+        max_sim_time_ms=20_000.0,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=kernel_configs())
+def test_batched_kernel_matches_object_kernel_property(config):
+    assert_kernels_equivalent(**config)
 
 
 def test_invalid_kernel_rejected():
