@@ -5,8 +5,9 @@ One :class:`ReplicaServer` is the simulator's server model,
 asyncio's clock (``call_later``) with stdlib ``random`` draws.  The shell
 keeps only what makes a live server differ from ``SimServer``, each named
 where it happens: a bounded queue that rejects, and a crash that drops the
-queued work, answers no request that was in service, and drops arrivals
-while the server is down.
+queued work, answers no request that was in service (whose slots come back
+free with the restarted process), and drops arrivals while the server is
+down.
 
 Scenario injection arrives over the same TCP listener as load, as ``ctl``
 frames (see :mod:`repro.live.protocol`): ``slow`` inflates service times
@@ -137,13 +138,17 @@ class ReplicaServer(ReplicaCore):
         else:
             self.enqueue((message["id"], writer, self._life))
 
-    def _respond(self, request: tuple, feedback: tuple, service_time: float) -> None:
-        op_id, writer, life = request
-        if life is not self._life:
-            # Live: the request was in service when the server crashed, and
-            # its answer died with the process.
+    def _finish_service(self, request: tuple, service_time: float) -> None:
+        if request[2] is not self._life:
+            # Live: the request was in service when the server crashed.  Its
+            # slot went with the process and its answer died with it, so
+            # nothing of it reaches the core's accounting or the feedback.
             self.dropped += 1
             return
+        super()._finish_service(request, service_time)
+
+    def _respond(self, request: tuple, feedback: tuple, service_time: float) -> None:
+        op_id, writer, _ = request
         self.served += 1
         bucket = int((self.loop.now - self._start_ms) / _LOAD_BUCKET_MS)
         self._load_buckets[bucket] = self._load_buckets.get(bucket, 0) + 1
@@ -176,11 +181,14 @@ class ReplicaServer(ReplicaCore):
             self.crash()
             self.loop.post(float(message["duration_ms"]), self._end_pause)
         elif op == "crash":
-            # Live: a crashed process holds no state; its queue is lost.  The
-            # core needs no stall: nothing reaches it while the process is down.
+            # Live: a crashed process holds no state; its queue is lost, and
+            # the slots of the requests in service are free when it comes
+            # back.  The core needs no stall: nothing reaches it while the
+            # process is down.
             self._life = None
             self.dropped += len(self._queue)
             self._queue.clear()
+            self._in_service = 0
         elif op == "restore":
             self._life = self._life or object()  # a new life after a crash
         elif op == "stats":

@@ -109,6 +109,9 @@ class LiveRulesOnSim(SimHarness):
     - A live crash is a process going down: its queue is lost, requests in
       service finish without an answer (also when the restore comes
       first), and arrivals while it is down are dropped unanswered.
+    - The requests in service at a crash take nothing with them: their
+      slots are free at once, and their service times never reach the
+      counters or the service-time EWMA.
 
     A pause is no difference: both servers stall in the core.
     """
@@ -118,6 +121,9 @@ class LiveRulesOnSim(SimHarness):
         self.crashed = False
         self.finished: set[int] = set()
         self.lost: set[int] = set()
+        # The server's completions come here first (the instance attribute
+        # shadows the method it posts).
+        self.server._finish_service = self._finish_service
 
     def _arrive(self, op: int) -> None:
         if self.crashed:
@@ -128,10 +134,13 @@ class LiveRulesOnSim(SimHarness):
             return
         super()._arrive(op)
 
+    def _finish_service(self, request, service_time) -> None:
+        if request.request_id not in self.lost:
+            SimServer._finish_service(self.server, request, service_time)
+
     def _complete(self, request, feedback, service_time) -> None:
         self.finished.add(request.request_id)
-        if request.request_id not in self.lost:
-            super()._complete(request, feedback, service_time)
+        super()._complete(request, feedback, service_time)
 
     def crash(self) -> None:
         self.crashed = True
@@ -141,6 +150,7 @@ class LiveRulesOnSim(SimHarness):
             op for op, request in self.requests.items()
             if request.started_service_at is not None and op not in self.finished
         }
+        self.server._in_service = 0
 
     def restore(self) -> None:
         self.crashed = False
@@ -310,3 +320,27 @@ def test_live_crashes_and_pauses_overlap_without_ending_each_other():
     h.advance(30.0)
     assert [(t, op) for t, op, *_ in h.responses] == [(24.0, 0), (45.0, 2)]
     assert h.fates()[1] == "dropped"
+
+
+def test_a_live_crash_frees_the_slots_of_the_requests_in_service():
+    """A crash shorter than a service: the restored process has both slots
+    free, so an arrival after the restore starts at once (answered at 6 ms,
+    not behind the lost services at 8 ms) and its feedback counts no dead
+    work."""
+    runs = []
+    for harness_cls in (LiveHarness, LiveRulesOnSim):
+        h = harness_cls()
+        h.arrive(2)  # both in service until 4 ms
+        h.advance(1.0)
+        h.crash()
+        h.advance(1.0)
+        h.restore()
+        h.arrive(1)
+        h.advance(20.0)
+        runs.append(h)
+    live, model = runs
+    assert live.responses == [(6.0, 2, False, 0, BASE_MS)]
+    assert model.responses == live.responses
+    stats = live.stats()
+    assert (stats["accepted"], stats["served"], stats["dropped"]) == (3, 1, 2)
+    assert stats["accepted"] == stats["served"] + stats["dropped"]
