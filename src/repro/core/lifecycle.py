@@ -17,8 +17,10 @@ class only enforces their answers.  It reads no clock of its own: every entry
 point takes ``now``, and a timer callback reads the injected ``clock`` once,
 when it fires.  Adapters supply the I/O, the counters, which releases get a
 read repair or start a hedged read, and what completes an operation.  The
-batched kernel (:mod:`repro.simulator.kernel`) inlines the same lifecycle;
-the kernel-equivalence matrix holds the two together.
+batched kernel's :class:`~repro.simulator.kernel.KernelClient` is a
+``SimClient`` whose requests are arena slots: it keeps only its hot path
+(the arrival's fast submit and dispatch, the response) inline, and every
+other step runs here.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class RequestLifecycle(ABC):
     ----------
     selector:
         The client's :class:`~repro.strategies.base.ReplicaSelector`, handed
-        the adapter's own request objects (each with a ``replica_group``).
+        the adapter's own request objects (each with a ``replica_group``,
+        or whatever :meth:`_replica_group` reads instead).
     detector / hedging:
         Failure detector and hedging policy, each ``None`` when off.
     rng:
@@ -110,10 +113,14 @@ class RequestLifecycle(ABC):
         """Hedge hook, run after each sent release while hedging is on: call
         :meth:`_arm_hedge` for the requests that start a hedged read."""
 
+    def _replica_group(self, request: Any) -> Sequence[Hashable]:
+        """The replicas ``request`` may go to."""
+        return request.replica_group
+
     # ----------------------------------------------------------------- submit
     def _submit(self, request: Any, now: float) -> None:
         """Route a request through liveness filtering and replica selection."""
-        candidates = request.replica_group
+        candidates = self._replica_group(request)
         detector = self.detector
         if detector is not None and detector.suspicious():
             live = tuple(sid for sid in candidates if detector.is_alive(sid, now))

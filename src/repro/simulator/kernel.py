@@ -24,21 +24,28 @@ dispatch loop:
   ``peak_rss_mb`` went 75.1 → 51.4 MB (median of ten interleaved pairs,
   10/10).  Exact mode's latency lists stay O(requests): they are the
   measurement.
-* **Typed heap entries** — the simulation's seven event kinds are plain
-  tuples ``(time, seq, code, a, b, c)`` pushed onto the same heap that the
-  loop's own entries use — ``(time, seq, None, Event)`` timers (scenario
-  components, fluctuation processes) and ``(time, seq, callback, args)``
-  messages.  ``seq`` is unique, so tuple comparison never reaches the mixed
-  third slot.
+* **Typed heap entries** — a request's three hops (ENQUEUE, FINISH,
+  RESPONSE) are plain tuples ``(time, seq, code, a, b, c)`` pushed onto the
+  same heap that the loop's own entries use — ``(time, seq, None, Event)``
+  timers (scenario components, fluctuation processes, the clients' retry,
+  park and hedge timers) and ``(time, seq, callback, args)`` messages.
+  ``seq`` is unique, so tuple comparison never reaches the mixed third slot.
+* **One request lifecycle** — each client is a :class:`KernelClient`, the
+  ``SimClient`` that runs :class:`~repro.core.lifecycle.RequestLifecycle`
+  on arena slots.  The kernel inlines only the hot path: an arrival's
+  submit and dispatch in the LOR, stock and C3 modes, and the three hops.
+  Everything else a client does — liveness-filtered and custom-selector
+  submits, backlog releases, the retry chain, parking, hedging — is the
+  lifecycle's own code, reached through the client's I/O hooks.
 * **Vectorized service draws** — each server consumes a pre-drawn block of
   standard-exponential variates on its own RNG stream
   (``rng.standard_exponential(n)`` advances the stream exactly as ``n``
   scalar ``rng.exponential(mean)`` calls do, and ``mean * e`` is bitwise
   equal to ``exponential(mean)``).
 * **Batched selector scoring** — LOR scores replica groups over contiguous
-  per-client outstanding counts instead of defaultdict lookups, with
-  end-of-run write-back through the selector's ``kernel_state``/
-  ``kernel_restore`` seams.  C3 is scored inline over the scorer's live
+  per-client outstanding counts instead of defaultdict lookups: for the run,
+  the selector's own state is that dense list (``kernel_state``), and
+  ``kernel_restore`` folds the kernel's counters back in.  C3 is scored inline over the scorer's live
   dense arrays and calls the shared
   :class:`~repro.core.rate_control.CubicRateController` objects.  Every
   other strategy, P2C included, runs through its normal selector methods
@@ -127,10 +134,11 @@ import numpy as np
 
 from ..controls.detectors import BinaryFailureDetector
 from ..core.feedback import ServerFeedback
-from ..core.lifecycle import _MIN_RETRY_MS, _PARKED_RETRY_MS
+from ..core.lifecycle import Hedge
 from ..core.scheduler import C3Scheduler
 from ..strategies.base import ReplicaSelector, StatefulSelector
 from ..strategies.least_outstanding import LeastOutstandingSelector
+from .client import SimClient
 from .metrics import WindowedCounter
 from .network import ConstantLatency
 from .request import record_size_factor
@@ -140,19 +148,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .metrics import SimulationResult
     from .simulation import ReplicaSelectionSimulation
 
-__all__ = ["BatchedKernel", "KernelServer"]
+__all__ = ["BatchedKernel", "KernelClient", "KernelServer"]
 
 # Typed heap-entry codes (slot 2 of a 6-tuple; the loop's own entries carry
 # None (timer) or a callback (message) there instead).
 _ENQUEUE = 0  # (t, seq, 0, rid, sid, 0.0)      request arrives at server
 _FINISH = 1  # (t, seq, 1, rid, sid, st)       service slot completes
 _RESPONSE = 2  # (t, seq, 2, rid, qsize, stime)  response arrives at client
-# Code 3 (workload arrival) is retired: at most one arrival is ever pending
-# and arrival times are strictly increasing, so the kernel keeps the next
-# arrival as scalar state (_arr_t/_arr_seq) instead of a heap entry.
-_HEDGE = 4  # (t, seq, 4, cid, rid, 0.0)      hedge timer fires
-_RETRY = 5  # (t, seq, 5, cid, 0, 0.0)        backlog retry timer
-_PARKED = 6  # (t, seq, 6, cid, 0, 0.0)        parked-request retry timer
+# The next workload arrival is scalar state (_arr_t/_arr_seq), not a heap
+# entry: at most one is ever pending, and arrival times strictly increase.
+# The clients' backlog retry, park and hedge timers are the lifecycle's own
+# EventLoop timers.
 
 # Request kinds as small ints (order matches RequestKind usage: only the
 # write/read split and duplicate-ness matter to metrics).
@@ -176,15 +182,6 @@ _SVC_BLOCK = 512
 #: Buffered per-server completion times past which a slice's end flushes
 #: them into the load series.
 _FLUSH_BLOCK = 8192
-
-# Hedge field indices (core.lifecycle.Hedge as a list, for hot-path speed).
-_OP_DONE = 0
-_OP_FIRED = 1
-_OP_USED = 2
-_OP_ARMED = 3
-#: Responses the op still waits for: the primary's plus each unanswered
-#: copy's.  The primary's slot is freed when this reaches zero.
-_OP_OWED = 4
 
 
 class KernelServer(SimServer):
@@ -216,6 +213,113 @@ class KernelServer(SimServer):
             super()._try_start_service()
         else:
             kernel.start_service(self, kernel.loop._now)
+
+
+class KernelClient(SimClient):
+    """A :class:`SimClient` whose requests are the kernel's arena slots.
+
+    The kernel runs the hot path itself (an arrival's fast submit and
+    dispatch, the response), and hands this client every other step of the
+    request lifecycle: liveness-filtered and custom-selector submits, the
+    backlog releases, the retry chain, parking and hedging run in
+    :class:`~repro.core.lifecycle.RequestLifecycle`, on the loop's own
+    timers, with the kernel's time on the loop clock.  What it overrides is
+    I/O on ints: a sent request is a typed ENQUEUE entry, a copy is a new
+    arena slot, and a slot goes back on the free list once nothing can name
+    it.  A hedged read's ``op`` is ``[primary slot, responses still owed]``
+    — the primary's and each copy's — and the primary's slot is freed when
+    none is owed.  Requests are typed ``Any``: ints here, ``Request``
+    objects in the base class.
+    """
+
+    #: The running :class:`BatchedKernel`; ``None`` outside a run.
+    kernel: Any = None
+
+    def _replica_group(self, request: Any) -> tuple:
+        return self.kernel._group[request]
+
+    def _transmit(self, request: Any, server_id: Any, now: float) -> bool:
+        kernel = self.kernel
+        kernel._disp[request] = now
+        kernel._sid[request] = server_id
+        delay = self.network.one_way_delay(self.client_id, server_id)
+        loop = self.loop
+        seq = loop._seq
+        loop._seq = seq + 1
+        heappush(kernel.heap, (now + delay, seq, _ENQUEUE, request, server_id, 0.0))
+        return True
+
+    def _count_backpressure(self, request: Any) -> None:
+        self.kernel.backpressure += 1
+
+    def _read_repair(self, request: Any, now: float) -> None:
+        kernel = self.kernel
+        if kernel._kind[request] != _READ or kernel._parent[request] >= 0:
+            return
+        probability = self.read_repair_probability
+        if probability > 0.0 and self._rr_coin() < probability:
+            kernel._rr_fanout(request, self.client_id, now)
+
+    def _hedge(self, request: Any, server_id: Any, now: float) -> None:
+        kernel = self.kernel
+        if kernel._kind[request] == _READ and kernel._parent[request] < 0:
+            hedge = self._arm_hedge([request, 1], kernel._group[request], server_id)
+            if hedge is not None:
+                self._hedge_ops[request] = hedge
+
+    def _send_hedge(self, hedge: Hedge, server_id: Any, now: float) -> None:
+        op = hedge.op
+        op[1] += 1
+        kernel = self.kernel
+        duplicate = kernel._new_request(self.client_id, hedge.group, now, _SPECULATIVE, op[0])
+        self._hedge_by_copy[duplicate] = hedge
+        kernel.duplicates += 1
+        self.hedges_fired += 1
+        self._transmit(duplicate, server_id, now)
+
+    def _hedge_complete(self, request: Any, response_time: float, now: float) -> None:
+        """:meth:`SimClient._hedge_complete` on slots: the first response
+        completes the read, and every response is owed to its op."""
+        kernel = self.kernel
+        kernel._srv_times[kernel._sid[request]].append(now)
+        comp = kernel._comp
+        hedge = self._hedge_by_copy.pop(request, None)
+        if hedge is not None:
+            kernel._free.append(request)
+            self._answered(hedge)
+            if hedge.done:
+                return
+            self._close_hedge(hedge)
+            self.hedges_won += 1
+            primary = hedge.op[0]
+            if comp[primary] < 0.0:
+                comp[primary] = now
+            dispatched = kernel._disp[primary]
+            if dispatched >= 0.0:
+                self.hedging.record(now - dispatched)
+            kernel._record_latency(primary, comp[primary] - kernel._created[primary])
+            return
+        hedge = self._hedge_ops.get(request)
+        if hedge is None or not hedge.done:
+            if hedge is not None:
+                self._close_hedge(hedge)  # a copy answering later is swallowed
+            if kernel._parent[request] < 0:
+                if kernel._kind[request] == _READ:
+                    self.hedging.record(response_time)
+                kernel._record_latency(request, comp[request] - kernel._created[request])
+        if hedge is None:
+            kernel._free.append(request)
+        else:
+            self._answered(hedge)
+
+    def _answered(self, hedge: Hedge) -> None:
+        """Count one response owed to ``hedge``'s op as in; once none is,
+        the op and its primary's slot go."""
+        op = hedge.op
+        op[1] -= 1
+        if not op[1]:
+            del self._hedge_ops[op[0]]
+            self.kernel._free.append(op[0])
 
 
 class BatchedKernel:
@@ -278,25 +382,32 @@ class BatchedKernel:
         self._s_ewv = [s.smoothed_service_time for s in srv]
         self.size_factor = record_size_factor(cfg.record_size)
 
-        clients = sim.clients
+        self.clients: list[KernelClient] = []
+        for client in sim.clients:
+            if not isinstance(client, KernelClient):
+                raise TypeError(
+                    "kernel='batched' requires KernelClient instances; build the "
+                    "simulation with SimulationConfig(kernel='batched')"
+                )
+            client.kernel = self
+            self.clients.append(client)
+        clients = self.clients
         self.n_clients = len(clients)
-        # Selectors and hedging policies are dispatched on their *exact*
-        # run-time type (_detect_mode) and then accessed through per-mode
-        # attributes the base classes don't declare; Any is the honest type.
+        # Selectors are dispatched on their *exact* run-time type
+        # (_detect_mode) and then accessed through per-mode attributes the
+        # base classes don't declare; Any is the honest type.
         self._sels: list[Any] = [c.selector for c in clients]
-        self._crngs = [c.rng for c in clients]
         self._rr_coins = [c._rr_coin for c in clients]
         self.rrp = float(cfg.read_repair_probability)
-        self._policies: list[Any] = [c.hedging for c in clients]
-        self._hedged = any(p is not None for p in self._policies)
+        self._hedged = any(c.hedging is not None for c in clients)
         self.mode = self._detect_mode(self._sels[0]) if self._sels else _CUSTOM
 
         num_servers = cfg.num_servers
         if self.mode == _LOR:
             self._sel_rngs = [sel.rng for sel in self._sels]
             self._out: list[Any] = [sel.kernel_state(num_servers) for sel in self._sels]
-            self._subm = [sel.requests_submitted for sel in self._sels]
-            self._resp = [sel.responses_received for sel in self._sels]
+            self._subm = [0] * self.n_clients
+            self._resp = [0] * self.n_clients
         elif self.mode == _C3:
             states = [sel.kernel_state(num_servers) for sel in self._sels]
             c3_cfg = self._sels[0].config
@@ -348,21 +459,9 @@ class BatchedKernel:
         self._sid: list[int] = []
         self._comp: list[float] = []
 
-        # Per-client timers / hedging book-keeping.
-        n = self.n_clients
-        self._parked: list[list[int]] = [[] for _ in range(n)]
-        self._parked_armed = [False] * n
-        self._retry_armed = [False] * n
-        self._hedge_ops: list[dict] = [{} for _ in range(n)]
-        self._hedge_by_copy: list[dict] = [{} for _ in range(n)]
-
-        # Client counters (synced back to SimClient objects at end of run).
-        self._requests_handled = [0] * n
-        self._responses_handled = [0] * n
-        self._rr_count = [0] * n
-        self._parked_cnt = [0] * n
-        self._hedges_fired = [0] * n
-        self._hedges_won = [0] * n
+        # The two per-request client counters, written back in finish().
+        self._requests_handled = [0] * self.n_clients
+        self._responses_handled = [0] * self.n_clients
 
         # Metrics accumulators.
         self._exact = sim.metrics.metrics_mode == "exact"
@@ -434,12 +533,6 @@ class BatchedKernel:
             self._arr_t = _NEVER
             self._arr_seq = 0
 
-    def _push(self, time: float, code: int, a, b, c) -> None:
-        loop = self.loop
-        seq = loop._seq
-        loop._seq = seq + 1
-        heappush(self.heap, (time, seq, code, a, b, c))
-
     def run_slice(self, until: float) -> None:
         """Process every heap entry with ``time <= until``.
 
@@ -447,10 +540,12 @@ class BatchedKernel:
         are inlined here with their state hoisted into locals: at ~5 heap
         entries per completed request, attribute lookups inside the handlers
         are the dominant Python overhead once allocation is gone.  The rest
-        — suspicious-mode submits, custom selectors, the read-repair fanout,
-        hedge/retry/park timers, and refilling a freed service slot from the
-        queue — goes through the method handlers (``_submit``,
-        ``_rr_fanout``, ``start_service``, ...).  Only the refill is common
+        goes through methods: the read-repair fanout and refilling a freed
+        service slot from the queue (``_rr_fanout``, ``start_service``), and
+        every other step of a request — suspicious-mode and custom-selector
+        submits, backlog releases, the retry chain, parking, hedging — through
+        the request's :class:`KernelClient`, with ``t`` put on the loop clock
+        first: the lifecycle's timers read it.  Only the refill is common
         (four FINISH events in five on the ``flat_scale`` configuration); the
         module docstring records what each call measured against a
         transcribed copy.  A slice that leaves more than ``_FLUSH_BLOCK``
@@ -479,6 +574,7 @@ class BatchedKernel:
         mode = self.mode
         hedged = self._hedged
         sels = self._sels
+        clients = self.clients
         size_factor = self.size_factor
         sim = self.sim
         rrp = self.rrp
@@ -610,7 +706,8 @@ class BatchedKernel:
                 issued_delta += 1
                 suspicious = tracker.count != 0 if binary else det.suspicious()
                 if suspicious or mode == _CUSTOM:
-                    self._submit(rid, cid, t)
+                    loop._now = t
+                    clients[cid]._submit(rid, t)
                 else:
                     # Inline submit + dispatch for the LOR/stock/C3 fast
                     # modes (no liveness filtering needed, so the
@@ -670,8 +767,8 @@ class BatchedKernel:
                                 sel.backlog.enqueue(rid, group, t)
                                 c3_bp[cid] += 1
                                 self.backpressure += 1
-                                retry_after = sel.earliest_availability(group, t)
-                                self._schedule_retry(cid, retry_after, t)
+                                loop._now = t
+                                clients[cid]._schedule_retry(sel.earliest_availability(group, t))
                         if sid >= 0:
                             souts[sid] += 1
                             c3_last_sent[cid][sid] = t
@@ -713,9 +810,11 @@ class BatchedKernel:
                         loop._seq = seq_v + 1
                         push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
                         if kind == _READ and rrp > 0.0 and rr_coins[cid]() < rrp:
+                            loop._now = t
                             self._rr_fanout(rid, cid, t)
                         if hedged:
-                            self._maybe_hedge(rid, cid, t)
+                            loop._now = t
+                            clients[cid]._hedge(rid, sid, t)
                 if generated < total_arrivals:
                     arr_t = t + next_gap() * inv_rate
                     arr_seq = loop._seq
@@ -747,9 +846,9 @@ class BatchedKernel:
                 const_delay = network.delay_ms if type(network) is ConstantLatency else None
                 continue
             # loop._now is deliberately NOT updated per typed event: nothing
-            # on the typed path reads the loop clock (handlers take ``t``
-            # explicitly), generic callbacks get it set above, and the
-            # trailing max() below restores it at slice end.
+            # inline reads the loop clock (handlers take ``t`` explicitly),
+            # generic callbacks get it set above, calls into a client set it
+            # first, and the trailing max() below restores it at slice end.
             fired += 1
             if code == _RESPONSE:
                 rid = entry[3]
@@ -820,7 +919,7 @@ class BatchedKernel:
                         sid, ServerFeedback(entry[4], entry[5], sid), response_time, t
                     )
                 if hedged:
-                    self._hedge_complete(rid, cid, sid, response_time, t)
+                    clients[cid]._hedge_complete(rid, response_time, t)
                 else:
                     srv_times[sid].append(t)
                     if parent_of[rid] < 0:
@@ -836,8 +935,8 @@ class BatchedKernel:
                             self._record_latency(rid, latency)
                     free_app(rid)
                 if released:
-                    for pending_rid, pending_sid in released:
-                        self._send(pending_rid, cid, pending_sid, t)
+                    loop._now = t
+                    clients[cid]._release_all(released, t)
             elif code == _FINISH:
                 rid = entry[3]
                 sid = entry[4]
@@ -862,7 +961,7 @@ class BatchedKernel:
                 seq_v = loop._seq
                 loop._seq = seq_v + 1
                 push(heap, (t + delay, seq_v, _RESPONSE, rid, qsize, stime))
-            elif code == _ENQUEUE:
+            else:  # _ENQUEUE
                 rid = entry[3]
                 sid = entry[4]
                 server = servers[sid]
@@ -901,12 +1000,6 @@ class BatchedKernel:
                     push(heap, (t + st, seq_v, _FINISH, rid, sid, st))
                 else:
                     queue.append(rid)
-            elif code == _HEDGE:
-                self._on_hedge(entry[1], entry[3], entry[4], t)
-            elif code == _RETRY:
-                self._on_retry(entry[3], t)
-            else:
-                self._on_parked(entry[3], t)
         if arr_t > until and (not heap or heap[0][0] > until):
             loop._now = max(loop._now, until)
         loop._processed += fired
@@ -917,12 +1010,6 @@ class BatchedKernel:
         self.completed += completed_delta
         if sum(map(len, srv_times)) > _FLUSH_BLOCK:
             self._flush_completions()
-
-    # ------------------------------------------------------------- liveness
-    def _suspicious(self) -> bool:
-        if self._binary:
-            return self.tracker.count != 0
-        return self.det.suspicious()
 
     # ------------------------------------------------------------- requests
     def _new_request(self, cid: int, group: tuple, t: float, kind: int, parent: int) -> int:
@@ -950,96 +1037,15 @@ class BatchedKernel:
         self._comp.append(-1.0)
         return rid
 
-    def _submit(self, rid: int, cid: int, t: float) -> None:
-        candidates = self._group[rid]
-        if self._suspicious():
-            if self._binary:
-                servers = self.servers
-                live = tuple(s for s in candidates if servers[s]._up)
-            else:
-                det = self.det
-                live = tuple(s for s in candidates if det.is_alive(s, t))
-            if not live:
-                self._park(rid, cid, t)
-                return
-            candidates = live
-        mode = self.mode
-        if mode == _LOR:
-            self._subm[cid] += 1
-            out = self._out[cid]
-            lowest = min(out[s] for s in candidates)
-            tied = [s for s in candidates if out[s] == lowest]
-            if len(tied) == 1:
-                sid = tied[0]
-            else:
-                sid = tied[int(self._sel_rngs[cid].integers(len(tied)))]
-            out[sid] += 1
-            self._send(rid, cid, sid, t)
-        elif mode == _STOCK:
-            sel = self._sels[cid]
-            sel.requests_submitted += 1
-            sid = sel.choose(candidates, t)
-            sel.record_send(sid, t)
-            self._send(rid, cid, sid, t)
-        else:
-            decision = self._sels[cid].submit(rid, candidates, t)
-            sid = decision.server_id
-            if sid is not None:
-                self._send(rid, cid, sid, t)
-            else:
-                self.backpressure += 1
-                self._schedule_retry(cid, decision.retry_after_ms, t)
-
-    def _send(self, rid: int, cid: int, sid: int, t: float) -> None:
-        self._dispatch(rid, cid, sid, t)
-        self._read_repair(rid, cid, t)
-        if self._hedged:
-            self._maybe_hedge(rid, cid, t)
-
-    def _dispatch(self, rid: int, cid: int, sid: int, t: float) -> None:
-        if self._suspicious():
-            alive = self.servers[sid]._up if self._binary else self.det.is_alive(sid, t)
-            if not alive:
-                # A selector-internal placement (backlog drain) raced with a
-                # crash: release the selector's accounting and park.
-                self._sel_timeout(cid, sid, t)
-                self._park(rid, cid, t)
-                return
-        self._disp[rid] = t
-        self._sid[rid] = sid
-        network = self.sim.network
-        delay = (
-            network.delay_ms
-            if type(network) is ConstantLatency
-            else network.one_way_delay(cid, sid)
-        )
-        loop = self.loop
-        seq = loop._seq
-        loop._seq = seq + 1
-        heappush(self.heap, (t + delay, seq, _ENQUEUE, rid, sid, 0.0))
-
-    def _sel_timeout(self, cid: int, sid: int, t: float) -> None:
-        if self.mode == _LOR:
-            out = self._out[cid]
-            if out[sid] > 0:
-                out[sid] -= 1
-        else:
-            self._sels[cid].on_timeout(sid, t)
-
-    def _read_repair(self, rid: int, cid: int, t: float) -> None:
-        if self._kind[rid] != _READ or self._parent[rid] >= 0:
-            return
-        rrp = self.rrp
-        if rrp > 0.0 and self._rr_coins[cid]() < rrp:
-            self._rr_fanout(rid, cid, t)
-
     def _rr_fanout(self, rid: int, cid: int, t: float) -> None:
-        """Send read-repair duplicates to the primary's live siblings."""
+        """Send read-repair duplicates to the primary's live siblings, each
+        through the client's placement (its detector check included)."""
         down = self.tracker.count
         primary_sid = self._sid[rid]
         group = self._group[rid]
         servers = self.servers
-        fast = self.mode == _LOR
+        client = self.clients[cid]
+        selector = client.selector
         for sid in group:
             if sid == primary_sid:
                 continue
@@ -1047,122 +1053,9 @@ class BatchedKernel:
                 continue
             duplicate = self._new_request(cid, group, t, _READ_REPAIR, rid)
             self.duplicates += 1
-            if fast:
-                self._out[cid][sid] += 1
-            else:
-                self._sels[cid].on_duplicate_send(sid, t)
-            self._dispatch(duplicate, cid, sid, t)
-            self._rr_count[cid] += 1
-
-    # -------------------------------------------------------------- hedging
-    def _maybe_hedge(self, rid: int, cid: int, t: float) -> None:
-        policy = self._policies[cid]
-        if policy is None:
-            return
-        if self._kind[rid] != _READ or self._parent[rid] >= 0:
-            return
-        sid = self._sid[rid]
-        if sid < 0 or rid in self._hedge_ops[cid]:
-            return
-        threshold = policy.threshold_ms()
-        if threshold is None:
-            return
-        loop = self.loop
-        seq = loop._seq
-        loop._seq = seq + 1
-        heappush(self.heap, (t + threshold, seq, _HEDGE, cid, rid, 0.0))
-        self._hedge_ops[cid][rid] = [False, 0, {sid}, seq, 1]
-
-    def _on_hedge(self, seq: int, cid: int, rid: int, t: float) -> None:
-        op = self._hedge_ops[cid].get(rid)
-        if op is None or op[_OP_DONE] or op[_OP_ARMED] != seq:
-            return
-        op[_OP_ARMED] = None
-        policy = self._policies[cid]
-        group = self._group[rid]
-        used = op[_OP_USED]
-        if self._binary:
-            servers = self.servers
-            candidates = tuple(s for s in group if s not in used and servers[s]._up)
-        else:
-            det = self.det
-            candidates = tuple(s for s in group if s not in used and det.is_alive(s, t))
-        if not candidates:
-            # Every unused replica is currently suspect; keep the timer armed
-            # while budget and an unused replica remain (see
-            # RequestLifecycle._fire_hedge, whose decision this repeats).
-            self._rearm_hedge(cid, rid, op, policy, t)
-            return
-        target = candidates[int(self._crngs[cid].integers(len(candidates)))]
-        duplicate = self._new_request(cid, group, t, _SPECULATIVE, rid)
-        used.add(target)
-        op[_OP_FIRED] += 1
-        op[_OP_OWED] += 1
-        self._hedge_by_copy[cid][duplicate] = rid
-        self.duplicates += 1
-        self._hedges_fired[cid] += 1
-        if self.mode == _LOR:
-            self._out[cid][target] += 1
-        else:
-            self._sels[cid].on_duplicate_send(target, t)
-        self._dispatch(duplicate, cid, target, t)
-        self._rearm_hedge(cid, rid, op, policy, t)
-
-    def _rearm_hedge(self, cid: int, rid: int, op: list, policy, t: float) -> None:
-        if op[_OP_FIRED] < policy.max_extra and len(op[_OP_USED]) < len(self._group[rid]):
-            threshold = policy.threshold_ms()
-            if threshold is not None:
-                loop = self.loop
-                seq = loop._seq
-                loop._seq = seq + 1
-                heappush(self.heap, (t + threshold, seq, _HEDGE, cid, rid, 0.0))
-                op[_OP_ARMED] = seq
-
-    def _hedge_complete(self, rid: int, cid: int, sid: int, response_time: float, t: float) -> None:
-        # Server load is credited per response, at the response's own time.
-        self._srv_times[sid].append(t)
-        primary = self._hedge_by_copy[cid].pop(rid, None)
-        comp = self._comp
-        if primary is not None:
-            self._free.append(rid)
-            # The primary's op outlives the primary's own response until
-            # every copy has answered, so this lookup never meets a reused slot.
-            op = self._answered(cid, primary)
-            if op[_OP_DONE]:
-                return
-            op[_OP_DONE] = True
-            self._hedges_won[cid] += 1
-            if comp[primary] < 0.0:
-                comp[primary] = t
-            dispatched = self._disp[primary]
-            if dispatched >= 0.0:
-                self._policies[cid].record(t - dispatched)
-            if self._parent[primary] < 0:
-                self._record_latency(primary, comp[primary] - self._created[primary])
-            return
-        op = self._hedge_ops[cid].get(rid)
-        if op is None or not op[_OP_DONE]:
-            if op is not None:
-                op[_OP_DONE] = True  # a copy answering later is swallowed
-            if self._kind[rid] == _READ and self._parent[rid] < 0:
-                self._policies[cid].record(response_time)
-            if self._parent[rid] < 0:
-                self._record_latency(rid, comp[rid] - self._created[rid])
-        if op is None:
-            self._free.append(rid)
-        else:
-            self._answered(cid, rid)
-
-    def _answered(self, cid: int, primary: int) -> list:
-        """Count one response owed to ``primary``'s hedged op as in; the op
-        and the primary's slot go once none is owed."""
-        ops = self._hedge_ops[cid]
-        op = ops[primary]
-        op[_OP_OWED] -= 1
-        if not op[_OP_OWED]:
-            del ops[primary]
-            self._free.append(primary)
-        return op
+            selector.on_duplicate_send(sid, t)
+            client._place(duplicate, sid, t)
+            client.read_repairs_issued += 1
 
     # -------------------------------------------------------------- servers
     def start_service(self, server: KernelServer, t: float) -> None:
@@ -1216,48 +1109,15 @@ class BatchedKernel:
             else:
                 metrics._read_histogram.record(latency)
 
-    # ------------------------------------------------------ parking / retries
-    def _park(self, rid: int, cid: int, t: float) -> None:
-        self.backpressure += 1
-        self._parked_cnt[cid] += 1
-        self._parked[cid].append(rid)
-        if not self._parked_armed[cid]:
-            self._parked_armed[cid] = True
-            self._push(t + _PARKED_RETRY_MS, _PARKED, cid, 0, 0.0)
-
-    def _on_parked(self, cid: int, t: float) -> None:
-        self._parked_armed[cid] = False
-        parked = self._parked[cid]
-        self._parked[cid] = []
-        for rid in parked:
-            self._submit(rid, cid, t)
-
-    def _schedule_retry(self, cid: int, delay_ms: float, t: float) -> None:
-        if self._retry_armed[cid]:
-            return
-        self._retry_armed[cid] = True
-        delay = float(delay_ms)
-        if delay < _MIN_RETRY_MS:
-            delay = _MIN_RETRY_MS
-        self._push(t + delay, _RETRY, cid, 0, 0.0)
-
-    def _on_retry(self, cid: int, t: float) -> None:
-        self._retry_armed[cid] = False
-        sel = self._sels[cid]
-        for rid, sid in sel.drain_backlog(t):
-            self._send(rid, cid, sid, t)
-        if sel.pending_backlog() > 0:
-            retry = sel.next_retry_ms(t)
-            self._schedule_retry(cid, retry if retry is not None else 1.0, t)
-
     # ------------------------------------------------------------- write-back
     def finish(self) -> int:
         """Fold kernel-local state back into the object graph.
 
-        After this, ``sim.metrics``, every ``SimClient`` counter, and the
-        LOR and C3 selector state match what the object path would have left
-        behind, so ``stats()``/``result()`` work unchanged.  Returns the
-        number of requests still parked.
+        After this, ``sim.metrics``, the two per-request client counters,
+        and the LOR and C3 selector counters match what the object path would
+        have left behind, so ``stats()``/``result()`` work unchanged (every
+        other client counter is the client's own).  Returns the number of
+        requests still parked.
         """
         metrics = self.metrics
         if self._exact:
@@ -1279,16 +1139,12 @@ class BatchedKernel:
         self._flush_completions()
 
         self.gen.requests_generated = self.proc.generated
-        for cid, client in enumerate(self.sim.clients):
+        for cid, client in enumerate(self.clients):
             client.requests_handled = self._requests_handled[cid]
             client.responses_handled = self._responses_handled[cid]
-            client.read_repairs_issued = self._rr_count[cid]
-            client.requests_parked = self._parked_cnt[cid]
-            client.hedges_fired = self._hedges_fired[cid]
-            client.hedges_won = self._hedges_won[cid]
         if self.mode == _LOR:
             for cid, sel in enumerate(self._sels):
-                sel.kernel_restore(self._out[cid], self._subm[cid], self._resp[cid])
+                sel.kernel_restore(self._subm[cid], self._resp[cid])
         elif self.mode == _C3:
             for cid, sel in enumerate(self._sels):
                 sel.kernel_restore(
@@ -1302,14 +1158,17 @@ class BatchedKernel:
                 )
 
         # The run is over: hand the servers back to their own
-        # ``_try_start_service`` (kernel ↔ KernelServer is a cycle through
-        # the simulation otherwise) and drop the arena.
+        # ``_try_start_service`` and let go of the clients (kernel ↔
+        # KernelServer / KernelClient is a cycle through the simulation
+        # otherwise), and drop the arena.
         for server in self.servers:
             server.kernel = None
+        for client in self.clients:
+            client.kernel = None
         self._created, self._disp, self._comp = [], [], []
         self._client, self._kind, self._parent, self._sid = [], [], [], []
         self._group, self._free, self._srv_times = [], [], []
-        return sum(len(parked) for parked in self._parked)
+        return sum(len(client._parked) for client in self.clients)
 
     def _flush_completions(self) -> None:
         """Move the buffered per-server completion times into the load series.

@@ -63,19 +63,19 @@ class ObjectEngine:
 
 
 def _object_kernel():
-    return SimServer, ObjectEngine
+    return SimServer, SimClient, ObjectEngine
 
 
 def _batched_kernel():
     # Imported on first use: the package's largest module, and no
     # object-path run needs it.
-    from .kernel import BatchedKernel, KernelServer
+    from .kernel import BatchedKernel, KernelClient, KernelServer
 
-    return KernelServer, BatchedKernel
+    return KernelServer, KernelClient, BatchedKernel
 
 
-#: ``SimulationConfig.kernel`` → a callable returning (server class, engine
-#: class); the two kernels are digest-identical by construction.
+#: ``SimulationConfig.kernel`` → a callable returning (server class, client
+#: class, engine class); the two kernels are digest-identical by construction.
 KERNELS = {"object": _object_kernel, "batched": _batched_kernel}
 
 
@@ -281,7 +281,7 @@ class ReplicaSelectionSimulation:
         # run, so pooled workers that reuse a process hand out exactly the
         # ids a fresh serial run would (reproducible traces/artifacts).
         self._request_ids = itertools.count()
-        server_cls, self._engine_cls = KERNELS[cfg.kernel]()
+        server_cls, client_cls, self._engine_cls = KERNELS[cfg.kernel]()
         draw_source, selector_rng_adapter = RNGS[cfg.rng]
         for sid in range(cfg.num_servers):
             server_rng = np.random.default_rng(self.rng.integers(2**63))
@@ -322,7 +322,7 @@ class ReplicaSelectionSimulation:
                 c3_config=c3_config,
             )
             client_rng = np.random.default_rng(self.rng.integers(2**63))
-            client = SimClient(
+            client = client_cls(
                 loop=self.loop,
                 client_id=cid,
                 selector=selector,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class LeastOutstandingSelector(StatefulSelector):
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         self.rng = rng or np.random.default_rng()
-        self._outstanding: dict[Hashable, int] = defaultdict(int)
+        #: Outstanding requests by server id: a defaultdict, or the batched
+        #: kernel's dense list while it runs (see :meth:`kernel_state`).
+        self._outstanding: Any = defaultdict(int)
 
     def outstanding(self, server_id: Hashable) -> int:
         """Outstanding requests this client has at ``server_id``."""
@@ -84,16 +86,17 @@ class LeastOutstandingSelector(StatefulSelector):
     def kernel_state(self, num_servers: int) -> list[int]:
         """Outstanding counts as a dense list indexed by (integer) server id.
 
-        The batched kernel scores replica groups over this contiguous array
-        instead of the defaultdict, then hands the final counts back through
-        :meth:`kernel_restore` so post-run :meth:`stats` are unchanged.
+        For the batched kernel's run the list *is* the selector's state: the
+        kernel scores replica groups over it inline, and the selector's own
+        methods (the submits, timeouts and duplicate sends the request
+        lifecycle makes) update the same list.  :meth:`kernel_restore` turns
+        it back into the dict, so post-run :meth:`stats` are unchanged.
         """
-        return [self._outstanding[sid] for sid in range(num_servers)]
+        self._outstanding = [self._outstanding[sid] for sid in range(num_servers)]
+        return self._outstanding
 
-    def kernel_restore(self, outstanding: Sequence[int], submitted: int, responses: int) -> None:
-        """Fold the kernel's dense per-server state back into the selector."""
-        self.requests_submitted = submitted
-        self.responses_received = responses
-        for sid, count in enumerate(outstanding):
-            if count:
-                self._outstanding[sid] = count
+    def kernel_restore(self, submitted: int, responses: int) -> None:
+        """Fold the kernel's counter deltas and the dense counts back in."""
+        self.requests_submitted += submitted
+        self.responses_received += responses
+        self._outstanding = defaultdict(int, {sid: n for sid, n in enumerate(self._outstanding) if n})

@@ -31,7 +31,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulator.kernel import _FLUSH_BLOCK
+from repro.simulator import kernel as kernel_module
+from repro.simulator.client import SimClient
+from repro.simulator.kernel import _FLUSH_BLOCK, BatchedKernel, KernelClient
 from repro.simulator.metrics import WindowedCounter
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 from repro.simulator.workload import DemandSkew
@@ -209,6 +211,43 @@ def kernel_configs(draw) -> dict:
 @given(config=kernel_configs())
 def test_batched_kernel_matches_object_kernel_property(config):
     assert_kernels_equivalent(**config)
+
+
+def test_the_kernel_client_is_the_simulator_client():
+    """The kernel's clients run the one request lifecycle.
+
+    ``KernelClient`` overrides only I/O on arena slots and the hedged
+    completion that frees them; the kernel keeps no copy of submit, retry,
+    park or hedge, no timer codes or retry constants of its own, and no
+    per-client timer or park state, and ``finish()`` writes back only the
+    two per-request counters.
+    """
+    assert issubclass(KernelClient, SimClient)
+    own = {name for name in vars(KernelClient) if not name.startswith("__")} - {"_abc_impl"}
+    assert own == {
+        "kernel", "_replica_group", "_transmit", "_count_backpressure", "_read_repair",
+        "_hedge", "_send_hedge", "_hedge_complete", "_answered",
+    }
+    deleted = {
+        "_suspicious", "_submit", "_send", "_dispatch", "_sel_timeout", "_maybe_hedge",
+        "_on_hedge", "_rearm_hedge", "_park", "_on_parked", "_schedule_retry", "_on_retry",
+        "_HEDGE", "_RETRY", "_PARKED", "_MIN_RETRY_MS", "_PARKED_RETRY_MS",
+    }
+    assert not deleted & (set(vars(kernel_module)) | set(vars(BatchedKernel)))
+    sim = ReplicaSelectionSimulation(
+        SimulationConfig(kernel="batched", num_servers=4, num_clients=2, num_requests=10)
+    )
+    kernel = BatchedKernel(sim)
+    per_client = {"_parked", "_parked_armed", "_retry_armed", "_hedge_ops", "_hedge_by_copy"}
+    assert not per_client & set(vars(kernel))
+    assert all(client.kernel is kernel for client in sim.clients)
+    own_counters = ("read_repairs_issued", "requests_parked", "hedges_fired", "hedges_won")
+    for client in sim.clients:
+        for counter in own_counters:
+            setattr(client, counter, 7)
+    assert kernel.finish() == 0
+    assert all(client.kernel is None for client in sim.clients)
+    assert all(c.stats()[counter] == 7 for c in sim.clients for counter in own_counters)
 
 
 def test_invalid_kernel_rejected():

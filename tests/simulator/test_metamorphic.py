@@ -21,8 +21,9 @@ Under a scenario the inputs also include its millisecond knobs: every
 derived from a config field scaled above).  The list is a query over the
 registry, not a hand-kept list.  One known break remains: the client's
 parked and minimum retry delays (``_PARKED_RETRY_MS``, ``_MIN_RETRY_MS`` in
-``core/lifecycle.py``, imported by the kernel) are absolute times.  A crash
-of a whole replica group parks requests and reaches them.
+``core/lifecycle.py``, the one request lifecycle both kernels' clients run)
+are absolute times.  A crash of a whole replica group parks requests and
+reaches them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import pytest
 from repro.core import lifecycle
 from repro.scenarios import SCENARIOS, scenario_names
 from repro.simulator import KERNELS, SimulationConfig, run_simulation
-from repro.simulator import kernel as sim_kernel
 from repro.simulator.metrics import SimulationResult
 from repro.strategies import get_strategy
 
@@ -148,9 +148,8 @@ def test_the_retry_delays_are_the_known_break(strategy, kernel, monkeypatch):
     config = _scenario_config("crash-recovery", strategy, kernel, **_WHOLE_GROUP_DOWN)
     base = run_simulation(config)
     assert _differing(base, run_simulation(_scaled(config, 2.0))) > 0
-    # Scaling the two absolute delays too (the kernel holds its own copies) restores it.
-    parked, minimum = 2.0 * lifecycle._PARKED_RETRY_MS, 2.0 * lifecycle._MIN_RETRY_MS
-    for module in (lifecycle, sim_kernel):
-        monkeypatch.setattr(module, "_PARKED_RETRY_MS", parked)
-        monkeypatch.setattr(module, "_MIN_RETRY_MS", minimum)
+    # Scaling the two absolute delays too restores it, on both kernels: the
+    # lifecycle holds the only copies.
+    monkeypatch.setattr(lifecycle, "_PARKED_RETRY_MS", 2.0 * lifecycle._PARKED_RETRY_MS)
+    monkeypatch.setattr(lifecycle, "_MIN_RETRY_MS", 2.0 * lifecycle._MIN_RETRY_MS)
     assert _differing(base, run_simulation(_scaled(config, 2.0))) == 0
