@@ -45,8 +45,8 @@ dispatch loop:
 * **Batched selector scoring** — LOR scores replica groups over contiguous
   per-client outstanding counts instead of defaultdict lookups: for the run,
   the selector's own state is that dense list (``kernel_state``), and
-  ``kernel_restore`` folds the kernel's counters back in.  C3 is scored inline over the scorer's live
-  dense arrays and calls the shared
+  ``kernel_restore`` folds the kernel's counters back in.  C3 is scored
+  inline over the scorer's live dense arrays and calls the shared
   :class:`~repro.core.rate_control.CubicRateController` objects.  Every
   other strategy, P2C included, runs through its normal selector methods
   (correct, less accelerated).
