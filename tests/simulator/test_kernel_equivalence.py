@@ -198,8 +198,8 @@ def kernel_configs(draw) -> dict:
         hedging=draw(
             st.sampled_from([None, "hedge:quantile=0.5,max_extra=1", "hedge:quantile=0.5,max_extra=2"])
         ),
-        # Every such run that completes ends within 11 s of simulated time.
-        # Under phi detection a run can leave requests parked for good:
+        # Of 300 draws, every run that completed ended within 11 s of
+        # simulated time.  Under phi detection a run can leave requests parked for good:
         # once traffic stops every replica goes suspect, and nothing probes
         # them back.  Both kernels then fire the park retry every 5 ms up to
         # the horizon, which at the default 600 s costs ~10 s a kernel.
