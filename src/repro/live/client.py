@@ -12,11 +12,16 @@ strings — against live replica servers (:mod:`repro.live.server`):
   ring-placement replica group
   (:func:`~repro.simulator.workload.replica_groups`) uniformly at random —
   as a pure iterator of ``(due_ms, group, kind)``, a function of
-  ``(seed, rate, duration)`` alone.  :meth:`LiveLoadClient.run` only turns
-  it into sleeps: it sleeps *until* each due time and issues immediately
-  when it is late, so a slow host or a coarse timer (epoll rounds every
-  timeout up to a whole millisecond) delays operations but never removes
-  them from the offered load.
+  ``(seed, rate, duration)`` alone, drawn through
+  :mod:`~repro.core.samplers` (bit for bit the ``Generator`` methods).
+  :meth:`LiveLoadClient.run` only turns it into a chain of event-loop
+  timers: each arrival's callback issues it and arms the next arrival's
+  ``call_at`` at its due time, so an arrival is issued *at* its due time,
+  or at once when it is late (a late timer still waits one loop iteration,
+  so responses are read between the issues of a catch-up burst).  A slow
+  host or a coarse timer (epoll rounds every timeout up to a whole
+  millisecond) delays operations but never removes them from the offered
+  load.
 - **Latency from the intended time**: an operation's clock starts at its
   due time, not at the moment the generator got round to issuing it, so
   the wait a late client imposes is part of ``latency_ms`` (coordinated
@@ -37,6 +42,14 @@ strings — against live replica servers (:mod:`repro.live.server`):
   hedge timer are the shared :class:`~repro.core.lifecycle.RequestLifecycle`
   on the event loop's ``call_later``; responses double as detector
   heartbeats (the phi-accrual detector works off real silence).
+- **Callbacks, not tasks, on the data path**: each server connection is an
+  ``asyncio.Protocol`` whose ``data_received`` feeds a
+  :class:`~repro.live.protocol.FrameDecoder` and hands each response to the
+  client directly, and each request is one
+  :func:`~repro.live.protocol.encode_request` frame.  A frame that is well
+  framed but unreadable (not JSON, not an object, a response without its
+  fields) is dropped and its wire request times out; only a framing error
+  (a length over the cap) ends the connection.
 
 The wall clock is ``time.monotonic()`` in milliseconds **relative to
 client construction**, so ``now`` values handed to selectors/detectors
@@ -50,16 +63,17 @@ import asyncio
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ..controls.spec import ControlSpec
+from ..core import samplers
 from ..core.feedback import ServerFeedback
 from ..core.lifecycle import Hedge, RequestLifecycle
 from ..simulator.workload import replica_groups
 from ..strategies.spec import StrategySpec
-from .protocol import ProtocolError, read_message, write_message
+from .protocol import FrameDecoder, ProtocolError, decode_body, encode_request
 
 __all__ = ["LiveClientResult", "LiveLoadClient", "arrival_schedule"]
 
@@ -80,17 +94,21 @@ def arrival_schedule(
     with exponential gaps, ending before the first ``due_k >= duration_ms``.
     Each arrival draws gap, then group, then kind from ``rng``, so the
     sequence depends on the generator's seed, the rate and the duration and
-    on nothing the host does.
+    on nothing the host does.  The draws are ``rng.exponential(1 / rate)``,
+    ``rng.integers(len(groups))`` and ``rng.random()`` through
+    :mod:`~repro.core.samplers`: the same values and generator states.
     """
     inv_rate = 1.0 / rate_per_ms
-    n_groups = len(groups)
+    next_gap = samplers.standard_exponential(rng)
+    next_group = samplers.below(rng, len(groups))
+    next_coin = samplers.uniform(rng)
     due_ms = 0.0
     while True:
-        due_ms += float(rng.exponential(inv_rate))
+        due_ms += inv_rate * next_gap()
         if due_ms >= duration_ms:
             return
-        group = groups[int(rng.integers(n_groups))]
-        kind = "read" if rng.random() < read_fraction else "write"
+        group = groups[next_group()]
+        kind = "read" if next_coin() < read_fraction else "write"
         yield due_ms, group, kind
 
 
@@ -109,8 +127,34 @@ def _slip_summary(slips_ms: Sequence[float]) -> dict[str, float]:
     return {"mean": sum(ordered) / len(ordered), "p99": p99, "max": ordered[-1]}
 
 
-@dataclass
-class _Pending:
+class _Connection(asyncio.Protocol):
+    """One data connection: frames in, each response to ``on_response``."""
+
+    def __init__(self, on_response: Callable[[dict], None]) -> None:
+        self._on_response = on_response
+        self._decoder = FrameDecoder()
+        self.transport: Any = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            bodies = self._decoder.feed(data)
+        except ProtocolError:
+            # A length over the cap: no later frame boundary can be trusted.
+            self.transport.close()
+            return
+        for body in bodies:
+            try:
+                message = decode_body(body)
+            except ProtocolError:
+                continue  # well framed but unreadable: dropped
+            if message.get("t") == "res":
+                self._on_response(message)
+
+
+class _Pending(NamedTuple):
     """One in-flight wire request (primary or hedge copy).
 
     A wire request outlives its operation: the loser of a hedged pair still
@@ -121,11 +165,10 @@ class _Pending:
     op_id: int
     server_id: int
     sent_ms: float
-    deadline_ms: float
     hedge: bool
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Operation:
     """One logical client operation (may fan out into hedged duplicates).
 
@@ -225,12 +268,13 @@ class LiveLoadClient(RequestLifecycle):
         self.result = LiveClientResult(
             sent_per_server={sid: 0 for sid in range(n)},
         )
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._readers: list[asyncio.Task] = []
+        self._transports: dict[int, asyncio.Transport] = {}
         self._ops: dict[int, _Operation] = {}
         self._pending: dict[int, _Pending] = {}
         self._next_id = 0
         self._stop = False
+        #: Set when the last open operation closes, once the drain waits for it.
+        self._drained: asyncio.Future[None] | None = None
         #: ``issue − due`` of every operation issued so far, in schedule order (ms).
         self.slips_ms: list[float] = []
         self._epoch = time.monotonic()
@@ -242,22 +286,15 @@ class LiveLoadClient(RequestLifecycle):
 
     # ---------------------------------------------------------- connection
     async def connect(self) -> None:
+        loop = asyncio.get_running_loop()
         for sid, (host, port) in enumerate(self.addresses):
-            reader, writer = await asyncio.open_connection(host, port)
-            self._writers[sid] = writer
-            self._readers.append(
-                asyncio.create_task(self._read_responses(sid, reader), name=f"read-{sid}")
-            )
+            transport, _ = await loop.create_connection(lambda: _Connection(self._on_response), host, port)
+            self._transports[sid] = transport
 
     async def close(self) -> None:
         self._stop = True
-        tasks = list(self._readers)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        for writer in self._writers.values():
-            if not writer.is_closing():
-                writer.close()
+        for transport in self._transports.values():
+            transport.close()
 
     # ----------------------------------------------------------------- run
     def schedule(self, duration_s: float) -> Iterator[tuple[float, tuple[int, ...], str]]:
@@ -267,24 +304,50 @@ class LiveLoadClient(RequestLifecycle):
         )
 
     async def run(self, duration_s: float, drain_grace_s: float | None = None) -> LiveClientResult:
-        """Offer the schedule's load for ``duration_s``, then drain open operations."""
-        reaper = asyncio.create_task(self._reap_timeouts(), name="reaper")
+        """Offer the schedule's load for ``duration_s``, then drain open operations.
+
+        Arrivals are a chain of ``call_at`` timers, each armed by the one
+        before; the drain ends when the last open operation closes, or after
+        the grace (``request_timeout_ms`` unless given).
+        """
+        loop = asyncio.get_running_loop()
+        arrivals = self.schedule(duration_s)
+        offered: asyncio.Future[None] = loop.create_future()
         start_ms = self.now_ms()
-        try:
-            for due_ms, group, kind in self.schedule(duration_s):
-                due_ms += start_ms
-                # Always a yield, even when late: response readers run
-                # between the issues of a catch-up burst.
-                await asyncio.sleep(max(due_ms - self.now_ms(), 0.0) / 1000.0)
-                if self._stop:
-                    break
+        start_s = loop.time()
+        timer: asyncio.TimerHandle | None = None
+
+        def arm_next() -> None:
+            nonlocal timer
+            arrival = next(arrivals, None)
+            if arrival is None:
+                offered.set_result(None)
+                return
+            due_ms, group, kind = arrival
+            timer = loop.call_at(start_s + due_ms / 1000.0, arrive, start_ms + due_ms, group, kind)
+
+        def arrive(due_ms: float, group: tuple[int, ...], kind: str) -> None:
+            if self._stop:
+                offered.set_result(None)
+                return
+            try:
                 self._issue(group, kind, due_ms)
+                arm_next()
+            except Exception as error:
+                offered.set_exception(error)
+
+        reaper = asyncio.create_task(self._reap_timeouts(), name="reaper")
+        try:
+            arm_next()
+            await offered
             grace = self.request_timeout_ms / 1000.0 if drain_grace_s is None else drain_grace_s
-            drain_until = self.now_ms() + grace * 1000.0
-            while self._ops and self.now_ms() < drain_until:
-                await asyncio.sleep(0.01)
+            if self._ops:
+                self._drained = loop.create_future()
+                await asyncio.wait((self._drained,), timeout=grace)
         finally:
             self._stop = True
+            if timer is not None:
+                timer.cancel()
             reaper.cancel()
             await asyncio.gather(reaper, return_exceptions=True)
             # Whatever is still open will never be answered now.
@@ -332,22 +395,16 @@ class LiveLoadClient(RequestLifecycle):
     def _transmit(self, op: _Operation, server_id: int, now: float, hedge: bool = False) -> bool:
         """One copy of ``op`` onto ``server_id``'s socket; whether it was written."""
         server_id = int(server_id)
-        writer = self._writers[server_id]
-        if writer.is_closing():
+        transport = self._transports[server_id]
+        if transport.is_closing():
             self.selector.on_timeout(server_id, now)
             return False
         wire_id = self._next_id
         self._next_id += 1
-        self._pending[wire_id] = _Pending(
-            op_id=op.op_id,
-            server_id=server_id,
-            sent_ms=now,
-            deadline_ms=now + self.request_timeout_ms,
-            hedge=hedge,
-        )
+        self._pending[wire_id] = _Pending(op.op_id, server_id, now, hedge)
         self.result.sent_per_server[server_id] = self.result.sent_per_server.get(server_id, 0) + 1
-        write_message(writer, {"t": "req", "id": wire_id, "kind": op.kind})
-        # No await here: StreamWriter.write buffers; the event loop flushes.
+        # Never blocks: the transport sends what the socket takes and buffers the rest.
+        transport.write(encode_request(wire_id, op.kind))
         return True
 
     def _hedge(self, op: _Operation, server_id: int, now: float) -> None:
@@ -359,61 +416,61 @@ class LiveLoadClient(RequestLifecycle):
         self._transmit(self._ops[hedge.op], server_id, now, hedge=True)
 
     # ------------------------------------------------------------ responses
-    async def _read_responses(self, server_id: int, reader: asyncio.StreamReader) -> None:
-        while True:
-            try:
-                message = await read_message(reader)
-            except (ProtocolError, ConnectionError):
-                return
-            if message is None:
-                return
-            if message.get("t") == "res":
-                self._on_response(message)
-
     def _on_response(self, message: dict) -> None:
         now = self.now_ms()
-        pending = self._pending.pop(int(message["id"]), None)
+        rejected = message.get("rejected")
+        try:
+            wire_id = int(message["id"])
+            if not rejected:
+                queue_size = int(message["queue_size"])
+                service_time = float(message["service_time_ms"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return  # unreadable: dropped, and its wire request times out
+        pending = self._pending.pop(wire_id, None)
         if pending is None:
             return  # already timed out
-        sid = pending.server_id
+        op_id, sid, sent_ms, hedge = pending
         if self.detector is not None:
             self.detector.heartbeat(sid, now)
-        if message.get("rejected"):
+        if rejected:
             # Never serviced: release the selector's outstanding slot but
             # record no feedback-driven EWMA fold or latency.  The operation
             # stays open until its deadline.
             self.result.rejected += 1
             self.selector.on_timeout(sid, now)
             return
-        feedback = ServerFeedback(
-            queue_size=int(message["queue_size"]),
-            service_time=float(message["service_time_ms"]),
-            server_id=sid,
-        )
-        response_time = now - pending.sent_ms
-        released = self.selector.on_response(sid, feedback, response_time, now)
-        op = self._ops.pop(pending.op_id, None)
+        feedback = ServerFeedback(queue_size=queue_size, service_time=service_time, server_id=sid)
+        released = self.selector.on_response(sid, feedback, now - sent_ms, now)
+        op = self._ops.pop(op_id, None)
         if op is not None:
             op.done = True
             self.result.completed += 1
             if op.hedge is not None:
                 self._close_hedge(op.hedge)
-            if pending.hedge:
+            if hedge:
                 self.result.hedges_won += 1
             latency = now - op.created_ms
             if self.hedging is not None and op.kind == "read":
                 self.hedging.record(latency)
             if self.on_complete is not None:
                 self.on_complete(now, latency)
+            self._wake_drain()
         self._release_all(released, now)
+
+    def _wake_drain(self) -> None:
+        """End the drain once no operation is open."""
+        drained = self._drained
+        if not self._ops and drained is not None and not drained.done():
+            drained.set_result(None)
 
     # -------------------------------------------------------------- reaper
     async def _reap_timeouts(self) -> None:
+        timeout = self.request_timeout_ms
         while not self._stop:
             await asyncio.sleep(_REAPER_INTERVAL_MS / 1000.0)
             now = self.now_ms()
             # Wire requests: hand the slot of each unanswered one back.
-            expired = [wid for wid, p in self._pending.items() if p.deadline_ms <= now]
+            expired = [wid for wid, pending in self._pending.items() if pending.sent_ms + timeout <= now]
             for wire_id in expired:
                 self.selector.on_timeout(self._pending.pop(wire_id).server_id, now)
             # Operations, wherever they wait.  ``_ops`` is in due order and
@@ -436,3 +493,4 @@ class LiveLoadClient(RequestLifecycle):
             if op.hedge is not None:
                 self._close_hedge(op.hedge)
             del self._ops[op.op_id]
+        self._wake_drain()

@@ -26,6 +26,19 @@ and control messages share one connection and are distinguished by the
 
 The frame length is capped (:data:`MAX_FRAME_BYTES`) so a corrupt or
 hostile length prefix fails fast instead of buffering unbounded data.
+
+Two readers share one set of checks: :func:`read_message` pulls one frame
+off an ``asyncio.StreamReader`` (the server, the harness's control channel),
+and :class:`FrameDecoder` is the same framing without I/O — bytes in,
+complete frame bodies out — for the load generator's data connections,
+which are ``asyncio.Protocol`` callbacks.  Both apply the length cap
+(:func:`_body_length`) and turn a body into a message with
+:func:`decode_body`.  A *framing* error (a length over the cap, a stream
+that ends mid-frame) leaves the connection unreadable; an unreadable body
+(not UTF-8 JSON, not an object) does not, since the next frame's boundary
+is known, so a reader may drop it and go on.  :func:`encode_request` writes
+the one frame the load generator sends per copy, byte for byte what
+:func:`encode_message` writes, without ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -36,8 +49,11 @@ import struct
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "FrameDecoder",
     "ProtocolError",
+    "decode_body",
     "encode_message",
+    "encode_request",
     "read_message",
     "write_message",
 ]
@@ -47,6 +63,7 @@ __all__ = [
 MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")
+_HEADER = _LENGTH.size
 
 
 class ProtocolError(RuntimeError):
@@ -74,18 +91,29 @@ def write_message(writer: asyncio.StreamWriter, message: dict) -> None:
 async def read_message(reader: asyncio.StreamReader) -> dict | None:
     """Read one frame; ``None`` on clean EOF at a frame boundary."""
     try:
-        header = await reader.readexactly(_LENGTH.size)
+        header = await reader.readexactly(_HEADER)
     except asyncio.IncompleteReadError as error:
         if not error.partial:
             return None
         raise ProtocolError("connection closed mid-frame (truncated length prefix)") from error
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    length = _body_length(header)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise ProtocolError("connection closed mid-frame (truncated body)") from error
+    return decode_body(body)
+
+
+def _body_length(header: bytes, offset: int = 0) -> int:
+    """The body length in the prefix at ``offset``, checked against the cap."""
+    (length,) = _LENGTH.unpack_from(header, offset)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    return length
+
+
+def decode_body(body: bytes) -> dict:
+    """One frame body as its message: a UTF-8 JSON object, or :class:`ProtocolError`."""
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -93,3 +121,43 @@ async def read_message(reader: asyncio.StreamReader) -> dict | None:
     if not isinstance(message, dict):
         raise ProtocolError(f"frame body must be a JSON object, got {type(message).__name__}")
     return message
+
+
+class FrameDecoder:
+    """Sans-I/O framing: :meth:`feed` takes bytes as they arrive and returns
+    the bodies of the frames they complete, in order.
+
+    A partial frame is held until the rest arrives.  A length over the cap
+    raises :class:`ProtocolError` as soon as its 4-byte prefix is in, before
+    any of the body is held, and takes the frames completed by the same call
+    with it: the stream cannot be resynchronised after that.
+    """
+
+    __slots__ = ("_buffer",)
+
+    def __init__(self) -> None:
+        self._buffer = b""
+
+    def feed(self, data: bytes) -> list[bytes]:
+        buffer = self._buffer + data if self._buffer else data
+        end = len(buffer)
+        bodies: list[bytes] = []
+        start = 0
+        while end - start >= _HEADER:
+            stop = start + _HEADER + _body_length(buffer, start)
+            if stop > end:
+                break
+            bodies.append(buffer[start + _HEADER : stop])
+            start = stop
+        self._buffer = buffer[start:]
+        return bodies
+
+
+#: The JSON of each request kind, as ``json.dumps`` writes it.
+_KINDS = {kind: json.dumps(kind).encode("utf-8") for kind in ("read", "write")}
+
+
+def encode_request(request_id: int, kind: str) -> bytes:
+    """``encode_message({"t": "req", "id": request_id, "kind": kind})``, byte for byte."""
+    body = b'{"t":"req","id":%d,"kind":%s}' % (request_id, _KINDS[kind])
+    return _LENGTH.pack(len(body)) + body

@@ -3,7 +3,7 @@
 ``SimClient``, ``Coordinator`` and ``LiveLoadClient`` share
 :class:`~repro.core.lifecycle.RequestLifecycle`.  Each gets a small harness
 here — the simulators on an :class:`EventLoop` with sink servers, live on
-stub writers with responses handed to ``_on_response`` — and every harness
+stub transports with responses handed to ``_on_response`` — and every harness
 runs the same fixed script:
 
 - six reads against a C3 limiter that admits one per replica per window:
@@ -249,8 +249,8 @@ class ClusterHarness(_Harness):
         return {"parked": 0, "hedges_fired": self.client.speculations_fired, "hedges_won": None}
 
 
-class _Writer:
-    """The two ``StreamWriter`` methods the live client's send path calls."""
+class _Transport:
+    """The two transport methods the live client's send path calls."""
 
     def __init__(self, server_id: int, harness: "LiveHarness") -> None:
         self.server_id = server_id
@@ -273,7 +273,7 @@ class LiveHarness(_Harness):
     def __init__(self) -> None:
         super().__init__()
         self.client = LiveLoadClient([("127.0.0.1", 1)] * len(GROUP), strategy=STRATEGY, seed=0)
-        self.client._writers = {sid: _Writer(sid, self) for sid in GROUP}
+        self.client._transports = {sid: _Transport(sid, self) for sid in GROUP}
         self.client.detector = self.detector
         self.client.hedging = _policy()
         self._closes: Counter = Counter()

@@ -1,6 +1,6 @@
 """Hedged reads on the live client: who won, and when the timer gives up.
 
-The tests drive ``LiveLoadClient`` directly — stub writers instead of
+The tests drive ``LiveLoadClient`` directly — stub transports instead of
 sockets, responses handed to ``_on_response`` — so which replica holds the
 primary, which the hedge, and who answers first are chosen, not raced.
 """
@@ -15,8 +15,8 @@ _NOWHERE = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]  # never conne
 _GROUP = (2, 0)
 
 
-class _StubWriter:
-    """The two ``StreamWriter`` methods the client's send path calls."""
+class _StubTransport:
+    """The two transport methods the client's send path calls."""
 
     def __init__(self):
         self.frames = []
@@ -45,9 +45,9 @@ class _SuspectDetector:
 
 
 def _armed_client():
-    """A client on stub writers whose hedge timer is armed at 1 ms."""
+    """A client on stub transports whose hedge timer is armed at 1 ms."""
     client = LiveLoadClient(_NOWHERE, strategy="lor", hedging="hedge:quantile=0.5,min_samples=1", seed=0)
-    client._writers = {sid: _StubWriter() for sid in range(len(_NOWHERE))}
+    client._transports = {sid: _StubTransport() for sid in range(len(_NOWHERE))}
     client.hedging.record(1.0)
     return client
 
@@ -106,10 +106,10 @@ class TestHedgeRearm:
             client.detector = _SuspectDetector(down={0})
             op = _send_primary(client)
             await asyncio.sleep(0.02)  # the 1 ms timer has fired, several times over
-            assert op.hedge.fired == 0 and not client._writers[0].frames
+            assert op.hedge.fired == 0 and not client._transports[0].frames
             client.detector.down.clear()
             await _until(lambda: op.hedge.fired == 1)
-            assert op.hedge.used == {2, 0} and len(client._writers[0].frames) == 1
+            assert op.hedge.used == {2, 0} and len(client._transports[0].frames) == 1
             # Budget spent (max_extra=1): answering ends it, nothing is left armed.
             _respond(client, 0)
             await asyncio.sleep(0.01)

@@ -1,13 +1,14 @@
 """The live load generator keeps its schedule and accounts for every operation.
 
-Six properties, each a second or two: the arrival schedule is a pure
-function of ``(seed, rate, duration)``; a client whose sleeps all run late
+Seven properties, each a second or two: the arrival schedule is a pure
+function of ``(seed, rate, duration)``, drawn bit for bit as the
+``Generator`` methods draw it; a client whose arrival timers all run late
 still offers exactly that schedule and measures latency from the time each
 operation was due; an operation that never reaches a server (backlogged,
-parked) ends as a timeout instead of vanishing; a trial whose servers fail
-to start, or that fails under load, leaves no process behind; and a server
-that writes more to its stderr than a pipe holds neither stalls nor hangs
-its trial.
+parked) ends as a timeout instead of vanishing; an unreadable response
+ends its own request and no other; a trial whose servers fail to start, or
+that fails under load, leaves no process behind; and a server that writes
+more to its stderr than a pipe holds neither stalls nor hangs its trial.
 """
 
 import asyncio
@@ -15,6 +16,7 @@ import contextlib
 import json
 import os
 import signal
+import struct
 import time
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.live import client as client_module
 from repro.live import harness
 from repro.live.client import LiveLoadClient, arrival_schedule
 from repro.live.harness import LiveTrialConfig, run_trial
+from repro.live.protocol import MAX_FRAME_BYTES, encode_message, read_message, write_message
 from repro.live.server import ReplicaServer
 from repro.simulator.workload import replica_groups
 
@@ -98,6 +101,26 @@ class TestArrivalSchedule:
         assert due + float(rng.exponential(1.0 / 0.4)) >= 500.0
         assert {kind for _, _, kind in schedule} == {"read", "write"}
 
+    @pytest.mark.parametrize("rate_per_ms", [0.05, 0.4, 3.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_is_the_generator_methods_schedule_bit_for_bit(self, seed, rate_per_ms):
+        """Same values, and the generator left in the same state, as the
+        ``exponential`` / ``integers`` / ``random`` calls the samplers replace:
+        a numpy release that changes either fails here."""
+        rng = np.random.default_rng(seed)
+        schedule = list(arrival_schedule(rng, rate_per_ms, 500.0, self.GROUPS, 0.5))
+        reference = np.random.default_rng(seed)
+        expected = []
+        due = float(reference.exponential(1.0 / rate_per_ms))
+        while due < 500.0:
+            group = self.GROUPS[int(reference.integers(len(self.GROUPS)))]
+            kind = "read" if reference.random() < 0.5 else "write"
+            expected.append((due, group, kind))
+            due += float(reference.exponential(1.0 / rate_per_ms))
+        assert len(expected) > 10
+        assert schedule == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_client_schedule_is_its_seeds_first_child_stream(self):
         client = LiveLoadClient(_NOWHERE, replication_factor=2, arrival_rate_per_s=300.0, seed=9)
         workload_rng = np.random.default_rng(9).spawn(3)[0]
@@ -106,15 +129,32 @@ class TestArrivalSchedule:
         assert all(kind == "read" for _, _, kind in expected)
 
 
+class _LateLoop:
+    """The running loop as the client sees it, every ``call_at`` timer 1 ms late.
+
+    The client arms its arrivals with ``call_at`` and nothing else: the
+    lifecycle's timers go through ``call_later`` and the reaper sleeps.
+    """
+
+    def __init__(self, loop):
+        self._loop = loop
+
+    def __getattr__(self, name):
+        return getattr(self._loop, name)
+
+    def call_at(self, when, callback, *args):
+        return self._loop.call_at(when + 0.001, callback, *args)
+
+
 class _LateAsyncio:
-    """``asyncio`` as the client module sees it, every sleep 1 ms late."""
+    """``asyncio`` as the client module sees it, every arrival timer 1 ms late."""
 
     def __getattr__(self, name):
         return getattr(asyncio, name)
 
     @staticmethod
-    async def sleep(delay):
-        await asyncio.sleep(delay + 0.001)
+    def get_running_loop():
+        return _LateLoop(asyncio.get_running_loop())
 
 
 class TestLateClient:
@@ -245,6 +285,63 @@ class TestNoOperationIsLost:
         _, result, _ = asyncio.run(scenario())
         assert result.issued > 5 and result.parked >= result.issued
         assert (result.completed, result.timeouts) == (result.issued, 0)
+
+
+class TestMalformedResponse:
+    def test_an_unreadable_response_ends_its_request_not_the_connection(self):
+        """A stub server answers the third request without an ``id``: that
+        operation times out, and every later one on the connection completes."""
+        answered = []
+
+        async def answer(reader, writer):
+            try:
+                while (message := await read_message(reader)) is not None:
+                    answered.append(message["id"])
+                    reply = {"t": "res", "id": message["id"], "queue_size": 0, "service_time_ms": 1.0}
+                    write_message(writer, {"t": "res", "queue_size": 1} if len(answered) == 3 else reply)
+            finally:
+                writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            address = server.sockets[0].getsockname()[:2]
+            try:
+                return await _run(
+                    [address],
+                    0.3,
+                    strategy="lor",
+                    replication_factor=1,
+                    arrival_rate_per_s=200.0,
+                    request_timeout_ms=100.0,
+                    seed=0,
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        _, result, _ = asyncio.run(scenario())
+        assert len(answered) == result.issued == 55
+        assert (result.completed, result.timeouts) == (54, 1)
+        assert result.issued == result.completed + result.timeouts
+
+    def test_only_a_framing_error_closes_the_connection(self):
+        class Transport:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        responses = []
+        connection = client_module._Connection(responses.append)
+        transport = Transport()
+        connection.connection_made(transport)
+        response = {"t": "res", "id": 1, "queue_size": 0, "service_time_ms": 1.0}
+        unreadable = [struct.pack(">I", len(body)) + body for body in (b"{nope", b"[1]", b"\xff")]
+        stream = encode_message(response) + b"".join(unreadable) + encode_message({"t": "ack"})
+        connection.data_received(stream + encode_message(response))
+        assert responses == [response, response] and not transport.closed
+        connection.data_received(struct.pack(">I", MAX_FRAME_BYTES + 1))
+        assert transport.closed
 
 
 class TestTrialAccounting:

@@ -1,14 +1,18 @@
 """Unit tests for the length-prefixed JSON wire format."""
 
 import asyncio
+import random
 import struct
 
 import pytest
 
 from repro.live.protocol import (
     MAX_FRAME_BYTES,
+    FrameDecoder,
     ProtocolError,
+    decode_body,
     encode_message,
+    encode_request,
     read_message,
     write_message,
 )
@@ -40,8 +44,14 @@ class TestEncode:
 
 class TestReadMessage:
     def test_round_trip(self):
-        message = {"t": "res", "id": 9, "server_id": 1, "queue_size": 4,
-                   "service_time_ms": 2.5, "rejected": False}
+        message = {
+            "t": "res",
+            "id": 9,
+            "server_id": 1,
+            "queue_size": 4,
+            "service_time_ms": 2.5,
+            "rejected": False,
+        }
         (decoded,) = _read_from(encode_message(message))
         assert decoded == message
 
@@ -98,3 +108,62 @@ class TestWriteMessage:
         assert len(writer.chunks) == 1
         (decoded,) = _read_from(writer.chunks[0])
         assert decoded == {"t": "ctl", "op": "slow", "factor": 4.0}
+
+
+#: Three frames of the shapes the wire carries, one of them multi-byte UTF-8.
+_FRAMES = [
+    {"t": "req", "id": 7, "kind": "read"},
+    {"t": "res", "id": 7, "server_id": 2, "queue_size": 3, "service_time_ms": 4.25, "rejected": False},
+    {"t": "ack", "op": "stats", "note": "µs ✓"},
+]
+_STREAM = b"".join(encode_message(frame) for frame in _FRAMES)
+
+
+def _decode_in(chunks):
+    decoder = FrameDecoder()
+    return [decode_body(body) for chunk in chunks for body in decoder.feed(chunk)]
+
+
+class TestFrameDecoder:
+    def test_one_byte_chunks_yield_what_read_message_returns(self):
+        expected = _read_from(_STREAM, frames=3)
+        assert _decode_in(_STREAM[i : i + 1] for i in range(len(_STREAM))) == expected == _FRAMES
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_chunks_yield_what_read_message_returns(self, seed):
+        rng = random.Random(seed)
+        cuts = sorted(rng.sample(range(1, len(_STREAM)), 6))
+        chunks = [_STREAM[a:b] for a, b in zip([0, *cuts], [*cuts, len(_STREAM)])]
+        assert _decode_in(chunks) == _read_from(_STREAM, frames=3)
+
+    def test_a_partial_frame_is_held_until_it_completes(self):
+        decoder = FrameDecoder()
+        frame = encode_message(_FRAMES[0])
+        assert decoder.feed(frame[:-1]) == []
+        assert decoder.feed(frame[-1:] + frame[:2]) == [frame[4:]]
+        assert decoder.feed(frame[2:]) == [frame[4:]]
+
+    def test_oversize_prefix_raises_before_any_body_is_buffered(self):
+        header = struct.pack(">I", MAX_FRAME_BYTES + 1)
+        decoder = FrameDecoder()
+        assert decoder.feed(header[:3]) == []
+        with pytest.raises(ProtocolError, match="exceeds"):
+            decoder.feed(header[3:])
+        with pytest.raises(ProtocolError, match="exceeds"):
+            FrameDecoder().feed(encode_message(_FRAMES[0]) + header)
+
+    def test_body_checks_are_read_messages(self):
+        unreadable = [(b"[1,2,3]", "JSON object"), (b"{nope", "not valid JSON"), (b"\xff", "not valid JSON")]
+        for body, match in unreadable:
+            with pytest.raises(ProtocolError, match=match):
+                decode_body(body)
+            with pytest.raises(ProtocolError, match=match):
+                _read_from(struct.pack(">I", len(body)) + body)
+
+
+class TestEncodeRequest:
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    @pytest.mark.parametrize("request_id", [0, 1, 2**31])
+    def test_bytes_are_encode_messages(self, request_id, kind):
+        expected = encode_message({"t": "req", "id": request_id, "kind": kind})
+        assert encode_request(request_id, kind) == expected
