@@ -319,28 +319,6 @@ class C3Scheduler(ReplicaSelector):
             return None
         return state, [self.controller(sid) for sid in range(num_servers)]
 
-    def kernel_restore(
-        self,
-        submitted: int,
-        sent: int,
-        backpressured: int,
-        responses: int,
-        scorer_sends: int,
-        scorer_responses: int,
-        scorer_evaluations: int,
-    ) -> None:
-        """Fold the kernel's locally-accumulated counter deltas back in.
-
-        The dense scorer arrays, rate controllers and backlog queues are
-        shared live with the kernel (fallback paths mutate them directly),
-        so only the batched observability counters need restoring.
-        """
-        self.requests_submitted += submitted
-        self.requests_sent += sent
-        self.requests_backpressured += backpressured
-        self.responses_received += responses
-        self.scorer.kernel_restore(scorer_sends, scorer_responses, scorer_evaluations)
-
     # ------------------------------------------------------------- observation
     def sending_rates(self) -> dict[Hashable, float]:
         """Current per-server sending rates (requests per δ window)."""

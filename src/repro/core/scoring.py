@@ -34,9 +34,11 @@ consumers read the very same slots:
 * :meth:`ReplicaScorer.scores_array`, which folds a whole replica group into
   one vectorized numpy expression, bitwise-equal to the scalar scores;
 * the batched simulator kernel, which obtains the live arrays through
-  :meth:`ReplicaScorer.kernel_state` and inlines every read/write — because
-  the arrays are shared rather than copied, fallback paths that call scorer
-  methods mid-run stay consistent with the kernel's inlined fast path.
+  :meth:`ReplicaScorer.kernel_state` and inlines every read/write, the
+  scorer's ``counters`` included — because the arrays are shared rather
+  than copied, fallback paths that call scorer methods mid-run stay
+  consistent with the kernel's inlined fast path, and nothing is folded
+  back when the run ends.
 
 :meth:`ReplicaScorer.stats_for` materializes a detached
 :class:`ServerStats` snapshot for observability and tests; mutating the
@@ -417,8 +419,8 @@ class ReplicaScorer:
         last_feedback, tiekey)`` — indexable directly by integer server id.
         Because the arrays are shared rather than copied, kernel-inlined
         updates and scorer-method updates (fallback paths mid-run) observe
-        each other immediately; there is nothing to sync back except the
-        counter deltas folded by :meth:`kernel_restore`.
+        each other immediately, and the kernel bumps :attr:`counters` in
+        place: there is nothing to sync back.
 
         Returns ``None`` when the slot table is not exactly the identity
         mapping over ``0..num_servers-1`` (e.g. a reused scorer with string
@@ -441,16 +443,6 @@ class ReplicaScorer:
             self._last_fb,
             self._tiekey,
         )
-
-    def kernel_restore(self, sends: int, responses: int, score_evaluations: int) -> None:
-        """Fold the kernel's locally-accumulated counter deltas back in.
-
-        The dense arrays themselves need no restore (they are shared live);
-        only the observability counters are batched by the kernel for speed.
-        """
-        self.counters.sends += sends
-        self.counters.responses += responses
-        self.counters.score_evaluations += score_evaluations
 
     # ------------------------------------------------------------ observation
     def snapshot(self) -> dict:

@@ -45,14 +45,19 @@ dispatch loop:
 * **Batched selector scoring** — LOR scores replica groups over contiguous
   per-client outstanding counts instead of defaultdict lookups: for the run,
   the selector's own state is that dense list (``kernel_state``), and
-  ``kernel_restore`` folds the kernel's counters back in.  C3 is scored
-  inline over the scorer's live dense arrays and calls the shared
+  ``kernel_restore`` turns it back into the dict.  C3 is scored inline over
+  the scorer's live dense arrays and calls the shared
   :class:`~repro.core.rate_control.CubicRateController` objects.  Every
   other strategy, P2C included, runs through its normal selector methods
   (correct, less accelerated).
-* **Batched metrics** — latencies accumulate in flat lists (exact mode) or
-  go straight into the streaming histograms, and per-server completion
-  times are buffered and flushed through
+* **No shadow counters** — every count the inlined hops keep is the owning
+  object's own field: the server's, the client's, the selector's,
+  ``scorer.counters`` and the metrics collector's counts and latency lists
+  (or streaming histograms).  A loop timer, a scenario component or a
+  lifecycle call mid-run reads what the object path would show there.
+  Two things wait for a flush nothing outside reads before it: the
+  arrival count (``generated``, written back around every generic callback
+  and at slice end) and the per-server completion times, flushed through
   :meth:`~repro.simulator.metrics.WindowedCounter.record_batch` at the end
   of any slice that leaves more than ``_FLUSH_BLOCK`` of them buffered, and
   in ``finish()`` — one scatter per distinct window instead of one dict
@@ -194,13 +199,10 @@ class KernelServer(SimServer):
     directly (``restore()`` at the end of a crash window must drain the
     queue that built up), and those starts must stay on the block stream.
 
-    State observable mid-run — ``pending_requests``,
-    ``current_service_time_ms``, crash/restore/speed-multiplier controls —
-    is the live object state, so scenario components and the
-    ``server_state_fn`` used by snitch-style selectors read exactly what the
-    object path would show.  Write-only accounting (request/queue counters,
-    busy time, the service-time EWMA) accumulates in kernel-local dense
-    lists and is folded back into the object at the end of the run.
+    Everything else is the object's own state, written by the kernel in
+    place — the queue, the slots, the request/queue counters, busy time and
+    the service-time EWMA — and read there by scenario components, the
+    ``server_state_fn`` of snitch-style selectors and :meth:`stats`.
     """
 
     kernel: "BatchedKernel | None" = None
@@ -250,7 +252,7 @@ class KernelClient(SimClient):
         return True
 
     def _count_backpressure(self, request: Any) -> None:
-        self.kernel.backpressure += 1
+        self.metrics.on_backpressure()
 
     def _read_repair(self, request: Any, now: float) -> None:
         kernel = self.kernel
@@ -273,7 +275,7 @@ class KernelClient(SimClient):
         kernel = self.kernel
         duplicate = kernel._new_request(self.client_id, hedge.group, now, _SPECULATIVE, op[0])
         self._hedge_by_copy[duplicate] = hedge
-        kernel.duplicates += 1
+        self.metrics.duplicate_requests += 1
         self.hedges_fired += 1
         self._transmit(duplicate, server_id, now)
 
@@ -353,33 +355,6 @@ class BatchedKernel:
                 )
             server.kernel = self
             self.servers.append(server)
-        # Dense caches of per-server state that is immutable after
-        # construction (the deque entries cache the *objects*; their
-        # contents stay live).  Dynamic state that anything outside the
-        # kernel can observe or mutate mid-run (_up, _in_service,
-        # multiplier, the queue contents) is always read through the server
-        # object so scenario components and the snitch/oracle
-        # ``server_state_fn`` see exactly what the object path would show.
-        srv = self.servers
-        # The queues hold request-id ints in kernel mode (the object path
-        # stores Request instances in the same deques), hence Any.
-        self._srv_queue: list[Any] = [s._queue for s in srv]
-        self._srv_conc = [s.concurrency for s in srv]
-        self._srv_base = [s.base_service_time_ms for s in srv]
-        self._srv_rng = [s.rng for s in srv]
-        self._srv_det = [s.deterministic for s in srv]
-        self._srv_alpha = [s.feedback_alpha for s in srv]
-        # Write-only server accounting lives in dense lists for the run and
-        # is folded back in finish().  Nothing reads these mid-run: the
-        # snitch/oracle ``server_state_fn`` reads only pending_requests and
-        # current_service_time_ms, which stay live on the object.
-        self._s_reqr = [s.requests_received for s in srv]
-        self._s_reqc = [s.requests_completed for s in srv]
-        self._s_busy = [s.busy_time_ms for s in srv]
-        self._s_cqs = [s.cumulative_queue_samples for s in srv]
-        self._s_qs = [s.queue_samples for s in srv]
-        self._s_maxq = [s.max_queue_length for s in srv]
-        self._s_ewv = [s.smoothed_service_time for s in srv]
         self.size_factor = record_size_factor(cfg.record_size)
 
         self.clients: list[KernelClient] = []
@@ -392,22 +367,18 @@ class BatchedKernel:
             client.kernel = self
             self.clients.append(client)
         clients = self.clients
-        self.n_clients = len(clients)
         # Selectors are dispatched on their *exact* run-time type
         # (_detect_mode) and then accessed through per-mode attributes the
         # base classes don't declare; Any is the honest type.
         self._sels: list[Any] = [c.selector for c in clients]
-        self._rr_coins = [c._rr_coin for c in clients]
         self.rrp = float(cfg.read_repair_probability)
         self._hedged = any(c.hedging is not None for c in clients)
         self.mode = self._detect_mode(self._sels[0]) if self._sels else _CUSTOM
 
         num_servers = cfg.num_servers
         if self.mode == _LOR:
-            self._sel_rngs = [sel.rng for sel in self._sels]
-            self._out: list[Any] = [sel.kernel_state(num_servers) for sel in self._sels]
-            self._subm = [0] * self.n_clients
-            self._resp = [0] * self.n_clients
+            for sel in self._sels:
+                sel.kernel_state(num_servers)
         elif self.mode == _C3:
             states = [sel.kernel_state(num_servers) for sel in self._sels]
             c3_cfg = self._sels[0].config
@@ -438,14 +409,6 @@ class BatchedKernel:
                 self.c3_b = c3_cfg.score_exponent
                 self.c3_floor = c3_cfg.service_time_floor_ms
                 self.c3_rc = c3_cfg.rate_control_enabled
-                n_c3 = self.n_clients
-                self._c3_subm = [0] * n_c3
-                self._c3_sent = [0] * n_c3
-                self._c3_bp = [0] * n_c3
-                self._c3_resp = [0] * n_c3
-                self._c3_s_sends = [0] * n_c3
-                self._c3_s_resps = [0] * n_c3
-                self._c3_s_evals = [0] * n_c3
 
         # Arena: one slot per in-flight request, rid == slot index; _free
         # holds the slots no request can name any more.
@@ -459,20 +422,9 @@ class BatchedKernel:
         self._sid: list[int] = []
         self._comp: list[float] = []
 
-        # The two per-request client counters, written back in finish().
-        self._requests_handled = [0] * self.n_clients
-        self._responses_handled = [0] * self.n_clients
-
-        # Metrics accumulators.
         self._exact = sim.metrics.metrics_mode == "exact"
-        self._lat_all: list[float] = []
-        self._lat_read: list[float] = []
-        self._lat_write: list[float] = []
+        #: Completion times per server, waiting for the load series.
         self._srv_times: list[list[float]] = [[] for _ in range(num_servers)]
-        self.completed = 0
-        self.issued = 0
-        self.duplicates = 0
-        self.backpressure = 0
 
         generator = sim.generator
         assert generator is not None
@@ -537,10 +489,10 @@ class BatchedKernel:
         """Process every heap entry with ``time <= until``.
 
         The four per-request handlers (RESPONSE, FINISH, ENQUEUE, ARRIVAL)
-        are inlined here with their state hoisted into locals: at ~5 heap
-        entries per completed request, attribute lookups inside the handlers
-        are the dominant Python overhead once allocation is gone.  The rest
-        goes through methods: the read-repair fanout and refilling a freed
+        are inlined here with the loop-invariant state hoisted into locals;
+        each writes its counts on the owning server, client, selector, scorer
+        and metrics collector in place.  The rest goes through methods: the
+        read-repair fanout and refilling a freed
         service slot from the queue (``_rr_fanout``, ``start_service``), and
         every other step of a request — suspicious-mode and custom-selector
         submits, backlog releases, the retry chain, parking, hedging — through
@@ -578,31 +530,11 @@ class BatchedKernel:
         size_factor = self.size_factor
         sim = self.sim
         rrp = self.rrp
+        metrics = self.metrics
         exact = self._exact
-        lat_all = self._lat_all
-        lat_read = self._lat_read
-        lat_write = self._lat_write
-        responses_handled = self._responses_handled
-        requests_handled = self._requests_handled
-        q_all = self._srv_queue
-        conc_all = self._srv_conc
-        base_all = self._srv_base
-        srng_all = self._srv_rng
-        det_all = self._srv_det
-        alpha_all = self._srv_alpha
-        reqr = self._s_reqr
-        reqc = self._s_reqc
-        busy = self._s_busy
-        cqs = self._s_cqs
-        qs = self._s_qs
-        maxq = self._s_maxq
-        ewv = self._s_ewv
-        rr_coins = self._rr_coins
-        if mode == _LOR:
-            out_all = self._out
-            subm = self._subm
-            resp = self._resp
-            sel_rngs = self._sel_rngs
+        lat_all = metrics._latencies
+        lat_read = metrics._read_latencies
+        lat_write = metrics._write_latencies
         if mode == _C3:
             c3_rt_val = self._c3_rt_val
             c3_rt_cnt = self._c3_rt_cnt
@@ -616,13 +548,6 @@ class BatchedKernel:
             c3_last_fb = self._c3_last_fb
             c3_tiekey = self._c3_tiekey
             c3_ctrl = self._c3_ctrl
-            c3_subm = self._c3_subm
-            c3_sent = self._c3_sent
-            c3_bp = self._c3_bp
-            c3_resp = self._c3_resp
-            c3_s_sends = self._c3_s_sends
-            c3_s_resps = self._c3_s_resps
-            c3_s_evals = self._c3_s_evals
             c3_alpha = self.c3_alpha
             c3_w = self.c3_w
             c3_b = self.c3_b
@@ -640,14 +565,14 @@ class BatchedKernel:
         # Arrival-process state and the network model only change via
         # scenario events, so both are hoisted here and re-derived after
         # each generic Event callback rather than per event.  ``generated``
-        # is written back around callbacks and at slice end.
+        # is written back, to the process and the generator, around
+        # callbacks and at slice end.
+        gen = self.gen
         generated = proc.generated
         total_arrivals = proc.total_arrivals
         inv_rate = 1.0 / proc.rate_per_ms
         network = sim.network
         const_delay = network.delay_ms if type(network) is ConstantLatency else None
-        issued_delta = 0
-        completed_delta = 0
         arr_t = self._arr_t
         arr_seq = self._arr_seq
         fired = 0
@@ -702,12 +627,13 @@ class BatchedKernel:
                     disp.append(-1.0)
                     sid_of.append(-1)
                     comp.append(-1.0)
-                requests_handled[cid] += 1
-                issued_delta += 1
+                client = clients[cid]
+                client.requests_handled += 1
+                metrics.issued_requests += 1
                 suspicious = tracker.count != 0 if binary else det.suspicious()
                 if suspicious or mode == _CUSTOM:
                     loop._now = t
-                    clients[cid]._submit(rid, t)
+                    client._submit(rid, t)
                 else:
                     # Inline submit + dispatch for the LOR/stock/C3 fast
                     # modes (no liveness filtering needed, so the
@@ -726,14 +652,16 @@ class BatchedKernel:
                         # fallbacks (read-repair duplicates go through
                         # on_duplicate_send) stay coherent with this inline
                         # path.
-                        c3_subm[cid] += 1
+                        sel = sels[cid]
+                        sel.requests_submitted += 1
+                        counters = sel.scorer.counters
                         rt_val = c3_rt_val[cid]
                         qs_val = c3_qs_val[cid]
                         st_val = c3_st_val[cid]
                         st_cnt = c3_st_cnt[cid]
                         souts = c3_out[cid]
                         tiekey = c3_tiekey[cid]
-                        c3_s_evals[cid] += len(group)
+                        counters.score_evaluations += len(group)
                         decorated = []
                         k = 0
                         for s in group:
@@ -763,24 +691,24 @@ class BatchedKernel:
                                     break
                             if sid < 0:
                                 # Backpressure: every replica is over rate.
-                                sel = sels[cid]
                                 sel.backlog.enqueue(rid, group, t)
-                                c3_bp[cid] += 1
-                                self.backpressure += 1
+                                sel.requests_backpressured += 1
+                                metrics.backpressure_events += 1
                                 loop._now = t
-                                clients[cid]._schedule_retry(sel.earliest_availability(group, t))
+                                client._schedule_retry(sel.earliest_availability(group, t))
                         if sid >= 0:
                             souts[sid] += 1
                             c3_last_sent[cid][sid] = t
-                            c3_s_sends[cid] += 1
-                            c3_sent[cid] += 1
+                            counters.sends += 1
+                            sel.requests_sent += 1
                     else:
                         # LOR, in one pass: track the current minimum and
                         # lazily build the tie list only when a tie exists,
                         # so the common no-tie case touches no list
                         # machinery.
-                        subm[cid] += 1
-                        out = out_all[cid]
+                        sel = sels[cid]
+                        sel.requests_submitted += 1
+                        out = sel._outstanding
                         sid = -1
                         lowest = 1 << 60
                         tied = None
@@ -796,7 +724,7 @@ class BatchedKernel:
                                 else:
                                     tied.append(s)
                         if tied is not None:
-                            sid = tied[int(sel_rngs[cid].integers(len(tied)))]
+                            sid = tied[int(sel.rng.integers(len(tied)))]
                         out[sid] += 1
                     # sid < 0: C3 backpressure queued the request, and only
                     # the next arrival is left to draw.
@@ -809,12 +737,12 @@ class BatchedKernel:
                         seq_v = loop._seq
                         loop._seq = seq_v + 1
                         push(heap, (t + delay, seq_v, _ENQUEUE, rid, sid, 0.0))
-                        if kind == _READ and rrp > 0.0 and rr_coins[cid]() < rrp:
+                        if kind == _READ and rrp > 0.0 and client._rr_coin() < rrp:
                             loop._now = t
                             self._rr_fanout(rid, cid, t)
                         if hedged:
                             loop._now = t
-                            clients[cid]._hedge(rid, sid, t)
+                            client._hedge(rid, sid, t)
                 if generated < total_arrivals:
                     arr_t = t + next_gap() * inv_rate
                     arr_seq = loop._seq
@@ -835,7 +763,7 @@ class BatchedKernel:
                         continue
                 loop._now = t
                 fired += 1
-                proc.generated = generated
+                proc.generated = gen.requests_generated = generated
                 if code is None:
                     event.callback(*event.args, **event.kwargs)
                 else:
@@ -854,7 +782,8 @@ class BatchedKernel:
                 rid = entry[3]
                 cid = client_of[rid]
                 sid = sid_of[rid]
-                responses_handled[cid] += 1
+                client = clients[cid]
+                client.responses_handled += 1
                 if not binary:
                     det.heartbeat(sid, t)
                 if comp[rid] < 0.0:
@@ -863,8 +792,9 @@ class BatchedKernel:
                 response_time = t - dispatched if dispatched >= 0.0 else t - created[rid]
                 released = None
                 if mode == _LOR:
-                    resp[cid] += 1
-                    out = out_all[cid]
+                    sel = sels[cid]
+                    sel.responses_received += 1
+                    out = sel._outstanding
                     if out[sid] > 0:
                         out[sid] -= 1
                 elif mode == _STOCK:
@@ -877,8 +807,9 @@ class BatchedKernel:
                     # Inline Algorithm 2: three EWMA folds into the scorer's
                     # live arrays (transcribed from its on_response), then the
                     # CUBIC controller update and a guarded backlog drain.
-                    c3_resp[cid] += 1
-                    c3_s_resps[cid] += 1
+                    sel = sels[cid]
+                    sel.responses_received += 1
+                    sel.scorer.counters.responses += 1
                     souts = c3_out[cid]
                     if souts[sid] > 0:
                         souts[sid] -= 1
@@ -911,7 +842,6 @@ class BatchedKernel:
                     c3_last_fb[cid][sid] = t
                     if c3_rc:
                         c3_ctrl[cid][sid].on_response(t)
-                        sel = sels[cid]
                         if sel.backlog._pending:
                             released = sel.drain_backlog(t)
                 else:
@@ -919,13 +849,13 @@ class BatchedKernel:
                         sid, ServerFeedback(entry[4], entry[5], sid), response_time, t
                     )
                 if hedged:
-                    clients[cid]._hedge_complete(rid, response_time, t)
+                    client._hedge_complete(rid, response_time, t)
                 else:
                     srv_times[sid].append(t)
                     if parent_of[rid] < 0:
                         latency = comp[rid] - created[rid]
                         if exact:
-                            completed_delta += 1
+                            metrics.completed_requests += 1
                             lat_all.append(latency)
                             if kind_of[rid] == _WRITE:
                                 lat_write.append(latency)
@@ -936,7 +866,7 @@ class BatchedKernel:
                     free_app(rid)
                 if released:
                     loop._now = t
-                    clients[cid]._release_all(released, t)
+                    client._release_all(released, t)
             elif code == _FINISH:
                 rid = entry[3]
                 sid = entry[4]
@@ -944,15 +874,15 @@ class BatchedKernel:
                 server = servers[sid]
                 ins = server._in_service - 1
                 server._in_service = ins
-                reqc[sid] += 1
-                busy[sid] += service_time
-                alpha = alpha_all[sid]
-                value = alpha * service_time + (1.0 - alpha) * ewv[sid]
-                ewv[sid] = value
-                queue = q_all[sid]
+                server.requests_completed += 1
+                server.busy_time_ms += service_time
+                alpha = server.feedback_alpha
+                value = alpha * service_time + (1.0 - alpha) * server.smoothed_service_time
+                server.smoothed_service_time = value
+                queue = server._queue
                 qsize = len(queue) + ins
                 stime = value if value > 1e-3 else 1e-3
-                if queue and server._up and ins < conc_all[sid]:
+                if queue and server._up and ins < server.concurrency:
                     self.start_service(server, t)
                 cid = client_of[rid]
                 delay = const_delay
@@ -968,28 +898,28 @@ class BatchedKernel:
                 up = server._up
                 if not up:
                     server.enqueued_while_down += 1
-                reqr[sid] += 1
-                queue = q_all[sid]
+                server.requests_received += 1
+                queue = server._queue
                 ins = server._in_service
                 pending = len(queue) + ins
-                cqs[sid] += pending
-                qs[sid] += 1
+                server.cumulative_queue_samples += pending
+                server.queue_samples += 1
                 pending += 1
-                if pending > maxq[sid]:
-                    maxq[sid] = pending
+                if pending > server.max_queue_length:
+                    server.max_queue_length = pending
                 # Queued requests imply no free slot (start_service always
                 # drains), so a free slot here means the queue is empty and
                 # this request starts service immediately.
-                if up and ins < conc_all[sid]:
+                if up and ins < server.concurrency:
                     server._in_service = ins + 1
-                    mean = (base_all[sid] * server._service_time_multiplier) * size_factor
-                    if det_all[sid]:
+                    mean = (server.base_service_time_ms * server._service_time_multiplier) * size_factor
+                    if server.deterministic:
                         st = mean
                     else:
                         block = server._svc_block
                         i = server._svc_i
                         if block is None or i >= _SVC_BLOCK:
-                            block = server._svc_block = srng_all[sid].standard_exponential(
+                            block = server._svc_block = server.rng.standard_exponential(
                                 _SVC_BLOCK
                             )
                             i = 0
@@ -1005,9 +935,7 @@ class BatchedKernel:
         loop._processed += fired
         self._arr_t = arr_t
         self._arr_seq = arr_seq
-        proc.generated = generated
-        self.issued += issued_delta
-        self.completed += completed_delta
+        proc.generated = gen.requests_generated = generated
         if sum(map(len, srv_times)) > _FLUSH_BLOCK:
             self._flush_completions()
 
@@ -1052,7 +980,7 @@ class BatchedKernel:
             if down and not servers[sid]._up:
                 continue
             duplicate = self._new_request(cid, group, t, _READ_REPAIR, rid)
-            self.duplicates += 1
+            self.metrics.duplicate_requests += 1
             selector.on_duplicate_send(sid, t)
             client._place(duplicate, sid, t)
             client.read_repairs_issued += 1
@@ -1094,68 +1022,34 @@ class BatchedKernel:
         server._svc_i = i
 
     def _record_latency(self, rid: int, latency: float) -> None:
-        self.completed += 1
+        metrics = self.metrics
+        metrics.completed_requests += 1
         if self._exact:
-            self._lat_all.append(latency)
+            metrics._latencies.append(latency)
             if self._kind[rid] == _WRITE:
-                self._lat_write.append(latency)
+                metrics._write_latencies.append(latency)
             else:
-                self._lat_read.append(latency)
+                metrics._read_latencies.append(latency)
         else:
-            metrics = self.metrics
             metrics._histogram.record(latency)
             if self._kind[rid] == _WRITE:
                 metrics._write_histogram.record(latency)
             else:
                 metrics._read_histogram.record(latency)
 
-    # ------------------------------------------------------------- write-back
-    def finish(self) -> int:
-        """Fold kernel-local state back into the object graph.
+    # ------------------------------------------------------------------ end
+    def finish(self) -> None:
+        """End the run: flush the buffered completion times into the load
+        series, hand the LOR selectors their dicts back and unhook.
 
-        After this, ``sim.metrics``, the two per-request client counters,
-        and the LOR and C3 selector counters match what the object path would
-        have left behind, so ``stats()``/``result()`` work unchanged (every
-        other client counter is the client's own).  Returns the number of
-        requests still parked.
+        Every counter is already on its object (see the module docstring),
+        so ``stats()`` and ``result()`` read them as the object path leaves
+        them.
         """
-        metrics = self.metrics
-        if self._exact:
-            metrics._latencies = self._lat_all
-            metrics._read_latencies = self._lat_read
-            metrics._write_latencies = self._lat_write
-        metrics.completed_requests = self.completed
-        metrics.issued_requests = self.issued
-        metrics.duplicate_requests = self.duplicates
-        metrics.backpressure_events = self.backpressure
-        for sid, server in enumerate(self.servers):
-            server.requests_received = self._s_reqr[sid]
-            server.requests_completed = self._s_reqc[sid]
-            server.busy_time_ms = self._s_busy[sid]
-            server.cumulative_queue_samples = self._s_cqs[sid]
-            server.queue_samples = self._s_qs[sid]
-            server.max_queue_length = self._s_maxq[sid]
-            server.smoothed_service_time = self._s_ewv[sid]
         self._flush_completions()
-
-        self.gen.requests_generated = self.proc.generated
-        for cid, client in enumerate(self.clients):
-            client.requests_handled = self._requests_handled[cid]
-            client.responses_handled = self._responses_handled[cid]
         if self.mode == _LOR:
-            for cid, sel in enumerate(self._sels):
-                sel.kernel_restore(self._subm[cid], self._resp[cid])
-        elif self.mode == _C3:
-            for cid, sel in enumerate(self._sels):
-                sel.kernel_restore(
-                    self._c3_subm[cid],
-                    self._c3_sent[cid],
-                    self._c3_bp[cid],
-                    self._c3_resp[cid],
-                    self._c3_s_sends[cid],
-                    self._c3_s_resps[cid],
-                    self._c3_s_evals[cid],
-                )
+            for sel in self._sels:
+                sel.kernel_restore()
 
         # The run is over: hand the servers back to their own
         # ``_try_start_service`` and let go of the clients (kernel ↔
@@ -1168,7 +1062,6 @@ class BatchedKernel:
         self._created, self._disp, self._comp = [], [], []
         self._client, self._kind, self._parent, self._sid = [], [], [], []
         self._group, self._free, self._srv_times = [], [], []
-        return sum(len(client._parked) for client in self.clients)
 
     def _flush_completions(self) -> None:
         """Move the buffered per-server completion times into the load series.

@@ -35,10 +35,9 @@ class ObjectEngine:
 
     The engine interface :meth:`ReplicaSelectionSimulation.drive` runs:
     ``start()`` schedules the first arrival, ``run_slice(until)`` processes
-    events up to a time, ``completed`` counts finished data requests, and
-    ``finish()`` settles the engine's state into the object graph and returns
-    how many requests are still parked.  Here the state already lives on the
-    clients and the metrics collector.
+    events up to a time, and ``finish()`` ends the run.  Either engine keeps
+    its counts on the servers, clients, selectors and metrics collector
+    themselves, which the driver reads between slices.
     """
 
     def __init__(self, sim: "ReplicaSelectionSimulation") -> None:
@@ -51,15 +50,11 @@ class ObjectEngine:
         assert self.sim.generator is not None
         self.sim.generator.start()
 
-    @property
-    def completed(self) -> int:
-        return self.sim.metrics.completed_requests
-
     def run_slice(self, until: float) -> None:
         self.sim.loop.run(until=until)
 
-    def finish(self) -> int:
-        return sum(len(c._parked) for c in self.sim.clients)
+    def finish(self) -> None:
+        """Nothing to settle: every count is already on its object."""
 
 
 def _object_kernel():
@@ -439,7 +434,8 @@ class ReplicaSelectionSimulation:
         # advanced in slices until every data request has completed (or the
         # hard time cap is hit, which indicates an unstable configuration).
         slice_ms = max(10.0, cfg.fluctuation_interval_ms)
-        while engine.completed < cfg.num_requests and loop.now < cfg.max_sim_time_ms:
+        metrics = self.metrics
+        while metrics.completed_requests < cfg.num_requests and loop.now < cfg.max_sim_time_ms:
             engine.run_slice(loop.now + slice_ms)
 
         duration = loop.now
@@ -447,13 +443,13 @@ class ReplicaSelectionSimulation:
             # Symmetric teardown: restores server speeds/liveness so loop or
             # server objects can be inspected or reused after the run.
             self.scenario.stop()
-        parked_remaining = engine.finish()
+        engine.finish()
         extra = {
             "config": cfg,
             "clients": len(self.clients),
             "servers": len(self.servers),
             "backlog_remaining": sum(c.selector.pending_backlog() for c in self.clients),
-            "parked_remaining": parked_remaining,
+            "parked_remaining": sum(len(c._parked) for c in self.clients),
             "scenario": cfg.scenario,
         }
         return self.metrics.result(duration_ms=duration, strategy=cfg.strategy, extra=extra)

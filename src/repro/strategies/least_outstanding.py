@@ -79,7 +79,8 @@ class LeastOutstandingSelector(StatefulSelector):
 
     def stats(self) -> dict:
         stats = super().stats()
-        stats["outstanding_total"] = sum(self._outstanding.values())
+        counts = self._outstanding
+        stats["outstanding_total"] = sum(counts if type(counts) is list else counts.values())
         return stats
 
     # ------------------------------------------------------ batched-kernel seam
@@ -87,16 +88,16 @@ class LeastOutstandingSelector(StatefulSelector):
         """Outstanding counts as a dense list indexed by (integer) server id.
 
         For the batched kernel's run the list *is* the selector's state: the
-        kernel scores replica groups over it inline, and the selector's own
-        methods (the submits, timeouts and duplicate sends the request
-        lifecycle makes) update the same list.  :meth:`kernel_restore` turns
-        it back into the dict, so post-run :meth:`stats` are unchanged.
+        kernel scores replica groups over it inline and bumps the selector's
+        own counters, and the selector's methods (the submits, timeouts and
+        duplicate sends the request lifecycle makes) update the same list.
+        :meth:`outstanding` and :meth:`stats` read either form, so they
+        answer mid-run as after it; :meth:`kernel_restore` turns the list
+        back into the dict.
         """
         self._outstanding = [self._outstanding[sid] for sid in range(num_servers)]
         return self._outstanding
 
-    def kernel_restore(self, submitted: int, responses: int) -> None:
-        """Fold the kernel's counter deltas and the dense counts back in."""
-        self.requests_submitted += submitted
-        self.responses_received += responses
+    def kernel_restore(self) -> None:
+        """Turn the dense counts back into the dict."""
         self._outstanding = defaultdict(int, {sid: n for sid, n in enumerate(self._outstanding) if n})

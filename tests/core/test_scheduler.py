@@ -187,11 +187,28 @@ class TestSelectorApi:
         scheduler.scorer = CustomScorer(scheduler.config)
         assert scheduler.kernel_state(3) is None
 
-    def test_kernel_restore_folds_counter_deltas(self):
-        scheduler = make_scheduler()
-        scheduler.submit("r", ("a",), now=0.0)
-        scheduler.kernel_restore(5, 4, 1, 3, 4, 3, 12)
-        stats = scheduler.stats()
-        assert (stats["submitted"], stats["sent"], stats["backpressured"], stats["responses"]) == (6, 5, 1, 3)
-        counters = scheduler.scorer.counters
-        assert (counters.sends, counters.responses) == (5, 3)
+    def test_batched_kernel_counts_on_the_scheduler_itself(self):
+        """The batched kernel's inlined C3 path bumps the scheduler's own
+        counters and its scorer's: a loop timer inside the run reads them
+        current, equal to what the object kernel has counted by then."""
+        from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
+
+        seen = {}
+        for kernel in ("object", "batched"):
+            config = SimulationConfig(
+                num_servers=6, num_clients=4, num_requests=400, seed=3, strategy="C3", kernel=kernel
+            )
+            sim = ReplicaSelectionSimulation(config)
+            snapshots = seen[kernel] = []
+
+            def snapshot(sim=sim, snapshots=snapshots) -> None:
+                for client in sim.clients:
+                    selector = client.selector
+                    snapshots.append((selector.stats(), selector.scorer.counters.as_dict()))
+
+            sim.loop.schedule(config.num_requests / config.target_arrival_rate_per_ms / 2, snapshot)
+            sim.run()
+        assert len(seen["batched"]) == 4
+        assert sum(stats["sent"] for stats, _ in seen["batched"]) > 0
+        assert sum(counters["responses"] for _, counters in seen["batched"]) > 0
+        assert seen["batched"] == seen["object"]

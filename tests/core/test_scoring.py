@@ -254,10 +254,15 @@ class TestDenseLayout:
         scorer.on_send("west-1", 0.0)  # first-contact slot 0 is not server 0
         assert scorer.kernel_state(3) is None
 
-    def test_kernel_restore_folds_counter_deltas(self):
+    def test_kernel_state_leaves_counters_on_the_scorer(self):
+        """The kernel bumps ``scorer.counters`` in place: the object stays the
+        same across ``kernel_state`` and a write through it is the scorer's."""
         scorer = ReplicaScorer()
+        counters = scorer.counters
+        assert scorer.kernel_state(3) is not None
+        assert scorer.counters is counters
         scorer.on_send(0, 0.0)
-        scorer.kernel_restore(sends=10, responses=7, score_evaluations=42)
-        assert scorer.counters.sends == 11
-        assert scorer.counters.responses == 7
-        assert scorer.counters.score_evaluations == 42
+        counters.sends += 1
+        counters.score_evaluations += 3
+        assert scorer.counters.sends == 2
+        assert scorer.counters.score_evaluations == 3

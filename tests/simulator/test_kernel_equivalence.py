@@ -13,13 +13,15 @@ event for event.  These tests pin that contract three ways:
   copies outliving their primary (the kernel recycles request slots), a
   run long enough to flush the per-server load series in chunks, every
   builtin scenario and the legacy fluctuation fields on and off — each
-  row also compares every client's and server's ``stats()`` between the
-  two runs, which pins the kernel's end-of-run write-back;
+  row also compares every client's and server's ``stats()`` and the
+  metrics collector's counts between the two runs, at three instants
+  inside the run (loop timers) and after it: the kernel keeps no copy of
+  that accounting to hand back at the end;
 * a hypothesis property over random small configurations — every builtin
   strategy, hedged or not, on the binary or the phi detector, with or
   without a crash, slow-node or gc-storm scenario, and C3/RR rate-limited
   on one to three clients so that backpressure engages — comparing the same
-  digests and ``stats()``, so the equivalence is not an artifact of
+  digests and mid-run and final ``stats()``, so the equivalence is not an artifact of
   hand-picked parameters;
 * a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
   scatter the kernel uses to build per-server load series.
@@ -37,6 +39,7 @@ from repro.simulator.kernel import _FLUSH_BLOCK, BatchedKernel, KernelClient
 from repro.simulator.metrics import WindowedCounter
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 from repro.simulator.workload import DemandSkew
+from repro.strategies.least_outstanding import LeastOutstandingSelector
 
 
 PLAIN = dict(num_servers=10, num_clients=12, num_requests=1200, seed=7)
@@ -137,20 +140,59 @@ MATRIX = {
 }
 
 
+def _observe(sim: ReplicaSelectionSimulation) -> list:
+    """Arm loop timers at a quarter, half and three quarters of the expected
+    arrival span; each appends what code outside the kernel's loop can read
+    then: every client's ``stats()`` (the selector's included), LOR's
+    per-server ``outstanding()``, every server's ``stats()`` and the metrics
+    collector's four counts."""
+    snapshots: list = []
+    metrics = sim.metrics
+
+    def snapshot() -> None:
+        snapshots.append(
+            (
+                sim.loop.now,
+                [c.stats() for c in sim.clients],
+                [
+                    [c.selector.outstanding(sid) for sid in sim.servers]
+                    for c in sim.clients
+                    if isinstance(c.selector, LeastOutstandingSelector)
+                ],
+                {sid: s.stats() for sid, s in sim.servers.items()},
+                (
+                    metrics.completed_requests,
+                    metrics.issued_requests,
+                    metrics.duplicate_requests,
+                    metrics.backpressure_events,
+                ),
+            )
+        )
+
+    span = sim.config.num_requests / sim.config.target_arrival_rate_per_ms
+    for quarter in (1, 2, 3):
+        sim.loop.schedule(span * quarter / 4, snapshot)
+    return snapshots
+
+
 def _run_both(**kw) -> dict:
     runs = {}
     for kernel in ("object", "batched"):
         sim = ReplicaSelectionSimulation(SimulationConfig(kernel=kernel, **kw))
-        runs[kernel] = (sim, sim.run())
+        snapshots = _observe(sim)
+        runs[kernel] = (sim, sim.run(), snapshots)
     return runs
 
 
 def assert_kernels_equivalent(**kw) -> None:
     """Equal digests, and from the same two runs equal client stats (the
-    selector's included) and server stats: the kernel's write-back through
-    ``kernel_restore`` leaves every object as the object path would."""
-    (obj_sim, obj_result), (bat_sim, bat_result) = _run_both(**kw).values()
+    selector's included), server stats and metrics counts, both at loop
+    timers inside the run and after it: whatever the kernel writes is the
+    owning object's own state, current whenever code outside its loop runs."""
+    (obj_sim, obj_result, obj_seen), (bat_sim, bat_result, bat_seen) = _run_both(**kw).values()
     assert obj_result.digest() == bat_result.digest()
+    assert obj_seen, "no timer fired inside the run"
+    assert obj_seen == bat_seen
     assert [c.stats() for c in obj_sim.clients] == [c.stats() for c in bat_sim.clients]
     assert {sid: s.stats() for sid, s in obj_sim.servers.items()} == {
         sid: s.stats() for sid, s in bat_sim.servers.items()
@@ -219,8 +261,8 @@ def test_the_kernel_client_is_the_simulator_client():
     ``KernelClient`` overrides only I/O on arena slots and the hedged
     completion that frees them; the kernel keeps no copy of submit, retry,
     park or hedge, no timer codes or retry constants of its own, and no
-    per-client timer or park state, and ``finish()`` writes back only the
-    two per-request counters.
+    per-client timer or park state, and ``finish()`` writes back no
+    counter: every one is the client's own throughout the run.
     """
     assert issubclass(KernelClient, SimClient)
     own = {name for name in vars(KernelClient) if not name.startswith("__")} - {"_abc_impl"}
@@ -241,11 +283,14 @@ def test_the_kernel_client_is_the_simulator_client():
     per_client = {"_parked", "_parked_armed", "_retry_armed", "_hedge_ops", "_hedge_by_copy"}
     assert not per_client & set(vars(kernel))
     assert all(client.kernel is kernel for client in sim.clients)
-    own_counters = ("read_repairs_issued", "requests_parked", "hedges_fired", "hedges_won")
+    own_counters = (
+        "requests_handled", "responses_handled", "read_repairs_issued", "requests_parked",
+        "hedges_fired", "hedges_won",
+    )
     for client in sim.clients:
         for counter in own_counters:
             setattr(client, counter, 7)
-    assert kernel.finish() == 0
+    kernel.finish()
     assert all(client.kernel is None for client in sim.clients)
     assert all(c.stats()[counter] == 7 for c in sim.clients for counter in own_counters)
 

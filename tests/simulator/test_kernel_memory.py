@@ -63,7 +63,9 @@ def _slice_samples(monkeypatch, num_requests: int) -> list[tuple[int, int, int, 
         run_slice(kernel, until)
         # Without hedging every response frees its own slot, so the
         # requests in flight are the ones created and not yet answered.
-        in_flight = kernel.issued + kernel.duplicates - sum(kernel._responses_handled)
+        metrics = kernel.metrics
+        answered = sum(client.responses_handled for client in kernel.clients)
+        in_flight = metrics.issued_requests + metrics.duplicate_requests - answered
         buffered = sum(map(len, kernel._srv_times))
         samples.append((len(kernel._created), len(kernel._free), in_flight, buffered))
 
