@@ -19,7 +19,7 @@ comparison gate (used by the CI ``live-smoke`` job) in
 from importlib import import_module
 from typing import Any
 
-from .protocol import MAX_FRAME_BYTES, encode_message, read_message, write_message
+from .protocol import MAX_FRAME_BYTES, encode_message
 
 # The harness and the comparison gate are imported on first use: a server
 # run by hand (`python -m repro.live.server`) imports this package and needs
@@ -38,7 +38,7 @@ _EXPORTS = {
     "load_trial": "compare",
 }
 
-__all__ = sorted([*_EXPORTS, "MAX_FRAME_BYTES", "encode_message", "read_message", "write_message"])
+__all__ = sorted([*_EXPORTS, "MAX_FRAME_BYTES", "encode_message"])
 
 
 def __getattr__(name: str) -> Any:

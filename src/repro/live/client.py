@@ -42,26 +42,27 @@ strings — against live replica servers (:mod:`repro.live.server`):
   hedge timer are the shared :class:`~repro.core.lifecycle.RequestLifecycle`
   on the event loop's ``call_later``; responses double as detector
   heartbeats (the phi-accrual detector works off real silence).
-- **Callbacks, not tasks, on the data path**: each server connection is an
-  ``asyncio.Protocol`` whose ``data_received`` feeds a
-  :class:`~repro.live.protocol.FrameDecoder` and hands each response to the
-  client directly, and each request is one
-  :func:`~repro.live.protocol.encode_request` frame.  A frame that is well
-  framed but unreadable (not JSON, not an object, a response without its
-  fields) is dropped and its wire request times out; only a framing error
-  (a length over the cap) ends the connection.
+- **Callbacks, not tasks, on the data path**: each server connection is a
+  :class:`~repro.live.protocol.FrameProtocol`, the one frame reader of the
+  live backend, which hands each response to the client directly, and
+  each request is one :func:`~repro.live.protocol.encode_request` frame.
+  A frame that is well framed but unreadable (not JSON, not an object, a
+  response without its fields) is dropped and its wire request times out;
+  only a framing error (a length over the cap) ends the connection.
 
-The wall clock is ``time.monotonic()`` in milliseconds **relative to
-client construction**, so ``now`` values handed to selectors/detectors
-start near zero and advance the way simulator time does; the harness runs
-the scenario timeline and the warm-up/cool-down trim on the same clock.
+The clock is the running event loop's (``loop.time()``), the one its
+arrival timers, the lifecycle's timers and the servers run on, in
+milliseconds **from the clock's first reading**, so ``now`` values handed
+to selectors/detectors start near zero and advance the way simulator time
+does; the harness runs the scenario timeline and the warm-up/cool-down
+trim on the same clock.  A loop whose ``time()`` is virtual moves the
+client with it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -73,7 +74,7 @@ from ..core.feedback import ServerFeedback
 from ..core.lifecycle import Hedge, RequestLifecycle
 from ..simulator.workload import replica_groups
 from ..strategies.spec import StrategySpec
-from .protocol import FrameDecoder, ProtocolError, decode_body, encode_request
+from .protocol import FrameProtocol, encode_request
 
 __all__ = ["LiveClientResult", "LiveLoadClient", "arrival_schedule"]
 
@@ -125,33 +126,6 @@ def _slip_summary(slips_ms: Sequence[float]) -> dict[str, float]:
     ordered = sorted(slips_ms)
     p99 = ordered[math.ceil(0.99 * len(ordered)) - 1]
     return {"mean": sum(ordered) / len(ordered), "p99": p99, "max": ordered[-1]}
-
-
-class _Connection(asyncio.Protocol):
-    """One data connection: frames in, each response to ``on_response``."""
-
-    def __init__(self, on_response: Callable[[dict], None]) -> None:
-        self._on_response = on_response
-        self._decoder = FrameDecoder()
-        self.transport: Any = None
-
-    def connection_made(self, transport: Any) -> None:
-        self.transport = transport
-
-    def data_received(self, data: bytes) -> None:
-        try:
-            bodies = self._decoder.feed(data)
-        except ProtocolError:
-            # A length over the cap: no later frame boundary can be trusted.
-            self.transport.close()
-            return
-        for body in bodies:
-            try:
-                message = decode_body(body)
-            except ProtocolError:
-                continue  # well framed but unreadable: dropped
-            if message.get("t") == "res":
-                self._on_response(message)
 
 
 class _Pending(NamedTuple):
@@ -277,18 +251,22 @@ class LiveLoadClient(RequestLifecycle):
         self._drained: asyncio.Future[None] | None = None
         #: ``issue − due`` of every operation issued so far, in schedule order (ms).
         self.slips_ms: list[float] = []
-        self._epoch = time.monotonic()
+        #: The running loop's time at the clock's first reading (s).
+        self._origin_s: float | None = None
 
     # --------------------------------------------------------------- clock
     def now_ms(self) -> float:
-        """Milliseconds since this client was constructed (monotonic)."""
-        return (time.monotonic() - self._epoch) * 1000.0
+        """The running loop's time in ms since the clock was first read."""
+        now_s = asyncio.get_running_loop().time()
+        if self._origin_s is None:
+            self._origin_s = now_s
+        return (now_s - self._origin_s) * 1000.0
 
     # ---------------------------------------------------------- connection
     async def connect(self) -> None:
         loop = asyncio.get_running_loop()
         for sid, (host, port) in enumerate(self.addresses):
-            transport, _ = await loop.create_connection(lambda: _Connection(self._on_response), host, port)
+            transport, _ = await loop.create_connection(lambda: FrameProtocol(self._on_response), host, port)
             self._transports[sid] = transport
 
     async def close(self) -> None:
@@ -314,7 +292,8 @@ class LiveLoadClient(RequestLifecycle):
         arrivals = self.schedule(duration_s)
         offered: asyncio.Future[None] = loop.create_future()
         start_ms = self.now_ms()
-        start_s = loop.time()
+        origin_s = self._origin_s
+        assert origin_s is not None  # fixed by that reading at the latest
         timer: asyncio.TimerHandle | None = None
 
         def arm_next() -> None:
@@ -324,7 +303,8 @@ class LiveLoadClient(RequestLifecycle):
                 offered.set_result(None)
                 return
             due_ms, group, kind = arrival
-            timer = loop.call_at(start_s + due_ms / 1000.0, arrive, start_ms + due_ms, group, kind)
+            due_ms += start_ms
+            timer = loop.call_at(origin_s + due_ms / 1000.0, arrive, due_ms, group, kind)
 
         def arrive(due_ms: float, group: tuple[int, ...], kind: str) -> None:
             if self._stop:
@@ -417,6 +397,8 @@ class LiveLoadClient(RequestLifecycle):
 
     # ------------------------------------------------------------ responses
     def _on_response(self, message: dict) -> None:
+        if message.get("t") != "res":
+            return
         now = self.now_ms()
         rejected = message.get("rejected")
         try:

@@ -50,6 +50,7 @@ different time on a different host compares equal.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import multiprocessing
 import os
@@ -57,7 +58,8 @@ import socket
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -73,7 +75,7 @@ from ..scenarios.components import Edge
 from ..simulator.simulation import SimulationConfig
 from ..strategies.spec import StrategySpec
 from .client import LiveClientResult, LiveLoadClient
-from .protocol import read_message, write_message
+from .protocol import FrameProtocol, encode_message
 from .server import serve
 
 __all__ = [
@@ -162,27 +164,11 @@ class LiveTrialConfig:
 
     def config_payload(self) -> dict[str, Any]:
         """Every field, JSON-serializable, canonical strings throughout."""
-        return {
-            "schema": PAYLOAD_SCHEMA,
-            "strategy": self.strategy,
-            "failure_detector": self.failure_detector,
-            "hedging": self.hedging,
-            "scenario": self.scenario,
-            "scenario_params": dict(self.scenario_params),
-            "num_servers": self.num_servers,
-            "replication_factor": self.replication_factor,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "cooldown_s": self.cooldown_s,
-            "arrival_rate_per_s": self.arrival_rate_per_s,
-            "base_service_ms": self.base_service_ms,
-            "concurrency": self.concurrency,
-            "queue_capacity": self.queue_capacity,
-            "read_fraction": self.read_fraction,
-            "request_timeout_ms": self.request_timeout_ms,
-            "seed": self.seed,
-            "histogram_relative_error": self.histogram_relative_error,
-        }
+        payload: dict[str, Any] = {"schema": PAYLOAD_SCHEMA}
+        for item in fields(self):
+            payload[item.name] = getattr(self, item.name)
+        payload["scenario_params"] = dict(self.scenario_params)
+        return payload
 
 
 @dataclass
@@ -331,7 +317,7 @@ def _server_process(config: LiveTrialConfig, sid: int, port_out: Connection, std
     )
 
 
-def _start_servers(config: LiveTrialConfig, processes: list[BaseProcess]) -> list[int]:
+def _fork_servers(config: LiveTrialConfig, processes: list[BaseProcess]) -> list[int]:
     """Fork every server, then return their ports in server order.
 
     Each child joins ``processes`` the moment it exists, so the caller can
@@ -392,6 +378,21 @@ def _reap(processes: list[BaseProcess], asked_to_exit: bool) -> None:
 
 
 # --------------------------------------------------------------------- trial
+def _control_protocol(acks: deque[asyncio.Future]) -> FrameProtocol:
+    """A control connection: each ack answers the oldest op in ``acks`` (one
+    that timed out is skipped), and losing it answers every op with ``None``."""
+
+    def answer(message: dict | None) -> None:
+        if acks and not (ack := acks.popleft()).done():
+            ack.set_result(message)
+
+    def on_lost() -> None:
+        while acks:
+            answer(None)
+
+    return FrameProtocol(answer, on_lost)
+
+
 async def _drive(
     config: LiveTrialConfig, ports: list[int]
 ) -> tuple[LiveClientResult, list[tuple[float, float]], float, list[dict[str, Any]]]:
@@ -400,18 +401,26 @@ async def _drive(
     Returns the load result, the ``(completed_at_ms, latency_ms)`` pairs,
     the trial's start on the client clock, and each server's stats.
     """
-    control: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
+    loop = asyncio.get_running_loop()
+    control: list[tuple[asyncio.Transport, deque[asyncio.Future]]] = []
     scenario_task: asyncio.Task | None = None
     servers = range(config.num_servers)
     try:
-        connections = await asyncio.gather(*(asyncio.open_connection("127.0.0.1", port) for port in ports))
-        control.update(enumerate(connections))
+        for port in ports:
+            acks: deque[asyncio.Future] = deque()
+            transport, _ = await loop.create_connection(
+                functools.partial(_control_protocol, acks), "127.0.0.1", port
+            )
+            control.append((transport, acks))
 
         async def send_control(sid: int, op: dict[str, Any]) -> dict:
-            reader, writer = control[sid]
-            write_message(writer, {"t": "ctl", **op})
-            await writer.drain()
-            ack = await asyncio.wait_for(read_message(reader), timeout=10.0)
+            transport, acks = control[sid]
+            ack = None
+            if not transport.is_closing():  # a closed connection answers nothing
+                future = loop.create_future()
+                acks.append(future)
+                transport.write(encode_message({"t": "ctl", **op}))
+                ack = await asyncio.wait_for(future, timeout=10.0)
             if ack is None:
                 raise RuntimeError(f"server {sid} closed its control connection")
             return ack
@@ -430,8 +439,9 @@ async def _drive(
             on_complete=lambda at_ms, latency_ms: completions.append((at_ms, latency_ms)),
         )
         await client.connect()
-        # The trial timeline runs on the client's clock (ms since client
-        # construction) so completion timestamps and the trim window agree.
+        # The trial timeline runs on the client's clock (the loop's, in ms
+        # from its first reading) so completion timestamps and the trim
+        # window agree.
         t0_ms = client.now_ms()
         if config.scenario == "gc-storm":
             storm_rng = np.random.default_rng(config.seed + 99_991)
@@ -454,9 +464,8 @@ async def _drive(
         server_stats = [ack.get("stats", {}) for ack in acks]
         await asyncio.gather(*(send_control(sid, {"op": "shutdown"}) for sid in servers))
     finally:
-        for reader, writer in control.values():
-            if not writer.is_closing():
-                writer.close()
+        for transport, _ in control:
+            transport.close()
     return load, completions, t0_ms, server_stats
 
 
@@ -471,7 +480,7 @@ def run_trial(config: LiveTrialConfig, out_dir: "str | Path") -> LiveTrialResult
     shut_down = False
     started = time.time()
     try:
-        ports = _start_servers(config, processes)
+        ports = _fork_servers(config, processes)
         load, completions, t0_ms, server_stats = asyncio.run(_drive(config, ports))
         shut_down = True
     finally:

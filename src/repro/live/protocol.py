@@ -27,17 +27,14 @@ and control messages share one connection and are distinguished by the
 The frame length is capped (:data:`MAX_FRAME_BYTES`) so a corrupt or
 hostile length prefix fails fast instead of buffering unbounded data.
 
-Two readers share one set of checks: :func:`read_message` pulls one frame
-off an ``asyncio.StreamReader`` (the server, the harness's control channel),
-and :class:`FrameDecoder` is the same framing without I/O — bytes in,
-complete frame bodies out — for the load generator's data connections,
-which are ``asyncio.Protocol`` callbacks.  Both apply the length cap
-(:func:`_body_length`) and turn a body into a message with
-:func:`decode_body`.  A *framing* error (a length over the cap, a stream
-that ends mid-frame) leaves the connection unreadable; an unreadable body
-(not UTF-8 JSON, not an object) does not, since the next frame's boundary
-is known, so a reader may drop it and go on.  :func:`encode_request` writes
-the one frame the load generator sends per copy, byte for byte what
+One reader serves every connection: :class:`FrameProtocol`, an
+``asyncio.Protocol`` that feeds a sans-I/O :class:`FrameDecoder` (bytes in,
+complete frame bodies out) and hands each body :func:`decode_body` can read
+to a callback.  A *framing* error (a length over the cap) leaves the
+connection unreadable, so it is closed; an unreadable body (not UTF-8 JSON,
+not an object) is dropped, since the next frame's boundary is known, and so
+is a frame the stream ends inside.  :func:`encode_request` writes the one
+frame the load generator sends per copy, byte for byte what
 :func:`encode_message` writes, without ``json.dumps``.
 """
 
@@ -46,16 +43,16 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from typing import Any, Callable
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "FrameDecoder",
+    "FrameProtocol",
     "ProtocolError",
     "decode_body",
     "encode_message",
     "encode_request",
-    "read_message",
-    "write_message",
 ]
 
 #: Upper bound on a single frame body.  Stats acks carry load series for
@@ -67,7 +64,7 @@ _HEADER = _LENGTH.size
 
 
 class ProtocolError(RuntimeError):
-    """A malformed frame: oversized, truncated, or not a JSON object."""
+    """A malformed frame: oversized, or not a JSON object."""
 
 
 def encode_message(message: dict) -> bytes:
@@ -76,40 +73,6 @@ def encode_message(message: dict) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame body of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH.pack(len(body)) + body
-
-
-def write_message(writer: asyncio.StreamWriter, message: dict) -> None:
-    """Queue one frame on ``writer`` (no flush — callers drain in bulk).
-
-    StreamWriter.write is not a coroutine, so frames from concurrent
-    tasks never interleave mid-frame as long as each frame is a single
-    ``write`` call — which :func:`encode_message` guarantees.
-    """
-    writer.write(encode_message(message))
-
-
-async def read_message(reader: asyncio.StreamReader) -> dict | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_HEADER)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError("connection closed mid-frame (truncated length prefix)") from error
-    length = _body_length(header)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ProtocolError("connection closed mid-frame (truncated body)") from error
-    return decode_body(body)
-
-
-def _body_length(header: bytes, offset: int = 0) -> int:
-    """The body length in the prefix at ``offset``, checked against the cap."""
-    (length,) = _LENGTH.unpack_from(header, offset)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    return length
 
 
 def decode_body(body: bytes) -> dict:
@@ -144,13 +107,51 @@ class FrameDecoder:
         bodies: list[bytes] = []
         start = 0
         while end - start >= _HEADER:
-            stop = start + _HEADER + _body_length(buffer, start)
+            (length,) = _LENGTH.unpack_from(buffer, start)
+            if length > MAX_FRAME_BYTES:
+                raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+            stop = start + _HEADER + length
             if stop > end:
                 break
             bodies.append(buffer[start + _HEADER : stop])
             start = stop
         self._buffer = buffer[start:]
         return bodies
+
+
+class FrameProtocol(asyncio.Protocol):
+    """One connection's frames: each readable message goes to ``on_message``,
+    and ``on_lost`` is called once the connection is gone.  ``transport``,
+    for replies, is set once the connection is made."""
+
+    def __init__(
+        self, on_message: Callable[[dict], object], on_lost: Callable[[], object] | None = None
+    ) -> None:
+        self._on_message = on_message
+        self._on_lost = on_lost
+        self._decoder = FrameDecoder()
+        self.transport: Any = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            bodies = self._decoder.feed(data)
+        except ProtocolError:
+            # A length over the cap: no later frame boundary can be trusted.
+            self.transport.close()
+            return
+        for body in bodies:
+            try:
+                message = decode_body(body)
+            except ProtocolError:
+                continue  # well framed but unreadable: dropped
+            self._on_message(message)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._on_lost is not None:
+            self._on_lost()
 
 
 #: The JSON of each request kind, as ``json.dumps`` writes it.

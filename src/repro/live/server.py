@@ -9,6 +9,10 @@ queued work, answers no request that was in service (whose slots come back
 free with the restarted process), and drops arrivals while the server is
 down.
 
+Every connection is a :class:`~repro.live.protocol.FrameProtocol`, served
+in its callbacks; an answer is one ``write`` on its transport.  A frame it
+cannot use (unreadable, or a request without an ``id``) is dropped.
+
 Scenario injection arrives over the same TCP listener as load, as ``ctl``
 frames (see :mod:`repro.live.protocol`): ``slow`` inflates service times
 (slow-node), ``pause`` is the core's crash/restore stall for a duration,
@@ -36,7 +40,7 @@ import sys
 from typing import Any, Callable
 
 from ..replica import ReplicaCore
-from .protocol import ProtocolError, read_message, write_message
+from .protocol import FrameProtocol, encode_message
 
 __all__ = ["ReplicaServer", "main", "serve"]
 
@@ -97,35 +101,31 @@ class ReplicaServer(ReplicaCore):
         self.rejected = self.dropped_while_down = self.served = self.dropped = 0
         self._shutdown = asyncio.Event()
         self._server: asyncio.base_events.Server | None = None
-        # Open connections, each with the task serving it, so shutdown can
-        # end them itself instead of leaving them to the loop's teardown.
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        # Open connections, so shutdown can close them itself.
+        self._connections: set[FrameProtocol] = set()
 
     # ----------------------------------------------------------- lifecycle
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind and return the listening port."""
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.get_running_loop().create_server(self._accept, host, port)
         sockets = self._server.sockets or ()
         return int(sockets[0].getsockname()[1])
 
     async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` control frame arrives, then clean up.
-
-        Open connections are closed and their handlers awaited here: a
-        handler left to ``asyncio.run`` would be cancelled, and the stream
-        machinery logs a ``CancelledError`` traceback for each one.
-        """
+        """Block until a ``shutdown`` control frame arrives, then stop
+        listening and close every open connection (its queued replies are
+        flushed first)."""
         await self._shutdown.wait()
         if self._server is not None:
             self._server.close()
-        for writer in self._connections.values():
-            writer.close()  # its handler reads EOF and returns
-        await asyncio.gather(*self._connections, return_exceptions=True)
+        for connection in self._connections:
+            if connection.transport is not None:  # None until the loop has made it
+                connection.transport.close()
         if self._server is not None:
             await self._server.wait_closed()
 
     # ------------------------------------------------------------- service
-    def _arrive(self, message: dict, writer: Any) -> None:
+    def _arrive(self, message: dict, transport: Any) -> None:
         """Take one request frame into the core, or turn it away."""
         if self._life is None:
             # Live: a crashed process drops arrivals unanswered; the
@@ -134,9 +134,9 @@ class ReplicaServer(ReplicaCore):
         elif len(self._queue) >= self.queue_capacity:
             # Live: the queue is bounded; a full one rejects at once.
             self.rejected += 1
-            self._answer(writer, message["id"], True, self.feedback_snapshot())
+            self._answer(transport, message["id"], True, self.feedback_snapshot())
         else:
-            self.enqueue((message["id"], writer, self._life))
+            self.enqueue((message["id"], transport, self._life))
 
     def _finish_service(self, request: tuple, service_time: float) -> None:
         if request[2] is not self._life:
@@ -148,20 +148,18 @@ class ReplicaServer(ReplicaCore):
         super()._finish_service(request, service_time)
 
     def _respond(self, request: tuple, feedback: tuple, service_time: float) -> None:
-        op_id, writer, _ = request
+        op_id, transport, _ = request
         self.served += 1
         bucket = int((self.loop.now - self._start_ms) / _LOAD_BUCKET_MS)
         self._load_buckets[bucket] = self._load_buckets.get(bucket, 0) + 1
-        self._answer(writer, op_id, False, feedback)
+        self._answer(transport, op_id, False, feedback)
 
-    def _answer(self, writer: Any, op_id: Any, rejected: bool, feedback: tuple) -> None:
-        if writer.is_closing():
+    def _answer(self, transport: Any, op_id: Any, rejected: bool, feedback: tuple) -> None:
+        if transport.is_closing():
             return  # client went away; nothing to report to
-        queue_size, service_time = feedback
-        write_message(writer, {
-            "t": "res", "id": op_id, "rejected": rejected, "server_id": self.server_id,
-            "queue_size": queue_size, "service_time_ms": service_time,
-        })
+        message = {"t": "res", "id": op_id, "rejected": rejected, "server_id": self.server_id}
+        message["queue_size"], message["service_time_ms"] = feedback
+        transport.write(encode_message(message))
 
     def _end_pause(self) -> None:
         self._pauses -= 1
@@ -209,33 +207,22 @@ class ReplicaServer(ReplicaCore):
         return ack
 
     # ---------------------------------------------------------- connection
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._connections[task] = writer
-        try:
-            while True:
-                try:
-                    message = await read_message(reader)
-                except ProtocolError:
-                    break
-                if message is None:
-                    break
-                kind = message.get("t")
-                if kind == "req":
-                    self._arrive(message, writer)
-                elif kind == "ctl":
-                    write_message(writer, self._handle_control(message))
-                    await writer.drain()
-                # Unknown frame types are ignored: forward compatibility.
-        except ConnectionError:
-            pass  # the peer, or shutdown, closed the connection mid-reply
-        finally:
-            del self._connections[task]
-            if not writer.is_closing():
-                writer.close()
+    def _accept(self) -> FrameProtocol:
+        """A new connection, whose frames :meth:`_on_frame` serves."""
+        connection = FrameProtocol(
+            lambda message: self._on_frame(message, connection.transport),
+            lambda: self._connections.discard(connection),
+        )
+        self._connections.add(connection)
+        return connection
+
+    def _on_frame(self, message: dict, transport: Any) -> None:
+        kind = message.get("t")
+        if kind == "req" and "id" in message:  # one without an id has no answer: dropped
+            self._arrive(message, transport)
+        elif kind == "ctl":
+            transport.write(encode_message(self._handle_control(message)))
+        # Unknown frame types are ignored: forward compatibility.
 
 
 def serve(

@@ -205,9 +205,15 @@ class KernelServer(SimServer):
     ``server_state_fn`` of snitch-style selectors and :meth:`stats`.
     """
 
-    kernel: "BatchedKernel | None" = None
-    _svc_block: Any = None  # np.ndarray block of standard-exponential draws
-    _svc_i: int = 0
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # Set here, not as class defaults the kernel later shadows: attributes
+        # first assigned after ``__init__`` can cost the instance CPython's
+        # inline attribute values, and every field access in ``run_slice``
+        # then specialises to the slower dict-with-hint form.
+        self.kernel: BatchedKernel | None = None
+        self._svc_block: Any = None  # np.ndarray block of standard-exponential draws
+        self._svc_i = 0
 
     def _try_start_service(self) -> None:
         kernel = self.kernel

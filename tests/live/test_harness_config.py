@@ -1,5 +1,6 @@
 """Unit tests for live trial configuration, scheduling, and payloads."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -70,6 +71,25 @@ class TestLiveTrialConfig:
         payload = LiveTrialConfig(scenario="gc-storm").config_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["schema"] == "live-trial-v2"
+
+    def test_config_payload_keys_are_the_fields_plus_schema(self):
+        payload = LiveTrialConfig(scenario="slow-node").config_payload()
+        assert set(payload) == {item.name for item in dataclasses.fields(LiveTrialConfig)} | {"schema"}
+        assert type(payload["scenario_params"]) is dict
+
+    def test_payload_digests_are_pinned(self):
+        """A fixed config and results hash as they always have (live-trial-v2)."""
+        hedged = LiveTrialConfig(
+            scenario="gc-storm", strategy="lor", failure_detector="phi", hedging="hedge:quantile=0.9", seed=3
+        )
+        digests = [
+            build_payload(config.config_payload(), _RESULTS, provenance={})["digest"]
+            for config in (LiveTrialConfig(), hedged)
+        ]
+        assert digests == [
+            "e4d5af8d1c34ca2b64806cf0896fe3b799e4cc78f9ff62a680edc3885dec552f",
+            "97660d3bf8d7bf27c7d3874c7667900d93831c9820c0e37746955612661f98da",
+        ]
 
 
 class TestScenarioSchedule:

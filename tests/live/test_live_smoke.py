@@ -12,9 +12,10 @@ import pytest
 from repro.live.client import LiveLoadClient
 from repro.live.compare import load_trial
 from repro.live.harness import LiveTrialConfig, payload_digest, run_trial
-from repro.live.protocol import read_message, write_message
 from repro.live.server import ReplicaServer
 from repro.simulator.engine import EventLoop
+
+from live_wire import read_message, write_message
 
 
 async def _request(reader, writer, op_id, timeout=5.0):

@@ -1,14 +1,15 @@
 """The live load generator keeps its schedule and accounts for every operation.
 
-Seven properties, each a second or two: the arrival schedule is a pure
+Eight properties, each a second or two: the arrival schedule is a pure
 function of ``(seed, rate, duration)``, drawn bit for bit as the
-``Generator`` methods draw it; a client whose arrival timers all run late
-still offers exactly that schedule and measures latency from the time each
-operation was due; an operation that never reaches a server (backlogged,
-parked) ends as a timeout instead of vanishing; an unreadable response
-ends its own request and no other; a trial whose servers fail to start, or
-that fails under load, leaves no process behind; and a server that writes
-more to its stderr than a pipe holds neither stalls nor hangs its trial.
+``Generator`` methods draw it; the client's clock is its event loop's; a
+client whose arrival timers all run late still offers exactly that
+schedule and measures latency from the time each operation was due; an
+operation that never reaches a server (backlogged, parked) ends as a
+timeout instead of vanishing; an unreadable response ends its own request
+and no other; a trial whose servers fail to start, or that fails under
+load, leaves no process behind; and a server that writes more to its
+stderr than a pipe holds neither stalls nor hangs its trial.
 """
 
 import asyncio
@@ -26,9 +27,11 @@ from repro.live import client as client_module
 from repro.live import harness
 from repro.live.client import LiveLoadClient, arrival_schedule
 from repro.live.harness import LiveTrialConfig, run_trial
-from repro.live.protocol import MAX_FRAME_BYTES, encode_message, read_message, write_message
+from repro.live.protocol import MAX_FRAME_BYTES, FrameProtocol, encode_message
 from repro.live.server import ReplicaServer
 from repro.simulator.workload import replica_groups
+
+from live_wire import read_message, write_message
 
 _NOWHERE = [("127.0.0.1", 1), ("127.0.0.1", 2)]  # never connected to
 
@@ -185,6 +188,41 @@ class TestLateClient:
         assert all(latency_ms >= slip for (_, latency_ms), slip in zip(completions, slips))
 
 
+class _SteppedLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock moves only when the test moves it."""
+
+    virtual_s = 1_000.0
+
+    def time(self):
+        return self.virtual_s
+
+
+def _no_wall_clock():
+    raise AssertionError("the client read time.monotonic()")
+
+
+class TestClock:
+    def test_the_client_and_its_lifecycle_read_the_loops_clock(self, monkeypatch):
+        loop = _SteppedLoop()
+
+        async def scenario():
+            client = LiveLoadClient(_NOWHERE, replication_factor=2, seed=0)
+            readings = [(client.now_ms(), client._clock())]
+            for step_s in (2.5, 0.001):
+                loop.virtual_s += step_s
+                readings.append((client.now_ms(), client._clock()))
+            return readings
+
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "monotonic", _no_wall_clock)
+            try:
+                readings = loop.run_until_complete(scenario())
+            finally:
+                loop.close()
+        # From the first reading, which is zero: times start near zero on any loop.
+        assert readings == [(0.0, 0.0), (2_500.0, 2_500.0), (pytest.approx(2_501.0),) * 2]
+
+
 class TestNoOperationIsLost:
     PHI = dict(strategy="lor", failure_detector="phi", replication_factor=2, arrival_rate_per_s=200.0, seed=1)
 
@@ -332,7 +370,12 @@ class TestMalformedResponse:
                 self.closed = True
 
         responses = []
-        connection = client_module._Connection(responses.append)
+
+        def on_message(message):
+            if message["t"] == "res":  # what the client takes from a data connection
+                responses.append(message)
+
+        connection = FrameProtocol(on_message)
         transport = Transport()
         connection.connection_made(transport)
         response = {"t": "res", "id": 1, "queue_size": 0, "service_time_ms": 1.0}

@@ -1,15 +1,15 @@
 """A replica server shuts down quietly, whatever connections are still open.
 
-A connection handler left to ``asyncio.run``'s teardown is cancelled there,
-and the stream machinery reports each such cancellation to the loop's
-exception handler: a ``CancelledError`` traceback per open connection on
-the server's stderr.
+Shutdown closes each open connection itself, so its peer reads a clean EOF
+and nothing is left for ``asyncio.run``'s teardown to report to the loop's
+exception handler (a traceback per connection on the server's stderr).
 """
 
 import asyncio
 
-from repro.live.protocol import read_message, write_message
 from repro.live.server import ReplicaServer
+
+from live_wire import read_message, write_message
 
 
 def test_shutdown_closes_open_connections_without_reporting_an_error():
