@@ -27,8 +27,9 @@ strings — against live replica servers (:mod:`repro.live.server`):
   the wait a late client imposes is part of ``latency_ms`` (coordinated
   omission corrected) and of the request timeout.  How late the generator
   ran is reported separately as ``slip_ms`` (``issue − due``).
-- **Every operation is accounted for**: it completes, or the reaper closes
-  it as a timeout ``request_timeout_ms`` after its due time wherever it is
+- **Every operation is accounted for**: it completes, or the reaper, a
+  ``call_later`` timer that re-arms itself every 50 ms, closes it as a
+  timeout ``request_timeout_ms`` after its due time wherever it is
   waiting — on the wire, in C3's backpressure backlog (which it is
   cancelled from), parked behind an all-suspect group, or rejected by the
   replica it was sent to — so ``issued == completed + timeouts`` whenever
@@ -42,7 +43,7 @@ strings — against live replica servers (:mod:`repro.live.server`):
   hedge timer are the shared :class:`~repro.core.lifecycle.RequestLifecycle`
   on the event loop's ``call_later``; responses double as detector
   heartbeats (the phi-accrual detector works off real silence).
-- **Callbacks, not tasks, on the data path**: each server connection is a
+- **Callbacks and timers, no tasks**: each server connection is a
   :class:`~repro.live.protocol.FrameProtocol`, the one frame reader of the
   live backend, which hands each response to the client directly, and
   each request is one :func:`~repro.live.protocol.encode_request` frame.
@@ -54,14 +55,15 @@ The clock is the running event loop's (``loop.time()``), the one its
 arrival timers, the lifecycle's timers and the servers run on, in
 milliseconds **from the clock's first reading**, so ``now`` values handed
 to selectors/detectors start near zero and advance the way simulator time
-does; the harness runs the scenario timeline and the warm-up/cool-down
-trim on the same clock.  A loop whose ``time()`` is virtual moves the
-client with it.
+does; the harness arms the scenario's edges (:meth:`LiveLoadClient.call_at`)
+and trims the warm-up and cool-down on the same clock.  A loop whose
+``time()`` is virtual moves the client with it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -246,7 +248,7 @@ class LiveLoadClient(RequestLifecycle):
         self._ops: dict[int, _Operation] = {}
         self._pending: dict[int, _Pending] = {}
         self._next_id = 0
-        self._stop = False
+        self._reaper: asyncio.TimerHandle | None = None
         #: Set when the last open operation closes, once the drain waits for it.
         self._drained: asyncio.Future[None] | None = None
         #: ``issue − due`` of every operation issued so far, in schedule order (ms).
@@ -262,6 +264,11 @@ class LiveLoadClient(RequestLifecycle):
             self._origin_s = now_s
         return (now_s - self._origin_s) * 1000.0
 
+    def call_at(self, at_ms: float, callback: Callable[..., object], *args: object) -> asyncio.TimerHandle:
+        """A loop timer for ``callback(*args)`` at ``at_ms`` on this clock, once it has been read."""
+        assert self._origin_s is not None
+        return asyncio.get_running_loop().call_at(self._origin_s + at_ms / 1000.0, callback, *args)
+
     # ---------------------------------------------------------- connection
     async def connect(self) -> None:
         loop = asyncio.get_running_loop()
@@ -270,7 +277,6 @@ class LiveLoadClient(RequestLifecycle):
             self._transports[sid] = transport
 
     async def close(self) -> None:
-        self._stop = True
         for transport in self._transports.values():
             transport.close()
 
@@ -281,19 +287,17 @@ class LiveLoadClient(RequestLifecycle):
             self._wl_rng, self.rate_per_ms, duration_s * 1000.0, self.groups, self.read_fraction
         )
 
-    async def run(self, duration_s: float, drain_grace_s: float | None = None) -> LiveClientResult:
+    async def run(self, duration_s: float) -> LiveClientResult:
         """Offer the schedule's load for ``duration_s``, then drain open operations.
 
         Arrivals are a chain of ``call_at`` timers, each armed by the one
         before; the drain ends when the last open operation closes, or after
-        the grace (``request_timeout_ms`` unless given).
+        ``request_timeout_ms``, past every open operation's deadline.
         """
         loop = asyncio.get_running_loop()
         arrivals = self.schedule(duration_s)
         offered: asyncio.Future[None] = loop.create_future()
         start_ms = self.now_ms()
-        origin_s = self._origin_s
-        assert origin_s is not None  # fixed by that reading at the latest
         timer: asyncio.TimerHandle | None = None
 
         def arm_next() -> None:
@@ -304,32 +308,26 @@ class LiveLoadClient(RequestLifecycle):
                 return
             due_ms, group, kind = arrival
             due_ms += start_ms
-            timer = loop.call_at(origin_s + due_ms / 1000.0, arrive, due_ms, group, kind)
+            timer = self.call_at(due_ms, arrive, due_ms, group, kind)
 
         def arrive(due_ms: float, group: tuple[int, ...], kind: str) -> None:
-            if self._stop:
-                offered.set_result(None)
-                return
             try:
                 self._issue(group, kind, due_ms)
                 arm_next()
             except Exception as error:
                 offered.set_exception(error)
 
-        reaper = asyncio.create_task(self._reap_timeouts(), name="reaper")
+        self._reaper = _call_later(_REAPER_INTERVAL_MS, self._reap)
         try:
             arm_next()
             await offered
-            grace = self.request_timeout_ms / 1000.0 if drain_grace_s is None else drain_grace_s
             if self._ops:
                 self._drained = loop.create_future()
-                await asyncio.wait((self._drained,), timeout=grace)
+                await asyncio.wait((self._drained,), timeout=self.request_timeout_ms / 1000.0)
         finally:
-            self._stop = True
             if timer is not None:
                 timer.cancel()
-            reaper.cancel()
-            await asyncio.gather(reaper, return_exceptions=True)
+            self._reaper.cancel()
             # Whatever is still open will never be answered now.
             self._time_out(list(self._ops.values()))
             self._cancel_timers()
@@ -446,23 +444,18 @@ class LiveLoadClient(RequestLifecycle):
             drained.set_result(None)
 
     # -------------------------------------------------------------- reaper
-    async def _reap_timeouts(self) -> None:
+    def _reap(self) -> None:
+        """Time out what is overdue, then re-arm for the next scan."""
+        now = self.now_ms()
         timeout = self.request_timeout_ms
-        while not self._stop:
-            await asyncio.sleep(_REAPER_INTERVAL_MS / 1000.0)
-            now = self.now_ms()
-            # Wire requests: hand the slot of each unanswered one back.
-            expired = [wid for wid, pending in self._pending.items() if pending.sent_ms + timeout <= now]
-            for wire_id in expired:
-                self.selector.on_timeout(self._pending.pop(wire_id).server_id, now)
-            # Operations, wherever they wait.  ``_ops`` is in due order and
-            # the timeout is one constant, so the expired ones are a prefix.
-            overdue = []
-            for op in self._ops.values():
-                if op.deadline_ms > now:
-                    break
-                overdue.append(op)
-            self._time_out(overdue)
+        # Wire requests: hand the slot of each unanswered one back.
+        expired = [wid for wid, pending in self._pending.items() if pending.sent_ms + timeout <= now]
+        for wire_id in expired:
+            self.selector.on_timeout(self._pending.pop(wire_id).server_id, now)
+        # Operations, wherever they wait.  ``_ops`` is in due order and
+        # the timeout is one constant, so the expired ones are a prefix.
+        self._time_out(list(itertools.takewhile(lambda op: op.deadline_ms <= now, self._ops.values())))
+        self._reaper = _call_later(_REAPER_INTERVAL_MS, self._reap)
 
     def _time_out(self, ops: Sequence[_Operation]) -> None:
         """Close ``ops`` as timeouts.  One still in the selector's backlog or

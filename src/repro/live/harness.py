@@ -4,7 +4,7 @@
 start ``num_servers`` replica server processes on localhost (port 0,
 each reporting its port over a pipe), drive open-loop load through
 :class:`~repro.live.client.LiveLoadClient` for ``duration_s`` seconds
-while a scenario driver injects perturbations over the control channel,
+while loop timers send the scenario's edges over the control channel,
 then trim the first ``warmup_s`` and last ``cooldown_s`` of completions
 and record what remains into the streaming
 :class:`~repro.analysis.histogram.LatencyHistogram`.
@@ -32,8 +32,8 @@ The live backend supports ``baseline``, ``slow-node``, ``gc-storm``, and
 ``crash-recovery``; the rest describe simulator-only mechanisms (network
 jitter models, demand skew) and are rejected with a clear error.
 ``slow-node`` and ``crash-recovery`` replay the simulator component's own
-timeline (:func:`scenario_schedule`); ``gc-storm`` is the one live-specific
-mapping (:func:`_gc_storm_driver`).
+timeline (:func:`scenario_schedule`); ``gc-storm``, the one live-specific
+mapping, draws its pauses up front (:func:`trial_timeline`).
 
 Each trial writes a self-describing artifact directory::
 
@@ -86,6 +86,7 @@ __all__ = [
     "payload_digest",
     "run_trial",
     "scenario_schedule",
+    "trial_timeline",
     "write_artifacts",
 ]
 
@@ -244,8 +245,8 @@ def scenario_schedule(config: LiveTrialConfig) -> list[Edge]:
 
     These are the simulator's own edges for the same knobs and server count
     (:meth:`ScriptedComponent.edges`), in the order its event loop fires
-    them.  ``gc-storm`` is stochastic and has none; it is handled by
-    :func:`_gc_storm_driver`.  Times are relative to trial start.
+    them.  ``gc-storm`` is stochastic and has none; its pauses are drawn by
+    :func:`trial_timeline`.  Times are relative to trial start.
     """
     simulated = SimulationConfig(
         num_servers=config.num_servers,
@@ -262,37 +263,27 @@ def scenario_schedule(config: LiveTrialConfig) -> list[Edge]:
     return sorted(edges, key=lambda edge: edge[0])
 
 
-async def _gc_storm_driver(
-    config: LiveTrialConfig,
-    send_control,
-    rng: np.random.Generator,
-) -> None:
-    """Poisson-timed stop-the-world pauses on random servers.
+def trial_timeline(config: LiveTrialConfig) -> list[Edge]:
+    """Every control op of the trial, sorted stably by time: :func:`scenario_schedule`'s
+    edges, and gc-storm's Poisson-timed pauses on random servers.
 
-    The simulator's gc-storm slows a server by ``slowdown_factor`` for each
-    episode; live, an episode is a ``pause`` op for the drawn duration: the
-    server model's crash/restore stall, as a cluster node's GC pause is, so
-    arrivals queue and the requests in service answer with that queue in
-    their feedback.  ``slowdown_factor`` is subsumed by the full stall; the
-    knob still validates through the shared registry.
+    Each pause draws its gap, then its server, then its duration from
+    ``default_rng(seed + 99_991)``; the gaps add up from trial start, and the
+    first at or past ``duration_s`` ends the storm.  Where the simulator slows
+    a server by ``slowdown_factor``, a live episode is the server model's
+    crash/restore stall, as a cluster node's GC pause is.
     """
-    params = config.scenario_params
-    mean_gap = float(params["mean_interarrival_ms"])
-    mean_duration = float(params["mean_duration_ms"])
-    while True:
-        await asyncio.sleep(float(rng.exponential(mean_gap)) / 1000.0)
-        sid = int(rng.integers(config.num_servers))
-        duration = float(rng.exponential(mean_duration))
-        await send_control(sid, {"op": "pause", "duration_ms": duration})
-
-
-async def _schedule_driver(config: LiveTrialConfig, send_control, now_fn, t0_ms: float) -> None:
-    """Replay :func:`scenario_schedule` against the control channel."""
-    for at_ms, sid, op in scenario_schedule(config):
-        delay_ms = (t0_ms + at_ms) - now_fn()
-        if delay_ms > 0:
-            await asyncio.sleep(delay_ms / 1000.0)
-        await send_control(sid, op)
+    edges = scenario_schedule(config)
+    if config.scenario == "gc-storm":
+        mean_gap = float(config.scenario_params["mean_interarrival_ms"])
+        mean_duration = float(config.scenario_params["mean_duration_ms"])
+        rng = np.random.default_rng(config.seed + 99_991)
+        at_ms = float(rng.exponential(mean_gap))
+        while at_ms < config.duration_s * 1000.0:
+            sid = int(rng.integers(config.num_servers))
+            edges.append((at_ms, sid, {"op": "pause", "duration_ms": float(rng.exponential(mean_duration))}))
+            at_ms += float(rng.exponential(mean_gap))
+    return sorted(edges, key=lambda edge: edge[0])
 
 
 # ------------------------------------------------------------------- servers
@@ -379,18 +370,30 @@ def _reap(processes: list[BaseProcess], asked_to_exit: bool) -> None:
 
 # --------------------------------------------------------------------- trial
 def _control_protocol(acks: deque[asyncio.Future]) -> FrameProtocol:
-    """A control connection: each ack answers the oldest op in ``acks`` (one
-    that timed out is skipped), and losing it answers every op with ``None``."""
+    """A control connection: each ack answers the oldest op in ``acks``, and
+    losing it answers every op with an ``error``."""
 
-    def answer(message: dict | None) -> None:
-        if acks and not (ack := acks.popleft()).done():
-            ack.set_result(message)
+    def answer(message: dict) -> None:
+        if acks:
+            acks.popleft().set_result(message)
 
     def on_lost() -> None:
         while acks:
-            answer(None)
+            answer({"error": "control connection lost"})
 
     return FrameProtocol(answer, on_lost)
+
+
+async def _acked(sent: list[tuple[int, dict[str, Any], asyncio.Future]]) -> list[dict]:
+    """The ack of each ``(server_id, op, ack)`` in ``sent``, awaited together for
+    up to 10 s; one missing or carrying ``error`` fails the trial, naming both."""
+    if sent:
+        await asyncio.wait([ack for _, _, ack in sent], timeout=10.0)
+    acks = [ack.result() if ack.done() else {"error": "no ack within 10 s"} for _, _, ack in sent]
+    for (sid, op, _), ack in zip(sent, acks):
+        if "error" in ack:
+            raise RuntimeError(f"server {sid} failed control op {op['op']!r}: {ack['error']}")
+    return acks
 
 
 async def _drive(
@@ -403,8 +406,6 @@ async def _drive(
     """
     loop = asyncio.get_running_loop()
     control: list[tuple[asyncio.Transport, deque[asyncio.Future]]] = []
-    scenario_task: asyncio.Task | None = None
-    servers = range(config.num_servers)
     try:
         for port in ports:
             acks: deque[asyncio.Future] = deque()
@@ -413,17 +414,15 @@ async def _drive(
             )
             control.append((transport, acks))
 
-        async def send_control(sid: int, op: dict[str, Any]) -> dict:
+        def send(sid: int, op: dict[str, Any]) -> tuple[int, dict[str, Any], asyncio.Future]:
             transport, acks = control[sid]
-            ack = None
-            if not transport.is_closing():  # a closed connection answers nothing
-                future = loop.create_future()
-                acks.append(future)
+            ack = loop.create_future()
+            if transport.is_closing():  # a closed connection answers nothing
+                ack.set_result({"error": "control connection closed"})
+            else:
+                acks.append(ack)
                 transport.write(encode_message({"t": "ctl", **op}))
-                ack = await asyncio.wait_for(future, timeout=10.0)
-            if ack is None:
-                raise RuntimeError(f"server {sid} closed its control connection")
-            return ack
+            return sid, op, ack
 
         completions: list[tuple[float, float]] = []
         client = LiveLoadClient(
@@ -439,30 +438,33 @@ async def _drive(
             on_complete=lambda at_ms, latency_ms: completions.append((at_ms, latency_ms)),
         )
         await client.connect()
-        # The trial timeline runs on the client's clock (the loop's, in ms
-        # from its first reading) so completion timestamps and the trim
-        # window agree.
+        # The timeline runs on the client's clock, as completion times and the
+        # trim window do.  Its edges are a chain of timers, each armed by the
+        # one before, so edges due at one time go out in the timeline's order.
         t0_ms = client.now_ms()
-        if config.scenario == "gc-storm":
-            storm_rng = np.random.default_rng(config.seed + 99_991)
-            scenario_task = asyncio.create_task(
-                _gc_storm_driver(config, send_control, storm_rng)
-            )
-        elif config.scenario != "baseline":
-            scenario_task = asyncio.create_task(
-                _schedule_driver(config, send_control, client.now_ms, t0_ms)
-            )
+        edges = iter(trial_timeline(config))
+        sent: list[tuple[int, dict[str, Any], asyncio.Future]] = []
+        timer: asyncio.TimerHandle | None = None
+
+        def fire_next(edge: Edge | None = None) -> None:
+            nonlocal timer
+            if edge is not None:
+                sent.append(send(edge[1], edge[2]))
+            if (edge := next(edges, None)) is not None:
+                timer = client.call_at(t0_ms + edge[0], fire_next, edge)
+
+        fire_next()
         try:
             load = await client.run(config.duration_s)
         finally:
-            if scenario_task is not None:
-                scenario_task.cancel()
-                await asyncio.gather(scenario_task, return_exceptions=True)
+            if timer is not None:
+                timer.cancel()
             await client.close()
 
-        acks = await asyncio.gather(*(send_control(sid, {"op": "stats"}) for sid in servers))
-        server_stats = [ack.get("stats", {}) for ack in acks]
-        await asyncio.gather(*(send_control(sid, {"op": "shutdown"}) for sid in servers))
+        await _acked(sent)
+        stats = await _acked([send(sid, {"op": "stats"}) for sid in range(config.num_servers)])
+        server_stats = [ack.get("stats", {}) for ack in stats]
+        await _acked([send(sid, {"op": "shutdown"}) for sid in range(config.num_servers)])
     finally:
         for transport, _ in control:
             transport.close()

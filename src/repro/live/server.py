@@ -170,40 +170,44 @@ class ReplicaServer(ReplicaCore):
     def _handle_control(self, message: dict) -> dict:
         op = message.get("op")
         ack: dict[str, Any] = {"t": "ack", "op": op, "server_id": self.server_id}
-        if op == "slow":
-            self.set_service_time_multiplier(float(message["factor"]))
-        elif op == "pause":
-            # The core's stall: in-service requests finish and answer, and
-            # arrivals queue until the last overlapping pause ends.
-            self._pauses += 1
-            self.crash()
-            self.loop.post(float(message["duration_ms"]), self._end_pause)
-        elif op == "crash":
-            # Live: a crashed process holds no state; its queue is lost, and
-            # the slots of the requests in service are free when it comes
-            # back.  The core needs no stall: nothing reaches it while the
-            # process is down.
-            self._life = None
-            self.dropped += len(self._queue)
-            self._queue.clear()
-            self._in_service = 0
-        elif op == "restore":
-            self._life = self._life or object()  # a new life after a crash
-        elif op == "stats":
-            ack["stats"] = {
-                "server_id": self.server_id,
-                "accepted": self.requests_received,
-                "rejected": self.rejected,
-                "served": self.served,
-                "dropped": self.dropped,
-                "enqueued_while_down": self.dropped_while_down,
-                "load_bucket_ms": _LOAD_BUCKET_MS,
-                "load_series": [list(item) for item in sorted(self._load_buckets.items())],
-            }
-        elif op == "shutdown":
-            self._shutdown.set()
-        else:
-            ack["error"] = f"unknown control op {op!r}"
+        try:
+            if op == "slow":
+                self.set_service_time_multiplier(float(message["factor"]))
+            elif op == "pause":
+                # The core's stall: in-service requests finish and answer, and
+                # arrivals queue until the last overlapping pause ends.
+                self.loop.post(float(message["duration_ms"]), self._end_pause)
+                self._pauses += 1
+                self.crash()
+            elif op == "crash":
+                # Live: a crashed process holds no state; its queue is lost, and
+                # the slots of the requests in service are free when it comes
+                # back.  The core needs no stall: nothing reaches it while the
+                # process is down.
+                self._life = None
+                self.dropped += len(self._queue)
+                self._queue.clear()
+                self._in_service = 0
+            elif op == "restore":
+                self._life = self._life or object()  # a new life after a crash
+            elif op == "stats":
+                ack["stats"] = {
+                    "server_id": self.server_id,
+                    "accepted": self.requests_received,
+                    "rejected": self.rejected,
+                    "served": self.served,
+                    "dropped": self.dropped,
+                    "enqueued_while_down": self.dropped_while_down,
+                    "load_bucket_ms": _LOAD_BUCKET_MS,
+                    "load_series": [list(item) for item in sorted(self._load_buckets.items())],
+                }
+            elif op == "shutdown":
+                self._shutdown.set()
+            else:
+                ack["error"] = f"unknown control op {op!r}"
+        except (KeyError, TypeError, ValueError) as error:
+            # A slow or pause without its numeric argument: refused, and the connection keeps serving.
+            ack["error"] = f"bad control op {op!r}: {error!r}"
         return ack
 
     # ---------------------------------------------------------- connection

@@ -13,6 +13,7 @@ from repro.live.harness import (
     build_payload,
     payload_digest,
     scenario_schedule,
+    trial_timeline,
 )
 from repro.scenarios import ScenarioContext, build_scenario
 from repro.simulator import SimulationConfig
@@ -149,6 +150,49 @@ class TestScenarioSchedule:
     def test_crash_recovery_without_down_ms_crashes_for_good(self):
         config = LiveTrialConfig(scenario="crash-recovery", scenario_params={"down_ms": None})
         assert scenario_schedule(config) == [(250.0, 0, {"op": "crash"}), (850.0, 1, {"op": "crash"})]
+
+
+class TestTrialTimeline:
+    GC_STORM = dict(scenario="gc-storm", num_servers=3, duration_s=3.0)
+    #: ``(at_ms, server, duration_ms)`` of seed 42's pauses, to the microsecond.
+    SEED_42 = [
+        (26.506, 2, 56.154),
+        (112.316, 1, 242.381),
+        (403.864, 2, 28.715),
+        (1005.540, 0, 262.305),
+        (1304.263, 0, 231.238),
+        (1547.929, 0, 50.478),
+        (1649.677, 0, 2.537),
+        (2178.967, 1, 23.261),
+        (2979.456, 2, 7.052),
+    ]
+
+    def test_gc_storm_pauses_are_pinned(self):
+        timeline = trial_timeline(LiveTrialConfig(seed=42, **self.GC_STORM))
+        assert [op["op"] for _, _, op in timeline] == ["pause"] * len(self.SEED_42)
+        pauses = [(at_ms, sid, op["duration_ms"]) for at_ms, sid, op in timeline]
+        assert [sid for _, sid, _ in pauses] == [sid for _, sid, _ in self.SEED_42]
+        flat = [value for at_ms, _, duration_ms in pauses for value in (at_ms, duration_ms)]
+        pinned = [value for at_ms, _, duration_ms in self.SEED_42 for value in (at_ms, duration_ms)]
+        assert flat == pytest.approx(pinned, abs=5e-4)
+
+    def test_gc_storm_draws_gap_then_server_then_duration_over_the_load(self):
+        timeline = trial_timeline(LiveTrialConfig(seed=42, **self.GC_STORM))
+        rng = np.random.default_rng(42 + 99_991)
+        expected = []
+        at_ms = float(rng.exponential(400.0))
+        while at_ms < 3_000.0:
+            sid = int(rng.integers(3))
+            expected.append((at_ms, sid, {"op": "pause", "duration_ms": float(rng.exponential(60.0))}))
+            at_ms += float(rng.exponential(400.0))
+        assert timeline == expected
+        assert all(at_ms < 3_000.0 for at_ms, _, _ in timeline)
+        assert timeline != trial_timeline(LiveTrialConfig(seed=43, **self.GC_STORM))
+
+    @pytest.mark.parametrize("scenario", ["baseline", "slow-node", "crash-recovery"])
+    def test_a_scripted_timeline_is_the_scenario_schedule(self, scenario):
+        config = LiveTrialConfig(scenario=scenario)
+        assert trial_timeline(config) == scenario_schedule(config)
 
 
 class RecordingServer:

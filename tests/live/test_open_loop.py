@@ -1,6 +1,6 @@
 """The live load generator keeps its schedule and accounts for every operation.
 
-Eight properties, each a second or two: the arrival schedule is a pure
+Nine properties, each a second or two: the arrival schedule is a pure
 function of ``(seed, rate, duration)``, drawn bit for bit as the
 ``Generator`` methods draw it; the client's clock is its event loop's; a
 client whose arrival timers all run late still offers exactly that
@@ -8,11 +8,13 @@ schedule and measures latency from the time each operation was due; an
 operation that never reaches a server (backlogged, parked) ends as a
 timeout instead of vanishing; an unreadable response ends its own request
 and no other; a trial whose servers fail to start, or that fails under
-load, leaves no process behind; and a server that writes more to its
-stderr than a pipe holds neither stalls nor hangs its trial.
+load, leaves no process behind; a scenario op that is refused or left
+unanswered fails its trial; and a server that writes more to its stderr
+than a pipe holds neither stalls nor hangs its trial.
 """
 
 import asyncio
+import collections
 import contextlib
 import json
 import os
@@ -136,7 +138,7 @@ class _LateLoop:
     """The running loop as the client sees it, every ``call_at`` timer 1 ms late.
 
     The client arms its arrivals with ``call_at`` and nothing else: the
-    lifecycle's timers go through ``call_later`` and the reaper sleeps.
+    lifecycle's timers and the reaper go through ``call_later``.
     """
 
     def __init__(self, loop):
@@ -468,6 +470,29 @@ class TestFailedTrial:
         # Never asked to shut down, so each was terminated, and waited for.
         assert [process.exitcode for process in reaped] == [-signal.SIGTERM] * 3
         assert not (tmp_path / "trial").exists()
+
+
+class TestFailedControlOp:
+    def test_a_refused_scenario_op_fails_the_trial(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "scenario_schedule", lambda config: [(0.0, 0, {"op": "bogus"})])
+        reaped = _recording_reaps(monkeypatch)
+        config = LiveTrialConfig(
+            strategy="lor", scenario="slow-node", num_servers=3, duration_s=0.5, warmup_s=0.1, cooldown_s=0.1
+        )
+        with pytest.raises(RuntimeError, match="server 0 failed control op 'bogus': unknown control op"):
+            run_trial(config, tmp_path / "trial")
+        assert len(reaped) == 3
+        assert all(process.exitcode is not None for process in reaped)
+        assert not (tmp_path / "trial").exists()
+
+    def test_an_op_a_lost_control_connection_did_not_answer_fails(self):
+        async def scenario():
+            ack = asyncio.get_running_loop().create_future()
+            harness._control_protocol(collections.deque([ack])).connection_lost(None)
+            await harness._acked([(2, {"op": "pause", "duration_ms": 5.0}, ack)])
+
+        with pytest.raises(RuntimeError, match="server 2 failed control op 'pause': control connection lost"):
+            asyncio.run(scenario())
 
 
 # Server 0 is a real server that writes 1 MiB to its stderr 0.3 s after it

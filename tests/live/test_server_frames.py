@@ -1,8 +1,9 @@
 """A replica server survives the frames a broken peer sends.
 
-A frame it cannot use is dropped and its connection keeps serving; a length
-prefix over the cap ends that connection and no other; a frame cut short by
-the end of the stream goes with its connection, without a traceback.
+A frame it cannot use is dropped, and a control frame without its argument
+is answered with an ``error`` ack; either way the connection keeps serving.
+A length prefix over the cap ends that connection and no other; a frame cut
+short by the end of the stream goes with its connection, without a traceback.
 """
 
 import asyncio
@@ -50,6 +51,21 @@ def test_a_malformed_frame_is_dropped_and_the_connection_keeps_serving():
         response = await _request(reader, writer, 7)
         assert (response["t"], response["id"], response["rejected"]) == ("res", 7, False)
         assert server.requests_received == 1
+        writer.close()
+
+    assert _serve(scenario) == []
+
+
+def test_a_control_frame_without_its_argument_is_refused_and_the_connection_keeps_serving():
+    async def scenario(server, port):
+        reader, writer = await _open(port)
+        for bad in ({"op": "slow"}, {"op": "pause", "duration_ms": "soon"}):
+            write_message(writer, {"t": "ctl", **bad})
+            await writer.drain()
+            ack = await asyncio.wait_for(read_message(reader), 5.0)
+            assert (ack["t"], ack["op"]) == ("ack", bad["op"]) and "error" in ack
+        assert server._pauses == 0  # the refused pause stalled nothing
+        assert (await _request(reader, writer, 3))["id"] == 3
         writer.close()
 
     assert _serve(scenario) == []
