@@ -209,6 +209,24 @@ class CubicRateController:
     :attr:`~repro.core.config.C3Config.rate_min_utilisation`.
     """
 
+    # One slotted object per (client, server) pair: the largest state a run
+    # holds, so no per-instance ``__dict__`` and no history list until the
+    # first event is recorded.
+    __slots__ = (
+        "config",
+        "server_id",
+        "limiter",
+        "receive",
+        "sent",
+        "saturation_rate",
+        "last_decrease_at",
+        "last_increase_at",
+        "increases",
+        "decreases",
+        "record_history",
+        "_history",
+    )
+
     def __init__(self, config: C3Config, server_id: Hashable = None) -> None:
         self.config = config
         self.server_id = server_id
@@ -220,10 +238,15 @@ class CubicRateController:
         self.last_increase_at = 0.0
         self.increases = 0
         self.decreases = 0
-        self.history: list[RateControlEvent] = []
         self.record_history = False
+        self._history: list[RateControlEvent] | None = None
 
     # ---------------------------------------------------------------- actions
+    @property
+    def history(self) -> list[RateControlEvent]:
+        """The recorded rate adjustments (empty unless ``record_history``)."""
+        return self._history if self._history is not None else []
+
     @property
     def srate(self) -> float:
         """Current sending-rate limit (requests per δ window)."""
@@ -286,9 +309,7 @@ class CubicRateController:
         self.last_decrease_at = now
         self.decreases += 1
         if self.record_history:
-            self.history.append(
-                RateControlEvent(now, self.server_id, "decrease", srate, new_rate, self.saturation_rate)
-            )
+            self._record(now, "decrease", srate, new_rate)
 
     def _increase(self, now: float, srate: float) -> None:
         elapsed = now - self.last_decrease_at
@@ -304,7 +325,11 @@ class CubicRateController:
         self.last_increase_at = now
         self.increases += 1
         if self.record_history:
-            self.history.append(
-                RateControlEvent(now, self.server_id, "increase", srate, new_rate, self.saturation_rate)
-            )
+            self._record(now, "increase", srate, new_rate)
 
+    def _record(self, now: float, kind: str, old_rate: float, new_rate: float) -> None:
+        event = RateControlEvent(now, self.server_id, kind, old_rate, new_rate, self.saturation_rate)
+        if self._history is None:
+            self._history = [event]
+        else:
+            self._history.append(event)

@@ -47,6 +47,7 @@ snapshot does not write back into the scorer.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -451,5 +452,9 @@ class ReplicaScorer:
 
 
 def _stable_key(server_id: Hashable) -> str:
-    """A deterministic tie-break key for arbitrary hashable server ids."""
-    return f"{type(server_id).__name__}:{server_id!r}"
+    """A deterministic tie-break key for arbitrary hashable server ids.
+
+    Interned, so every client's scorer shares one string per server id
+    instead of holding its own copy.
+    """
+    return sys.intern(f"{type(server_id).__name__}:{server_id!r}")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
+import math
 import random
 import sys
 from typing import Any, Callable
@@ -46,6 +47,14 @@ __all__ = ["ReplicaServer", "main", "serve"]
 
 #: Width of one served-load accounting bucket, in milliseconds.
 _LOAD_BUCKET_MS = 100.0
+
+
+def _finite(value: Any) -> float:
+    """A control op's numeric argument; ``NaN`` and infinities (JSON accepts both) are refused."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {number!r}")
+    return number
 
 
 class _AsyncioClock:
@@ -172,11 +181,14 @@ class ReplicaServer(ReplicaCore):
         ack: dict[str, Any] = {"t": "ack", "op": op, "server_id": self.server_id}
         try:
             if op == "slow":
-                self.set_service_time_multiplier(float(message["factor"]))
+                self.set_service_time_multiplier(_finite(message["factor"]))
             elif op == "pause":
+                duration_ms = _finite(message["duration_ms"])
+                if duration_ms < 0:
+                    raise ValueError(f"negative duration_ms {duration_ms!r}")
                 # The core's stall: in-service requests finish and answer, and
                 # arrivals queue until the last overlapping pause ends.
-                self.loop.post(float(message["duration_ms"]), self._end_pause)
+                self.loop.post(duration_ms, self._end_pause)
                 self._pauses += 1
                 self.crash()
             elif op == "crash":
@@ -206,7 +218,7 @@ class ReplicaServer(ReplicaCore):
             else:
                 ack["error"] = f"unknown control op {op!r}"
         except (KeyError, TypeError, ValueError) as error:
-            # A slow or pause without its numeric argument: refused, and the connection keeps serving.
+            # A slow or pause without a usable numeric argument: refused, and the connection keeps serving.
             ack["error"] = f"bad control op {op!r}: {error!r}"
         return ack
 

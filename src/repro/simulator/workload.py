@@ -93,8 +93,9 @@ class ScalarDraws:
     a :mod:`~repro.core.samplers` sampler bound to ``rng`` — numpy's C
     function behind the scalar Generator call the legacy stream made at that
     point, so ``"v1"`` digests and cache keys are unchanged (a skewed
-    ``next_client`` stays ``rng.choice``); ``next_gap`` is a *standard*
-    exponential that the caller scales by ``1/λ``, which is bit for bit
+    ``next_client`` is :func:`~repro.core.samplers.weighted`, the index
+    ``rng.choice(num_clients, p=client_probs)`` draws); ``next_gap`` is a
+    *standard* exponential that the caller scales by ``1/λ``, which is bit for bit
     ``rng.exponential(1/λ)`` and leaves the generator in the same state
     (``tests/simulator/test_rng_block.py``).
     """
@@ -111,7 +112,7 @@ class ScalarDraws:
         self.next_client: Callable[[], int] = (
             samplers.below(rng, num_clients)
             if client_probs is None
-            else lambda: int(rng.choice(num_clients, p=client_probs))
+            else samplers.weighted(rng, client_probs)
         )
         self.next_group = samplers.below(rng, num_groups)
         self.next_coin = samplers.uniform(rng)

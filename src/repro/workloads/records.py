@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import samplers
+
 __all__ = ["FixedRecordSize", "ZipfSkewedRecordSize"]
 
 
@@ -66,10 +68,12 @@ class ZipfSkewedRecordSize:
         weights = 1.0 / (np.arange(1, sizes.size + 1, dtype=float) ** self.theta)
         self._sizes = sizes.astype(int)
         self._probs = weights / weights.sum()
+        # rng.choice(self._sizes, p=self._probs) draws this index, bit for bit.
+        self._size_index = samplers.weighted(self.rng, self._probs)
 
     def sample_field(self) -> int:
         """Size of one field, in bytes (shorter values are more likely)."""
-        return int(self.rng.choice(self._sizes, p=self._probs))
+        return self.min_field_bytes + self._size_index()
 
     def sample(self) -> int:
         """Size of the next record, in bytes (sum of fields, capped)."""

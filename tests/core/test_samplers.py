@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import samplers
+from repro.simulator.workload import DemandSkew
+from repro.workloads.records import ZipfSkewedRecordSize
 
 #: ``integers(n)`` bounds covering each branch of numpy's bounded sampler:
 #: n = 1 draws nothing, 32-bit Lemire below 2**32 - 1, a raw 32-bit word at
@@ -24,7 +26,7 @@ SIZES = (1, 2, 3, 9, 150, 2**32 - 1, 2**32, 2**40)
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 #: A step is ``(kind, argument, through_sampler)``; the last flag only
-#: matters for the four kinds a sampler serves.
+#: matters for the five kinds a sampler serves.
 STEPS = st.one_of(
     st.tuples(st.just("random"), st.none(), st.booleans()),
     st.tuples(st.just("standard_exponential"), st.none(), st.booleans()),
@@ -35,7 +37,7 @@ STEPS = st.one_of(
     st.tuples(
         st.just("choice"),
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=6),
-        st.just(False),
+        st.booleans(),
     ),
 )
 
@@ -53,8 +55,12 @@ def method_call(rng, kind, arg):
         return rng.random(arg).tolist()
     if kind == "exponential_vector":
         return rng.standard_exponential(arg).tolist()
-    weights = np.array(arg)
-    return int(rng.choice(len(arg), p=weights / weights.sum()))
+    return int(rng.choice(len(arg), p=probabilities(arg)))
+
+
+def probabilities(weights):
+    weights = np.array(weights)
+    return weights / weights.sum()
 
 
 def state_of(rng):
@@ -88,6 +94,7 @@ def test_samplers_are_the_generator_calls_they_replace(bit_generator, seed, step
         "standard_exponential": lambda _: exponential(),
         "exponential": lambda scale: scale * exponential(),
         "integers": lambda n: below[n](),
+        "choice": lambda weights: samplers.weighted(served, probabilities(weights))(),
     }
     for kind, arg, sampled in steps:
         got = through_sampler[kind](arg) if sampled else method_call(served, kind, arg)
@@ -123,3 +130,29 @@ def test_a_sampler_outlives_its_generator():
     assert [exponential() for _ in range(100)] == [
         exponential_reference.standard_exponential() for _ in range(100)
     ]
+
+
+#: The probabilities the workloads draw through ``weighted``: Zipf field
+#: sizes over 1-200 bytes, and 80 % of the demand from 20 % of 150 clients.
+WEIGHTS = {
+    "record_sizes": ZipfSkewedRecordSize()._probs,
+    "demand_skew": DemandSkew(0.2).client_probabilities(150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_weighted_is_generator_choice_draw_for_draw(name):
+    p = WEIGHTS[name]
+    served = np.random.default_rng(7)
+    raw = np.random.default_rng(7)
+    draw = samplers.weighted(served, p)
+    count = 100_000
+    assert [draw() for _ in range(count)] == [int(raw.choice(len(p), p=p)) for _ in range(count)]
+    assert state_of(served) == state_of(raw)
+
+
+def test_weighted_rejects_what_choice_rejects():
+    rng = np.random.default_rng(0)
+    for p in ([], [[0.5, 0.5]], [0.5, 0.6], [1.5, -0.5], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            samplers.weighted(rng, p)

@@ -7,6 +7,7 @@ short by the end of the stream goes with its connection, without a traceback.
 """
 
 import asyncio
+import math
 import struct
 
 from repro.live.protocol import MAX_FRAME_BYTES
@@ -59,12 +60,22 @@ def test_a_malformed_frame_is_dropped_and_the_connection_keeps_serving():
 def test_a_control_frame_without_its_argument_is_refused_and_the_connection_keeps_serving():
     async def scenario(server, port):
         reader, writer = await _open(port)
-        for bad in ({"op": "slow"}, {"op": "pause", "duration_ms": "soon"}):
+        refused = (
+            {"op": "slow"},
+            {"op": "slow", "factor": math.nan},
+            {"op": "slow", "factor": math.inf},
+            {"op": "pause", "duration_ms": "soon"},
+            {"op": "pause", "duration_ms": math.nan},
+            {"op": "pause", "duration_ms": math.inf},
+            {"op": "pause", "duration_ms": -1.0},
+        )
+        for bad in refused:
             write_message(writer, {"t": "ctl", **bad})
             await writer.drain()
             ack = await asyncio.wait_for(read_message(reader), 5.0)
             assert (ack["t"], ack["op"]) == ("ack", bad["op"]) and "error" in ack
-        assert server._pauses == 0  # the refused pause stalled nothing
+        assert server._pauses == 0  # the refused pauses stalled nothing
+        assert server.current_service_time_ms == 0.5  # nor did the refused slows
         assert (await _request(reader, writer, 3))["id"] == 3
         writer.close()
 
