@@ -72,7 +72,7 @@ from ..controls.spec import ControlSpec
 from ..runner.spec import content_hash
 from ..scenarios import SCENARIOS, ScriptedComponent, build_scenario
 from ..scenarios.components import Edge
-from ..simulator.simulation import SimulationConfig
+from ..simulator.simulation import SimulationConfig, check_numbers
 from ..strategies.spec import StrategySpec
 from .client import LiveClientResult, LiveLoadClient
 from .protocol import FrameProtocol, encode_message
@@ -143,6 +143,14 @@ class LiveTrialConfig:
         object.__setattr__(self, "scenario", name)
         params = {**SCENARIOS.get(name).param_defaults(), **self.scenario_params}
         object.__setattr__(self, "scenario_params", params)
+        check_numbers(self)
+        for name in (
+            "arrival_rate_per_s", "base_service_ms", "request_timeout_ms", "concurrency", "queue_capacity"
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.read_fraction <= 1.0:
+            raise ValueError(f"read_fraction must be in [0, 1], got {self.read_fraction}")
         if self.num_servers < 1:
             raise ValueError(f"num_servers must be >= 1, got {self.num_servers}")
         if not 1 <= self.replication_factor <= self.num_servers:

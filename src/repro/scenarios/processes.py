@@ -23,6 +23,7 @@ ask whether it was stopped: a cancelled :class:`Event` never fires.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -36,10 +37,10 @@ __all__ = ["BimodalFluctuation", "PoissonEpisodes", "check_bimodal", "check_epis
 
 def check_bimodal(interval_ms: float | None, rate_multiplier: float | None, fast_probability: float) -> None:
     """The fluctuation knobs' constraints; ``None`` is a value the config's fluctuation fields give."""
-    if interval_ms is not None and interval_ms <= 0:
-        raise ValueError("interval_ms must be positive")
-    if rate_multiplier is not None and rate_multiplier <= 0:
-        raise ValueError("rate_multiplier must be positive")
+    if interval_ms is not None and not 0 < interval_ms < math.inf:
+        raise ValueError("interval_ms must be positive and finite")
+    if rate_multiplier is not None and not 0 < rate_multiplier < math.inf:
+        raise ValueError("rate_multiplier must be positive and finite")
     if not 0.0 <= fast_probability <= 1.0:
         raise ValueError("fast_probability must be in [0, 1]")
 

@@ -17,12 +17,10 @@ dispatch loop:
   is FIFO — so the object path's id counter need not be reproduced.  The
   arena, and with it a leg's memory, grows with peak in-flight requests,
   not with ``num_requests``: ``tracemalloc`` peak of a streaming C3 run on
-  9 servers × 10 clients goes 0.45 → 0.73 MB from 5 000 to 40 000
-  requests, up to 0.26 MB of it the completion-time buffer below (0.98 →
-  6.23 MB when every request kept its slot and every completion time
-  stayed to the end; the object path 0.21 → 0.35 MB), and ``flat_scale``
-  ``peak_rss_mb`` went 75.1 → 51.4 MB (median of ten interleaved pairs,
-  10/10).  Exact mode's latency lists stay O(requests): they are the
+  9 servers × 10 clients goes 0.18 → 0.33 MB from 5 000 to 40 000
+  requests (the object path 0.20 → 0.33 MB), and recycling slots took
+  ``flat_scale`` ``peak_rss_mb`` 75.1 → 51.4 MB (median of ten interleaved
+  pairs, 10/10).  Exact mode's latency lists stay O(requests): they are the
   measurement.
 * **Typed heap entries** — a request's three hops (ENQUEUE, FINISH,
   RESPONSE) are plain tuples ``(time, seq, code, a, b, c)`` pushed onto the
@@ -37,32 +35,23 @@ dispatch loop:
   Everything else a client does — liveness-filtered and custom-selector
   submits, backlog releases, the retry chain, parking, hedging — is the
   lifecycle's own code, reached through the client's I/O hooks.
-* **Vectorized service draws** — each server consumes a pre-drawn block of
-  standard-exponential variates on its own RNG stream
-  (``rng.standard_exponential(n)`` advances the stream exactly as ``n``
-  scalar ``rng.exponential(mean)`` calls do, and ``mean * e`` is bitwise
-  equal to ``exponential(mean)``).
-* **Batched selector scoring** — LOR scores replica groups over contiguous
-  per-client outstanding counts instead of defaultdict lookups: for the run,
-  the selector's own state is that dense list (``kernel_state``), and
-  ``kernel_restore`` turns it back into the dict.  C3 is scored inline over
-  the scorer's live dense arrays and calls the shared
+* **Inline selector scoring** — LOR scores replica groups over the
+  selector's own outstanding-count dict.  C3 is scored inline over the
+  scorer's live dense arrays and calls the shared
   :class:`~repro.core.rate_control.CubicRateController` objects.  Every
   other strategy, P2C included, runs through its normal selector methods
   (correct, less accelerated).
-* **No shadow counters** — every count the inlined hops keep is the owning
-  object's own field: the server's, the client's, the selector's,
-  ``scorer.counters`` and the metrics collector's counts and latency lists
-  (or streaming histograms).  A loop timer, a scenario component or a
-  lifecycle call mid-run reads what the object path would show there.
-  Two things wait for a flush nothing outside reads before it: the
-  arrival count (``generated``, written back around every generic callback
-  and at slice end) and the per-server completion times, flushed through
-  :meth:`~repro.simulator.metrics.WindowedCounter.record_batch` at the end
-  of any slice that leaves more than ``_FLUSH_BLOCK`` of them buffered, and
-  in ``finish()`` — one scatter per distinct window instead of one dict
-  update per completion.  ``record_batch`` is additive, so the chunks sum to
-  the one batch a whole run would make.
+* **Nothing kept for later** — every count the inlined hops keep is the
+  owning object's own field: the server's, the client's, the selector's,
+  ``scorer.counters`` and the metrics collector's counts, latency lists
+  (or streaming histograms) and per-server load series.  A service time is
+  drawn from the server's own generator when its service starts, as the
+  object path draws it, and a completion is credited to its server's load
+  series when it happens, so a loop timer, a scenario component or a
+  lifecycle call mid-run reads what the object path would show there —
+  generator states included.  One count waits for a flush nothing outside
+  reads before it: the arrival count (``generated``, written back around
+  every generic callback and at slice end).
 
 The inlined selector paths are twins of code that also lives behind the
 selectors' methods, and each stays because it pays.  Requests per host
@@ -76,37 +65,48 @@ the fast path ahead in every pair:
 inlined path     fast / polymorphic
 ===============  ======================
 C3               1.45x  (1.35–1.41x)
-LOR              1.77x  (1.57x)
+LOR              1.45x  (1.77x, 1.57x)
 stock selectors  1.32x  (1.26x)
 ===============  ======================
 
 (Median of the per-pair ratios at 60 000 requests a leg; in brackets an
-earlier run of the same comparison at 120 000, ahead in at least nine pairs.)
+earlier run of the same comparison at 120 000, ahead in at least nine pairs.
+LOR's bracketed figures scored a dense list that replaced the selector's
+dict for the run.)
 
-``run_slice`` also carried four blocks transcribed from handlers the kernel
-has anyway.  Each was replaced by a call to its handler (the coin block by
-the scalar draw the object path makes) and measured alone against the inline
-version on the ``flat_scale`` configuration — interleaved pairs, one seed a
-pair, order alternating, digests equal in every pair; the ratio is requests
-per host second with the call over inline.  No median leaves the quartile
-spread of the inline side's own legs (8–28 % of its median on the loaded
-machine that measured; the in-process harness comparing the inline version
-with itself read 1.08, 12/16), so all four are calls now, and these are the
-figures that bringing one back inline would have to beat:
+``run_slice`` carried eight blocks transcribed from methods the kernel
+has anyway.  Each was replaced by a call to its method (the coin block by
+the scalar draw the object path makes) and measured alone against the
+inline version on the ``flat_scale`` configuration — interleaved pairs,
+one seed a pair, order alternating, digests equal in every pair; the ratio
+is requests per host second with the call over inline.  The rule: a copy
+stays inline only when the call's median leaves the quartile spread of the
+inline side's own legs (8–28 % of its median on the loaded machine that
+measured; the in-process harness comparing the inline version with itself
+read 1.08, 12/16).  None did, so all eight are calls now, and these are
+the figures that bringing one back inline would have to beat:
 
-==============================================  =========================================
-was inline in ``run_slice``                     call / inline: median of pairs (wins)
-==============================================  =========================================
-read-repair fanout → ``_rr_fanout``             0.97 (4/10) · 1.03 (13/20)
-read-repair coin block → ``rng.random()``       0.94 (2/10) · 1.01 (6/12) · 0.95 (6/20)
-FINISH slot refill → ``start_service``          0.93 (3/10) · 0.98 (5/12) · 0.97 (8/20)
-C3 backpressure's own arrival rescheduling      0.97 (4/10) · 1.00 (10/20)
-==============================================  =========================================
+================================================  =========================================
+was inline in ``run_slice``                       call / inline: median of pairs (wins)
+================================================  =========================================
+read-repair fanout → ``_rr_fanout``               0.97 (4/10) · 1.03 (13/20)
+read-repair coin block → ``rng.random()``         0.94 (2/10) · 1.01 (6/12) · 0.95 (6/20)
+FINISH slot refill → ``start_service``            0.93 (3/10) · 0.98 (5/12) · 0.97 (8/20)
+C3 backpressure's own arrival rescheduling        0.97 (4/10) · 1.00 (10/20)
+ENQUEUE service start → ``start_service``         0.98 (7/20)
+arrival's slot allocation → ``_new_request``      0.97 (3/10) · 0.96 (8/20)
+exact-mode latency append → ``_record_latency``   0.98 (2/10) · 0.96 (8/20)
+completion credit → ``credit_server``             0.97 (3/10) · 0.99 (9/20)
+================================================  =========================================
 
-(First figure: process pairs of three 120 000-request legs; last: single
-legs alternating inside one process.)  The workload variates come from the
-generator's draw source (:data:`~repro.simulator.workload.RNGS`), so nothing
-here knows the ``rng`` regime.  ``"block"`` over ``"v1"`` was 1.19x under
+(Figures: process pairs — of three 120 000-request legs in the first four
+rows, of one 60 000-request LOR leg in the rest — then single legs
+alternating inside one process, 60 000 LOR requests each in the last four
+rows, the latency append's in exact mode, the only mode that reaches it.)
+
+The workload variates come from the generator's draw source
+(:data:`~repro.simulator.workload.RNGS`), so nothing here knows the
+``rng`` regime.  ``"block"`` over ``"v1"`` was 1.19x under
 this kernel (``flat_scale`` configuration, 28 949 → 34 825 requests per
 host second, 10/10 pairs) and 1.13x on the object path (``flat_c3``'s,
 18 824 → 21 310, 9/10) while every ``v1`` variate was a Generator method
@@ -135,8 +135,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from ..controls.detectors import BinaryFailureDetector
 from ..core.feedback import ServerFeedback
 from ..core.lifecycle import Hedge
@@ -144,7 +142,6 @@ from ..core.scheduler import C3Scheduler
 from ..strategies.base import ReplicaSelector, StatefulSelector
 from ..strategies.least_outstanding import LeastOutstandingSelector
 from .client import SimClient
-from .metrics import WindowedCounter
 from .network import ConstantLatency
 from .request import record_size_factor
 from .server import SimServer
@@ -181,23 +178,16 @@ _C3 = 3
 #: Sentinel "no pending arrival" time (compares after every real event).
 _NEVER = float("inf")
 
-#: Pre-drawn standard-exponential variates per server block.
-_SVC_BLOCK = 512
-
-#: Buffered per-server completion times past which a slice's end flushes
-#: them into the load series.
-_FLUSH_BLOCK = 8192
-
 
 class KernelServer(SimServer):
     """A :class:`SimServer` whose service starts are driven by the kernel.
 
     In kernel mode the FIFO queue holds request *ids* (ints) rather than
-    ``Request`` objects, and service times come from a pre-drawn block of
-    standard-exponential variates on the server's own RNG stream.
+    ``Request`` objects, and :meth:`BatchedKernel.start_service` starts
+    them: it pushes typed FINISH entries instead of posting messages.
     ``_try_start_service`` is overridden because scenario components call it
     directly (``restore()`` at the end of a crash window must drain the
-    queue that built up), and those starts must stay on the block stream.
+    queue that built up), and those starts must be typed entries too.
 
     Everything else is the object's own state, written by the kernel in
     place — the queue, the slots, the request/queue counters, busy time and
@@ -212,8 +202,6 @@ class KernelServer(SimServer):
         # inline attribute values, and every field access in ``run_slice``
         # then specialises to the slower dict-with-hint form.
         self.kernel: BatchedKernel | None = None
-        self._svc_block: Any = None  # np.ndarray block of standard-exponential draws
-        self._svc_i = 0
 
     def _try_start_service(self) -> None:
         kernel = self.kernel
@@ -289,7 +277,7 @@ class KernelClient(SimClient):
         """:meth:`SimClient._hedge_complete` on slots: the first response
         completes the read, and every response is owed to its op."""
         kernel = self.kernel
-        kernel._srv_times[kernel._sid[request]].append(now)
+        self.metrics.credit_server(kernel._sid[request], now)
         comp = kernel._comp
         hedge = self._hedge_by_copy.pop(request, None)
         if hedge is not None:
@@ -381,12 +369,8 @@ class BatchedKernel:
         self._hedged = any(c.hedging is not None for c in clients)
         self.mode = self._detect_mode(self._sels[0]) if self._sels else _CUSTOM
 
-        num_servers = cfg.num_servers
-        if self.mode == _LOR:
-            for sel in self._sels:
-                sel.kernel_state(num_servers)
-        elif self.mode == _C3:
-            states = [sel.kernel_state(num_servers) for sel in self._sels]
+        if self.mode == _C3:
+            states = [sel.kernel_state(cfg.num_servers) for sel in self._sels]
             c3_cfg = self._sels[0].config
             if any(s is None for s in states) or any(
                 sel.config != c3_cfg for sel in self._sels
@@ -429,8 +413,6 @@ class BatchedKernel:
         self._comp: list[float] = []
 
         self._exact = sim.metrics.metrics_mode == "exact"
-        #: Completion times per server, waiting for the load series.
-        self._srv_times: list[list[float]] = [[] for _ in range(num_servers)]
 
         generator = sim.generator
         assert generator is not None
@@ -497,17 +479,16 @@ class BatchedKernel:
         The four per-request handlers (RESPONSE, FINISH, ENQUEUE, ARRIVAL)
         are inlined here with the loop-invariant state hoisted into locals;
         each writes its counts on the owning server, client, selector, scorer
-        and metrics collector in place.  The rest goes through methods: the
-        read-repair fanout and refilling a freed
-        service slot from the queue (``_rr_fanout``, ``start_service``), and
-        every other step of a request — suspicious-mode and custom-selector
-        submits, backlog releases, the retry chain, parking, hedging — through
-        the request's :class:`KernelClient`, with ``t`` put on the loop clock
-        first: the lifecycle's timers read it.  Only the refill is common
-        (four FINISH events in five on the ``flat_scale`` configuration); the
-        module docstring records what each call measured against a
-        transcribed copy.  A slice that leaves more than ``_FLUSH_BLOCK``
-        completion times buffered ends by flushing them.
+        and metrics collector in place.  The rest goes through methods: a new
+        request's slot, the read-repair fanout, starting service on a free
+        slot from an ENQUEUE or a FINISH, a completion's load-series credit and
+        latency record (``_new_request``, ``_rr_fanout``, ``start_service``,
+        ``credit_server``, ``_record_latency``), and every other step of a
+        request — suspicious-mode and custom-selector submits, backlog
+        releases, the retry chain, parking, hedging — through the request's
+        :class:`KernelClient`, with ``t`` put on the loop clock first: the
+        lifecycle's timers read it.  The module docstring records what each
+        call measured against the transcribed copy it replaced.
         """
         loop = self.loop
         heap = self.heap
@@ -516,16 +497,11 @@ class BatchedKernel:
         servers = self.servers
         created = self._created
         client_of = self._client
-        group_of = self._group
-        kind_of = self._kind
         parent_of = self._parent
         disp = self._disp
         sid_of = self._sid
         comp = self._comp
-        free = self._free
-        free_pop = free.pop
-        free_app = free.append
-        srv_times = self._srv_times
+        free_app = self._free.append
         tracker = self.tracker
         binary = self._binary
         det = self.det
@@ -533,14 +509,11 @@ class BatchedKernel:
         hedged = self._hedged
         sels = self._sels
         clients = self.clients
-        size_factor = self.size_factor
         sim = self.sim
         rrp = self.rrp
         metrics = self.metrics
-        exact = self._exact
-        lat_all = metrics._latencies
-        lat_read = metrics._read_latencies
-        lat_write = metrics._write_latencies
+        new_request = self._new_request
+        record_latency = self._record_latency
         if mode == _C3:
             c3_rt_val = self._c3_rt_val
             c3_rt_cnt = self._c3_rt_cnt
@@ -613,26 +586,7 @@ class BatchedKernel:
                 cid = next_client()
                 group = groups[next_group()]
                 kind = _READ if always_read or next_coin() < read_fraction else _WRITE
-                if free:
-                    rid = free_pop()
-                    created[rid] = t
-                    client_of[rid] = cid
-                    group_of[rid] = group
-                    kind_of[rid] = kind
-                    parent_of[rid] = -1
-                    disp[rid] = -1.0
-                    sid_of[rid] = -1
-                    comp[rid] = -1.0
-                else:
-                    rid = len(created)
-                    created.append(t)
-                    client_of.append(cid)
-                    group_of.append(group)
-                    kind_of.append(kind)
-                    parent_of.append(-1)
-                    disp.append(-1.0)
-                    sid_of.append(-1)
-                    comp.append(-1.0)
+                rid = new_request(cid, group, t, kind, -1)
                 client = clients[cid]
                 client.requests_handled += 1
                 metrics.issued_requests += 1
@@ -857,18 +811,9 @@ class BatchedKernel:
                 if hedged:
                     client._hedge_complete(rid, response_time, t)
                 else:
-                    srv_times[sid].append(t)
+                    metrics.credit_server(sid, t)
                     if parent_of[rid] < 0:
-                        latency = comp[rid] - created[rid]
-                        if exact:
-                            metrics.completed_requests += 1
-                            lat_all.append(latency)
-                            if kind_of[rid] == _WRITE:
-                                lat_write.append(latency)
-                            else:
-                                lat_read.append(latency)
-                        else:
-                            self._record_latency(rid, latency)
+                        record_latency(rid, comp[rid] - created[rid])
                     free_app(rid)
                 if released:
                     loop._now = t
@@ -914,41 +859,22 @@ class BatchedKernel:
                 if pending > server.max_queue_length:
                     server.max_queue_length = pending
                 # Queued requests imply no free slot (start_service always
-                # drains), so a free slot here means the queue is empty and
-                # this request starts service immediately.
+                # drains), so a free slot here means the queue held nothing
+                # before this request, which starts service at once.
+                queue.append(rid)
                 if up and ins < server.concurrency:
-                    server._in_service = ins + 1
-                    mean = (server.base_service_time_ms * server._service_time_multiplier) * size_factor
-                    if server.deterministic:
-                        st = mean
-                    else:
-                        block = server._svc_block
-                        i = server._svc_i
-                        if block is None or i >= _SVC_BLOCK:
-                            block = server._svc_block = server.rng.standard_exponential(
-                                _SVC_BLOCK
-                            )
-                            i = 0
-                        st = float(mean * block[i])
-                        server._svc_i = i + 1
-                    seq_v = loop._seq
-                    loop._seq = seq_v + 1
-                    push(heap, (t + st, seq_v, _FINISH, rid, sid, st))
-                else:
-                    queue.append(rid)
+                    self.start_service(server, t)
         if arr_t > until and (not heap or heap[0][0] > until):
             loop._now = max(loop._now, until)
         loop._processed += fired
         self._arr_t = arr_t
         self._arr_seq = arr_seq
         proc.generated = gen.requests_generated = generated
-        if sum(map(len, srv_times)) > _FLUSH_BLOCK:
-            self._flush_completions()
 
     # ------------------------------------------------------------- requests
     def _new_request(self, cid: int, group: tuple, t: float, kind: int, parent: int) -> int:
         """A slot for a new request: a free one if any, else one more at the
-        arena's end (``run_slice``'s arrival path inlines both)."""
+        arena's end."""
         if self._free:
             rid = self._free.pop()
             self._created[rid] = t
@@ -993,39 +919,25 @@ class BatchedKernel:
 
     # -------------------------------------------------------------- servers
     def start_service(self, server: KernelServer, t: float) -> None:
-        """Start queued requests while slots are free (block-drawn times).
+        """Start queued requests while slots are free, each service time
+        drawn as it starts, as :meth:`SimServer._draw_service_time` draws it.
 
-        Called when a FINISH frees a slot, and the target of
-        :meth:`KernelServer._try_start_service`, so scenario ``restore()``
-        calls drain through the same stream.
+        Called when an ENQUEUE or a FINISH finds a free slot, and the target
+        of :meth:`KernelServer._try_start_service`, so scenario ``restore()``
+        calls drain the queue here too.
         """
-        queue = server._queue
-        if not queue or not server._up or server._in_service >= server.concurrency:
-            return
         loop = self.loop
-        heap = self.heap
+        queue = server._queue
         sid = server.server_id
-        rng = server.rng
-        size_factor = self.size_factor
         concurrency = server.concurrency
-        block = server._svc_block
-        i = server._svc_i
         while server._up and server._in_service < concurrency and queue:
             rid = queue.popleft()
             server._in_service += 1
-            mean = (server.base_service_time_ms * server._service_time_multiplier) * size_factor
-            if server.deterministic:
-                service_time = mean
-            else:
-                if block is None or i >= len(block):
-                    block = server._svc_block = rng.standard_exponential(_SVC_BLOCK)
-                    i = 0
-                service_time = float(mean * block[i])
-                i += 1
+            mean = (server.base_service_time_ms * server._service_time_multiplier) * self.size_factor
+            service_time = mean if server.deterministic else mean * server._exp()
             seq = loop._seq
             loop._seq = seq + 1
-            heappush(heap, (t + service_time, seq, _FINISH, rid, sid, service_time))
-        server._svc_i = i
+            heappush(self.heap, (t + service_time, seq, _FINISH, rid, sid, service_time))
 
     def _record_latency(self, rid: int, latency: float) -> None:
         metrics = self.metrics
@@ -1045,43 +957,15 @@ class BatchedKernel:
 
     # ------------------------------------------------------------------ end
     def finish(self) -> None:
-        """End the run: flush the buffered completion times into the load
-        series, hand the LOR selectors their dicts back and unhook.
-
-        Every counter is already on its object (see the module docstring),
-        so ``stats()`` and ``result()`` read them as the object path leaves
-        them.
-        """
-        self._flush_completions()
-        if self.mode == _LOR:
-            for sel in self._sels:
-                sel.kernel_restore()
-
-        # The run is over: hand the servers back to their own
-        # ``_try_start_service`` and let go of the clients (kernel ↔
-        # KernelServer / KernelClient is a cycle through the simulation
-        # otherwise), and drop the arena.
+        """End the run: hand the servers back to their own
+        ``_try_start_service``, let go of the clients (kernel ↔ KernelServer
+        / KernelClient is a cycle through the simulation otherwise) and drop
+        the arena.  Every count is already on its object, as the object path
+        leaves it, so ``stats()`` and ``result()`` read it there."""
         for server in self.servers:
             server.kernel = None
         for client in self.clients:
             client.kernel = None
         self._created, self._disp, self._comp = [], [], []
         self._client, self._kind, self._parent, self._sid = [], [], [], []
-        self._group, self._free, self._srv_times = [], [], []
-
-    def _flush_completions(self) -> None:
-        """Move the buffered per-server completion times into the load series.
-
-        A server's counter is created by its first flush, as the object path
-        creates it at the first completion, so the series' keys are the same.
-        """
-        metrics = self.metrics
-        windows = metrics._per_server_windows
-        for sid, times in enumerate(self._srv_times):
-            if times:
-                counter = windows.get(sid)
-                if counter is None:
-                    counter = windows[sid] = WindowedCounter(metrics.window_ms)
-                counter.record_batch(np.asarray(times, dtype=float))
-                metrics._per_server_completed[sid] += len(times)
-                times.clear()
+        self._group, self._free = [], []

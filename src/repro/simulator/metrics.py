@@ -53,27 +53,6 @@ class WindowedCounter:
             raise ValueError("time_ms must be non-negative")
         self._counts[int(time_ms // self.window_ms)] += count
 
-    def record_batch(self, times_ms: np.ndarray) -> None:
-        """Record one event at each time in ``times_ms`` (vectorized scatter).
-
-        Equivalent to ``for t in times_ms: self.record(t)`` — the window
-        index is the same floor division — but the bucketing happens in
-        numpy: one ``//``, one :func:`numpy.unique`, and one dict update per
-        *distinct window* instead of per event.  The batched simulator
-        kernel accumulates per-server completion times in flat arrays and
-        flushes them through here at end of run.
-        """
-        if times_ms.size == 0:
-            return
-        if float(times_ms.min()) < 0:
-            raise ValueError("time_ms must be non-negative")
-        windows, counts = np.unique(
-            (times_ms // self.window_ms).astype(np.int64), return_counts=True
-        )
-        sparse = self._counts
-        for window, count in zip(windows.tolist(), counts.tolist()):
-            sparse[window] += count
-
     def counts(self, horizon_ms: float | None = None) -> np.ndarray:
         """Dense per-window counts from window 0 to the last observed window.
 
@@ -306,14 +285,17 @@ class MetricsCollector:
 
     def on_server_complete(self, request: Request, now: float) -> None:
         """Credit the serving server one windowed-load completion at ``now``."""
-        server_id = request.server_id
-        if server_id is not None:
-            counter = self._per_server_windows.get(server_id)
-            if counter is None:
-                counter = WindowedCounter(self.window_ms)
-                self._per_server_windows[server_id] = counter
-            counter.record(now)
-            self._per_server_completed[server_id] += 1
+        if request.server_id is not None:
+            self.credit_server(request.server_id, now)
+
+    def credit_server(self, server_id: Hashable, now: float) -> None:
+        """One completion by ``server_id`` at ``now``, in its load series and
+        its total; a server's series starts at its first completion."""
+        counter = self._per_server_windows.get(server_id)
+        if counter is None:
+            counter = self._per_server_windows[server_id] = WindowedCounter(self.window_ms)
+        counter.record(now)
+        self._per_server_completed[server_id] += 1
 
     def on_client_complete(self, request: Request) -> None:
         """Record the client-visible completion latency (no server credit).

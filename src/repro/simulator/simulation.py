@@ -10,14 +10,15 @@ together and runs the event loop until every generated request completes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Hashable, Mapping
 
 import numpy as np
 
 from ..controls import ControlSpec
 from ..core.config import C3Config
-from ..scenarios.processes import BimodalFluctuation
+from ..scenarios.processes import BimodalFluctuation, check_bimodal
 from ..strategies import StrategySpec
 from .client import SimClient
 from .engine import EventLoop, SimulationError
@@ -27,7 +28,14 @@ from .request import Request
 from .server import DownServerTracker, SimServer, server_state_reader
 from .workload import RNGS, DemandSkew, WorkloadGenerator, replica_groups
 
-__all__ = ["KERNELS", "RNGS", "SimulationConfig", "ReplicaSelectionSimulation", "run_simulation"]
+__all__ = [
+    "KERNELS",
+    "RNGS",
+    "SimulationConfig",
+    "ReplicaSelectionSimulation",
+    "check_numbers",
+    "run_simulation",
+]
 
 
 class ObjectEngine:
@@ -72,6 +80,18 @@ def _batched_kernel():
 #: ``SimulationConfig.kernel`` → a callable returning (server class, client
 #: class, engine class); the two kernels are digest-identical by construction.
 KERNELS = {"object": _object_kernel, "batched": _batched_kernel}
+
+
+def check_numbers(config: Any) -> None:
+    """Refuse a run config (simulated or live) with a non-finite float field
+    or a histogram error outside (0, 1): a NaN interval or rate never
+    advances a clock, so the run would hang instead of failing."""
+    for item in fields(config):
+        value = getattr(config, item.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value}")
+    if not 0.0 < config.histogram_relative_error < 1.0:
+        raise ValueError("histogram_relative_error must be in (0, 1)")
 
 
 @dataclass(slots=True)
@@ -159,6 +179,7 @@ class SimulationConfig:
         self.failure_detector = ControlSpec.parse(self.failure_detector, kind="detector").canonical()
         if self.hedging is not None:
             self.hedging = ControlSpec.parse(self.hedging, kind="hedge").canonical()
+        check_numbers(self)
         if self.num_servers < self.replication_factor:
             raise ValueError("num_servers must be >= replication_factor")
         if self.num_clients < 1:
@@ -173,8 +194,6 @@ class SimulationConfig:
             raise ValueError(
                 f"unknown metrics_mode {self.metrics_mode!r}; choose one of {METRICS_MODES}"
             )
-        if not 0.0 < self.histogram_relative_error < 1.0:
-            raise ValueError("histogram_relative_error must be in (0, 1)")
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; choose one of {tuple(KERNELS)}")
         if self.rng not in RNGS:
@@ -188,6 +207,8 @@ class SimulationConfig:
             check_scenario(self)
         elif self.scenario_params:
             raise ValueError("scenario_params given without a scenario name")
+        elif self.fluctuation_enabled:
+            check_bimodal(self.fluctuation_interval_ms, self.fluctuation_multiplier, 0.5)
 
     @property
     def strategy_spec(self) -> StrategySpec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -42,9 +42,9 @@ class LeastOutstandingSelector(StatefulSelector):
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         self.rng = rng or np.random.default_rng()
-        #: Outstanding requests by server id: a defaultdict, or the batched
-        #: kernel's dense list while it runs (see :meth:`kernel_state`).
-        self._outstanding: Any = defaultdict(int)
+        #: Outstanding requests by server id (the batched kernel reads and
+        #: writes it in place).
+        self._outstanding: defaultdict[Hashable, int] = defaultdict(int)
 
     def outstanding(self, server_id: Hashable) -> int:
         """Outstanding requests this client has at ``server_id``."""
@@ -79,25 +79,5 @@ class LeastOutstandingSelector(StatefulSelector):
 
     def stats(self) -> dict:
         stats = super().stats()
-        counts = self._outstanding
-        stats["outstanding_total"] = sum(counts if type(counts) is list else counts.values())
+        stats["outstanding_total"] = sum(self._outstanding.values())
         return stats
-
-    # ------------------------------------------------------ batched-kernel seam
-    def kernel_state(self, num_servers: int) -> list[int]:
-        """Outstanding counts as a dense list indexed by (integer) server id.
-
-        For the batched kernel's run the list *is* the selector's state: the
-        kernel scores replica groups over it inline and bumps the selector's
-        own counters, and the selector's methods (the submits, timeouts and
-        duplicate sends the request lifecycle makes) update the same list.
-        :meth:`outstanding` and :meth:`stats` read either form, so they
-        answer mid-run as after it; :meth:`kernel_restore` turns the list
-        back into the dict.
-        """
-        self._outstanding = [self._outstanding[sid] for sid in range(num_servers)]
-        return self._outstanding
-
-    def kernel_restore(self) -> None:
-        """Turn the dense counts back into the dict."""
-        self._outstanding = defaultdict(int, {sid: n for sid, n in enumerate(self._outstanding) if n})

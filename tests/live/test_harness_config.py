@@ -54,6 +54,42 @@ class TestLiveTrialConfig:
         with pytest.raises(ValueError, match="measurement window"):
             LiveTrialConfig(duration_s=1.0, warmup_s=0.6, cooldown_s=0.5)
 
+    @pytest.mark.parametrize(
+        "knobs,message",
+        [
+            ({"duration_s": float("nan")}, "duration_s must be finite"),
+            ({"arrival_rate_per_s": float("nan")}, "arrival_rate_per_s must be finite"),
+            ({"base_service_ms": float("inf")}, "base_service_ms must be finite"),
+            ({"arrival_rate_per_s": 0.0}, "arrival_rate_per_s must be positive"),
+            ({"base_service_ms": 0.0}, "base_service_ms must be positive"),
+            ({"request_timeout_ms": -1.0}, "request_timeout_ms must be positive"),
+            ({"concurrency": 0}, "concurrency must be positive"),
+            ({"queue_capacity": 0}, "queue_capacity must be positive"),
+            ({"histogram_relative_error": 1.0}, "histogram_relative_error must be in"),
+            ({"read_fraction": 1.5}, "read_fraction must be in"),
+        ],
+        ids=[
+            "duration-nan", "rate-nan", "service-inf", "rate-0", "service-0", "timeout-negative",
+            "concurrency-0", "queue-0", "relative-error-1", "read-fraction-1.5",
+        ],
+    )
+    def test_out_of_range_knobs_are_rejected(self, knobs, message):
+        # A NaN duration or rate hung a trial; a zero rate or service time
+        # failed it only after the servers were forked.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LiveTrialConfig(**knobs)
+
+    def test_cli_refuses_a_zero_rate_before_forking(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.live import harness
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a server was forked")
+
+        monkeypatch.setattr(harness, "_fork_servers", no_fork)
+        assert main(["live", "--rate", "0", "--duration", "0.5", "--warmup", "0", "--cooldown", "0"]) == 2
+        assert "arrival_rate_per_s must be positive" in capsys.readouterr().err
+
     def test_replication_factor_bounded_by_servers(self):
         with pytest.raises(ValueError, match="replication_factor"):
             LiveTrialConfig(num_servers=2, replication_factor=3)

@@ -58,6 +58,22 @@ class TestBimodalFluctuation:
         with pytest.raises(ValueError):
             BimodalFluctuation(loop, [], fast_probability=1.5)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(interval_ms=float("nan")),
+            dict(interval_ms=float("inf")),
+            dict(rate_multiplier=float("nan")),
+            dict(rate_multiplier=float("inf")),
+        ],
+        ids=["interval-nan", "interval-inf", "multiplier-nan", "multiplier-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, knobs):
+        # A NaN interval passed the old ``<= 0`` check and never advanced the
+        # loop's clock; an infinite one crashed on a window index.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            BimodalFluctuation(EventLoop(), [], **knobs)
+
 
 class TestLatencyInflation:
     """Scripted slowdown episodes, as the ``SlowServers`` component schedules them."""

@@ -11,32 +11,29 @@ event for event.  These tests pin that contract three ways:
   phi-accrual suspicion, hedged reads, read-repair fan-out, backpressure
   parking, demand skew, a mid-run network-delay change, streaming metrics,
   copies outliving their primary (the kernel recycles request slots), a
-  run long enough to flush the per-server load series in chunks, every
-  builtin scenario and the legacy fluctuation fields on and off — each
-  row also compares every client's and server's ``stats()`` and the
-  metrics collector's counts between the two runs, at three instants
+  long LOR run, every builtin scenario and the legacy fluctuation fields
+  on and off — each row also compares every client's and server's
+  ``stats()``, every server's RNG state and the metrics collector's counts
+  and per-server load series between the two runs, at three instants
   inside the run (loop timers) and after it: the kernel keeps no copy of
-  that accounting to hand back at the end;
+  that accounting to hand back at the end, draws no service time before
+  the service starts and credits no completion later than it happens;
 * a hypothesis property over random small configurations — every builtin
   strategy, hedged or not, on the binary or the phi detector, with or
   without a crash, slow-node or gc-storm scenario, and C3/RR rate-limited
   on one to three clients so that backpressure engages — comparing the same
   digests and mid-run and final ``stats()``, so the equivalence is not an artifact of
-  hand-picked parameters;
-* a unit test for :meth:`WindowedCounter.record_batch`, the vectorized
-  scatter the kernel uses to build per-server load series.
+  hand-picked parameters.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator import kernel as kernel_module
 from repro.simulator.client import SimClient
-from repro.simulator.kernel import _FLUSH_BLOCK, BatchedKernel, KernelClient
-from repro.simulator.metrics import WindowedCounter
+from repro.simulator.kernel import BatchedKernel, KernelClient
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 from repro.simulator.workload import DemandSkew
 from repro.strategies.least_outstanding import LeastOutstandingSelector
@@ -97,10 +94,11 @@ MATRIX = {
     # be handed out while a copy can still name its primary's.
     "hedge2-rr-crash-c3": dict(HARD, strategy="C3", **HEDGED_REUSE),
     "hedge2-rr-crash-lor": dict(HARD, strategy="LOR", **HEDGED_REUSE),
-    # Enough completions to flush the kernel's buffered load series
-    # several times before the final flush.
+    # A long LOR run: the selector's outstanding counts, the load series
+    # and the servers' generator states stay equal, mid-run and at the
+    # end, across tens of thousands of completions.
     "flush-chunks-lor": dict(
-        num_servers=6, num_clients=8, num_requests=4 * _FLUSH_BLOCK, seed=5, strategy="LOR"
+        num_servers=6, num_clients=8, num_requests=32_768, seed=5, strategy="LOR"
     ),
     # The remaining builtin scenarios and the legacy fluctuation fields: the
     # sweep runner executes every trial on the kernel, so every perturbation
@@ -144,8 +142,9 @@ def _observe(sim: ReplicaSelectionSimulation) -> list:
     """Arm loop timers at a quarter, half and three quarters of the expected
     arrival span; each appends what code outside the kernel's loop can read
     then: every client's ``stats()`` (the selector's included), LOR's
-    per-server ``outstanding()``, every server's ``stats()`` and the metrics
-    collector's four counts."""
+    per-server ``outstanding()``, every server's ``stats()`` and RNG state
+    (the service times drawn so far), the metrics collector's four counts,
+    and its per-server load series and completion totals."""
     snapshots: list = []
     metrics = sim.metrics
 
@@ -160,12 +159,15 @@ def _observe(sim: ReplicaSelectionSimulation) -> list:
                     if isinstance(c.selector, LeastOutstandingSelector)
                 ],
                 {sid: s.stats() for sid, s in sim.servers.items()},
+                {sid: s.rng.bit_generator.state for sid, s in sim.servers.items()},
                 (
                     metrics.completed_requests,
                     metrics.issued_requests,
                     metrics.duplicate_requests,
                     metrics.backpressure_events,
                 ),
+                {sid: counter.counts().tolist() for sid, counter in metrics._per_server_windows.items()},
+                dict(metrics._per_server_completed),
             )
         )
 
@@ -299,25 +301,3 @@ def test_invalid_kernel_rejected():
     with pytest.raises(ValueError, match="kernel"):
         SimulationConfig(kernel="vectorised")
 
-
-class TestRecordBatch:
-    def test_matches_scalar_record(self):
-        rng = np.random.default_rng(5)
-        times = rng.uniform(0.0, 1000.0, size=500)
-        scalar = WindowedCounter(100.0)
-        for t in times:
-            scalar.record(float(t))
-        batched = WindowedCounter(100.0)
-        batched.record_batch(times)
-        horizon = 1100.0
-        assert np.array_equal(scalar.counts(horizon), batched.counts(horizon))
-
-    def test_empty_batch_is_noop(self):
-        counter = WindowedCounter(100.0)
-        counter.record_batch(np.empty(0))
-        assert counter.counts().size == 0
-
-    def test_negative_time_rejected(self):
-        counter = WindowedCounter(100.0)
-        with pytest.raises(ValueError):
-            counter.record_batch(np.array([5.0, -1.0]))

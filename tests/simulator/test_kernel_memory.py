@@ -5,11 +5,11 @@ Two properties of a streaming C3 run:
 
 * its ``tracemalloc`` peak at eight times the request count stays within 2x
   of the shorter run's (a kernel that kept every request's slot and every
-  completion time reached 2.8x at these sizes, 6.4x at 5 000 → 40 000);
+  completion time reached 2.8x at these sizes, 6.4x at 5 000 → 40 000; one
+  that buffered completion times for a periodic flush 1.86x);
 * after every slice, the arena holds exactly the requests still in flight
-  plus its free list, its length tracks peak in-flight rather than
-  ``num_requests``, and no more than ``_FLUSH_BLOCK`` completion times wait
-  for the load series.
+  plus its free list, and its length tracks peak in-flight rather than
+  ``num_requests``.
 
 Both run well under five seconds; the traced runs are small because
 ``tracemalloc`` resolves a line number per allocation, which costs the most
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro.simulator.kernel import _FLUSH_BLOCK, BatchedKernel
+from repro.simulator.kernel import BatchedKernel
 from repro.simulator.simulation import ReplicaSelectionSimulation, SimulationConfig
 
 
@@ -54,8 +54,8 @@ def test_traced_peak_does_not_grow_with_the_request_count():
     assert large <= 2 * small, (small, large)
 
 
-def _slice_samples(monkeypatch, num_requests: int) -> list[tuple[int, int, int, int]]:
-    """``(arena, free, in_flight, buffered)`` after every slice of one run."""
+def _slice_samples(monkeypatch, num_requests: int) -> list[tuple[int, int, int]]:
+    """``(arena, free, in_flight)`` after every slice of one run."""
     samples = []
     run_slice = BatchedKernel.run_slice
 
@@ -66,8 +66,7 @@ def _slice_samples(monkeypatch, num_requests: int) -> list[tuple[int, int, int, 
         metrics = kernel.metrics
         answered = sum(client.responses_handled for client in kernel.clients)
         in_flight = metrics.issued_requests + metrics.duplicate_requests - answered
-        buffered = sum(map(len, kernel._srv_times))
-        samples.append((len(kernel._created), len(kernel._free), in_flight, buffered))
+        samples.append((len(kernel._created), len(kernel._free), in_flight))
 
     monkeypatch.setattr(BatchedKernel, "run_slice", sampled)
     result = _simulation(num_requests).run()
@@ -79,12 +78,11 @@ def _slice_samples(monkeypatch, num_requests: int) -> list[tuple[int, int, int, 
 def test_arena_holds_in_flight_requests_only(monkeypatch):
     num_requests = 16_000
     samples = _slice_samples(monkeypatch, num_requests)
-    for arena, free, in_flight, buffered in samples:
+    for arena, free, in_flight in samples:
         assert arena == in_flight + free
-        assert buffered <= _FLUSH_BLOCK
     # The arena is as long as the most requests ever in flight at once; the
     # slice ends see nearly that many (mid-slice peaks are a little higher).
     arena = samples[-1][0]
-    peak_in_flight = max(in_flight for _, _, in_flight, _ in samples)
+    peak_in_flight = max(in_flight for _, _, in_flight in samples)
     assert arena <= 2 * peak_in_flight
     assert arena < num_requests // 10

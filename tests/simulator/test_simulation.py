@@ -37,6 +37,24 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(num_clients=0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("fluctuation_interval_ms", float("nan")),
+            ("fluctuation_interval_ms", float("inf")),
+            ("utilization", float("nan")),
+            ("network_delay_ms", float("nan")),
+            ("max_sim_time_ms", float("inf")),
+            ("fluctuation_interval_ms", -1.0),
+            ("fluctuation_multiplier", 0.0),
+        ],
+    )
+    def test_non_finite_floats_rejected(self, name, value):
+        # Checked at construction only: a run of the NaN-interval config hangs,
+        # and a non-positive legacy fluctuation knob failed only mid-build.
+        with pytest.raises(ValueError, match=f"{name} must be finite|must be positive"):
+            SimulationConfig(**{name: value})
+
 
 class TestRunSimulation:
     @pytest.mark.parametrize("strategy", ["C3", "LOR", "RR", "ORA", "RAND", "P2C"])
